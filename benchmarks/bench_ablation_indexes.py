@@ -17,11 +17,11 @@ def test_ablation_index_set(benchmark, xmark_dataset):
     without_indexes = XQueryProcessor(
         xmark_dataset.encoding, default_document=xmark_dataset.uri, with_default_indexes=False
     )
-    indexed_outcome = benchmark(lambda: with_indexes.execute_join_graph(query))
+    indexed_outcome = benchmark(lambda: with_indexes.execute(query, configuration="join-graph"))
     import time
 
     start = time.perf_counter()
-    bare_outcome = without_indexes.execute_join_graph(query)
+    bare_outcome = without_indexes.execute(query, configuration="join-graph")
     bare_seconds = time.perf_counter() - start
     assert set(indexed_outcome.items) == set(bare_outcome.items)
     indexed_scanned = indexed_outcome.rows_scanned

@@ -6,10 +6,10 @@ SELECT-DISTINCT-FROM-WHERE block) — on the same database, with the same
 indexes.  This benchmark reruns that comparison on an actual off-the-shelf
 RDBMS, SQLite via :mod:`repro.sqlbackend`:
 
-* **stacked-sql** — ``XQueryProcessor.execute_sql_stacked``: the
+* **stacked-sql** — ``configuration="sql-stacked"``: the
   ``WITH``-chain of `generate_stacked_sql`, one CTE per algebra operator,
   whose DISTINCT / RANK() OVER fences box the engine in (Section IV);
-* **join-graph-sql** — ``XQueryProcessor.execute_sql``: the Fig. 8/9 SFW
+* **join-graph-sql** — ``configuration="sql"``: the Fig. 8/9 SFW
   block over the Fig. 2 encoding with the paper's access-path indexes,
   join order pinned to the in-tree cost-based planner's choice.
 
@@ -59,20 +59,19 @@ def _best_of(repeats: int, run) -> float:
 def bench_query(processor: XQueryProcessor, query, repeats: int, timeout: float) -> dict:
     # Correctness first: the SQL paths must agree with each other and with
     # the interpreted join-graph engine before their timings mean anything.
-    via_sql = processor.execute_sql(query.xquery, timeout_seconds=timeout)
-    via_stacked_sql = processor.execute_sql_stacked(query.xquery, timeout_seconds=timeout)
-    interpreted = processor.execute_join_graph(query.xquery, timeout_seconds=timeout)
+    def run(configuration: str):
+        return processor.execute(query.xquery, timeout, configuration=configuration)
+
+    via_sql = run("sql")
+    via_stacked_sql = run("sql-stacked")
+    interpreted = run("join-graph")
     consistent = (
         via_sql.items == interpreted.items
         and set(via_sql.items) == set(via_stacked_sql.items)
     )
 
-    stacked_seconds = _best_of(
-        repeats, lambda: processor.execute_sql_stacked(query.xquery, timeout_seconds=timeout)
-    )
-    join_graph_seconds = _best_of(
-        repeats, lambda: processor.execute_sql(query.xquery, timeout_seconds=timeout)
-    )
+    stacked_seconds = _best_of(repeats, lambda: run("sql-stacked"))
+    join_graph_seconds = _best_of(repeats, lambda: run("sql"))
     return {
         "name": query.name,
         "paper_id": query.paper_id,

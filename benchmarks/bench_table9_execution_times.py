@@ -34,8 +34,8 @@ def test_table9_row(benchmark, name, xmark_dataset, dblp_dataset, xmark_processo
 
     def join_graph_run():
         if compilation.join_graph is not None:
-            return processor.execute_join_graph(query.xquery, timeout_seconds=BUDGET_SECONDS)
-        return processor.execute_isolated_interpreted(query.xquery, timeout_seconds=BUDGET_SECONDS)
+            return processor.execute(query.xquery, BUDGET_SECONDS, configuration="join-graph")
+        return processor.execute(query.xquery, BUDGET_SECONDS, configuration="isolated")
 
     benchmark(join_graph_run)
     row = run_table_nine_row(query, dataset, processor, budget_seconds=BUDGET_SECONDS)

@@ -34,7 +34,7 @@ def main() -> None:
     print("-" * 68)
     for label, query in QUERIES.items():
         start = time.perf_counter()
-        stacked = processor.execute_stacked(query)
+        stacked = processor.execute(query, configuration="stacked")
         stacked_s = time.perf_counter() - start
         start = time.perf_counter()
         isolated = processor.execute(query)

@@ -28,7 +28,7 @@ def main() -> None:
     print("\n=== Back-end execution plan (cf. Fig. 10) ===")
     print(processor.explain(QUERY))
 
-    outcome = processor.execute_join_graph(QUERY)
+    outcome = processor.execute(QUERY, configuration="join-graph")
     items = sorted(set(outcome.items))
     print(f"\n=== Result: {len(items)} open_auction elements with a bidder ===")
     print(processor.serialize(items[:2], separator="\n")[:400], "...")

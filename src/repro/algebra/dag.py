@@ -62,8 +62,9 @@ def operator_histogram(root: Operator) -> dict[str, int]:
 
 def parents_map(root: Operator) -> dict[int, list[Operator]]:
     """Map ``id(node) -> list of parent nodes`` for the DAG rooted at ``root``."""
-    parents: dict[int, list[Operator]] = {id(node): [] for node in iter_nodes(root)}
-    for node in iter_nodes(root):
+    order = topological_order(root)
+    parents: dict[int, list[Operator]] = {id(node): [] for node in order}
+    for node in order:
         for child in node.children:
             parents[id(child)].append(node)
     return parents
@@ -129,70 +130,95 @@ def pushout(
     silently breaks every rewrite premise that relies on shared anchors
     (``left_origin[0] is right_origin[0]``).
 
-    ``parents`` is an optional ``id(node) -> [parent, ...]`` index of the
-    plan.  A caller that maintains one (the worklist rewrite driver builds
-    it once per step anyway) enables the single-replacement fast path: the
-    rebuild cone — the ancestors of the one replaced node — is found by
-    walking the index upward, so the substitution costs O(cone) instead of
-    a full-plan reachability pass.  ``order`` (the plan's topological
-    order, children first) additionally turns the cone rebuild into a flat
-    bottom-up loop.  The resulting graph is identical to the generic
-    path's.
+    ``parents`` (an ``id(node) -> [parent, ...]`` index of the plan) and
+    ``order`` (its topological order, children first) are what the rewrite
+    driver computes once per step anyway.  Passed together they enable the
+    single-replacement fast path: the rebuild cone — the ancestors of the
+    one replaced node — is found by walking the index upward and rebuilt in
+    one flat bottom-up loop over ``order``, so the substitution costs
+    O(cone) instead of a full-plan pass.  The resulting graph is identical
+    to the generic path's.
+
+    Neither path recurses: plan depth grows with query size (one level per
+    path step), and a hostile query must not be able to exhaust the Python
+    stack here.
     """
-    if parents is not None and len(replacements) == 1:
+    if parents is not None and order is not None and len(replacements) == 1:
         ((target_id, replacement),) = tuple(replacements.items())
         return _pushout_single(root, target_id, replacement, parents, order)
-    #: ``reach(node)`` = the replacement keys reachable from ``node``.  Memo
-    #: keys below pair a node id with the *relevant* slice of the banned set
-    #: (``banned & reach``), so a node rebuilt in unrelated contexts still
-    #: resolves to one single object.
-    reach_memo: dict[int, frozenset[int]] = {}
-
-    def reach(node: Operator) -> frozenset[int]:
-        cached = reach_memo.get(id(node))
-        if cached is not None:
-            return cached
-        acc: frozenset[int] = frozenset()
-        for child in node.children:
-            acc |= reach(child)
-        if id(node) in replacements:
-            acc |= frozenset((id(node),))
-        reach_memo[id(node)] = acc
-        return acc
+    #: ``reach[id(node)]`` = the replacement keys reachable from ``node``,
+    #: folded bottom-up over the plan and over every replacement subtree
+    #: (the only objects the walk below can visit).  Memo keys pair a
+    #: node id with the *relevant* slice of the banned set (``banned &
+    #: reach``), so a node rebuilt in unrelated contexts still resolves to
+    #: one single object.
+    reach: dict[int, frozenset[int]] = {}
+    for start in (root, *replacements.values()):
+        for node in iter_nodes(start):
+            if id(node) in reach:
+                continue
+            acc: frozenset[int] = frozenset()
+            for child in node.children:
+                acc |= reach[id(child)]
+            if id(node) in replacements:
+                acc |= frozenset((id(node),))
+            reach[id(node)] = acc
 
     memo: dict[tuple[int, frozenset[int]], Operator] = {}
     glued: dict[int, Operator] = {}
     rebuilt: dict[int, Operator] = {}
     ambiguous: set[int] = set()
 
-    def rebuild(node: Operator, banned: frozenset[int]) -> Operator:
-        effective = banned & reach(node)
-        key = (id(node), effective)
-        if key in memo:
-            return memo[key]
-        if id(node) in replacements and id(node) not in banned:
-            result = rebuild(replacements[id(node)], banned | frozenset((id(node),)))
+    # Depth-first walk over ``(node, banned)`` frames: a frame is expanded
+    # once (its children — or, for a replaced node outside its own
+    # replacement, the replacement — are pushed on top of it) and finished
+    # when it resurfaces, by which time everything it depends on is in
+    # ``memo``.
+    stack: list[tuple[Operator, frozenset[int], bool]] = [(root, frozenset(), False)]
+    while stack:
+        node, banned, expanded = stack.pop()
+        node_id = id(node)
+        effective = banned & reach[node_id]
+        key = (node_id, effective)
+        replaced = node_id in replacements and node_id not in banned
+        if not expanded:
+            if key in memo:
+                continue
+            stack.append((node, banned, True))
+            if replaced:
+                stack.append(
+                    (replacements[node_id], banned | frozenset((node_id,)), False)
+                )
+            else:
+                for child in reversed(node.children):
+                    stack.append((child, effective, False))
+            continue
+        if replaced:
+            replacement = replacements[node_id]
+            inner = (banned | frozenset((node_id,))) & reach[id(replacement)]
+            result = memo[(id(replacement), inner)]
             # Record the top-level gluing only (first context reaching the
             # node): deeper banned contexts rebuild preserved occurrences.
-            glued.setdefault(id(node), result)
+            glued.setdefault(node_id, result)
         else:
-            new_children = [rebuild(child, effective) for child in node.children]
+            new_children = [
+                memo[(id(child), effective & reach[id(child)])]
+                for child in node.children
+            ]
             if all(new is old for new, old in zip(new_children, node.children)):
                 result = node
             else:
                 result = node.with_children(new_children)
-                previous = rebuilt.setdefault(id(node), result)
+                previous = rebuilt.setdefault(node_id, result)
                 if previous is not result:
                     # Rebuilt differently under two gluing contexts: there
                     # is no single counterpart to migrate memo entries to.
-                    ambiguous.add(id(node))
+                    ambiguous.add(node_id)
         memo[key] = result
-        return result
 
-    new_root = rebuild(root, frozenset())
     for node_id in ambiguous:
         del rebuilt[node_id]
-    return Pushout(root=new_root, glued=glued, rebuilt=rebuilt)
+    return Pushout(root=memo[(id(root), frozenset())], glued=glued, rebuilt=rebuilt)
 
 
 def _pushout_single(
@@ -200,9 +226,9 @@ def _pushout_single(
     target_id: int,
     replacement: Operator,
     parents: Mapping[int, list[Operator]],
-    order: Optional[list[Operator]] = None,
+    order: list[Operator],
 ) -> Pushout:
-    """The parents-indexed fast path of :func:`pushout` (one replacement).
+    """The indexed fast path of :func:`pushout` (one replacement).
 
     Only the ancestors of the target can change; everything else — the
     target's own subtree, the replacement's internals (where a preserved
@@ -219,43 +245,22 @@ def _pushout_single(
                 stack.append(parent_id)
     mapped: dict[int, Operator] = {target_id: replacement}
     rebuilt: dict[int, Operator] = {}
-
-    if order is not None:
-        # Flat bottom-up rebuild: ``order`` lists children before parents,
-        # so every cone node's children are already mapped when reached.
-        for node in order:
-            if id(node) not in cone:
-                continue
-            new_children = [mapped.get(id(child), child) for child in node.children]
-            if all(new is old for new, old in zip(new_children, node.children)):
-                result = node
-            else:
-                result = node.with_children(new_children)
-                rebuilt[id(node)] = result
-            mapped[id(node)] = result
-        return Pushout(
-            root=mapped.get(id(root), root),
-            glued={target_id: replacement},
-            rebuilt=rebuilt,
-        )
-
-    def rebuild_cone(node: Operator) -> Operator:
-        known = mapped.get(id(node))
-        if known is not None:
-            return known
+    # ``order`` lists children before parents, so every cone node's
+    # children are already mapped when it is reached.
+    for node in order:
         if id(node) not in cone:
-            return node
-        new_children = [rebuild_cone(child) for child in node.children]
+            continue
+        new_children = [mapped.get(id(child), child) for child in node.children]
         if all(new is old for new, old in zip(new_children, node.children)):
             result = node
         else:
             result = node.with_children(new_children)
             rebuilt[id(node)] = result
         mapped[id(node)] = result
-        return result
-
     return Pushout(
-        root=rebuild_cone(root), glued={target_id: replacement}, rebuilt=rebuilt
+        root=mapped.get(id(root), root),
+        glued={target_id: replacement},
+        rebuilt=rebuilt,
     )
 
 

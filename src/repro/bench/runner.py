@@ -79,16 +79,18 @@ def run_table_nine_row(
     the whole-document and the segmented store respectively.
     """
     stacked = _time_call(
-        lambda: processor.execute_stacked(query.xquery, timeout_seconds=budget_seconds),
+        lambda: processor.execute(query.xquery, budget_seconds, configuration="stacked"),
         budget_seconds,
     )
 
     def join_graph_call():
         try:
-            return processor.execute_join_graph(query.xquery, timeout_seconds=budget_seconds)
+            return processor.execute(
+                query.xquery, budget_seconds, configuration="join-graph"
+            )
         except JoinGraphError:
-            return processor.execute_isolated_interpreted(
-                query.xquery, timeout_seconds=budget_seconds
+            return processor.execute(
+                query.xquery, budget_seconds, configuration="isolated"
             )
 
     join_graph = _time_call(join_graph_call, budget_seconds)

@@ -2,10 +2,10 @@
 
 * :mod:`repro.core.properties` — inference of the plan properties
   ``icols`` / ``const`` / ``key`` / ``set`` (Tables II-V of the paper).
-* :mod:`repro.core.rules` — the rewrite rules (1)-(17) of Fig. 5 plus the
-  key-self-join (context join) elimination the final plans of Fig. 7/8 rely
-  on.
-* :mod:`repro.core.rewriter` — the goal-directed peephole rewriter
+* :mod:`repro.core.rewrite` — the declarative rewrite engine: the rules
+  (1)-(17) of Fig. 5 plus the key-self-join (context join) elimination the
+  final plans of Fig. 7/8 rely on, and the worklist driver that runs them.
+* :mod:`repro.core.rewriter` — the goal sequence handed to that driver
   (ϱ goal first, then the δ/⋈ goals, house-cleaning throughout).
 * :mod:`repro.core.joingraph` — extraction of the isolated join graph and
   plan tail from a rewritten plan.

@@ -63,15 +63,8 @@ from repro.core.stages import (
     CompilationResult,
     ExecutionContext,
     ExecutionOutcome,
-    StageTimings,
     execute_compiled,
     explain_compiled,
-    run_isolated,
-    run_join_graph,
-    run_sql,
-    run_sql_stacked,
-    run_stacked,
-    sql_backend_sql,
 )
 from repro.algebra.table import Table
 from repro.relational.catalog import Database, database_from_encoding
@@ -428,71 +421,6 @@ class XQueryProcessor:
 
     # -- execution --------------------------------------------------------------------
 
-    def execute_stacked(
-        self,
-        source: str,
-        timeout_seconds: Optional[float] = None,
-        bindings: Optional[Mapping[str, object]] = None,
-    ) -> ExecutionOutcome:
-        """Evaluate the *unrewritten* stacked plan with the algebra interpreter."""
-        compilation, fresh = self._compile(source)
-        return run_stacked(
-            compilation, self.context, timeout_seconds, bindings,
-            self._base_timings(compilation, fresh),
-        )
-
-    def execute_isolated_interpreted(
-        self,
-        source: str,
-        timeout_seconds: Optional[float] = None,
-        bindings: Optional[Mapping[str, object]] = None,
-    ) -> ExecutionOutcome:
-        """Evaluate the isolated plan with the algebra interpreter (sanity path)."""
-        compilation, fresh = self._compile(source)
-        return run_isolated(
-            compilation, self.context, timeout_seconds, bindings,
-            self._base_timings(compilation, fresh),
-        )
-
-    def execute_join_graph(
-        self,
-        source: str,
-        timeout_seconds: Optional[float] = None,
-        bindings: Optional[Mapping[str, object]] = None,
-    ) -> ExecutionOutcome:
-        """Plan + execute the SQL join graph on the relational back-end."""
-        compilation, fresh = self._compile(source)
-        return run_join_graph(
-            compilation, self.context, timeout_seconds, bindings,
-            self._base_timings(compilation, fresh),
-        )
-
-    def execute_sql(
-        self,
-        source: str,
-        timeout_seconds: Optional[float] = None,
-        bindings: Optional[Mapping[str, object]] = None,
-    ) -> ExecutionOutcome:
-        """Execute the isolated join-graph SFW block on the SQLite backend."""
-        compilation, fresh = self._compile(source)
-        return run_sql(
-            compilation, self.context, timeout_seconds, bindings,
-            self._base_timings(compilation, fresh),
-        )
-
-    def execute_sql_stacked(
-        self,
-        source: str,
-        timeout_seconds: Optional[float] = None,
-        bindings: Optional[Mapping[str, object]] = None,
-    ) -> ExecutionOutcome:
-        """Execute the stacked ``WITH``-chain on the SQLite backend (Section IV)."""
-        compilation, fresh = self._compile(source)
-        return run_sql_stacked(
-            compilation, self.context, timeout_seconds, bindings,
-            self._base_timings(compilation, fresh),
-        )
-
     def execute(
         self,
         source: str,
@@ -508,13 +436,16 @@ class XQueryProcessor:
         stacked ``WITH``-chain on SQLite).
         """
         compilation, fresh = self._compile(source)
+        # Seed the timing breakdown with the compile stages only when this
+        # very call compiled the plan — a plan-cache hit costs (almost)
+        # nothing and must not re-report the original compile time.
         return execute_compiled(
             compilation,
             self.context,
             configuration,
             timeout_seconds,
             bindings,
-            self._base_timings(compilation, fresh),
+            dict(compilation.timings) if fresh else {},
         )
 
     def explain(
@@ -529,43 +460,14 @@ class XQueryProcessor:
 
         return serialize_sequence(self.encoding, items, separator)
 
-    # -- execution of compiled plans (shared with PreparedQuery) ----------------------
-
-    @staticmethod
-    def _base_timings(
-        compilation: CompilationResult, fresh: bool
-    ) -> StageTimings:
-        """Seed an outcome's timing breakdown with the compile stages.
-
-        Only when this very call compiled the plan — a plan-cache hit costs
-        (almost) nothing and must not re-report the original compile time.
-        """
-        return dict(compilation.timings) if fresh else {}
-
-    def _dispatch(
-        self,
-        compilation: CompilationResult,
-        configuration: str,
-        timeout_seconds: Optional[float],
-        bindings: Optional[Mapping[str, object]],
-    ) -> ExecutionOutcome:
-        """Route a compiled query to one execution configuration."""
-        return execute_compiled(
-            compilation, self.context, configuration, timeout_seconds, bindings
-        )
-
-    def _sql_backend_sql(self, compilation: CompilationResult) -> str:
-        """The join-graph SQL the RDBMS backend executes (rendered once)."""
-        return sql_backend_sql(compilation, self.context)
-
 
 @dataclass
 class PreparedQuery:
     """A compiled query, re-executable with fresh bindings.
 
-    ``run`` (and the per-configuration variants) go straight from the cached
-    plans to execution: per call only binding validation, parameter
-    substitution and — on the relational path — physical planning happen,
+    ``run`` goes straight from the cached plans to execution: per call only
+    binding validation, parameter substitution and — on the relational
+    path — physical planning happen,
     which is what makes prepared re-execution cheap and lets the planner
     pick value-aware access paths per binding.
 
@@ -603,8 +505,10 @@ class PreparedQuery:
         bindings flow into SQLite's native ``:name`` parameters — the SQL
         text itself is rendered once per compilation, never per run.
         """
-        processor = self.processor_supplier()
-        return processor._dispatch(self.compilation, engine, timeout_seconds, bindings)
+        context = self.processor_supplier().context
+        return execute_compiled(
+            self.compilation, context, engine, timeout_seconds, bindings
+        )
 
     def explain(self, bindings: Optional[Mapping[str, object]] = None) -> str:
         """Explain the relational plan the bindings would be executed with."""

@@ -19,17 +19,25 @@ For every operator of a plan DAG four properties are inferred:
     further up on *every* path to the root (top-down, seeded ``False`` at
     the root, conjunctively accumulated).
 
-The rewrite rules of :mod:`repro.core.rules` consult these properties
-through a :class:`PlanProperties` snapshot; the snapshot is recomputed after
-every rewrite step (the plans are small enough — a few hundred operators —
-for this to be cheap).
+A fifth, auxiliary property rides on the top-down pass: ``refs``, the
+columns of a node that are *structurally mentioned* upstream (a superset of
+``icols`` — see :meth:`PlanProperties.refs`).
+
+The rewrite rules of :mod:`repro.core.rewrite.rules` consult these
+properties through a :class:`PlanProperties` snapshot, one per rewrite
+step.  There is one inference pass.  Every node's result is a pure function
+of its own fields plus its children's (bottom-up) or parents' (top-down)
+results, so the pass validates and fills identity-keyed memos as it goes:
+called bare, ``infer_properties(plan)`` runs it over fresh, empty memos (a
+*cold* inference); the rewrite driver threads its memos through every step
+of a run, so a step re-infers only the region a rewrite actually changed.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.algebra.dag import iter_nodes, topological_order
+from repro.algebra.dag import parents_map, topological_order
 from repro.algebra.operators import (
     Attach,
     Cross,
@@ -67,10 +75,9 @@ BottomUpMemo = dict
 
 #: Cross-step memo for the top-down state: ``id(node) -> (node, parent
 #: tuple, parent state tuple, icols, set, refs, columns)``.  ``icols`` /
-#: ``set`` / ``refs`` (the structural upstream references of
-#: :meth:`~repro.core.rewrite.context.RuleContext.upstream_refs`) of a node
-#: are each a pure function of its own column schema plus its parents'
-#: fields and top-down state, so an entry is valid when every stored parent
+#: ``set`` / ``refs`` of a node are each a pure function of its own column
+#: schema plus its parents' fields and top-down state, so an entry is valid
+#: when every stored parent
 #: is the identical object — or its mechanical rebuild, looked up through
 #: the step's ``rebuilt`` map — holding the identical state objects, and the
 #: node's schema is unchanged.  Re-inference recomputes only the cone
@@ -101,11 +108,18 @@ class PlanProperties:
         self._const: dict[int, dict[str, object]] = {}
         self._keys: dict[int, frozenset[frozenset[str]]] = {}
         self._set: dict[int, bool] = {}
-        #: ``upstream_refs`` per node — populated only by the memoized
-        #: top-down pass; ``None`` means the rule context computes refs
-        #: lazily itself (the legacy driver's mode).
-        self._refs: Optional[dict[int, frozenset[str]]] = None
-        self._infer(bottom_up_memo, top_down_memo, order, parents, rebuilt)
+        self._refs: dict[int, frozenset[str]] = {}
+        if order is None:
+            order = topological_order(root)
+        self._infer_bottom_up(
+            order, bottom_up_memo if bottom_up_memo is not None else {}
+        )
+        self._infer_top_down(
+            order,
+            parents if parents is not None else parents_map(root),
+            top_down_memo if top_down_memo is not None else {},
+            rebuilt if rebuilt is not None else {},
+        )
 
     # -- public accessors --------------------------------------------------------
 
@@ -121,27 +135,28 @@ class PlanProperties:
     def is_set(self, node: Operator) -> bool:
         return self._set[id(node)]
 
+    def refs(self, node: Operator) -> frozenset[str]:
+        """Column names of ``node``'s output referenced structurally upstream.
+
+        A conservative superset of ``icols``: a parent that still *mentions*
+        a column (e.g. a dead projection item) counts even though the column
+        is not strictly required, which keeps rewrites that narrow an
+        operator's output schema from breaking such parents.
+        """
+        return self._refs[id(node)]
+
     def has_key_within(self, node: Operator, columns: frozenset[str]) -> bool:
         """True when some candidate key of ``node`` is contained in ``columns``."""
         return any(key <= columns for key in self.keys(node))
 
     # -- inference ----------------------------------------------------------------
 
-    def _infer(
-        self,
-        bottom_up_memo: Optional[BottomUpMemo],
-        top_down_memo: Optional[TopDownMemo],
-        order: Optional[list[Operator]],
-        parents: Optional[dict[int, list[Operator]]],
-        rebuilt: Optional[dict[int, Operator]],
-    ) -> None:
-        if order is None:
-            order = topological_order(self.root)
+    def _infer_bottom_up(self, order: list[Operator], memo: BottomUpMemo) -> None:
+        """``const`` and ``key``, children before parents."""
         const_by, keys_by = self._const, self._keys
-        # Bottom-up: const and key.
         for node in order:
             node_id = id(node)
-            entry = bottom_up_memo.get(node_id) if bottom_up_memo is not None else None
+            entry = memo.get(node_id)
             if entry is not None and entry[0] is node:
                 for child, (columns, child_const, child_keys) in zip(
                     node.children, entry[1]
@@ -167,71 +182,49 @@ class PlanProperties:
                     keys = entry[3]
             const_by[node_id] = const
             keys_by[node_id] = keys
-            if bottom_up_memo is not None:
-                bottom_up_memo[node_id] = (
-                    node,
-                    tuple(
-                        (child.columns, const_by[id(child)], keys_by[id(child)])
-                        for child in node.children
-                    ),
-                    const,
-                    keys,
-                )
-        # Top-down: icols and set.  Parents appear after children in the
-        # topological order, so walk it in reverse.
-        root = self.root
-        self._set[id(root)] = False
-        if isinstance(root, Serialize):
-            root_icols = SERIALIZE_ICOLS & frozenset(root.columns)
-            if not root_icols:
-                root_icols = frozenset(root.columns)
-        else:
-            root_icols = frozenset(root.columns)
-        if top_down_memo is not None and parents is not None:
-            # Seed the root through its memo entry so the seeds are the
-            # *same objects* step after step (the children's identity
-            # checks rely on that).
-            entry = top_down_memo.get(id(root))
-            if entry is not None and entry[0] is root and root_icols == entry[3]:
-                root_icols = entry[3]
-            top_down_memo[id(root)] = (
-                root, (), (), root_icols, False, _NO_REFS, root.columns
+            memo[node_id] = (
+                node,
+                tuple(
+                    (child.columns, const_by[id(child)], keys_by[id(child)])
+                    for child in node.children
+                ),
+                const,
+                keys,
             )
-            self._icols[id(root)] = root_icols
-            self._refs = {id(root): _NO_REFS}
-            self._pull_down_memoized(order, parents, top_down_memo, rebuilt)
-        else:
-            self._icols[id(root)] = root_icols
-            icols_by, set_by = self._icols, self._set
-            for node in order:
-                if id(node) not in icols_by:
-                    icols_by[id(node)] = frozenset()
-                    set_by[id(node)] = True
-            for node in reversed(order):
-                self._propagate_down(node)
 
-    def _pull_down_memoized(
+    def _infer_top_down(
         self,
         order: list[Operator],
         parents: dict[int, list[Operator]],
         memo: TopDownMemo,
-        rebuilt: Optional[dict[int, Operator]],
+        rebuilt: dict[int, Operator],
     ) -> None:
-        """The pull-based, memoized equivalent of the ``_propagate_down`` pass.
+        """``icols``, ``set`` and ``refs``, parents before children.
 
-        Computes exactly the same unions (``icols``, ``refs``) and
-        conjunctions (``set``) as the push-based pass and the rule
-        context's lazy ``upstream_refs`` recursion, but per *node* instead
-        of per parent edge, which makes each node's result a pure function
-        of its parents — the shape the :data:`TopDownMemo` validation
-        needs.  ``rebuilt`` (the step's mechanical-rebuild map) lets an
-        entry stay valid when a stored parent was merely re-created by
-        ``with_children`` around an unrelated change: the rebuild has the
+        Pull-based: each node unions (``icols``, ``refs``) and conjoins
+        (``set``) the contributions of its parents, which makes its result
+        a pure function of them — the shape the :data:`TopDownMemo`
+        validation needs.  ``rebuilt`` (the step's mechanical-rebuild map)
+        lets an entry stay valid when a stored parent was merely re-created
+        by ``with_children`` around an unrelated change: the rebuild has the
         same fields, so its contribution is the same whenever its state is.
         """
         icols_by, set_by, refs_by = self._icols, self._set, self._refs
         root = self.root
-        rebuilt_get = rebuilt.get if rebuilt is not None else {}.get
+        root_icols = frozenset(root.columns)
+        if isinstance(root, Serialize):
+            root_icols = SERIALIZE_ICOLS & root_icols or root_icols
+        # Seed the root through its memo entry so the seeds are the *same
+        # objects* step after step (the children's identity checks rely on
+        # that).
+        entry = memo.get(id(root))
+        if entry is not None and entry[0] is root and root_icols == entry[3]:
+            root_icols = entry[3]
+        memo[id(root)] = (root, (), (), root_icols, False, _NO_REFS, root.columns)
+        icols_by[id(root)] = root_icols
+        set_by[id(root)] = False
+        refs_by[id(root)] = _NO_REFS
+        rebuilt_get = rebuilt.get
         memo_get = memo.get
         for node in reversed(order):
             if node is root:
@@ -309,19 +302,6 @@ class PlanProperties:
                 node.columns,
             )
 
-    def _propagate_down(self, node: Operator) -> None:
-        icols_by, set_by = self._icols, self._set
-        node_icols = icols_by[id(node)]
-        node_set = set_by[id(node)]
-        for position, child in enumerate(node.children):
-            child_id = id(child)
-            icols_by[child_id] = icols_by[child_id] | _child_icols(
-                node, position, child, node_icols
-            )
-            set_by[child_id] = set_by[child_id] and _child_set(
-                node, position, node_set
-            )
-
 
 def infer_properties(
     root: Operator,
@@ -331,15 +311,16 @@ def infer_properties(
     parents: Optional[dict[int, list[Operator]]] = None,
     rebuilt: Optional[dict[int, Operator]] = None,
 ) -> PlanProperties:
-    """Infer all four plan properties for the DAG rooted at ``root``.
+    """Infer the plan properties of every node of the DAG rooted at ``root``.
 
-    ``bottom_up_memo`` optionally reuses ``const`` / ``key`` results for
-    subtrees preserved across rewrite steps (see :data:`BottomUpMemo`);
-    ``top_down_memo`` (which additionally needs the ``parents`` map) does
-    the same for ``icols`` / ``set`` (see :data:`TopDownMemo`).  ``order``
-    lets a caller that already traversed the plan share its topological
-    order instead of paying a second traversal, and ``rebuilt`` is the
-    step's mechanical-rebuild map (:attr:`~repro.algebra.dag.Pushout.rebuilt`)
+    Called bare this is a cold inference.  The rewrite driver passes its
+    cross-step state instead: ``bottom_up_memo`` reuses ``const`` / ``key``
+    results for subtrees preserved across rewrite steps (see
+    :data:`BottomUpMemo`), ``top_down_memo`` does the same for ``icols`` /
+    ``set`` / ``refs`` (see :data:`TopDownMemo`), ``order`` and ``parents``
+    share the topological order and parent index the driver already
+    computed for the step, and ``rebuilt`` is the previous step's
+    mechanical-rebuild map (:attr:`~repro.algebra.dag.Pushout.rebuilt`)
     that keeps memo entries valid across ``with_children`` rebuilds.
     """
     return PlanProperties(
@@ -492,9 +473,7 @@ def _parent_refs(
 
     ``parent_refs`` is the parent's own (already computed) upstream refs —
     pass-through operators forward them.  This is the per-edge contribution
-    behind :meth:`~repro.core.rewrite.context.RuleContext.upstream_refs`:
-    the rule context's lazy recursion and the eager memoized pass above
-    both sum exactly these sets.
+    the top-down pass sums into :meth:`PlanProperties.refs`.
     """
     child_columns = set(child.columns)
     refs: set[str] = set()

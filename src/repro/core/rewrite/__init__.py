@@ -15,10 +15,9 @@ that description literal — rules are **data**, not Python control flow:
 * :mod:`repro.core.rewrite.rules` — the paper's rules (1)-(17) and the
   generalised key-join collapse (9*) re-expressed in the declarative form,
   assembled into the goal groups the driver runs;
-* :mod:`repro.core.rewrite.engine` — the drivers: the production
-  **worklist** driver (pattern-indexed dispatch over dirty nodes with
-  scoped property re-inference) and the **legacy** restart-from-root
-  driver kept as the benchmark baseline;
+* :mod:`repro.core.rewrite.engine` — the driver: pattern-indexed dispatch
+  over a worklist of dirty nodes, with property re-inference scoped to
+  the region a step changed;
 * :mod:`repro.core.rewrite.trace` — rewrite provenance: every applied
   step and every rejected application, threaded through
   :class:`~repro.core.rewriter.IsolationReport` into
@@ -26,7 +25,7 @@ that description literal — rules are **data**, not Python control flow:
 """
 
 from repro.core.rewrite.context import RuleContext
-from repro.core.rewrite.engine import LegacyDriver, WorklistDriver, run_phases
+from repro.core.rewrite.engine import WorklistDriver, run_phases
 from repro.core.rewrite.rule import (
     Pattern,
     Rule,
@@ -45,7 +44,6 @@ from repro.core.rewrite.trace import RejectedApplication, RewriteStep, RewriteTr
 __all__ = [
     "CLEANUP_GROUP",
     "JOIN_GROUP",
-    "LegacyDriver",
     "Pattern",
     "RANK_GROUP",
     "REGISTRY",

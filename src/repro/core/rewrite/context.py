@@ -1,9 +1,9 @@
 """Premise-evaluation context shared by all rewrite rules for one step.
 
 The :class:`RuleContext` is what a rule's *guard* sees: the plan root, the
-inferred :class:`~repro.core.properties.PlanProperties`, the parent map,
-column provenance, the conservative ``upstream_refs`` superset of
-``icols``, and the global ``rank_compared_upstream`` premise.
+inferred :class:`~repro.core.properties.PlanProperties` (among them the
+conservative ``upstream_refs`` superset of ``icols``), the parent map,
+column provenance, and the global ``rank_compared_upstream`` premise.
 
 Guards must evaluate their premises exclusively through this interface —
 that closed surface is what lets the worklist driver prove that a failed
@@ -37,7 +37,7 @@ from repro.algebra.operators import (
     Select,
     Serialize,
 )
-from repro.core.properties import PlanProperties, _parent_refs
+from repro.core.properties import PlanProperties
 
 #: One provenance path: ``[(node, column), ..., (origin, origin_column)]``.
 ProvenancePath = list
@@ -58,7 +58,6 @@ class RuleContext:
         self.root = root
         self.properties = properties
         self.parents = parents if parents is not None else parents_map(root)
-        self._upstream_refs_memo: dict[int, frozenset[str]] = {}
         self._compared_origins: Optional[set[tuple[int, str]]] = None
         self._provenance_memo: ProvenanceMemo = (
             provenance_memo if provenance_memo is not None else {}
@@ -128,27 +127,8 @@ class RuleContext:
     # -- structural references -------------------------------------------------------
 
     def upstream_refs(self, node: Operator) -> frozenset[str]:
-        """Column names of ``node``'s output referenced structurally upstream.
-
-        This is a conservative superset of ``icols`` used to keep rewrites
-        that narrow an operator's output schema from breaking parents that
-        still *mention* a column (e.g. a dead projection item) even though
-        the column is not strictly required.
-        """
-        eager = self.properties._refs
-        if eager is not None:
-            # The memoized top-down inference already computed refs for
-            # every node of the plan (the worklist driver's mode).
-            return eager[id(node)]
-        cached = self._upstream_refs_memo.get(id(node))
-        if cached is not None:
-            return cached
-        refs: set[str] = set()
-        for parent in self.parents.get(id(node), []):  # direct parents
-            refs |= _parent_refs(parent, node, self.upstream_refs(parent))
-        result = frozenset(refs)
-        self._upstream_refs_memo[id(node)] = result
-        return result
+        """Column names of ``node``'s output referenced structurally upstream."""
+        return self.properties.refs(node)
 
     def needed_columns(self, node: Operator) -> frozenset[str]:
         """``icols`` widened by structural upstream references."""

@@ -1,31 +1,28 @@
-"""The isolation drivers: pattern-indexed worklist vs. restart-from-root.
+"""The isolation driver: a pattern-indexed worklist over dirty nodes.
 
-Both drivers execute the same declarative rule groups with identical
-observable behaviour — the same applications in the same order, the same
-rejected applications, the same step accounting (pinned by the XMark
-histogram tests).  They differ only in how much work one rewrite step
-costs:
+:class:`WorklistDriver` runs the declarative rule groups phase by phase.
+One *step* walks the plan in post-order, applies the first rule that
+matches (in node, then rule-group order), glues the replacement into the
+plan with a :func:`~repro.algebra.dag.pushout`, and starts over on the new
+plan; a phase ends when a whole walk applies nothing.  That is the
+restart-from-root strategy of a peephole rewriter, and the observable
+behaviour — which rule fires where, in which order, and which applications
+are rejected — is exactly that of the naive loop (the tests compare the
+driver against one, ``tests/core/restart_reference.py``, application for
+application, and pin the XMark rule histograms).  What the driver adds is
+that a step costs work proportional to the *changed region* of the plan,
+not to its size:
 
-:class:`LegacyDriver`
-    The faithful re-implementation of the pre-declarative engine: after
-    every application it re-infers all plan properties from scratch and
-    re-scans the plan from the root, trying every rule of the phase at
-    every node.  One step is O(nodes × rules) guard evaluations; kept as
-    the benchmark baseline (``benchmarks/bench_rewrite.py``).
-
-:class:`WorklistDriver`
-    The production driver.  Rule dispatch is pattern-indexed (only rules
-    whose declared root class covers a node's class are consulted), and a
-    *failure memo* turns the restart-scan into a worklist of dirty nodes:
-    a node whose whole rule bucket failed is skipped on later steps while
-    every premise input the bucket's guards can observe is provably
-    unchanged (all rules tried at a node in one visit share one property
-    snapshot, so the per-node entry loses nothing).
-    Property re-inference is scoped the same way — the bottom-up
-    ``const`` / ``key`` properties and the column-provenance paths are
-    memoized by subtree object identity across steps, so a step costs
-    guard evaluations proportional to the *changed region* of the plan,
-    not to its size.
+* rule dispatch is pattern-indexed — only rules whose declared root class
+  covers a node's class are consulted;
+* a *failure memo* turns the walk into a worklist of dirty nodes: a node
+  whose whole rule bucket failed is skipped on later steps while every
+  premise input the bucket's guards can observe is provably unchanged (all
+  rules tried at a node in one visit share one property snapshot, so the
+  per-node entry loses nothing);
+* property inference is scoped the same way — the memos of
+  :mod:`repro.core.properties` and the column-provenance paths are keyed
+  by subtree object identity and threaded through every step of a run.
 
 Why skipping is sound — every input a guard can observe is covered by one
 of four channels, and each channel conservatively clears the memo:
@@ -65,9 +62,8 @@ rebuilt node's (changed) children, so a rebuilt node is always re-tried.
 
 Rejected applications — rules whose replacement failed the *global*
 premise while being glued in (an ``AlgebraError`` from the pushout) — are
-never memoized: the legacy driver re-encounters them on every scan, and
-the global premise lives outside the guard's observable surface, so the
-worklist retries them exactly as often.
+never memoized: the global premise lives outside the guard's observable
+surface, so such a pair is retried on every walk that reaches it.
 """
 
 from __future__ import annotations
@@ -75,7 +71,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import AlgebraError
-from repro.algebra.dag import iter_nodes, pushout
+from repro.algebra.dag import pushout
 from repro.algebra.operators import Join, Operator, Select, Serialize
 from repro.core.properties import infer_properties
 from repro.core.rewrite.context import RuleContext
@@ -90,119 +86,19 @@ Phase = tuple[str, tuple[Rule, ...]]
 _EPOCH_SENSITIVE = frozenset({"rank_to_project(12)", "rank_pull_up(14)"})
 
 
-class _DriverBase:
-    """Shared bookkeeping: step accounting and the provenance trace."""
+class WorklistDriver:
+    """Pattern-indexed dispatch over dirty nodes with scoped re-inference.
 
-    name = "base"
+    The driver carries the run's provenance: :attr:`steps`,
+    :attr:`rejections` and whether the run :attr:`converged` within
+    ``max_steps``.
+    """
 
     def __init__(self, max_steps: int):
         self.max_steps = max_steps
         self.steps: list[RewriteStep] = []
         self.rejections: list[RejectedApplication] = []
         self.converged = True
-
-    @property
-    def step_count(self) -> int:
-        return len(self.steps)
-
-    def _record(
-        self,
-        rule: Rule,
-        node: Operator,
-        replacement_label: str,
-        replacement_id: int,
-        phase: str,
-    ) -> None:
-        self.steps.append(
-            RewriteStep(
-                rule=rule.name,
-                target=node.label(),
-                replacement=replacement_label,
-                index=self.step_count,
-                phase=phase,
-                target_id=id(node),
-                replacement_id=replacement_id,
-            )
-        )
-
-    def _reject(self, rule: Rule, node: Operator, error: Exception, phase: str) -> None:
-        self.rejections.append(
-            RejectedApplication(
-                rule=rule.name,
-                target=node.label(),
-                error=str(error),
-                step=self.step_count,
-                phase=phase,
-                target_id=id(node),
-            )
-        )
-
-    def run(self, plan: Operator, phases: list[Phase]) -> Operator:
-        raise NotImplementedError
-
-
-class LegacyDriver(_DriverBase):
-    """Restart-from-root: full re-inference and a full scan after every step."""
-
-    name = "legacy"
-
-    def run(self, plan: Operator, phases: list[Phase]) -> Operator:
-        for phase_name, rules in phases:
-            if not rules:
-                continue
-            while True:
-                if self.step_count >= self.max_steps:
-                    self.converged = False
-                    return plan
-                rewritten = self._apply_first(plan, rules, phase_name)
-                if rewritten is None:
-                    break
-                plan = rewritten
-        return plan
-
-    def _apply_first(
-        self, plan: Operator, rules: tuple[Rule, ...], phase: str
-    ) -> Optional[Operator]:
-        ctx = RuleContext(plan, infer_properties(plan))
-        for node in iter_nodes(plan):
-            if isinstance(node, Serialize):
-                continue
-            for rule in rules:
-                result = rule.apply(node, ctx)
-                if result is None:
-                    continue
-                replacements = result if isinstance(result, dict) else {id(node): result}
-                replacement_label = replacements[id(node)].label()
-                try:
-                    glued = pushout(plan, replacements)
-                except AlgebraError as error:
-                    # The rewrite is locally sound but globally inapplicable:
-                    # rebuilding the DAG tripped an operator invariant (e.g.
-                    # a widened shared spine makes a far-away join's inputs
-                    # overlap).  The constructor checks are the exact global
-                    # premise — record the refusal and keep scanning; the
-                    # plan is unchanged.
-                    self._reject(rule, node, error, phase)
-                    continue
-                new_at_target = glued.glued.get(id(node))
-                self._record(
-                    rule,
-                    node,
-                    replacement_label,
-                    id(new_at_target) if new_at_target is not None else 0,
-                    phase,
-                )
-                return glued.root
-        return None
-
-
-class WorklistDriver(_DriverBase):
-    """Pattern-indexed dispatch over dirty nodes with scoped re-inference."""
-
-    name = "worklist"
-
-    def __init__(self, max_steps: int):
-        super().__init__(max_steps)
         #: ``id(node) -> (node, icols, set, refs, epoch)`` recording that
         #: *every* rule of the node's dispatch bucket failed to match while
         #: the node held exactly these property values; the values are
@@ -232,6 +128,10 @@ class WorklistDriver(_DriverBase):
         self._prev_predicate_ids: Optional[frozenset[int]] = None
         self._epoch = 0
         self._steps_since_prune = 0
+
+    @property
+    def step_count(self) -> int:
+        return len(self.steps)
 
     def run(self, plan: Operator, phases: list[Phase]) -> Operator:
         for phase_name, rules in phases:
@@ -341,19 +241,39 @@ class WorklistDriver(_DriverBase):
                 try:
                     glued = pushout(plan, replacements, parents=parents, order=nodes)
                 except AlgebraError as error:
-                    # Global-premise rejection: never memoized (see module
-                    # docstring) — the pair is retried on every later scan.
-                    self._reject(rule, node, error, phase)
+                    # The rewrite is locally sound but globally inapplicable:
+                    # rebuilding the DAG tripped an operator invariant (e.g.
+                    # a widened shared spine makes a far-away join's inputs
+                    # overlap).  The constructor checks are the exact global
+                    # premise — record the refusal and keep scanning; the
+                    # plan is unchanged.  Never memoized (see the module
+                    # docstring): the pair is retried on every later walk.
+                    self.rejections.append(
+                        RejectedApplication(
+                            rule=rule.name,
+                            target=node.label(),
+                            error=str(error),
+                            step=self.step_count,
+                            phase=phase,
+                            target_id=node_id,
+                        )
+                    )
                     rejected = True
                     continue
                 self._last_rebuilt = glued.rebuilt
                 new_at_target = glued.glued.get(node_id)
-                self._record(
-                    rule,
-                    node,
-                    replacement_label,
-                    id(new_at_target) if new_at_target is not None else 0,
-                    phase,
+                self.steps.append(
+                    RewriteStep(
+                        rule=rule.name,
+                        target=node.label(),
+                        replacement=replacement_label,
+                        index=self.step_count,
+                        phase=phase,
+                        target_id=node_id,
+                        replacement_id=(
+                            id(new_at_target) if new_at_target is not None else 0
+                        ),
+                    )
                 )
                 return glued.root
             if not rejected:
@@ -450,25 +370,9 @@ class WorklistDriver(_DriverBase):
             }
 
 
-#: Driver name → class, the dispatch table behind ``JoinGraphIsolation.driver``.
-DRIVERS: dict[str, type[_DriverBase]] = {
-    LegacyDriver.name: LegacyDriver,
-    WorklistDriver.name: WorklistDriver,
-}
-
-
 def run_phases(
-    plan: Operator,
-    phases: list[Phase],
-    max_steps: int = 5000,
-    driver: str = "worklist",
-) -> tuple[Operator, _DriverBase]:
-    """Run the goal sequence with the named driver; the driver carries the trace."""
-    try:
-        driver_class = DRIVERS[driver]
-    except KeyError:
-        raise ValueError(
-            f"unknown rewrite driver {driver!r} (expected one of {sorted(DRIVERS)})"
-        ) from None
-    engine = driver_class(max_steps)
+    plan: Operator, phases: list[Phase], max_steps: int = 5000
+) -> tuple[Operator, WorklistDriver]:
+    """Run the goal sequence; the returned driver carries the trace."""
+    engine = WorklistDriver(max_steps)
     return engine.run(plan, phases), engine

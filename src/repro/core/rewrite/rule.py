@@ -262,17 +262,13 @@ class RuleRegistry:
     def get(self, name: str) -> Rule:
         return self._by_name[name]
 
-    def bucket(self, rules: tuple[Rule, ...]) -> "PatternIndex":
-        """A pattern index over ``rules`` (order-preserving per bucket)."""
-        return PatternIndex(rules)
-
 
 class PatternIndex:
     """Rules bucketed by concrete operator class (lazy, order-preserving).
 
-    Dispatch by ``type(node)`` replaces the legacy driver's "try every rule
-    at every node" inner loop: only rules whose declared pattern root
-    covers the node's class are ever consulted.
+    Dispatch by ``type(node)`` replaces a "try every rule at every node"
+    inner loop: only rules whose declared pattern root covers the node's
+    class are ever consulted.
     """
 
     def __init__(self, rules: tuple[Rule, ...], sensitive: frozenset = frozenset()):

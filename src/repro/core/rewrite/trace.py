@@ -37,12 +37,6 @@ class RewriteStep:
         return f"[{self.index}:{self.phase}] {self.rule}: {self.target}  →  {self.replacement}"
 
 
-#: Backwards-compatible alias: the pre-declarative engine called its step
-#: records ``RuleApplication`` (rule / target / replacement fields, which
-#: :class:`RewriteStep` preserves).
-RuleApplication = RewriteStep
-
-
 @dataclass(frozen=True)
 class RejectedApplication:
     """A rule application whose global premise failed.
@@ -74,7 +68,6 @@ class RewriteTrace:
     initial_operator_count: int = 0
     final_operator_count: int = 0
     converged: bool = True
-    driver: str = "worklist"
 
     def rules_fired(self) -> dict[str, int]:
         """Histogram of rule names over all applied steps."""
@@ -87,7 +80,7 @@ class RewriteTrace:
         """A human-readable account of the run (README's trace example)."""
         lines = [
             f"isolation: {self.initial_operator_count} → {self.final_operator_count} "
-            f"operators in {len(self.steps)} steps ({self.driver} driver)"
+            f"operators in {len(self.steps)} steps"
         ]
         lines.extend(step.describe() for step in self.steps)
         if self.rejections:

@@ -15,11 +15,8 @@ The rewriting proceeds through the paper's goals:
 
 The rules themselves are declarative :class:`~repro.core.rewrite.rule.Rule`
 objects (:mod:`repro.core.rewrite.rules`); this module assembles them into
-the goal sequence and hands the sequence to one of the two drivers of
-:mod:`repro.core.rewrite.engine` — the production pattern-indexed
-**worklist** driver, or the restart-from-root **legacy** driver kept as the
-benchmark baseline.  Both produce identical plans, applications, and
-rejection records; they differ only in per-step cost.
+the goal sequence and hands the sequence to the pattern-indexed worklist
+driver of :mod:`repro.core.rewrite.engine`.
 
 The applicability of each rule is decided locally on a single operator and
 its inferred properties (Tables II-V), exactly as the paper's peephole
@@ -45,9 +42,6 @@ from repro.core.rewrite.trace import (
     format_divergence,
 )
 
-#: Backwards-compatible alias (the step records used to be a separate class).
-RuleApplication = RewriteStep
-
 
 @dataclass
 class IsolationReport:
@@ -59,7 +53,6 @@ class IsolationReport:
     initial_operator_count: int = 0
     final_operator_count: int = 0
     converged: bool = True
-    driver: str = "worklist"
 
     def rules_fired(self) -> dict[str, int]:
         """Histogram of rule names over all applied steps."""
@@ -76,7 +69,6 @@ class IsolationReport:
             initial_operator_count=self.initial_operator_count,
             final_operator_count=self.final_operator_count,
             converged=self.converged,
-            driver=self.driver,
         )
 
 
@@ -86,9 +78,7 @@ class JoinGraphIsolation:
 
     ``enable_rank_goal``, ``enable_distinct_goal`` and ``enable_join_goal``
     exist for the ablation experiment (switching off individual goals shows
-    how far DB2-style back-ends get without them).  ``driver`` selects the
-    rewrite engine: the production ``"worklist"`` driver or the
-    restart-from-root ``"legacy"`` baseline (identical results, slower).
+    how far DB2-style back-ends get without them).
     """
 
     max_steps: int = 5000
@@ -96,13 +86,10 @@ class JoinGraphIsolation:
     enable_rank_goal: bool = True
     enable_distinct_goal: bool = True
     enable_join_goal: bool = True
-    driver: str = "worklist"
 
     def isolate(self, root: Serialize) -> tuple[Serialize, IsolationReport]:
         """Rewrite ``root`` and return the isolated plan plus a report."""
-        plan, engine = run_phases(
-            root, self._phases(), max_steps=self.max_steps, driver=self.driver
-        )
+        plan, engine = run_phases(root, self.phases(), max_steps=self.max_steps)
         report = IsolationReport(
             applications=engine.steps,
             rejections=engine.rejections,
@@ -110,15 +97,13 @@ class JoinGraphIsolation:
             initial_operator_count=node_count(root),
             final_operator_count=node_count(plan),
             converged=engine.converged,
-            driver=self.driver,
         )
         if not isinstance(plan, Serialize):
             plan = Serialize(plan)
         return plan, report
 
-    # -- phases -------------------------------------------------------------------
-
-    def _phases(self) -> list[Phase]:
+    def phases(self) -> list[Phase]:
+        """The goal sequence: one ``(name, rule group)`` pair per enabled goal."""
         cleanup: tuple[Rule, ...] = CLEANUP_GROUP if self.enable_cleanup else ()
         phases: list[Phase] = []
         if self.enable_cleanup:

@@ -147,8 +147,8 @@ class CompilationResult:
         """The isolation run as an immutable provenance trace.
 
         A :class:`~repro.core.rewrite.trace.RewriteTrace`: the ordered
-        applied steps, the rejected applications, the operator counts, and
-        the driver that produced them.  ``rewrite_trace.render()`` is the
+        applied steps, the rejected applications and the operator
+        counts.  ``rewrite_trace.render()`` is the
         human-readable account (see the README example);
         ``rewrite_trace.rules_fired()`` the per-rule histogram the
         differential tests pin.

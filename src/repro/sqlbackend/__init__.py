@@ -18,8 +18,8 @@ RDBMS that ships with CPython:
 * :mod:`repro.sqlbackend.decode` — reassembly of result rows into pre-rank
   item sequences (the input of :mod:`repro.xmldb.serializer`).
 
-`XQueryProcessor.execute_sql` / ``configuration="sql"`` and
-``Session`` wire this in as the fourth engine configuration next to
+``XQueryProcessor.execute(..., configuration="sql")`` and ``Session``
+wire this in as the fourth engine configuration next to
 stacked, isolated-interpreted, and the in-tree relational back-end.
 """
 

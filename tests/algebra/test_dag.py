@@ -2,7 +2,7 @@
 
 from repro.algebra.dag import (
     count_operators, find_first, iter_nodes, node_count, operator_histogram,
-    parents_map, reaches, replace_node, shared_nodes, substitute,
+    parents_map, pushout, reaches, replace_node, shared_nodes, substitute,
 )
 from repro.algebra.operators import Attach, Distinct, DocTable, Project, Select
 from repro.algebra.predicates import ColumnRef, Comparison, Literal, Predicate
@@ -73,6 +73,44 @@ def test_deep_plan_iteration_is_iterative():
     for i in range(3000):
         plan = Attach(plan, f"c{i}", i)
     assert node_count(plan) == 3001
+
+
+def test_pushout_on_deep_chain_does_not_recurse():
+    """Regression: the multi-replacement pushout recursed once per plan level
+    (a 150-step path expression died with a raw ``RecursionError``)."""
+    doc = DocTable()
+    chain = [Distinct(doc)]
+    for _ in range(4999):
+        chain.append(Distinct(chain[-1]))
+    top, middle = chain[-1], chain[2500]
+    new_doc = DocTable("other")
+    predicate = Predicate.of(Comparison(ColumnRef("kind"), "=", Literal("ELEM")))
+    # One entry swaps the leaf, the other wraps a mid-chain node in a σ
+    # (a replacement containing its own target).
+    wrapped = Select(middle, predicate)
+    result = pushout(top, {id(doc): new_doc, id(middle): wrapped})
+
+    # Every chain node — and the σ, whose preserved input is one of them —
+    # sits above the swapped leaf, so each has exactly one mechanical rebuild.
+    assert set(result.rebuilt) == {id(node) for node in chain} | {id(wrapped)}
+    assert all(
+        isinstance(new, Distinct) and new is not old
+        for old, new in zip(chain, (result.rebuilt[id(node)] for node in chain))
+    )
+    assert result.root is result.rebuilt[id(top)]
+    assert result.glued[id(doc)] is new_doc
+    glued_middle = result.glued[id(middle)]
+    assert glued_middle is result.rebuilt[id(wrapped)]
+    assert isinstance(glued_middle, Select)
+    assert glued_middle.child is result.rebuilt[id(middle)]
+    # Top to bottom: 2499 δ, the σ, 2501 δ, the new leaf.
+    spine = []
+    node = result.root
+    while node.children:
+        spine.append(type(node))
+        (node,) = node.children
+    assert node is new_doc
+    assert spine == [Distinct] * 2499 + [Select] + [Distinct] * 2501
 
 
 def test_substitute_rewrites_inside_other_replacements():

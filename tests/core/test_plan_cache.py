@@ -136,8 +136,8 @@ def test_prologs_with_same_body_do_not_collide(processor):
     assert two.parameter_names == ("n", "m")
     # Both entries stay valid and executable with their own interfaces.
     assert (
-        processor.execute_stacked(two.source, bindings={"n": 0, "m": 9}).items
-        == processor.execute_stacked(one.source, bindings={"n": 0}).items
+        processor.execute(two.source, bindings={"n": 0, "m": 9}, configuration="stacked").items
+        == processor.execute(one.source, bindings={"n": 0}, configuration="stacked").items
     )
 
 

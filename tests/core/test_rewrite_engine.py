@@ -1,11 +1,13 @@
-"""Driver equivalence, pinned XMark histograms, ablations, and provenance.
+"""Driver vs. reference, pinned XMark histograms, ablations, and provenance.
 
-The worklist driver must be an *optimisation only*: on every runnable
-XMark query it has to apply the identical rule sequence, record the
-identical rejections, and produce the identical plan as the legacy
-restart-from-root driver.  The histograms below are additionally **pinned**
-— a change to any count is a behaviour change of the rewrite system and
-must be deliberate, not incidental.
+The worklist driver's memos and skips must be an *optimisation only*: on
+every runnable XMark query it has to apply the identical rule sequence,
+record the identical rejections, and produce the identical plan as the
+restart-from-root reference loop (``restart_reference.py``), and the
+property values it migrates from step to step must equal a cold inference
+on the same plan.  The histograms below are additionally **pinned** — a
+change to any count is a behaviour change of the rewrite system and must
+be deliberate, not incidental.
 
 Also covered here: cleanup-phase rules never reject (their premises are
 purely local, so the global operator invariants cannot trip), the
@@ -25,9 +27,17 @@ from repro.algebra.dag import count_operators, node_count
 from repro.algebra.operators import Distinct, Join, RowRank
 from repro.algebra.render import render_plan
 from repro.bench.xmark import XMARK_SUITE
-from repro.core.rewrite import CLEANUP_GROUP, RANK_GROUP, RuleContext
+from repro.core.properties import infer_properties
+from repro.core.rewrite import CLEANUP_GROUP, RANK_GROUP, RuleContext, engine
 from repro.core.rewriter import JoinGraphIsolation, isolate
 from repro.xquery.compiler import CompilerSettings, compile_query
+
+from tests.core.restart_reference import (
+    driver_records,
+    isolate_by_restart,
+    normalize,
+    normalized,
+)
 
 SETTINGS = CompilerSettings(default_document="auction.xml")
 
@@ -35,8 +45,8 @@ RUNNABLE = tuple(case for case in XMARK_SUITE if case.refusal is None)
 
 CLEANUP_RULE_NAMES = frozenset(rule.name for rule in CLEANUP_GROUP)
 
-#: ``rules_fired()`` for every runnable XMark query — identical for both
-#: drivers, pinned so histogram drift is a deliberate act, not an accident.
+#: ``rules_fired()`` for every runnable XMark query, pinned so histogram
+#: drift is a deliberate act, not an accident.
 PINNED_HISTOGRAMS = {
     "Q1": {
         "cross_to_attach(5)": 1,
@@ -245,40 +255,35 @@ PINNED_HISTOGRAMS = {
 }
 
 
-def _normalize(text: str) -> str:
-    """Erase the process-wide fresh-column numbering for comparison."""
-    return re.sub(r"_w\d+", "_wN", text)
-
-
-def _isolate_with(driver: str, plan):
+def _isolate(plan):
     RuleContext._fresh_columns = itertools.count(1)
-    isolated, report = JoinGraphIsolation(driver=driver).isolate(plan)
-    applications = [
-        (step.rule, _normalize(step.target), _normalize(step.replacement))
-        for step in report.applications
-    ]
-    rejections = [
-        (rejection.rule, _normalize(rejection.target), rejection.error)
-        for rejection in report.rejections
-    ]
-    return isolated, report, applications, rejections
+    isolated, report = JoinGraphIsolation().isolate(plan)
+    return isolated, report, *driver_records(report.applications, report.rejections)
 
 
-# -- driver differential + pinned histograms ----------------------------------------
+def _isolate_by_restart(plan):
+    RuleContext._fresh_columns = itertools.count(1)
+    isolated, applications, rejections = isolate_by_restart(
+        plan, JoinGraphIsolation().phases()
+    )
+    return isolated, normalized(applications), normalized(rejections)
+
+
+# -- driver vs. reference + pinned histograms ---------------------------------------
 
 
 @pytest.mark.parametrize("case", RUNNABLE, ids=lambda case: case.name)
 def test_drivers_agree_and_histograms_are_pinned(case):
     plan = compile_query(case.xquery, SETTINGS)
-    legacy_plan, legacy_report, legacy_apps, legacy_rejs = _isolate_with("legacy", plan)
-    work_plan, work_report, work_apps, work_rejs = _isolate_with("worklist", plan)
+    reference_plan, reference_apps, reference_rejs = _isolate_by_restart(plan)
+    work_plan, work_report, work_apps, work_rejs = _isolate(plan)
 
     # The worklist driver is an optimisation only: identical applications,
     # identical rejections, identical isolated plan.
-    assert legacy_apps == work_apps
-    assert legacy_rejs == work_rejs
-    assert _normalize(render_plan(legacy_plan)) == _normalize(render_plan(work_plan))
-    assert legacy_report.converged and work_report.converged
+    assert reference_apps == work_apps
+    assert reference_rejs == work_rejs
+    assert normalize(render_plan(reference_plan)) == normalize(render_plan(work_plan))
+    assert work_report.converged
 
     # Pinned counts: a drifted histogram is a behaviour change.
     assert work_report.rules_fired() == PINNED_HISTOGRAMS[case.name]
@@ -289,6 +294,35 @@ def test_drivers_agree_and_histograms_are_pinned(case):
         assert rejection.rule not in CLEANUP_RULE_NAMES, (
             f"cleanup rule {rejection.rule!r} rejected on {case.name}"
         )
+
+
+@pytest.mark.parametrize("case", RUNNABLE, ids=lambda case: case.name)
+def test_migrated_properties_equal_cold_inference_at_every_step(case, monkeypatch):
+    """The memos the driver threads from step to step change nothing.
+
+    Every property snapshot the driver takes (one per step, over memos
+    re-keyed along the previous pushout's rebuilds) must equal what a cold
+    ``infer_properties(plan)`` computes for the same plan.
+    """
+    snapshots = 0
+
+    def checked_infer_properties(plan, **driver_state):
+        nonlocal snapshots
+        snapshots += 1
+        warm = infer_properties(plan, **driver_state)
+        cold = infer_properties(plan)
+        for name in ("_icols", "_const", "_keys", "_set", "_refs"):
+            assert getattr(warm, name) == getattr(cold, name), (
+                f"{name[1:]} diverged from cold inference at snapshot {snapshots}"
+            )
+        return warm
+
+    monkeypatch.setattr(engine, "infer_properties", checked_infer_properties)
+    _isolated, report = JoinGraphIsolation().isolate(
+        compile_query(case.xquery, SETTINGS)
+    )
+    # One snapshot per applied step plus the final, rule-less walk of each phase.
+    assert snapshots > report.steps > 0
 
 
 # -- non-convergence diagnostics ----------------------------------------------------
@@ -388,7 +422,6 @@ def test_compilation_result_exposes_rewrite_trace(small_processor):
     assert trace.converged
     rendered = trace.render()
     assert rendered.startswith("isolation:")
-    assert "worklist driver" in rendered
     # Every applied step appears in the rendering, in order.
     for step in trace.steps:
         assert step.rule in rendered

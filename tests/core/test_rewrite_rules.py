@@ -2,10 +2,11 @@
 
 Every registered rule carries an *exemplar* — a small evaluable plan on
 which exactly that rule fires.  The differential tests run each rule to its
-fixpoint on its own exemplar through **both** drivers and assert
+fixpoint on its own exemplar through the worklist driver **and** the
+restart-from-root reference loop (``restart_reference.py``) and assert
 
-* the drivers applied the identical step sequence and produced the
-  identical plan (bit for bit, modulo fresh-column numbering), and
+* both applied the identical step sequence and produced the identical
+  plan (bit for bit, modulo fresh-column numbering), and
 * evaluating the exemplar before and after the rewrite yields the same
   decoded sequence — the semantic-preservation contract of Fig. 5.
 
@@ -16,7 +17,6 @@ sharing them must all fail at registration time.
 """
 
 import itertools
-import re
 
 import pytest
 
@@ -41,28 +41,29 @@ from repro.core.rewrite import (
 )
 from repro.core.rewrite.rule import MATCHED, PatternIndex, is_left_linear, pattern
 
-
-def _normalize(text: str) -> str:
-    """Erase the process-wide fresh-column numbering for comparison."""
-    return re.sub(r"_w\d+", "_wN", text)
+from tests.core.restart_reference import (
+    driver_records,
+    isolate_by_restart,
+    normalize,
+    normalized,
+)
 
 
 def _reset_fresh_columns() -> None:
     RuleContext._fresh_columns = itertools.count(1)
 
 
-def _run_single_rule(rule: Rule, driver: str):
-    """Run ``rule`` to fixpoint on its own exemplar with one driver."""
+def _exemplar(rule: Rule) -> Serialize:
     _reset_fresh_columns()
     plan = rule.exemplar()
-    if not isinstance(plan, Serialize):
-        plan = Serialize(plan)
-    rewritten, engine = run_phases(plan, [("exemplar", (rule,))], driver=driver)
-    steps = [
-        (step.rule, _normalize(step.target), _normalize(step.replacement))
-        for step in engine.steps
-    ]
-    return plan, rewritten, steps
+    return plan if isinstance(plan, Serialize) else Serialize(plan)
+
+
+def _run_single_rule(rule: Rule):
+    """Run ``rule`` to fixpoint on its own exemplar with the worklist driver."""
+    plan = _exemplar(rule)
+    rewritten, engine = run_phases(plan, [("exemplar", (rule,))])
+    return plan, rewritten, *driver_records(engine.steps, engine.rejections)
 
 
 # -- per-rule differential ----------------------------------------------------------
@@ -70,16 +71,19 @@ def _run_single_rule(rule: Rule, driver: str):
 
 @pytest.mark.parametrize("rule", REGISTRY.rules, ids=lambda rule: rule.name)
 def test_rule_fires_identically_under_both_drivers(rule):
-    _, legacy_plan, legacy_steps = _run_single_rule(rule, "legacy")
-    _, worklist_plan, worklist_steps = _run_single_rule(rule, "worklist")
-    assert legacy_steps, f"rule {rule.name!r} did not fire on its exemplar"
-    assert legacy_steps == worklist_steps
-    assert _normalize(render_plan(legacy_plan)) == _normalize(render_plan(worklist_plan))
+    reference_plan, reference_steps, reference_rejections = isolate_by_restart(
+        _exemplar(rule), [("exemplar", (rule,))]
+    )
+    _, worklist_plan, worklist_steps, worklist_rejections = _run_single_rule(rule)
+    assert worklist_steps, f"rule {rule.name!r} did not fire on its exemplar"
+    assert normalized(reference_steps) == worklist_steps
+    assert normalized(reference_rejections) == worklist_rejections
+    assert normalize(render_plan(reference_plan)) == normalize(render_plan(worklist_plan))
 
 
 @pytest.mark.parametrize("rule", REGISTRY.rules, ids=lambda rule: rule.name)
 def test_rule_preserves_exemplar_semantics(rule, small_auction_doc_table):
-    before, after, steps = _run_single_rule(rule, "worklist")
+    before, after, steps, _ = _run_single_rule(rule)
     assert steps
     original = evaluate_plan(before, small_auction_doc_table)
     rewritten = evaluate_plan(after, small_auction_doc_table)

@@ -18,8 +18,8 @@ def _processor_for(query, xmark_processor, dblp_processor):
 def test_stacked_vs_isolated_interpreted(name, xmark_processor, dblp_processor):
     query = query_by_name(name)
     processor = _processor_for(query, xmark_processor, dblp_processor)
-    stacked = processor.execute_stacked(query.xquery, timeout_seconds=120)
-    isolated = processor.execute_isolated_interpreted(query.xquery, timeout_seconds=120)
+    stacked = processor.execute(query.xquery, timeout_seconds=120, configuration="stacked")
+    isolated = processor.execute(query.xquery, timeout_seconds=120, configuration="isolated")
     assert set(stacked.items) == set(isolated.items)
 
 
@@ -29,8 +29,8 @@ def test_join_graph_execution_matches_stacked(name, xmark_processor, dblp_proces
     processor = _processor_for(query, xmark_processor, dblp_processor)
     compilation = processor.compile(query.xquery)
     assert compilation.join_graph is not None, compilation.join_graph_error
-    stacked = processor.execute_stacked(query.xquery, timeout_seconds=120)
-    relational = processor.execute_join_graph(query.xquery, timeout_seconds=120)
+    stacked = processor.execute(query.xquery, timeout_seconds=120, configuration="stacked")
+    relational = processor.execute(query.xquery, timeout_seconds=120, configuration="join-graph")
     assert set(stacked.items) == set(relational.items)
 
 
@@ -45,12 +45,12 @@ def test_purexml_agrees_on_node_counts(
 
     engine = PureXMLEngine(XMLColumnStore.whole(document))
     pure = engine.execute(query.xquery, timeout_seconds=120)
-    relational = processor.execute_join_graph(query.xquery, timeout_seconds=120)
+    relational = processor.execute(query.xquery, timeout_seconds=120, configuration="join-graph")
     assert pure.node_count == len(set(relational.items))
 
 
 def test_q1_results_are_open_auctions_with_bidders(xmark_processor, xmark_encoding):
-    result = xmark_processor.execute_join_graph(query_by_name("Q1").xquery)
+    result = xmark_processor.execute(query_by_name("Q1").xquery, configuration="join-graph")
     for item in result.items:
         record = xmark_encoding.record(item)
         assert record.name == "open_auction"
@@ -59,13 +59,13 @@ def test_q1_results_are_open_auctions_with_bidders(xmark_processor, xmark_encodi
 
 
 def test_q3_returns_single_text_node(xmark_processor, xmark_encoding):
-    result = xmark_processor.execute_join_graph(query_by_name("Q3").xquery)
+    result = xmark_processor.execute(query_by_name("Q3").xquery, configuration="join-graph")
     assert len(set(result.items)) == 1
     assert xmark_encoding.record(result.items[0]).kind == "TEXT"
 
 
 def test_q5_returns_vldb_2001_title(dblp_processor, dblp_encoding):
-    result = dblp_processor.execute_join_graph(query_by_name("Q5").xquery)
+    result = dblp_processor.execute(query_by_name("Q5").xquery, configuration="join-graph")
     items = set(result.items)
     assert len(items) == 1
     (item,) = items

@@ -53,8 +53,9 @@ def _literal_source(template: str, bindings: dict) -> str:
 def test_prepared_equals_adhoc_stacked(name, prepared_src, adhoc_tpl, sweeps, xmark_processor):
     prepared = xmark_processor.prepare(prepared_src)
     for bindings in sweeps:
-        adhoc = xmark_processor.execute_stacked(
-            _literal_source(adhoc_tpl, bindings), timeout_seconds=120
+        adhoc = xmark_processor.execute(
+            _literal_source(adhoc_tpl, bindings), timeout_seconds=120,
+            configuration="stacked",
         )
         got = prepared.run(bindings, engine="stacked", timeout_seconds=120)
         assert got.items == adhoc.items, f"{name} {bindings}"
@@ -64,8 +65,9 @@ def test_prepared_equals_adhoc_stacked(name, prepared_src, adhoc_tpl, sweeps, xm
 def test_prepared_equals_adhoc_isolated(name, prepared_src, adhoc_tpl, sweeps, xmark_processor):
     prepared = xmark_processor.prepare(prepared_src)
     for bindings in sweeps:
-        adhoc = xmark_processor.execute_isolated_interpreted(
-            _literal_source(adhoc_tpl, bindings), timeout_seconds=120
+        adhoc = xmark_processor.execute(
+            _literal_source(adhoc_tpl, bindings), timeout_seconds=120,
+            configuration="isolated",
         )
         got = prepared.run(bindings, engine="isolated", timeout_seconds=120)
         assert got.items == adhoc.items, f"{name} {bindings}"
@@ -76,8 +78,9 @@ def test_prepared_equals_adhoc_join_graph(name, prepared_src, adhoc_tpl, sweeps,
     prepared = xmark_processor.prepare(prepared_src)
     assert prepared.compilation.join_graph is not None, prepared.compilation.join_graph_error
     for bindings in sweeps:
-        adhoc = xmark_processor.execute_join_graph(
-            _literal_source(adhoc_tpl, bindings), timeout_seconds=120
+        adhoc = xmark_processor.execute(
+            _literal_source(adhoc_tpl, bindings), timeout_seconds=120,
+            configuration="join-graph",
         )
         got = prepared.run(bindings, engine="join-graph", timeout_seconds=120)
         assert got.items == adhoc.items, f"{name} {bindings}"

@@ -26,7 +26,7 @@ def test_sql_matches_interpreted_join_graph_exactly(name, xmark_processor, dblp_
     query = query_by_name(name)
     processor = _processor_for(query, xmark_processor, dblp_processor)
     sql = processor.execute(query.xquery, timeout_seconds=120, configuration="sql")
-    interpreted = processor.execute_join_graph(query.xquery, timeout_seconds=120)
+    interpreted = processor.execute(query.xquery, timeout_seconds=120, configuration="join-graph")
     assert sql.configuration == "sql"
     assert sql.items == interpreted.items
 
@@ -37,8 +37,8 @@ def test_sql_stacked_matches_interpreted_stacked_exactly(
 ):
     query = query_by_name(name)
     processor = _processor_for(query, xmark_processor, dblp_processor)
-    sql = processor.execute_sql_stacked(query.xquery, timeout_seconds=240)
-    interpreted = processor.execute_stacked(query.xquery, timeout_seconds=240)
+    sql = processor.execute(query.xquery, timeout_seconds=240, configuration="sql-stacked")
+    interpreted = processor.execute(query.xquery, timeout_seconds=240, configuration="stacked")
     assert sql.configuration == "sql-stacked"
     assert sql.items == interpreted.items
 
@@ -47,9 +47,9 @@ def test_sql_stacked_matches_interpreted_stacked_exactly(
 def test_sql_agrees_with_stacked_on_node_sets(name, xmark_processor, dblp_processor):
     query = query_by_name(name)
     processor = _processor_for(query, xmark_processor, dblp_processor)
-    sql = processor.execute_sql(query.xquery, timeout_seconds=120)
-    stacked = processor.execute_stacked(query.xquery, timeout_seconds=240)
-    isolated = processor.execute_isolated_interpreted(query.xquery, timeout_seconds=240)
+    sql = processor.execute(query.xquery, timeout_seconds=120, configuration="sql")
+    stacked = processor.execute(query.xquery, timeout_seconds=240, configuration="stacked")
+    isolated = processor.execute(query.xquery, timeout_seconds=240, configuration="isolated")
     assert set(sql.items) == set(stacked.items) == set(isolated.items)
 
 
@@ -70,8 +70,8 @@ def test_q2_value_join_isolates_and_runs_on_sql(xmark_processor):
     query = query_by_name("Q2")
     compilation = xmark_processor.compile(query.xquery)
     assert compilation.join_graph is not None
-    via_sql = xmark_processor.execute_sql(query.xquery)
-    stacked = xmark_processor.execute_stacked(query.xquery)
+    via_sql = xmark_processor.execute(query.xquery, configuration="sql")
+    stacked = xmark_processor.execute(query.xquery, configuration="stacked")
     assert via_sql.items == stacked.items
 
 
@@ -83,8 +83,8 @@ def test_positional_predicate_isolates_and_runs_on_sql(xmark_processor):
     compilation = xmark_processor.compile(query)
     assert compilation.join_graph is not None
     assert len(compilation.join_graph.windows) == 1
-    via_sql = xmark_processor.execute_sql(query)
-    stacked = xmark_processor.execute_stacked(query)
+    via_sql = xmark_processor.execute(query, configuration="sql")
+    stacked = xmark_processor.execute(query, configuration="stacked")
     assert via_sql.items == stacked.items
 
 
@@ -99,7 +99,7 @@ def test_sql_requires_a_join_graph(xmark_processor):
     compilation = xmark_processor.compile(query)
     assert compilation.join_graph is None
     with pytest.raises(JoinGraphError):
-        xmark_processor.execute_sql(query)
+        xmark_processor.execute(query, configuration="sql")
 
 
 def test_sql_results_serialize(small_processor):
@@ -124,7 +124,7 @@ def test_prepared_sql_rebinds_through_named_parameters(xmark_processor):
     sweep = [0, 5, 50, 500]
     for value in sweep:
         via_sql = prepared.run({"lo": value}, engine="sql")
-        ad_hoc = xmark_processor.execute_sql(AD_HOC.format(value=value))
+        ad_hoc = xmark_processor.execute(AD_HOC.format(value=value), configuration="sql")
         interpreted = prepared.run({"lo": value}, engine="join-graph")
         assert via_sql.items == ad_hoc.items == interpreted.items
     # The sweep must actually discriminate, otherwise the test proves nothing.

@@ -89,5 +89,5 @@ def test_results_agree_with_relational_pipeline(small_auction_encoding, small_pr
     engine = PureXMLEngine(XMLColumnStore.whole(doc))
     query = 'doc("auction.xml")/descendant::open_auction[bidder]'
     pure = engine.execute(query)
-    relational = small_processor.execute_join_graph(query)
+    relational = small_processor.execute(query, configuration="join-graph")
     assert pure.node_count == len(set(relational.items))
