@@ -22,10 +22,13 @@ be serialized back to XML text via :mod:`repro.xmldb.serializer`.
 
 The flow itself lives in :mod:`repro.core.stages` as explicit, immutable
 stage objects: the processor assembles a :class:`CompilationPipeline` and a
-frozen :class:`~repro.core.stages.ExecutionContext` at construction time and
-is itself effectively immutable afterwards — its only mutable members (the
-:class:`PlanCache` and the source-text memo) are lock-protected, so one
-processor can serve many threads (see :mod:`repro.service`).
+frozen :class:`~repro.core.stages.ExecutionContext` at construction time.
+Construction is O(1): it captures *how many* rows of the encoding the
+processor stands for, and the engine state derived from those rows (``doc``
+table, database, B+-trees) is write-once lazy — built by the first engine
+that reads it.  Everything that changes after construction (those lazy
+members, the :class:`PlanCache` and its source-text memo) is lock-protected,
+so one processor can serve many threads (see :mod:`repro.service`).
 
 Compilation is amortized through a keyed :class:`PlanCache`, and queries
 that declare ``declare variable $x external;`` compile once into
@@ -59,6 +62,7 @@ from typing import Callable, Hashable, Mapping, Optional
 
 from repro.core.rewriter import JoinGraphIsolation
 from repro.core.stages import (
+    CatalogSnapshot,
     CompilationPipeline,
     CompilationResult,
     ExecutionContext,
@@ -67,10 +71,10 @@ from repro.core.stages import (
     explain_compiled,
 )
 from repro.algebra.table import Table
-from repro.relational.catalog import Database, database_from_encoding
+from repro.relational.catalog import Database
 from repro.relational.engine import RelationalEngine
 from repro.sqlbackend.backend import SQLiteBackend
-from repro.xmldb.encoding import DOC_COLUMNS, DocumentEncoding
+from repro.xmldb.encoding import DocumentEncoding
 from repro.xquery.compiler import CompilerSettings
 
 __all__ = [
@@ -262,12 +266,15 @@ class XQueryProcessor:
     compilation, and it is the factory for :class:`PreparedQuery` handles
     (:meth:`prepare`).
 
-    After construction the processor is **effectively immutable**: the
-    catalog snapshot lives in a frozen
-    :class:`~repro.core.stages.ExecutionContext` (:attr:`context`) and every
-    execution routes through the pure executors of :mod:`repro.core.stages`,
-    so any number of threads may compile and execute through one processor
-    concurrently.
+    The processor stands for the rows the encoding held **when it was
+    constructed** (a :class:`~repro.core.stages.CatalogSnapshot` of the
+    first *n* rows, inside the frozen :attr:`context`); the encoding may
+    keep growing behind it.  :attr:`doc_table`, :attr:`database` and
+    :attr:`engine` are **write-once lazy**: each is built from those *n*
+    rows by the first read, exactly once however many threads read first,
+    and never changes afterwards.  Every execution routes through the pure
+    executors of :mod:`repro.core.stages`, so any number of threads may
+    compile and execute through one processor concurrently.
     """
 
     def __init__(
@@ -288,11 +295,6 @@ class XQueryProcessor:
         )
         self.add_serialization_step = add_serialization_step
         self.columnar_execution = columnar_execution
-        self.doc_table = Table(DOC_COLUMNS, encoding.rows())
-        self.database = database or database_from_encoding(
-            encoding, with_default_indexes=with_default_indexes
-        )
-        self.engine = RelationalEngine(self.database, columnar=columnar_execution)
         self.settings = CompilerSettings(
             add_serialization_step=self.add_serialization_step,
             default_document=self.default_document,
@@ -302,7 +304,7 @@ class XQueryProcessor:
         #: key contract).  May be shared between processors serving the same
         #: logical catalog (e.g. across Session refreshes).  It also owns
         #: the raw-source memo (evicted in lockstep with the plans), so the
-        #: memo survives processor rebuilds and clears with the cache.
+        #: memo survives processor refreshes and clears with the cache.
         # NB: an empty PlanCache is falsy (it has __len__), so test for None.
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache(plan_cache_size)
         #: The RDBMS behind ``configuration="sql"``; created lazily (first
@@ -310,17 +312,31 @@ class XQueryProcessor:
         #: Session-owned) was injected.
         self._sql_backend = sql_backend
         self._backend_lock = threading.Lock()
-        #: The frozen snapshot the pure executors of
-        #: :mod:`repro.core.stages` run against; workers may hold onto it.
+        #: The frozen context the pure executors of :mod:`repro.core.stages`
+        #: run against; workers may hold onto it.
         self.context = ExecutionContext(
-            encoding=encoding,
-            doc_table=self.doc_table,
-            database=self.database,
-            engine=self.engine,
+            snapshot=CatalogSnapshot(
+                encoding, with_default_indexes, columnar_execution, database
+            ),
             settings=self.settings,
             default_document=self.default_document,
             sql_backend_supplier=self._get_sql_backend,
         )
+
+    @property
+    def doc_table(self) -> Table:
+        """The ``doc`` table of the snapshot's rows (built on first read)."""
+        return self.context.doc_table
+
+    @property
+    def database(self) -> Database:
+        """Table, statistics and index metadata (built on first read)."""
+        return self.context.database
+
+    @property
+    def engine(self) -> RelationalEngine:
+        """The relational back-end over :attr:`database` (built on first read)."""
+        return self.context.engine
 
     def _get_sql_backend(self) -> SQLiteBackend:
         """The backend instance, created on first use (double-checked)."""
@@ -339,7 +355,7 @@ class XQueryProcessor:
         The sync is incremental (and a no-op once mirrored), so touching
         this property per execution is cheap; injecting a backend through
         the constructor lets a :class:`~repro.core.session.Session` keep
-        one mirror alive across processor rebuilds.
+        one mirror alive across processor refreshes.
         """
         backend = self._get_sql_backend()
         backend.sync(self.encoding)

@@ -62,20 +62,22 @@ class DocumentStore:
 
     Thread-safe: registrations serialize behind :attr:`lock` (a write
     lock), and :attr:`version` is only ever bumped *after* the encoding
-    append completed — a reader that observes version ``v`` can therefore
-    snapshot the first ``len(encoding)`` rows without seeing a torn
-    document.  Derived-state builders (the session's processor rebuild)
-    take the same lock so a registration can never interleave with a
-    snapshot.
+    append completed.  A session publishing a processor for version ``v``
+    takes the same lock just long enough to read ``v`` together with the
+    row count ``n = len(encoding)`` — an O(1) snapshot.  Derived state
+    (doc table, database, indexes) is built later, lazily and *without*
+    this lock, from the first ``n`` rows: the encoding is append-only, so
+    those rows never change and a registration running beside a build can
+    neither tear it nor leak newer rows into it.
     """
 
     def __init__(self) -> None:
         self.encoding = DocumentEncoding()
         self._documents: dict[str, XMLNode] = {}
-        #: Serializes registration and derived-state snapshots.
+        #: Serializes registration and the (version, row count) snapshot.
         self.lock = threading.RLock()
-        #: Bumped on every registration; sessions use it to refresh derived
-        #: state (doc table, database, indexes) lazily.
+        #: Bumped on every registration; sessions publish a new processor
+        #: (an O(1) snapshot — derived state is lazy) when it moves.
         self.version = 0
 
     # -- registration ----------------------------------------------------------
@@ -138,22 +140,24 @@ class Session:
     A session wraps a :class:`DocumentStore` and lazily maintains an
     :class:`~repro.core.pipeline.XQueryProcessor` over its current state.
     The :class:`~repro.core.pipeline.PlanCache` is owned by the *session*
-    and handed to every processor rebuild, so compiled plans survive
-    document registration; :class:`~repro.core.pipeline.PreparedQuery`
-    handles resolve the processor at execution time and therefore always
-    run against the current catalog.
+    and handed to every new processor, so compiled plans survive document
+    registration; :class:`~repro.core.pipeline.PreparedQuery` handles
+    resolve the processor at execution time and therefore always run
+    against the current catalog.
 
-    Thread-safe: the processor refresh is **copy-on-write** — a rebuild
-    constructs a complete new processor (doc table, database, indexes,
-    frozen execution context) off to the side and then swaps it in with one
-    atomic assignment, so concurrent queries either keep using the previous
-    processor (whose catalog snapshot stays valid: the encoding is
-    append-only) or see the finished new one, never a half-built
-    intermediate.  The rebuild itself holds :attr:`_rebuild_lock` (one
-    rebuild at a time) and the store's registration lock (no document
-    append can interleave with the snapshot).  The plan cache and the
-    SQLite mirror are shared across rebuilds and are themselves
-    thread-safe.
+    Thread-safe: the processor refresh is **copy-on-write** — a new store
+    version gets a new processor, swapped in with one atomic assignment, so
+    concurrent queries either keep using the previous processor (whose
+    snapshot stays valid: the encoding is append-only) or see the new one.
+    Publishing costs O(1) whatever the catalog size: the processor only
+    captures, under the store's registration lock, the version and the
+    number of rows it stands for.  Its derived state is **write-once
+    lazy** — the doc table, the database and each B+-tree are built from
+    that snapshot of *n* rows by the first engine that reads them, exactly
+    once under concurrent first use, so a ``sql``-only session never
+    builds any of it and registration costs O(new document).  The plan
+    cache and the SQLite mirror are shared across versions and are
+    themselves thread-safe.
     """
 
     def __init__(
@@ -173,7 +177,7 @@ class Session:
         self.columnar_execution = columnar_execution
         self.plan_cache = PlanCache(plan_cache_size)
         #: The session-owned SQLite mirror of the catalog.  Handed to every
-        #: processor rebuild, so registration only ever *appends* to it
+        #: new processor, so registration only ever *appends* to it
         #: (incremental sync) and ``configuration="sql"`` keeps its loaded
         #: database and statistics across catalog growth — exactly like the
         #: plan cache keeps compiled plans.  Pass a file-backed
@@ -181,9 +185,8 @@ class Session:
         #: mirror on disk.
         self.sql_backend = sql_backend or SQLiteBackend()
         #: The current ``(store version, processor)`` pair, swapped
-        #: atomically by :attr:`processor` rebuilds (copy-on-write).
+        #: atomically by :attr:`processor` (copy-on-write).
         self._current: Optional[tuple[int, XQueryProcessor]] = None
-        self._rebuild_lock = threading.Lock()
 
     # -- documents -------------------------------------------------------------
 
@@ -205,30 +208,31 @@ class Session:
         """The processor over the store's *current* state (lazily refreshed).
 
         Fast path: one attribute read + version compare, no locks.  On a
-        version change the rebuild happens under :attr:`_rebuild_lock`
-        (double-checked, so racing threads rebuild once) and the new
-        processor is published with an atomic tuple swap.
+        version change a new processor is published under the store lock
+        (double-checked, so racing threads publish one) with an atomic
+        tuple swap.  That is O(1): the processor captures the version's row
+        count, and builds its doc table / database / indexes only when an
+        engine first reads them.
         """
         current = self._current
         if current is not None and current[0] == self.store.version:
             return current[1]
-        with self._rebuild_lock:
+        with self.store.lock:
+            version = self.store.version
             current = self._current
-            if current is not None and current[0] == self.store.version:
+            if current is not None and current[0] == version:
                 return current[1]
-            with self.store.lock:
-                if not len(self.store):
-                    raise CatalogError("the session has no registered documents yet")
-                version = self.store.version
-                processor = XQueryProcessor(
-                    self.store.encoding,
-                    default_document=self.default_document,
-                    with_default_indexes=self.with_default_indexes,
-                    add_serialization_step=self.add_serialization_step,
-                    plan_cache=self.plan_cache,
-                    sql_backend=self.sql_backend,
-                    columnar_execution=self.columnar_execution,
-                )
+            if not len(self.store):
+                raise CatalogError("the session has no registered documents yet")
+            processor = XQueryProcessor(
+                self.store.encoding,
+                default_document=self.default_document,
+                with_default_indexes=self.with_default_indexes,
+                add_serialization_step=self.add_serialization_step,
+                plan_cache=self.plan_cache,
+                sql_backend=self.sql_backend,
+                columnar_execution=self.columnar_execution,
+            )
             self._current = (version, processor)
             return processor
 
@@ -268,7 +272,7 @@ class Session:
     def cache_stats(self) -> dict[str, int]:
         """Hit/miss/eviction counters of the session's shared plan cache.
 
-        The counters span processor rebuilds (the cache is session-owned),
+        The counters span processor refreshes (the cache is session-owned),
         so benchmarks and tests can assert that document registration does
         not invalidate compiled plans — for any backend configuration.
         """

@@ -13,11 +13,14 @@ This module makes the flow explicit and the sharing contract checkable:
   frozen dataclasses — their configuration is fixed at construction, and
   ``run`` is a pure function of its inputs.  :class:`CompilationPipeline`
   composes them and records per-stage wall-clock timings.
-* :class:`ExecutionContext` is a frozen snapshot of everything a worker
-  needs to *execute* a compiled plan: the ``doc`` table, the relational
-  engine, the SQLite mirror, the encoding, and the compiler settings.
-  The bindings of one frozen context never change; the objects it points
-  at are themselves thread-safe (locked pool, read-only tables).
+* :class:`ExecutionContext` is a frozen view of everything a worker
+  needs to *execute* a compiled plan: a :class:`CatalogSnapshot` (the
+  first *n* rows of the append-only encoding, and the ``doc`` table,
+  database and relational engine derived from them — each *write-once
+  lazy*: built by the first engine that reads it, exactly once), the
+  SQLite mirror, and the compiler settings.  The bindings of one frozen
+  context never change; the objects it points at are themselves
+  thread-safe (locked pool, read-only tables).
 * The ``run_*`` executors are module-level pure functions
   ``(compilation, context, …) → ExecutionOutcome``.  Any thread holding a
   :class:`CompilationResult` and an :class:`ExecutionContext` can execute
@@ -27,8 +30,8 @@ This module makes the flow explicit and the sharing contract checkable:
 Every executor folds a per-stage latency breakdown into
 :attr:`ExecutionOutcome.timings` (``bind``/``render``/``sync``/``execute``/
 ``decode`` seconds, plus the compile-side stages when the plan was compiled
-in the same call), so a serving layer can report where time went without
-wrapping the engines.
+in the same call, plus ``rebuild`` when this very call built derived state),
+so a serving layer can report where time went without wrapping the engines.
 """
 
 from __future__ import annotations
@@ -40,17 +43,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional
 
 from repro.errors import JoinGraphError, PlanningError
+from repro.lazy import Lazy, build_seconds
 from repro.algebra.interpreter import PlanInterpreter
 from repro.algebra.operators import Serialize
 from repro.algebra.table import Table
 from repro.core.joingraph import JoinGraph, extract_join_graph
 from repro.core.rewriter import IsolationReport, JoinGraphIsolation
 from repro.core.sqlgen import generate_stacked_sql, render_join_graph
-from repro.relational.catalog import Database
+from repro.relational.catalog import Database, database_from_encoding
 from repro.relational.engine import QueryResult, RelationalEngine
 from repro.sqlbackend.backend import SQLiteBackend, SQLResult
 from repro.sqlbackend.decode import first_occurrence_items, ordered_items, sequence_items
-from repro.xmldb.encoding import DocumentEncoding
+from repro.xmldb.encoding import DOC_COLUMNS, DocumentEncoding
 from repro.xquery.ast import (
     Aggregate,
     Expression,
@@ -76,12 +80,22 @@ StageTimings = dict
 
 @contextmanager
 def _timed(timings: StageTimings, stage: str) -> Iterator[None]:
-    """Accumulate the wall-clock time of one stage under ``timings[stage]``."""
+    """Accumulate the wall-clock time of one stage under ``timings[stage]``.
+
+    Time this thread spent building lazy derived state inside the stage is
+    reported under ``timings["rebuild"]`` instead — counted once, and only
+    on the call that did the building.
+    """
     started = time.perf_counter()
+    built = build_seconds()
     try:
         yield
     finally:
-        timings[stage] = timings.get(stage, 0.0) + (time.perf_counter() - started)
+        elapsed = time.perf_counter() - started
+        rebuild = build_seconds() - built
+        timings[stage] = timings.get(stage, 0.0) + (elapsed - rebuild)
+        if rebuild:
+            timings["rebuild"] = timings.get("rebuild", 0.0) + rebuild
 
 
 # -- results -------------------------------------------------------------------------
@@ -125,8 +139,8 @@ class CompilationResult:
     #: Lazily rendered join-graph SQL for the RDBMS backend: the Fig. 8/9
     #: block with an explicit CROSS JOIN order (see :func:`sql_backend_sql`).
     #: Memoized as ``(stats key, sql)`` so prepared queries re-execute
-    #: without re-rendering any SQL, while catalog growth (a processor
-    #: rebuild with fresh statistics) invalidates the pinned join order
+    #: without re-rendering any SQL, while catalog growth (a new processor
+    #: with fresh statistics) invalidates the pinned join order
     #: instead of freezing a stale one.
     sql_backend_sql: Optional[tuple[tuple, str]] = field(default=None, repr=False)
     #: Wall-clock seconds per compile stage (parse/normalize/compile/
@@ -182,7 +196,10 @@ class ExecutionOutcome:
     ``timings`` is the per-stage latency breakdown: execute-side stages
     always (``bind``, ``execute``, ``decode``, plus ``render``/``sync`` on
     the RDBMS path), compile-side stages merged in when the plan was
-    compiled (not cache-hit) by the same call.
+    compiled (not cache-hit) by the same call, and ``rebuild`` when this
+    call was the one that built derived state for its catalog version (the
+    ``doc`` table, the database, a B+-tree) — its wall time is excluded
+    from the stage it happened in.
     """
 
     items: list[int]
@@ -211,37 +228,103 @@ class ExecutionOutcome:
 # -- the frozen execution context ------------------------------------------------------
 
 
+class CatalogSnapshot:
+    """The first :attr:`row_count` rows of an append-only encoding.
+
+    ``row_count`` is captured at construction (a session constructs the
+    snapshot under the store lock, with the version it publishes), so the
+    snapshot denotes the same rows forever, however far the encoding has
+    grown by the time someone reads them.  The engine state derived from
+    those rows is **write-once lazy**: :attr:`doc_table`, :attr:`database`
+    and :attr:`engine` are each built by the first read — exactly once
+    under concurrent first use — so ``sql`` on a parameterised plan builds
+    nothing, the plan interpreters build the ``doc`` table only, and the
+    join-graph engine (or ``sql`` pinning a join order) builds the database.
+    """
+
+    def __init__(
+        self,
+        encoding: DocumentEncoding,
+        with_default_indexes: bool = True,
+        columnar: bool = True,
+        database: Optional[Database] = None,
+    ):
+        self.encoding = encoding
+        self.row_count = row_count = len(encoding)
+        self._doc_table = Lazy(lambda: Table(DOC_COLUMNS, encoding.rows(row_count)))
+        self._database = Lazy(
+            lambda: database
+            or database_from_encoding(
+                encoding, with_default_indexes=with_default_indexes, row_count=row_count
+            )
+        )
+        self._engine = Lazy(lambda: RelationalEngine(self.database, columnar=columnar))
+
+    @property
+    def doc_table(self) -> Table:
+        return self._doc_table.get()
+
+    @property
+    def database(self) -> Database:
+        return self._database.get()
+
+    @property
+    def engine(self) -> RelationalEngine:
+        return self._engine.get()
+
+
 @dataclass(frozen=True, eq=False)
 class ExecutionContext:
-    """A frozen snapshot of the state one worker needs to execute plans.
+    """A frozen view of the state one worker needs to execute plans.
 
     The *bindings* of the context never change (the dataclass is frozen);
     the referenced objects are safe to share:
 
-    * :attr:`doc_table` and :attr:`database` are read-only after
-      construction (lazy statistics fills are idempotent dict writes);
-    * :attr:`engine` plans/executes without mutating shared state;
+    * :attr:`snapshot` fixes the catalog rows the context stands for;
+      :attr:`doc_table`, :attr:`database` and :attr:`engine` read through
+      to its write-once lazy members, which are read-only once built (lazy
+      statistics fills are idempotent dict writes, a B+-tree is loaded
+      once by its first probe) — :attr:`engine` plans/executes without
+      mutating shared state;
     * :attr:`sql_backend_supplier` resolves (and lazily creates, behind
       its own lock) the SQLite mirror, which serializes writes behind its
       pool's write lock and hands each thread its own read connection —
       the mirror only exists once a ``sql``/``sql-stacked`` execution
       actually needs it;
-    * :attr:`encoding` is append-only — a context built for catalog
+    * :attr:`encoding` is append-only — a context published for catalog
       version *v* keeps executing correctly after version *v+1* appends,
-      because plans only reference rows that existed when they ran.
+      because its derived state only ever covers the snapshot's rows.
     """
 
-    encoding: DocumentEncoding
-    doc_table: Table
-    database: Database
-    engine: RelationalEngine
+    snapshot: CatalogSnapshot
     settings: CompilerSettings
     default_document: Optional[str] = None
     sql_backend_supplier: Optional[Callable[[], SQLiteBackend]] = None
 
+    @property
+    def encoding(self) -> DocumentEncoding:
+        return self.snapshot.encoding
+
+    @property
+    def doc_table(self) -> Table:
+        return self.snapshot.doc_table
+
+    @property
+    def database(self) -> Database:
+        return self.snapshot.database
+
+    @property
+    def engine(self) -> RelationalEngine:
+        return self.snapshot.engine
+
     def catalog_key(self) -> tuple:
-        """Identity of the catalog + statistics the SQL join order is pinned to."""
-        return (id(self.database), len(self.encoding))
+        """Identity of the catalog + statistics the SQL join order is pinned to.
+
+        The snapshot's identity plus its captured row count: stable for the
+        life of the context (a later registration does not change it), and
+        reading it builds nothing.
+        """
+        return (id(self.snapshot), self.snapshot.row_count)
 
 
 # -- compilation stages ----------------------------------------------------------------
@@ -425,7 +508,7 @@ def sql_backend_sql(compilation: CompilationResult, context: ExecutionContext) -
 
     The memo is keyed on the catalog the order was planned against: a
     CompilationResult lives in a PlanCache shared across processor
-    rebuilds (catalog growth), and CROSS JOIN is a hard ordering
+    refreshes (catalog growth), and CROSS JOIN is a hard ordering
     constraint — re-plan against fresh statistics rather than pin an
     order chosen for a different catalog.
     """
@@ -496,13 +579,13 @@ def _run_interpreted(
     timings = {} if timings is None else timings
     with _timed(timings, "bind"):
         values = check_bindings(compilation.external_variables, bindings)
-    interpreter = PlanInterpreter(
-        context.doc_table,
-        timeout_seconds=timeout_seconds,
-        parameters=values or None,
-        columnar=context.settings.columnar_execution,
-    )
     with _timed(timings, "execute"):
+        interpreter = PlanInterpreter(
+            context.doc_table,
+            timeout_seconds=timeout_seconds,
+            parameters=values or None,
+            columnar=context.settings.columnar_execution,
+        )
         table = interpreter.evaluate(plan)
     with _timed(timings, "decode"):
         items = sequence_items(

@@ -9,8 +9,11 @@ tree onto a table — composite key columns (including the computed
 entries, and per-prefix statistics used by the optimizer.
 
 Keys are tuples; ``None`` values sort first.  The tree is bulk-loaded from
-sorted entries, which matches the one-shot index build after document
-loading (the workload is read-only).
+sorted entries and immutable afterwards (the rows an index covers never
+change).  An index is *write-once lazy*: :meth:`BTreeIndex.build` computes
+what the planner reads — key columns, per-prefix cardinalities, entry
+count — and the sort + bulk load waits for the first scan or lookup, so an
+index no physical plan ever probes never pays for it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.algebra.table import Table
+from repro.lazy import Lazy
 
 #: Fan-out of the B+-tree (number of entries per leaf / separators per node).
 DEFAULT_ORDER = 64
@@ -190,10 +194,10 @@ class BTreeIndex:
     key_columns: tuple[str, ...]
     include_columns: tuple[str, ...] = ()
     clustered: bool = False
-    tree: BPlusTree = field(default=None, repr=False)  # type: ignore[assignment]
     #: Distinct key-prefix counts, one entry per key prefix length.
     prefix_cardinalities: tuple[int, ...] = ()
     entry_count: int = 0
+    _tree: Lazy[BPlusTree] = field(default=None, repr=False)  # type: ignore[assignment]
 
     @staticmethod
     def build(
@@ -205,31 +209,42 @@ class BTreeIndex:
         clustered: bool = False,
         order: int = DEFAULT_ORDER,
     ) -> "BTreeIndex":
-        """Bulk-build the index from the table's current contents."""
+        """Index the table's current contents: metadata now, the tree on first probe."""
         key_columns = tuple(key_columns)
         include_columns = tuple(include_columns)
         key_extractors = [_column_extractor(table, column) for column in key_columns]
-        include_indices = [table.column_index(column) for column in include_columns]
-        entries = []
-        for row_position, row in enumerate(table.rows):
-            key = tuple(extract(row) for extract in key_extractors)
-            payload = (row_position,) + tuple(row[i] for i in include_indices)
-            entries.append((key, payload))
-        tree = BPlusTree(entries, order=order)
+        rows = table.rows
+        columns = [[extract(row) for row in rows] for extract in key_extractors]
         prefix_cardinalities = tuple(
-            len({key[: depth + 1] for key, _payload in entries})
-            for depth in range(len(key_columns))
+            len(set(zip(*columns[: depth + 1]))) for depth in range(len(columns))
         )
+
+        def load() -> BPlusTree:
+            include_indices = [table.column_index(column) for column in include_columns]
+            entries = [
+                (
+                    tuple(extract(row) for extract in key_extractors),
+                    (row_position,) + tuple(row[i] for i in include_indices),
+                )
+                for row_position, row in enumerate(rows)
+            ]
+            return BPlusTree(entries, order=order)
+
         return BTreeIndex(
             name=name,
             table_name=table_name,
             key_columns=key_columns,
             include_columns=include_columns,
             clustered=clustered,
-            tree=tree,
             prefix_cardinalities=prefix_cardinalities,
-            entry_count=len(entries),
+            entry_count=len(rows),
+            _tree=Lazy(load),
         )
+
+    @property
+    def tree(self) -> BPlusTree:
+        """The B+-tree, bulk-loaded by the first caller (once, under a lock)."""
+        return self._tree.get()
 
     # -- lookups ---------------------------------------------------------------------
 

@@ -92,19 +92,26 @@ class Database:
 
 
 def database_from_encoding(
-    encoding: DocumentEncoding, table_name: str = "doc", with_default_indexes: bool = True
+    encoding: DocumentEncoding,
+    table_name: str = "doc",
+    with_default_indexes: bool = True,
+    row_count: Optional[int] = None,
 ) -> Database:
     """Build a :class:`Database` hosting the XML infoset encoding.
 
     With ``with_default_indexes`` the paper's Table VI index set is created
     (see :func:`repro.relational.advisor.TABLE_VI_INDEXES`); pass ``False``
     to start from the bare primary-key index only (the ablation experiment
-    compares the two setups).
+    compares the two setups).  ``row_count`` hosts only the first that many
+    rows — a snapshot of an encoding that has grown since.
+
+    This collects the table statistics and each index's planner metadata;
+    the B+-trees themselves are bulk-loaded by their first probe.
     """
     from repro.relational.advisor import create_table_vi_indexes  # cyclic-import guard
 
     database = Database()
-    database.create_table(table_name, Table(DOC_COLUMNS, encoding.rows()))
+    database.create_table(table_name, Table(DOC_COLUMNS, encoding.rows(row_count)))
     database.create_index(f"{table_name}_pk_pre", table_name, ("pre",), clustered=True)
     if with_default_indexes:
         create_table_vi_indexes(database, table_name)

@@ -76,8 +76,8 @@ class DocumentEncoding:
         Single-writer, many-readers: the subtree is encoded into a staging
         list and published with one ``list.extend`` (atomic under the GIL),
         so concurrent readers — the SQLite mirror's incremental ``sync``,
-        a processor rebuild snapshotting ``rows()`` — see either none of
-        the document's rows or all of them, never a half-filled tail.
+        a lazy derived-state build snapshotting ``rows(n)`` — see either
+        none of the document's rows or all of them, never a half-filled tail.
         Concurrent *appends* still need external serialization (the
         :class:`~repro.core.session.DocumentStore` registration lock).
         """
@@ -134,9 +134,9 @@ class DocumentEncoding:
         """Return the row with the given ``pre`` rank."""
         return self._records[pre]
 
-    def rows(self) -> list[tuple]:
-        """All rows as plain tuples in :data:`DOC_COLUMNS` order."""
-        return [record.as_tuple() for record in self._records]
+    def rows(self, limit: Optional[int] = None) -> list[tuple]:
+        """The first ``limit`` rows (default: all) as :data:`DOC_COLUMNS` tuples."""
+        return [record.as_tuple() for record in self._records[:limit]]
 
     @property
     def level_index(self) -> Mapping[int, Sequence[int]]:

@@ -1,5 +1,8 @@
 """Session / DocumentStore: multi-document catalogs and prepared queries."""
 
+import re
+import time
+
 import pytest
 
 from repro.errors import CatalogError, XQueryBindingError
@@ -132,3 +135,133 @@ def test_purexml_engine_over_store(session):
     )
     assert [n.string_value() for n in prepared.run({"t": "BB"}).nodes] == ["BB"]
     assert prepared.run({"t": "nope"}).node_count == 0
+
+
+# -- write-once lazy derived state ----------------------------------------------------
+
+PRICED = (
+    "<site>"
+    + "".join(
+        f"<closed_auction><price>{price}</price><buyer person='p{price}'/></closed_auction>"
+        for price in range(40)
+    )
+    + "</site>"
+)
+PARAMETERISED = (
+    "declare variable $lo as xs:decimal external; "
+    'doc("{uri}")/descendant::closed_auction[child::price > $lo]'
+)
+LITERAL = 'doc("{uri}")/descendant::closed_auction[child::price > 30]'
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Count what derived state gets built: doc tables, databases, B+-trees, Tables."""
+    from repro.algebra.table import Table
+    from repro.core import stages
+    from repro.relational.btree import BPlusTree
+
+    counts = {"doc_table": 0, "database": 0, "trees": 0, "tables": 0}
+
+    def counting(key, wrapped):
+        def spy(*args, **kwargs):
+            counts[key] += 1
+            return wrapped(*args, **kwargs)
+
+        return spy
+
+    monkeypatch.setattr(stages, "Table", counting("doc_table", stages.Table))
+    monkeypatch.setattr(
+        stages, "database_from_encoding", counting("database", stages.database_from_encoding)
+    )
+    monkeypatch.setattr(BPlusTree, "__init__", counting("trees", BPlusTree.__init__))
+    monkeypatch.setattr(Table, "__init__", counting("tables", Table.__init__))
+    return counts
+
+
+def _planned_indexes(session, query):
+    """Names of the indexes the relational plan for ``query`` probes."""
+    return set(re.findall(r"index=(\w+)", session.explain(query)))
+
+
+@pytest.mark.parametrize(
+    "engine,parameterised,doc_table,database,probes",
+    [
+        ("sql", True, 0, 0, False),
+        ("sql", False, 0, 1, False),  # pins its join order from statistics only
+        ("sql-stacked", False, 0, 0, False),
+        ("stacked", False, 1, 0, False),
+        ("isolated", False, 1, 0, False),
+        ("join-graph", False, 0, 1, True),
+        ("auto", False, 0, 1, True),
+        ("explain", False, 0, 1, False),
+    ],
+)
+def test_materialisation_matrix(builds, engine, parameterised, doc_table, database, probes):
+    """Each engine builds the derived state it reads — once — and nothing else."""
+    session = Session()
+    session.register("d.xml", PRICED)
+    trees = len(_planned_indexes(session, LITERAL.format(uri="d.xml"))) if probes else 0
+    if probes:  # some index is probed, and some index never is
+        assert 0 < trees < len(session.processor.database.indexes)
+    session.register("pad.xml", "<pad/>")  # a fresh version: nothing is built yet
+    builds.update(dict.fromkeys(builds, 0))
+
+    def call():
+        if engine == "explain":
+            return session.explain(LITERAL.format(uri="d.xml"))
+        if parameterised:
+            return session.execute(
+                PARAMETERISED.format(uri="d.xml"), bindings={"lo": 30}, configuration=engine
+            )
+        return session.execute(LITERAL.format(uri="d.xml"), configuration=engine)
+
+    first = call()
+    assert (builds["doc_table"], builds["database"], builds["trees"]) == (
+        doc_table, database, trees
+    )
+    second = call()
+    assert (builds["doc_table"], builds["database"], builds["trees"]) == (
+        doc_table, database, trees
+    ), "derived state is write-once per version"
+    if engine != "explain":
+        assert first.items == second.items and first.node_count == 9
+        # The building call — and only it — reports what the build cost.
+        assert ("rebuild" in first.timings) == bool(doc_table or database)
+        assert "rebuild" not in second.timings
+
+
+def test_sql_only_session_builds_no_tables_and_no_trees(builds):
+    """Registration beside prepared ``sql`` reads costs O(new document)."""
+    session = Session()
+    session.register("d0.xml", PRICED)
+    prepared = session.prepare(PARAMETERISED.format(uri="d0.xml"))
+    expected = prepared.run({"lo": 30}, engine="sql").items
+    for index in range(1, 9):
+        session.register(f"d{index}.xml", PRICED)
+        assert prepared.run({"lo": 30}, engine="sql").items == expected
+    assert builds == {"doc_table": 0, "database": 0, "trees": 0, "tables": 0}
+
+
+def test_rebuild_time_is_counted_once():
+    """``rebuild`` is carved out of the stage it happened in, not added on top."""
+    session = Session()
+    session.register("d.xml", PRICED.replace("</site>", "<pad/>" * 4000 + "</site>"))
+    compilation = session.processor.compile(LITERAL.format(uri="d.xml"))
+    started = time.perf_counter()
+    outcome = session.execute(LITERAL.format(uri="d.xml"), configuration="join-graph")
+    wall = time.perf_counter() - started
+    assert compilation.join_graph is not None
+    assert outcome.timings["rebuild"] > outcome.timings["execute"]
+    assert outcome.elapsed_seconds <= wall
+
+
+def test_catalog_key_is_stable_across_later_registrations(session):
+    """Regression: the key read the *live* encoding length, so a context
+    changed its own key (and re-rendered its SQL) when the catalog grew."""
+    context = session.processor.context
+    key = context.catalog_key()
+    session.register("more.xml", "<more/>")
+    assert context.catalog_key() == key
+    assert session.processor.context.catalog_key() != key
+    assert len(context.doc_table) == context.snapshot.row_count < len(session.store.encoding)

@@ -19,7 +19,9 @@ Design notes for determinism:
   exactly the number of distinct entries.
 """
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -253,6 +255,135 @@ def test_concurrent_processor_rebuild_happens_once():
     for thread in threads:
         thread.join()
     assert len({id(processor) for processor in results}) == 1
+
+
+# -- write-once lazy derived state under concurrent first use -------------------------
+
+
+def _race(work):
+    """Run ``work(i)`` on THREADS threads released together; return their results.
+
+    A shortened switch interval makes the interpreter interleave the racing
+    threads inside the check-then-build windows the tests are about.
+    """
+    barrier = threading.Barrier(THREADS)
+    results = [None] * THREADS
+    errors = []
+
+    def run(i):
+        barrier.wait(timeout=60)
+        try:
+            results[i] = work(i)
+        except Exception as error:  # pragma: no cover - diagnostic path
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(THREADS)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    return results
+
+
+def _counting(monkeypatch, target, name):
+    """Replace ``target.name`` by a spy that counts calls (and dawdles a little,
+    so racing threads really do arrive while the first build is in flight)."""
+    calls = []
+    wrapped = getattr(target, name)
+
+    def spy(*args, **kwargs):
+        calls.append(threading.get_ident())
+        time.sleep(0.05)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, spy)
+    return calls
+
+
+def test_first_join_graph_calls_on_a_fresh_version_build_the_database_once(monkeypatch):
+    from repro.core import stages
+
+    session = _fresh_session()
+    expected = session.execute(ADHOC_QUERIES[0], configuration="stacked").items
+    session.register("fresh.xml", "<fresh/>")  # new version: nothing derived yet
+    builds = _counting(monkeypatch, stages, "database_from_encoding")
+    outcomes = _race(
+        lambda _i: session.execute(ADHOC_QUERIES[0], configuration="join-graph")
+    )
+    assert len(builds) == 1
+    assert [outcome.items for outcome in outcomes] == [expected] * THREADS
+    # Only the thread that built reports the cost; the others waited in `execute`.
+    assert sum("rebuild" in outcome.timings for outcome in outcomes) == 1
+
+
+def test_first_probes_through_one_lazy_index_load_one_tree(monkeypatch):
+    from repro.relational.btree import BPlusTree
+
+    session = _fresh_session()
+    index = session.processor.database.index("doc_idx_nkpl")
+    loads = _counting(monkeypatch, BPlusTree, "__init__")
+    probes = _race(lambda _i: list(index.lookup(("bidder", "ELEM"))))
+    assert len(loads) == 1
+    assert len(probes[0]) == 3 and probes == [probes[0]] * THREADS
+
+
+def test_registration_racing_a_lazy_build_never_leaks_newer_rows(monkeypatch):
+    """A version-v snapshot is its first n rows, whenever they are read."""
+    from repro.xmldb.encoding import DocumentEncoding
+
+    session = _fresh_session()
+    processor = session.processor
+    captured = len(session.store.encoding)
+
+    # Deterministic interleaving: a registration lands *inside* each build,
+    # after the build started and before it reads the rows.  (It also shows
+    # the build does not hold the store lock: registering would deadlock.)
+    rows = DocumentEncoding.rows
+    landed = []
+
+    def rows_after_a_registration(self, limit=None):
+        landed.append(session.register(f"mid-{len(landed)}.xml", OTHER_XML))
+        return rows(self, limit)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DocumentEncoding, "rows", rows_after_a_registration)
+        assert len(processor.doc_table) == captured
+        assert len(processor.database.table("doc")) == captured
+    assert len(landed) == 2 and len(session.store.encoding) > captured
+
+    # And under real threads: writers keep registering while readers force
+    # the derived state of whichever version they happen to hold.
+    stop = threading.Event()
+
+    def writer():
+        for index in range(200):
+            if stop.is_set():
+                break
+            session.register(f"late-{index}.xml", OTHER_XML)
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    try:
+        def check(_i):
+            for _ in range(10):
+                context = session.processor.context
+                rows_captured = context.snapshot.row_count
+                assert len(context.doc_table) == rows_captured
+                assert len(context.database.table("doc")) == rows_captured
+                assert context.database.index("doc_pk_pre").entry_count == rows_captured
+
+        _race(check)
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
 
 
 def test_plan_cache_clear_during_service_traffic_stays_consistent():
