@@ -47,13 +47,11 @@ The package is organised as follows:
     and engine-fallback degradation down the equivalence chain).
 
 ``repro.testing``
-    Deterministic fault injection for the chaos test suite and the
-    resilience benchmark: named fault points in the SQLite backend and
-    connection pool, scripted or seeded-random fault plans.
-
-``repro.bench``
-    Workloads (Q1-Q6), dataset builders, and reporting helpers used by the
-    benchmark harness under ``benchmarks/``.
+    What the test suites share: deterministic fault injection (named fault
+    points in the SQLite backend and connection pool, scripted or
+    seeded-random fault plans), the seeded generator of fragment-conformant
+    queries behind the differential sweeps, and the two query corpora — the
+    paper's Q1-Q6 and the adapted XMark Q1-Q20 suite.
 """
 
 from repro.core.pipeline import (

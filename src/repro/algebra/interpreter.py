@@ -28,7 +28,7 @@ Three execution modes share the operator semantics bit-for-bit:
   answer each outer row with two ``bisect`` probes, staircase-join style),
   dropping axis-step joins from O(n·m) to O(n log n + output).
 * ``compiled=False`` — the seed's naive row-dict evaluation, kept as the
-  differential baseline for tests and ``benchmarks/bench_hotpaths.py``.
+  differential baseline for tests.
 """
 
 from __future__ import annotations

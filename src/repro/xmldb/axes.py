@@ -281,7 +281,7 @@ def evaluate_axis_naive(
     This is the executable reading of the declarative Fig. 3 predicates: one
     full pass over ``encoding.records`` per context node.  It is kept as the
     differential baseline for :func:`evaluate_axis` (the index-backed fast
-    path) and as the slow side of ``benchmarks/bench_hotpaths.py``.
+    path).
     """
     spec = axis_predicate_spec(axis)
     ctx = encoding.record(context_pre)

@@ -6,6 +6,7 @@ from repro.errors import JoinGraphError
 from repro.core.joingraph import extract_join_graph
 from repro.core.rewriter import isolate
 from repro.core.sqlgen import generate_join_graph_sql, generate_stacked_sql
+from repro.testing.corpus import query_by_name
 from repro.xquery.compiler import compile_query
 
 
@@ -71,3 +72,13 @@ def test_nested_for_produces_wider_join_graph(xmark_processor):
     compilation = xmark_processor.compile(q)
     assert compilation.join_graph is not None
     assert compilation.join_graph.self_join_width >= 3
+
+
+def test_q2_join_graph_matches_fig9(xmark_processor):
+    compilation = xmark_processor.compile(query_by_name("Q2").xquery)
+    report = compilation.isolation_report
+    assert report.final_operator_count < report.initial_operator_count
+    # Fig. 9: one SFW block over a 12-fold self-join of doc.
+    assert compilation.join_graph.self_join_width == 12
+    assert compilation.join_graph_sql.startswith("SELECT DISTINCT")
+    assert compilation.join_graph_sql.count("doc AS d") == 12

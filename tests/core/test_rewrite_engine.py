@@ -26,7 +26,7 @@ from repro.errors import RewriteError
 from repro.algebra.dag import count_operators, node_count
 from repro.algebra.operators import Distinct, Join, RowRank
 from repro.algebra.render import render_plan
-from repro.bench.xmark import XMARK_SUITE
+from repro.testing.corpus import XMARK_SUITE
 from repro.core.properties import infer_properties
 from repro.core.rewrite import CLEANUP_GROUP, RANK_GROUP, RuleContext, engine
 from repro.core.rewriter import JoinGraphIsolation, isolate

@@ -69,6 +69,10 @@ def test_goals_can_be_disabled_for_ablation():
     partial, report = config.isolate(original)
     full, _ = isolate(original)
     assert count_operators(partial, Join) > count_operators(full, Join)
+    cleanup_only, _ = JoinGraphIsolation(
+        enable_rank_goal=False, enable_join_goal=False, enable_distinct_goal=False
+    ).isolate(original)
+    assert node_count(full) <= node_count(cleanup_only)
 
 
 def test_step_limit_guards_termination():

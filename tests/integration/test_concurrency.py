@@ -319,8 +319,10 @@ def test_first_join_graph_calls_on_a_fresh_version_build_the_database_once(monke
     )
     assert len(builds) == 1
     assert [outcome.items for outcome in outcomes] == [expected] * THREADS
-    # Only the thread that built reports the cost; the others waited in `execute`.
-    assert sum("rebuild" in outcome.timings for outcome in outcomes) == 1
+    # Only the thread that built the database reports its cost (the spy's 50 ms);
+    # the others waited in `execute` — one of them may be first to probe a lazy
+    # index and report that tree's (sub-millisecond) load instead.
+    assert sum(outcome.timings.get("rebuild", 0.0) >= 0.05 for outcome in outcomes) == 1
 
 
 def test_first_probes_through_one_lazy_index_load_one_tree(monkeypatch):

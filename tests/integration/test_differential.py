@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.workloads import WORKLOAD, query_by_name
+from repro.testing.corpus import WORKLOAD, query_by_name
 from repro.purexml.engine import PureXMLEngine
 
 
@@ -12,6 +12,12 @@ DBLP_QUERIES = ["Q5", "Q6"]
 
 def _processor_for(query, xmark_processor, dblp_processor):
     return xmark_processor if query.dataset == "xmark" else dblp_processor
+
+
+def test_workload_covers_all_paper_queries():
+    names = [query.name for query in WORKLOAD]
+    assert names == ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6"]
+    assert {query.dataset for query in WORKLOAD} == {"xmark", "dblp"}
 
 
 @pytest.mark.parametrize("name", XMARK_QUERIES + DBLP_QUERIES)

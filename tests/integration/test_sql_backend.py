@@ -10,7 +10,7 @@ for prepared queries under rebinding.
 import pytest
 
 from repro.errors import JoinGraphError
-from repro.bench.workloads import WORKLOAD, query_by_name
+from repro.testing.corpus import WORKLOAD, query_by_name
 from repro.core.session import Session
 
 JOIN_GRAPH_QUERIES = ["Q1", "Q3", "Q4", "Q5", "Q6"]

@@ -23,7 +23,7 @@ count instead of one per person).
 
 import pytest
 
-from repro.bench.xmark import XMARK_SUITE as SUITE
+from repro.testing.corpus import XMARK_SUITE as SUITE
 from repro.core.session import Session
 from repro.xmldb.generators.xmark import XMarkConfig, generate_xmark_document
 

@@ -31,7 +31,7 @@ def test_advisor_proposes_name_prefixed_indexes():
     key_sets = [r.key_columns for r in recommendations]
     assert any(keys[0] == "name" for keys in key_sets)
     assert any("data" in keys for keys in key_sets)
-    assert any(r.clustered for r in recommendations)
+    assert any(r.clustered and r.key_columns == ("pre",) for r in recommendations)
     report = advisor.report()
     assert "pre" in report
 
