@@ -12,15 +12,20 @@ turns away the identical applications.
 
 :func:`driver_records` renders a driver run in the reference's record
 format and :func:`normalize` erases the process-wide fresh-column
-numbering, so the two sides compare with ``==``.
+numbering, so the two sides compare with ``==``;
+:func:`assert_driver_matches_reference` is that comparison for one stacked
+plan, and :func:`main` runs it over generated queries (the nightly sweep).
 """
 
+import itertools
 import re
 
 from repro.algebra.dag import iter_nodes, pushout
 from repro.algebra.operators import Serialize
+from repro.algebra.render import render_plan
 from repro.core.properties import infer_properties
 from repro.core.rewrite import RuleContext
+from repro.core.rewriter import JoinGraphIsolation
 from repro.errors import AlgebraError
 
 
@@ -82,3 +87,47 @@ def _apply_first(plan, rules, applications, rejections):
             )
             return glued.root
     return None
+
+
+def assert_driver_matches_reference(plan, label=""):
+    """Isolate ``plan`` with the driver and the reference; demand identical
+    applications, rejections and rendered plans.  Returns the driver's report."""
+    RuleContext._fresh_columns = itertools.count(1)
+    reference_plan, applications, rejections = isolate_by_restart(
+        plan, JoinGraphIsolation().phases()
+    )
+    RuleContext._fresh_columns = itertools.count(1)
+    driver_plan, report = JoinGraphIsolation().isolate(plan)
+    steps, rejected = driver_records(report.applications, report.rejections)
+    assert normalized(applications) == steps, f"applications diverge {label}"
+    assert normalized(rejections) == rejected, f"rejections diverge {label}"
+    assert normalize(render_plan(reference_plan)) == normalize(
+        render_plan(driver_plan)
+    ), f"isolated plans diverge {label}"
+    assert report.converged, f"driver did not converge {label}"
+    return report
+
+
+def main(count, seed):
+    """Compare driver and reference on ``count`` generated queries; the first
+    divergence raises with the reproducing ``(seed, index, source)`` triple."""
+    from repro.testing.queries import QueryGenerator
+    from repro.xquery.compiler import CompilerSettings, compile_query
+
+    settings = CompilerSettings(default_document="site.xml")
+    for query in QueryGenerator(seed).corpus(count):
+        assert_driver_matches_reference(
+            compile_query(query.source, settings),
+            f"(seed={query.seed} index={query.index} source={query.source!r})",
+        )
+    print(f"driver == restart reference on {count} generated queries (seed {seed})")
+
+
+if __name__ == "__main__":
+    import argparse
+
+    parser = argparse.ArgumentParser(description=main.__doc__)
+    parser.add_argument("--count", type=int, default=2000)
+    parser.add_argument("--seed", type=int, default=0)
+    options = parser.parse_args()
+    main(options.count, options.seed)

@@ -17,25 +17,43 @@ degraded plan shape, and ``CompilationResult.rewrite_trace`` surfaces the
 full provenance.
 """
 
-import itertools
 import re
 
 import pytest
 
 from repro.errors import RewriteError
 from repro.algebra.dag import count_operators, node_count
-from repro.algebra.operators import Distinct, Join, RowRank
+from repro.algebra.operators import (
+    Attach,
+    Distinct,
+    DocTable,
+    Join,
+    Project,
+    RowId,
+    RowRank,
+    Serialize,
+)
+from repro.algebra.predicates import Predicate
 from repro.algebra.render import render_plan
 from repro.testing.corpus import XMARK_SUITE
+from repro.testing.queries import QueryGenerator
 from repro.core.properties import infer_properties
-from repro.core.rewrite import CLEANUP_GROUP, RANK_GROUP, RuleContext, engine
+from repro.core.rewrite import (
+    CLEANUP_GROUP,
+    RANK_GROUP,
+    Rule,
+    RuleContext,
+    engine,
+    run_phases,
+)
+from repro.core.rewrite.rule import MATCHED, pattern
 from repro.core.rewriter import JoinGraphIsolation, isolate
 from repro.xquery.compiler import CompilerSettings, compile_query
 
 from tests.core.restart_reference import (
+    assert_driver_matches_reference,
     driver_records,
     isolate_by_restart,
-    normalize,
     normalized,
 )
 
@@ -44,6 +62,14 @@ SETTINGS = CompilerSettings(default_document="auction.xml")
 RUNNABLE = tuple(case for case in XMARK_SUITE if case.refusal is None)
 
 CLEANUP_RULE_NAMES = frozenset(rule.name for rule in CLEANUP_GROUP)
+
+#: The generated slice the driver is compared against the reference on.
+GENERATED_SEED, GENERATED_CASES = 20091, 60
+
+
+def path_query(steps):
+    """The harness's ``pathN`` shape: ``for $x in doc(..)//b return $x/c/c/…``."""
+    return 'for $x in doc("nested.xml")//b return $x' + "/c" * steps
 
 #: ``rules_fired()`` for every runnable XMark query, pinned so histogram
 #: drift is a deliberate act, not an accident.
@@ -255,45 +281,43 @@ PINNED_HISTOGRAMS = {
 }
 
 
-def _isolate(plan):
-    RuleContext._fresh_columns = itertools.count(1)
-    isolated, report = JoinGraphIsolation().isolate(plan)
-    return isolated, report, *driver_records(report.applications, report.rejections)
-
-
-def _isolate_by_restart(plan):
-    RuleContext._fresh_columns = itertools.count(1)
-    isolated, applications, rejections = isolate_by_restart(
-        plan, JoinGraphIsolation().phases()
-    )
-    return isolated, normalized(applications), normalized(rejections)
-
-
 # -- driver vs. reference + pinned histograms ---------------------------------------
 
 
 @pytest.mark.parametrize("case", RUNNABLE, ids=lambda case: case.name)
 def test_drivers_agree_and_histograms_are_pinned(case):
-    plan = compile_query(case.xquery, SETTINGS)
-    reference_plan, reference_apps, reference_rejs = _isolate_by_restart(plan)
-    work_plan, work_report, work_apps, work_rejs = _isolate(plan)
-
     # The worklist driver is an optimisation only: identical applications,
     # identical rejections, identical isolated plan.
-    assert reference_apps == work_apps
-    assert reference_rejs == work_rejs
-    assert normalize(render_plan(reference_plan)) == normalize(render_plan(work_plan))
-    assert work_report.converged
+    report = assert_driver_matches_reference(compile_query(case.xquery, SETTINGS))
 
     # Pinned counts: a drifted histogram is a behaviour change.
-    assert work_report.rules_fired() == PINNED_HISTOGRAMS[case.name]
+    assert report.rules_fired() == PINNED_HISTOGRAMS[case.name]
 
     # Cleanup rules only ever shrink what is already there — their
     # premises are local, so the global operator invariants cannot trip.
-    for rejection in work_report.rejections:
+    for rejection in report.rejections:
         assert rejection.rule not in CLEANUP_RULE_NAMES, (
             f"cleanup rule {rejection.rule!r} rejected on {case.name}"
         )
+
+
+@pytest.mark.parametrize(
+    "query", QueryGenerator(GENERATED_SEED).corpus(GENERATED_CASES), ids=lambda q: q.index
+)
+def test_drivers_agree_on_generated_queries(query):
+    """The same comparison over a seeded slice of the property-test
+    generator: value joins, aggregates, quantifiers, positionals, order by."""
+    report = assert_driver_matches_reference(
+        compile_query(query.source, SETTINGS), f"(generated: {query.source!r})"
+    )
+    assert report.steps > 0
+
+
+@pytest.mark.parametrize("steps", (8, 16, 32))
+def test_drivers_agree_on_path_queries(steps):
+    """... and over the benchmark harness's query-size shape (``pathN``)."""
+    report = assert_driver_matches_reference(compile_query(path_query(steps), SETTINGS))
+    assert report.steps > 0
 
 
 @pytest.mark.parametrize("case", RUNNABLE, ids=lambda case: case.name)
@@ -440,3 +464,45 @@ def test_trace_records_node_identities(small_processor):
     # make that correlation observable.
     replacement_ids = {step.replacement_id for step in trace.steps}
     assert any(step.target_id in replacement_ids for step in trace.steps[1:])
+
+
+# -- the rejection path --------------------------------------------------------------
+
+
+def test_globally_rejected_rule_is_recorded_per_visit_and_never_memoized():
+    """A rule whose replacement always trips a far ancestor's constructor.
+
+    No XMark or generated query produces a rejection, so this drives the
+    path synthetically: the rule renames the ``⋈``'s left join column under
+    a ``#``, which makes the join two levels up unconstructible.  Every
+    walk that reaches the ``#`` must record one rejection (the pair is never
+    memoized), leave the plan untouched, and keep scanning — exactly what the
+    restart reference does.
+    """
+    doc = DocTable()
+    left = RowId(Project(doc, [("a", "pre")]), "x")
+    right = Attach(Project(doc, [("b", "pre"), ("dead", "size")]), "unused", 2)
+    joined = Join(Distinct(left), right, Predicate.equality("a", "b"))
+    plan = Serialize(Project(joined, [("pos", "a"), ("item", "x")]))
+    always_rejected = Rule(
+        name="always_rejected",
+        pattern=pattern(RowId),
+        guard=lambda node, ctx: MATCHED,
+        build=lambda node, match, ctx: Project(node, [("b", "a"), ("x", "x")]),
+        exemplar=lambda: plan,
+    )
+    phases = [("synthetic", (always_rejected,) + CLEANUP_GROUP)]
+
+    reference_plan, applications, rejections = isolate_by_restart(plan, phases)
+    driver_plan, driver = run_phases(plan, phases)
+    steps, rejected = driver_records(driver.steps, driver.rejections)
+
+    assert steps == normalized(applications) and len(steps) >= 2
+    assert rejected == normalized(rejections)
+    assert render_plan(driver_plan) == render_plan(reference_plan)
+    # One rejection per walk: one walk per applied step plus the final,
+    # rule-less one — a memoized rejection would show up as fewer.
+    assert len(driver.rejections) == len(steps) + 1
+    assert {r.rule for r in driver.rejections} == {"always_rejected"}
+    assert [r.step for r in driver.rejections] == list(range(len(steps) + 1))
+    assert all("join inputs share columns" in r.error for r in driver.rejections)
