@@ -1,9 +1,13 @@
 """Logical operators of the table algebra (Table I of the paper).
 
-Plans are DAGs of immutable operator nodes.  Each node knows its children
-and its output schema (``columns``); node identity is object identity, so
-the same node object appearing below several parents models plan sharing
-(e.g. the single ``doc`` instance of Fig. 4).
+Plans are DAGs of operator nodes that are immutable everywhere except
+inside one isolation run, which rewrites its own private copy of a plan
+through a single function (:func:`repro.algebra.dag.glue` re-points
+``children`` and adjusts ``columns`` there; see :func:`repro.algebra.dag.thaw`).
+Each node knows its children and its output schema (``columns``); node
+identity is object identity, so the same node object appearing below
+several parents models plan sharing (e.g. the single ``doc`` instance of
+Fig. 4).
 
 Operators validate their column references at construction time, which
 catches compiler and rewriter bugs early.

@@ -24,20 +24,20 @@ columns of a node that are *structurally mentioned* upstream (a superset of
 ``icols`` — see :meth:`PlanProperties.refs`).
 
 The rewrite rules of :mod:`repro.core.rewrite.rules` consult these
-properties through a :class:`PlanProperties` snapshot, one per rewrite
-step.  There is one inference pass.  Every node's result is a pure function
-of its own fields plus its children's (bottom-up) or parents' (top-down)
-results, so the pass validates and fills identity-keyed memos as it goes:
-called bare, ``infer_properties(plan)`` runs it over fresh, empty memos (a
-*cold* inference); the rewrite driver threads its memos through every step
-of a run, so a step re-infers only the region a rewrite actually changed.
+properties through one :class:`PlanProperties` object per plan.  Every
+node's result is a pure function of its own fields plus its children's
+(bottom-up) or parents' (top-down) results.  ``infer_properties(plan)``
+computes all of them once (a *cold* inference); the rewrite driver, whose
+plan changes in place under stable node identities, then calls
+:meth:`PlanProperties.refresh` after each step, which re-infers only the
+dirty frontier the step left behind.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.algebra.dag import parents_map, topological_order
+from repro.algebra.dag import Glue, parents_map, topological_order
 from repro.algebra.operators import (
     Attach,
     Cross,
@@ -58,50 +58,14 @@ from repro.algebra.operators import (
 #: represent and serialize the resulting XML node sequence.
 SERIALIZE_ICOLS = frozenset({"pos", "item"})
 
-
-#: Cross-step memo for the bottom-up properties: ``id(node) -> (node, child
-#: states, const, keys)`` with one ``(columns, const, keys)`` triple per
-#: child.  ``const`` / ``keys`` are a pure function of the node's own fields
-#: and its children's ``(columns, const, keys)``, so an entry is valid when
-#: the pinned node is identical (same fields) and every child's current
-#: values match the stored triple.  Entries therefore survive the pushout's
-#: mechanical ancestor rebuilds: the rewrite driver re-keys them along
-#: :attr:`~repro.algebra.dag.Pushout.rebuilt` (a ``with_children`` rebuild
-#: preserves all fields), and the child-state check picks up whether the
-#: rewrite below actually changed anything the node's properties depend on.
-#: Recomputed-but-equal values re-use the previous value *object*, which is
-#: what lets parents validate by identity instead of deep comparison.
-BottomUpMemo = dict
-
-#: Cross-step memo for the top-down state: ``id(node) -> (node, parent
-#: tuple, parent state tuple, icols, set, refs, columns)``.  ``icols`` /
-#: ``set`` / ``refs`` of a node are each a pure function of its own column
-#: schema plus its parents' fields and top-down state, so an entry is valid
-#: when every stored parent
-#: is the identical object — or its mechanical rebuild, looked up through
-#: the step's ``rebuilt`` map — holding the identical state objects, and the
-#: node's schema is unchanged.  Re-inference recomputes only the cone
-#: actually affected by a rewrite: a recomputed-but-equal value re-uses the
-#: previous value *object*, which lets the identity check cut the cascade
-#: off at the first node whose properties did not really change.
-TopDownMemo = dict
-
-#: The one empty-refs object: seeds and recomputations share it so the
-#: identity checks above hold across steps without a value comparison.
 _NO_REFS: frozenset[str] = frozenset()
 
 
 class PlanProperties:
-    """A property snapshot for every operator of one plan DAG."""
+    """The properties of every operator of one plan DAG, keyed by node id."""
 
     def __init__(
-        self,
-        root: Operator,
-        bottom_up_memo: Optional[BottomUpMemo] = None,
-        top_down_memo: Optional[TopDownMemo] = None,
-        order: Optional[list[Operator]] = None,
-        parents: Optional[dict[int, list[Operator]]] = None,
-        rebuilt: Optional[dict[int, Operator]] = None,
+        self, root: Operator, parents: Optional[dict[int, list[Operator]]] = None
     ):
         self.root = root
         self._icols: dict[int, frozenset[str]] = {}
@@ -109,17 +73,17 @@ class PlanProperties:
         self._keys: dict[int, frozenset[frozenset[str]]] = {}
         self._set: dict[int, bool] = {}
         self._refs: dict[int, frozenset[str]] = {}
-        if order is None:
-            order = topological_order(root)
-        self._infer_bottom_up(
-            order, bottom_up_memo if bottom_up_memo is not None else {}
-        )
-        self._infer_top_down(
-            order,
-            parents if parents is not None else parents_map(root),
-            top_down_memo if top_down_memo is not None else {},
-            rebuilt if rebuilt is not None else {},
-        )
+        order = topological_order(root)
+        if parents is None:
+            parents = parents_map(root)
+        for node in order:
+            self._const[id(node)] = _infer_const(node, self._const)
+            self._keys[id(node)] = _infer_keys(node, self._keys)
+        for node in reversed(order):
+            node_id = id(node)
+            self._icols[node_id], self._set[node_id], self._refs[node_id] = (
+                self._top_down(node, parents[node_id])
+            )
 
     # -- public accessors --------------------------------------------------------
 
@@ -151,181 +115,80 @@ class PlanProperties:
 
     # -- inference ----------------------------------------------------------------
 
-    def _infer_bottom_up(self, order: list[Operator], memo: BottomUpMemo) -> None:
-        """``const`` and ``key``, children before parents."""
+    def _top_down(
+        self, node: Operator, plist: list[Operator]
+    ) -> tuple[frozenset[str], bool, frozenset[str]]:
+        """``(icols, set, refs)`` of ``node``, pulled from its parents.
+
+        Each node unions (``icols``, ``refs``) and conjoins (``set``) the
+        contributions of its parents, which makes the result a pure
+        function of the node's schema and its parents' fields and state.
+        """
+        if node is self.root:
+            seed = frozenset(node.columns)
+            if isinstance(node, Serialize):
+                seed = SERIALIZE_ICOLS & seed or seed
+            return seed, False, _NO_REFS
+        icols: frozenset[str] = frozenset()
+        is_set = True
+        refs: set[str] = set()
+        for parent in plist:
+            parent_id = id(parent)
+            for position, child in enumerate(parent.children):
+                if child is node:
+                    icols = icols | _child_icols(
+                        parent, position, node, self._icols[parent_id]
+                    )
+                    is_set = is_set and _child_set(parent, position, self._set[parent_id])
+            refs |= _parent_refs(parent, node, self._refs[parent_id])
+        return icols, is_set, frozenset(refs) if refs else _NO_REFS
+
+    def refresh(
+        self, order: list[Operator], parents: dict[int, list[Operator]], glue: Glue
+    ) -> list[Operator]:
+        """Re-infer from the dirty frontier one :func:`~repro.algebra.dag.glue` left.
+
+        ``order`` is the plan's current topological order (children first)
+        and ``parents`` its index.  ``const`` / ``keys`` are recomputed
+        upward from the new and re-pointed nodes for as long as a value
+        actually changes; ``icols`` / ``set`` / ``refs`` downward from the
+        nodes whose parent list or (possibly) schema changed, likewise.  Returns the
+        nodes whose top-down state changed (the rewrite driver re-tries
+        them).
+        """
+        for node in glue.dropped:
+            for values in (self._icols, self._const, self._keys, self._set, self._refs):
+                values.pop(id(node), None)
         const_by, keys_by = self._const, self._keys
+        stale = {id(node) for node in glue.fresh + glue.rewired + glue.revalidated}
         for node in order:
             node_id = id(node)
-            entry = memo.get(node_id)
-            if entry is not None and entry[0] is node:
-                for child, (columns, child_const, child_keys) in zip(
-                    node.children, entry[1]
-                ):
-                    if (
-                        const_by[id(child)] is not child_const
-                        or keys_by[id(child)] is not child_keys
-                        or (columns is not child.columns and columns != child.columns)
-                    ):
-                        break
-                else:
-                    const_by[node_id] = entry[2]
-                    keys_by[node_id] = entry[3]
-                    continue
-            const = _infer_const(node, const_by)
-            keys = _infer_keys(node, keys_by)
-            # Recomputed-but-equal: keep the previous value *objects* so
-            # parents (and their memo entries) can validate by identity.
-            if entry is not None and entry[0] is node:
-                if const == entry[2]:
-                    const = entry[2]
-                if keys == entry[3]:
-                    keys = entry[3]
-            const_by[node_id] = const
-            keys_by[node_id] = keys
-            memo[node_id] = (
-                node,
-                tuple(
-                    (child.columns, const_by[id(child)], keys_by[id(child)])
-                    for child in node.children
-                ),
-                const,
-                keys,
-            )
-
-    def _infer_top_down(
-        self,
-        order: list[Operator],
-        parents: dict[int, list[Operator]],
-        memo: TopDownMemo,
-        rebuilt: dict[int, Operator],
-    ) -> None:
-        """``icols``, ``set`` and ``refs``, parents before children.
-
-        Pull-based: each node unions (``icols``, ``refs``) and conjoins
-        (``set``) the contributions of its parents, which makes its result
-        a pure function of them — the shape the :data:`TopDownMemo`
-        validation needs.  ``rebuilt`` (the step's mechanical-rebuild map)
-        lets an entry stay valid when a stored parent was merely re-created
-        by ``with_children`` around an unrelated change: the rebuild has the
-        same fields, so its contribution is the same whenever its state is.
-        """
-        icols_by, set_by, refs_by = self._icols, self._set, self._refs
-        root = self.root
-        root_icols = frozenset(root.columns)
-        if isinstance(root, Serialize):
-            root_icols = SERIALIZE_ICOLS & root_icols or root_icols
-        # Seed the root through its memo entry so the seeds are the *same
-        # objects* step after step (the children's identity checks rely on
-        # that).
-        entry = memo.get(id(root))
-        if entry is not None and entry[0] is root and root_icols == entry[3]:
-            root_icols = entry[3]
-        memo[id(root)] = (root, (), (), root_icols, False, _NO_REFS, root.columns)
-        icols_by[id(root)] = root_icols
-        set_by[id(root)] = False
-        refs_by[id(root)] = _NO_REFS
-        rebuilt_get = rebuilt.get
-        memo_get = memo.get
-        for node in reversed(order):
-            if node is root:
+            if node_id not in stale:
                 continue
+            const, keys = _infer_const(node, const_by), _infer_keys(node, keys_by)
+            if const == const_by.get(node_id) and keys == keys_by.get(node_id):
+                continue
+            const_by[node_id], keys_by[node_id] = const, keys
+            stale.update(id(parent) for parent in parents[node_id])
+        icols_by, set_by, refs_by = self._icols, self._set, self._refs
+        stale = {id(node) for node in glue.fresh + glue.reparented + glue.revalidated}
+        changed: list[Operator] = []
+        for node in reversed(order):
             node_id = id(node)
-            plist = parents[node_id]
-            entry = memo_get(node_id)
-            if (
-                entry is not None
-                and entry[0] is node
-                and len(entry[1]) == len(plist)
-                and (entry[6] is node.columns or entry[6] == node.columns)
-            ):
-                valid = True
-                stale_parents = False
-                for stored, current, state in zip(entry[1], plist, entry[2]):
-                    if stored is not current:
-                        if rebuilt_get(id(stored)) is not current:
-                            valid = False
-                            break
-                        stale_parents = True
-                    current_id = id(current)
-                    if (
-                        icols_by[current_id] is not state[0]
-                        or set_by[current_id] != state[1]
-                        or refs_by[current_id] is not state[2]
-                    ):
-                        valid = False
-                        break
-                if valid:
-                    icols_by[node_id] = entry[3]
-                    set_by[node_id] = entry[4]
-                    refs_by[node_id] = entry[5]
-                    if stale_parents:
-                        # Refresh the parent tuple: the rebuilt map only
-                        # covers the *current* step's rebuilds.
-                        memo[node_id] = (node, tuple(plist)) + entry[2:]
-                    continue
-            icols: frozenset[str] = frozenset()
-            is_set = True
-            refs: set[str] = set()
-            for parent in plist:
-                parent_id = id(parent)
-                parent_icols = icols_by[parent_id]
-                parent_set = set_by[parent_id]
-                for position, child in enumerate(parent.children):
-                    if child is node:
-                        icols = icols | _child_icols(
-                            parent, position, node, parent_icols
-                        )
-                        is_set = is_set and _child_set(parent, position, parent_set)
-                refs |= _parent_refs(parent, node, refs_by[parent_id])
-            frozen_refs = frozenset(refs) if refs else _NO_REFS
-            # Recomputed-but-equal: keep the previous value *object* so the
-            # identity checks of this node's children (and their memo
-            # entries) stay valid — this is what stops one rewrite near the
-            # root from invalidating the entire plan's top-down state.
-            if entry is not None and entry[0] is node:
-                if icols == entry[3]:
-                    icols = entry[3]
-                if frozen_refs == entry[5]:
-                    frozen_refs = entry[5]
-            icols_by[node_id] = icols
-            set_by[node_id] = is_set
-            refs_by[node_id] = frozen_refs
-            memo[node_id] = (
-                node,
-                tuple(plist),
-                tuple(
-                    (icols_by[id(p)], set_by[id(p)], refs_by[id(p)]) for p in plist
-                ),
-                icols,
-                is_set,
-                frozen_refs,
-                node.columns,
-            )
+            if node_id not in stale:
+                continue
+            state = self._top_down(node, parents[node_id])
+            if state == (icols_by.get(node_id), set_by.get(node_id), refs_by.get(node_id)):
+                continue
+            icols_by[node_id], set_by[node_id], refs_by[node_id] = state
+            changed.append(node)
+            stale.update(id(child) for child in node.children)
+        return changed
 
 
-def infer_properties(
-    root: Operator,
-    bottom_up_memo: Optional[BottomUpMemo] = None,
-    top_down_memo: Optional[TopDownMemo] = None,
-    order: Optional[list[Operator]] = None,
-    parents: Optional[dict[int, list[Operator]]] = None,
-    rebuilt: Optional[dict[int, Operator]] = None,
-) -> PlanProperties:
-    """Infer the plan properties of every node of the DAG rooted at ``root``.
-
-    Called bare this is a cold inference.  The rewrite driver passes its
-    cross-step state instead: ``bottom_up_memo`` reuses ``const`` / ``key``
-    results for subtrees preserved across rewrite steps (see
-    :data:`BottomUpMemo`), ``top_down_memo`` does the same for ``icols`` /
-    ``set`` / ``refs`` (see :data:`TopDownMemo`), ``order`` and ``parents``
-    share the topological order and parent index the driver already
-    computed for the step, and ``rebuilt`` is the previous step's
-    mechanical-rebuild map (:attr:`~repro.algebra.dag.Pushout.rebuilt`)
-    that keeps memo entries valid across ``with_children`` rebuilds.
-    """
-    return PlanProperties(
-        root, bottom_up_memo, top_down_memo, order, parents, rebuilt
-    )
+def infer_properties(root: Operator) -> PlanProperties:
+    """Infer the plan properties of every node of the DAG rooted at ``root``."""
+    return PlanProperties(root)
 
 
 # ---------------------------------------------------------------------------

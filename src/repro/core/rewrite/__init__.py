@@ -11,13 +11,14 @@ that description literal — rules are **data**, not Python control flow:
   registration-time left-linearity / sharing validator;
 * :mod:`repro.core.rewrite.context` — the premise-evaluation
   :class:`RuleContext` (column provenance, upstream references, the
-  ``rank_compared_upstream`` guard) with cross-step memo hooks;
+  ``rank_compared_upstream`` guard), kept for a whole run and invalidated
+  by what each step changed;
 * :mod:`repro.core.rewrite.rules` — the paper's rules (1)-(17) and the
   generalised key-join collapse (9*) re-expressed in the declarative form,
   assembled into the goal groups the driver runs;
 * :mod:`repro.core.rewrite.engine` — the driver: pattern-indexed dispatch
-  over a worklist of dirty nodes, with property re-inference scoped to
-  the region a step changed;
+  over a worklist of dirty nodes of a plan copy that is rewritten in
+  place, with property re-inference scoped to the region a step changed;
 * :mod:`repro.core.rewrite.trace` — rewrite provenance: every applied
   step and every rejected application, threaded through
   :class:`~repro.core.rewriter.IsolationReport` into

@@ -1,4 +1,4 @@
-"""Premise-evaluation context shared by all rewrite rules for one step.
+"""Premise-evaluation context shared by all rewrite rules.
 
 The :class:`RuleContext` is what a rule's *guard* sees: the plan root, the
 inferred :class:`~repro.core.properties.PlanProperties` (among them the
@@ -7,21 +7,22 @@ column provenance, and the global ``rank_compared_upstream`` premise.
 
 Guards must evaluate their premises exclusively through this interface —
 that closed surface is what lets the worklist driver prove that a failed
-match cannot have become applicable while a node and its context
-fingerprint are unchanged (see :mod:`repro.core.rewrite.engine`).
+match cannot have become applicable while none of the events it tracks
+touched the node (see :mod:`repro.core.rewrite.engine`).
 
-``provenance_memo`` is the cross-step memo hook: provenance paths depend
-only on a node's subtree, and subtrees are identified by object identity
-(operators are immutable), so the worklist driver threads one memo dict
-through every step of an isolation run.  The memo holds the node
-reference alongside the cached path, which both validates the entry and
-pins the object so its ``id`` cannot be recycled while the entry lives.
+A context describes one plan for as long as nobody changes it.  The
+worklist driver, whose plan changes in place, keeps one context for a whole
+run and calls :meth:`RuleContext.invalidate` after each step: provenance
+paths depend only on a node's subtree, so they are memoized per node and
+dropped for exactly the nodes whose subtree a step touched.  An entry holds
+the node reference beside its paths, which validates it and pins the
+object so its ``id`` cannot be recycled while the entry lives.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.algebra.dag import iter_nodes, parents_map
 from repro.algebra.operators import (
@@ -41,34 +42,41 @@ from repro.core.properties import PlanProperties
 
 #: One provenance path: ``[(node, column), ..., (origin, origin_column)]``.
 ProvenancePath = list
-#: Cross-step provenance memo: ``(id(node), column) -> (node, path)``.
-ProvenanceMemo = dict
 
 
 class RuleContext:
-    """Premise-evaluation context shared by all rules for one rewrite step."""
+    """Premise-evaluation context shared by all rules (see the module docstring)."""
 
     def __init__(
         self,
         root: Operator,
         properties: PlanProperties,
-        provenance_memo: Optional[ProvenanceMemo] = None,
         parents: Optional[dict[int, list[Operator]]] = None,
     ):
         self.root = root
         self.properties = properties
         self.parents = parents if parents is not None else parents_map(root)
-        self._compared_origins: Optional[set[tuple[int, str]]] = None
-        self._provenance_memo: ProvenanceMemo = (
-            provenance_memo if provenance_memo is not None else {}
-        )
+        self._compared_origins: Optional[frozenset[tuple[int, str]]] = None
+        #: ``id(node) -> (node, {column: path})``.
+        self._provenance: dict[int, tuple[Operator, dict[str, ProvenancePath]]] = {}
+
+    def invalidate(self, subtrees: Iterable[int], predicates: bool) -> None:
+        """Forget what a change to the plan made stale.
+
+        ``subtrees`` are the ids of the nodes whose subtree changed (or that
+        left the plan); ``predicates`` says whether the plan's σ/⋈ set, or
+        the subtree below one of them, did.
+        """
+        for node_id in subtrees:
+            self._provenance.pop(node_id, None)
+        if predicates:
+            self._compared_origins = None
 
     # -- fresh names -------------------------------------------------------------
 
-    #: Process-wide counter: rule contexts are rebuilt after every rewrite
-    #: step, so a per-context counter would re-issue the same "fresh" names
-    #: step after step — and two widenings of one shared spine would then
-    #: collide on identical carry columns.
+    #: Process-wide counter: "fresh" names must stay fresh across contexts
+    #: — two widenings of one shared spine would otherwise collide on
+    #: identical carry columns.
     _fresh_columns = itertools.count(1)
 
     def fresh_column(self, hint: str = "carry") -> str:
@@ -83,13 +91,14 @@ class RuleContext:
         row-preserving unary operators and descends into the join/cross input
         that provides the column.  It ends at the operator that *introduced*
         the column (a leaf, ``@``, ``#`` or ``ϱ``).  Paths depend only on the
-        subtree below ``node``, so they are memoized by object identity —
-        across rewrite steps when the driver shares the memo.
+        subtree below ``node``, so they are memoized per node.
         """
-        memo_key = (id(node), column)
-        cached = self._provenance_memo.get(memo_key)
-        if cached is not None and cached[0] is node:
-            return cached[1]
+        cached = self._provenance.get(id(node))
+        if cached is None or cached[0] is not node:
+            cached = self._provenance[id(node)] = (node, {})
+        paths = cached[1]
+        if column in paths:
+            return paths[column]
         path: list[tuple[Operator, str]] = []
         current, name = node, column
         while True:
@@ -116,7 +125,7 @@ class RuleContext:
                 current = left if name in left.columns else right
                 continue
             break  # leaf (doc or literal table)
-        self._provenance_memo[memo_key] = (node, path)
+        paths[column] = path
         return path
 
     def origin(self, node: Operator, column: str) -> tuple[Operator, str]:
@@ -139,10 +148,9 @@ class RuleContext:
     def compared_origins(self) -> frozenset[tuple[int, str]]:
         """Origins ``(id(op), column)`` compared by any σ/⋈ predicate in the plan.
 
-        Computed once per rewrite step (memoized on the context); the
-        worklist driver additionally fingerprints the whole set as an epoch
-        so ``rank_compared_upstream``-guarded rules are re-tried exactly
-        when the set changes.
+        Memoized until :meth:`invalidate` reports a predicate change — the
+        same event that makes the worklist driver re-try the
+        ``rank_compared_upstream``-guarded rules.
         """
         if self._compared_origins is None:
             compared: set[tuple[int, str]] = set()
@@ -157,8 +165,8 @@ class RuleContext:
                     base = next(b for b in bases if column in b.columns)
                     origin_node, origin_column = self.origin(base, column)
                     compared.add((id(origin_node), origin_column))
-            self._compared_origins = compared
-        return frozenset(self._compared_origins)
+            self._compared_origins = frozenset(compared)
+        return self._compared_origins
 
     def rank_compared_upstream(self, rank: "RowRank") -> bool:
         """Does any σ/⋈ predicate in the plan compare this rank's column?

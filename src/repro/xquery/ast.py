@@ -409,9 +409,16 @@ def check_bindings(
     Returns the normalized binding map (numeric values coerced to ``float``,
     matching what the parser produces for number literals, so prepared
     execution is bit-for-bit identical to ad-hoc literal execution).  Raises
-    :class:`~repro.errors.XQueryBindingError` for missing bindings, bindings
-    to undeclared names, and values that do not match the declared type.
+    :class:`~repro.errors.XQueryBindingError` for a ``bindings`` argument
+    that is not a mapping, missing bindings, bindings to undeclared names,
+    and values that do not match the declared type.
     """
+    if bindings is not None and not isinstance(bindings, Mapping):
+        raise XQueryBindingError(
+            f"bindings must be a mapping of external variable names to values, "
+            f"got {type(bindings).__name__} {bindings!r} (an engine such as "
+            f'"sql" is selected with configuration=, not positionally)'
+        )
     supplied = dict(bindings or {})
     declared = {declaration.name: declaration for declaration in externals}
     unknown = sorted(set(supplied) - set(declared))

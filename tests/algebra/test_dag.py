@@ -1,11 +1,17 @@
 """Tests for DAG traversal and substitution."""
 
+import pytest
+
 from repro.algebra.dag import (
-    count_operators, find_first, iter_nodes, node_count, operator_histogram,
-    parents_map, pushout, reaches, replace_node, shared_nodes, substitute,
+    count_operators, find_first, glue, iter_nodes, node_count, operator_histogram,
+    parents_map, pushout, reaches, replace_node, shared_nodes, substitute, thaw,
 )
-from repro.algebra.operators import Attach, Distinct, DocTable, Project, Select
+from repro.algebra.operators import (
+    Attach, Cross, Distinct, DocTable, Join, Project, RowId, Select, Serialize,
+)
 from repro.algebra.predicates import ColumnRef, Comparison, Literal, Predicate
+from repro.core.rewrite.rule import _structural_fingerprint
+from repro.errors import AlgebraError
 
 
 def _sample_plan():
@@ -91,22 +97,18 @@ def test_pushout_on_deep_chain_does_not_recurse():
     result = pushout(top, {id(doc): new_doc, id(middle): wrapped})
 
     # Every chain node — and the σ, whose preserved input is one of them —
-    # sits above the swapped leaf, so each has exactly one mechanical rebuild.
-    assert set(result.rebuilt) == {id(node) for node in chain} | {id(wrapped)}
-    assert all(
-        isinstance(new, Distinct) and new is not old
-        for old, new in zip(chain, (result.rebuilt[id(node)] for node in chain))
-    )
-    assert result.root is result.rebuilt[id(top)]
+    # sits above the swapped leaf, so each is rebuilt; the input is intact.
+    assert result.root is not top and top.child is chain[-2]
     assert result.glued[id(doc)] is new_doc
     glued_middle = result.glued[id(middle)]
-    assert glued_middle is result.rebuilt[id(wrapped)]
-    assert isinstance(glued_middle, Select)
-    assert glued_middle.child is result.rebuilt[id(middle)]
+    assert isinstance(glued_middle, Select) and glued_middle is not wrapped
+    assert isinstance(glued_middle.child, Distinct) and glued_middle.child is not middle
     # Top to bottom: 2499 δ, the σ, 2501 δ, the new leaf.
+    chain_ids = {id(node) for node in chain}
     spine = []
     node = result.root
     while node.children:
+        assert id(node) not in chain_ids
         spine.append(type(node))
         (node,) = node.children
     assert node is new_doc
@@ -158,3 +160,122 @@ def test_substitute_self_reference_still_allowed_in_multi_maps():
     distincts = [n for n in iter_nodes(new_top) if isinstance(n, Distinct)]
     assert len(distincts) == 1
     assert distincts[0].child is select  # the self-reference was not re-replaced
+
+
+# -- thaw / glue: the in-place counterpart of pushout -----------------------------------
+
+
+def _index_snapshot(parents):
+    return {node_id: [id(parent) for parent in plist] for node_id, plist in parents.items()}
+
+
+def _thawed(plan):
+    """``(copy, parents, at)``: ``at(node)`` is ``node``'s counterpart in the copy."""
+    copy, parents = thaw(plan)
+    counterpart = dict(zip(map(id, iter_nodes(plan)), iter_nodes(copy)))
+    return copy, parents, lambda node: counterpart[id(node)]
+
+
+def test_thaw_copies_every_inner_node_and_shares_leaves():
+    doc = DocTable()
+    plan = Serialize(Cross(Project(doc, [("a", "pre")]), Project(doc, [("b", "pre")])))
+    copy, parents = thaw(plan)
+    assert _structural_fingerprint(copy) == _structural_fingerprint(plan)
+    originals = {id(node) for node in iter_nodes(plan) if not node.is_leaf}
+    assert not originals & {id(node) for node in iter_nodes(copy)}
+    assert shared_nodes(copy) == [doc]
+    assert _index_snapshot(parents) == _index_snapshot(parents_map(copy))
+
+
+def test_glue_rejection_leaves_graph_and_index_untouched():
+    """A replacement whose changed ``columns`` make a *far* ancestor's
+    constructor raise: validate-then-commit must leave no trace."""
+    doc = DocTable()
+    left = Distinct(Attach(Project(doc, [("a", "pre")]), "x", 1))
+    right = Project(doc, [("b", "pre")])
+    plan = Serialize(Project(Join(left, right, Predicate.equality("a", "b")), [("pos", "a"), ("item", "x")]))
+    copy, parents, at = _thawed(plan)
+    target = at(left.child)
+    # Renames a -> b two levels below the join: its inputs would overlap.
+    renaming = Project(target, [("b", "a"), ("x", "x")])
+
+    fingerprint = _structural_fingerprint(copy)
+    children = {id(node): node.children for node in iter_nodes(copy)}
+    columns = {id(node): node.columns for node in iter_nodes(copy)}
+    index = _index_snapshot(parents)
+    with pytest.raises(AlgebraError, match="join inputs share columns"):
+        glue(parents, {id(target): renaming})
+    assert _structural_fingerprint(copy) == fingerprint
+    assert {id(node): node.children for node in iter_nodes(copy)} == children
+    assert {id(node): node.columns for node in iter_nodes(copy)} == columns
+    assert _index_snapshot(parents) == index
+    assert id(renaming) not in parents
+
+
+def _glue_matches_pushout(plan, replacements_for):
+    """Glue on a thawed copy must build the graph a pushout builds."""
+    copy, parents, at = _thawed(plan)
+    expected = pushout(copy, replacements_for(at)).root
+    expected_fingerprint = _structural_fingerprint(expected)
+    glued = glue(parents, replacements_for(at))
+    assert _structural_fingerprint(copy) == expected_fingerprint
+    assert _index_snapshot(parents).keys() == {id(node) for node in iter_nodes(copy)}
+    assert {k: sorted(v) for k, v in _index_snapshot(parents).items()} == {
+        k: sorted(v) for k, v in _index_snapshot(parents_map(copy)).items()
+    }
+    return copy, glued
+
+
+def test_glue_keeps_the_occurrence_inside_its_own_replacement():
+    doc = DocTable()
+    select = Select(doc, Predicate.of(Comparison(ColumnRef("kind"), "=", Literal("ELEM"))))
+    plan = Serialize(Cross(Project(select, [("k", "kind")]), Project(select, [("p", "pre")])))
+    wrappers = {}
+
+    def replacements(at):
+        wrapper = wrappers.setdefault(id(at(select)), Distinct(at(select)))
+        return {id(at(select)): wrapper}
+
+    copy, glued = _glue_matches_pushout(plan, replacements)
+    (distinct,) = [node for node in iter_nodes(copy) if isinstance(node, Distinct)]
+    assert isinstance(distinct.child, Select) and glued.fresh == [distinct]
+    assert len(glued.rewired) == 2 and not glued.dropped
+    assert all(isinstance(node, Project) for node in glued.revalidated)
+
+
+def test_glue_updates_ancestor_schemas_in_place_and_drops_the_unreachable():
+    doc = DocTable()
+    attach = Attach(RowId(Project(doc, [("a", "pre")]), "rid"), "dead", 1)
+    plan = Serialize(Project(Distinct(Select(attach, Predicate.of(
+        Comparison(ColumnRef("a"), ">", Literal(0))))), [("pos", "a"), ("item", "a")]))
+
+    copy, glued = _glue_matches_pushout(
+        plan, lambda at: {id(at(attach)): at(attach).child.child}  # drop @ and #
+    )
+    select = copy.child.child.child
+    # σ and δ kept their identity and took the narrower schema; π was
+    # re-checked against it and did not change.
+    assert [type(node) for node in glued.revalidated] == [Select, Distinct, Project]
+    assert copy.child.child.columns == ("a",) and copy.child.columns == ("pos", "item")
+    assert select.columns == ("a",) and glued.rewired == [select]
+    assert [type(node) for node in glued.dropped] == [Attach, RowId]
+
+
+def test_glue_repoints_references_inside_other_replacements():
+    """The multi-entry map of :func:`test_substitute_rewrites_inside_other_replacements`."""
+    doc = DocTable()
+    rowid = RowId(Project(doc, [("a", "pre")]), "rid")
+    consumer_one = Project(rowid, [("x", "rid")])
+    plan = Serialize(Cross(consumer_one, Project(rowid, [("y", "rid")])))
+    built = {}
+
+    def replacements(at):
+        new = built.setdefault(id(at(rowid)), (
+            RowId(Project(doc, [("a", "pre"), ("carry", "size")]), "rid"),
+            Project(at(rowid), [("x", "rid")]),
+        ))
+        return {id(at(rowid)): new[0], id(at(consumer_one)): new[1]}
+
+    copy, _glued = _glue_matches_pushout(plan, replacements)
+    (survivor,) = [node for node in iter_nodes(copy) if isinstance(node, RowId)]
+    assert "carry" in survivor.columns

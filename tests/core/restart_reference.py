@@ -6,9 +6,12 @@ the root, trying every rule of the phase at every node.  One step costs
 O(nodes × rules) guard evaluations, so this is not a production driver —
 it exists so the tests can demand that
 :class:`~repro.core.rewrite.engine.WorklistDriver`, which skips nodes it
-has proved unchanged and migrates its property memos across steps, applies
-the identical rules to the identical targets in the identical order and
-turns away the identical applications.
+has proved unchanged, keeps its properties across steps and glues
+replacements into a mutable plan copy in place, applies the identical
+rules to the identical targets in the identical order and turns away the
+identical applications.  Nothing here is shared with that machinery: the
+plan stays immutable and every step is glued with the pure
+:func:`~repro.algebra.dag.pushout`.
 
 :func:`driver_records` renders a driver run in the reference's record
 format and :func:`normalize` erases the process-wide fresh-column

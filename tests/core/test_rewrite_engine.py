@@ -1,11 +1,13 @@
 """Driver vs. reference, pinned XMark histograms, ablations, and provenance.
 
-The worklist driver's memos and skips must be an *optimisation only*: on
-every runnable XMark query it has to apply the identical rule sequence,
-record the identical rejections, and produce the identical plan as the
-restart-from-root reference loop (``restart_reference.py``), and the
-property values it migrates from step to step must equal a cold inference
-on the same plan.  The histograms below are additionally **pinned** — a
+The worklist driver's memos, skips and in-place gluing must be an
+*optimisation only*: on every runnable XMark query, a seeded slice of
+generated queries and the harness's ``pathN`` shapes it has to apply the
+identical rule sequence, record the identical rejections, and produce the
+identical plan as the restart-from-root reference loop
+(``restart_reference.py``); the property values it keeps from step to step
+must equal a cold inference on the same plan; the plan it was handed must
+come back untouched; and what a step constructs must not grow with the plan.  The histograms below are additionally **pinned** — a
 change to any count is a behaviour change of the rewrite system and must
 be deliberate, not incidental.
 
@@ -22,12 +24,13 @@ import re
 import pytest
 
 from repro.errors import RewriteError
-from repro.algebra.dag import count_operators, node_count
+from repro.algebra.dag import count_operators, iter_nodes, node_count
 from repro.algebra.operators import (
     Attach,
     Distinct,
     DocTable,
     Join,
+    Operator,
     Project,
     RowId,
     RowRank,
@@ -37,16 +40,14 @@ from repro.algebra.predicates import Predicate
 from repro.algebra.render import render_plan
 from repro.testing.corpus import XMARK_SUITE
 from repro.testing.queries import QueryGenerator
-from repro.core.properties import infer_properties
+from repro.core.properties import PlanProperties, infer_properties
 from repro.core.rewrite import (
     CLEANUP_GROUP,
     RANK_GROUP,
     Rule,
-    RuleContext,
-    engine,
     run_phases,
 )
-from repro.core.rewrite.rule import MATCHED, pattern
+from repro.core.rewrite.rule import MATCHED, _structural_fingerprint, pattern
 from repro.core.rewriter import JoinGraphIsolation, isolate
 from repro.xquery.compiler import CompilerSettings, compile_query
 
@@ -54,6 +55,7 @@ from tests.core.restart_reference import (
     assert_driver_matches_reference,
     driver_records,
     isolate_by_restart,
+    normalize,
     normalized,
 )
 
@@ -322,31 +324,100 @@ def test_drivers_agree_on_path_queries(steps):
 
 @pytest.mark.parametrize("case", RUNNABLE, ids=lambda case: case.name)
 def test_migrated_properties_equal_cold_inference_at_every_step(case, monkeypatch):
-    """The memos the driver threads from step to step change nothing.
+    """The property store the driver keeps for a whole run changes nothing.
 
-    Every property snapshot the driver takes (one per step, over memos
-    re-keyed along the previous pushout's rebuilds) must equal what a cold
-    ``infer_properties(plan)`` computes for the same plan.
+    After every step the id-keyed values, re-inferred from the glue's dirty
+    frontier only, must equal what a cold ``infer_properties`` computes for
+    the thawed plan as it then stands — for exactly its nodes, no entry of
+    a dropped node left behind.
     """
-    snapshots = 0
+    refreshes = 0
+    refresh = PlanProperties.refresh
 
-    def checked_infer_properties(plan, **driver_state):
-        nonlocal snapshots
-        snapshots += 1
-        warm = infer_properties(plan, **driver_state)
-        cold = infer_properties(plan)
+    def checked_refresh(warm, order, parents, glued):
+        nonlocal refreshes
+        refreshes += 1
+        changed = refresh(warm, order, parents, glued)
+        cold = infer_properties(warm.root)
         for name in ("_icols", "_const", "_keys", "_set", "_refs"):
             assert getattr(warm, name) == getattr(cold, name), (
-                f"{name[1:]} diverged from cold inference at snapshot {snapshots}"
+                f"{name[1:]} diverged from cold inference at step {refreshes}"
             )
-        return warm
+        return changed
 
-    monkeypatch.setattr(engine, "infer_properties", checked_infer_properties)
+    monkeypatch.setattr(PlanProperties, "refresh", checked_refresh)
     _isolated, report = JoinGraphIsolation().isolate(
         compile_query(case.xquery, SETTINGS)
     )
-    # One snapshot per applied step plus the final, rule-less walk of each phase.
-    assert snapshots > report.steps > 0
+    assert refreshes == report.steps > 0
+
+
+# -- the input plan is not the scratch pad --------------------------------------------
+
+
+@pytest.mark.parametrize("name", ("Q1", "Q8", "Q19"))
+def test_isolating_one_stacked_plan_twice(name):
+    (case,) = [case for case in RUNNABLE if case.name == name]
+    stacked = compile_query(case.xquery, SETTINGS)
+    fingerprint = _structural_fingerprint(stacked)
+    first_plan, first = JoinGraphIsolation().isolate(stacked)
+    second_plan, second = JoinGraphIsolation().isolate(stacked)
+
+    assert _structural_fingerprint(stacked) == fingerprint
+    assert driver_records(first.applications, first.rejections) == driver_records(
+        second.applications, second.rejections
+    )
+    assert normalize(render_plan(first_plan)) == normalize(render_plan(second_plan))
+    inner = {id(node) for node in iter_nodes(stacked) if not node.is_leaf}
+    assert not inner & {id(node) for node in iter_nodes(first_plan)}
+    assert not inner & {id(node) for node in iter_nodes(second_plan)}
+
+
+def test_stacked_configuration_still_answers_after_isolation(small_processor):
+    query = 'doc("auction.xml")/descendant::open_auction[bidder]'
+    compiled = small_processor.compile(query)
+    fingerprint = _structural_fingerprint(compiled.stacked_plan)
+    # ``compile`` isolated ``stacked_plan`` already; the plan cache hands both
+    # executions this one CompilationResult.
+    assert small_processor.compile(query) is compiled
+    isolated = small_processor.execute(query, configuration="isolated")
+    stacked = small_processor.execute(query, configuration="stacked")
+    assert stacked.items == isolated.items and stacked.items
+    assert _structural_fingerprint(compiled.stacked_plan) == fingerprint
+
+
+# -- a deterministic cost guard, no clock ---------------------------------------------
+
+
+def test_a_step_costs_the_match_not_the_plan(monkeypatch):
+    """``Operator.__init__`` calls per applied step stay flat in plan size.
+
+    The driver glues in place: a step constructs the rule's own replacement
+    (2-4 operators) plus the odd throw-away validation rebuild, never the
+    ancestor cone.  Rebuilding it cost 29 / 45 / 76 constructions per step on
+    ``path8`` / ``path16`` / ``path32`` — a change that quietly reintroduces
+    that fails here rather than in a benchmark.
+    """
+    constructed = 0
+    init = Operator.__init__
+
+    def counting_init(self, children, columns):
+        nonlocal constructed
+        constructed += 1
+        init(self, children, columns)
+
+    totals, per_step = {}, {}
+    for steps in (8, 16, 32):
+        plan = compile_query(path_query(steps), SETTINGS)
+        constructed = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(Operator, "__init__", counting_init)
+            _isolated, report = JoinGraphIsolation().isolate(plan)
+        totals[steps] = constructed
+        per_step[steps] = constructed / report.steps
+        assert per_step[steps] <= 15
+    assert per_step[32] <= 1.25 * per_step[8]
+    assert totals[32] <= 2.2 * totals[16]
 
 
 # -- non-convergence diagnostics ----------------------------------------------------

@@ -112,6 +112,21 @@ def test_prepared_binding_validation(session):
         prepared.run({"lo": "cheap"})
 
 
+def test_engine_passed_positionally_is_a_binding_error_via_execute(session):
+    """Regression: ``execute(query, "sql")`` lands the engine in ``bindings``
+    and used to surface a raw ``ValueError`` from ``dict("sql")``."""
+    with pytest.raises(XQueryBindingError, match=r"got str 'sql'.*configuration="):
+        session.execute('doc("auction.xml")/descendant::initial', "sql")
+
+
+def test_engine_passed_positionally_is_a_binding_error_via_prepared_run(session):
+    prepared = session.prepare('doc("auction.xml")/descendant::initial')
+    with pytest.raises(XQueryBindingError, match=r"got str 'sql'.*configuration="):
+        prepared.run("sql")
+    with pytest.raises(XQueryBindingError, match="must be a mapping"):
+        prepared.run([("lo", 1)])
+
+
 def test_prepared_explain_requires_bindings(session):
     from repro.errors import PlanningError
 
