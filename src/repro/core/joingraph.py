@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Union
 
 from repro.errors import JoinGraphError
@@ -177,6 +178,11 @@ class Condition:
         return f"{self.left.render()} {self.op} {self.right.render()}"
 
     def aliases(self) -> frozenset[str]:
+        """The ``doc`` aliases the condition mentions (computed once: the value is frozen)."""
+        return self._aliases
+
+    @cached_property
+    def _aliases(self) -> frozenset[str]:
         return frozenset(_term_aliases(self.left) | _term_aliases(self.right))
 
 
@@ -421,10 +427,6 @@ class JoinGraph:
     def conditions_for(self, alias: str) -> list[Condition]:
         """All conditions that touch exactly the given alias (local predicates)."""
         return [c for c in self.conditions if c.aliases() == frozenset({alias})]
-
-    def join_conditions(self) -> list[Condition]:
-        """All conditions connecting two or more aliases."""
-        return [c for c in self.conditions if len(c.aliases()) > 1]
 
     def parameters(self) -> frozenset[str]:
         """Names of all unbound :class:`ParameterTerm` slots in the graph."""

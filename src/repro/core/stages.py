@@ -52,7 +52,7 @@ from repro.core.rewriter import IsolationReport, JoinGraphIsolation
 from repro.core.sqlgen import generate_stacked_sql, render_join_graph
 from repro.relational.catalog import Database, database_from_encoding
 from repro.relational.engine import QueryResult, RelationalEngine
-from repro.sqlbackend.backend import SQLiteBackend, SQLResult
+from repro.sqlbackend.backend import SQLiteBackend, SQLResult, check_join_width
 from repro.sqlbackend.decode import first_occurrence_items, ordered_items, sequence_items
 from repro.xmldb.encoding import DOC_COLUMNS, DocumentEncoding
 from repro.xquery.ast import (
@@ -284,8 +284,8 @@ class ExecutionContext:
       :attr:`doc_table`, :attr:`database` and :attr:`engine` read through
       to its write-once lazy members, which are read-only once built (lazy
       statistics fills are idempotent dict writes, a B+-tree is loaded
-      once by its first probe) — :attr:`engine` plans/executes without
-      mutating shared state;
+      once by its first probe) — :attr:`engine` memoises the programs it
+      plans behind its own lock and executes them without mutating them;
     * :attr:`sql_backend_supplier` resolves (and lazily creates, behind
       its own lock) the SQLite mirror, which serializes writes behind its
       pool's write lock and hands each thread its own read connection —
@@ -650,6 +650,8 @@ def run_sql(
 ) -> ExecutionOutcome:
     """Isolated join graph on the RDBMS: the paper's production story."""
     timings = {} if timings is None else timings
+    if compilation.join_graph is not None:  # refuse before the mirror is built or synced
+        check_join_width(compilation.join_graph.self_join_width)
     backend = _require_backend(context)
     with _timed(timings, "sync"):
         backend.sync(context.encoding)

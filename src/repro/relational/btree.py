@@ -2,10 +2,10 @@
 
 The paper's whole point is that *vanilla* B-tree indexes over the ``doc``
 encoding suffice to turn an RDBMS into an XQuery processor.  This module
-provides exactly that: a textbook B+-tree (sorted leaves linked for range
-scans, internal separator nodes) plus :class:`BTreeIndex`, which maps the
-tree onto a table — composite key columns (including the computed
-``pre + size`` column the paper uses), INCLUDE columns stored on the leaf
+provides exactly that: :class:`BPlusTree`, the sorted leaf level of a
+bulk-loaded tree kept as one contiguous run, plus :class:`BTreeIndex`, which
+maps the tree onto a table — composite key columns (including the computed
+``pre + size`` column the paper uses), INCLUDE columns stored with the
 entries, and per-prefix statistics used by the optimizer.
 
 Keys are tuples; ``None`` values sort first.  The tree is bulk-loaded from
@@ -25,14 +25,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 from repro.algebra.table import Table
 from repro.lazy import Lazy
 
-#: Fan-out of the B+-tree (number of entries per leaf / separators per node).
+#: Fan-out of the B+-tree (entries per leaf / separators per node): sets its height.
 DEFAULT_ORDER = 64
 
 #: Marker for the computed key column ``pre + size`` (column ``s`` in Table VI).
 PRE_PLUS_SIZE = "pre+size"
 
 
-def _orderable(value: object) -> tuple:
+def orderable(value: object) -> tuple:
     """Map heterogeneous key components onto one totally ordered domain."""
     if value is None:
         return (0, 0)
@@ -45,38 +45,27 @@ def _orderable(value: object) -> tuple:
 
 def order_key(values: Sequence[object]) -> tuple:
     """The comparable form of a composite key."""
-    return tuple(_orderable(value) for value in values)
+    return tuple(orderable(value) for value in values)
 
 
-class _Leaf:
-    __slots__ = ("keys", "order_keys", "payloads", "next")
-
-    def __init__(self) -> None:
-        self.keys: list[tuple] = []
-        #: ``order_key`` form of every entry, decorated once at bulk load —
-        #: probes bisect these directly instead of re-decorating the leaf.
-        self.order_keys: list[tuple] = []
-        self.payloads: list[tuple] = []
-        self.next: Optional["_Leaf"] = None
-
-
-class _Internal:
-    __slots__ = ("separators", "children")
-
-    def __init__(self) -> None:
-        #: Separators are stored in ``order_key`` (comparable) form.
-        self.separators: list[tuple] = []
-        self.children: list[object] = []
+#: Compares greater than every ``orderable`` component, so ``bound + (_AFTER,)``
+#: sorts just past the last key that starts with ``bound``.
+_AFTER = (3,)
 
 
 class BPlusTree:
     """A read-optimised B+-tree over ``(key, payload)`` entries.
 
-    The tree is immutable after the bulk load, so every key's comparable
-    ``order_key`` form is computed exactly once — at build time — and
-    stored alongside the raw key.  Probes and range scans then bisect the
-    precomputed forms; re-decorating a leaf per scan used to dominate
-    index-nested-loop join time.
+    The tree is bulk-loaded and immutable, so it is stored as what its leaf
+    level is: one contiguous sorted run — parallel lists of comparable
+    ``order_key`` forms (decorated exactly once, at build time), raw keys and
+    payloads.  A range or prefix scan is two bisections and a slice; the
+    separator levels above the leaves would only find the same two positions.
+
+    >>> tree = BPlusTree([((name, n), (n,)) for name in "ab" for n in (1, 2, 3)])
+    >>> [key for key, _payload in tree.scan_range(("a", 1), ("b",), low_inclusive=False,
+    ...                                           high_inclusive=False)]
+    [('a', 2), ('a', 3)]
     """
 
     def __init__(self, entries: Iterable[tuple[tuple, tuple]], order: int = DEFAULT_ORDER):
@@ -85,61 +74,43 @@ class BPlusTree:
             ((order_key(key), key, payload) for key, payload in entries),
             key=lambda entry: entry[0],
         )
-        self._size = len(decorated)
-        self.root, self.first_leaf = self._bulk_load(decorated)
-        self.height = self._measure_height()
+        self.order_keys: list[tuple] = [entry[0] for entry in decorated]
+        self.keys: list[tuple] = [entry[1] for entry in decorated]
+        self.payloads: list[tuple] = [entry[2] for entry in decorated]
 
     def __len__(self) -> int:
-        return self._size
+        return len(self.keys)
 
-    # -- construction ---------------------------------------------------------------
-
-    def _bulk_load(self, entries: list[tuple[tuple, tuple, tuple]]):
-        leaves: list[_Leaf] = []
-        for start in range(0, max(len(entries), 1), self.order):
-            leaf = _Leaf()
-            for comparable, key, payload in entries[start : start + self.order]:
-                leaf.order_keys.append(comparable)
-                leaf.keys.append(key)
-                leaf.payloads.append(payload)
-            leaves.append(leaf)
-        for left, right in zip(leaves, leaves[1:]):
-            left.next = right
-        level: list[object] = list(leaves)
-        level_keys = [leaf.order_keys[0] if leaf.order_keys else () for leaf in leaves]
-        while len(level) > 1:
-            parents: list[object] = []
-            parent_keys: list[tuple] = []
-            for start in range(0, len(level), self.order):
-                node = _Internal()
-                node.children = level[start : start + self.order]
-                node.separators = level_keys[start + 1 : start + self.order]
-                parents.append(node)
-                parent_keys.append(level_keys[start])
-            level = parents
-            level_keys = parent_keys
-        return level[0], leaves[0]
-
-    def _measure_height(self) -> int:
-        height = 1
-        node = self.root
-        while isinstance(node, _Internal):
-            height += 1
-            node = node.children[0]
+    @property
+    def height(self) -> int:
+        """Levels a fan-out-``order`` tree over these entries has (leaves included)."""
+        height, nodes = 1, -(-len(self.keys) // self.order)
+        while nodes > 1:
+            height, nodes = height + 1, -(-nodes // self.order)
         return height
 
-    # -- search ------------------------------------------------------------------------
+    def span(
+        self,
+        low: Optional[tuple],
+        high: Optional[tuple],
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ) -> tuple[int, int]:
+        """Positions ``[start, end)`` of the run within the (comparable-form) bounds.
 
-    def _descend(self, comparable: tuple) -> _Leaf:
-        node = self.root
-        while isinstance(node, _Internal):
-            # bisect_left, not bisect_right: when the search key equals a
-            # separator, duplicates of that key may extend back into the
-            # child *left* of the separator, and the range scan walks
-            # forward over the leaf chain from there.
-            index = bisect.bisect_left(node.separators, comparable)
-            node = node.children[index]
-        return node  # type: ignore[return-value]
+        A bound shorter than the composite key is a prefix bound: a key
+        *equals* it when it starts with it.  ``key[:n] < bound`` iff
+        ``key < bound``, and ``bound + (_AFTER,)`` separates the keys that
+        start with ``bound`` from everything greater.
+        """
+        order_keys = self.order_keys
+        start = 0
+        if low is not None:
+            start = bisect.bisect_left(order_keys, low if low_inclusive else low + (_AFTER,))
+        end = len(order_keys)
+        if high is not None:
+            end = bisect.bisect_left(order_keys, high + (_AFTER,) if high_inclusive else high)
+        return start, end
 
     def scan_range(
         self,
@@ -153,26 +124,13 @@ class BPlusTree:
         A bound that is shorter than the full composite key behaves like a
         prefix bound: ``low=(name,)`` starts at the first key with that name.
         """
-        low_key = order_key(low) if low is not None else None
-        high_key = order_key(high) if high is not None else None
-        leaf = self._descend(low_key) if low_key is not None else self.first_leaf
-        while leaf is not None:
-            leaf_keys = leaf.order_keys
-            start = 0
-            if low_key is not None:
-                start = bisect.bisect_left(leaf_keys, low_key)
-            for position in range(start, len(leaf.keys)):
-                key_comparable = leaf_keys[position]
-                if low_key is not None:
-                    prefix = key_comparable[: len(low_key)]
-                    if prefix < low_key or (not low_inclusive and prefix == low_key):
-                        continue
-                if high_key is not None:
-                    prefix = key_comparable[: len(high_key)]
-                    if prefix > high_key or (not high_inclusive and prefix == high_key):
-                        return
-                yield leaf.keys[position], leaf.payloads[position]
-            leaf = leaf.next
+        start, end = self.span(
+            order_key(low) if low is not None else None,
+            order_key(high) if high is not None else None,
+            low_inclusive,
+            high_inclusive,
+        )
+        return zip(self.keys[start:end], self.payloads[start:end])
 
     def scan_all(self) -> Iterator[tuple[tuple, tuple]]:
         """Full scan in key order."""
@@ -184,7 +142,7 @@ class BTreeIndex:
     """A composite-key B-tree index over one table.
 
     ``key_columns`` may contain real column names or the computed column
-    :data:`PRE_PLUS_SIZE`; ``include_columns`` are carried on the leaves so
+    :data:`PRE_PLUS_SIZE`; ``include_columns`` are carried with the entries so
     that lookups do not have to touch the base table (the paper's
     ``INCLUDE(·)`` clause on the ``p|nvkls`` index).
     """

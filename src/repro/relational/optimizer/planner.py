@@ -10,7 +10,12 @@ two decisions the paper credits the off-the-shelf optimizer with:
   estimated cardinality (driven by the tag-name / value statistics, which is
   what makes the plan start at ``price > 500`` in Q2, cf. Fig. 11) and
   repeatedly attach the cheapest connected alias, preferring index
-  nested-loop joins over hash joins over residual filters.
+  nested-loop joins over hash joins over residual filters.  Equal estimates
+  resolve to the *later* alias of ``graph.aliases`` (root-to-result descent,
+  the order the SQL rendering falls back to), so the order is a function of
+  the graph and the statistics alone.  The connected candidates are kept as
+  a frontier over an alias → conditions adjacency built once per plan:
+  ordering costs O(conditions · log aliases).
 
 The resulting plan is a tree of the physical operators of Table VII and can
 be explained in a DB2-like textual form (used by the Fig. 10 / Fig. 11
@@ -19,7 +24,8 @@ experiments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import PlanningError
@@ -105,21 +111,20 @@ class Planner:
                 return stats.range_selectivity(column, low, high)
         return DEFAULT_SELECTIVITY
 
-    def _alias_cardinality(self, graph: JoinGraph, alias: str) -> float:
-        stats = self.database.table_stats(graph.table_name)
-        cardinality = float(stats.row_count)
-        for condition in graph.conditions_for(alias):
-            cardinality *= self._local_selectivity(condition, graph.table_name)
+    def _alias_cardinality(self, table_name: str, local: list[Condition]) -> float:
+        """Estimated rows of one alias after its local predicates."""
+        cardinality = float(self.database.table_stats(table_name).row_count)
+        for condition in local:
+            cardinality *= self._local_selectivity(condition, table_name)
         return max(cardinality, 0.01)
 
     # -- access path selection ------------------------------------------------------------
 
     def _bounds_for(
         self, alias: str, conditions: list[Condition], outer_aliases: set[str]
-    ) -> tuple[dict[str, list[IndexBound]], list[Condition]]:
+    ) -> dict[str, list[IndexBound]]:
         """Classify conditions into per-key-column bounds for alias ``alias``."""
         bounds: dict[str, list[IndexBound]] = {}
-        usable: list[Condition] = []
         for condition in conditions:
             for side, other in (
                 (condition.left, condition.right),
@@ -132,30 +137,21 @@ class Planner:
                     continue
                 column = resolved[1]
                 op = condition.op if side is condition.left else _flip(condition.op)
-                if op == "=":
-                    bounds.setdefault(column, []).append(
-                        IndexBound(column, "eq", other, source=condition)
-                    )
-                elif op in (">", ">="):
-                    bounds.setdefault(column, []).append(
-                        IndexBound(column, "low", other, inclusive=(op == ">="), source=condition)
-                    )
-                elif op in ("<", "<="):
-                    bounds.setdefault(column, []).append(
-                        IndexBound(column, "high", other, inclusive=(op == "<="), source=condition)
-                    )
-                else:
+                kind = {"=": "eq", ">": "low", ">=": "low", "<": "high", "<=": "high"}.get(op)
+                if kind is None:
                     continue
-                usable.append(condition)
+                bounds.setdefault(column, []).append(
+                    IndexBound(column, kind, other, inclusive="=" in op, source=condition)
+                )
                 break
-        return bounds, usable
+        return bounds
 
     def _choose_index(
-        self, graph: JoinGraph, alias: str, bounds: dict[str, list[IndexBound]]
-    ) -> Optional[tuple[BTreeIndex, list[IndexBound], float]]:
+        self, indexes: list[BTreeIndex], bounds: dict[str, list[IndexBound]]
+    ) -> Optional[tuple[BTreeIndex, list[IndexBound]]]:
         """Pick the index with the longest usable key prefix for the bounds."""
         best: Optional[tuple[BTreeIndex, list[IndexBound], float, float]] = None
-        for index in self.database.indexes_on(graph.table_name):
+        for index in indexes:
             chosen: list[IndexBound] = []
             score = 0.0
             selectivity = 1.0
@@ -180,43 +176,69 @@ class Planner:
                 best = candidate
         if best is None:
             return None
-        return best[0], best[1], best[3]
+        return best[0], best[1]
 
     # -- planning -----------------------------------------------------------------------------
 
     def plan(self, graph: JoinGraph) -> PlannedQuery:
+        """Choose access paths and a join order; compile the physical program.
+
+        >>> from repro.core.pipeline import XQueryProcessor
+        >>> from repro.xmldb.encoding import encode_document
+        >>> from repro.xmldb.parser import parse_xml
+        >>> encoding = encode_document(parse_xml("<a><b><c/></b><b/></a>", uri="t.xml"))
+        >>> processor = XQueryProcessor(encoding, default_document="t.xml")
+        >>> graph = processor.compile("//b[c]").join_graph
+        >>> print(graph.aliases, Planner(processor.engine.database).plan(graph).join_order)
+        ['d1', 'd2', 'd3'] ['d3', 'd2', 'd1']
+        """
         if not graph.aliases:
             raise PlanningError("the join graph has no doc references")
         table = self.database.table(graph.table_name)
-        cardinalities = {alias: self._alias_cardinality(graph, alias) for alias in graph.aliases}
-        remaining = set(graph.aliases)
+        indexes = self.database.indexes_on(graph.table_name)
+        conditions = graph.conditions
+        # One pass builds the adjacency; ``missing[i]`` counts the aliases of
+        # condition i not joined yet, so "connects ``alias`` to the joined
+        # set" is ``missing[i] == 1`` for a condition touching ``alias``.
+        touching: dict[str, list[int]] = {alias: [] for alias in graph.aliases}
+        missing: list[int] = []
+        for number, condition in enumerate(conditions):
+            aliases = condition.aliases()
+            missing.append(len(aliases))
+            for alias in aliases:
+                if alias in touching:
+                    touching[alias].append(number)
+        rank: dict[str, tuple] = {}  # cheapest first; ties: later alias first
+        for position, alias in enumerate(graph.aliases):
+            local = [conditions[n] for n in touching[alias] if missing[n] == 1]
+            rank[alias] = (self._alias_cardinality(graph.table_name, local), -position, alias)
+        ranked = iter(sorted(rank.values()))
+        frontier: list[tuple] = []  # heap of aliases some join condition connects
+        joined: set[str] = set()
         consumed: set[int] = set()
-        start = min(remaining, key=lambda alias: cardinalities[alias])
-        current = self._access_path(graph, start, consumed, cardinalities[start])
-        joined = {start}
-        join_order = [start]
-        remaining.discard(start)
-        while remaining:
-            candidates = [
-                alias
-                for alias in remaining
-                if any(
-                    alias in condition.aliases() and condition.aliases() - {alias} <= joined
-                    for condition in graph.join_conditions()
-                )
-            ]
-            if not candidates:
-                candidates = list(remaining)
-            alias = min(candidates, key=lambda a: cardinalities[a])
-            current = self._join_alias(graph, current, joined, alias, consumed, cardinalities)
+        join_order: list[str] = []
+        current: Optional[PhysicalOperator] = None
+        while len(joined) < len(rank):
+            entry = heapq.heappop(frontier) if frontier else next(ranked)
+            alias = entry[2]
+            if alias in joined:
+                continue
+            connecting = [n for n in touching[alias] if missing[n] == 1]
+            consumed.update(connecting)
+            current = self._attach(
+                table, indexes, current, joined, alias,
+                [conditions[n] for n in connecting], entry[0],
+            )
             joined.add(alias)
             join_order.append(alias)
-            remaining.discard(alias)
-        leftovers = [
-            condition
-            for condition in graph.conditions
-            if id(condition) not in consumed
-        ]
+            for number in touching[alias]:
+                missing[number] -= 1
+                aliases = conditions[number].aliases()
+                if missing[number] == 1 and len(aliases) > 1:
+                    (candidate,) = [a for a in aliases if a not in joined]
+                    if candidate in rank:
+                        heapq.heappush(frontier, rank[candidate])
+        leftovers = [c for number, c in enumerate(conditions) if number not in consumed]
         if leftovers:
             current = Filter(current, leftovers)
         sort = Sort(
@@ -227,52 +249,33 @@ class Planner:
         )
         return PlannedQuery(Return(sort, list(graph.select_items)), join_order, graph)
 
-    def _access_path(
-        self, graph: JoinGraph, alias: str, consumed: set[int], estimate: float
-    ) -> PhysicalOperator:
-        table = self.database.table(graph.table_name)
-        local = graph.conditions_for(alias)
-        bounds, usable = self._bounds_for(alias, local, set())
-        choice = self._choose_index(graph, alias, bounds)
-        if choice is None:
-            for condition in local:
-                consumed.add(id(condition))
-            return TableScan(table, alias, local, estimated_rows=estimate)
-        index, chosen, _selectivity = choice
-        bound_ids = {id(b.term) for b in chosen}
-        residual = [c for c in local if not _condition_covered(c, chosen)]
-        for condition in local:
-            consumed.add(id(condition))
-        return IndexScan(index, table, alias, chosen, residual, estimated_rows=estimate)
-
-    def _join_alias(
+    def _attach(
         self,
-        graph: JoinGraph,
-        outer: PhysicalOperator,
+        table,
+        indexes: list[BTreeIndex],
+        outer: Optional[PhysicalOperator],
         joined: set[str],
         alias: str,
-        consumed: set[int],
-        cardinalities: dict[str, float],
+        connecting: list[Condition],
+        estimate: float,
     ) -> PhysicalOperator:
-        table = self.database.table(graph.table_name)
-        connecting = [
-            condition
-            for condition in graph.conditions
-            if id(condition) not in consumed
-            and alias in condition.aliases()
-            and condition.aliases() <= joined | {alias}
-        ]
-        bounds, _usable = self._bounds_for(alias, connecting, joined)
-        choice = self._choose_index(graph, alias, bounds)
+        """Access ``alias`` through ``connecting`` (its local predicates plus
+        every condition whose other aliases are joined): an index probe when a
+        key prefix covers some of them, else a scan hash-joined to ``outer``."""
+        choice = self._choose_index(indexes, self._bounds_for(alias, connecting, joined))
         if choice is not None:
-            index, chosen, _selectivity = choice
-            residual = [c for c in connecting if not _condition_covered(c, chosen)]
-            for condition in connecting:
-                consumed.add(id(condition))
+            index, chosen = choice
+            covered = {id(bound.source) for bound in chosen}
+            residual = [c for c in connecting if id(c) not in covered]
+            if outer is None:
+                return IndexScan(index, table, alias, chosen, residual, estimated_rows=estimate)
             return IndexNestedLoopJoin(
-                outer, index, table, alias, chosen, residual,
-                estimated_rows=cardinalities[alias],
+                outer, index, table, alias, chosen, residual, estimated_rows=estimate
             )
+        local = [c for c in connecting if len(c.aliases()) == 1]
+        scan = TableScan(table, alias, local, estimated_rows=estimate)
+        if outer is None:
+            return scan
         equalities = [
             condition
             for condition in connecting
@@ -280,34 +283,17 @@ class Planner:
             and _term_alias_column(condition.left) is not None
             and _term_alias_column(condition.right) is not None
         ]
-        inner_local = graph.conditions_for(alias)
-        inner = TableScan(table, alias, inner_local, estimated_rows=cardinalities[alias])
-        for condition in inner_local:
-            consumed.add(id(condition))
-        if equalities:
-            outer_terms, inner_terms = [], []
-            for condition in equalities:
-                left_info = _term_alias_column(condition.left)
-                if left_info and left_info[0] == alias:
-                    inner_terms.append(condition.left)
-                    outer_terms.append(condition.right)
-                else:
-                    inner_terms.append(condition.right)
-                    outer_terms.append(condition.left)
-            residual = [c for c in connecting if c not in equalities]
-            for condition in connecting:
-                consumed.add(id(condition))
-            return HashJoin(outer, inner, outer_terms, inner_terms, residual)
-        for condition in connecting:
-            consumed.add(id(condition))
-        joined_scan = HashJoin(outer, inner, [], [], connecting)
-        return joined_scan
-
-
-def _condition_covered(condition: Condition, bounds: list[IndexBound]) -> bool:
-    """True when the condition is fully represented by one of the chosen bounds."""
-    sources = {id(bound.source) for bound in bounds if bound.source is not None}
-    return id(condition) in sources
+        outer_terms, inner_terms = [], []
+        for condition in equalities:
+            left_info = _term_alias_column(condition.left)
+            if left_info and left_info[0] == alias:
+                inner_terms.append(condition.left)
+                outer_terms.append(condition.right)
+            else:
+                inner_terms.append(condition.right)
+                outer_terms.append(condition.left)
+        residual = [c for c in connecting if c not in equalities]
+        return HashJoin(outer, scan, outer_terms, inner_terms, residual)
 
 
 def _flip(op: str) -> str:

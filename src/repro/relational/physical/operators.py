@@ -21,6 +21,12 @@ self-join aliases of the join graph stay separate without the per-row
 ``dict[(alias, column)]`` churn of the seed implementation.  All operators
 are iterators; the plan is fully pipelined except for SORT and the build
 side of HSJOIN.
+
+An operator tree is an **immutable program**: every slot map, term and
+condition closure and index-probe bound is compiled by the operator's
+constructor, and everything one execution changes lives in its
+:class:`ExecutionContext`.  The engine caches planned trees and runs one
+tree from many threads at once.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from repro.algebra import columnar as _columnar
 from repro.algebra.columnar import Column, ColumnarTable
 from repro.algebra.table import Table
 from repro.core.joingraph import ColumnTerm, Condition, ConstantTerm, ParameterTerm, SumTerm, Term
-from repro.relational.btree import PRE_PLUS_SIZE, BTreeIndex
+from repro.relational.btree import BTreeIndex, orderable
 
 #: A physical row: one value per slot of the operator's :class:`SlotMap`.
 Row = tuple
@@ -49,26 +55,41 @@ _RANGE_RELATIONS = {
 
 
 class SlotMap:
-    """Positional layout of a physical row: ``(alias, column) -> slot``."""
+    """Positional layout of a physical row: ``(alias, column) -> slot``.
 
-    __slots__ = ("slots", "_position_of")
+    A row is the concatenation of whole table rows, so the layout is one
+    offset per alias over that table's own column positions: a join's map
+    costs O(aliases) to build and keep, not O(aliases × columns).
+    """
 
-    def __init__(self, slots: Sequence[tuple[str, str]]):
-        self.slots: tuple[tuple[str, str], ...] = tuple(slots)
-        self._position_of = {slot: position for position, slot in enumerate(self.slots)}
+    __slots__ = ("_tables", "_width")
+
+    def __init__(self, tables: dict[str, tuple[int, dict[str, int]]], width: int):
+        self._tables = tables  # alias -> (offset, column -> position in the table row)
+        self._width = width
 
     @staticmethod
     def for_table(table: Table, alias: str) -> "SlotMap":
-        return SlotMap([(alias, column) for column in table.columns])
+        columns = {column: position for position, column in enumerate(table.columns)}
+        return SlotMap({alias: (0, columns)}, len(columns))
 
     def concat(self, other: "SlotMap") -> "SlotMap":
-        return SlotMap(self.slots + other.slots)
+        tables = dict(self._tables)
+        for alias, (offset, columns) in other._tables.items():
+            tables[alias] = (self._width + offset, columns)
+        return SlotMap(tables, self._width + other._width)
 
     def position(self, alias: str, column: str) -> Optional[int]:
-        return self._position_of.get((alias, column))
+        offset, columns = self._tables.get(alias, (0, {}))
+        position = columns.get(column)
+        return None if position is None else offset + position
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return self._width
+
+
+#: The layout of the empty row (what a bare IXSCAN's bounds are evaluated against).
+_NO_SLOTS = SlotMap({}, 0)
 
 
 def compile_term(term: Term, slots: SlotMap) -> Callable[[Row], object]:
@@ -220,7 +241,7 @@ def compile_conditions_mask(conditions: Sequence[Condition], slots: SlotMap):
 
 
 class ExecutionContext:
-    """Shared run-time state: deadline checks, operator counters, mode flags.
+    """Per-execution state: deadline checks, operator counters, mode flags.
 
     ``columnar`` selects the vectorized operator paths (mask scans, columnar
     hash joins); the row paths stay in-tree as the differential baseline and
@@ -242,14 +263,29 @@ class ExecutionContext:
             raise QueryTimeoutError(self.timeout_seconds or 0.0, elapsed)
 
 
+def _value_lists(evaluators, table: ColumnarTable) -> list[list]:
+    """Evaluate columnar term closures into one plain list per term."""
+    lists = []
+    for evaluate in evaluators:
+        value = evaluate(table)
+        if isinstance(value, Column):
+            lists.append(value.tolist())
+        else:  # constant (or missing-column NULL)
+            lists.append([value] * table.length)
+    return lists
+
+
 @dataclass
 class PhysicalOperator:
-    """Base class: every operator yields rows and can explain itself."""
+    """Base class: every operator yields rows and can explain itself.
+
+    ``__post_init__`` of each operator sets :attr:`slots` (the layout of its
+    output rows) and compiles its closures against it.
+    """
+
+    slots = _NO_SLOTS
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def slots(self) -> SlotMap:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def children(self) -> Sequence["PhysicalOperator"]:
@@ -265,7 +301,7 @@ class PhysicalOperator:
         Operators that can produce their output column-wise (scans, filters,
         hash joins) implement this; pipelined index operators return ``None``
         and stay row-at-a-time.  Column order is positionally aligned with
-        :meth:`slots`.  Callers should consult :meth:`can_columnar` first —
+        :attr:`slots`.  Callers should consult :meth:`can_columnar` first —
         a partially evaluated columnar tree would double-count scan work on
         fallback otherwise.
         """
@@ -292,8 +328,10 @@ class TableScan(PhysicalOperator):
     conditions: list[Condition] = field(default_factory=list)
     estimated_rows: float = 0.0
 
-    def slots(self) -> SlotMap:
-        return SlotMap.for_table(self.table, self.alias)
+    def __post_init__(self) -> None:
+        self.slots = SlotMap.for_table(self.table, self.alias)
+        self._keep = compile_conditions(self.conditions, self.slots)
+        self._mask = compile_conditions_mask(self.conditions, self.slots)
 
     def can_columnar(self) -> bool:
         return True
@@ -302,10 +340,9 @@ class TableScan(PhysicalOperator):
         ctx.check()
         ctx.rows_scanned += len(self.table.rows)
         base = self.table.columnar()
-        keep = compile_conditions_mask(self.conditions, self.slots())
-        if keep is None:
+        if self._mask is None:
             return base
-        return base.filter(keep(base))
+        return base.filter(self._mask(base))
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
         if ctx.columnar:
@@ -315,10 +352,9 @@ class TableScan(PhysicalOperator):
                 ctx.rows_scanned += len(self.table.rows)
                 yield from self.table.rows
                 return
-            result = self.as_columnar(ctx)
-            yield from result.iter_rows()
+            yield from self.as_columnar(ctx).iter_rows()
             return
-        keep = compile_conditions(self.conditions, self.slots())
+        keep = self._keep
         for row in self.table.rows:
             ctx.check()
             ctx.rows_scanned += 1
@@ -348,10 +384,13 @@ class _CompiledProbe:
     """Bounds + residual of one index access, compiled against slot maps.
 
     ``bounds`` terms are evaluated against the *outer* row (empty for a bare
-    IXSCAN), the residual conditions against the combined output row.
+    IXSCAN), the residual conditions against the combined output row.  The
+    probe key is the equality prefix of the index key — its leading constants
+    decorated here, once — plus, on the next key column, the tightest of the
+    range bounds; a bound that evaluates to NULL matches nothing.
     """
 
-    __slots__ = ("index", "table", "bound_evals", "residual", "key_columns")
+    __slots__ = ("index", "table_rows", "constant", "evals", "prefix", "lows", "highs", "residual")
 
     def __init__(
         self,
@@ -363,66 +402,78 @@ class _CompiledProbe:
         output_slots: SlotMap,
     ):
         self.index = index
-        self.table = table
-        self.key_columns = index.key_columns
-        self.bound_evals = [
-            (bound, compile_term(bound.term, outer_slots)) for bound in bounds
-        ]
+        self.table_rows = table.rows
         self.residual = compile_conditions(residual, output_slots)
-
-    def probe(self, ctx: ExecutionContext, outer_row: Row) -> Iterator[Row]:
-        """Probe the B-tree with bounds evaluated against ``outer_row``."""
-        ctx.index_probes += 1
-        equalities: dict[str, object] = {}
-        low_extra: Optional[tuple[object, bool]] = None
-        high_extra: Optional[tuple[object, bool]] = None
-        range_column: Optional[str] = None
-        for bound, evaluate in self.bound_evals:
-            value = evaluate(outer_row)
-            if value is None:
-                return
-            if bound.kind == "eq":
-                equalities[bound.column] = value
-            elif bound.kind == "low":
-                range_column = bound.column
-                if low_extra is None or value > low_extra[0]:  # type: ignore[operator]
-                    low_extra = (value, bound.inclusive)
-            else:
-                range_column = bound.column
-                if high_extra is None or value < high_extra[0]:  # type: ignore[operator]
-                    high_extra = (value, bound.inclusive)
-        prefix = []
-        for column in self.key_columns:
-            if column in equalities:
-                prefix.append(equalities[column])
-            else:
+        equalities = {bound.column: bound for bound in bounds if bound.kind == "eq"}
+        prefix_bounds = []
+        for column in index.key_columns:
+            if column not in equalities:
                 break
-        low = list(prefix)
-        high = list(prefix)
-        low_inclusive = high_inclusive = True
-        next_column = (
-            self.key_columns[len(prefix)] if len(prefix) < len(self.key_columns) else None
-        )
-        if range_column is not None and next_column == range_column:
-            if low_extra is not None:
-                low.append(low_extra[0])
-                low_inclusive = low_extra[1]
-            if high_extra is not None:
-                high.append(high_extra[0])
-                high_inclusive = high_extra[1]
-        table_rows = self.table.rows
-        residual = self.residual
-        for _key, position in self.index.scan(
-            tuple(low) if low else None,
-            tuple(high) if high else None,
-            low_inclusive,
-            high_inclusive,
+            prefix_bounds.append(equalities[column])
+        depth = len(prefix_bounds)
+        ranged = [bound for bound in bounds if bound.kind != "eq"]
+        if not (
+            ranged
+            and depth < len(index.key_columns)
+            and ranged[-1].column == index.key_columns[depth]
         ):
-            ctx.check()
-            ctx.rows_scanned += 1
-            row = outer_row + table_rows[position]
-            if residual is None or residual(row):
-                yield row
+            ranged = []  # evaluated for NULL only, as every bound off the key is
+        constants = 0
+        while constants < depth and isinstance(prefix_bounds[constants].term, ConstantTerm):
+            constants += 1
+        values = [bound.term.value for bound in prefix_bounds[:constants]]
+        #: Decorated constant head of the key; ``None``: a constant is NULL.
+        self.constant: Optional[tuple] = (
+            None if None in values else tuple(orderable(value) for value in values)
+        )
+        folded = {id(bound) for bound in prefix_bounds[:constants]}
+        evaluated = [bound for bound in bounds if id(bound) not in folded]
+        self.evals = tuple(compile_term(bound.term, outer_slots) for bound in evaluated)
+        position = {id(bound): slot for slot, bound in enumerate(evaluated)}
+        self.prefix = tuple(position[id(bound)] for bound in prefix_bounds[constants:])
+        self.lows = tuple((position[id(b)], b.inclusive) for b in ranged if b.kind == "low")
+        self.highs = tuple((position[id(b)], b.inclusive) for b in ranged if b.kind == "high")
+
+    def rows(self, ctx: ExecutionContext, outer_rows) -> Iterator[Row]:
+        """Probe the B-tree once per outer row; yield the joined rows."""
+        tree = self.index.tree
+        span, payloads = tree.span, tree.payloads
+        table_rows, residual, check = self.table_rows, self.residual, ctx.check
+        constant, evals, prefix, lows, highs = (
+            self.constant, self.evals, self.prefix, self.lows, self.highs
+        )
+        for outer_row in outer_rows:
+            ctx.index_probes += 1
+            values = [evaluate(outer_row) for evaluate in evals]
+            if constant is None or None in values:
+                continue
+            low = high = (
+                constant + tuple([orderable(values[p]) for p in prefix]) if prefix else constant
+            )
+            low_inclusive = high_inclusive = True
+            if lows:
+                at, low_inclusive = lows[0]
+                for other, inclusive in lows[1:]:
+                    if values[other] > values[at]:  # type: ignore[operator]
+                        at, low_inclusive = other, inclusive
+                low += (orderable(values[at]),)
+            if highs:
+                at, high_inclusive = highs[0]
+                for other, inclusive in highs[1:]:
+                    if values[other] < values[at]:  # type: ignore[operator]
+                        at, high_inclusive = other, inclusive
+                high += (orderable(values[at]),)
+            start, end = span(low, high, low_inclusive, high_inclusive)
+            ctx.rows_scanned += end - start
+            for payload in payloads[start:end]:
+                check()
+                row = outer_row + table_rows[payload[0]]
+                if residual is None or residual(row):
+                    yield row
+
+
+def _describe_bounds(bounds: Sequence[IndexBound]) -> str:
+    return ", ".join(f"{b.column}{'=' if b.kind == 'eq' else b.kind}" for b in bounds)
 
 
 @dataclass
@@ -436,20 +487,22 @@ class IndexScan(PhysicalOperator):
     residual: list[Condition] = field(default_factory=list)
     estimated_rows: float = 0.0
 
-    def slots(self) -> SlotMap:
-        return SlotMap.for_table(self.table, self.alias)
+    def __post_init__(self) -> None:
+        self.slots = SlotMap.for_table(self.table, self.alias)
+        self._probe = _CompiledProbe(
+            self.index, self.table, self.bounds, self.residual, _NO_SLOTS, self.slots
+        )
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        probe = _CompiledProbe(
-            self.index, self.table, self.bounds, self.residual, SlotMap(()), self.slots()
-        )
-        yield from probe.probe(ctx, ())
+        return self._probe.rows(ctx, ((),))
 
     def describe(self) -> str:
         keys = ",".join(self.index.key_columns)
-        bound = ", ".join(f"{b.column}{'=' if b.kind == 'eq' else b.kind}" for b in self.bounds)
         residual = f" residual={len(self.residual)}" if self.residual else ""
-        return f"IXSCAN({self.alias}) index={self.index.name}({keys}) bounds[{bound}]{residual}"
+        return (
+            f"IXSCAN({self.alias}) index={self.index.name}({keys}) "
+            f"bounds[{_describe_bounds(self.bounds)}]{residual}"
+        )
 
 
 @dataclass
@@ -464,24 +517,24 @@ class IndexNestedLoopJoin(PhysicalOperator):
     residual: list[Condition] = field(default_factory=list)
     estimated_rows: float = 0.0
 
-    def slots(self) -> SlotMap:
-        return self.outer.slots().concat(SlotMap.for_table(self.table, self.alias))
+    def __post_init__(self) -> None:
+        self.slots = self.outer.slots.concat(SlotMap.for_table(self.table, self.alias))
+        self._probe = _CompiledProbe(
+            self.index, self.table, self.bounds, self.residual, self.outer.slots, self.slots
+        )
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        probe = _CompiledProbe(
-            self.index, self.table, self.bounds, self.residual,
-            self.outer.slots(), self.slots(),
-        )
-        for outer_row in self.outer.rows(ctx):
-            yield from probe.probe(ctx, outer_row)
+        return self._probe.rows(ctx, self.outer.rows(ctx))
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.outer,)
 
     def describe(self) -> str:
         keys = ",".join(self.index.key_columns)
-        bound = ", ".join(f"{b.column}{'=' if b.kind == 'eq' else b.kind}" for b in self.bounds)
-        return f"NLJOIN -> IXSCAN({self.alias}) index={self.index.name}({keys}) bounds[{bound}]"
+        return (
+            f"NLJOIN -> IXSCAN({self.alias}) index={self.index.name}({keys}) "
+            f"bounds[{_describe_bounds(self.bounds)}]"
+        )
 
 
 @dataclass
@@ -495,18 +548,15 @@ class HashJoin(PhysicalOperator):
     residual: list[Condition] = field(default_factory=list)
     estimated_rows: float = 0.0
 
-    def slots(self) -> SlotMap:
-        return self.outer.slots().concat(self.inner.slots())
-
-    def _key_lists(self, table: ColumnarTable, terms: list[Term], slots: SlotMap) -> list[list]:
-        lists = []
-        for term in terms:
-            value = compile_term_columnar(term, slots)(table)
-            if isinstance(value, Column):
-                lists.append(value.tolist())
-            else:  # constant (or missing-column NULL) key
-                lists.append([value] * table.length)
-        return lists
+    def __post_init__(self) -> None:
+        outer, inner = self.outer.slots, self.inner.slots
+        self.slots = outer.concat(inner)
+        self._outer_keys = [compile_term(term, outer) for term in self.outer_terms]
+        self._inner_keys = [compile_term(term, inner) for term in self.inner_terms]
+        self._outer_columns = [compile_term_columnar(term, outer) for term in self.outer_terms]
+        self._inner_columns = [compile_term_columnar(term, inner) for term in self.inner_terms]
+        self._residual = compile_conditions(self.residual, self.slots)
+        self._residual_mask = compile_conditions_mask(self.residual, self.slots)
 
     def can_columnar(self) -> bool:
         return self.outer.can_columnar() and self.inner.can_columnar()
@@ -517,15 +567,15 @@ class HashJoin(PhysicalOperator):
         outer = self.outer.as_columnar(ctx)
         inner = self.inner.as_columnar(ctx)
         if len(self.outer_terms) == 1:
-            outer_key = compile_term_columnar(self.outer_terms[0], self.outer.slots())(outer)
-            inner_key = compile_term_columnar(self.inner_terms[0], self.inner.slots())(inner)
+            outer_key = self._outer_columns[0](outer)
+            inner_key = self._inner_columns[0](inner)
             if isinstance(outer_key, Column) and isinstance(inner_key, Column):
                 vectorized = _columnar.equi_join_indices(outer_key, inner_key)
                 if vectorized is not None:
                     return self._combined(outer, inner, *vectorized)
         if self.outer_terms:
-            inner_keys = self._key_lists(inner, self.inner_terms, self.inner.slots())
-            outer_keys = self._key_lists(outer, self.outer_terms, self.outer.slots())
+            inner_keys = _value_lists(self._inner_columns, inner)
+            outer_keys = _value_lists(self._outer_columns, outer)
             buckets: dict[tuple, list[int]] = {}
             for position, key in enumerate(zip(*inner_keys)):
                 buckets.setdefault(key, []).append(position)
@@ -563,15 +613,14 @@ class HashJoin(PhysicalOperator):
         # Slot names are (alias, column) pairs; the mask compiler is
         # positional, so synthetic unique names suffice for the schema.
         combined = ColumnarTable(
-            [f"s{i}" for i in range(len(self.slots()))],
+            [f"s{i}" for i in range(len(self.slots))],
             [c.take(outer_indices) for c in outer.cols]
             + [c.take(inner_indices) for c in inner.cols],
             len(outer_indices),
         )
-        keep = compile_conditions_mask(self.residual, self.slots())
-        if keep is None:
+        if self._residual_mask is None:
             return combined
-        return combined.filter(keep(combined))
+        return combined.filter(self._residual_mask(combined))
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
         if ctx.columnar:
@@ -579,9 +628,7 @@ class HashJoin(PhysicalOperator):
             if result is not None:
                 yield from result.iter_rows()
                 return
-        inner_keys = [compile_term(term, self.inner.slots()) for term in self.inner_terms]
-        outer_keys = [compile_term(term, self.outer.slots()) for term in self.outer_terms]
-        residual = compile_conditions(self.residual, self.slots())
+        inner_keys, outer_keys, residual = self._inner_keys, self._outer_keys, self._residual
         buckets: dict[tuple, list[Row]] = {}
         for inner_row in self.inner.rows(ctx):
             key = tuple(evaluate(inner_row) for evaluate in inner_keys)
@@ -611,26 +658,25 @@ class Filter(PhysicalOperator):
     child: PhysicalOperator
     conditions: list[Condition] = field(default_factory=list)
 
-    def slots(self) -> SlotMap:
-        return self.child.slots()
+    def __post_init__(self) -> None:
+        self.slots = self.child.slots
+        self._keep = compile_conditions(self.conditions, self.slots)
+        self._mask = compile_conditions_mask(self.conditions, self.slots)
 
     def can_columnar(self) -> bool:
         return self.child.can_columnar()
 
     def as_columnar(self, ctx: ExecutionContext) -> Optional[ColumnarTable]:
         child = self.child.as_columnar(ctx)
-        if child is None:
-            return None
-        keep = compile_conditions_mask(self.conditions, self.slots())
-        if keep is None:
+        if child is None or self._mask is None:
             return child
-        return child.filter(keep(child))
+        return child.filter(self._mask(child))
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
         if ctx.columnar and self.can_columnar():
             yield from self.as_columnar(ctx).iter_rows()
             return
-        keep = compile_conditions(self.conditions, self.slots())
+        keep = self._keep
         for row in self.child.rows(ctx):
             if keep is None or keep(row):
                 yield row
@@ -651,16 +697,16 @@ class Sort(PhysicalOperator):
     select_items: list[tuple[Term, str]] = field(default_factory=list)
     distinct: bool = False
 
-    def slots(self) -> SlotMap:
-        return self.child.slots()
+    def __post_init__(self) -> None:
+        self.slots = self.child.slots
+        self._order = [compile_term(term, self.slots) for term in self.order_terms]
+        self._select = [compile_term(term, self.slots) for term, _name in self.select_items]
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        slots = self.slots()
-        order_evals = [compile_term(term, slots) for term in self.order_terms]
-        select_evals = [compile_term(term, slots) for term, _name in self.select_items]
+        order_evals, select_evals = self._order, self._select
         materialised = list(self.child.rows(ctx))
         keys = [
-            tuple(_sortable(evaluate(row)) for evaluate in order_evals)
+            tuple(orderable(evaluate(row)) for evaluate in order_evals)
             for row in materialised
         ]
         order = sorted(range(len(materialised)), key=lambda position: keys[position])
@@ -684,16 +730,6 @@ class Sort(PhysicalOperator):
         return f"SORT [{terms}]{distinct}"
 
 
-def _sortable(value: object) -> tuple:
-    if value is None:
-        return (0, 0)
-    if isinstance(value, bool):
-        return (1, int(value))
-    if isinstance(value, (int, float)):
-        return (1, value)
-    return (2, str(value))
-
-
 @dataclass
 class Return(PhysicalOperator):
     """RETURN — project each row onto the query's select list."""
@@ -701,17 +737,34 @@ class Return(PhysicalOperator):
     child: PhysicalOperator
     select_items: list[tuple[Term, str]] = field(default_factory=list)
 
-    def slots(self) -> SlotMap:
-        return self.child.slots()
+    def __post_init__(self) -> None:
+        self.slots = self.child.slots
+        self._select = [(compile_term(term, self.slots), name) for term, name in self.select_items]
+        self._select_columns = [
+            compile_term_columnar(term, self.slots) for term, _name in self.select_items
+        ]
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:  # pragma: no cover - unused path
         yield from self.child.rows(ctx)
 
     def results(self, ctx: ExecutionContext) -> Iterator[dict[str, object]]:
-        slots = self.slots()
-        compiled = [(compile_term(term, slots), name) for term, name in self.select_items]
+        compiled = self._select
         for row in self.child.rows(ctx):
             yield {name: evaluate(row) for evaluate, name in compiled}
+
+    def value_set_columns(self, ctx: ExecutionContext) -> Optional[list[list]]:
+        """The select list as one list per item, in no particular row order.
+
+        For callers that only build *sets* from the rows: a ``SORT DISTINCT``
+        child is irrelevant to them, so it is peeled off and the select
+        terms are evaluated over its input's columnar result — no per-row
+        dict, no Python sort.  ``None`` when that input cannot produce
+        columns (e.g. index nested-loop plans).
+        """
+        child = self.child.child if isinstance(self.child, Sort) else self.child
+        if not child.can_columnar():
+            return None
+        return _value_lists(self._select_columns, child.as_columnar(ctx))
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)

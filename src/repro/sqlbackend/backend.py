@@ -119,6 +119,22 @@ _INTEGRITY_MESSAGES = (
     "malformed database schema",
 )
 
+#: SQLite refuses a FROM clause of more tables ("at most 64 tables in a join").
+MAX_JOIN_TABLES = 64
+
+
+def check_join_width(table_count: int) -> None:
+    """Refuse a block SQLite cannot join — before anyone plans or renders it.
+
+    Raises the class SQLite's own refusal is classified as, so callers and
+    fallback policies see one error whether the limit is met here or there.
+    """
+    if table_count > MAX_JOIN_TABLES:
+        raise BackendExecutionError(
+            f"SQLite joins at most {MAX_JOIN_TABLES} tables in one block; "
+            f"this join graph references the doc table {table_count} times"
+        )
+
 
 def classify_driver_error(error: BaseException) -> Exception:
     """Translate a driver exception into the repro error taxonomy.

@@ -336,6 +336,27 @@ def test_first_probes_through_one_lazy_index_load_one_tree(monkeypatch):
     assert len(probes[0]) == 3 and probes == [probes[0]] * THREADS
 
 
+def test_eight_threads_run_one_cached_program_with_identical_counters(monkeypatch):
+    """A planned program is immutable: per-call state lives in its context."""
+    from repro.relational.optimizer.planner import Planner
+
+    session = _fresh_session()
+    graph = session.prepare(ADHOC_QUERIES[0]).compilation.join_graph
+    engine = session.processor.engine
+    serial = engine.execute(graph)
+    assert serial.rows_scanned and serial.index_probes
+    plans = _counting(monkeypatch, Planner, "plan")
+    batches = _race(lambda _i: [engine.execute(graph) for _ in range(ITERATIONS)])
+    assert not plans
+    observed = [
+        (result.items(), result.rows_scanned, result.index_probes)
+        for batch in batches
+        for result in batch
+    ]
+    expected = (serial.items(), serial.rows_scanned, serial.index_probes)
+    assert observed == [expected] * (THREADS * ITERATIONS)
+
+
 def test_registration_racing_a_lazy_build_never_leaks_newer_rows(monkeypatch):
     """A version-v snapshot is its first n rows, whenever they are read."""
     from repro.xmldb.encoding import DocumentEncoding

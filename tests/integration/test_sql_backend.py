@@ -223,3 +223,28 @@ def test_prepared_session_handle_survives_registration_on_sql():
     session.register("other.xml", "<o><b>9</b></o>")
     assert prepared.run({"n": 0}, engine="sql").items == before
     assert prepared.run({"n": 1}, engine="sql").items != before
+
+
+def test_a_block_wider_than_sqlites_join_limit_is_refused_before_any_work(monkeypatch):
+    from repro.errors import BackendExecutionError
+    from repro.relational.optimizer.planner import Planner
+    from repro.sqlbackend.backend import MAX_JOIN_TABLES, SQLiteBackend
+
+    session = Session()
+    session.register("t.xml", "<a><a><a/></a></a>")
+    prepared = session.prepare('doc("t.xml")' + "/child::a" * (MAX_JOIN_TABLES + 2))
+    width = prepared.compilation.join_graph.self_join_width
+    assert width == MAX_JOIN_TABLES + 3
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a refused block must not reach the planner or the backend")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Planner, "plan", unreachable)
+        patch.setattr(SQLiteBackend, "__init__", unreachable)
+        with pytest.raises(BackendExecutionError, match=f"{MAX_JOIN_TABLES} tables.*{width} times"):
+            prepared.run(engine="sql")
+    # The engines without the limit still answer (auto picks the join graph).
+    assert prepared.run(engine="join-graph").items == []
+    assert prepared.run(engine="auto").configuration == "join-graph"
+    assert prepared.run(engine="stacked").items == []

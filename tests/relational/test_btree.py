@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra.table import Table
-from repro.relational.btree import BPlusTree, BTreeIndex, PRE_PLUS_SIZE
+from repro.relational.btree import BPlusTree, BTreeIndex, PRE_PLUS_SIZE, order_key
 
 
 def _tree(values):
@@ -33,9 +33,9 @@ def test_prefix_scan_composite_keys():
 
 
 def test_range_scan_finds_duplicates_spanning_leaves():
-    # Nine copies of the same key with order=8 split across two leaves; the
-    # descent must land on the *first* leaf holding the key, not the last
-    # (regression: bisect_right on separators skipped 8 of the 9 entries).
+    # Nine copies of the same key are more than one fan-out-8 leaf holds: the
+    # scan must start at the *first* copy (regression, when the tree had
+    # separator nodes: bisect_right on them skipped 8 of the 9 entries).
     tree = _tree([0] * 9)
     got = [key[0] for key, _ in tree.scan_range((0,), (0,))]
     assert got == [0] * 9
@@ -67,6 +67,40 @@ def test_range_scan_matches_filter(values, a, b):
     expected = sorted(v for v in values if low <= v <= high)
     got = [k[0] for k, _ in tree.scan_range((low,), (high,))]
     assert got == expected
+
+
+# Composite keys over a small domain: NULLs, ints next to strings, and enough
+# repeats that equal keys run past any fan-out-4 leaf boundary.
+_COMPONENT = st.one_of(st.none(), st.integers(-2, 2), st.sampled_from(["", "a", "b"]))
+_KEY = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT)
+_BOUND = st.one_of(st.none(), st.lists(_COMPONENT, max_size=4).map(tuple))
+
+
+def _filter_sorted_entries(entries, low, high, low_inclusive, high_inclusive):
+    """Reference semantics: compare each key's prefix of the bound's length."""
+    kept = []
+    for key, payload in sorted(entries, key=lambda entry: order_key(entry[0])):
+        comparable = order_key(key)
+        if low is not None:
+            prefix = comparable[: len(low)]
+            if prefix < order_key(low) or (not low_inclusive and prefix == order_key(low)):
+                continue
+        if high is not None:
+            prefix = comparable[: len(high)]
+            if prefix > order_key(high) or (not high_inclusive and prefix == order_key(high)):
+                continue
+        kept.append((key, payload))
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_KEY, max_size=60), _BOUND, _BOUND, st.booleans(), st.booleans())
+def test_composite_prefix_scan_matches_filter(keys, low, high, low_inclusive, high_inclusive):
+    entries = [(key, (position,)) for position, key in enumerate(keys)]
+    tree = BPlusTree(entries, order=4)
+    assert list(tree.scan_range(low, high, low_inclusive, high_inclusive)) == (
+        _filter_sorted_entries(entries, low, high, low_inclusive, high_inclusive)
+    )
 
 
 def test_btree_index_build_and_lookup(small_auction_doc_table):

@@ -11,12 +11,16 @@ import pytest
 import repro.core.pipeline
 import repro.core.session
 import repro.purexml.engine
+import repro.relational.btree
 import repro.relational.engine
+import repro.relational.optimizer.planner
 
 FACADE_MODULES = [
     repro.core.pipeline,
     repro.core.session,
     repro.relational.engine,
+    repro.relational.btree,
+    repro.relational.optimizer.planner,
     repro.purexml.engine,
 ]
 
