@@ -60,6 +60,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Optional
 
+from repro.lazy import Lazy
 from repro.core.rewriter import JoinGraphIsolation
 from repro.core.stages import (
     CatalogSnapshot,
@@ -273,8 +274,8 @@ class XQueryProcessor:
     :attr:`engine` are **write-once lazy**: each is built from those *n*
     rows by the first read, exactly once however many threads read first,
     and never changes afterwards.  Every execution routes through the pure
-    executors of :mod:`repro.core.stages`, so any number of threads may
-    compile and execute through one processor concurrently.
+    :func:`~repro.core.stages.execute_compiled`, so any number of threads
+    may compile and execute through one processor concurrently.
     """
 
     def __init__(
@@ -282,10 +283,7 @@ class XQueryProcessor:
         encoding: DocumentEncoding,
         default_document: Optional[str] = None,
         with_default_indexes: bool = True,
-        add_serialization_step: bool = False,
-        database: Optional[Database] = None,
         plan_cache: Optional[PlanCache] = None,
-        plan_cache_size: int = 128,
         sql_backend: Optional[SQLiteBackend] = None,
         columnar_execution: bool = True,
     ):
@@ -293,10 +291,7 @@ class XQueryProcessor:
         self.default_document = default_document or (
             encoding.document_uris()[0] if encoding.document_uris() else None
         )
-        self.add_serialization_step = add_serialization_step
-        self.columnar_execution = columnar_execution
         self.settings = CompilerSettings(
-            add_serialization_step=self.add_serialization_step,
             default_document=self.default_document,
             columnar_execution=columnar_execution,
         )
@@ -306,21 +301,16 @@ class XQueryProcessor:
         #: the raw-source memo (evicted in lockstep with the plans), so the
         #: memo survives processor refreshes and clears with the cache.
         # NB: an empty PlanCache is falsy (it has __len__), so test for None.
-        self.plan_cache = plan_cache if plan_cache is not None else PlanCache(plan_cache_size)
-        #: The RDBMS behind ``configuration="sql"``; created lazily (first
-        #: ``sql``/``sql-stacked`` use) unless a shared backend (e.g.
-        #: Session-owned) was injected.
-        self._sql_backend = sql_backend
-        self._backend_lock = threading.Lock()
-        #: The frozen context the pure executors of :mod:`repro.core.stages`
-        #: run against; workers may hold onto it.
+        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
+        #: The frozen context the engines of :mod:`repro.core.stages` run
+        #: against; workers may hold onto it.  The RDBMS behind
+        #: ``configuration="sql"`` is created lazily (first ``sql``/
+        #: ``sql-stacked`` use) unless a shared backend (e.g. Session-owned)
+        #: was injected.
         self.context = ExecutionContext(
-            snapshot=CatalogSnapshot(
-                encoding, with_default_indexes, columnar_execution, database
-            ),
+            snapshot=CatalogSnapshot(encoding, with_default_indexes, columnar_execution),
             settings=self.settings,
-            default_document=self.default_document,
-            sql_backend_supplier=self._get_sql_backend,
+            sql_backend_supplier=Lazy(lambda: sql_backend or SQLiteBackend()).get,
         )
 
     @property
@@ -338,16 +328,6 @@ class XQueryProcessor:
         """The relational back-end over :attr:`database` (built on first read)."""
         return self.context.engine
 
-    def _get_sql_backend(self) -> SQLiteBackend:
-        """The backend instance, created on first use (double-checked)."""
-        backend = self._sql_backend
-        if backend is None:
-            with self._backend_lock:
-                if self._sql_backend is None:
-                    self._sql_backend = SQLiteBackend()
-                backend = self._sql_backend
-        return backend
-
     @property
     def sql_backend(self) -> SQLiteBackend:
         """The SQLite mirror of :attr:`encoding`, synced on every access.
@@ -357,7 +337,7 @@ class XQueryProcessor:
         the constructor lets a :class:`~repro.core.session.Session` keep
         one mirror alive across processor refreshes.
         """
-        backend = self._get_sql_backend()
+        backend = self.context.sql_backend_supplier()
         backend.sync(self.encoding)
         return backend
 
@@ -447,21 +427,16 @@ class XQueryProcessor:
         """Execute ``source`` in one Table IX configuration.
 
         ``configuration`` is ``"auto"`` (join graph when one was isolated,
-        else stacked), ``"stacked"``, ``"isolated"``, ``"join-graph"``,
-        ``"sql"`` (isolated SFW block on SQLite) or ``"sql-stacked"`` (the
-        stacked ``WITH``-chain on SQLite).
+        else stacked) or the name of one of
+        :data:`~repro.core.stages.ENGINES`.
         """
         compilation, fresh = self._compile(source)
         # Seed the timing breakdown with the compile stages only when this
         # very call compiled the plan — a plan-cache hit costs (almost)
         # nothing and must not re-report the original compile time.
+        timings = dict(compilation.timings) if fresh else {}
         return execute_compiled(
-            compilation,
-            self.context,
-            configuration,
-            timeout_seconds,
-            bindings,
-            dict(compilation.timings) if fresh else {},
+            compilation, self.context, configuration, timeout_seconds, bindings, timings
         )
 
     def explain(
@@ -515,18 +490,15 @@ class PreparedQuery:
         """Execute with ``bindings``; ``engine`` picks the configuration.
 
         ``"auto"`` uses the join graph when one was isolated (falling back
-        to the stacked plan), mirroring ``XQueryProcessor.execute``;
-        ``"stacked"``, ``"isolated"``, ``"join-graph"``, ``"sql"`` and
-        ``"sql-stacked"`` force one configuration.  On the SQL path the
+        to the stacked plan), mirroring ``XQueryProcessor.execute``; the
+        name of one of :data:`~repro.core.stages.ENGINES` forces that
+        engine.  On the SQL path the
         bindings flow into SQLite's native ``:name`` parameters — the SQL
         text itself is rendered once per compilation, never per run.
         """
         context = self.processor_supplier().context
-        return execute_compiled(
-            self.compilation, context, engine, timeout_seconds, bindings
-        )
+        return execute_compiled(self.compilation, context, engine, timeout_seconds, bindings)
 
     def explain(self, bindings: Optional[Mapping[str, object]] = None) -> str:
         """Explain the relational plan the bindings would be executed with."""
-        processor = self.processor_supplier()
-        return explain_compiled(self.compilation, processor.context, bindings)
+        return explain_compiled(self.compilation, self.processor_supplier().context, bindings)

@@ -164,18 +164,13 @@ class Session:
         self,
         store: Optional[DocumentStore] = None,
         default_document: Optional[str] = None,
-        with_default_indexes: bool = True,
-        add_serialization_step: bool = False,
-        plan_cache_size: int = 128,
         sql_backend: Optional[SQLiteBackend] = None,
         columnar_execution: bool = True,
     ):
         self.store = store or DocumentStore()
         self.default_document = default_document
-        self.with_default_indexes = with_default_indexes
-        self.add_serialization_step = add_serialization_step
         self.columnar_execution = columnar_execution
-        self.plan_cache = PlanCache(plan_cache_size)
+        self.plan_cache = PlanCache()
         #: The session-owned SQLite mirror of the catalog.  Handed to every
         #: new processor, so registration only ever *appends* to it
         #: (incremental sync) and ``configuration="sql"`` keeps its loaded
@@ -227,8 +222,6 @@ class Session:
             processor = XQueryProcessor(
                 self.store.encoding,
                 default_document=self.default_document,
-                with_default_indexes=self.with_default_indexes,
-                add_serialization_step=self.add_serialization_step,
                 plan_cache=self.plan_cache,
                 sql_backend=self.sql_backend,
                 columnar_execution=self.columnar_execution,
@@ -263,10 +256,7 @@ class Session:
         is synced incrementally before execution).
         """
         return self.processor.execute(
-            source,
-            timeout_seconds=timeout_seconds,
-            bindings=bindings,
-            configuration=configuration,
+            source, timeout_seconds=timeout_seconds, bindings=bindings, configuration=configuration
         )
 
     def cache_stats(self) -> dict[str, int]:

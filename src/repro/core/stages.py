@@ -21,13 +21,15 @@ This module makes the flow explicit and the sharing contract checkable:
   SQLite mirror, and the compiler settings.  The bindings of one frozen
   context never change; the objects it points at are themselves
   thread-safe (locked pool, read-only tables).
-* The ``run_*`` executors are module-level pure functions
-  ``(compilation, context, …) → ExecutionOutcome``.  Any thread holding a
+* :data:`ENGINES` is the one table of execution configurations — one
+  frozen :class:`Engine` value per engine — and :func:`execute_compiled`
+  the one pure driver ``(compilation, context, name, …) →
+  ExecutionOutcome`` over it.  Any thread holding a
   :class:`CompilationResult` and an :class:`ExecutionContext` can execute
   it — no processor mutable state is involved, which is exactly the
   invariant :class:`repro.service.QueryService` workers rely on.
 
-Every executor folds a per-stage latency breakdown into
+Every execution folds a per-stage latency breakdown into
 :attr:`ExecutionOutcome.timings` (``bind``/``render``/``sync``/``execute``/
 ``decode`` seconds, plus the compile-side stages when the plan was compiled
 in the same call, plus ``rebuild`` when this very call built derived state),
@@ -51,8 +53,8 @@ from repro.core.joingraph import JoinGraph, extract_join_graph
 from repro.core.rewriter import IsolationReport, JoinGraphIsolation
 from repro.core.sqlgen import generate_stacked_sql, render_join_graph
 from repro.relational.catalog import Database, database_from_encoding
-from repro.relational.engine import QueryResult, RelationalEngine
-from repro.sqlbackend.backend import SQLiteBackend, SQLResult, check_join_width
+from repro.relational.engine import RelationalEngine
+from repro.sqlbackend.backend import SQLiteBackend, check_join_width
 from repro.sqlbackend.decode import first_occurrence_items, ordered_items, sequence_items
 from repro.xmldb.encoding import DOC_COLUMNS, DocumentEncoding
 from repro.xquery.ast import (
@@ -203,6 +205,7 @@ class ExecutionOutcome:
     """
 
     items: list[int]
+    #: The name of the :class:`Engine` that ran (``"auto"`` resolved).
     configuration: str
     rows_scanned: int = 0
     details: object = None
@@ -247,14 +250,12 @@ class CatalogSnapshot:
         encoding: DocumentEncoding,
         with_default_indexes: bool = True,
         columnar: bool = True,
-        database: Optional[Database] = None,
     ):
         self.encoding = encoding
         self.row_count = row_count = len(encoding)
         self._doc_table = Lazy(lambda: Table(DOC_COLUMNS, encoding.rows(row_count)))
         self._database = Lazy(
-            lambda: database
-            or database_from_encoding(
+            lambda: database_from_encoding(
                 encoding, with_default_indexes=with_default_indexes, row_count=row_count
             )
         )
@@ -298,8 +299,7 @@ class ExecutionContext:
 
     snapshot: CatalogSnapshot
     settings: CompilerSettings
-    default_document: Optional[str] = None
-    sql_backend_supplier: Optional[Callable[[], SQLiteBackend]] = None
+    sql_backend_supplier: Callable[[], SQLiteBackend]
 
     @property
     def encoding(self) -> DocumentEncoding:
@@ -486,6 +486,48 @@ class CompilationPipeline:
 
 # -- execution stages -------------------------------------------------------------------
 
+#: What an engine's ``run`` returns: ``(items, rows_scanned, details)``.
+EngineResult = tuple[list, int, object]
+
+
+@dataclass(frozen=True)
+class Engine:
+    """One execution configuration of the paper's Table IX, as a value.
+
+    ``run(compilation, context, values, timeout_seconds, timings)`` performs
+    only the engine's *own* stages — ``execute`` and ``decode``, plus
+    ``sync``/``render`` on SQLite — into the shared ``timings`` and returns
+    ``(items, rows_scanned, details)``.  Everything every engine shares
+    (name resolution, the join-graph refusal, binding, outcome assembly)
+    is done once, by :func:`execute_compiled`.  ``needs_join_graph`` marks
+    the engines that refuse a query isolation could not reduce to one SFW
+    block; ``fallback`` lists the engines the serving layer degrades to,
+    in order, when this one fails with a backend fault — safe because all
+    five return bit-for-bit the same items.
+
+    >>> [engine.name for engine in ENGINES]
+    ['stacked', 'isolated', 'join-graph', 'sql', 'sql-stacked']
+    >>> for engine in ENGINES:
+    ...     if engine.fallback:
+    ...         print(engine.name, "->", engine.fallback)
+    join-graph -> ('stacked',)
+    sql -> ('join-graph', 'stacked')
+    sql-stacked -> ('stacked',)
+    """
+
+    name: str
+    run: Callable[..., EngineResult] = field(repr=False)
+    needs_join_graph: bool = False
+    fallback: tuple[str, ...] = ()
+
+
+def _join_graph(compilation: CompilationResult) -> JoinGraph:
+    """The query's isolated join graph, or the refusal extraction recorded."""
+    if compilation.join_graph is None:
+        raise JoinGraphError(compilation.join_graph_error or "the query has no isolated join graph")
+    return compilation.join_graph
+
+
 #: Guards the per-compilation SQL render memo.  Rendering is deterministic
 #: for a given catalog state, so the lock only prevents duplicate work —
 #: correctness would survive a benign race, plan-cache sharing makes the
@@ -512,10 +554,7 @@ def sql_backend_sql(compilation: CompilationResult, context: ExecutionContext) -
     constraint — re-plan against fresh statistics rather than pin an
     order chosen for a different catalog.
     """
-    if compilation.join_graph is None:
-        raise JoinGraphError(
-            compilation.join_graph_error or "the query has no isolated join graph"
-        )
+    graph = _join_graph(compilation)
     stats_key = context.catalog_key()
     # Fast path outside the lock: the memo tuple is written atomically and
     # rendering is deterministic per catalog state, so a stale read at
@@ -527,7 +566,6 @@ def sql_backend_sql(compilation: CompilationResult, context: ExecutionContext) -
         memo = compilation.sql_backend_sql
         if memo is not None and memo[0] == stats_key:
             return memo[1]
-        graph = compilation.join_graph
         join_order = list(reversed(graph.aliases))
         if not graph.parameters():
             try:
@@ -539,106 +577,85 @@ def sql_backend_sql(compilation: CompilationResult, context: ExecutionContext) -
         return rendered
 
 
-def run_stacked(
-    compilation: CompilationResult,
-    context: ExecutionContext,
-    timeout_seconds: Optional[float] = None,
-    bindings: Optional[Mapping[str, object]] = None,
-    timings: Optional[StageTimings] = None,
-) -> ExecutionOutcome:
-    """Evaluate the *unrewritten* stacked plan with the algebra interpreter."""
-    return _run_interpreted(
-        compilation, context, compilation.stacked_plan, "stacked",
-        timeout_seconds, bindings, timings,
-    )
+def _interpret(plan: str) -> Callable[..., EngineResult]:
+    """``run`` for the algebra interpreter over the compilation's ``plan``."""
+
+    def run(compilation, context, values, timeout_seconds, timings) -> EngineResult:
+        with _timed(timings, "execute"):
+            interpreter = PlanInterpreter(
+                context.doc_table, timeout_seconds=timeout_seconds,
+                parameters=values or None, columnar=context.settings.columnar_execution,
+            )
+            table = interpreter.evaluate(getattr(compilation, plan))
+        with _timed(timings, "decode"):
+            items = sequence_items(table.columns, table.rows, distinct=not compilation.value_result)
+        return items, interpreter.rows_materialised, None
+
+    return run
 
 
-def run_isolated(
-    compilation: CompilationResult,
-    context: ExecutionContext,
-    timeout_seconds: Optional[float] = None,
-    bindings: Optional[Mapping[str, object]] = None,
-    timings: Optional[StageTimings] = None,
-) -> ExecutionOutcome:
-    """Evaluate the isolated plan with the algebra interpreter (sanity path)."""
-    return _run_interpreted(
-        compilation, context, compilation.isolated_plan, "isolated-interpreted",
-        timeout_seconds, bindings, timings,
-    )
-
-
-def _run_interpreted(
-    compilation: CompilationResult,
-    context: ExecutionContext,
-    plan: Serialize,
-    configuration: str,
-    timeout_seconds: Optional[float],
-    bindings: Optional[Mapping[str, object]],
-    timings: Optional[StageTimings],
-) -> ExecutionOutcome:
-    timings = {} if timings is None else timings
-    with _timed(timings, "bind"):
-        values = check_bindings(compilation.external_variables, bindings)
-    with _timed(timings, "execute"):
-        interpreter = PlanInterpreter(
-            context.doc_table,
-            timeout_seconds=timeout_seconds,
-            parameters=values or None,
-            columnar=context.settings.columnar_execution,
-        )
-        table = interpreter.evaluate(plan)
-    with _timed(timings, "decode"):
-        items = sequence_items(
-            table.columns, table.rows, distinct=not compilation.value_result
-        )
-    return ExecutionOutcome(
-        items=items,
-        configuration=configuration,
-        rows_scanned=interpreter.rows_materialised,
-        timings=timings,
-    )
-
-
-def run_join_graph(
-    compilation: CompilationResult,
-    context: ExecutionContext,
-    timeout_seconds: Optional[float] = None,
-    bindings: Optional[Mapping[str, object]] = None,
-    timings: Optional[StageTimings] = None,
-) -> ExecutionOutcome:
+def _execute_join_graph(compilation, context, values, timeout_seconds, timings) -> EngineResult:
     """Plan + execute the SQL join graph on the in-tree relational back-end."""
-    if compilation.join_graph is None:
-        raise JoinGraphError(
-            compilation.join_graph_error or "the query has no isolated join graph"
-        )
-    timings = {} if timings is None else timings
-    with _timed(timings, "bind"):
-        values = check_bindings(compilation.external_variables, bindings)
     with _timed(timings, "execute"):
-        result: QueryResult = context.engine.execute(
-            compilation.join_graph,
-            timeout_seconds=timeout_seconds,
-            bindings=values or None,
+        result = context.engine.execute(
+            compilation.join_graph, timeout_seconds=timeout_seconds, bindings=values or None
         )
     with _timed(timings, "decode"):
-        items = first_occurrence_items(
-            result.items(), distinct=not compilation.value_result
-        )
-    return ExecutionOutcome(
-        items=items,
-        configuration="join-graph",
-        rows_scanned=result.rows_scanned,
-        details=result,
-        timings=timings,
-    )
+        items = first_occurrence_items(result.items(), distinct=not compilation.value_result)
+    return items, result.rows_scanned, result
 
 
-def _require_backend(context: ExecutionContext) -> SQLiteBackend:
-    if context.sql_backend_supplier is None:
-        raise JoinGraphError(
-            "this execution context has no SQLite backend attached"
-        )
-    return context.sql_backend_supplier()
+def _on_sqlite(sql: Callable[..., str], decode: Callable[..., list]) -> Callable[..., EngineResult]:
+    """``run`` on the SQLite mirror: the text ``sql`` returns, ``decode``d into items.
+
+    ``rows_scanned`` is 0: the stdlib SQLite driver exposes no scan counters.
+    """
+
+    def run(compilation, context, values, timeout_seconds, timings) -> EngineResult:
+        text = sql(compilation, context, timings)
+        backend = context.sql_backend_supplier()
+        with _timed(timings, "sync"):
+            backend.sync(context.encoding)
+        with _timed(timings, "execute"):
+            result = backend.execute(text, bindings=values or None, timeout_seconds=timeout_seconds)
+        with _timed(timings, "decode"):
+            items = decode(
+                result.columns, result.rows,
+                distinct=not compilation.value_result, column_data=result.column_data,
+            )
+        return items, 0, result
+
+    return run
+
+
+def _join_graph_sql(compilation, context, timings) -> str:
+    """Isolated join graph on the RDBMS: the paper's production story."""
+    # Refuse before planning, rendering, or building or syncing the mirror.
+    check_join_width(compilation.join_graph.self_join_width)
+    with _timed(timings, "render"):
+        return sql_backend_sql(compilation, context)
+
+
+def _stacked_sql(compilation, context, timings) -> str:
+    """Stacked WITH-chain on the RDBMS: what Pathfinder ships unrewritten."""
+    return compilation.stacked_sql
+
+
+#: The engine table, oracle first; the processor, the serving layer's
+#: fallback chains, the generated-query sweep and the differential tests
+#: all iterate it.
+ENGINES: tuple[Engine, ...] = (
+    Engine("stacked", _interpret("stacked_plan")),
+    Engine("isolated", _interpret("isolated_plan")),
+    Engine("join-graph", _execute_join_graph, needs_join_graph=True, fallback=("stacked",)),
+    Engine(
+        "sql", _on_sqlite(_join_graph_sql, ordered_items),
+        needs_join_graph=True, fallback=("join-graph", "stacked"),
+    ),
+    Engine("sql-stacked", _on_sqlite(_stacked_sql, sequence_items), fallback=("stacked",)),
+)
+
+_ENGINE_BY_NAME = {engine.name: engine for engine in ENGINES}
 
 
 def run_sql(
@@ -648,94 +665,8 @@ def run_sql(
     bindings: Optional[Mapping[str, object]] = None,
     timings: Optional[StageTimings] = None,
 ) -> ExecutionOutcome:
-    """Isolated join graph on the RDBMS: the paper's production story."""
-    timings = {} if timings is None else timings
-    if compilation.join_graph is not None:  # refuse before the mirror is built or synced
-        check_join_width(compilation.join_graph.self_join_width)
-    backend = _require_backend(context)
-    with _timed(timings, "sync"):
-        backend.sync(context.encoding)
-    with _timed(timings, "render"):
-        sql = sql_backend_sql(compilation, context)
-    with _timed(timings, "bind"):
-        values = check_bindings(compilation.external_variables, bindings)
-    with _timed(timings, "execute"):
-        result: SQLResult = backend.execute(
-            sql, bindings=values or None, timeout_seconds=timeout_seconds
-        )
-    with _timed(timings, "decode"):
-        items = ordered_items(
-            result.columns,
-            result.rows,
-            distinct=not compilation.value_result,
-            column_data=result.column_data,
-        )
-    return ExecutionOutcome(
-        items=items, configuration="sql", details=result, timings=timings
-    )
-
-
-def run_sql_stacked(
-    compilation: CompilationResult,
-    context: ExecutionContext,
-    timeout_seconds: Optional[float] = None,
-    bindings: Optional[Mapping[str, object]] = None,
-    timings: Optional[StageTimings] = None,
-) -> ExecutionOutcome:
-    """Stacked WITH-chain on the RDBMS: what Pathfinder ships unrewritten."""
-    timings = {} if timings is None else timings
-    backend = _require_backend(context)
-    with _timed(timings, "sync"):
-        backend.sync(context.encoding)
-    with _timed(timings, "bind"):
-        values = check_bindings(compilation.external_variables, bindings)
-    with _timed(timings, "execute"):
-        result: SQLResult = backend.execute(
-            compilation.stacked_sql,
-            bindings=values or None,
-            timeout_seconds=timeout_seconds,
-        )
-    with _timed(timings, "decode"):
-        items = sequence_items(
-            result.columns,
-            result.rows,
-            distinct=not compilation.value_result,
-            column_data=result.column_data,
-        )
-    return ExecutionOutcome(
-        items=items, configuration="sql-stacked", details=result, timings=timings
-    )
-
-
-def run_auto(
-    compilation: CompilationResult,
-    context: ExecutionContext,
-    timeout_seconds: Optional[float] = None,
-    bindings: Optional[Mapping[str, object]] = None,
-    timings: Optional[StageTimings] = None,
-) -> ExecutionOutcome:
-    """Join graph when one was isolated, else the stacked plan.
-
-    Dispatches on :attr:`CompilationResult.auto_engine` — a flag computed
-    at build time and cached with the plan, so an auto-mode caller pays
-    for isolation exactly once per plan-cache key no matter how often a
-    refused query is re-executed.
-    """
-    if compilation.auto_engine == "join-graph":
-        return run_join_graph(compilation, context, timeout_seconds, bindings, timings)
-    return run_stacked(compilation, context, timeout_seconds, bindings, timings)
-
-
-#: Configuration name → executor; the single dispatch table shared by
-#: ``XQueryProcessor.execute`` and ``PreparedQuery.run``.
-EXECUTORS = {
-    "auto": run_auto,
-    "stacked": run_stacked,
-    "isolated": run_isolated,
-    "join-graph": run_join_graph,
-    "sql": run_sql,
-    "sql-stacked": run_sql_stacked,
-}
+    """``execute_compiled`` on the ``sql`` engine."""
+    return execute_compiled(compilation, context, "sql", timeout_seconds, bindings, timings)
 
 
 def execute_compiled(
@@ -746,20 +677,29 @@ def execute_compiled(
     bindings: Optional[Mapping[str, object]] = None,
     timings: Optional[StageTimings] = None,
 ) -> ExecutionOutcome:
-    """Execute a compiled plan against a context in one configuration.
+    """Execute a compiled plan against a context on one engine of :data:`ENGINES`.
 
     This is the whole worker-side contract of the serving layer: a
     (compilation, context) pair plus a configuration name — no processor,
-    no locks beyond the ones the context's members own.
+    no locks beyond the ones the context's members own.  In order:
+    ``"auto"`` resolves to :attr:`CompilationResult.auto_engine`, an
+    unknown name is rejected, an engine that needs a join graph refuses a
+    query without one, the bindings are checked, and only then does the
+    engine run — so no refused or mis-bound call syncs the SQLite mirror.
     """
-    try:
-        runner = EXECUTORS[configuration if configuration is not None else "auto"]
-    except KeyError:
-        expected = ", ".join(EXECUTORS)
-        raise ValueError(
-            f"unknown configuration {configuration!r} (expected one of: {expected})"
-        ) from None
-    return runner(compilation, context, timeout_seconds, bindings, timings)
+    if configuration is None or configuration == "auto":
+        configuration = compilation.auto_engine
+    engine = _ENGINE_BY_NAME.get(configuration)
+    if engine is None:
+        expected = ", ".join(("auto", *_ENGINE_BY_NAME))
+        raise ValueError(f"unknown configuration {configuration!r} (expected one of: {expected})")
+    if engine.needs_join_graph:
+        _join_graph(compilation)
+    timings = {} if timings is None else timings
+    with _timed(timings, "bind"):
+        values = check_bindings(compilation.external_variables, bindings)
+    items, scanned, details = engine.run(compilation, context, values, timeout_seconds, timings)
+    return ExecutionOutcome(items, engine.name, scanned, details, timings)
 
 
 def explain_compiled(
@@ -768,9 +708,6 @@ def explain_compiled(
     bindings: Optional[Mapping[str, object]] = None,
 ) -> str:
     """The relational back-end's execution plan for the query's join graph."""
-    if compilation.join_graph is None:
-        raise JoinGraphError(
-            compilation.join_graph_error or "the query has no isolated join graph"
-        )
+    graph = _join_graph(compilation)
     values = check_bindings(compilation.external_variables, bindings)
-    return context.engine.explain(compilation.join_graph, bindings=values or None)
+    return context.engine.explain(graph, bindings=values or None)

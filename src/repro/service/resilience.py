@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
+from repro.core.stages import ENGINES
 from repro.errors import (
     BackendClosedError,
     BackendExecutionError,
@@ -264,14 +265,13 @@ class CircuitBreaker:
             }
 
 
-#: The degradation chains the equivalence proof makes safe by construction.
-#: Keys are *requested* configurations; values the engines tried after the
-#: requested one fails with a backend fault.  Interpreted engines have no
-#: fallback — they are the floor.
+#: The degradation chains the equivalence proof makes safe by construction,
+#: read off :attr:`~repro.core.stages.Engine.fallback`.  Keys are
+#: *requested* configurations; values the engines tried after the requested
+#: one fails with a backend fault.  Interpreted engines have no fallback —
+#: they are the floor.
 DEFAULT_CHAINS: Mapping[str, tuple[str, ...]] = {
-    "sql": ("join-graph", "stacked"),
-    "sql-stacked": ("stacked",),
-    "join-graph": ("stacked",),
+    engine.name: engine.fallback for engine in ENGINES if engine.fallback
 }
 
 

@@ -20,7 +20,7 @@ RDBMS that ships with CPython:
 
 ``XQueryProcessor.execute(..., configuration="sql")`` and ``Session``
 wire this in as the fourth engine configuration next to
-stacked, isolated-interpreted, and the in-tree relational back-end.
+stacked, isolated, and the in-tree relational back-end (``join-graph``).
 """
 
 from repro.sqlbackend.backend import SQLiteBackend, SQLResult

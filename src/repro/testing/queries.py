@@ -35,6 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from repro.core.stages import ENGINES
 from repro.errors import JoinGraphError
 
 #: Document the generated queries run against.  Duplicate watch targets,
@@ -59,17 +60,17 @@ DIFFERENTIAL_XML = """<site>
 </site>"""
 
 #: The five engine configurations, oracle first.
-CONFIGS = ("stacked", "isolated", "join-graph", "sql", "sql-stacked")
+CONFIGS = tuple(engine.name for engine in ENGINES)
 
 #: Configurations that interpret plans directly and therefore must never
 #: refuse a generated (fragment-conformant) query.
-TOTAL_CONFIGS = ("stacked", "isolated", "sql-stacked")
+TOTAL_CONFIGS = tuple(engine.name for engine in ENGINES if not engine.needs_join_graph)
 
 #: Configurations that require an isolated join graph; a generated query
 #: may legitimately exceed the single-SFW fragment (e.g. nested aggregates
 #: from an ``every`` desugaring), in which case these refuse with
 #: :class:`JoinGraphError` — the *only* acceptable error class.
-PARTIAL_CONFIGS = ("join-graph", "sql")
+PARTIAL_CONFIGS = tuple(engine.name for engine in ENGINES if engine.needs_join_graph)
 
 
 @dataclass(frozen=True)

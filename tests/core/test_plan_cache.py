@@ -297,7 +297,7 @@ def test_clear_mid_traffic_keeps_stats_consistent():
     import threading
 
     encoding = encode_document(parse_xml(XML, uri="t.xml"))
-    processor = XQueryProcessor(encoding, default_document="t.xml", plan_cache_size=4)
+    processor = XQueryProcessor(encoding, default_document="t.xml", plan_cache=PlanCache(4))
     cache = processor.plan_cache
     queries = [
         QUERY,

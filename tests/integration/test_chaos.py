@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.core.session import Session
+from repro.core.stages import ENGINES
 from repro.errors import (
     DegradedExecutionError,
     MirrorIntegrityError,
@@ -45,7 +46,7 @@ QUERIES = (
     'doc("site.xml")/descendant::bidder',
 )
 
-CONFIGURATIONS = ("stacked", "isolated", "join-graph", "sql", "sql-stacked")
+CONFIGURATIONS = tuple(engine.name for engine in ENGINES)
 
 SEEDS = (7, 23, 1009)  # acceptance criterion: the chaos suite runs >= 3 seeds
 

@@ -26,6 +26,7 @@ import time
 import pytest
 
 from repro.core.session import Session
+from repro.core.stages import ENGINES
 from repro.service import QueryService
 
 THREADS = 8
@@ -53,7 +54,7 @@ PARAM_QUERY = (
 )
 BINDINGS = ({"lo": 400}, {"lo": 600}, {"lo": 900})
 
-CONFIGURATIONS = ("stacked", "isolated", "join-graph", "sql", "sql-stacked")
+CONFIGURATIONS = tuple(engine.name for engine in ENGINES)
 
 
 def _fresh_session():

@@ -12,13 +12,14 @@ aggregates over empty groups.
 import pytest
 
 from repro.core.session import Session
+from repro.core.stages import ENGINES
 from repro.purexml.engine import PureXMLEngine
 from repro.purexml.storage import XMLColumnStore
 from repro.xmldb.parser import parse_xml
 
 #: Engines with a join graph; positional queries run on the subset below.
-ALL_CONFIGS = ("stacked", "isolated", "join-graph", "sql", "sql-stacked")
-NO_JOIN_GRAPH_CONFIGS = ("stacked", "isolated", "sql-stacked")
+ALL_CONFIGS = tuple(engine.name for engine in ENGINES)
+NO_JOIN_GRAPH_CONFIGS = tuple(engine.name for engine in ENGINES if not engine.needs_join_graph)
 
 #: Duplicate join keys on both sides (two watches naming one item, two
 #: items sharing a name), an empty person, and an unreferenced item.

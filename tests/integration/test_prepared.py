@@ -8,6 +8,7 @@ join graph, and the navigational pureXML path).
 
 import pytest
 
+from repro.core.stages import ENGINES
 from repro.purexml.engine import PureXMLEngine
 from repro.purexml.storage import XMLColumnStore
 
@@ -135,7 +136,7 @@ def test_cross_engine_agreement_on_prepared_results(xmark_processor, xmark_docum
         assert len(set(stacked.items)) == navigational.node_count
 
 
-ALL_ENGINES = ("stacked", "isolated", "join-graph", "sql", "sql-stacked")
+ALL_ENGINES = tuple(engine.name for engine in ENGINES)
 
 
 def test_prepared_equals_adhoc_on_the_newest_document_after_each_registration():

@@ -25,9 +25,10 @@ import pytest
 
 from repro.testing.corpus import XMARK_SUITE as SUITE
 from repro.core.session import Session
+from repro.core.stages import ENGINES
 from repro.xmldb.generators.xmark import XMarkConfig, generate_xmark_document
 
-CONFIGS = ("stacked", "isolated", "join-graph", "sql", "sql-stacked")
+CONFIGS = tuple(engine.name for engine in ENGINES)
 
 #: Small but structurally rich instance: every query below has a non-empty
 #: answer (except where emptiness is the point), bidders/buyers/profiles

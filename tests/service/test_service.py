@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from repro.core.session import Session
+from repro.core.stages import ENGINES
 from repro.errors import (
     QueryTimeoutError,
     ServiceClosedError,
@@ -23,7 +24,7 @@ PARAM_QUERY = (
     'declare variable $n as xs:decimal external; doc("t.xml")/descendant::b[. > $n]'
 )
 
-CONFIGURATIONS = ("auto", "stacked", "isolated", "join-graph", "sql", "sql-stacked")
+CONFIGURATIONS = ("auto", *(engine.name for engine in ENGINES))
 
 
 @pytest.fixture()

@@ -10,6 +10,7 @@ import pytest
 
 import repro.core.pipeline
 import repro.core.session
+import repro.core.stages
 import repro.purexml.engine
 import repro.relational.btree
 import repro.relational.engine
@@ -18,6 +19,7 @@ import repro.relational.optimizer.planner
 FACADE_MODULES = [
     repro.core.pipeline,
     repro.core.session,
+    repro.core.stages,
     repro.relational.engine,
     repro.relational.btree,
     repro.relational.optimizer.planner,
