@@ -32,6 +32,34 @@ represented exactly (huge ints) and at most one side may contain strings
 (a string shadows to NaN and can never equal or order against a number,
 which is exactly the reference behaviour — but string-vs-string comparisons
 must fall back to the Python branch).
+
+*Dictionary codes* carry the string columns.  When a base table publishes
+its columnar twin (:meth:`Column.publish`), every column whose values are
+all ``str`` or ``None`` gets an int64 ``codes`` array over a ``dictionary``
+mapping each distinct string to its rank in sorted order; ``None`` is code
+−1.  Every column derived by ``take``/``filter``/``repeat``/``tile`` (and
+projection, which shares columns) keeps the codes and the *same*
+dictionary object, so:
+
+* ``=`` / ``!=`` against a literal, or between two columns sharing a
+  dictionary, compare codes — and −1 fails both, as ``None`` does;
+* an equi-join of two such columns merges on codes — and there −1 *matches*
+  −1, exactly as a ``None`` key meets ``None`` in a hash bucket;
+* ``order by`` ranks codes, since code order is string order.
+
+>>> column = Column.from_values(["a", None, "b"])
+>>> column.publish()
+>>> column.codes is None or column.codes.tolist() == [0, -1, 1]
+True
+>>> [bool(v) for v in compare_mask(column, "=", "a", 3)]
+[True, False, False]
+>>> [bool(v) for v in compare_mask(column, "=", "zebra", 3)]
+[False, False, False]
+>>> [bool(v) for v in compare_mask(column, "!=", "zebra", 3)]
+[True, False, True]
+
+(The codes exist only with NumPy; the typed-list fallback answers the same
+masks element by element.)
 """
 
 from __future__ import annotations
@@ -55,6 +83,10 @@ _numpy_enabled = HAVE_NUMPY
 _EXACT_INT = 2 ** 53
 
 _NAN = float("nan")
+
+#: Element-type sets whose statistics are built by whole-array conversions.
+_NUMERIC_TYPES = frozenset((int, float, type(None)))
+_STRING_TYPES = frozenset((str, type(None)))
 
 
 def numpy_active() -> bool:
@@ -123,11 +155,24 @@ class Column:
         True when every non-``None`` value is a Python int (bools included)
         — lets arithmetic kernels rebuild exact int results from a float64
         shadow.
+
+    and, set only by :meth:`publish` and inherited by derived columns:
+
+    ``codes``
+        int64 array of dictionary codes (−1 for ``None``), or ``None`` when
+        the column is not dictionary-coded;
+    ``dictionary``
+        the ``{string: code}`` map the codes index, shared by identity
+        between every column derived from one published column — two
+        columns' codes are comparable exactly when their dictionaries are
+        the same object.
     """
 
     __slots__ = (
         "values",
         "length",
+        "codes",
+        "dictionary",
         "_notnull",
         "_shadow",
         "_has_strings",
@@ -138,6 +183,8 @@ class Column:
     def __init__(self, values, length: Optional[int] = None):
         self.values = values
         self.length = len(values) if length is None else length
+        self.codes = None
+        self.dictionary: Optional[dict] = None
         self._notnull = None
         self._shadow = None
         self._has_strings = None
@@ -214,49 +261,105 @@ class Column:
         column._ints_only = True
         return column
 
+    def publish(self) -> None:
+        """Build every statistic now, and dictionary codes for an all-``str``-or-``None`` column.
+
+        :meth:`Table.columnar` calls this on a base table's columns before
+        it shares them; no lazy property writes to a published column
+        afterwards, so threads may read it without a lock.
+        """
+        self._build_stats()
+        if not self.vectorized or not set(map(type, self.values)) <= _STRING_TYPES:
+            return
+        present = self.values[self.notnull].tolist()
+        self.dictionary = {text: code for code, text in enumerate(sorted(set(present)))}
+        codes = _np.full(self.length, -1, dtype=_np.int64)
+        codes[self.notnull] = _np.fromiter(
+            map(self.dictionary.__getitem__, present), dtype=_np.int64, count=len(present)
+        )
+        self.codes = codes
+
     def _build_stats(self) -> None:
+        """Statistics by whole-array conversions where the element types allow.
+
+        A column of ``int``/``float``/``None`` or of ``str``/``None`` needs
+        no per-element Python: ``astype`` gives the shadow, and only ints
+        whose float lands at or beyond ±2**53 (the candidates for
+        inexactness) are re-checked one by one.  Mixed and ``bool`` columns
+        take :meth:`_build_stats_by_element`, the reference.
+        """
+        values = self.values
+        if not self.vectorized:
+            self._notnull = [v is not None for v in values]
+            self._has_strings = any(
+                v is not None and not isinstance(v, (int, float)) for v in values
+            )
+            self._shadow_exact = True
+            self._ints_only = False  # the fallback kernels never consult it
+            return
+        types = set(map(type, values))
+        if not (types <= _NUMERIC_TYPES or types <= _STRING_TYPES):
+            self._build_stats_by_element()
+            return
+        has_nulls = type(None) in types
+        notnull = values != None if has_nulls else _np.ones(self.length, dtype=bool)  # noqa: E711
+        has_strings = str in types
+        exact = True
+        if has_strings:
+            shadow = _np.full(self.length, _NAN)
+        else:
+            present = values[notnull] if has_nulls else values
+            present_shadow = present.astype(_np.float64)
+            if has_nulls:
+                shadow = _np.full(self.length, _NAN)
+                shadow[notnull] = present_shadow
+            else:
+                shadow = present_shadow
+            if int in types:
+                candidates = present[_np.abs(present_shadow) >= _EXACT_INT].tolist()
+                exact = all(-_EXACT_INT <= v <= _EXACT_INT for v in candidates if type(v) is int)
+        self._shadow = shadow
+        self._notnull = notnull
+        self._has_strings = has_strings
+        self._shadow_exact = exact
+        self._ints_only = not has_strings and float not in types
+
+    def _build_stats_by_element(self) -> None:
+        """The per-element statistics loop (vectorized storage)."""
         values = self.values
         n = self.length
         has_strings = False
         exact = True
         ints_only = True
-        if self.vectorized:
-            shadow = _np.empty(n, dtype=_np.float64)
-            notnull = _np.ones(n, dtype=bool)
-            for i in range(n):
-                v = values[i]
-                if type(v) is int:
-                    shadow[i] = v
-                    if not -_EXACT_INT <= v <= _EXACT_INT:
-                        exact = False
-                elif type(v) is float:
-                    shadow[i] = v
-                    ints_only = False
-                elif v is None:
-                    shadow[i] = _NAN
-                    notnull[i] = False
-                elif isinstance(v, bool):
-                    shadow[i] = float(v)
-                elif isinstance(v, int):
-                    shadow[i] = v
-                    if not -_EXACT_INT <= v <= _EXACT_INT:
-                        exact = False
-                elif isinstance(v, float):
-                    shadow[i] = v
-                    ints_only = False
-                else:
-                    shadow[i] = _NAN
-                    has_strings = True
-                    ints_only = False
-            self._shadow = shadow
-            self._notnull = notnull
-        else:
-            self._notnull = [v is not None for v in values]
-            ints_only = False  # the fallback kernels never consult it
-            for v in values:
-                if v is not None and not isinstance(v, (int, float)):
-                    has_strings = True
-                    break
+        shadow = _np.empty(n, dtype=_np.float64)
+        notnull = _np.ones(n, dtype=bool)
+        for i in range(n):
+            v = values[i]
+            if type(v) is int:
+                shadow[i] = v
+                if not -_EXACT_INT <= v <= _EXACT_INT:
+                    exact = False
+            elif type(v) is float:
+                shadow[i] = v
+                ints_only = False
+            elif v is None:
+                shadow[i] = _NAN
+                notnull[i] = False
+            elif isinstance(v, bool):
+                shadow[i] = float(v)
+            elif isinstance(v, int):
+                shadow[i] = v
+                if not -_EXACT_INT <= v <= _EXACT_INT:
+                    exact = False
+            elif isinstance(v, float):
+                shadow[i] = v
+                ints_only = False
+            else:
+                shadow[i] = _NAN
+                has_strings = True
+                ints_only = False
+        self._shadow = shadow
+        self._notnull = notnull
         self._has_strings = has_strings
         self._shadow_exact = exact
         self._ints_only = ints_only
@@ -301,69 +404,50 @@ class Column:
             return self.values.tolist()
         return self.values if isinstance(self.values, list) else list(self.values)
 
-    def take(self, indices) -> "Column":
-        """Gather by integer indices, propagating cached statistics."""
-        if self.vectorized:
-            result = Column(self.values[indices])
-            if self._shadow is not None:
-                result._shadow = self._shadow[indices]
-            if self._notnull is not None:
-                result._notnull = self._notnull[indices]
-        else:
-            values = self.values
-            result = Column([values[i] for i in indices])
-            if self._notnull is not None:
-                notnull = self._notnull
-                result._notnull = [notnull[i] for i in indices]
-        # Flags are conservative over subsets (a subset may lose its last
-        # string, never gain one), so they remain valid.
+    def _derive(self, gather: Callable) -> "Column":
+        """The column ``gather(array)`` of the values and of every cached array.
+
+        Flags are conservative over subsets and repetitions (a subset may
+        lose its last string, never gain one), so they carry over as they
+        are; derived codes index the same dictionary object.
+        """
+        result = Column(gather(self.values))
+        if self._shadow is not None:
+            result._shadow = gather(self._shadow)
+        if self._notnull is not None:
+            result._notnull = gather(self._notnull)
+        if self.codes is not None:
+            result.codes = gather(self.codes)
+            result.dictionary = self.dictionary
         result._has_strings = self._has_strings
         result._shadow_exact = self._shadow_exact
         result._ints_only = self._ints_only
         return result
 
+    def take(self, indices) -> "Column":
+        """Gather by integer indices, propagating cached statistics."""
+        if self.vectorized:
+            return self._derive(lambda array: array[indices])
+        return self._derive(lambda values: [values[i] for i in indices])
+
     def filter(self, mask) -> "Column":
         """Keep rows where ``mask`` is True, propagating cached statistics."""
-        if self.vectorized and _np is not None and isinstance(mask, _np.ndarray):
-            result = Column(self.values[mask])
-            if self._shadow is not None:
-                result._shadow = self._shadow[mask]
-            if self._notnull is not None:
-                result._notnull = self._notnull[mask]
-        else:
-            values = self.values
-            result = Column([v for v, keep in zip(values, mask) if keep])
-            result._notnull = None
-        result._has_strings = self._has_strings
-        result._shadow_exact = self._shadow_exact
-        result._ints_only = self._ints_only
-        return result
+        if self.vectorized:
+            keep = _np.asarray(mask, dtype=bool)
+            return self._derive(lambda array: array[keep])
+        return self._derive(lambda values: [v for v, k in zip(values, mask) if k])
 
     def repeat(self, count: int) -> "Column":
         """Each value repeated ``count`` times in place (cross-product left side)."""
         if self.vectorized:
-            result = Column(_np.repeat(self.values, count))
-            if self._shadow is not None:
-                result._shadow = _np.repeat(self._shadow, count)
-        else:
-            result = Column([v for v in self.values for _ in range(count)])
-        result._has_strings = self._has_strings
-        result._shadow_exact = self._shadow_exact
-        result._ints_only = self._ints_only
-        return result
+            return self._derive(lambda array: _np.repeat(array, count))
+        return self._derive(lambda values: [v for v in values for _ in range(count)])
 
     def tile(self, count: int) -> "Column":
         """The whole column repeated ``count`` times (cross-product right side)."""
         if self.vectorized:
-            result = Column(_np.tile(self.values, count))
-            if self._shadow is not None:
-                result._shadow = _np.tile(self._shadow, count)
-        else:
-            result = Column(list(self.values) * count)
-        result._has_strings = self._has_strings
-        result._shadow_exact = self._shadow_exact
-        result._ints_only = self._ints_only
-        return result
+            return self._derive(lambda array: _np.tile(array, count))
+        return self._derive(lambda values: list(values) * count)
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +528,15 @@ def _scalar_exact(value: object) -> bool:
     return True  # floats are exact by definition; strings shadow to NaN
 
 
-def compare_mask(left, op: str, right, n: int):
+def compare_mask(
+    left, op: str, right, n: int, on_decline: Optional[Callable[[], None]] = None
+):
     """Boolean mask for ``left op right`` over ``n`` rows.
 
     ``left``/``right`` are :class:`Column` instances or Python scalars
     (literals).  Semantics match :func:`repro.algebra.predicates._compare`
-    element-wise, bit for bit.
+    element-wise, bit for bit.  ``on_decline`` is called when the mask has
+    to be computed element by element in Python.
     """
     left_column = isinstance(left, Column)
     right_column = isinstance(right, Column)
@@ -464,6 +551,10 @@ def compare_mask(left, op: str, right, n: int):
         right.vectorized if right_column else True
     )
     if vectorized:
+        if op in ("=", "!="):
+            mask = _coded_equality_mask(left, op, right, left_column, right_column)
+            if mask is not None:
+                return mask
         left_exact = left.shadow_exact if left_column else _scalar_exact(left)
         right_exact = right.shadow_exact if right_column else _scalar_exact(right)
         left_strings = left.has_strings if left_column else not _scalar_numericish(left)
@@ -472,7 +563,35 @@ def compare_mask(left, op: str, right, n: int):
             return _shadow_mask(left, op, right, left_column, right_column)
         if op in ("=", "!="):
             return _object_equality_mask(left, op, right, left_column, right_column)
+    if on_decline is not None:
+        on_decline()
     return _python_mask(left, op, right, left_column, right_column, n)
+
+
+def _coded_equality_mask(left, op, right, left_column, right_column):
+    """``=`` / ``!=`` on dictionary codes, or ``None`` when codes cannot answer.
+
+    Codes answer a coded column against a literal, and two columns that
+    share a dictionary.  Code −1 (``None``) fails both operators; a literal
+    missing from the dictionary — a non-string one included — equals no row
+    and differs from every non-``None`` one.
+    """
+    if left_column and right_column:
+        if left.codes is None or left.dictionary is not right.dictionary:
+            return None
+        a, b = left.codes, right.codes
+        if op == "=":
+            return (a == b) & (a >= 0)
+        return (a != b) & (a >= 0) & (b >= 0)
+    column, literal = (left, right) if left_column else (right, left)
+    if column.codes is None:
+        return None
+    code = column.dictionary.get(literal) if isinstance(literal, str) else None
+    if code is None:
+        return _np.zeros(column.length, dtype=bool) if op == "=" else column.notnull.copy()
+    if op == "=":
+        return column.codes == code
+    return (column.codes != code) & (column.codes >= 0)
 
 
 def _scalar_shadow(value: object) -> float:
@@ -610,35 +729,54 @@ def sum_columns(parts: Sequence[object], n: int) -> Column:
 # ---------------------------------------------------------------------------
 
 
-def rank_values(order_columns: Sequence[Column], partition_columns: Sequence[Column], n: int):
+def _order_key(column: Column):
+    """An array that orders and ties like :func:`sort_key` over the column, or ``None``.
+
+    Codes when the column is coded (code order is string order, and −1 puts
+    ``None`` first); otherwise the shadow of an exact, string-free column
+    without ``None``.
+    """
+    if not column.vectorized:
+        return None
+    if column.codes is not None:
+        return column.codes
+    if column.shadow_exact and not column.has_strings and mask_all(column.notnull):
+        return column.shadow
+    return None
+
+
+def rank_values(
+    order_columns: Sequence[Column],
+    partition_columns: Sequence[Column],
+    n: int,
+    on_decline: Optional[Callable[[], None]] = None,
+):
     """``RANK() OVER (PARTITION BY ... ORDER BY ...)`` as a list/array of ints.
 
     Semantics match ``Table.attach_rank``: ranks restart at 1 per distinct
     partition key; ties on the order key share the 1-based sorted position
     within their partition.  Returns Python ints (as an object ndarray in the
     vectorized branch) so downstream rows stay bit-for-bit identical.
+    ``on_decline`` is called when the ranks are computed in Python.
     """
-    involved = list(order_columns) + list(partition_columns)
-    fast = bool(involved) and all(
-        c.vectorized and c.shadow_exact and not c.has_strings and mask_all(c.notnull)
-        for c in involved
-    )
+    order_keys = [_order_key(c) for c in order_columns]
+    partition_keys = [_order_key(c) for c in partition_columns]
+    involved = order_keys + partition_keys
+    fast = bool(involved) and all(key is not None for key in involved)
     if fast and n:
         # lexsort's last key is primary: partitions group first, then order keys.
-        keys = tuple(c.shadow for c in reversed(list(order_columns)))
-        keys += tuple(c.shadow for c in reversed(list(partition_columns)))
-        order = _np.lexsort(keys)
+        order = _np.lexsort(tuple(reversed(order_keys)) + tuple(reversed(partition_keys)))
 
-        def _changes(columns: Sequence[Column]):
+        def _changes(keys):
             changed = _np.zeros(n, dtype=bool)
             changed[0] = True
-            for column in columns:
-                sorted_shadow = column.shadow[order]
-                changed[1:] |= sorted_shadow[1:] != sorted_shadow[:-1]
+            for key in keys:
+                sorted_key = key[order]
+                changed[1:] |= sorted_key[1:] != sorted_key[:-1]
             return changed
 
-        part_change = _changes(partition_columns) if partition_columns else None
-        key_change = _changes(list(partition_columns) + list(order_columns))
+        part_change = _changes(partition_keys) if partition_keys else None
+        key_change = _changes(involved)
         positions = _np.arange(n)
         if part_change is None:
             part_start = _np.zeros(n, dtype=_np.int64)
@@ -649,6 +787,8 @@ def rank_values(order_columns: Sequence[Column], partition_columns: Sequence[Col
         out = _np.empty(n, dtype=_np.int64)
         out[order] = ranks_sorted
         return out.astype(object)
+    if not fast and on_decline is not None:
+        on_decline()
     return _rank_python(order_columns, partition_columns, n)
 
 
@@ -692,33 +832,85 @@ def dense_rank_map(keys: Iterable[tuple]) -> dict:
     return {key: rank for rank, key in enumerate(sorted(distinct, key=sort_key), start=1)}
 
 
-def equi_join_indices(probe: Column, build: Column):
-    """Vectorized single-key equi-join: ``(probe_idx, build_idx)`` or ``None``.
+def _join_keys(probe: Column, build: Column, integral: bool):
+    """The arrays to merge ``probe`` and ``build`` on, or ``None``.
 
-    Sort-merge on the numeric shadows — stable argsort of the build column,
-    a ``searchsorted`` pair per bound, then a flat-index gather.  Output is
-    probe-major with each probe row's matches in original build order (the
-    stable sort keeps equal keys in scan order), exactly the bucket order of
-    the hash row path.
-
-    Declines (``None``) whenever shadow equality could diverge from Python
-    ``dict`` key equality: strings on either side (they shadow to NaN),
-    inexact shadows (ints beyond 2**53), or NULLs (``None`` keys *match* in
-    the row path's buckets, but NaN never equals itself).
+    Codes when both share a dictionary.  Otherwise the shadows, when their
+    equality is Python ``dict`` key equality: no strings (they shadow to
+    NaN), exact (no ints beyond 2**53) and no ``None`` (``None`` keys
+    *match* in the row path's buckets, but NaN never equals itself).
+    ``integral`` asks for int64 arrays, which packing needs: the shadows
+    must then be of ints only.
     """
-    np = active_numpy()
-    if np is None or not (probe.vectorized and build.vectorized):
+    if not (probe.vectorized and build.vectorized):
         return None
+    if probe.codes is not None or build.codes is not None:
+        return (probe.codes, build.codes) if probe.dictionary is build.dictionary else None
     if probe.has_strings or build.has_strings:
         return None
     if not (probe.shadow_exact and build.shadow_exact):
         return None
-    if not (probe.notnull.all() and build.notnull.all()):
+    if not (mask_all(probe.notnull) and mask_all(build.notnull)):
         return None
-    build_order = np.argsort(build.shadow, kind="stable")
-    sorted_build = build.shadow[build_order]
-    low = np.searchsorted(sorted_build, probe.shadow, side="left")
-    high = np.searchsorted(sorted_build, probe.shadow, side="right")
+    if not integral:
+        return probe.shadow, build.shadow
+    if not (probe.ints_only and build.ints_only):
+        return None
+    return probe.shadow.astype(_np.int64), build.shadow.astype(_np.int64)
+
+
+def _pack(pairs: Sequence[tuple]):
+    """Mixed-radix packing of several int64 ``(probe, build)`` key pairs into one.
+
+    Each key's offset and radix span both sides, so the packed keys compare
+    like the key tuples.  ``None`` when the product of the radices does not
+    fit in int64.
+    """
+    probe_key = build_key = 0
+    span = 1
+    for probe, build in pairs:
+        present = [array for array in (probe, build) if len(array)]
+        low = min((int(array.min()) for array in present), default=0)
+        radix = max((int(array.max()) for array in present), default=0) - low + 1
+        span *= radix
+        if span >= 2 ** 63:
+            return None
+        probe_key = probe_key * radix + (probe - low)
+        build_key = build_key * radix + (build - low)
+    return probe_key, build_key
+
+
+def equi_join_indices(probe: Sequence[Column], build: Sequence[Column]):
+    """Vectorized equi-join on key columns: ``(probe_idx, build_idx)`` or ``None``.
+
+    ``probe[i] = build[i]`` for every ``i``.  One key merges on its codes or
+    shadows; several are first packed into one int64 key (:func:`_pack`).
+    Sort-merge: stable argsort of the build key, a ``searchsorted`` pair per
+    probe row, then a flat-index gather.  Output is probe-major with each
+    probe row's matches in original build order (the stable sort keeps
+    equal keys in scan order), exactly the bucket order of the hash row
+    path.  Declines (``None``) whenever a key's equality could diverge from
+    Python ``dict`` key equality (:func:`_join_keys`) or the packed key
+    would overflow.
+    """
+    np = active_numpy()
+    if np is None:
+        return None
+    integral = len(probe) > 1
+    pairs = [_join_keys(p, b, integral) for p, b in zip(probe, build)]
+    if any(pair is None for pair in pairs):
+        return None
+    if integral:
+        packed = _pack(pairs)
+        if packed is None:
+            return None
+        probe_key, build_key = packed
+    else:
+        probe_key, build_key = pairs[0]
+    build_order = np.argsort(build_key, kind="stable")
+    sorted_build = build_key[build_order]
+    low = np.searchsorted(sorted_build, probe_key, side="left")
+    high = np.searchsorted(sorted_build, probe_key, side="right")
     counts = high - low
     total = int(counts.sum())
     if total == 0:
@@ -726,8 +918,22 @@ def equi_join_indices(probe: Column, build: Column):
         return empty, empty
     starts = np.cumsum(counts) - counts
     flat = np.arange(total, dtype=np.int64) - np.repeat(starts, counts) + np.repeat(low, counts)
-    probe_indices = np.repeat(np.arange(probe.length, dtype=np.int64), counts)
+    probe_indices = np.repeat(np.arange(len(probe_key), dtype=np.int64), counts)
     return probe_indices, build_order[flat]
+
+
+def first_occurrences(columns: Sequence[Column], n: int) -> Optional[list]:
+    """Ascending positions of each distinct row's first occurrence; ``None`` if none repeats.
+
+    Rows are equal as Python tuples are, which is ``Table.distinct``'s test.
+    """
+    rows = list(zip(*(column.tolist() for column in columns))) if columns else [()] * n
+    # Keys keep their first insertion, values their last assignment — which,
+    # inserting in reverse, is each row's first position.
+    first_of = dict(zip(reversed(rows), range(n - 1, -1, -1)))
+    if len(first_of) == n:
+        return None
+    return sorted(first_of.values())
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ table scans").  It therefore doubles as
   plan's results against it), and
 * the *stacked plan* configuration of the Table IX experiment.
 
-Shared sub-plans are evaluated once (memoised by node identity), matching
-the behaviour of a common table expression.
+Shared sub-plans are evaluated once (memoised by node identity, children
+before parents, each result kept until its last consumer has run),
+matching the behaviour of a common table expression.
 
 Three execution modes share the operator semantics bit-for-bit:
 
@@ -41,6 +42,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from repro.errors import AlgebraError, ExecutionError, QueryTimeoutError
 from repro.algebra import columnar as _columnar
 from repro.algebra.columnar import Column, ColumnarTable
+from repro.algebra.dag import topological_order
 from repro.algebra.operators import (
     Attach,
     Cross,
@@ -122,6 +124,10 @@ class PlanInterpreter:
         self.rows_materialised = 0
         #: Number of joins answered by the sort-based range-join fast path.
         self.range_joins = 0
+        #: Number of times a columnar operator left the vectorized kernels:
+        #: a Python-bucket hash join, a row-path join, an element-by-element
+        #: comparison mask or a Python rank.
+        self.row_fallbacks = 0
 
     # -- public API -------------------------------------------------------------
 
@@ -131,11 +137,25 @@ class PlanInterpreter:
         self.operators_evaluated = 0
         self.rows_materialised = 0
         self.range_joins = 0
+        self.row_fallbacks = 0
         if self.timeout_seconds is not None:
             self._deadline = time.perf_counter() + self.timeout_seconds
         else:
             self._deadline = None
-        result = self._evaluate(plan)
+        order = topological_order(plan)
+        consumers: dict[int, int] = {}
+        for node in order:
+            for child in node.children:
+                consumers[id(child)] = consumers.get(id(child), 0) + 1
+        # Children before parents: every dispatch finds its inputs memoised,
+        # so plan depth never becomes Python stack depth.  An input leaves
+        # the memo once its last consumer has run.
+        for node in order:
+            result = self._evaluate(node)
+            for child in node.children:
+                consumers[id(child)] -= 1
+                if not consumers[id(child)]:
+                    del self._memo[id(child)]
         if self.columnar:
             return result.to_table()
         return result
@@ -198,6 +218,9 @@ class PlanInterpreter:
     # so all three modes (naive / compiled / columnar) are bit-for-bit
     # interchangeable.
 
+    def _row_fallback(self) -> None:
+        self.row_fallbacks += 1
+
     def _dispatch_columnar(self, node: Operator) -> ColumnarTable:
         if isinstance(node, DocTable):
             return self.doc_table.columnar()
@@ -211,13 +234,12 @@ class PlanInterpreter:
         if isinstance(node, Select):
             table = self._evaluate(node.child)
             predicate = self._bound_predicate(node.predicate)
-            mask = compile_predicate_mask(predicate, table.columns)(table)
+            mask = compile_predicate_mask(predicate, table.columns, self._row_fallback)(table)
             return table.filter(mask)
         if isinstance(node, Distinct):
             table = self._evaluate(node.child)
-            return ColumnarTable.from_rows(
-                table.columns, list(dict.fromkeys(table.iter_rows()))
-            )
+            positions = _columnar.first_occurrences(table.cols, table.length)
+            return table if positions is None else table.take(positions)
         if isinstance(node, Attach):
             table = self._evaluate(node.child)
             return table.with_column(
@@ -242,7 +264,9 @@ class PlanInterpreter:
         partition_columns = [table.col(name) for name in node.partition_by]
         if node.column in table.columns:
             raise AlgebraError(f"rank: column {node.column!r} already exists")
-        ranks = _columnar.rank_values(order_columns, partition_columns, table.length)
+        ranks = _columnar.rank_values(
+            order_columns, partition_columns, table.length, self._row_fallback
+        )
         return table.with_column(node.column, Column(ranks))
 
     def _cross_columnar(self, left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
@@ -275,6 +299,7 @@ class PlanInterpreter:
         # path — which has its own bisect range join and nested loop, and
         # updates the range_joins counter itself — then lift the result back
         # into columns.
+        self._row_fallback()
         result = self._join_tables(predicate, left.to_table(), right.to_table())
         return ColumnarTable.from_table(result)
 
@@ -287,40 +312,32 @@ class PlanInterpreter:
         output_columns: tuple[str, ...],
     ) -> ColumnarTable:
         """Hash equi-join over column arrays; bucket order matches the row path."""
-        if len(equi) == 1:
-            vectorized = _columnar.equi_join_indices(
-                left.col(equi[0][0]), right.col(equi[0][1])
+        vectorized = _columnar.equi_join_indices(
+            [left.col(name) for name, _ in equi], [right.col(name) for _, name in equi]
+        )
+        if vectorized is not None:
+            left_indices, right_indices = vectorized
+            return self._joined_columnar(
+                left, right, left_indices, right_indices, residual, output_columns
             )
-            if vectorized is not None:
-                left_indices, right_indices = vectorized
-                return self._joined_columnar(
-                    left, right, left_indices, right_indices, residual, output_columns
-                )
-        left_key_values = [left.col(name).tolist() for name, _ in equi]
-        right_key_values = [right.col(name).tolist() for _, name in equi]
+        self._row_fallback()
+        left_keys = [left.col(name).tolist() for name, _ in equi]
+        right_keys = [right.col(name).tolist() for _, name in equi]
+        # A single key hashes bare values: no 1-tuple per row.
+        left_keys = left_keys[0] if len(equi) == 1 else list(zip(*left_keys))
+        right_keys = right_keys[0] if len(equi) == 1 else list(zip(*right_keys))
         buckets: dict = {}
         left_indices: list[int] = []
         right_indices: list[int] = []
-        if len(equi) == 1:
-            for position, key in enumerate(right_key_values[0]):
-                buckets.setdefault(key, []).append(position)
-            for position, key in enumerate(left_key_values[0]):
-                if not position & 0x3FFF:
-                    self._check_deadline()
-                matches = buckets.get(key)
-                if matches:
-                    left_indices += [position] * len(matches)
-                    right_indices += matches
-        else:
-            for position, key in enumerate(zip(*right_key_values)):
-                buckets.setdefault(key, []).append(position)
-            for position, key in enumerate(zip(*left_key_values)):
-                if not position & 0x3FFF:
-                    self._check_deadline()
-                matches = buckets.get(key)
-                if matches:
-                    left_indices += [position] * len(matches)
-                    right_indices += matches
+        for position, key in enumerate(right_keys):
+            buckets.setdefault(key, []).append(position)
+        for position, key in enumerate(left_keys):
+            if not position & 0x3FFF:
+                self._check_deadline()
+            matches = buckets.get(key)
+            if matches:
+                left_indices += [position] * len(matches)
+                right_indices += matches
         np = _columnar.active_numpy()
         if np is not None and left.vectorized and right.vectorized:
             count = len(left_indices)
@@ -346,7 +363,7 @@ class PlanInterpreter:
             len(left_indices),
         )
         if residual:
-            mask = compile_comparisons_mask(residual, output_columns)(combined)
+            mask = compile_comparisons_mask(residual, output_columns, self._row_fallback)(combined)
             combined = combined.filter(mask)
         return combined
 
@@ -422,7 +439,9 @@ class PlanInterpreter:
             total_out,
         )
         if plan.remaining:
-            mask = compile_comparisons_mask(plan.remaining, output_columns)(combined)
+            mask = compile_comparisons_mask(
+                plan.remaining, output_columns, self._row_fallback
+            )(combined)
             combined = combined.filter(mask)
         return combined
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator as _operator_module
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.errors import AlgebraError
 
@@ -457,8 +457,15 @@ def compile_term_columnar(term: Term, index_of: Mapping[str, int]):
     raise AlgebraError(f"cannot compile term {term!r}")
 
 
-def compile_comparisons_mask(comparisons: Iterable[Comparison], columns: Sequence[str]):
-    """Compile a conjunction into one mask closure over a :class:`ColumnarTable`."""
+def compile_comparisons_mask(
+    comparisons: Iterable[Comparison],
+    columns: Sequence[str],
+    on_decline: Optional[Callable[[], None]] = None,
+):
+    """Compile a conjunction into one mask closure over a :class:`ColumnarTable`.
+
+    ``on_decline`` is called for each conjunct masked element by element.
+    """
     from repro.algebra import columnar as _columnar
 
     index_of = {name: position for position, name in enumerate(columns)}
@@ -474,7 +481,9 @@ def compile_comparisons_mask(comparisons: Iterable[Comparison], columns: Sequenc
     def _mask(table):
         mask = None
         for left, op, right in compiled:
-            conjunct_mask = _columnar.compare_mask(left(table), op, right(table), table.length)
+            conjunct_mask = _columnar.compare_mask(
+                left(table), op, right(table), table.length, on_decline
+            )
             mask = conjunct_mask if mask is None else _columnar.mask_and(mask, conjunct_mask)
             if not _columnar.mask_any(mask):
                 break
@@ -483,9 +492,13 @@ def compile_comparisons_mask(comparisons: Iterable[Comparison], columns: Sequenc
     return _mask
 
 
-def compile_predicate_mask(predicate: Predicate, columns: Sequence[str]):
+def compile_predicate_mask(
+    predicate: Predicate,
+    columns: Sequence[str],
+    on_decline: Optional[Callable[[], None]] = None,
+):
     """Columnar twin of :func:`compile_predicate`: one boolean mask per call."""
-    return compile_comparisons_mask(predicate.conjuncts, columns)
+    return compile_comparisons_mask(predicate.conjuncts, columns, on_decline)
 
 
 def column(name: str) -> ColumnRef:

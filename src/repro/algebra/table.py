@@ -98,12 +98,17 @@ class Table:
         """This table's columnar twin, memoised per instance.
 
         Tables are treated as immutable once built, so the conversion (one
-        array per column) is paid at most once — the doc table's columns in
-        particular are shared across every plan evaluated against it.
+        array per column, its statistics, and dictionary codes for string
+        columns) is paid at most once — the doc table's columns in
+        particular are shared across every plan, and every thread,
+        evaluated against it.  Columns are published complete: nothing
+        writes to them after this returns them.
         """
         cached = self._columnar
         if cached is None or cached.vectorized != _columnar.numpy_active():
             cached = _columnar.ColumnarTable.from_table(self)
+            for column in cached.cols:
+                column.publish()
             self._columnar = cached
         return cached
 

@@ -570,7 +570,7 @@ class HashJoin(PhysicalOperator):
             outer_key = self._outer_columns[0](outer)
             inner_key = self._inner_columns[0](inner)
             if isinstance(outer_key, Column) and isinstance(inner_key, Column):
-                vectorized = _columnar.equi_join_indices(outer_key, inner_key)
+                vectorized = _columnar.equi_join_indices([outer_key], [inner_key])
                 if vectorized is not None:
                     return self._combined(outer, inner, *vectorized)
         if self.outer_terms:

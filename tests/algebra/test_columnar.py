@@ -6,12 +6,15 @@ rank kernel, the hash-bucket join for ``equi_join_indices`` — on value mixes
 that exercise the shadow-validity rules: NULLs, bools, huge ints beyond
 float64 exactness, strings on one side and on both.  Each test runs in the
 vectorized branch and in the pure-Python fallback (``set_numpy_enabled``),
-which is also what the ``REPRO_NO_NUMPY`` CI job forces globally.
+which is also what the ``REPRO_NO_NUMPY`` CI job forces globally.  The
+dictionary-code, whole-array-statistics, packed-join and first-occurrence
+kernels are property-tested (Hypothesis) against the same references.
 """
 
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algebra import columnar
 from repro.algebra.columnar import Column, ColumnarTable
@@ -124,7 +127,7 @@ def test_equi_join_indices_matches_bucket_order():
     build_values = [1, 3, 3, 2, 1, 9]
     probe = Column.from_values(probe_values)
     build = Column.from_values(build_values)
-    result = columnar.equi_join_indices(probe, build)
+    result = columnar.equi_join_indices([probe], [build])
     assert result is not None
     probe_idx, build_idx = result
     assert list(zip(probe_idx.tolist(), build_idx.tolist())) == _reference_hash_join(
@@ -144,7 +147,7 @@ def test_equi_join_indices_matches_bucket_order():
 def test_equi_join_indices_declines_unsafe_keys(probe_values, build_values):
     probe = Column.from_values(probe_values)
     build = Column.from_values(build_values)
-    assert columnar.equi_join_indices(probe, build) is None
+    assert columnar.equi_join_indices([probe], [build]) is None
 
 
 @pytest.mark.parametrize("vectorized", _vector_modes())
@@ -214,3 +217,166 @@ def test_interpreter_columnar_flag_is_differential():
     columnar_result = PlanInterpreter(table, columnar=True).evaluate(plan)
     row_result = PlanInterpreter(table, columnar=False).evaluate(plan)
     assert columnar_result == row_result
+
+
+# -- dictionary codes, whole-array statistics, packed joins (property-based) --------
+
+vector_only = pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="vectorized kernels only")
+
+#: Ints around and far beyond float64 exactness, floats (inf and NaN included).
+_INTS = st.one_of(
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.sampled_from([2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, -(2 ** 53) - 1, 2 ** 63, -(2 ** 64)]),
+)
+_FLOATS = st.floats(width=64)
+_STRINGS = st.text(alphabet="abc", max_size=3)
+
+
+def _values(*elements):
+    return st.lists(st.one_of(*elements), max_size=14)
+
+
+#: Pure and mixed columns.
+COLUMN_VALUES = st.one_of(
+    _values(_INTS),
+    _values(_INTS, st.none()),
+    _values(_FLOATS, st.none()),
+    _values(_INTS, _FLOATS, st.none()),
+    _values(_STRINGS, st.none()),
+    _values(st.booleans(), _INTS, st.none()),
+    _values(_INTS, _FLOATS, _STRINGS, st.booleans(), st.none()),
+)
+STRING_VALUES = _values(_STRINGS, st.none())
+LITERALS = st.one_of(st.none(), _STRINGS, st.sampled_from(["zzz", 0, 1, 2.5, True]))
+
+
+def _published(values):
+    column = Column.from_values(values)
+    column.publish()
+    return column
+
+
+def _permutation(data, n):
+    return data.draw(st.permutations(range(n)))
+
+
+@vector_only
+@settings(max_examples=300, deadline=None)
+@given(values=COLUMN_VALUES)
+def test_statistics_match_the_per_element_reference(values):
+    import numpy as np
+
+    with _numpy(True):
+        fast = Column.from_values(values)
+        fast._build_stats()
+        reference = Column.from_values(values)
+        reference._build_stats_by_element()
+    np.testing.assert_array_equal(fast.shadow, reference.shadow)
+    np.testing.assert_array_equal(fast.notnull, reference.notnull)
+    assert (fast.has_strings, fast.shadow_exact, fast.ints_only) == (
+        reference.has_strings, reference.shadow_exact, reference.ints_only
+    )
+
+
+@vector_only
+@settings(max_examples=200, deadline=None)
+@given(values=STRING_VALUES, literal=LITERALS, data=st.data())
+def test_coded_equality_masks_match_the_python_mask(values, literal, data):
+    n = len(values)
+    other = data.draw(st.lists(st.one_of(_STRINGS, st.none()), min_size=n, max_size=n))
+    with _numpy(True):
+        column = _published(values)
+        assert column.codes is not None
+        # The same dictionary (derived by take), and a different one.
+        shuffled = column.take(_permutation(data, n))
+        foreign = _published(other)
+        for op in ("=", "!="):
+            for right, right_column in ((literal, False), (shuffled, True), (foreign, True)):
+                mask = columnar.compare_mask(column, op, right, n)
+                expected = columnar._python_mask(column, op, right, True, right_column, n)
+                assert [bool(v) for v in mask] == list(expected), (op, right)
+            flipped = columnar.compare_mask(literal, op, column, n)
+            expected = columnar._python_mask(literal, op, column, False, True, n)
+            assert [bool(v) for v in flipped] == list(expected), (literal, op)
+
+
+@vector_only
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(-3, 3), st.sampled_from(["x", "y", "z", None])),
+        min_size=1, max_size=16,
+    ),
+    data=st.data(),
+)
+def test_coded_and_packed_joins_match_the_bucket_join(rows, data):
+    positions = st.lists(st.integers(0, len(rows) - 1), max_size=12)
+    with _numpy(True):
+        # Probe and build derive from one published table: shared dictionaries.
+        table = Table(("k", "s"), rows).columnar()
+        probe, build = table.take(data.draw(positions)), table.take(data.draw(positions))
+        for names in (["s"], ["k", "s"], ["s", "k"]):
+            probe_keys = [probe.col(name) for name in names]
+            build_keys = [build.col(name) for name in names]
+            result = columnar.equi_join_indices(probe_keys, build_keys)
+            assert result is not None, names
+            # None keys meet None keys, as in the row path's buckets.
+            expected = _reference_hash_join(
+                list(zip(*(c.tolist() for c in probe_keys))),
+                list(zip(*(c.tolist() for c in build_keys))),
+            )
+            assert list(zip(result[0].tolist(), result[1].tolist())) == expected, names
+
+
+@vector_only
+def test_coded_join_declines_across_dictionaries_and_on_null_ints():
+    with _numpy(True):
+        left, right = _published(["a", None]), _published(["a", None])
+        assert columnar.equi_join_indices([left], [right]) is None
+        ints = _published([1, None])
+        assert columnar.equi_join_indices([ints, left], [ints, left]) is None
+        huge = _published([2 ** 60, 1])
+        assert columnar.equi_join_indices([huge, left], [huge, left]) is None
+
+
+@vector_only
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from(["b", "a", "c", "", None]), st.integers(0, 2)), max_size=16
+    ),
+    data=st.data(),
+)
+def test_coded_rank_matches_rank_python(rows, data):
+    with _numpy(True):
+        table = Table(("o", "p"), rows).columnar()
+        table = table.take(_permutation(data, len(rows)))
+        order, partition = [table.col("o")], [table.col("p")]
+        declines = []
+        for partitions in ([], partition):
+            ranks = columnar.rank_values(order, partitions, len(rows), lambda: declines.append(1))
+            assert list(ranks) == list(columnar._rank_python(order, partitions, len(rows)))
+        assert not declines
+
+
+@pytest.mark.parametrize("vectorized", _vector_modes())
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from(["a", "b", None]),
+            st.sampled_from([1, 1.0, True, "1", None]),
+        ),
+        max_size=16,
+    ),
+)
+def test_first_occurrences_match_dict_fromkeys(vectorized, rows):
+    for columns in (("i",), ("i", "s"), ("i", "s", "mixed")):
+        width = len(columns)
+        narrowed = [row[:width] for row in rows]
+        with _numpy(vectorized):
+            table = Table(columns, narrowed).columnar()
+            positions = columnar.first_occurrences(table.cols, table.length)
+            distinct = table if positions is None else table.take(positions)
+        assert list(distinct.iter_rows()) == list(dict.fromkeys(narrowed))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import QueryTimeoutError
+from repro.algebra import columnar
 from repro.algebra.interpreter import PlanInterpreter, evaluate_plan
 from repro.algebra.operators import (
     Attach, Cross, Distinct, DocTable, Join, LiteralTable, Project, RowId, RowRank, Select, Serialize,
@@ -154,3 +155,66 @@ def test_group_aggregate_validates_its_columns():
         GroupAggregate(child, loop, "sum")  # sum needs a value column
     with pytest.raises(AlgebraError):
         GroupAggregate(child, loop, "count", value_column="item")
+
+
+# -- plan depth is not Python stack depth -------------------------------------------
+
+#: Three ``<b>`` elements, each heading a 130-deep chain of ``<c>``.
+NESTED_XML = "<a>" + ("<b>" + "<c>" * 130 + "1" + "</c>" * 130 + "</b>") * 3 + "</a>"
+
+
+@pytest.fixture(scope="module")
+def nested_session():
+    from repro.core.session import Session
+
+    session = Session(default_document="nested.xml")
+    session.register("nested.xml", NESTED_XML)
+    return session
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        'for $x in doc("nested.xml")//b return $x' + "/c" * 128,
+        'doc("nested.xml")//b' + "[c" * 50 + "]" * 50,
+    ],
+    ids=["path128", "nested_predicates50"],
+)
+def test_deep_plans_evaluate_without_recursion(nested_session, query):
+    stacked = nested_session.execute(query, configuration="stacked").items
+    isolated = nested_session.execute(query, configuration="isolated").items
+    assert stacked == isolated
+    assert len(stacked) == 3
+
+
+# -- row_fallbacks: operators that left the vectorized kernels -----------------------
+
+#: The queries of the benchmark's interpreted-engine workload.
+ENGINES_WARM_QUERIES = ("Q1", "Q2", "Q8", "Q10", "Q13", "Q19")
+
+
+@pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="the typed-list kernels are all Python")
+@pytest.mark.parametrize("plan", ("stacked_plan", "isolated_plan"))
+@pytest.mark.parametrize("name", ENGINES_WARM_QUERIES)
+def test_xmark_plans_never_leave_the_vectorized_kernels(xmark_processor, name, plan):
+    from repro.testing.corpus import XMARK_SUITE
+
+    (case,) = [case for case in XMARK_SUITE if case.name == name]
+    operator = getattr(xmark_processor.compile(case.xquery), plan)
+    interpreter = PlanInterpreter(xmark_processor.doc_table)
+    result = interpreter.evaluate(operator)
+    assert interpreter.row_fallbacks == 0
+    assert result == PlanInterpreter(xmark_processor.doc_table, columnar=False).evaluate(operator)
+
+
+def test_row_fallbacks_counts_a_join_on_a_mixed_key(small_auction_doc_table):
+    left = LiteralTable(("k", "tag"), [(1, "x"), ("1", "y"), (2, "z")])
+    right = LiteralTable(("k2",), [(1,), ("1",), (3,)])
+    plan = Join(left, right, Predicate.equality("k", "k2"))
+    interpreter = PlanInterpreter(small_auction_doc_table)
+    result = interpreter.evaluate(plan)
+    assert interpreter.row_fallbacks >= 1
+    assert result.rows == [(1, "x", 1), ("1", "y", "1")]
+    assert result == PlanInterpreter(small_auction_doc_table, columnar=False).evaluate(plan)
+    interpreter.evaluate(left)
+    assert interpreter.row_fallbacks == 0  # reset per evaluate

@@ -8,6 +8,7 @@ import doctest
 
 import pytest
 
+import repro.algebra.columnar
 import repro.core.pipeline
 import repro.core.session
 import repro.core.stages
@@ -17,6 +18,7 @@ import repro.relational.engine
 import repro.relational.optimizer.planner
 
 FACADE_MODULES = [
+    repro.algebra.columnar,
     repro.core.pipeline,
     repro.core.session,
     repro.core.stages,
