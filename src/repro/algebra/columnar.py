@@ -8,13 +8,11 @@ selections, and batch kernels (comparison masks, rank/dense-rank, staircase
 bisection helpers) that the interpreted engines call instead of per-row
 closures.
 
-Storage is a NumPy object ``ndarray`` per column when NumPy is importable,
-and a plain Python list otherwise (the *typed-list fallback*).  Every kernel
-has a pure-Python branch with semantics identical to the row path, so the
-engines produce bit-for-bit identical tables in either mode.  Setting the
-environment variable ``REPRO_NO_NUMPY`` (to any non-empty value) forces the
-fallback even when NumPy is installed — CI uses this to keep the pure-Python
-path green.
+Storage is a NumPy object ``ndarray`` per column.  A kernel whose
+vectorized branch cannot provably match the reference for the values at
+hand — uncoded strings, ints beyond float64 exactness, mixed types, NULL
+join keys — *declines* to an element-by-element Python branch with the
+reference semantics, so the output never depends on the branch taken.
 
 Comparison mask semantics replicate :func:`repro.algebra.predicates._compare`
 exactly:
@@ -49,35 +47,21 @@ dictionary object, so:
 
 >>> column = Column.from_values(["a", None, "b"])
 >>> column.publish()
->>> column.codes is None or column.codes.tolist() == [0, -1, 1]
-True
+>>> column.codes.tolist()
+[0, -1, 1]
 >>> [bool(v) for v in compare_mask(column, "=", "a", 3)]
 [True, False, False]
 >>> [bool(v) for v in compare_mask(column, "=", "zebra", 3)]
 [False, False, False]
 >>> [bool(v) for v in compare_mask(column, "!=", "zebra", 3)]
 [True, False, True]
-
-(The codes exist only with NumPy; the typed-list fallback answers the same
-masks element by element.)
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-try:  # pragma: no cover - exercised by the no-NumPy CI job
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("NumPy disabled via REPRO_NO_NUMPY")
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
-
-#: True when NumPy was importable at module load (and not disabled via env).
-HAVE_NUMPY = _np is not None
-
-_numpy_enabled = HAVE_NUMPY
+import numpy as _np
 
 #: Largest magnitude for which every int is exactly representable in float64.
 _EXACT_INT = 2 ** 53
@@ -87,29 +71,6 @@ _NAN = float("nan")
 #: Element-type sets whose statistics are built by whole-array conversions.
 _NUMERIC_TYPES = frozenset((int, float, type(None)))
 _STRING_TYPES = frozenset((str, type(None)))
-
-
-def numpy_active() -> bool:
-    """True when the vectorized (NumPy) branch is in use for new columns."""
-    return _numpy_enabled and _np is not None
-
-
-def active_numpy():
-    """The NumPy module when the vectorized branch is active, else ``None``."""
-    return _np if numpy_active() else None
-
-
-def set_numpy_enabled(enabled: bool) -> bool:
-    """Toggle the vectorized branch at runtime (tests only); returns the old value.
-
-    Disabling makes *newly built* columns use list storage; columns already
-    built keep their storage, and mixed-storage operations take the Python
-    branch, so flipping mid-run is safe (if slow).
-    """
-    global _numpy_enabled
-    previous = _numpy_enabled
-    _numpy_enabled = bool(enabled) and _np is not None
-    return previous
 
 
 def sort_key(values: tuple) -> tuple:
@@ -137,7 +98,7 @@ def sort_key(values: tuple) -> tuple:
 
 
 class Column:
-    """One table column: an object ndarray (vectorized) or a plain list.
+    """One table column: an object ndarray.
 
     Lazily caches per-column statistics used to pick kernel branches:
 
@@ -145,7 +106,7 @@ class Column:
         boolean mask, True where the value is not ``None``;
     ``shadow``
         float64 array with the numeric value per row and NaN for ``None``
-        or non-numeric values (vectorized storage only);
+        or non-numeric values;
     ``has_strings``
         True when any value is neither ``None`` nor numeric;
     ``shadow_exact``
@@ -194,18 +155,12 @@ class Column:
     def __len__(self) -> int:
         return self.length
 
-    @property
-    def vectorized(self) -> bool:
-        return _np is not None and isinstance(self.values, _np.ndarray)
-
     @classmethod
     def from_values(cls, values: Sequence[object]) -> "Column":
-        """Build a column with the storage chosen by :func:`numpy_active`."""
-        if numpy_active():
-            array = _np.empty(len(values), dtype=object)
-            array[:] = values
-            return cls(array)
-        return cls(list(values))
+        """Build a column holding exactly the objects ``values``."""
+        array = _np.empty(len(values), dtype=object)
+        array[:] = values
+        return cls(array)
 
     @classmethod
     def numeric(cls, shadow, ints_only: bool = False) -> "Column":
@@ -236,12 +191,9 @@ class Column:
     @classmethod
     def constant(cls, value: object, n: int) -> "Column":
         """A column holding ``value`` in every row (the Attach operator)."""
-        if numpy_active():
-            array = _np.empty(n, dtype=object)
-            array[:] = value
-            column = cls(array)
-        else:
-            column = cls([value] * n)
+        array = _np.empty(n, dtype=object)
+        array[:] = value
+        column = cls(array)
         column._has_strings = value is not None and not isinstance(value, (int, float))
         column._shadow_exact = not isinstance(value, int) or _scalar_exact(value)
         column._ints_only = value is None or isinstance(value, int)
@@ -250,12 +202,9 @@ class Column:
     @classmethod
     def int_sequence(cls, start: int, n: int) -> "Column":
         """Consecutive Python ints ``start .. start+n-1`` (the RowId operator)."""
-        if numpy_active():
-            column = cls(_np.arange(start, start + n).astype(object), n)
-            column._shadow = _np.arange(start, start + n, dtype=_np.float64)
-            column._notnull = _np.ones(n, dtype=bool)
-        else:
-            column = cls(list(range(start, start + n)))
+        column = cls(_np.arange(start, start + n).astype(object), n)
+        column._shadow = _np.arange(start, start + n, dtype=_np.float64)
+        column._notnull = _np.ones(n, dtype=bool)
         column._has_strings = False
         column._shadow_exact = True
         column._ints_only = True
@@ -269,7 +218,7 @@ class Column:
         afterwards, so threads may read it without a lock.
         """
         self._build_stats()
-        if not self.vectorized or not set(map(type, self.values)) <= _STRING_TYPES:
+        if not set(map(type, self.values)) <= _STRING_TYPES:
             return
         present = self.values[self.notnull].tolist()
         self.dictionary = {text: code for code, text in enumerate(sorted(set(present)))}
@@ -289,14 +238,6 @@ class Column:
         take :meth:`_build_stats_by_element`, the reference.
         """
         values = self.values
-        if not self.vectorized:
-            self._notnull = [v is not None for v in values]
-            self._has_strings = any(
-                v is not None and not isinstance(v, (int, float)) for v in values
-            )
-            self._shadow_exact = True
-            self._ints_only = False  # the fallback kernels never consult it
-            return
         types = set(map(type, values))
         if not (types <= _NUMERIC_TYPES or types <= _STRING_TYPES):
             self._build_stats_by_element()
@@ -325,7 +266,7 @@ class Column:
         self._ints_only = not has_strings and float not in types
 
     def _build_stats_by_element(self) -> None:
-        """The per-element statistics loop (vectorized storage)."""
+        """The per-element statistics loop."""
         values = self.values
         n = self.length
         has_strings = False
@@ -372,7 +313,7 @@ class Column:
 
     @property
     def shadow(self):
-        """float64 shadow (vectorized storage only; NaN = None / non-numeric)."""
+        """float64 shadow (NaN = None / non-numeric)."""
         if self._shadow is None:
             self._build_stats()
         return self._shadow
@@ -395,14 +336,8 @@ class Column:
             self._build_stats()
         return self._ints_only
 
-    def shadow_usable(self) -> bool:
-        """True when this column's shadow can stand in for its values."""
-        return self.vectorized and self.shadow_exact
-
     def tolist(self) -> list:
-        if self.vectorized:
-            return self.values.tolist()
-        return self.values if isinstance(self.values, list) else list(self.values)
+        return self.values.tolist()
 
     def _derive(self, gather: Callable) -> "Column":
         """The column ``gather(array)`` of the values and of every cached array.
@@ -426,70 +361,19 @@ class Column:
 
     def take(self, indices) -> "Column":
         """Gather by integer indices, propagating cached statistics."""
-        if self.vectorized:
-            return self._derive(lambda array: array[indices])
-        return self._derive(lambda values: [values[i] for i in indices])
+        return self._derive(lambda array: array[indices])
 
     def filter(self, mask) -> "Column":
-        """Keep rows where ``mask`` is True, propagating cached statistics."""
-        if self.vectorized:
-            keep = _np.asarray(mask, dtype=bool)
-            return self._derive(lambda array: array[keep])
-        return self._derive(lambda values: [v for v, k in zip(values, mask) if k])
+        """Keep rows where the boolean array ``mask`` is True, propagating cached statistics."""
+        return self._derive(lambda array: array[mask])
 
     def repeat(self, count: int) -> "Column":
         """Each value repeated ``count`` times in place (cross-product left side)."""
-        if self.vectorized:
-            return self._derive(lambda array: _np.repeat(array, count))
-        return self._derive(lambda values: [v for v in values for _ in range(count)])
+        return self._derive(lambda array: _np.repeat(array, count))
 
     def tile(self, count: int) -> "Column":
         """The whole column repeated ``count`` times (cross-product right side)."""
-        if self.vectorized:
-            return self._derive(lambda array: _np.tile(array, count))
-        return self._derive(lambda values: list(values) * count)
-
-
-# ---------------------------------------------------------------------------
-# Boolean masks (ndarray of bool, or list of bool in the fallback)
-# ---------------------------------------------------------------------------
-
-
-def full_mask(n: int, value: bool, vectorized: bool):
-    if vectorized and _np is not None:
-        return _np.full(n, value, dtype=bool)
-    return [value] * n
-
-
-def mask_and(left, right):
-    if _np is not None and isinstance(left, _np.ndarray) and isinstance(right, _np.ndarray):
-        return left & right
-    return [a and b for a, b in zip(left, right)]
-
-
-def mask_any(mask) -> bool:
-    if _np is not None and isinstance(mask, _np.ndarray):
-        return bool(mask.any())
-    return any(mask)
-
-
-def mask_all(mask) -> bool:
-    if _np is not None and isinstance(mask, _np.ndarray):
-        return bool(mask.all())
-    return all(mask)
-
-
-def mask_count(mask) -> int:
-    if _np is not None and isinstance(mask, _np.ndarray):
-        return int(mask.sum())
-    return sum(1 for m in mask if m)
-
-
-def mask_indices(mask):
-    """Integer row indices where ``mask`` is True."""
-    if _np is not None and isinstance(mask, _np.ndarray):
-        return _np.flatnonzero(mask)
-    return [i for i, m in enumerate(mask) if m]
+        return self._derive(lambda array: _np.tile(array, count))
 
 
 # ---------------------------------------------------------------------------
@@ -541,28 +425,22 @@ def compare_mask(
     left_column = isinstance(left, Column)
     right_column = isinstance(right, Column)
     if not left_column and not right_column:
-        return full_mask(n, _compare_scalar(left, op, right), numpy_active())
+        return _np.full(n, _compare_scalar(left, op, right), dtype=bool)
     # A None literal fails every row regardless of the operator.
     if (not left_column and left is None) or (not right_column and right is None):
-        vectorized = (left if left_column else right).vectorized
-        return full_mask(n, False, vectorized)
-
-    vectorized = (left.vectorized if left_column else True) and (
-        right.vectorized if right_column else True
-    )
-    if vectorized:
-        if op in ("=", "!="):
-            mask = _coded_equality_mask(left, op, right, left_column, right_column)
-            if mask is not None:
-                return mask
-        left_exact = left.shadow_exact if left_column else _scalar_exact(left)
-        right_exact = right.shadow_exact if right_column else _scalar_exact(right)
-        left_strings = left.has_strings if left_column else not _scalar_numericish(left)
-        right_strings = right.has_strings if right_column else not _scalar_numericish(right)
-        if left_exact and right_exact and not (left_strings and right_strings):
-            return _shadow_mask(left, op, right, left_column, right_column)
-        if op in ("=", "!="):
-            return _object_equality_mask(left, op, right, left_column, right_column)
+        return _np.zeros(n, dtype=bool)
+    if op in ("=", "!="):
+        mask = _coded_equality_mask(left, op, right, left_column, right_column)
+        if mask is not None:
+            return mask
+    left_exact = left.shadow_exact if left_column else _scalar_exact(left)
+    right_exact = right.shadow_exact if right_column else _scalar_exact(right)
+    left_strings = left.has_strings if left_column else not _scalar_numericish(left)
+    right_strings = right.has_strings if right_column else not _scalar_numericish(right)
+    if left_exact and right_exact and not (left_strings and right_strings):
+        return _shadow_mask(left, op, right, left_column, right_column)
+    if op in ("=", "!="):
+        return _object_equality_mask(left, op, right, left_column, right_column)
     if on_decline is not None:
         on_decline()
     return _python_mask(left, op, right, left_column, right_column, n)
@@ -614,9 +492,9 @@ def _shadow_mask(left, op, right, left_column, right_column):
         return a == b  # NaN (None / string shadow) never equals anything.
     if op == "!=":
         mask = a != b  # NaN != x is True, but None operands must fail ...
-        if left_column and not mask_all(left.notnull):
+        if left_column and not left.notnull.all():
             mask = mask & left.notnull  # ... so mask them out explicitly.
-        if right_column and not mask_all(right.notnull):
+        if right_column and not right.notnull.all():
             mask = mask & right.notnull
         # A string operand shadows to NaN: "x != 5" is genuinely True, and
         # notnull keeps it (strings are not None) — matching the reference.
@@ -644,9 +522,9 @@ def _object_equality_mask(left, op, right, left_column, right_column):
         mask = _np.full(len(left) if left_column else len(right), bool(mask))
     mask = mask.astype(bool, copy=False)
     # None operands fail the comparison even though None == None in Python.
-    if left_column and not mask_all(left.notnull):
+    if left_column and not left.notnull.all():
         mask = mask & left.notnull
-    if right_column and not mask_all(right.notnull):
+    if right_column and not right.notnull.all():
         mask = mask & right.notnull
     if not left_column and left is None or not right_column and right is None:
         mask = _np.zeros(len(mask), dtype=bool)
@@ -663,11 +541,23 @@ def _python_mask(left, op: str, right, left_column: bool, right_column: bool, n:
         lv = left_values[i] if left_column else left
         rv = right_values[i] if right_column else right
         append(_compare_scalar(lv, op, rv))
-    if numpy_active() and (
-        (left_column and left.vectorized) or (right_column and right.vectorized)
-    ):
-        return _np.array(out, dtype=bool)
-    return out
+    return _np.array(out, dtype=bool)
+
+
+def conjunction_mask(conjuncts, table, on_decline: Optional[Callable[[], None]] = None):
+    """The mask of a conjunction over ``table``: one :func:`compare_mask` per conjunct.
+
+    ``conjuncts`` holds ``(left, op, right)`` triples whose sides are
+    closures over ``table`` returning a :class:`Column` or a scalar.  Stops
+    early once no row survives.
+    """
+    mask = None
+    for left, op, right in conjuncts:
+        conjunct = compare_mask(left(table), op, right(table), table.length, on_decline)
+        mask = conjunct if mask is None else mask & conjunct
+        if not mask.any():
+            break
+    return mask
 
 
 def sum_columns(parts: Sequence[object], n: int) -> Column:
@@ -686,7 +576,7 @@ def sum_columns(parts: Sequence[object], n: int) -> Column:
                 return Column.from_values([None] * n)
             total += part  # type: ignore[operator]
         return Column.from_values([total] * n)
-    fast = all(c.vectorized and c.shadow_exact and not c.has_strings for c in columns)
+    fast = all(c.shadow_exact and not c.has_strings for c in columns)
     if fast:
         total = None
         scalar_total = 0.0
@@ -736,11 +626,9 @@ def _order_key(column: Column):
     ``None`` first); otherwise the shadow of an exact, string-free column
     without ``None``.
     """
-    if not column.vectorized:
-        return None
     if column.codes is not None:
         return column.codes
-    if column.shadow_exact and not column.has_strings and mask_all(column.notnull):
+    if column.shadow_exact and not column.has_strings and column.notnull.all():
         return column.shadow
     return None
 
@@ -755,8 +643,8 @@ def rank_values(
 
     Semantics match ``Table.attach_rank``: ranks restart at 1 per distinct
     partition key; ties on the order key share the 1-based sorted position
-    within their partition.  Returns Python ints (as an object ndarray in the
-    vectorized branch) so downstream rows stay bit-for-bit identical.
+    within their partition.  Returns Python ints (as an object ndarray) so
+    downstream rows stay bit-for-bit identical.
     ``on_decline`` is called when the ranks are computed in Python.
     """
     order_keys = [_order_key(c) for c in order_columns]
@@ -815,11 +703,9 @@ def _rank_python(order_columns, partition_columns, n: int):
                 rank = sorted_position
                 previous_key = key
             ranks[row_position] = rank
-    if numpy_active():
-        out = _np.empty(n, dtype=object)
-        out[:] = ranks
-        return out
-    return ranks
+    out = _np.empty(n, dtype=object)
+    out[:] = ranks
+    return out
 
 
 def dense_rank_map(keys: Iterable[tuple]) -> dict:
@@ -842,15 +728,13 @@ def _join_keys(probe: Column, build: Column, integral: bool):
     ``integral`` asks for int64 arrays, which packing needs: the shadows
     must then be of ints only.
     """
-    if not (probe.vectorized and build.vectorized):
-        return None
     if probe.codes is not None or build.codes is not None:
         return (probe.codes, build.codes) if probe.dictionary is build.dictionary else None
     if probe.has_strings or build.has_strings:
         return None
     if not (probe.shadow_exact and build.shadow_exact):
         return None
-    if not (mask_all(probe.notnull) and mask_all(build.notnull)):
+    if not (probe.notnull.all() and build.notnull.all()):
         return None
     if not integral:
         return probe.shadow, build.shadow
@@ -893,9 +777,6 @@ def equi_join_indices(probe: Sequence[Column], build: Sequence[Column]):
     Python ``dict`` key equality (:func:`_join_keys`) or the packed key
     would overflow.
     """
-    np = active_numpy()
-    if np is None:
-        return None
     integral = len(probe) > 1
     pairs = [_join_keys(p, b, integral) for p, b in zip(probe, build)]
     if any(pair is None for pair in pairs):
@@ -907,18 +788,20 @@ def equi_join_indices(probe: Sequence[Column], build: Sequence[Column]):
         probe_key, build_key = packed
     else:
         probe_key, build_key = pairs[0]
-    build_order = np.argsort(build_key, kind="stable")
+    build_order = _np.argsort(build_key, kind="stable")
     sorted_build = build_key[build_order]
-    low = np.searchsorted(sorted_build, probe_key, side="left")
-    high = np.searchsorted(sorted_build, probe_key, side="right")
+    low = _np.searchsorted(sorted_build, probe_key, side="left")
+    high = _np.searchsorted(sorted_build, probe_key, side="right")
     counts = high - low
     total = int(counts.sum())
     if total == 0:
-        empty = np.empty(0, dtype=np.int64)
+        empty = _np.empty(0, dtype=_np.int64)
         return empty, empty
-    starts = np.cumsum(counts) - counts
-    flat = np.arange(total, dtype=np.int64) - np.repeat(starts, counts) + np.repeat(low, counts)
-    probe_indices = np.repeat(np.arange(len(probe_key), dtype=np.int64), counts)
+    starts = _np.cumsum(counts) - counts
+    flat = (
+        _np.arange(total, dtype=_np.int64) - _np.repeat(starts, counts) + _np.repeat(low, counts)
+    )
+    probe_indices = _np.repeat(_np.arange(len(probe_key), dtype=_np.int64), counts)
     return probe_indices, build_order[flat]
 
 
@@ -966,10 +849,6 @@ class ColumnarTable:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnarTable(columns={self.columns}, rows={self.length})"
-
-    @property
-    def vectorized(self) -> bool:
-        return all(c.vectorized for c in self.cols) if self.cols else numpy_active()
 
     @classmethod
     def from_rows(cls, columns: Sequence[str], rows: Sequence[tuple]) -> "ColumnarTable":
@@ -1019,7 +898,7 @@ class ColumnarTable:
         return ColumnarTable(self.columns, [c.take(indices) for c in self.cols], count)
 
     def filter(self, mask) -> "ColumnarTable":
-        count = mask_count(mask)
+        count = int(mask.sum())
         if count == self.length:
             return self
         return ColumnarTable(self.columns, [c.filter(mask) for c in self.cols], count)

@@ -1,17 +1,15 @@
-"""Traversal and reconstruction utilities for plan DAGs.
+"""Traversal and in-place gluing utilities for plan DAGs.
 
-Plan operators are immutable and shared, so "modifying" a plan means
-rebuilding the spine from the changed node up to the root while preserving
-sharing everywhere else: :func:`pushout` and the helpers built on it do
-exactly that.  The one exception is an isolation run, which works on a
-private :func:`thaw` ed copy that :func:`glue` — and nothing else —
-mutates in place.  Also here: the reachability relation ``⇛`` the rewrite
-rules of Fig. 5 consult.
+Plan operators are shared and treated as immutable.  The one exception is
+an isolation run, which works on a private :func:`thaw` ed copy that
+:func:`glue` — and nothing else — mutates in place, keeping the identity
+of every node a rewrite step does not touch.  Also here: the reachability
+relation ``⇛`` the rewrite rules of Fig. 5 consult.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Type
 
 from repro.algebra.operators import Operator
@@ -81,114 +79,6 @@ def reaches(source: Operator, target: Operator) -> bool:
     return any(target is node for node in iter_nodes(source))
 
 
-@dataclass
-class Pushout:
-    """The result of gluing replacement subplans into a plan DAG.
-
-    Named after the double-pushout reading of a rewrite step (cf. chyp /
-    ReGraph): the *preserved part* is everything the substitution map does
-    not mention, and it embeds into both the old plan and the new one.
-    ``root`` is the rebuilt plan; ``glued`` maps ``id(old node)`` to the
-    object that took its place at the top-level gluing context.
-    """
-
-    root: Operator
-    glued: dict[int, Operator] = field(default_factory=dict)
-
-
-def pushout(root: Operator, replacements: Mapping[int, Operator]) -> Pushout:
-    """Rebuild the DAG with ``replacements`` (keyed by ``id`` of the old node).
-
-    The pure gluing: nothing is mutated, every ancestor of a replaced node
-    is re-created.  (:func:`glue` is its in-place counterpart for a thawed
-    plan; the rewrite tests hold the two against each other.)
-
-    Sharing is preserved *by construction*: the preserved part — every node
-    the map does not mention — is reused as-is (object identity), and every
-    reference to a replaced node resolves to one single replacement object,
-    *including* references buried inside other replacement subtrees.  A
-    replacement may legitimately contain the very node it replaces (rules
-    such as (8) wrap the matched operator); that occurrence belongs to the
-    preserved part — the ``p → lhs`` / ``p → rhs`` inclusions of a pushout
-    complement — and is kept verbatim instead of being replaced again, which
-    is what the ``banned`` set tracks.
-
-    Rewriting inside replacements matters for multi-node substitution maps
-    (the key-join collapse returns one): a replacement that still references
-    the *old* version of another replaced node must see its new version, or
-    the plan ends up with two divergent copies of a shared operator — which
-    silently breaks every rewrite premise that relies on shared anchors
-    (``left_origin[0] is right_origin[0]``).
-
-    Nothing here recurses: plan depth grows with query size (one level per
-    path step), and a hostile query must not be able to exhaust the Python
-    stack.
-    """
-    #: ``reach[id(node)]`` = the replacement keys reachable from ``node``,
-    #: folded bottom-up over the plan and over every replacement subtree
-    #: (the only objects the walk below can visit).  Memo keys pair a
-    #: node id with the *relevant* slice of the banned set (``banned &
-    #: reach``), so a node rebuilt in unrelated contexts still resolves to
-    #: one single object.
-    reach: dict[int, frozenset[int]] = {}
-    for start in (root, *replacements.values()):
-        for node in iter_nodes(start):
-            if id(node) in reach:
-                continue
-            acc: frozenset[int] = frozenset()
-            for child in node.children:
-                acc |= reach[id(child)]
-            if id(node) in replacements:
-                acc |= frozenset((id(node),))
-            reach[id(node)] = acc
-
-    memo: dict[tuple[int, frozenset[int]], Operator] = {}
-    glued: dict[int, Operator] = {}
-
-    # Depth-first walk over ``(node, banned)`` frames: a frame is expanded
-    # once (its children — or, for a replaced node outside its own
-    # replacement, the replacement — are pushed on top of it) and finished
-    # when it resurfaces, by which time everything it depends on is in
-    # ``memo``.
-    stack: list[tuple[Operator, frozenset[int], bool]] = [(root, frozenset(), False)]
-    while stack:
-        node, banned, expanded = stack.pop()
-        node_id = id(node)
-        effective = banned & reach[node_id]
-        key = (node_id, effective)
-        replaced = node_id in replacements and node_id not in banned
-        if not expanded:
-            if key in memo:
-                continue
-            stack.append((node, banned, True))
-            if replaced:
-                stack.append(
-                    (replacements[node_id], banned | frozenset((node_id,)), False)
-                )
-            else:
-                for child in reversed(node.children):
-                    stack.append((child, effective, False))
-            continue
-        if replaced:
-            replacement = replacements[node_id]
-            inner = (banned | frozenset((node_id,))) & reach[id(replacement)]
-            result = memo[(id(replacement), inner)]
-            # Record the top-level gluing only (first context reaching the
-            # node): deeper banned contexts rebuild preserved occurrences.
-            glued.setdefault(node_id, result)
-        else:
-            new_children = [
-                memo[(id(child), effective & reach[id(child)])]
-                for child in node.children
-            ]
-            if all(new is old for new, old in zip(new_children, node.children)):
-                result = node
-            else:
-                result = node.with_children(new_children)
-        memo[key] = result
-    return Pushout(root=memo[(id(root), frozenset())], glued=glued)
-
-
 def thaw(root: Operator) -> tuple[Operator, dict[int, list[Operator]]]:
     """A private copy of the DAG (sharing preserved) plus its parent index.
 
@@ -234,10 +124,12 @@ def glue(
 ) -> Glue:
     """Glue ``replacements`` into a thawed plan *in place* — the one mutator.
 
-    The in-place counterpart of :func:`pushout` on a plan from
+    A double-pushout rewrite step done in place on a plan from
     :func:`thaw`: the pushout complement is "un-point these edges", the
     glue "point them at the replacement", and nothing above the match is
     re-created, so every node the map does not mention keeps its identity.
+    (The restart reference of the rewrite tests glues purely, rebuilding
+    every ancestor; the tests hold the two against each other.)
     The same occurrence rule applies: a parent that sits *inside* the
     replacement of the node it references (rule (8) wraps its match) keeps
     that reference — re-pointing it would close a cycle — while every
@@ -406,16 +298,6 @@ def _validate_glue(
         if id(node) not in dead
     }
     return moved, doomed, list(revalidated.values())
-
-
-def substitute(root: Operator, replacements: Mapping[int, Operator]) -> Operator:
-    """Rebuild the DAG with ``replacements`` — see :func:`pushout`."""
-    return pushout(root, replacements).root
-
-
-def replace_node(root: Operator, old: Operator, new: Operator) -> Operator:
-    """Replace one node of the DAG (all references to it) and return the new root."""
-    return substitute(root, {id(old): new})
 
 
 def find_nodes(root: Operator, match: Callable[[Operator], bool]) -> list[Operator]:

@@ -14,30 +14,28 @@ Shared sub-plans are evaluated once (memoised by node identity, children
 before parents, each result kept until its last consumer has run),
 matching the behaviour of a common table expression.
 
-Three execution modes share the operator semantics bit-for-bit:
+Two execution modes share the operator semantics bit-for-bit:
 
-* ``columnar=True`` (the default when ``compiled``) — the columnar core:
-  operators evaluate over :class:`~repro.algebra.columnar.ColumnarTable`
-  columns, selections become boolean masks over whole columns, hash joins
-  gather match indices and build output columns with array takes, and range
-  joins locate *all* probe bounds with batched ``searchsorted`` calls.
-* ``compiled=True, columnar=False`` — the compiled row core: predicates are
-  compiled once per operator into positional-index closures (no per-row
-  dicts), and joins whose predicate is a conjunction of range bounds on a
-  single column — which is what every Fig. 3 axis step compiles to —
-  run as a sort-based *range join* (sort the bounded side on the column,
-  answer each outer row with two ``bisect`` probes, staircase-join style),
-  dropping axis-step joins from O(n·m) to O(n log n + output).
-* ``compiled=False`` — the seed's naive row-dict evaluation, kept as the
-  differential baseline for tests.
+* ``compiled=True`` (the default) — the columnar core: operators evaluate
+  over :class:`~repro.algebra.columnar.ColumnarTable` columns, selections
+  become boolean masks over whole columns, hash joins gather match indices
+  and build output columns with array takes, and joins whose predicate is
+  a conjunction of range bounds on a single column — which is what every
+  Fig. 3 axis step compiles to — run as a sort-based *range join* that
+  locates *all* probe bounds with batched ``searchsorted`` calls, dropping
+  axis-step joins from O(n·m) to O(n log n + output).  A join neither
+  kernel can answer runs as a blocked cross product under a predicate mask.
+* ``compiled=False`` — the naive row-dict evaluation: the slow, obviously
+  correct oracle every differential test compares the columnar core with.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
+
+import numpy as np
 
 from repro.errors import AlgebraError, ExecutionError, QueryTimeoutError
 from repro.algebra import columnar as _columnar
@@ -63,14 +61,14 @@ from repro.algebra.predicates import (
     Comparison,
     Predicate,
     Term,
-    compile_comparisons,
     compile_comparisons_mask,
-    compile_predicate,
     compile_predicate_mask,
-    compile_term,
     compile_term_columnar,
 )
 from repro.algebra.table import Table
+
+#: Row pairs one block of the masked nested-loop join materialises at most.
+NESTED_LOOP_BLOCK_PAIRS = 1 << 16
 
 
 class PlanInterpreter:
@@ -85,16 +83,9 @@ class PlanInterpreter:
         Optional execution budget; exceeding it raises
         :class:`~repro.errors.QueryTimeoutError` (the paper's "DNF").
     compiled:
-        Use the compiled execution core (compiled predicates + sort-based
-        range joins).  ``False`` selects the naive per-row-dict reference
-        path; both produce identical tables, row order included.
-    columnar:
-        Evaluate over :class:`~repro.algebra.columnar.ColumnarTable` columns
-        with mask selections and batch joins instead of per-row closures.
-        Defaults to following ``compiled`` (so the default interpreter is
-        columnar); forced off when ``compiled`` is ``False`` — the naive
-        path is the reference baseline and stays row-at-a-time.  All three
-        modes produce identical tables, row order included.
+        Use the columnar execution core (mask selections, batch joins).
+        ``False`` selects the naive per-row-dict oracle; both produce
+        identical tables, row order included.
     parameters:
         Late bindings for the :class:`~repro.algebra.predicates.Parameter`
         slots a prepared plan carries.  Every predicate is resolved against
@@ -109,12 +100,10 @@ class PlanInterpreter:
         timeout_seconds: Optional[float] = None,
         compiled: bool = True,
         parameters: Optional[Mapping[str, object]] = None,
-        columnar: Optional[bool] = None,
     ):
         self.doc_table = doc_table
         self.timeout_seconds = timeout_seconds
         self.compiled = compiled
-        self.columnar = compiled and (columnar if columnar is not None else True)
         self.parameters = dict(parameters) if parameters else None
         self._deadline: Optional[float] = None
         self._memo: dict[int, Table] = {}
@@ -125,8 +114,8 @@ class PlanInterpreter:
         #: Number of joins answered by the sort-based range-join fast path.
         self.range_joins = 0
         #: Number of times a columnar operator left the vectorized kernels:
-        #: a Python-bucket hash join, a row-path join, an element-by-element
-        #: comparison mask or a Python rank.
+        #: a Python-bucket hash join, a masked nested-loop join, an
+        #: element-by-element comparison mask or a Python rank.
         self.row_fallbacks = 0
 
     # -- public API -------------------------------------------------------------
@@ -156,7 +145,7 @@ class PlanInterpreter:
                 consumers[id(child)] -= 1
                 if not consumers[id(child)]:
                     del self._memo[id(child)]
-        if self.columnar:
+        if self.compiled:
             return result.to_table()
         return result
 
@@ -171,13 +160,14 @@ class PlanInterpreter:
         if id(node) in self._memo:
             return self._memo[id(node)]
         self._check_deadline()
-        result = self._dispatch_columnar(node) if self.columnar else self._dispatch(node)
+        result = self._dispatch_columnar(node) if self.compiled else self._dispatch(node)
         self.operators_evaluated += 1
         self.rows_materialised += len(result)
         self._memo[id(node)] = result
         return result
 
     def _dispatch(self, node: Operator) -> Table:
+        """The naive oracle: row tables, every predicate tested on one row dict at a time."""
         if isinstance(node, DocTable):
             return self.doc_table
         if isinstance(node, LiteralTable):
@@ -188,10 +178,7 @@ class PlanInterpreter:
             return self._evaluate(node.child).project(node.items)
         if isinstance(node, Select):
             table = self._evaluate(node.child)
-            predicate = self._bound_predicate(node.predicate)
-            if self.compiled:
-                return table.filter_rows(compile_predicate(predicate, table.columns))
-            return table.select(predicate.evaluate)
+            return table.select(self._bound_predicate(node.predicate).evaluate)
         if isinstance(node, Distinct):
             return self._evaluate(node.child).distinct()
         if isinstance(node, Attach):
@@ -205,7 +192,7 @@ class PlanInterpreter:
         if isinstance(node, Cross):
             return self._evaluate(node.left).cross(self._evaluate(node.right))
         if isinstance(node, Join):
-            return self._join(node)
+            return self._join_naive(node)
         if isinstance(node, GroupAggregate):
             return self._group_aggregate(node)
         raise ExecutionError(f"cannot evaluate operator {type(node).__name__}")
@@ -215,7 +202,7 @@ class PlanInterpreter:
     # The columnar twins of the operators above.  Results flow between
     # operators as ColumnarTables (one array per column); `evaluate` converts
     # back to a row Table at the very end, restoring the exact Python objects
-    # so all three modes (naive / compiled / columnar) are bit-for-bit
+    # so the columnar core and the naive oracle are bit-for-bit
     # interchangeable.
 
     def _row_fallback(self) -> None:
@@ -288,20 +275,49 @@ class PlanInterpreter:
         equi, residual = _split_equijoin_conjuncts(predicate, left.columns, right.columns)
         if equi:
             return self._hash_join_columnar(left, right, equi, residual, output_columns)
-        if residual and _columnar.active_numpy() is not None and left.vectorized and right.vectorized:
-            plan = _plan_range_join(residual, left.columns, right.columns)
-            if plan is not None:
-                result = self._range_join_columnar(left, right, plan, output_columns)
-                if result is not None:
-                    self.range_joins += 1
-                    return result
-        # Fallback (no vectorized range plan applies): run the proven row
-        # path — which has its own bisect range join and nested loop, and
-        # updates the range_joins counter itself — then lift the result back
-        # into columns.
+        plan = _plan_range_join(residual, left.columns, right.columns)
+        if plan is not None:
+            result = self._range_join_columnar(left, right, plan, output_columns)
+            if result is not None:
+                self.range_joins += 1
+                return result
+        return self._nested_loop_columnar(left, right, predicate, output_columns)
+
+    def _nested_loop_columnar(
+        self,
+        left: ColumnarTable,
+        right: ColumnarTable,
+        predicate: Predicate,
+        output_columns: tuple[str, ...],
+    ) -> ColumnarTable:
+        """The join no kernel plans: a blocked cross product under a predicate mask.
+
+        A block of left rows — at most :data:`NESTED_LOOP_BLOCK_PAIRS` pairs'
+        worth — is crossed with every right row, on the predicate's columns
+        only, and masked; the surviving pair positions are kept, and one
+        gather builds the output.  Pairs come out left-major with right rows
+        in order: nested-loop order.
+        """
         self._row_fallback()
-        result = self._join_tables(predicate, left.to_table(), right.to_table())
-        return ColumnarTable.from_table(result)
+        width = right.length
+        if not (left.length and width):
+            empty = np.empty(0, dtype=np.int64)
+            return self._joined_columnar(left, right, empty, empty, [], output_columns)
+        names = predicate.columns()
+        left_keys = left.project([(name, name) for name in left.columns if name in names])
+        right_keys = right.project([(name, name) for name in right.columns if name in names])
+        mask_of = compile_predicate_mask(predicate, left_keys.columns + right_keys.columns)
+        step = max(1, NESTED_LOOP_BLOCK_PAIRS // width)
+        matches = []
+        for start in range(0, left.length, step):
+            self._check_deadline()
+            block = left_keys.take(np.arange(start, min(start + step, left.length)))
+            mask = mask_of(self._cross_columnar(block, right_keys))
+            matches.append(np.flatnonzero(mask) + start * width)
+        pairs = np.concatenate(matches)
+        return self._joined_columnar(
+            left, right, pairs // width, pairs % width, [], output_columns
+        )
 
     def _hash_join_columnar(
         self,
@@ -338,11 +354,9 @@ class PlanInterpreter:
             if matches:
                 left_indices += [position] * len(matches)
                 right_indices += matches
-        np = _columnar.active_numpy()
-        if np is not None and left.vectorized and right.vectorized:
-            count = len(left_indices)
-            left_indices = np.fromiter(left_indices, dtype=np.int64, count=count)
-            right_indices = np.fromiter(right_indices, dtype=np.int64, count=count)
+        count = len(left_indices)
+        left_indices = np.fromiter(left_indices, dtype=np.int64, count=count)
+        right_indices = np.fromiter(right_indices, dtype=np.int64, count=count)
         return self._joined_columnar(
             left, right, left_indices, right_indices, residual, output_columns
         )
@@ -376,17 +390,17 @@ class PlanInterpreter:
     ) -> Optional[ColumnarTable]:
         """Batch-bisect range join; returns ``None`` to signal a fallback.
 
-        The vectorized counterpart of :meth:`_range_join_rows`: the build
-        side's column is sorted once, then *all* probe bounds are located
-        with one ``searchsorted`` call per bound.  Output order is restored
-        with a lexsort over (build, probe) positions so rows come out in the
-        exact nested-loop order of the row path.
+        The side owning the bounded column (*build*) is sorted on it once,
+        then *all* probe bounds are located with one ``searchsorted`` call
+        per bound.  Output order is restored with a lexsort over (build,
+        probe) positions so rows come out in exact nested-loop order.  The
+        float64 shadow orders the build column, so a column holding strings
+        or ints beyond ±2**53 declines.
         """
-        np = _columnar.active_numpy()
         build, probe = (left, right) if plan.build_side == "left" else (right, left)
         build_column = build.col(plan.column)
         if build_column.has_strings or not build_column.shadow_exact:
-            return None  # mirror the row path: non-numeric build values bail out
+            return None  # the shadow cannot order these values
         build_positions = np.flatnonzero(build_column.notnull)  # None never matches
         values = build_column.shadow[build_positions]
         order = np.argsort(values, kind="stable")
@@ -487,11 +501,8 @@ class PlanInterpreter:
         if node.function == "sum":
             items = [folded.get(key, 0) for key in loop_keys]
             return loop.with_column(node.item_column, Column.from_values(items))
-        keep = [key in folded for key in loop_keys]
+        keep = np.array([key in folded for key in loop_keys], dtype=bool)
         items = [folded[key] for key in loop_keys if key in folded]
-        np = _columnar.active_numpy()
-        if np is not None and loop.vectorized:
-            keep = np.array(keep, dtype=bool)
         return loop.filter(keep).with_column(node.item_column, Column.from_values(items))
 
     # -- join evaluation ----------------------------------------------------------
@@ -502,165 +513,10 @@ class PlanInterpreter:
             return predicate.bind(self.parameters)
         return predicate
 
-    def _join(self, node: Join) -> Table:
-        left = self._evaluate(node.left)
-        right = self._evaluate(node.right)
-        predicate = self._bound_predicate(node.predicate)
-        if not self.compiled:
-            return self._join_naive(predicate, left, right)
-        return self._join_tables(predicate, left, right)
-
-    def _join_tables(self, predicate: Predicate, left: Table, right: Table) -> Table:
-        """The compiled (row-tuple) join: hash equi-join / range join / nested loop."""
-        equi, residual = _split_equijoin_conjuncts(predicate, left.columns, right.columns)
-        output_columns = left.columns + right.columns
-        residual_test = (
-            compile_comparisons(residual, output_columns) if residual else None
-        )
-        if equi:
-            rows = self._hash_join_rows(left, right, equi, residual_test)
-            return Table.unchecked(output_columns, rows)
-        if residual:
-            plan = _plan_range_join(residual, left.columns, right.columns)
-            if plan is not None:
-                rows = self._range_join_rows(left, right, plan, output_columns)
-                if rows is not None:
-                    self.range_joins += 1
-                    return Table.unchecked(output_columns, rows)
-        # Fallback: nested loop with the predicate compiled once (no row dicts).
-        predicate_test = compile_predicate(predicate, output_columns)
-        rows = []
-        for left_row in left.rows:
-            self._check_deadline()
-            for right_row in right.rows:
-                combined = left_row + right_row
-                if predicate_test(combined):
-                    rows.append(combined)
-        return Table.unchecked(output_columns, rows)
-
-    def _hash_join_rows(
-        self,
-        left: Table,
-        right: Table,
-        equi: list[tuple[str, str]],
-        residual_test: Optional[Callable[[tuple], bool]],
-    ) -> list[tuple]:
-        left_keys = [left.column_index(name) for name, _ in equi]
-        right_keys = [right.column_index(name) for _, name in equi]
-        buckets: dict[tuple, list[tuple]] = {}
-        for row in right.rows:
-            key = tuple(row[index] for index in right_keys)
-            buckets.setdefault(key, []).append(row)
-        rows: list[tuple] = []
-        if len(left_keys) == 1:
-            single = left_keys[0]
-            for left_row in left.rows:
-                self._check_deadline()
-                for right_row in buckets.get((left_row[single],), ()):
-                    combined = left_row + right_row
-                    if residual_test is None or residual_test(combined):
-                        rows.append(combined)
-            return rows
-        for left_row in left.rows:
-            self._check_deadline()
-            key = tuple(left_row[index] for index in left_keys)
-            for right_row in buckets.get(key, ()):
-                combined = left_row + right_row
-                if residual_test is None or residual_test(combined):
-                    rows.append(combined)
-        return rows
-
-    def _range_join_rows(
-        self,
-        left: Table,
-        right: Table,
-        plan: "_RangeJoinPlan",
-        output_columns: tuple[str, ...],
-    ) -> Optional[list[tuple]]:
-        """Sort-based range join; returns ``None`` to signal a fallback.
-
-        The side owning the bounded column (*build*) is sorted on it once;
-        every row of the other side (*probe*) then locates its matches with
-        two ``bisect`` probes.  Output rows are emitted in nested-loop order
-        (left-major, original row order within) so results stay bit-for-bit
-        identical to the naive path.
-        """
-        build, probe = (left, right) if plan.build_side == "left" else (right, left)
-        column = build.column_index(plan.column)
-        pairs: list[tuple[float, int]] = []
-        for position, row in enumerate(build.rows):
-            value = row[column]
-            if value is None:
-                continue  # None never satisfies any comparison
-            if not isinstance(value, (int, float)):
-                return None  # non-numeric build values: stay on the safe path
-            pairs.append((value, position))
-        pairs.sort()
-        values = [value for value, _position in pairs]
-        probe_index_of = {name: i for i, name in enumerate(probe.columns)}
-        lows: list[tuple[Callable[[Sequence[object]], object], bool]] = []
-        highs: list[tuple[Callable[[Sequence[object]], object], bool]] = []
-        for op, term in plan.bounds:
-            fn = compile_term(term, probe_index_of)
-            if op in (">", ">="):
-                lows.append((fn, op == ">="))
-            elif op in ("<", "<="):
-                highs.append((fn, op == "<="))
-            else:  # "=" — an exact bound from both sides
-                lows.append((fn, True))
-                highs.append((fn, True))
-        remaining_test = (
-            compile_comparisons(plan.remaining, output_columns) if plan.remaining else None
-        )
-        build_rows = build.rows
-        total = len(values)
-        build_is_left = plan.build_side == "left"
-        keyed: list[tuple[int, int, tuple]] = []
-        rows: list[tuple] = []
-        for probe_position, probe_row in enumerate(probe.rows):
-            self._check_deadline()
-            start, end = 0, total
-            usable = True
-            for fn, inclusive in lows:
-                bound = fn(probe_row)
-                if bound is None or not isinstance(bound, (int, float)):
-                    usable = False
-                    break
-                cut = bisect_left(values, bound) if inclusive else bisect_right(values, bound)
-                if cut > start:
-                    start = cut
-            if usable:
-                for fn, inclusive in highs:
-                    bound = fn(probe_row)
-                    if bound is None or not isinstance(bound, (int, float)):
-                        usable = False
-                        break
-                    cut = bisect_right(values, bound) if inclusive else bisect_left(values, bound)
-                    if cut < end:
-                        end = cut
-            if not usable or start >= end:
-                continue
-            matches = sorted(position for _value, position in pairs[start:end])
-            if build_is_left:
-                for build_position in matches:
-                    combined = build_rows[build_position] + probe_row
-                    if remaining_test is None or remaining_test(combined):
-                        keyed.append((build_position, probe_position, combined))
-            else:
-                for build_position in matches:
-                    combined = probe_row + build_rows[build_position]
-                    if remaining_test is None or remaining_test(combined):
-                        rows.append(combined)
-        if build_is_left:
-            # Restore left-major nested-loop order.
-            keyed.sort(key=lambda item: (item[0], item[1]))
-            return [combined for _l, _r, combined in keyed]
-        return rows
-
     # -- aggregation ---------------------------------------------------------------
 
     def _group_aggregate(self, node: GroupAggregate) -> Table:
-        """Reference semantics of Aggr (shared by compiled and naive modes).
+        """Reference semantics of Aggr (the naive oracle's).
 
         Child rows are deduplicated on (group, unit, value) — the argument
         is a node sequence, so each node counts once per iteration — then
@@ -710,9 +566,12 @@ class PlanInterpreter:
                     rows.append(loop_row + (sum(values) / len(values),))
         return Table.unchecked(loop.columns + (node.item_column,), rows)
 
-    # -- the seed's naive join, kept as the differential baseline -----------------
+    # -- the naive join (the oracle's) -----------------------------------------------
 
-    def _join_naive(self, predicate: Predicate, left: Table, right: Table) -> Table:
+    def _join_naive(self, node: Join) -> Table:
+        left = self._evaluate(node.left)
+        right = self._evaluate(node.right)
+        predicate = self._bound_predicate(node.predicate)
         equi, residual = _split_equijoin_conjuncts(predicate, left.columns, right.columns)
         output_columns = left.columns + right.columns
         rows: list[tuple] = []
@@ -870,7 +729,6 @@ def evaluate_plan(
     timeout_seconds: Optional[float] = None,
     compiled: bool = True,
     parameters: Optional[Mapping[str, object]] = None,
-    columnar: Optional[bool] = None,
 ) -> Table:
     """Convenience wrapper: evaluate ``plan`` against ``doc_table``."""
     return PlanInterpreter(
@@ -878,5 +736,4 @@ def evaluate_plan(
         timeout_seconds=timeout_seconds,
         compiled=compiled,
         parameters=parameters,
-        columnar=columnar,
     ).evaluate(plan)

@@ -17,18 +17,10 @@ function ``cols(·)`` of the paper corresponds to the ``columns()`` methods.
 
 from __future__ import annotations
 
-import operator as _operator_module
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.errors import AlgebraError
-
-_RANGE_RELATIONS = {
-    "<": _operator_module.lt,
-    "<=": _operator_module.le,
-    ">": _operator_module.gt,
-    ">=": _operator_module.ge,
-}
 
 #: Comparison operators admitted by the algebra (GeneralComp of Fig. 1).
 COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
@@ -305,128 +297,19 @@ class Predicate:
 
 
 # ---------------------------------------------------------------------------
-# Predicate compilation (the vectorized execution core's hot path)
-# ---------------------------------------------------------------------------
-#
-# ``Term.evaluate`` / ``Predicate.evaluate`` take ``row`` *dictionaries* —
-# convenient for the reference semantics, ruinous on the hot path where every
-# operator would build one dict per row.  The ``compile_*`` functions below
-# translate a predicate tree *once* per operator into closures over positional
-# row tuples: column references become ``row[i]`` lookups resolved at compile
-# time against the input schema.  The compiled closures implement exactly the
-# reference semantics of :func:`_compare` (``None`` operands and mixed-type
-# range comparisons fail instead of raising).
-
-
-def compile_term(term: Term, index_of: Mapping[str, int]) -> "Callable[[Sequence[object]], object]":
-    """Compile ``term`` into a closure over a positional row tuple."""
-    if isinstance(term, ColumnRef):
-        try:
-            position = index_of[term.name]
-        except KeyError:
-            raise AlgebraError(
-                f"unknown column {term.name!r} in predicate compilation"
-            ) from None
-        return lambda row: row[position]
-    if isinstance(term, Literal):
-        value = term.value
-        return lambda row: value
-    if isinstance(term, Sum):
-        parts = tuple(compile_term(part, index_of) for part in term.terms)
-
-        def _sum(row: Sequence[object]) -> object:
-            total = 0
-            for part in parts:
-                value = part(row)
-                if value is None:
-                    return None
-                total += value  # type: ignore[operator]
-            return total
-
-        return _sum
-    if isinstance(term, Parameter):
-        raise AlgebraError(
-            f"parameter ${term.name} must be bound before predicate compilation; "
-            "call Predicate.bind() or pass parameters to the interpreter"
-        )
-    raise AlgebraError(f"cannot compile term {term!r}")
-
-
-def compile_comparison(
-    comparison: Comparison, index_of: Mapping[str, int]
-) -> "Callable[[Sequence[object]], bool]":
-    """Compile one comparison into a positional-row boolean closure."""
-    left = compile_term(comparison.left, index_of)
-    right = compile_term(comparison.right, index_of)
-    op = comparison.op
-    if op == "=":
-        def _eq(row: Sequence[object]) -> bool:
-            lv = left(row)
-            rv = right(row)
-            return lv is not None and rv is not None and lv == rv
-
-        return _eq
-    if op == "!=":
-        def _ne(row: Sequence[object]) -> bool:
-            lv = left(row)
-            rv = right(row)
-            return lv is not None and rv is not None and lv != rv
-
-        return _ne
-    if op not in COMPARISON_OPS:
-        raise AlgebraError(f"unknown comparison operator {op!r}")
-    relation = _RANGE_RELATIONS[op]
-
-    def _range(row: Sequence[object]) -> bool:
-        lv = left(row)
-        rv = right(row)
-        if lv is None or rv is None:
-            return False
-        try:
-            return relation(lv, rv)
-        except TypeError:
-            return False
-
-    return _range
-
-
-def compile_predicate(
-    predicate: Predicate, columns: Sequence[str]
-) -> "Callable[[Sequence[object]], bool]":
-    """Compile a conjunction into one closure over positional row tuples."""
-    return compile_comparisons(predicate.conjuncts, columns)
-
-
-def compile_comparisons(
-    comparisons: Iterable[Comparison], columns: Sequence[str]
-) -> "Callable[[Sequence[object]], bool]":
-    """Compile a list of residual conjuncts into one positional closure."""
-    index_of = {name: position for position, name in enumerate(columns)}
-    compiled = tuple(compile_comparison(conjunct, index_of) for conjunct in comparisons)
-    if len(compiled) == 1:
-        return compiled[0]
-
-    def _all(row: Sequence[object]) -> bool:
-        for conjunct in compiled:
-            if not conjunct(row):
-                return False
-        return True
-
-    return _all
-
-
-# ---------------------------------------------------------------------------
 # Columnar (mask) compilation
 # ---------------------------------------------------------------------------
 #
-# The columnar twins of ``compile_term`` / ``compile_comparisons``: a term
-# compiles into a closure over a :class:`~repro.algebra.columnar.ColumnarTable`
-# returning a whole :class:`~repro.algebra.columnar.Column` (or a scalar), and
-# a conjunction compiles into a closure returning one boolean *mask* over all
-# rows.  The mask kernels in :mod:`repro.algebra.columnar` implement exactly
-# the :func:`_compare` reference semantics, vectorized where provably safe
-# and element-by-element otherwise, so masks agree bit-for-bit with the
-# compiled row closures above.
+# ``Term.evaluate`` / ``Predicate.evaluate`` take one row *dictionary* at a
+# time — the reference semantics the naive interpreter runs.  The production
+# path compiles a predicate tree *once* per operator instead: a term into a
+# closure over a :class:`~repro.algebra.columnar.ColumnarTable` returning a
+# whole :class:`~repro.algebra.columnar.Column` (or a scalar), column
+# references resolved against the input schema at compile time, and a
+# conjunction into a closure returning one boolean *mask* over all rows.  The
+# mask kernels in :mod:`repro.algebra.columnar` implement exactly the
+# :func:`_compare` semantics, vectorized where provably safe and element by
+# element otherwise.
 
 
 def compile_term_columnar(term: Term, index_of: Mapping[str, int]):
@@ -477,19 +360,7 @@ def compile_comparisons_mask(
         )
         for conjunct in comparisons
     )
-
-    def _mask(table):
-        mask = None
-        for left, op, right in compiled:
-            conjunct_mask = _columnar.compare_mask(
-                left(table), op, right(table), table.length, on_decline
-            )
-            mask = conjunct_mask if mask is None else _columnar.mask_and(mask, conjunct_mask)
-            if not _columnar.mask_any(mask):
-                break
-        return mask
-
-    return _mask
+    return lambda table: _columnar.conjunction_mask(compiled, table, on_decline)
 
 
 def compile_predicate_mask(
@@ -497,7 +368,7 @@ def compile_predicate_mask(
     columns: Sequence[str],
     on_decline: Optional[Callable[[], None]] = None,
 ):
-    """Columnar twin of :func:`compile_predicate`: one boolean mask per call."""
+    """Compile a predicate into one boolean-mask closure over a :class:`ColumnarTable`."""
     return compile_comparisons_mask(predicate.conjuncts, columns, on_decline)
 
 

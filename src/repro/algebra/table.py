@@ -105,7 +105,7 @@ class Table:
         writes to them after this returns them.
         """
         cached = self._columnar
-        if cached is None or cached.vectorized != _columnar.numpy_active():
+        if cached is None:
             cached = _columnar.ColumnarTable.from_table(self)
             for column in cached.cols:
                 column.publish()
@@ -133,10 +133,6 @@ class Table:
 
     def select(self, keep: Callable[[Mapping[str, object]], bool]) -> "Table":
         return Table(self.columns, (row for row in self.rows if keep(self.row_dict(row))))
-
-    def filter_rows(self, keep: Callable[[tuple], bool]) -> "Table":
-        """Positional-row selection: ``keep`` sees the raw row tuple."""
-        return Table.unchecked(self.columns, [row for row in self.rows if keep(row)])
 
     def distinct(self) -> "Table":
         seen: set[tuple] = set()

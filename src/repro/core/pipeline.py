@@ -285,16 +285,12 @@ class XQueryProcessor:
         with_default_indexes: bool = True,
         plan_cache: Optional[PlanCache] = None,
         sql_backend: Optional[SQLiteBackend] = None,
-        columnar_execution: bool = True,
     ):
         self.encoding = encoding
         self.default_document = default_document or (
             encoding.document_uris()[0] if encoding.document_uris() else None
         )
-        self.settings = CompilerSettings(
-            default_document=self.default_document,
-            columnar_execution=columnar_execution,
-        )
+        self.settings = CompilerSettings(default_document=self.default_document)
         #: Keyed LRU of compilation results (see :class:`PlanCache` for the
         #: key contract).  May be shared between processors serving the same
         #: logical catalog (e.g. across Session refreshes).  It also owns
@@ -308,7 +304,7 @@ class XQueryProcessor:
         #: ``sql-stacked`` use) unless a shared backend (e.g. Session-owned)
         #: was injected.
         self.context = ExecutionContext(
-            snapshot=CatalogSnapshot(encoding, with_default_indexes, columnar_execution),
+            snapshot=CatalogSnapshot(encoding, with_default_indexes),
             settings=self.settings,
             sql_backend_supplier=Lazy(lambda: sql_backend or SQLiteBackend()).get,
         )

@@ -9,7 +9,7 @@ A :class:`Rule` is the unit the isolation engine executes:
     can only constrain *classes*, never require two matched positions to
     be one and the same object.  Identity premises (the key-join
     collapse's shared anchor, rule (8)'s row-id origin) belong in guards,
-    where the pushout substitution of :mod:`repro.algebra.dag` preserves
+    where the in-place gluing of :func:`repro.algebra.dag.glue` preserves
     the sharing they rely on.
 
 ``guard``
@@ -24,7 +24,7 @@ A :class:`Rule` is the unit the isolation engine executes:
     several nodes at once, as the key-join collapse uses to widen a
     shared spine).  Builders must be pure: they never mutate matched
     operators, and they reuse matched sub-plans by object identity so the
-    pushout keeps the DAG's sharing intact.
+    glue keeps the DAG's sharing intact.
 
 ``exemplar``
     A zero-argument callable returning a small pinned plan on which the
@@ -177,8 +177,8 @@ def validate_rule(rule: Rule, run_exemplar: bool = True) -> None:
     afterwards — builders must not mutate operators in place — and
     (c) every leaf reachable from the replacement is one of the input
     plan's own leaf objects: builders splice matched sub-plans in by
-    identity, they never deep-copy them (the sharing contract the pushout
-    substitution relies on).
+    identity, they never deep-copy them (the sharing contract the glue
+    relies on).
     """
     if not rule.name:
         raise RuleValidationError("a rewrite rule needs a name")

@@ -165,11 +165,9 @@ class Session:
         store: Optional[DocumentStore] = None,
         default_document: Optional[str] = None,
         sql_backend: Optional[SQLiteBackend] = None,
-        columnar_execution: bool = True,
     ):
         self.store = store or DocumentStore()
         self.default_document = default_document
-        self.columnar_execution = columnar_execution
         self.plan_cache = PlanCache()
         #: The session-owned SQLite mirror of the catalog.  Handed to every
         #: new processor, so registration only ever *appends* to it
@@ -224,7 +222,6 @@ class Session:
                 default_document=self.default_document,
                 plan_cache=self.plan_cache,
                 sql_backend=self.sql_backend,
-                columnar_execution=self.columnar_execution,
             )
             self._current = (version, processor)
             return processor

@@ -249,7 +249,6 @@ class CatalogSnapshot:
         self,
         encoding: DocumentEncoding,
         with_default_indexes: bool = True,
-        columnar: bool = True,
     ):
         self.encoding = encoding
         self.row_count = row_count = len(encoding)
@@ -259,7 +258,7 @@ class CatalogSnapshot:
                 encoding, with_default_indexes=with_default_indexes, row_count=row_count
             )
         )
-        self._engine = Lazy(lambda: RelationalEngine(self.database, columnar=columnar))
+        self._engine = Lazy(lambda: RelationalEngine(self.database))
 
     @property
     def doc_table(self) -> Table:
@@ -583,8 +582,7 @@ def _interpret(plan: str) -> Callable[..., EngineResult]:
     def run(compilation, context, values, timeout_seconds, timings) -> EngineResult:
         with _timed(timings, "execute"):
             interpreter = PlanInterpreter(
-                context.doc_table, timeout_seconds=timeout_seconds,
-                parameters=values or None, columnar=context.settings.columnar_execution,
+                context.doc_table, timeout_seconds=timeout_seconds, parameters=values or None
             )
             table = interpreter.evaluate(getattr(compilation, plan))
         with _timed(timings, "decode"):

@@ -234,10 +234,6 @@ def _folder(spec):
 class RelationalEngine:
     """Plan and execute join graphs against an in-memory :class:`Database`.
 
-    ``columnar`` selects the vectorized physical paths (mask scans, columnar
-    hash joins, batch rank passes); ``False`` pins the row-at-a-time
-    operators, kept as the differential baseline.
-
     The engine memoises one compiled :class:`_Program` per ``(graph
     identity, bound values)`` in a fixed-size LRU, so a prepared call
     executes without re-planning.  There is one engine per catalog snapshot
@@ -245,15 +241,11 @@ class RelationalEngine:
     is dropped with the snapshot.
     """
 
-    def __init__(self, database: Database, columnar: bool = True):
+    def __init__(self, database: Database):
         self.database = database
-        self.columnar = columnar
         self.planner = Planner(database)
         self._programs: OrderedDict[tuple, _Program] = OrderedDict()
         self._programs_lock = threading.Lock()
-
-    def _context(self, timeout_seconds: Optional[float]) -> ExecutionContext:
-        return ExecutionContext(timeout_seconds, columnar=self.columnar)
 
     def _program(
         self, graph: JoinGraph, bindings: Optional[Mapping[str, object]]
@@ -324,7 +316,7 @@ class RelationalEngine:
             return self._execute_aggregate(program, timeout_seconds)
         if program.resolved.windows or program.resolved.having:
             return self._execute_filtered(program, timeout_seconds)
-        ctx = self._context(timeout_seconds)
+        ctx = ExecutionContext(timeout_seconds)
         rows = list(program.planned.root.results(ctx))
         return QueryResult(
             rows=rows,
@@ -345,13 +337,13 @@ class RelationalEngine:
         is folded over its argument bundle, and rows are filtered in order.
         """
         planned, checks = program.filtered_main
-        ctx = self._context(timeout_seconds)
+        ctx = ExecutionContext(timeout_seconds)
         rows = list(planned.root.results(ctx))
         scanned, probes = ctx.rows_scanned, ctx.index_probes
         lookups: list[dict[tuple, object]] = []
         windows = len(program.resolved.windows)
         for number, (scope, spec) in enumerate(program.filter_plans):
-            ctx = self._context(timeout_seconds)
+            ctx = ExecutionContext(timeout_seconds)
             evaluate = self._window_ranks if number < windows else self._having_values
             lookups.append(evaluate(scope, spec, ctx))
             scanned += ctx.rows_scanned
@@ -375,7 +367,7 @@ class RelationalEngine:
         per-partition *sets*, so its SORT DISTINCT tail is skipped), through
         the row path otherwise (e.g. index nested-loop plans).
         """
-        columns = planned.root.value_set_columns(ctx) if self.columnar else None
+        columns = planned.root.value_set_columns(ctx)
         if columns is not None:
             keys = zip(*columns)
         else:
@@ -418,7 +410,7 @@ class RelationalEngine:
         spec = graph.aggregate
         assert spec is not None
         fold = _folder(spec)
-        inner_ctx = self._context(timeout_seconds)
+        inner_ctx = ExecutionContext(timeout_seconds)
         inner_rows = list(program.planned.root.results(inner_ctx))
         if spec.is_scalar:
             value = fold(inner_rows)
@@ -429,7 +421,7 @@ class RelationalEngine:
                 rows_scanned=inner_ctx.rows_scanned,
                 index_probes=inner_ctx.index_probes,
             )
-        outer_ctx = self._context(timeout_seconds)
+        outer_ctx = ExecutionContext(timeout_seconds)
         groups: dict[object, list[dict[str, object]]] = {}
         for row in inner_rows:
             groups.setdefault(row["g"], []).append(row)

@@ -22,6 +22,12 @@ self-join aliases of the join graph stay separate without the per-row
 are iterators; the plan is fully pipelined except for SORT and the build
 side of HSJOIN.
 
+Scans, filters and hash joins evaluate **column-wise** over
+:class:`~repro.algebra.columnar.ColumnarTable` inputs — mask scans, packed
+multi-key joins — whenever every input below them can
+(:meth:`PhysicalOperator.can_columnar`); above an index operator (NLJOIN,
+IXSCAN), which is pipelined row by row, they run over rows instead.
+
 An operator tree is an **immutable program**: every slot map, term and
 condition closure and index-probe bound is compiled by the operator's
 constructor, and everything one execution changes lives in its
@@ -35,6 +41,8 @@ import operator as _operator_module
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.errors import ExecutionError, QueryTimeoutError
 from repro.algebra import columnar as _columnar
@@ -213,9 +221,9 @@ def compile_term_columnar(term: Term, slots: SlotMap):
 def compile_conditions_mask(conditions: Sequence[Condition], slots: SlotMap):
     """Compile a conjunction into one boolean-mask closure (``None`` if empty).
 
-    The mask kernels share :func:`repro.algebra.columnar.compare_mask`'s
-    reference semantics, so masks agree bit-for-bit with the compiled row
-    closures of :func:`compile_conditions`.
+    :func:`repro.algebra.columnar.compare_mask` shares the reference
+    semantics of :func:`compile_conditions`' row closures, so masks agree
+    with them bit for bit.
     """
     if not conditions:
         return None
@@ -227,30 +235,14 @@ def compile_conditions_mask(conditions: Sequence[Condition], slots: SlotMap):
         )
         for condition in conditions
     )
-
-    def _mask(table: ColumnarTable):
-        mask = None
-        for left, op, right in compiled:
-            conjunct = _columnar.compare_mask(left(table), op, right(table), table.length)
-            mask = conjunct if mask is None else _columnar.mask_and(mask, conjunct)
-            if not _columnar.mask_any(mask):
-                break
-        return mask
-
-    return _mask
+    return lambda table: _columnar.conjunction_mask(compiled, table)
 
 
 class ExecutionContext:
-    """Per-execution state: deadline checks, operator counters, mode flags.
+    """Per-execution state: the deadline and the operator counters."""
 
-    ``columnar`` selects the vectorized operator paths (mask scans, columnar
-    hash joins); the row paths stay in-tree as the differential baseline and
-    are what ``columnar=False`` runs.
-    """
-
-    def __init__(self, timeout_seconds: Optional[float] = None, columnar: bool = True):
+    def __init__(self, timeout_seconds: Optional[float] = None):
         self.timeout_seconds = timeout_seconds
-        self.columnar = columnar
         self.deadline = (
             time.perf_counter() + timeout_seconds if timeout_seconds is not None else None
         )
@@ -263,16 +255,9 @@ class ExecutionContext:
             raise QueryTimeoutError(self.timeout_seconds or 0.0, elapsed)
 
 
-def _value_lists(evaluators, table: ColumnarTable) -> list[list]:
-    """Evaluate columnar term closures into one plain list per term."""
-    lists = []
-    for evaluate in evaluators:
-        value = evaluate(table)
-        if isinstance(value, Column):
-            lists.append(value.tolist())
-        else:  # constant (or missing-column NULL)
-            lists.append([value] * table.length)
-    return lists
+def _value_list(value, length: int) -> list:
+    """A columnar term's value — a Column, or a constant / missing-column NULL — as a list."""
+    return value.tolist() if isinstance(value, Column) else [value] * length
 
 
 @dataclass
@@ -330,7 +315,6 @@ class TableScan(PhysicalOperator):
 
     def __post_init__(self) -> None:
         self.slots = SlotMap.for_table(self.table, self.alias)
-        self._keep = compile_conditions(self.conditions, self.slots)
         self._mask = compile_conditions_mask(self.conditions, self.slots)
 
     def can_columnar(self) -> bool:
@@ -345,21 +329,13 @@ class TableScan(PhysicalOperator):
         return base.filter(self._mask(base))
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        if ctx.columnar:
-            if not self.conditions:
-                # Bulk scan: the table's own tuples, counted in one step.
-                ctx.check()
-                ctx.rows_scanned += len(self.table.rows)
-                yield from self.table.rows
-                return
+        if self._mask is not None:
             yield from self.as_columnar(ctx).iter_rows()
             return
-        keep = self._keep
-        for row in self.table.rows:
-            ctx.check()
-            ctx.rows_scanned += 1
-            if keep is None or keep(row):
-                yield row
+        # Bulk scan: the table's own tuples, counted in one step.
+        ctx.check()
+        ctx.rows_scanned += len(self.table.rows)
+        yield from self.table.rows
 
     def describe(self) -> str:
         predicate = " ".join(c.render() for c in self.conditions)
@@ -566,42 +542,46 @@ class HashJoin(PhysicalOperator):
             return None
         outer = self.outer.as_columnar(ctx)
         inner = self.inner.as_columnar(ctx)
-        if len(self.outer_terms) == 1:
-            outer_key = self._outer_columns[0](outer)
-            inner_key = self._inner_columns[0](inner)
-            if isinstance(outer_key, Column) and isinstance(inner_key, Column):
-                vectorized = _columnar.equi_join_indices([outer_key], [inner_key])
-                if vectorized is not None:
-                    return self._combined(outer, inner, *vectorized)
-        if self.outer_terms:
-            inner_keys = _value_lists(self._inner_columns, inner)
-            outer_keys = _value_lists(self._outer_columns, outer)
-            buckets: dict[tuple, list[int]] = {}
-            for position, key in enumerate(zip(*inner_keys)):
-                buckets.setdefault(key, []).append(position)
-            outer_indices: list[int] = []
-            inner_indices: list[int] = []
-            for position, key in enumerate(zip(*outer_keys)):
-                if not position & 0x3FFF:
-                    ctx.check()
-                matches = buckets.get(key)
-                if matches:
-                    outer_indices += [position] * len(matches)
-                    inner_indices += matches
-        else:
+        if not self.outer_terms:
             # No equi keys: every outer row pairs with every inner row (the
             # row path hashes on the empty tuple), and the residual does the
             # actual joining.  Keep the outer-major, inner-in-order pairing.
             ctx.check()
-            all_inner = list(range(inner.length))
-            outer_indices = [p for p in range(outer.length) for _ in all_inner]
-            inner_indices = all_inner * outer.length
-        np = _columnar.active_numpy()
-        if np is not None and outer.vectorized and inner.vectorized:
-            count = len(outer_indices)
-            outer_indices = np.fromiter(outer_indices, dtype=np.int64, count=count)
-            inner_indices = np.fromiter(inner_indices, dtype=np.int64, count=count)
-        return self._combined(outer, inner, outer_indices, inner_indices)
+            return self._combined(
+                outer,
+                inner,
+                np.repeat(np.arange(outer.length), inner.length),
+                np.tile(np.arange(inner.length), outer.length),
+            )
+        outer_keys = [evaluate(outer) for evaluate in self._outer_columns]
+        inner_keys = [evaluate(inner) for evaluate in self._inner_columns]
+        if all(isinstance(key, Column) for key in outer_keys + inner_keys):
+            vectorized = _columnar.equi_join_indices(outer_keys, inner_keys)
+            if vectorized is not None:
+                return self._combined(outer, inner, *vectorized)
+        # A declined key (uncoded strings, NULL numbers, ...) or a constant
+        # term: Python buckets over the key tuples.
+        buckets: dict[tuple, list[int]] = {}
+        inner_lists = [_value_list(key, inner.length) for key in inner_keys]
+        for position, key in enumerate(zip(*inner_lists)):
+            buckets.setdefault(key, []).append(position)
+        outer_indices: list[int] = []
+        inner_indices: list[int] = []
+        outer_lists = [_value_list(key, outer.length) for key in outer_keys]
+        for position, key in enumerate(zip(*outer_lists)):
+            if not position & 0x3FFF:
+                ctx.check()
+            matches = buckets.get(key)
+            if matches:
+                outer_indices += [position] * len(matches)
+                inner_indices += matches
+        count = len(outer_indices)
+        return self._combined(
+            outer,
+            inner,
+            np.fromiter(outer_indices, dtype=np.int64, count=count),
+            np.fromiter(inner_indices, dtype=np.int64, count=count),
+        )
 
     def _combined(
         self,
@@ -623,11 +603,9 @@ class HashJoin(PhysicalOperator):
         return combined.filter(self._residual_mask(combined))
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        if ctx.columnar:
-            result = self.as_columnar(ctx)
-            if result is not None:
-                yield from result.iter_rows()
-                return
+        if self.can_columnar():
+            yield from self.as_columnar(ctx).iter_rows()
+            return
         inner_keys, outer_keys, residual = self._inner_keys, self._outer_keys, self._residual
         buckets: dict[tuple, list[Row]] = {}
         for inner_row in self.inner.rows(ctx):
@@ -673,7 +651,7 @@ class Filter(PhysicalOperator):
         return child.filter(self._mask(child))
 
     def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        if ctx.columnar and self.can_columnar():
+        if self.can_columnar():
             yield from self.as_columnar(ctx).iter_rows()
             return
         keep = self._keep
@@ -764,7 +742,8 @@ class Return(PhysicalOperator):
         child = self.child.child if isinstance(self.child, Sort) else self.child
         if not child.can_columnar():
             return None
-        return _value_lists(self._select_columns, child.as_columnar(ctx))
+        table = child.as_columnar(ctx)
+        return [_value_list(evaluate(table), table.length) for evaluate in self._select_columns]
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)

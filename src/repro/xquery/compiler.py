@@ -68,18 +68,10 @@ class CompilerSettings:
     ``/descendant-or-self::node()`` step the paper uses to make the cost of
     result serialization explicit to the back-end (Section IV, "Autonomous
     index design").
-
-    ``columnar_execution`` selects the vectorized execution core
-    (:mod:`repro.algebra.columnar`) for the interpreted engines; ``False``
-    pins the compiled row-at-a-time paths, kept in-tree as the differential
-    baseline.  Compiled *plans* are identical either way — the flag only
-    picks the physical evaluation strategy — but it participates in the
-    plan-cache key like every other setting.
     """
 
     add_serialization_step: bool = False
     default_document: Optional[str] = None
-    columnar_execution: bool = True
 
 
 @dataclass

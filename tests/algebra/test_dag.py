@@ -1,10 +1,10 @@
-"""Tests for DAG traversal and substitution."""
+"""Tests for DAG traversal, in-place gluing, and the reference's pure gluing."""
 
 import pytest
 
 from repro.algebra.dag import (
     count_operators, find_first, glue, iter_nodes, node_count, operator_histogram,
-    parents_map, pushout, reaches, replace_node, shared_nodes, substitute, thaw,
+    parents_map, reaches, shared_nodes, thaw,
 )
 from repro.algebra.operators import (
     Attach, Cross, Distinct, DocTable, Join, Project, RowId, Select, Serialize,
@@ -12,6 +12,7 @@ from repro.algebra.operators import (
 from repro.algebra.predicates import ColumnRef, Comparison, Literal, Predicate
 from repro.core.rewrite.rule import _structural_fingerprint
 from repro.errors import AlgebraError
+from tests.core.restart_reference import pushout, replace_node, substitute
 
 
 def _sample_plan():

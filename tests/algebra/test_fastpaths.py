@@ -1,10 +1,11 @@
-"""Differential tests: the vectorized execution core vs the naive reference.
+"""Differential tests: the columnar execution core vs the naive oracle.
 
-The compiled-predicate / range-join fast paths of
+The mask selections, hash / range joins and masked nested-loop join of
 :class:`~repro.algebra.interpreter.PlanInterpreter` must be *bit-for-bit*
-identical to the seed's per-row-dict evaluation — same rows, same order.
-These property-style tests drive both modes over randomized predicates,
-axis-join mixes and full compiled XQuery plans on XMark/DBLP fragments.
+identical to the per-row-dict evaluation of ``compiled=False`` — same
+rows, same order.  These property-style tests drive both modes over
+randomized predicates, axis-join mixes and full compiled XQuery plans on
+XMark/DBLP fragments.
 """
 
 import random
@@ -12,16 +13,17 @@ import random
 import pytest
 
 from repro.algebra.interpreter import PlanInterpreter, evaluate_plan
-from repro.algebra.operators import Join, LiteralTable, Select
+from repro.algebra.operators import Join, LiteralTable
 from repro.algebra.predicates import (
     ColumnRef,
     Comparison,
     Literal,
     Predicate,
     Sum,
-    compile_predicate,
+    compile_predicate_mask,
 )
 from repro.algebra.table import Table
+from repro.errors import QueryTimeoutError
 from repro.xquery.compiler import LoopLiftingCompiler
 
 AXIS_OPS = ("<", "<=", ">", ">=", "=", "!=")
@@ -64,9 +66,10 @@ def test_compiled_select_matches_reference_on_random_predicates():
     for _ in range(120):
         table = Table(columns, _random_doc_rows(rng, rng.randint(0, 25)))
         predicate = _random_predicate(rng, columns)
-        compiled = table.filter_rows(compile_predicate(predicate, table.columns))
+        columns_of = table.columnar()
+        compiled = columns_of.filter(compile_predicate_mask(predicate, table.columns)(columns_of))
         reference = table.select(predicate.evaluate)
-        assert compiled == reference, predicate.render()
+        assert compiled.to_table() == reference, predicate.render()
 
 
 def _join_tables(rng, left_count, right_count):
@@ -155,6 +158,62 @@ def test_range_join_falls_back_on_non_numeric_columns():
     assert interpreter.range_joins == 0  # strings: safe nested-loop fallback
     naive = PlanInterpreter(Table(("x",), []), compiled=False).evaluate(plan)
     assert fast.rows == naive.rows
+
+
+def _nested_loop_join(left, right, *conjuncts):
+    """Evaluate the join both ways; returns the columnar run's interpreter and rows."""
+    plan = Join(
+        LiteralTable(left.columns, left.rows),
+        LiteralTable(right.columns, right.rows),
+        Predicate.of(*conjuncts),
+    )
+    interpreter = PlanInterpreter(Table(("x",), []))
+    fast = interpreter.evaluate(plan)
+    naive = PlanInterpreter(Table(("x",), []), compiled=False).evaluate(plan)
+    assert fast.columns == naive.columns
+    assert fast.rows == naive.rows
+    return interpreter, fast.rows
+
+
+def test_masked_nested_loop_on_a_not_equal_only_predicate():
+    left = Table(("a", "tag"), [(1, "x"), (2, "y"), (None, "z"), (2, "w"), ("2", "v")])
+    right = Table(("b",), [(2,), (1,), (None,), (2.0,), ("2",)])
+    interpreter, rows = _nested_loop_join(
+        left, right, Comparison(ColumnRef("a"), "!=", ColumnRef("b"))
+    )
+    assert interpreter.row_fallbacks == 1 and interpreter.range_joins == 0
+    # Left-major, right rows in order; NULL on either side never qualifies.
+    assert rows[:4] == [(1, "x", 2), (1, "x", 2.0), (1, "x", "2"), (2, "y", 1)]
+    assert not [row for row in rows if None in (row[0], row[2])]
+
+
+def test_masked_nested_loop_on_a_range_over_huge_ints():
+    # Beyond ±2**53 a float64 shadow no longer orders the ints, so the range
+    # join declines and the masked nested loop compares the Python ints.
+    base = 2 ** 60
+    left = Table(("pre", "size"), [(base + i, 2) for i in (0, 3, 1, 7)])
+    right = Table(("p",), [(base + i,) for i in (2, 1, 4, 3, 9, 0)])
+    interpreter, rows = _nested_loop_join(
+        left,
+        right,
+        Comparison(ColumnRef("pre"), "<", ColumnRef("p")),
+        Comparison(ColumnRef("p"), "<=", Sum(ColumnRef("pre"), ColumnRef("size"))),
+    )
+    assert interpreter.range_joins == 0 and interpreter.row_fallbacks == 1
+    assert [(pre - base, p - base) for pre, _size, p in rows] == [
+        (0, 2), (0, 1), (3, 4), (1, 2), (1, 3), (7, 9),
+    ]
+
+
+def test_masked_nested_loop_checks_the_deadline_per_block():
+    # 1 200 × 1 000 pairs under a string range: each block's mask is computed
+    # element by element, far slower than the budget.  The join is the plan's
+    # last operator, so only a check inside it can raise.
+    left = LiteralTable(("a",), [(f"a{i:04d}",) for i in range(1200)])
+    right = LiteralTable(("b",), [(f"a{i:04d}",) for i in range(1000)])
+    plan = Join(left, right, Predicate.of(Comparison(ColumnRef("a"), "<", ColumnRef("b"))))
+    with pytest.raises(QueryTimeoutError):
+        PlanInterpreter(Table(("x",), []), timeout_seconds=0.05).evaluate(plan)
 
 
 XMARK_QUERIES = [

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import QueryTimeoutError
-from repro.algebra import columnar
 from repro.algebra.interpreter import PlanInterpreter, evaluate_plan
 from repro.algebra.operators import (
     Attach, Cross, Distinct, DocTable, Join, LiteralTable, Project, RowId, RowRank, Select, Serialize,
@@ -193,7 +192,6 @@ def test_deep_plans_evaluate_without_recursion(nested_session, query):
 ENGINES_WARM_QUERIES = ("Q1", "Q2", "Q8", "Q10", "Q13", "Q19")
 
 
-@pytest.mark.skipif(not columnar.HAVE_NUMPY, reason="the typed-list kernels are all Python")
 @pytest.mark.parametrize("plan", ("stacked_plan", "isolated_plan"))
 @pytest.mark.parametrize("name", ENGINES_WARM_QUERIES)
 def test_xmark_plans_never_leave_the_vectorized_kernels(xmark_processor, name, plan):
@@ -204,7 +202,7 @@ def test_xmark_plans_never_leave_the_vectorized_kernels(xmark_processor, name, p
     interpreter = PlanInterpreter(xmark_processor.doc_table)
     result = interpreter.evaluate(operator)
     assert interpreter.row_fallbacks == 0
-    assert result == PlanInterpreter(xmark_processor.doc_table, columnar=False).evaluate(operator)
+    assert result == PlanInterpreter(xmark_processor.doc_table, compiled=False).evaluate(operator)
 
 
 def test_row_fallbacks_counts_a_join_on_a_mixed_key(small_auction_doc_table):
@@ -215,6 +213,6 @@ def test_row_fallbacks_counts_a_join_on_a_mixed_key(small_auction_doc_table):
     result = interpreter.evaluate(plan)
     assert interpreter.row_fallbacks >= 1
     assert result.rows == [(1, "x", 1), ("1", "y", "1")]
-    assert result == PlanInterpreter(small_auction_doc_table, columnar=False).evaluate(plan)
+    assert result == PlanInterpreter(small_auction_doc_table, compiled=False).evaluate(plan)
     interpreter.evaluate(left)
     assert interpreter.row_fallbacks == 0  # reset per evaluate

@@ -10,8 +10,8 @@ has proved unchanged, keeps its properties across steps and glues
 replacements into a mutable plan copy in place, applies the identical
 rules to the identical targets in the identical order and turns away the
 identical applications.  Nothing here is shared with that machinery: the
-plan stays immutable and every step is glued with the pure
-:func:`~repro.algebra.dag.pushout`.
+plan stays immutable and every step is glued with the pure :func:`pushout`
+defined here, which rebuilds every ancestor of a replaced node.
 
 :func:`driver_records` renders a driver run in the reference's record
 format and :func:`normalize` erases the process-wide fresh-column
@@ -22,14 +22,141 @@ plan, and :func:`main` runs it over generated queries (the nightly sweep).
 
 import itertools
 import re
+from dataclasses import dataclass, field
+from typing import Mapping
 
-from repro.algebra.dag import iter_nodes, pushout
-from repro.algebra.operators import Serialize
+from repro.algebra.dag import iter_nodes
+from repro.algebra.operators import Operator, Serialize
 from repro.algebra.render import render_plan
 from repro.core.properties import infer_properties
 from repro.core.rewrite import RuleContext
 from repro.core.rewriter import JoinGraphIsolation
 from repro.errors import AlgebraError
+
+
+# -- the pure gluing ---------------------------------------------------------------
+
+
+@dataclass
+class Pushout:
+    """The result of gluing replacement subplans into a plan DAG.
+
+    Named after the double-pushout reading of a rewrite step (cf. chyp /
+    ReGraph): the *preserved part* is everything the substitution map does
+    not mention, and it embeds into both the old plan and the new one.
+    ``root`` is the rebuilt plan; ``glued`` maps ``id(old node)`` to the
+    object that took its place at the top-level gluing context.
+    """
+
+    root: Operator
+    glued: dict[int, Operator] = field(default_factory=dict)
+
+
+def pushout(root: Operator, replacements: Mapping[int, Operator]) -> Pushout:
+    """Rebuild the DAG with ``replacements`` (keyed by ``id`` of the old node).
+
+    The pure gluing: nothing is mutated, every ancestor of a replaced node
+    is re-created.  (:func:`~repro.algebra.dag.glue` is its in-place
+    counterpart for a thawed plan; the rewrite tests hold the two against
+    each other.)
+
+    Sharing is preserved *by construction*: the preserved part — every node
+    the map does not mention — is reused as-is (object identity), and every
+    reference to a replaced node resolves to one single replacement object,
+    *including* references buried inside other replacement subtrees.  A
+    replacement may legitimately contain the very node it replaces (rules
+    such as (8) wrap the matched operator); that occurrence belongs to the
+    preserved part — the ``p → lhs`` / ``p → rhs`` inclusions of a pushout
+    complement — and is kept verbatim instead of being replaced again, which
+    is what the ``banned`` set tracks.
+
+    Rewriting inside replacements matters for multi-node substitution maps
+    (the key-join collapse returns one): a replacement that still references
+    the *old* version of another replaced node must see its new version, or
+    the plan ends up with two divergent copies of a shared operator — which
+    silently breaks every rewrite premise that relies on shared anchors
+    (``left_origin[0] is right_origin[0]``).
+
+    Nothing here recurses: plan depth grows with query size (one level per
+    path step), and a hostile query must not be able to exhaust the Python
+    stack.
+    """
+    #: ``reach[id(node)]`` = the replacement keys reachable from ``node``,
+    #: folded bottom-up over the plan and over every replacement subtree
+    #: (the only objects the walk below can visit).  Memo keys pair a
+    #: node id with the *relevant* slice of the banned set (``banned &
+    #: reach``), so a node rebuilt in unrelated contexts still resolves to
+    #: one single object.
+    reach: dict[int, frozenset[int]] = {}
+    for start in (root, *replacements.values()):
+        for node in iter_nodes(start):
+            if id(node) in reach:
+                continue
+            acc: frozenset[int] = frozenset()
+            for child in node.children:
+                acc |= reach[id(child)]
+            if id(node) in replacements:
+                acc |= frozenset((id(node),))
+            reach[id(node)] = acc
+
+    memo: dict[tuple[int, frozenset[int]], Operator] = {}
+    glued: dict[int, Operator] = {}
+
+    # Depth-first walk over ``(node, banned)`` frames: a frame is expanded
+    # once (its children — or, for a replaced node outside its own
+    # replacement, the replacement — are pushed on top of it) and finished
+    # when it resurfaces, by which time everything it depends on is in
+    # ``memo``.
+    stack: list[tuple[Operator, frozenset[int], bool]] = [(root, frozenset(), False)]
+    while stack:
+        node, banned, expanded = stack.pop()
+        node_id = id(node)
+        effective = banned & reach[node_id]
+        key = (node_id, effective)
+        replaced = node_id in replacements and node_id not in banned
+        if not expanded:
+            if key in memo:
+                continue
+            stack.append((node, banned, True))
+            if replaced:
+                stack.append(
+                    (replacements[node_id], banned | frozenset((node_id,)), False)
+                )
+            else:
+                for child in reversed(node.children):
+                    stack.append((child, effective, False))
+            continue
+        if replaced:
+            replacement = replacements[node_id]
+            inner = (banned | frozenset((node_id,))) & reach[id(replacement)]
+            result = memo[(id(replacement), inner)]
+            # Record the top-level gluing only (first context reaching the
+            # node): deeper banned contexts rebuild preserved occurrences.
+            glued.setdefault(node_id, result)
+        else:
+            new_children = [
+                memo[(id(child), effective & reach[id(child)])]
+                for child in node.children
+            ]
+            if all(new is old for new, old in zip(new_children, node.children)):
+                result = node
+            else:
+                result = node.with_children(new_children)
+        memo[key] = result
+    return Pushout(root=memo[(id(root), frozenset())], glued=glued)
+
+
+def substitute(root: Operator, replacements: Mapping[int, Operator]) -> Operator:
+    """Rebuild the DAG with ``replacements`` — see :func:`pushout`."""
+    return pushout(root, replacements).root
+
+
+def replace_node(root: Operator, old: Operator, new: Operator) -> Operator:
+    """Replace one node of the DAG (all references to it) and return the new root."""
+    return substitute(root, {id(old): new})
+
+
+# -- the restart-from-root driver --------------------------------------------------
 
 
 def normalize(text):

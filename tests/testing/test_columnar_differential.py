@@ -1,19 +1,19 @@
-"""Columnar-vs-row differential sweep over the generated query corpus.
+"""Columnar core vs naive oracle over the generated query corpus.
 
-Satellite of the columnar execution core PR: the same seeded 200-case
-slice that ``test_queries.py`` pins is run twice — through a session with
-``columnar_execution=True`` (the default) and one with the row paths —
-and every case must produce identical item sequences *and* identical
-refusal behaviour under all five engine configurations.  This is the
-property-level proof that the columnar flag is purely an execution-core
-switch: plans, results and JoinGraphError refusals are unchanged.
+The same seeded 200-case slice that ``test_queries.py`` pins, evaluated
+plan by plan: every case's stacked and isolated plan runs through the
+columnar core (``PlanInterpreter(doc)``) and through the naive oracle
+(``PlanInterpreter(doc, compiled=False)``), and the two result tables must
+be equal — columns, rows and row order.  Refusals are an engine matter,
+not an interpreter one; ``test_queries.py``'s five-engine slice covers
+them.
 """
 
 import pytest
 
-from repro.core.session import DocumentStore, Session
-from repro.errors import JoinGraphError
-from repro.testing.queries import CONFIGS, DIFFERENTIAL_XML, QueryGenerator
+from repro.algebra.interpreter import PlanInterpreter
+from repro.core.session import Session
+from repro.testing.queries import DIFFERENTIAL_XML, QueryGenerator
 
 SEED = 0
 CASES = 200
@@ -24,33 +24,22 @@ BLOCK = 25
 
 
 @pytest.fixture(scope="module")
-def sessions():
-    store = DocumentStore()
-    store.register_xml("site.xml", DIFFERENTIAL_XML)
-    columnar = Session(store=store, columnar_execution=True)
-    row = Session(store=store, columnar_execution=False)
-    return columnar, row
-
-
-def _outcome(session, source, configuration):
-    """Items, or the refusal marker — refusals must match mode-for-mode."""
-    try:
-        return session.execute(source, configuration=configuration).items
-    except JoinGraphError:
-        return "refused"
+def processor():
+    session = Session()
+    session.register("site.xml", DIFFERENTIAL_XML)
+    return session.processor
 
 
 @pytest.mark.parametrize("start", range(0, CASES, BLOCK))
-def test_columnar_flag_is_differential(sessions, start):
-    columnar, row = sessions
+def test_columnar_flag_is_differential(processor, start):
+    doc = processor.doc_table
     generator = QueryGenerator(SEED)
     for index in range(start, start + BLOCK):
         query = generator.case(index)
         label = f"seed={query.seed} index={query.index} query={query.source!r}"
-        for configuration in CONFIGS:
-            columnar_outcome = _outcome(columnar, query.source, configuration)
-            row_outcome = _outcome(row, query.source, configuration)
-            assert columnar_outcome == row_outcome, (
-                f"columnar and row execution disagree on {configuration} "
-                f"({label}): {columnar_outcome!r} != {row_outcome!r}"
-            )
+        compilation = processor.compile(query.source)
+        for plan in ("stacked_plan", "isolated_plan"):
+            operator = getattr(compilation, plan)
+            columnar = PlanInterpreter(doc).evaluate(operator)
+            oracle = PlanInterpreter(doc, compiled=False).evaluate(operator)
+            assert columnar == oracle, f"columnar core and oracle disagree on {plan} ({label})"
