@@ -59,6 +59,8 @@ dictionary object, so:
 
 from __future__ import annotations
 
+import bisect
+from operator import itemgetter as _itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as _np
@@ -68,28 +70,40 @@ _EXACT_INT = 2 ** 53
 
 _NAN = float("nan")
 
+
+def _numeric_objects(shadow, notnull, ints_only: bool):
+    """The exact Python objects of a numeric column: ``None`` for NaN, ints when ``ints_only``."""
+    if ints_only:
+        values = _np.where(notnull, shadow, 0.0).astype(_np.int64).astype(object)
+    else:
+        values = shadow.astype(object)
+    values[~notnull] = None
+    return values
+
+
 #: Element-type sets whose statistics are built by whole-array conversions.
 _NUMERIC_TYPES = frozenset((int, float, type(None)))
 _STRING_TYPES = frozenset((str, type(None)))
 
 
+def orderable(value: object) -> tuple:
+    """One value's place in the total order over heterogeneous values (None < numbers < strings)."""
+    if value is None:
+        return (0, 0)
+    if isinstance(value, bool):
+        return (1, int(value))
+    if isinstance(value, (int, float)):
+        return (1, value)
+    return (2, str(value))
+
+
 def sort_key(values: tuple) -> tuple:
-    """Total order over heterogeneous values (None < numbers < strings).
+    """Total order over heterogeneous value tuples, one :func:`orderable` per value.
 
     Canonical definition shared by the row path (``Table.sort_by`` /
-    ``Table.attach_rank``) and the columnar rank kernels.
+    ``Table.attach_rank``), the columnar rank kernels and the B-tree.
     """
-    key = []
-    for value in values:
-        if value is None:
-            key.append((0, 0))
-        elif isinstance(value, bool):
-            key.append((1, int(value)))
-        elif isinstance(value, (int, float)):
-            key.append((1, value))
-        else:
-            key.append((2, str(value)))
-    return tuple(key)
+    return tuple(map(orderable, values))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +144,7 @@ class Column:
     """
 
     __slots__ = (
-        "values",
+        "_values",
         "length",
         "codes",
         "dictionary",
@@ -142,7 +156,7 @@ class Column:
     )
 
     def __init__(self, values, length: Optional[int] = None):
-        self.values = values
+        self._values = values
         self.length = len(values) if length is None else length
         self.codes = None
         self.dictionary: Optional[dict] = None
@@ -154,6 +168,14 @@ class Column:
 
     def __len__(self) -> int:
         return self.length
+
+    @property
+    def values(self):
+        """The object ndarray; a :meth:`numeric` column builds it on first read."""
+        values = self._values
+        if values is None:  # an idempotent fill: racing readers build equal arrays
+            values = self._values = _numeric_objects(self._shadow, self._notnull, self._ints_only)
+        return values
 
     @classmethod
     def from_values(cls, values: Sequence[object]) -> "Column":
@@ -171,18 +193,9 @@ class Column:
         rebuilt as Python ints — so a vectorized sum of int columns is
         bit-for-bit the int the row path would have produced.
         """
-        notnull = ~_np.isnan(shadow)
-        all_notnull = bool(notnull.all())
-        if ints_only:
-            filled = shadow if all_notnull else _np.where(notnull, shadow, 0.0)
-            values = filled.astype(_np.int64).astype(object)
-        else:
-            values = shadow.astype(object)
-        if not all_notnull:
-            values[~notnull] = None
-        column = cls(values, len(shadow))
+        column = cls(None, len(shadow))  # the objects wait for their first reader
         column._shadow = shadow
-        column._notnull = notnull
+        column._notnull = shadow == shadow  # NaN marks None
         column._has_strings = False
         column._shadow_exact = True
         column._ints_only = ints_only
@@ -344,11 +357,17 @@ class Column:
 
         Flags are conservative over subsets and repetitions (a subset may
         lose its last string, never gain one), so they carry over as they
-        are; derived codes index the same dictionary object.
+        are; derived codes index the same dictionary object.  A numeric
+        column's objects stay unbuilt: they follow from the derived shadow.
         """
-        result = Column(gather(self.values))
+        values = self._values
+        if values is None:
+            shadow = gather(self._shadow)
+            result = Column(None, len(shadow))
+        else:
+            result = Column(gather(values))
         if self._shadow is not None:
-            result._shadow = gather(self._shadow)
+            result._shadow = shadow if values is None else gather(self._shadow)
         if self._notnull is not None:
             result._notnull = gather(self._notnull)
         if self.codes is not None:
@@ -361,15 +380,15 @@ class Column:
 
     def take(self, indices) -> "Column":
         """Gather by integer indices, propagating cached statistics."""
-        return self._derive(lambda array: array[indices])
+        return self._derive(_itemgetter(indices))
 
     def filter(self, mask) -> "Column":
         """Keep rows where the boolean array ``mask`` is True, propagating cached statistics."""
-        return self._derive(lambda array: array[mask])
+        return self._derive(_itemgetter(mask))
 
     def repeat(self, count: int) -> "Column":
         """Each value repeated ``count`` times in place (cross-product left side)."""
-        return self._derive(lambda array: _np.repeat(array, count))
+        return self._derive(lambda array: array.repeat(count))
 
     def tile(self, count: int) -> "Column":
         """The whole column repeated ``count`` times (cross-product right side)."""
@@ -593,12 +612,12 @@ def sum_columns(parts: Sequence[object], n: int) -> Column:
                     ints_only = False
         if scalar_none:
             return Column.from_values([None] * n)
-        total = total + scalar_total if scalar_total else total.copy()
+        if scalar_total:
+            total = total + scalar_total
         # Summed magnitudes must stay exactly representable, or the rebuilt
         # ints would silently round — fall to the Python loop instead.
-        with _np.errstate(invalid="ignore"):
-            in_range = not _np.any(_np.abs(total) > _EXACT_INT)
-        if in_range:
+        # (``fmax`` passes over NaN, the None rows.)
+        if _np.fmax.reduce(_np.abs(total), initial=0.0) <= _EXACT_INT:
             return Column.numeric(total, ints_only=ints_only)
     values = []
     part_values = [p.values if isinstance(p, Column) else None for p in parts]
@@ -718,6 +737,86 @@ def dense_rank_map(keys: Iterable[tuple]) -> dict:
     return {key: rank for rank, key in enumerate(sorted(distinct, key=sort_key), start=1)}
 
 
+_NONE_KEY = orderable(None)
+
+
+class SortedDomain:
+    """The distinct values of a column in :func:`orderable` order, as int64 ranks.
+
+    ``None`` ranks 0 and the k-th distinct other value 2k + 2; a value the
+    domain does not hold ranks 2k + 1, between its neighbours.  Ranks order
+    and tie exactly like :func:`orderable`, so they sort, merge and bisect
+    in its place.  A coded column ranks by its codes (a dictionary is in
+    string order) and an exact numeric one by one ``searchsorted`` over its
+    distinct values; any other column decorates value by value.
+
+    >>> domain, ranks = SortedDomain.of(Column.from_values([3, None, 1, 3]))
+    >>> ranks.tolist(), domain.rank_value(2), domain.rank_value("a")
+    ([4, 0, 2, 4], 3, 5)
+    """
+
+    __slots__ = ("dictionary", "numbers", "_keys")
+
+    @classmethod
+    def of(cls, column: Column):
+        """``(domain, ranks)``: the domain of ``column``'s values and each value's rank."""
+        domain = cls.__new__(cls)
+        domain.dictionary = domain.numbers = domain._keys = None
+        if column.codes is not None:
+            domain.dictionary = column.dictionary
+            domain.numbers = _np.empty(0)  # every number sorts before every string
+            return domain, 2 * column.codes + 2
+        if not column.has_strings and column.shadow_exact:
+            domain.numbers = _np.unique(column.shadow[column.notnull])
+            return domain, domain.rank(column)
+        keys = list(map(orderable, column.tolist()))
+        domain._keys = sorted(set(keys) - {_NONE_KEY})
+        rank_of = {key: 2 * k + 2 for k, key in enumerate(domain._keys)}
+        rank_of[_NONE_KEY] = 0
+        return domain, _np.fromiter(map(rank_of.__getitem__, keys), _np.int64, len(keys))
+
+    def __len__(self) -> int:
+        if self.dictionary is not None:
+            return len(self.dictionary)
+        return len(self.numbers) if self.numbers is not None else len(self._keys)
+
+    def rank(self, column: Column):
+        """The rank of each of ``column``'s values (an int64 array)."""
+        if column.codes is not None and column.dictionary is self.dictionary:
+            return 2 * column.codes + 2
+        numbers = self.numbers
+        if numbers is not None and not column.has_strings and column.shadow_exact:
+            # before + after + 1: 2k + 2 when k values lie before and one equals, else 2k + 1.
+            shadow = column.shadow
+            ranks = numbers.searchsorted(shadow, "left") + numbers.searchsorted(shadow, "right")
+            return (ranks + 1) * column.notnull  # None shadows to NaN, past every number
+        return _np.fromiter(map(self.rank_value, column.tolist()), _np.int64, column.length)
+
+    def rank_value(self, value: object) -> int:
+        """The rank of one value."""
+        if value is None:
+            return 0
+        if self.dictionary is not None and isinstance(value, str):
+            code = self.dictionary.get(value)
+            if code is not None:
+                return 2 * code + 2
+        if self._keys is None:  # an idempotent fill: racing readers build equal lists
+            self._keys = (
+                [(2, text) for text in self.dictionary]
+                if self.dictionary is not None
+                else [(1, number) for number in self.numbers.tolist()]
+            )
+        key = orderable(value)
+        at = bisect.bisect_left(self._keys, key)
+        return 2 * at + 2 if at < len(self._keys) and self._keys[at] == key else 2 * at + 1
+
+
+def order_array(column: Column):
+    """An array that orders and ties like :func:`orderable` over ``column``, for ``lexsort``."""
+    key = _order_key(column)
+    return SortedDomain.of(column)[1] if key is None else key
+
+
 def _join_keys(probe: Column, build: Column, integral: bool):
     """The arrays to merge ``probe`` and ``build`` on, or ``None``.
 
@@ -803,6 +902,44 @@ def equi_join_indices(probe: Sequence[Column], build: Sequence[Column]):
     )
     probe_indices = _np.repeat(_np.arange(len(probe_key), dtype=_np.int64), counts)
     return probe_indices, build_order[flat]
+
+
+def bucket_join_indices(
+    probe: Sequence[object],
+    build: Sequence[object],
+    probe_length: int,
+    build_length: int,
+    check: Optional[Callable[[], None]] = None,
+):
+    """The Python-bucket equi-join that :func:`equi_join_indices` declines to.
+
+    Keys are Columns or scalars (a constant key term); rows match when their
+    key tuples are equal ``dict`` keys, so ``None`` meets ``None``.  Same
+    output order as :func:`equi_join_indices`.  ``check`` (a deadline) is
+    called every 16 384 probe rows.
+    """
+
+    def keys(parts, n):
+        lists = [part.tolist() if isinstance(part, Column) else [part] * n for part in parts]
+        return lists[0] if len(lists) == 1 else list(zip(*lists))
+
+    buckets: dict = {}
+    for position, key in enumerate(keys(build, build_length)):
+        buckets.setdefault(key, []).append(position)
+    probe_indices: list[int] = []
+    build_indices: list[int] = []
+    for position, key in enumerate(keys(probe, probe_length)):
+        if check is not None and not position & 0x3FFF:
+            check()
+        matches = buckets.get(key)
+        if matches:
+            probe_indices += [position] * len(matches)
+            build_indices += matches
+    count = len(probe_indices)
+    return (
+        _np.fromiter(probe_indices, dtype=_np.int64, count=count),
+        _np.fromiter(build_indices, dtype=_np.int64, count=count),
+    )
 
 
 def first_occurrences(columns: Sequence[Column], n: int) -> Optional[list]:

@@ -337,26 +337,13 @@ class PlanInterpreter:
                 left, right, left_indices, right_indices, residual, output_columns
             )
         self._row_fallback()
-        left_keys = [left.col(name).tolist() for name, _ in equi]
-        right_keys = [right.col(name).tolist() for _, name in equi]
-        # A single key hashes bare values: no 1-tuple per row.
-        left_keys = left_keys[0] if len(equi) == 1 else list(zip(*left_keys))
-        right_keys = right_keys[0] if len(equi) == 1 else list(zip(*right_keys))
-        buckets: dict = {}
-        left_indices: list[int] = []
-        right_indices: list[int] = []
-        for position, key in enumerate(right_keys):
-            buckets.setdefault(key, []).append(position)
-        for position, key in enumerate(left_keys):
-            if not position & 0x3FFF:
-                self._check_deadline()
-            matches = buckets.get(key)
-            if matches:
-                left_indices += [position] * len(matches)
-                right_indices += matches
-        count = len(left_indices)
-        left_indices = np.fromiter(left_indices, dtype=np.int64, count=count)
-        right_indices = np.fromiter(right_indices, dtype=np.int64, count=count)
+        left_indices, right_indices = _columnar.bucket_join_indices(
+            [left.col(name) for name, _ in equi],
+            [right.col(name) for _, name in equi],
+            left.length,
+            right.length,
+            self._check_deadline,
+        )
         return self._joined_columnar(
             left, right, left_indices, right_indices, residual, output_columns
         )

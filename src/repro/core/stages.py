@@ -52,7 +52,7 @@ from repro.algebra.table import Table
 from repro.core.joingraph import JoinGraph, extract_join_graph
 from repro.core.rewriter import IsolationReport, JoinGraphIsolation
 from repro.core.sqlgen import generate_stacked_sql, render_join_graph
-from repro.relational.catalog import Database, database_from_encoding
+from repro.relational.catalog import Database, database_hosting
 from repro.relational.engine import RelationalEngine
 from repro.sqlbackend.backend import SQLiteBackend, check_join_width
 from repro.sqlbackend.decode import first_occurrence_items, ordered_items, sequence_items
@@ -242,7 +242,8 @@ class CatalogSnapshot:
     and :attr:`engine` are each built by the first read — exactly once
     under concurrent first use — so ``sql`` on a parameterised plan builds
     nothing, the plan interpreters build the ``doc`` table only, and the
-    join-graph engine (or ``sql`` pinning a join order) builds the database.
+    join-graph engine (or ``sql`` pinning a join order) builds the database
+    around that same table: one set of rows, one columnar twin.
     """
 
     def __init__(
@@ -254,9 +255,7 @@ class CatalogSnapshot:
         self.row_count = row_count = len(encoding)
         self._doc_table = Lazy(lambda: Table(DOC_COLUMNS, encoding.rows(row_count)))
         self._database = Lazy(
-            lambda: database_from_encoding(
-                encoding, with_default_indexes=with_default_indexes, row_count=row_count
-            )
+            lambda: database_hosting(self.doc_table, with_default_indexes=with_default_indexes)
         )
         self._engine = Lazy(lambda: RelationalEngine(self.database))
 

@@ -18,10 +18,13 @@ index no physical plan ever probes never pays for it.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
+from repro.algebra import columnar as _columnar
+from repro.algebra.columnar import Column, SortedDomain
 from repro.algebra.table import Table
 from repro.lazy import Lazy
 
@@ -31,63 +34,103 @@ DEFAULT_ORDER = 64
 #: Marker for the computed key column ``pre + size`` (column ``s`` in Table VI).
 PRE_PLUS_SIZE = "pre+size"
 
-
-def orderable(value: object) -> tuple:
-    """Map heterogeneous key components onto one totally ordered domain."""
-    if value is None:
-        return (0, 0)
-    if isinstance(value, bool):
-        return (1, int(value))
-    if isinstance(value, (int, float)):
-        return (1, value)
-    return (2, str(value))
-
-
-def order_key(values: Sequence[object]) -> tuple:
-    """The comparable form of a composite key."""
-    return tuple(orderable(value) for value in values)
-
-
-#: Compares greater than every ``orderable`` component, so ``bound + (_AFTER,)``
-#: sorts just past the last key that starts with ``bound``.
-_AFTER = (3,)
+#: The last element of every search array: above each ``prefix_group * radix + rank``.
+_PAST_THE_RUN = np.iinfo(np.int64).max
 
 
 class BPlusTree:
-    """A read-optimised B+-tree over ``(key, payload)`` entries.
+    """A read-optimised B+-tree over composite keys, stored as its leaf level.
 
-    The tree is bulk-loaded and immutable, so it is stored as what its leaf
-    level is: one contiguous sorted run — parallel lists of comparable
-    ``order_key`` forms (decorated exactly once, at build time), raw keys and
-    payloads.  A range or prefix scan is two bisections and a slice; the
-    separator levels above the leaves would only find the same two positions.
+    The tree is bulk-loaded and immutable, so it is one contiguous sorted run
+    of arrays: :attr:`rows` holds the entry number of every run slot, and
+    each key column ``j`` is a :class:`~repro.algebra.columnar.SortedDomain`
+    plus an int64 :attr:`search` array ``prefix_group * radix + rank`` —
+    ``prefix_group`` numbers the distinct ``key[:j]`` in run order, so the
+    array is ascending and one ``searchsorted`` narrows a run segment of
+    equal ``key[:j]`` on column ``j``, for any number of probes at once.
+    The separator levels above the leaves would only find the same positions.
 
-    >>> tree = BPlusTree([((name, n), (n,)) for name in "ab" for n in (1, 2, 3)])
+    >>> tree = BPlusTree.from_entries([((name, n), (n,)) for name in "ab" for n in (1, 2, 3)])
     >>> [key for key, _payload in tree.scan_range(("a", 1), ("b",), low_inclusive=False,
     ...                                           high_inclusive=False)]
     [('a', 2), ('a', 3)]
     """
 
-    def __init__(self, entries: Iterable[tuple[tuple, tuple]], order: int = DEFAULT_ORDER):
+    def __init__(
+        self,
+        columns: Sequence[Column],
+        payload: Callable[[int], tuple],
+        order: int = DEFAULT_ORDER,
+    ):
+        """Load the entries whose ``i``-th key is the ``i``-th value of each
+        key column and whose payload is ``payload(i)``."""
         self.order = max(4, order)
-        decorated = sorted(
-            ((order_key(key), key, payload) for key, payload in entries),
-            key=lambda entry: entry[0],
-        )
-        self.order_keys: list[tuple] = [entry[0] for entry in decorated]
-        self.keys: list[tuple] = [entry[1] for entry in decorated]
-        self.payloads: list[tuple] = [entry[2] for entry in decorated]
+        self.columns = tuple(columns)
+        self.payload = payload
+        ranked = [SortedDomain.of(column) for column in self.columns]
+        self.domains = tuple(domain for domain, _ranks in ranked)
+        ranks = [column_ranks for _domain, column_ranks in ranked]
+        # lexsort is stable: equal keys keep entry order.
+        self.rows = np.lexsort(ranks[::-1]) if ranks else np.arange(0)
+        #: Per key column, a power of two above every rank of its domain (0 .. 2D + 1).
+        self.radixes = tuple(1 << (2 * len(domain) + 1).bit_length() for domain in self.domains)
+        search = []
+        new_group = np.zeros(len(self.rows), dtype=bool)
+        for column_ranks, radix in zip(ranks, self.radixes):
+            column_ranks = column_ranks[self.rows]
+            # A sentinel past the run: a segment starting there is empty, and
+            # reading its group needs no bounds check.
+            search.append(np.append(np.cumsum(new_group) * radix + column_ranks, _PAST_THE_RUN))
+            new_group[1:] |= column_ranks[1:] != column_ranks[:-1]
+        self.search = tuple(search)
+
+    @classmethod
+    def from_entries(
+        cls, entries: Iterable[tuple[tuple, tuple]], order: int = DEFAULT_ORDER
+    ) -> "BPlusTree":
+        """Bulk-load ``(key, payload)`` entries (keys of one width)."""
+        entries = list(entries)
+        columns = [Column.from_values(values) for values in zip(*(key for key, _ in entries))]
+        for column in columns:
+            column.publish()
+        return cls(columns, [payload for _key, payload in entries].__getitem__, order)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.rows)
 
     @property
     def height(self) -> int:
         """Levels a fan-out-``order`` tree over these entries has (leaves included)."""
-        height, nodes = 1, -(-len(self.keys) // self.order)
+        height, nodes = 1, -(-len(self) // self.order)
         while nodes > 1:
             height, nodes = height + 1, -(-nodes // self.order)
         return height
+
+    def segment_base(self, depth: int, starts):
+        """``prefix_group * radix`` of the run segments (of equal ``key[:depth]``) at ``starts``.
+
+        Add a rank on key column ``depth`` and ``searchsorted``
+        ``search[depth]`` to place it within its segment: ``"left"`` before
+        equal keys, ``"right"`` after them.  An empty segment gives an
+        arbitrary position, which clipping against its ends keeps empty.
+        """
+        return self.search[depth][starts] & -self.radixes[depth]
+
+    def _position(self, bound: tuple, side: str) -> int:
+        """First slot whose ``key[:len(bound)]`` is ``>= bound`` (``"left"``) or ``> bound``."""
+        if len(bound) > len(self.columns):  # a longer bound is past every key it extends
+            bound, side = bound[: len(self.columns)], "right"
+        start, end = 0, len(self)
+        for depth, value in enumerate(bound):
+            if start >= end:  # no key extends bound[:depth]: every side meets here
+                break
+            search = self.search[depth]
+            target = self.segment_base(depth, start) + self.domains[depth].rank_value(value)
+            if depth == len(bound) - 1:
+                return int(search.searchsorted(target, side))
+            start = int(search.searchsorted(target, "left"))
+            end = int(search.searchsorted(target, "right"))
+        return start if side == "left" else end
 
     def span(
         self,
@@ -96,20 +139,15 @@ class BPlusTree:
         low_inclusive: bool = True,
         high_inclusive: bool = True,
     ) -> tuple[int, int]:
-        """Positions ``[start, end)`` of the run within the (comparable-form) bounds.
+        """Run slots ``[start, end)`` of the keys within the bounds (prefix compare).
 
         A bound shorter than the composite key is a prefix bound: a key
-        *equals* it when it starts with it.  ``key[:n] < bound`` iff
-        ``key < bound``, and ``bound + (_AFTER,)`` separates the keys that
-        start with ``bound`` from everything greater.
+        *equals* it when it starts with it.
         """
-        order_keys = self.order_keys
-        start = 0
-        if low is not None:
-            start = bisect.bisect_left(order_keys, low if low_inclusive else low + (_AFTER,))
-        end = len(order_keys)
-        if high is not None:
-            end = bisect.bisect_left(order_keys, high + (_AFTER,) if high_inclusive else high)
+        start = 0 if low is None else self._position(low, "left" if low_inclusive else "right")
+        end = len(self) if high is None else self._position(
+            high, "right" if high_inclusive else "left"
+        )
         return start, end
 
     def scan_range(
@@ -124,13 +162,10 @@ class BPlusTree:
         A bound that is shorter than the full composite key behaves like a
         prefix bound: ``low=(name,)`` starts at the first key with that name.
         """
-        start, end = self.span(
-            order_key(low) if low is not None else None,
-            order_key(high) if high is not None else None,
-            low_inclusive,
-            high_inclusive,
-        )
-        return zip(self.keys[start:end], self.payloads[start:end])
+        start, end = self.span(low, high, low_inclusive, high_inclusive)
+        values = [column.values for column in self.columns]
+        for entry in self.rows[start:end].tolist():
+            yield tuple(column[entry] for column in values), self.payload(entry)
 
     def scan_all(self) -> Iterator[tuple[tuple, tuple]]:
         """Full scan in key order."""
@@ -144,7 +179,8 @@ class BTreeIndex:
     ``key_columns`` may contain real column names or the computed column
     :data:`PRE_PLUS_SIZE`; ``include_columns`` are carried with the entries so
     that lookups do not have to touch the base table (the paper's
-    ``INCLUDE(·)`` clause on the ``p|nvkls`` index).
+    ``INCLUDE(·)`` clause on the ``p|nvkls`` index).  An entry is a table
+    row: its number is the row position.
     """
 
     name: str
@@ -178,15 +214,13 @@ class BTreeIndex:
         )
 
         def load() -> BPlusTree:
-            include_indices = [table.column_index(column) for column in include_columns]
-            entries = [
-                (
-                    tuple(extract(row) for extract in key_extractors),
-                    (row_position,) + tuple(row[i] for i in include_indices),
-                )
-                for row_position, row in enumerate(rows)
-            ]
-            return BPlusTree(entries, order=order)
+            base = table.columnar()
+            includes = [base.col(column).values for column in include_columns]
+            return BPlusTree(
+                [_key_column(base, column) for column in key_columns],
+                lambda row: (row, *(values[row] for values in includes)),
+                order=order,
+            )
 
         return BTreeIndex(
             name=name,
@@ -208,9 +242,9 @@ class BTreeIndex:
 
     def lookup(self, prefix: Sequence[object]) -> Iterator[int]:
         """Row positions whose key starts with ``prefix`` (equality lookup)."""
-        prefix = tuple(prefix)
-        for _key, payload in self.tree.scan_range(prefix, prefix):
-            yield payload[0]
+        tree = self.tree
+        start, end = tree.span(tuple(prefix), tuple(prefix))
+        return iter(tree.rows[start:end].tolist())
 
     def scan(
         self,
@@ -250,3 +284,10 @@ def _column_extractor(table: Table, column: str):
         return lambda row: row[pre_index] + row[size_index]
     index = table.column_index(column)
     return lambda row: row[index]
+
+
+def _key_column(base: _columnar.ColumnarTable, column: str) -> Column:
+    """One key column of the table's columnar twin (``pre + size`` summed)."""
+    if column == PRE_PLUS_SIZE:
+        return _columnar.sum_columns([base.col("pre"), base.col("size")], base.length)
+    return base.col(column)

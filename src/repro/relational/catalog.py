@@ -108,10 +108,25 @@ def database_from_encoding(
     This collects the table statistics and each index's planner metadata;
     the B+-trees themselves are bulk-loaded by their first probe.
     """
+    return database_hosting(
+        Table(DOC_COLUMNS, encoding.rows(row_count)), table_name, with_default_indexes
+    )
+
+
+def database_hosting(
+    table: Table, table_name: str = "doc", with_default_indexes: bool = True
+) -> Database:
+    """A :class:`Database` around an already built ``doc`` table.
+
+    Indexes and statistics as in :func:`database_from_encoding`.  The table
+    is hosted, not copied: a catalog snapshot hands the engine the
+    table its plan interpreters read, so both share one set of rows, one
+    columnar twin and one dictionary per string column.
+    """
     from repro.relational.advisor import create_table_vi_indexes  # cyclic-import guard
 
     database = Database()
-    database.create_table(table_name, Table(DOC_COLUMNS, encoding.rows(row_count)))
+    database.create_table(table_name, table)
     database.create_index(f"{table_name}_pk_pre", table_name, ("pre",), clustered=True)
     if with_default_indexes:
         create_table_vi_indexes(database, table_name)

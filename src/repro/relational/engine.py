@@ -317,7 +317,7 @@ class RelationalEngine:
         if program.resolved.windows or program.resolved.having:
             return self._execute_filtered(program, timeout_seconds)
         ctx = ExecutionContext(timeout_seconds)
-        rows = list(program.planned.root.results(ctx))
+        rows = program.planned.root.results(ctx)
         return QueryResult(
             rows=rows,
             plan=program.planned,
@@ -338,7 +338,7 @@ class RelationalEngine:
         """
         planned, checks = program.filtered_main
         ctx = ExecutionContext(timeout_seconds)
-        rows = list(planned.root.results(ctx))
+        rows = planned.root.results(ctx)
         scanned, probes = ctx.rows_scanned, ctx.index_probes
         lookups: list[dict[tuple, object]] = []
         windows = len(program.resolved.windows)
@@ -363,22 +363,16 @@ class RelationalEngine:
     ) -> dict[tuple, int]:
         """Dense ranks over the window's scope, keyed by (partition, order).
 
-        Column-wise when the scope plan can produce columns (the keys land in
-        per-partition *sets*, so its SORT DISTINCT tail is skipped), through
-        the row path otherwise (e.g. index nested-loop plans).
+        The keys land in per-partition *sets*, so the scope plan's SORT
+        DISTINCT tail is skipped.
         """
-        columns = planned.root.value_set_columns(ctx)
-        if columns is not None:
-            keys = zip(*columns)
-        else:
-            keys = (tuple(row.values()) for row in planned.root.results(ctx))
         partition_width = len(spec.partition)
         partitions: dict[tuple, set[tuple]] = {}
-        for key in keys:
+        for key in zip(*planned.root.value_set_columns(ctx)):
             partitions.setdefault(key[:partition_width], set()).add(key[partition_width:])
         ranks: dict[tuple, int] = {}
-        for partition_key, order_keys in partitions.items():
-            for order_key, rank in _columnar.dense_rank_map(order_keys).items():
+        for partition_key, ordered in partitions.items():
+            for order_key, rank in _columnar.dense_rank_map(ordered).items():
                 ranks[partition_key + order_key] = rank
         return ranks
 
@@ -411,7 +405,7 @@ class RelationalEngine:
         assert spec is not None
         fold = _folder(spec)
         inner_ctx = ExecutionContext(timeout_seconds)
-        inner_rows = list(program.planned.root.results(inner_ctx))
+        inner_rows = program.planned.root.results(inner_ctx)
         if spec.is_scalar:
             value = fold(inner_rows)
             rows = [] if value is None else [{"item": value}]

@@ -9,12 +9,9 @@ from repro.relational.physical.operators import (
     IndexScan,
     PhysicalOperator,
     Return,
-    SlotMap,
+    Rows,
     Sort,
     TableScan,
-    compile_condition,
-    compile_conditions,
-    compile_term,
 )
 
 __all__ = [
@@ -26,10 +23,7 @@ __all__ = [
     "IndexScan",
     "PhysicalOperator",
     "Return",
-    "SlotMap",
+    "Rows",
     "Sort",
     "TableScan",
-    "compile_condition",
-    "compile_conditions",
-    "compile_term",
 ]

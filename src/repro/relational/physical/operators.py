@@ -13,229 +13,72 @@ SORT        sort on the ORDER BY terms (+ duplicate elimination)
 RETURN      final projection to the query's select list
 =========  =====================================================
 
-Rows are plain **tuples**; each operator publishes a :class:`SlotMap` that
-assigns every ``(alias, column)`` pair of its output a fixed position, and
-join-graph :class:`~repro.core.joingraph.Condition` terms are compiled once
-per plan into positional slot accessors.  Joins concatenate tuples, so the
-self-join aliases of the join graph stay separate without the per-row
-``dict[(alias, column)]`` churn of the seed implementation.  All operators
-are iterators; the plan is fully pipelined except for SORT and the build
-side of HSJOIN.
+Every operator produces one representation, :class:`Rows`: a join result
+held as one int64 **row-position vector per alias**, so the self-join
+aliases of the join graph stay separate at the cost of one array each.  A
+column is gathered from the table's columnar twin only when a bound,
+residual, order or select term reads it; join-graph terms and conditions
+are compiled once per plan into closures over that gather, and a
+conjunction is one :func:`~repro.algebra.columnar.compare_mask` per
+conjunct.  Each operator materialises its whole result:
 
-Scans, filters and hash joins evaluate **column-wise** over
-:class:`~repro.algebra.columnar.ColumnarTable` inputs — mask scans, packed
-multi-key joins — whenever every input below them can
-(:meth:`PhysicalOperator.can_columnar`); above an index operator (NLJOIN,
-IXSCAN), which is pipelined row by row, they run over rows instead.
+* IXSCAN and NLJOIN probe the B-tree for **all outer rows at once** — one
+  ``searchsorted`` per key column over the tree's rank arrays
+  (:meth:`~repro.relational.btree.BPlusTree.segment_base`), matches
+  expanded with ``repeat``, in blocks of at most
+  ``NESTED_LOOP_BLOCK_PAIRS`` pairs with one deadline check each;
+* TBSCAN and FILTER are mask scans; HSJOIN merges codes or exact numbers
+  (:func:`~repro.algebra.columnar.equi_join_indices`) and buckets any
+  other key in Python;
+* SORT is a stable ``lexsort`` over rank arrays plus first-occurrence
+  DISTINCT, and RETURN gathers values only for the rows it returns.
 
-An operator tree is an **immutable program**: every slot map, term and
-condition closure and index-probe bound is compiled by the operator's
-constructor, and everything one execution changes lives in its
+A two-level NLJOIN, as position vectors into the one table:
+
+>>> from repro.algebra.table import Table
+>>> from repro.core.joingraph import ColumnTerm, ConstantTerm
+>>> from repro.relational.btree import BTreeIndex
+>>> table = Table(("pre", "parent", "name"), [(10, None, "a"), (11, 10, "b"), (12, 10, "b"),
+...                                           (13, 11, "c"), (14, 12, "c"), (15, 12, "c")])
+>>> by_name = BTreeIndex.build("by_name", "t", table, ("name", "pre"))
+>>> by_parent = BTreeIndex.build("by_parent", "t", table, ("parent", "pre"))
+>>> a = IndexScan(by_name, table, "a", [IndexBound("name", "eq", ConstantTerm("a"))])
+>>> b = IndexNestedLoopJoin(a, by_parent, table, "b",
+...                         [IndexBound("parent", "eq", ColumnTerm("a", "pre"))])
+>>> c = IndexNestedLoopJoin(b, by_parent, table, "c",
+...                         [IndexBound("parent", "eq", ColumnTerm("b", "pre"))])
+>>> ctx = ExecutionContext()
+>>> rows = c.run(ctx)
+>>> {alias: positions.tolist() for alias, positions in rows.positions.items()}
+{'a': [0, 0, 0], 'b': [1, 2, 2], 'c': [3, 4, 5]}
+>>> rows.column("c", "pre").tolist(), ctx.index_probes, ctx.rows_scanned
+([13, 14, 15], 4, 6)
+
+An operator tree is an **immutable program**: every term and condition
+closure and index-probe bound is compiled by the operator's constructor
+(the constant head of a probe key is resolved to its run segment by the
+first execution), and everything one execution changes lives in its
 :class:`ExecutionContext`.  The engine caches planned trees and runs one
 tree from many threads at once.
 """
 
 from __future__ import annotations
 
-import operator as _operator_module
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ExecutionError, QueryTimeoutError
 from repro.algebra import columnar as _columnar
-from repro.algebra.columnar import Column, ColumnarTable
+from repro.algebra.columnar import Column, SortedDomain
+from repro.algebra.interpreter import NESTED_LOOP_BLOCK_PAIRS
 from repro.algebra.table import Table
 from repro.core.joingraph import ColumnTerm, Condition, ConstantTerm, ParameterTerm, SumTerm, Term
-from repro.relational.btree import BTreeIndex, orderable
+from repro.relational.btree import BTreeIndex
 
-#: A physical row: one value per slot of the operator's :class:`SlotMap`.
-Row = tuple
-
-_RANGE_RELATIONS = {
-    "<": _operator_module.lt,
-    "<=": _operator_module.le,
-    ">": _operator_module.gt,
-    ">=": _operator_module.ge,
-}
-
-
-class SlotMap:
-    """Positional layout of a physical row: ``(alias, column) -> slot``.
-
-    A row is the concatenation of whole table rows, so the layout is one
-    offset per alias over that table's own column positions: a join's map
-    costs O(aliases) to build and keep, not O(aliases × columns).
-    """
-
-    __slots__ = ("_tables", "_width")
-
-    def __init__(self, tables: dict[str, tuple[int, dict[str, int]]], width: int):
-        self._tables = tables  # alias -> (offset, column -> position in the table row)
-        self._width = width
-
-    @staticmethod
-    def for_table(table: Table, alias: str) -> "SlotMap":
-        columns = {column: position for position, column in enumerate(table.columns)}
-        return SlotMap({alias: (0, columns)}, len(columns))
-
-    def concat(self, other: "SlotMap") -> "SlotMap":
-        tables = dict(self._tables)
-        for alias, (offset, columns) in other._tables.items():
-            tables[alias] = (self._width + offset, columns)
-        return SlotMap(tables, self._width + other._width)
-
-    def position(self, alias: str, column: str) -> Optional[int]:
-        offset, columns = self._tables.get(alias, (0, {}))
-        position = columns.get(column)
-        return None if position is None else offset + position
-
-    def __len__(self) -> int:
-        return self._width
-
-
-#: The layout of the empty row (what a bare IXSCAN's bounds are evaluated against).
-_NO_SLOTS = SlotMap({}, 0)
-
-
-def compile_term(term: Term, slots: SlotMap) -> Callable[[Row], object]:
-    """Compile a join-graph term into a positional slot accessor."""
-    if isinstance(term, ColumnTerm):
-        position = slots.position(term.alias, term.column)
-        if position is None:
-            # Mirrors the seed's ``row.get(...)`` behaviour for columns the
-            # row does not carry: the term evaluates to NULL.
-            return lambda row: None
-        return lambda row: row[position]
-    if isinstance(term, ConstantTerm):
-        value = term.value
-        return lambda row: value
-    if isinstance(term, SumTerm):
-        parts = tuple(compile_term(part, slots) for part in term.terms)
-
-        def _sum(row: Row) -> object:
-            total = 0
-            for part in parts:
-                value = part(row)
-                if value is None:
-                    return None
-                total += value  # type: ignore[operator]
-            return total
-
-        return _sum
-    if isinstance(term, ParameterTerm):
-        raise ExecutionError(
-            f"parameter :{term.name} reached the physical layer unbound; "
-            "bind the join graph (JoinGraph.bind) before planning"
-        )
-    raise ExecutionError(f"cannot compile term {term!r}")
-
-
-def compile_condition(condition: Condition, slots: SlotMap) -> Callable[[Row], bool]:
-    """Compile one WHERE conjunct into a positional-row boolean closure."""
-    left = compile_term(condition.left, slots)
-    right = compile_term(condition.right, slots)
-    op = condition.op
-    if op == "=":
-        def _eq(row: Row) -> bool:
-            lv = left(row)
-            rv = right(row)
-            return lv is not None and rv is not None and lv == rv
-
-        return _eq
-    if op == "!=":
-        def _ne(row: Row) -> bool:
-            lv = left(row)
-            rv = right(row)
-            return lv is not None and rv is not None and lv != rv
-
-        return _ne
-    try:
-        relation = _RANGE_RELATIONS[op]
-    except KeyError:
-        raise ExecutionError(f"unknown comparison operator {op!r}") from None
-
-    def _range(row: Row) -> bool:
-        lv = left(row)
-        rv = right(row)
-        if lv is None or rv is None:
-            return False
-        try:
-            return relation(lv, rv)
-        except TypeError:
-            return False
-
-    return _range
-
-
-def compile_conditions(
-    conditions: Sequence[Condition], slots: SlotMap
-) -> Optional[Callable[[Row], bool]]:
-    """Compile a conjunction; ``None`` when there is nothing to check."""
-    if not conditions:
-        return None
-    compiled = tuple(compile_condition(condition, slots) for condition in conditions)
-    if len(compiled) == 1:
-        return compiled[0]
-
-    def _all(row: Row) -> bool:
-        for test in compiled:
-            if not test(row):
-                return False
-        return True
-
-    return _all
-
-
-def compile_term_columnar(term: Term, slots: SlotMap):
-    """Columnar twin of :func:`compile_term`: a closure over a ColumnarTable.
-
-    The table's columns are positionally aligned with ``slots``.  Returns a
-    :class:`~repro.algebra.columnar.Column` (or a scalar for constants) per
-    call; a column the row does not carry evaluates to NULL, mirroring
-    :func:`compile_term`.
-    """
-    if isinstance(term, ColumnTerm):
-        position = slots.position(term.alias, term.column)
-        if position is None:
-            return lambda table: None
-        return lambda table: table.cols[position]
-    if isinstance(term, ConstantTerm):
-        value = term.value
-        return lambda table: value
-    if isinstance(term, SumTerm):
-        parts = tuple(compile_term_columnar(part, slots) for part in term.terms)
-        return lambda table: _columnar.sum_columns(
-            [part(table) for part in parts], table.length
-        )
-    if isinstance(term, ParameterTerm):
-        raise ExecutionError(
-            f"parameter :{term.name} reached the physical layer unbound; "
-            "bind the join graph (JoinGraph.bind) before planning"
-        )
-    raise ExecutionError(f"cannot compile term {term!r}")
-
-
-def compile_conditions_mask(conditions: Sequence[Condition], slots: SlotMap):
-    """Compile a conjunction into one boolean-mask closure (``None`` if empty).
-
-    :func:`repro.algebra.columnar.compare_mask` shares the reference
-    semantics of :func:`compile_conditions`' row closures, so masks agree
-    with them bit for bit.
-    """
-    if not conditions:
-        return None
-    compiled = tuple(
-        (
-            compile_term_columnar(condition.left, slots),
-            condition.op,
-            compile_term_columnar(condition.right, slots),
-        )
-        for condition in conditions
-    )
-    return lambda table: _columnar.conjunction_mask(compiled, table)
+_OPERATORS = frozenset(("=", "!=", "<", "<=", ">", ">="))
 
 
 class ExecutionContext:
@@ -255,42 +98,114 @@ class ExecutionContext:
             raise QueryTimeoutError(self.timeout_seconds or 0.0, elapsed)
 
 
-def _value_list(value, length: int) -> list:
-    """A columnar term's value — a Column, or a constant / missing-column NULL — as a list."""
+def _take(positions: Mapping[str, Optional[np.ndarray]], indices) -> dict:
+    """Every alias' positions gathered at ``indices`` (``None``: the identity)."""
+    return {
+        alias: indices if vector is None else vector[indices]
+        for alias, vector in positions.items()
+    }
+
+
+class Rows:
+    """A join result: one int64 row-position vector per alias, all of one length.
+
+    ``tables`` maps each alias to the table its positions index; a vector
+    of ``None`` stands for every row of the table, in order (an unfiltered
+    TBSCAN).  :meth:`column` gathers a column on its first read and keeps it
+    for the other readers of this result.
+    """
+
+    __slots__ = ("tables", "positions", "length", "_columns")
+
+    def __init__(self, tables: Mapping[str, Table], positions: dict, length: int):
+        self.tables = tables
+        self.positions = positions
+        self.length = length
+        self._columns: dict[tuple[str, str], Column] = {}
+
+    def column(self, alias: str, name: str) -> Column:
+        column = self._columns.get((alias, name))
+        if column is None:
+            column = self.tables[alias].columnar().col(name)
+            vector = self.positions[alias]
+            if vector is not None:
+                column = column.take(vector)
+            self._columns[(alias, name)] = column
+        return column
+
+    def take(self, indices) -> "Rows":
+        return Rows(self.tables, _take(self.positions, indices), len(indices))
+
+    def filter(self, mask) -> "Rows":
+        indices = mask.nonzero()[0]
+        return self if len(indices) == self.length else self.take(indices)
+
+
+def _term(term: Term, tables: Mapping[str, Table]) -> Callable[[Rows], object]:
+    """Compile a join-graph term into a closure over :class:`Rows`.
+
+    The closure returns a :class:`~repro.algebra.columnar.Column`, or a
+    scalar for a constant; a column the rows do not carry evaluates to NULL.
+    """
+    if isinstance(term, ColumnTerm):
+        table = tables.get(term.alias)
+        if table is None or term.column not in table.columns:
+            return lambda rows: None
+        alias, name = term.alias, term.column
+        return lambda rows: rows.column(alias, name)
+    if isinstance(term, ConstantTerm):
+        value = term.value
+        return lambda rows: value
+    if isinstance(term, SumTerm):
+        parts = tuple(_term(part, tables) for part in term.terms)
+        return lambda rows: _columnar.sum_columns([part(rows) for part in parts], rows.length)
+    if isinstance(term, ParameterTerm):
+        raise ExecutionError(
+            f"parameter :{term.name} reached the physical layer unbound; "
+            "bind the join graph (JoinGraph.bind) before planning"
+        )
+    raise ExecutionError(f"cannot compile term {term!r}")
+
+
+def _mask(conditions: Sequence[Condition], tables: Mapping[str, Table]):
+    """Compile a conjunction into one boolean-mask closure over :class:`Rows` (``None`` if empty).
+
+    :func:`repro.algebra.columnar.compare_mask` carries SQL comparison
+    semantics: a NULL operand fails, and so does a range comparison
+    between a number and a string.
+    """
+    if not conditions:
+        return None
+    for condition in conditions:
+        if condition.op not in _OPERATORS:
+            raise ExecutionError(f"unknown comparison operator {condition.op!r}")
+    compiled = tuple(
+        (_term(condition.left, tables), condition.op, _term(condition.right, tables))
+        for condition in conditions
+    )
+    return lambda rows: _columnar.conjunction_mask(compiled, rows)
+
+
+def _values(value, length: int) -> list:
+    """A term's value — a Column, or a constant / missing-column NULL — as a list."""
     return value.tolist() if isinstance(value, Column) else [value] * length
 
 
 @dataclass
 class PhysicalOperator:
-    """Base class: every operator yields rows and can explain itself.
+    """Base class: every operator produces :class:`Rows` and can explain itself.
 
-    ``__post_init__`` of each operator sets :attr:`slots` (the layout of its
-    output rows) and compiles its closures against it.
+    ``__post_init__`` of each operator sets :attr:`tables` (the alias →
+    table map of its output) and compiles its closures against it.
     """
 
-    slots = _NO_SLOTS
+    tables = {}
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:  # pragma: no cover - abstract
+    def run(self, ctx: ExecutionContext) -> Rows:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def children(self) -> Sequence["PhysicalOperator"]:
         return ()
-
-    def can_columnar(self) -> bool:
-        """True when :meth:`as_columnar` will produce a result (no side effects)."""
-        return False
-
-    def as_columnar(self, ctx: ExecutionContext) -> Optional[ColumnarTable]:
-        """This operator's full result as a ColumnarTable, or ``None``.
-
-        Operators that can produce their output column-wise (scans, filters,
-        hash joins) implement this; pipelined index operators return ``None``
-        and stay row-at-a-time.  Column order is positionally aligned with
-        :attr:`slots`.  Callers should consult :meth:`can_columnar` first —
-        a partially evaluated columnar tree would double-count scan work on
-        fallback otherwise.
-        """
-        return None
 
     def describe(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -304,9 +219,7 @@ class PhysicalOperator:
 
 @dataclass
 class TableScan(PhysicalOperator):
-    """TBSCAN — scan the base table, applying residual conditions.
-
-    Output rows *are* the table's row tuples (zero copies per row)."""
+    """TBSCAN — scan the base table, applying residual conditions."""
 
     table: Table
     alias: str
@@ -314,28 +227,14 @@ class TableScan(PhysicalOperator):
     estimated_rows: float = 0.0
 
     def __post_init__(self) -> None:
-        self.slots = SlotMap.for_table(self.table, self.alias)
-        self._mask = compile_conditions_mask(self.conditions, self.slots)
+        self.tables = {self.alias: self.table}
+        self._mask = _mask(self.conditions, self.tables)
 
-    def can_columnar(self) -> bool:
-        return True
-
-    def as_columnar(self, ctx: ExecutionContext) -> Optional[ColumnarTable]:
+    def run(self, ctx: ExecutionContext) -> Rows:
         ctx.check()
         ctx.rows_scanned += len(self.table.rows)
-        base = self.table.columnar()
-        if self._mask is None:
-            return base
-        return base.filter(self._mask(base))
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        if self._mask is not None:
-            yield from self.as_columnar(ctx).iter_rows()
-            return
-        # Bulk scan: the table's own tuples, counted in one step.
-        ctx.check()
-        ctx.rows_scanned += len(self.table.rows)
-        yield from self.table.rows
+        rows = Rows(self.tables, {self.alias: None}, len(self.table.rows))
+        return rows if self._mask is None else rows.filter(self._mask(rows))
 
     def describe(self) -> str:
         predicate = " ".join(c.render() for c in self.conditions)
@@ -356,96 +255,142 @@ class IndexBound:
     source: object = None
 
 
-class _CompiledProbe:
-    """Bounds + residual of one index access, compiled against slot maps.
+def _ranks(domain: SortedDomain, value):
+    return domain.rank(value) if isinstance(value, Column) else domain.rank_value(value)
 
-    ``bounds`` terms are evaluated against the *outer* row (empty for a bare
-    IXSCAN), the residual conditions against the combined output row.  The
-    probe key is the equality prefix of the index key — its leading constants
-    decorated here, once — plus, on the next key column, the tightest of the
-    range bounds; a bound that evaluates to NULL matches nothing.
+
+def _vector(value, length: int) -> np.ndarray:
+    return value if isinstance(value, np.ndarray) else np.full(length, value)
+
+
+class _Probe:
+    """Bounds + residual of one index access, compiled against the outer and output tables.
+
+    ``bounds`` terms are evaluated over the *outer* rows (one empty row for
+    a bare IXSCAN), the residual over the joined rows.  The probe key is
+    the equality prefix of the index key — its leading constants resolved
+    to one run segment by the first execution — plus every range bound on
+    the next key column, the tightest one winning (at equal values an
+    exclusive bound is the tighter).  A bound that evaluates to NULL
+    matches nothing; bounds off the key are evaluated for NULL only.
     """
-
-    __slots__ = ("index", "table_rows", "constant", "evals", "prefix", "lows", "highs", "residual")
 
     def __init__(
         self,
         index: BTreeIndex,
-        table: Table,
+        alias: str,
         bounds: Sequence[IndexBound],
         residual: Sequence[Condition],
-        outer_slots: SlotMap,
-        output_slots: SlotMap,
+        outer_tables: Mapping[str, Table],
+        tables: Mapping[str, Table],
     ):
         self.index = index
-        self.table_rows = table.rows
-        self.residual = compile_conditions(residual, output_slots)
+        self.alias = alias
+        self.tables = tables
+        self.residual = _mask(residual, tables)
+        key = index.key_columns
         equalities = {bound.column: bound for bound in bounds if bound.kind == "eq"}
-        prefix_bounds = []
-        for column in index.key_columns:
+        prefix: list[IndexBound] = []
+        for column in key:
             if column not in equalities:
                 break
-            prefix_bounds.append(equalities[column])
-        depth = len(prefix_bounds)
-        ranged = [bound for bound in bounds if bound.kind != "eq"]
-        if not (
-            ranged
-            and depth < len(index.key_columns)
-            and ranged[-1].column == index.key_columns[depth]
-        ):
-            ranged = []  # evaluated for NULL only, as every bound off the key is
-        constants = 0
-        while constants < depth and isinstance(prefix_bounds[constants].term, ConstantTerm):
-            constants += 1
-        values = [bound.term.value for bound in prefix_bounds[:constants]]
-        #: Decorated constant head of the key; ``None``: a constant is NULL.
-        self.constant: Optional[tuple] = (
-            None if None in values else tuple(orderable(value) for value in values)
-        )
-        folded = {id(bound) for bound in prefix_bounds[:constants]}
-        evaluated = [bound for bound in bounds if id(bound) not in folded]
-        self.evals = tuple(compile_term(bound.term, outer_slots) for bound in evaluated)
-        position = {id(bound): slot for slot, bound in enumerate(evaluated)}
-        self.prefix = tuple(position[id(bound)] for bound in prefix_bounds[constants:])
-        self.lows = tuple((position[id(b)], b.inclusive) for b in ranged if b.kind == "low")
-        self.highs = tuple((position[id(b)], b.inclusive) for b in ranged if b.kind == "high")
+            prefix.append(equalities[column])
+        self.depth = len(prefix)
+        ranged = [
+            bound
+            for bound in bounds
+            if bound.kind != "eq" and self.depth < len(key) and bound.column == key[self.depth]
+        ]
+        self.first = 0  # the constant head: prefix[:first]
+        while self.first < self.depth and isinstance(prefix[self.first].term, ConstantTerm):
+            self.first += 1
+        self.head = tuple(bound.term.value for bound in prefix[: self.first])
+        self._segment: Optional[tuple[int, int]] = None
+        keyed = {id(bound) for bound in prefix + ranged}
+        evaluated = prefix[self.first :] + ranged
+        evaluated += [bound for bound in bounds if id(bound) not in keyed]
+        #: The prefix bounds after the head, the range bounds, then the bounds off the key.
+        self.terms = [_term(bound.term, outer_tables) for bound in evaluated]
+        #: ``(is_low, searchsorted side)`` per range bound.
+        self.ranges = [
+            (bound.kind == "low", "left" if bound.inclusive == (bound.kind == "low") else "right")
+            for bound in ranged
+        ]
 
-    def rows(self, ctx: ExecutionContext, outer_rows) -> Iterator[Row]:
-        """Probe the B-tree once per outer row; yield the joined rows."""
+    def matches(self, ctx: ExecutionContext, outer: Rows) -> Rows:
+        """Probe the B-tree for every outer row at once: the joined rows, outer-major."""
+        ctx.check()
+        ctx.index_probes += outer.length
         tree = self.index.tree
-        span, payloads = tree.span, tree.payloads
-        table_rows, residual, check = self.table_rows, self.residual, ctx.check
-        constant, evals, prefix, lows, highs = (
-            self.constant, self.evals, self.prefix, self.lows, self.highs
-        )
-        for outer_row in outer_rows:
-            ctx.index_probes += 1
-            values = [evaluate(outer_row) for evaluate in evals]
-            if constant is None or None in values:
-                continue
-            low = high = (
-                constant + tuple([orderable(values[p]) for p in prefix]) if prefix else constant
+        if self._segment is None:  # idempotent: racing first calls store equal segments
+            self._segment = (0, 0) if None in self.head else tree.span(self.head, self.head)
+        # The segments start as the head's and narrow per key column:
+        # scalars until a bound varies per outer row, then arrays.
+        low, high = self._segment
+        values = [term(outer) for term in self.terms]
+        n = outer.length
+        if low >= high or not n or any(value is None for value in values):
+            return self._empty()
+        keyed = self.depth - self.first
+        for depth, value in enumerate(values[:keyed], start=self.first):
+            search = tree.search[depth]
+            targets = tree.segment_base(depth, low) + _ranks(tree.domains[depth], value)
+            low, high = (
+                np.maximum(low, search.searchsorted(targets, "left")),
+                np.minimum(high, search.searchsorted(targets, "right")),
             )
-            low_inclusive = high_inclusive = True
-            if lows:
-                at, low_inclusive = lows[0]
-                for other, inclusive in lows[1:]:
-                    if values[other] > values[at]:  # type: ignore[operator]
-                        at, low_inclusive = other, inclusive
-                low += (orderable(values[at]),)
-            if highs:
-                at, high_inclusive = highs[0]
-                for other, inclusive in highs[1:]:
-                    if values[other] < values[at]:  # type: ignore[operator]
-                        at, high_inclusive = other, inclusive
-                high += (orderable(values[at]),)
-            start, end = span(low, high, low_inclusive, high_inclusive)
-            ctx.rows_scanned += end - start
-            for payload in payloads[start:end]:
-                check()
-                row = outer_row + table_rows[payload[0]]
-                if residual is None or residual(row):
-                    yield row
+        if self.ranges:
+            search, base = tree.search[self.depth], tree.segment_base(self.depth, low)
+            domain = tree.domains[self.depth]
+            for (is_low, side), value in zip(self.ranges, values[keyed:]):
+                at = search.searchsorted(base + _ranks(domain, value), side)
+                if is_low:
+                    low = np.maximum(low, at)
+                else:
+                    high = np.minimum(high, at)
+        counts = np.maximum(high - low, 0)
+        for value in values:
+            if isinstance(value, Column):
+                counts = counts * value.notnull
+        return self._joined(ctx, outer, _vector(low, n), _vector(counts, n))
+
+    def _empty(self) -> Rows:
+        return Rows(self.tables, dict.fromkeys(self.tables, np.empty(0, np.int64)), 0)
+
+    def _joined(self, ctx: ExecutionContext, outer: Rows, low, counts) -> Rows:
+        """Expand each outer row's ``counts`` run slots from ``low``, in blocks of outer rows."""
+        ends = np.add.accumulate(counts)
+        total = int(ends[-1])
+        ctx.rows_scanned += total
+        if not total:
+            return self._empty()
+        rows = self.index.tree.rows
+        blocks = []
+        first = 0
+        while first < outer.length:
+            ctx.check()
+            done = int(ends[first] - counts[first])  # pairs before this block
+            stop = outer.length
+            if total - done > NESTED_LOOP_BLOCK_PAIRS:
+                limit = ends.searchsorted(done + NESTED_LOOP_BLOCK_PAIRS, "right")
+                stop = max(first + 1, int(limit))
+            block = counts[first:stop]
+            outer_ids = np.arange(first, stop).repeat(block)
+            slots = np.arange(len(outer_ids)) + (
+                low[first:stop] - (ends[first:stop] - block - done)
+            ).repeat(block)
+            positions = _take(outer.positions, outer_ids)
+            positions[self.alias] = rows[slots]
+            joined = Rows(self.tables, positions, len(outer_ids))
+            blocks.append(joined if self.residual is None else joined.filter(self.residual(joined)))
+            first = stop
+        if len(blocks) == 1:
+            return blocks[0]
+        return Rows(
+            self.tables,
+            {alias: np.concatenate([b.positions[alias] for b in blocks]) for alias in self.tables},
+            sum(block.length for block in blocks),
+        )
 
 
 def _describe_bounds(bounds: Sequence[IndexBound]) -> str:
@@ -464,13 +409,11 @@ class IndexScan(PhysicalOperator):
     estimated_rows: float = 0.0
 
     def __post_init__(self) -> None:
-        self.slots = SlotMap.for_table(self.table, self.alias)
-        self._probe = _CompiledProbe(
-            self.index, self.table, self.bounds, self.residual, _NO_SLOTS, self.slots
-        )
+        self.tables = {self.alias: self.table}
+        self._probe = _Probe(self.index, self.alias, self.bounds, self.residual, {}, self.tables)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        return self._probe.rows(ctx, ((),))
+    def run(self, ctx: ExecutionContext) -> Rows:
+        return self._probe.matches(ctx, Rows({}, {}, 1))
 
     def describe(self) -> str:
         keys = ",".join(self.index.key_columns)
@@ -483,7 +426,7 @@ class IndexScan(PhysicalOperator):
 
 @dataclass
 class IndexNestedLoopJoin(PhysicalOperator):
-    """NLJOIN — for every outer row, probe the inner alias through a B-tree."""
+    """NLJOIN — probe the inner alias through a B-tree, for all outer rows at once."""
 
     outer: PhysicalOperator
     index: BTreeIndex
@@ -494,13 +437,13 @@ class IndexNestedLoopJoin(PhysicalOperator):
     estimated_rows: float = 0.0
 
     def __post_init__(self) -> None:
-        self.slots = self.outer.slots.concat(SlotMap.for_table(self.table, self.alias))
-        self._probe = _CompiledProbe(
-            self.index, self.table, self.bounds, self.residual, self.outer.slots, self.slots
+        self.tables = {**self.outer.tables, self.alias: self.table}
+        self._probe = _Probe(
+            self.index, self.alias, self.bounds, self.residual, self.outer.tables, self.tables
         )
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        return self._probe.rows(ctx, self.outer.rows(ctx))
+    def run(self, ctx: ExecutionContext) -> Rows:
+        return self._probe.matches(ctx, self.outer.run(ctx))
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.outer,)
@@ -525,99 +468,35 @@ class HashJoin(PhysicalOperator):
     estimated_rows: float = 0.0
 
     def __post_init__(self) -> None:
-        outer, inner = self.outer.slots, self.inner.slots
-        self.slots = outer.concat(inner)
-        self._outer_keys = [compile_term(term, outer) for term in self.outer_terms]
-        self._inner_keys = [compile_term(term, inner) for term in self.inner_terms]
-        self._outer_columns = [compile_term_columnar(term, outer) for term in self.outer_terms]
-        self._inner_columns = [compile_term_columnar(term, inner) for term in self.inner_terms]
-        self._residual = compile_conditions(self.residual, self.slots)
-        self._residual_mask = compile_conditions_mask(self.residual, self.slots)
+        self.tables = {**self.outer.tables, **self.inner.tables}
+        self._outer_keys = [_term(term, self.outer.tables) for term in self.outer_terms]
+        self._inner_keys = [_term(term, self.inner.tables) for term in self.inner_terms]
+        self._residual = _mask(self.residual, self.tables)
 
-    def can_columnar(self) -> bool:
-        return self.outer.can_columnar() and self.inner.can_columnar()
-
-    def as_columnar(self, ctx: ExecutionContext) -> Optional[ColumnarTable]:
-        if not self.can_columnar():
-            return None
-        outer = self.outer.as_columnar(ctx)
-        inner = self.inner.as_columnar(ctx)
-        if not self.outer_terms:
-            # No equi keys: every outer row pairs with every inner row (the
-            # row path hashes on the empty tuple), and the residual does the
-            # actual joining.  Keep the outer-major, inner-in-order pairing.
-            ctx.check()
-            return self._combined(
-                outer,
-                inner,
-                np.repeat(np.arange(outer.length), inner.length),
-                np.tile(np.arange(inner.length), outer.length),
+    def run(self, ctx: ExecutionContext) -> Rows:
+        outer = self.outer.run(ctx)
+        inner = self.inner.run(ctx)
+        ctx.check()
+        if not self._outer_keys:
+            # No equi keys: every outer row pairs with every inner row, and
+            # the residual does the joining (outer-major, inner in order).
+            outer_ids = np.repeat(np.arange(outer.length), inner.length)
+            inner_ids = np.tile(np.arange(inner.length), outer.length)
+        else:
+            outer_keys = [key(outer) for key in self._outer_keys]
+            inner_keys = [key(inner) for key in self._inner_keys]
+            merged = None
+            if all(isinstance(key, Column) for key in outer_keys + inner_keys):
+                merged = _columnar.equi_join_indices(outer_keys, inner_keys)
+            outer_ids, inner_ids = merged or _columnar.bucket_join_indices(
+                outer_keys, inner_keys, outer.length, inner.length, ctx.check
             )
-        outer_keys = [evaluate(outer) for evaluate in self._outer_columns]
-        inner_keys = [evaluate(inner) for evaluate in self._inner_columns]
-        if all(isinstance(key, Column) for key in outer_keys + inner_keys):
-            vectorized = _columnar.equi_join_indices(outer_keys, inner_keys)
-            if vectorized is not None:
-                return self._combined(outer, inner, *vectorized)
-        # A declined key (uncoded strings, NULL numbers, ...) or a constant
-        # term: Python buckets over the key tuples.
-        buckets: dict[tuple, list[int]] = {}
-        inner_lists = [_value_list(key, inner.length) for key in inner_keys]
-        for position, key in enumerate(zip(*inner_lists)):
-            buckets.setdefault(key, []).append(position)
-        outer_indices: list[int] = []
-        inner_indices: list[int] = []
-        outer_lists = [_value_list(key, outer.length) for key in outer_keys]
-        for position, key in enumerate(zip(*outer_lists)):
-            if not position & 0x3FFF:
-                ctx.check()
-            matches = buckets.get(key)
-            if matches:
-                outer_indices += [position] * len(matches)
-                inner_indices += matches
-        count = len(outer_indices)
-        return self._combined(
-            outer,
-            inner,
-            np.fromiter(outer_indices, dtype=np.int64, count=count),
-            np.fromiter(inner_indices, dtype=np.int64, count=count),
+        joined = Rows(
+            self.tables,
+            {**_take(outer.positions, outer_ids), **_take(inner.positions, inner_ids)},
+            len(outer_ids),
         )
-
-    def _combined(
-        self,
-        outer: ColumnarTable,
-        inner: ColumnarTable,
-        outer_indices,
-        inner_indices,
-    ) -> ColumnarTable:
-        # Slot names are (alias, column) pairs; the mask compiler is
-        # positional, so synthetic unique names suffice for the schema.
-        combined = ColumnarTable(
-            [f"s{i}" for i in range(len(self.slots))],
-            [c.take(outer_indices) for c in outer.cols]
-            + [c.take(inner_indices) for c in inner.cols],
-            len(outer_indices),
-        )
-        if self._residual_mask is None:
-            return combined
-        return combined.filter(self._residual_mask(combined))
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        if self.can_columnar():
-            yield from self.as_columnar(ctx).iter_rows()
-            return
-        inner_keys, outer_keys, residual = self._inner_keys, self._outer_keys, self._residual
-        buckets: dict[tuple, list[Row]] = {}
-        for inner_row in self.inner.rows(ctx):
-            key = tuple(evaluate(inner_row) for evaluate in inner_keys)
-            buckets.setdefault(key, []).append(inner_row)
-        for outer_row in self.outer.rows(ctx):
-            ctx.check()
-            key = tuple(evaluate(outer_row) for evaluate in outer_keys)
-            for inner_row in buckets.get(key, ()):
-                row = outer_row + inner_row
-                if residual is None or residual(row):
-                    yield row
+        return joined if self._residual is None else joined.filter(self._residual(joined))
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.outer, self.inner)
@@ -637,27 +516,12 @@ class Filter(PhysicalOperator):
     conditions: list[Condition] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.slots = self.child.slots
-        self._keep = compile_conditions(self.conditions, self.slots)
-        self._mask = compile_conditions_mask(self.conditions, self.slots)
+        self.tables = self.child.tables
+        self._mask = _mask(self.conditions, self.tables)
 
-    def can_columnar(self) -> bool:
-        return self.child.can_columnar()
-
-    def as_columnar(self, ctx: ExecutionContext) -> Optional[ColumnarTable]:
-        child = self.child.as_columnar(ctx)
-        if child is None or self._mask is None:
-            return child
-        return child.filter(self._mask(child))
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        if self.can_columnar():
-            yield from self.as_columnar(ctx).iter_rows()
-            return
-        keep = self._keep
-        for row in self.child.rows(ctx):
-            if keep is None or keep(row):
-                yield row
+    def run(self, ctx: ExecutionContext) -> Rows:
+        rows = self.child.run(ctx)
+        return rows if self._mask is None else rows.filter(self._mask(rows))
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
@@ -676,28 +540,25 @@ class Sort(PhysicalOperator):
     distinct: bool = False
 
     def __post_init__(self) -> None:
-        self.slots = self.child.slots
-        self._order = [compile_term(term, self.slots) for term in self.order_terms]
-        self._select = [compile_term(term, self.slots) for term, _name in self.select_items]
+        self.tables = self.child.tables
+        self._order = [_term(term, self.tables) for term in self.order_terms]
+        self._select = [_term(term, self.tables) for term, _name in self.select_items]
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:
-        order_evals, select_evals = self._order, self._select
-        materialised = list(self.child.rows(ctx))
-        keys = [
-            tuple(orderable(evaluate(row)) for evaluate in order_evals)
-            for row in materialised
-        ]
-        order = sorted(range(len(materialised)), key=lambda position: keys[position])
-        seen: set[tuple] = set()
-        for position in order:
-            ctx.check()
-            row = materialised[position]
-            if self.distinct:
-                signature = tuple(evaluate(row) for evaluate in select_evals)
-                if signature in seen:
-                    continue
-                seen.add(signature)
-            yield row
+    def run(self, ctx: ExecutionContext) -> Rows:
+        rows = self.child.run(ctx)
+        ctx.check()
+        # A constant orders nothing and makes no two rows distinct.
+        keys = [key for key in (order(rows) for order in self._order) if isinstance(key, Column)]
+        if keys and rows.length > 1:  # lexsort is stable; its last key is the primary one
+            rows = rows.take(np.lexsort([_columnar.order_array(key) for key in reversed(keys)]))
+        if self.distinct:
+            selected = (select(rows) for select in self._select)
+            first = _columnar.first_occurrences(
+                [column for column in selected if isinstance(column, Column)], rows.length
+            )
+            if first is not None:
+                rows = rows.take(np.array(first, dtype=np.int64))
+        return rows
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)
@@ -716,34 +577,25 @@ class Return(PhysicalOperator):
     select_items: list[tuple[Term, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.slots = self.child.slots
-        self._select = [(compile_term(term, self.slots), name) for term, name in self.select_items]
-        self._select_columns = [
-            compile_term_columnar(term, self.slots) for term, _name in self.select_items
-        ]
+        self.tables = self.child.tables
+        self._select = [_term(term, self.tables) for term, _name in self.select_items]
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[Row]:  # pragma: no cover - unused path
-        yield from self.child.rows(ctx)
+    def results(self, ctx: ExecutionContext) -> list[dict[str, object]]:
+        """One ``{name: value}`` per result row, in order."""
+        rows = self.child.run(ctx)
+        names = [name for _term, name in self.select_items]
+        values = [_values(select(rows), rows.length) for select in self._select]
+        return [dict(zip(names, row)) for row in zip(*values)]
 
-    def results(self, ctx: ExecutionContext) -> Iterator[dict[str, object]]:
-        compiled = self._select
-        for row in self.child.rows(ctx):
-            yield {name: evaluate(row) for evaluate, name in compiled}
-
-    def value_set_columns(self, ctx: ExecutionContext) -> Optional[list[list]]:
+    def value_set_columns(self, ctx: ExecutionContext) -> list[list]:
         """The select list as one list per item, in no particular row order.
 
         For callers that only build *sets* from the rows: a ``SORT DISTINCT``
-        child is irrelevant to them, so it is peeled off and the select
-        terms are evaluated over its input's columnar result — no per-row
-        dict, no Python sort.  ``None`` when that input cannot produce
-        columns (e.g. index nested-loop plans).
+        child is irrelevant to them, so it is peeled off.
         """
         child = self.child.child if isinstance(self.child, Sort) else self.child
-        if not child.can_columnar():
-            return None
-        table = child.as_columnar(ctx)
-        return [_value_list(evaluate(table), table.length) for evaluate in self._select_columns]
+        rows = child.run(ctx)
+        return [_values(select(rows), rows.length) for select in self._select]
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)

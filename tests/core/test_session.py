@@ -186,9 +186,7 @@ def builds(monkeypatch):
         return spy
 
     monkeypatch.setattr(stages, "Table", counting("doc_table", stages.Table))
-    monkeypatch.setattr(
-        stages, "database_from_encoding", counting("database", stages.database_from_encoding)
-    )
+    monkeypatch.setattr(stages, "database_hosting", counting("database", stages.database_hosting))
     monkeypatch.setattr(BPlusTree, "__init__", counting("trees", BPlusTree.__init__))
     monkeypatch.setattr(Table, "__init__", counting("tables", Table.__init__))
     return counts
@@ -203,17 +201,21 @@ def _planned_indexes(session, query):
     "engine,parameterised,doc_table,database,probes",
     [
         ("sql", True, 0, 0, False),
-        ("sql", False, 0, 1, False),  # pins its join order from statistics only
+        ("sql", False, 1, 1, False),  # pins its join order from statistics only
         ("sql-stacked", False, 0, 0, False),
         ("stacked", False, 1, 0, False),
         ("isolated", False, 1, 0, False),
-        ("join-graph", False, 0, 1, True),
-        ("auto", False, 0, 1, True),
-        ("explain", False, 0, 1, False),
+        ("join-graph", False, 1, 1, True),
+        ("auto", False, 1, 1, True),
+        ("explain", False, 1, 1, False),
     ],
 )
 def test_materialisation_matrix(builds, engine, parameterised, doc_table, database, probes):
-    """Each engine builds the derived state it reads — once — and nothing else."""
+    """Each engine builds the derived state it reads — once — and nothing else.
+
+    The database hosts the snapshot's ``doc`` table, so building it builds
+    that table (once, shared with the plan interpreters).
+    """
     session = Session()
     session.register("d.xml", PRICED)
     trees = len(_planned_indexes(session, LITERAL.format(uri="d.xml"))) if probes else 0

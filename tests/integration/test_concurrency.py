@@ -314,7 +314,7 @@ def test_first_join_graph_calls_on_a_fresh_version_build_the_database_once(monke
     session = _fresh_session()
     expected = session.execute(ADHOC_QUERIES[0], configuration="stacked").items
     session.register("fresh.xml", "<fresh/>")  # new version: nothing derived yet
-    builds = _counting(monkeypatch, stages, "database_from_encoding")
+    builds = _counting(monkeypatch, stages, "database_hosting")
     outcomes = _race(
         lambda _i: session.execute(ADHOC_QUERIES[0], configuration="join-graph")
     )
@@ -358,6 +358,26 @@ def test_eight_threads_run_one_cached_program_with_identical_counters(monkeypatc
     assert observed == [expected] * (THREADS * ITERATIONS)
 
 
+def test_racing_first_executions_of_a_planned_program_agree():
+    """A planned program's first execution loads its trees and resolves each
+    probe's constant key head to a run segment; racing first executions fill
+    that shared state equally, never half."""
+
+    def counters(result):
+        return tuple(result.items()), result.rows_scanned, result.index_probes
+
+    def planned(session):
+        graph = session.prepare(ADHOC_QUERIES[0]).compilation.join_graph
+        session.processor.engine.plan(graph)
+        return session.processor.engine, graph
+
+    engine, graph = planned(_fresh_session())
+    expected = counters(engine.execute(graph))
+    engine, graph = planned(_fresh_session())  # nothing loaded or resolved yet
+    results = _race(lambda _i: counters(engine.execute(graph)))
+    assert results == [expected] * THREADS
+
+
 def test_registration_racing_a_lazy_build_never_leaks_newer_rows(monkeypatch):
     """A version-v snapshot is its first n rows, whenever they are read."""
     from repro.xmldb.encoding import DocumentEncoding
@@ -378,9 +398,10 @@ def test_registration_racing_a_lazy_build_never_leaks_newer_rows(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(DocumentEncoding, "rows", rows_after_a_registration)
-        assert len(processor.doc_table) == captured
         assert len(processor.database.table("doc")) == captured
-    assert len(landed) == 2 and len(session.store.encoding) > captured
+        # The database hosts the snapshot's doc table: one read of the rows.
+        assert processor.database.table("doc") is processor.doc_table
+    assert len(landed) == 1 and len(session.store.encoding) > captured
 
     # And under real threads: writers keep registering while readers force
     # the derived state of whichever version they happen to hold.

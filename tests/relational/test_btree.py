@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra.table import Table
-from repro.relational.btree import BPlusTree, BTreeIndex, PRE_PLUS_SIZE, order_key
+from repro.algebra.columnar import sort_key as order_key
+from repro.relational.btree import BPlusTree, BTreeIndex, PRE_PLUS_SIZE
 
 
 def _tree(values):
-    return BPlusTree([((value,), (position,)) for position, value in enumerate(values)], order=8)
+    return BPlusTree.from_entries(
+        [((value,), (position,)) for position, value in enumerate(values)], order=8
+    )
 
 
 def test_full_scan_is_sorted():
@@ -27,7 +30,7 @@ def test_range_scan_bounds():
 
 def test_prefix_scan_composite_keys():
     entries = [((name, value), (value,)) for value in range(10) for name in ("a", "b")]
-    tree = BPlusTree(entries, order=4)
+    tree = BPlusTree.from_entries(entries, order=4)
     a_keys = [key for key, _ in tree.scan_range(("a",), ("a",))]
     assert len(a_keys) == 10 and all(key[0] == "a" for key in a_keys)
 
@@ -97,7 +100,7 @@ def _filter_sorted_entries(entries, low, high, low_inclusive, high_inclusive):
 @given(st.lists(_KEY, max_size=60), _BOUND, _BOUND, st.booleans(), st.booleans())
 def test_composite_prefix_scan_matches_filter(keys, low, high, low_inclusive, high_inclusive):
     entries = [(key, (position,)) for position, key in enumerate(keys)]
-    tree = BPlusTree(entries, order=4)
+    tree = BPlusTree.from_entries(entries, order=4)
     assert list(tree.scan_range(low, high, low_inclusive, high_inclusive)) == (
         _filter_sorted_entries(entries, low, high, low_inclusive, high_inclusive)
     )

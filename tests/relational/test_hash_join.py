@@ -1,11 +1,11 @@
-"""HSJOIN on several keys: the column-wise join against the Python-bucket row path.
+"""HSJOIN on several keys, held to a Python-bucket reference.
 
-Above two scans, HSJOIN joins column-wise: all keys go to
-:func:`repro.algebra.columnar.equi_join_indices`, which packs them into one
-int64 key when every key can be compared as codes or exact ints, and
-declines otherwise (the operator then buckets the key tuples in Python).
-Above a child that cannot produce columns, HSJOIN runs its row path.  All
-three must return the same rows in the same order.
+HSJOIN hands all keys to :func:`repro.algebra.columnar.equi_join_indices`,
+which packs them into one int64 key when every key can be compared as
+codes or exact ints, and declines otherwise; a declined or constant key
+joins through :func:`repro.algebra.columnar.bucket_join_indices`.  Either
+way the rows — and their order — are the reference's: a hash table over the
+inner rows' key tuples, probed by every outer row in turn.
 """
 
 import pytest
@@ -13,12 +13,7 @@ import pytest
 from repro.algebra import columnar
 from repro.algebra.table import Table
 from repro.core.joingraph import ColumnTerm, ConstantTerm
-from repro.relational.physical.operators import (
-    ExecutionContext,
-    HashJoin,
-    PhysicalOperator,
-    TableScan,
-)
+from repro.relational.physical.operators import ExecutionContext, HashJoin, TableScan
 
 COLUMNS = ("k", "s", "v")
 #: An int key, a string key with NULLs, a payload.
@@ -26,20 +21,6 @@ ROWS = [
     (1, "x", 10), (2, "y", 11), (1, "x", 12), (3, None, 13), (2, None, 14),
     (3, "z", 15), (1, "y", 16), (2, "y", 17), (3, None, 18),
 ]
-
-
-class _RowsOnly(PhysicalOperator):
-    """A child that cannot produce columns: the HSJOIN above it runs row by row."""
-
-    def __init__(self, child: PhysicalOperator):
-        self.child = child
-        self.slots = child.slots
-
-    def rows(self, ctx):
-        return self.child.rows(ctx)
-
-    def describe(self) -> str:
-        return "ROWS-ONLY"
 
 
 @pytest.fixture
@@ -56,11 +37,35 @@ def packed(monkeypatch):
     return results
 
 
-def _join(outer, inner, outer_terms, inner_terms, wrap=lambda child: child):
-    join = HashJoin(
-        wrap(TableScan(outer, "o")), wrap(TableScan(inner, "i")), outer_terms, inner_terms
-    )
-    return list(join.rows(ExecutionContext()))
+def _key(table, term):
+    if isinstance(term, ConstantTerm):
+        return lambda row: term.value
+    index = table.column_index(term.column)
+    return lambda row: row[index]
+
+
+def _reference(outer, inner, outer_terms, inner_terms):
+    """Python buckets over key tuples: NULL meets NULL, as equal ``dict`` keys do."""
+    inner_keys = [_key(inner, term) for term in inner_terms]
+    outer_keys = [_key(outer, term) for term in outer_terms]
+    buckets = {}
+    for row in inner.rows:
+        buckets.setdefault(tuple(key(row) for key in inner_keys), []).append(row)
+    return [
+        outer_row + inner_row
+        for outer_row in outer.rows
+        for inner_row in buckets.get(tuple(key(outer_row) for key in outer_keys), ())
+    ]
+
+
+def _join(outer, inner, outer_terms, inner_terms):
+    rows = HashJoin(
+        TableScan(outer, "o"), TableScan(inner, "i"), outer_terms, inner_terms
+    ).run(ExecutionContext())
+    return [
+        outer.rows[o] + inner.rows[i]
+        for o, i in zip(rows.positions["o"].tolist(), rows.positions["i"].tolist())
+    ]
 
 
 def _keys(alias):
@@ -71,8 +76,8 @@ def test_two_keys_over_a_shared_dictionary_join_packed(packed):
     table = Table(COLUMNS, ROWS)  # a self-join: both scans share the `s` dictionary
     rows = _join(table, table, _keys("o"), _keys("i"))
     assert len(packed) == 1 and packed[0] is not None
-    assert rows == _join(table, table, _keys("o"), _keys("i"), wrap=_RowsOnly)
-    # A NULL string key meets NULL, as in the row path's buckets.
+    assert rows == _reference(table, table, _keys("o"), _keys("i"))
+    # A NULL string key meets NULL, as in the reference's buckets.
     assert (3, None, 13, 3, None, 18) in rows
     assert rows[:3] == [
         (1, "x", 10, 1, "x", 10), (1, "x", 10, 1, "x", 12), (2, "y", 11, 2, "y", 11),
@@ -89,7 +94,7 @@ def test_declined_keys_bucket_in_python(packed, rows):
     outer, inner = Table(COLUMNS, rows), Table(COLUMNS, rows)
     joined = _join(outer, inner, _keys("o"), _keys("i"))
     assert packed == [None]
-    assert joined == _join(outer, inner, _keys("o"), _keys("i"), wrap=_RowsOnly)
+    assert joined == _reference(outer, inner, _keys("o"), _keys("i"))
     assert (rows[1] + rows[1]) in joined  # with "null-int-key", NULL meets NULL
 
 
@@ -98,5 +103,5 @@ def test_a_constant_key_buckets_in_python(packed):
     outer_terms = [ColumnTerm("o", "k"), ConstantTerm("y")]
     rows = _join(table, table, outer_terms, _keys("i"))
     assert packed == []
-    assert rows == _join(table, table, outer_terms, _keys("i"), wrap=_RowsOnly)
+    assert rows == _reference(table, table, outer_terms, _keys("i"))
     assert {row[4] for row in rows} == {"y"}

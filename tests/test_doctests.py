@@ -16,6 +16,7 @@ import repro.purexml.engine
 import repro.relational.btree
 import repro.relational.engine
 import repro.relational.optimizer.planner
+import repro.relational.physical.operators
 
 FACADE_MODULES = [
     repro.algebra.columnar,
@@ -25,6 +26,7 @@ FACADE_MODULES = [
     repro.relational.engine,
     repro.relational.btree,
     repro.relational.optimizer.planner,
+    repro.relational.physical.operators,
     repro.purexml.engine,
 ]
 
