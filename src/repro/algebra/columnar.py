@@ -4,86 +4,55 @@ The paper's argument is that set-oriented relational evaluation beats
 node-at-a-time navigation — yet a row-tuple interpreter still pays Python
 dispatch per row.  This module supplies the columnar counterpart of
 :class:`repro.algebra.table.Table`: one array per column, boolean masks for
-selections, and batch kernels (comparison masks, rank/dense-rank, staircase
-bisection helpers) that the interpreted engines call instead of per-row
-closures.
+selections, and batch kernels (comparison masks, rank/dense-rank, equi-join
+indices, first occurrences) that the interpreted engines and the B-tree
+engine call instead of per-row closures.
 
-Storage is a NumPy object ``ndarray`` per column.  A kernel whose
-vectorized branch cannot provably match the reference for the values at
-hand — uncoded strings, ints beyond float64 exactness, mixed types, NULL
-join keys — *declines* to an element-by-element Python branch with the
-reference semantics, so the output never depends on the branch taken.
+Every kernel reads one encoding.  A column keeps its exact Python objects in
+a NumPy object ``ndarray`` and, built once, a :class:`SortedDomain` — its
+distinct values in :func:`orderable` order — plus one int64 **rank** per
+row: ``None`` ranks 0, the k-th value of the domain 2k + 2, and a value the
+domain lacks the odd rank between its neighbours.  Numbers come first, then
+one NaN slot, then strings, so a rank also tells its value's class.  A
+column derived by ``take``/``filter``/``repeat``/``tile`` (or shared by
+projection) gathers its ranks and keeps its domain; any other value is
+*re-ranked* into a domain (:meth:`SortedDomain.rank`).  Ranks order and tie
+exactly as :func:`orderable` and Python equality do, so:
 
-Comparison mask semantics replicate :func:`repro.algebra.predicates._compare`
-exactly:
+* a comparison is one comparison of ranks, masked where a side is ``None``
+  and, for ``<``/``<=``/``>``/``>=``, where the classes differ or a side is
+  NaN — :func:`repro.algebra.predicates._compare` bit for bit (NaN fails
+  every test but ``!=``);
+* an equi-join merges ranks, and rank 0 meets rank 0 exactly as a ``None``
+  key meets ``None`` in a hash bucket;
+* ``order by``, RANK and DISTINCT sort or deduplicate ranks.
 
-* any ``None`` operand fails the comparison (``None = None`` is *false*),
-* mixed numeric/string *range* comparisons fail instead of raising,
-* ``=`` / ``!=`` use Python equality over the original objects.
-
-The vectorized branch runs comparisons over a float64 *numeric shadow* of
-each column (``None`` and strings map to NaN).  NaN propagation makes the
-``None``-fails rule free for ``=``/``<``/``<=``/``>``/``>=``; ``!=`` masks
-NaN explicitly.  The shadow branch is only taken when it provably matches
-the reference semantics: both sides must be free of floats that cannot be
-represented exactly (huge ints) and at most one side may contain strings
-(a string shadows to NaN and can never equal or order against a number,
-which is exactly the reference behaviour — but string-vs-string comparisons
-must fall back to the Python branch).
-
-*Dictionary codes* carry the string columns.  When a base table publishes
-its columnar twin (:meth:`Column.publish`), every column whose values are
-all ``str`` or ``None`` gets an int64 ``codes`` array over a ``dictionary``
-mapping each distinct string to its rank in sorted order; ``None`` is code
-−1.  Every column derived by ``take``/``filter``/``repeat``/``tile`` (and
-projection, which shares columns) keeps the codes and the *same*
-dictionary object, so:
-
-* ``=`` / ``!=`` against a literal, or between two columns sharing a
-  dictionary, compare codes — and −1 fails both, as ``None`` does;
-* an equi-join of two such columns merges on codes — and there −1 *matches*
-  −1, exactly as a ``None`` key meets ``None`` in a hash bucket;
-* ``order by`` ranks codes, since code order is string order.
-
->>> column = Column.from_values(["a", None, "b"])
+>>> column = Column.from_values(["b", None, "a", 2])
 >>> column.publish()
->>> column.codes.tolist()
-[0, -1, 1]
->>> [bool(v) for v in compare_mask(column, "=", "a", 3)]
-[True, False, False]
->>> [bool(v) for v in compare_mask(column, "=", "zebra", 3)]
-[False, False, False]
->>> [bool(v) for v in compare_mask(column, "!=", "zebra", 3)]
-[True, False, True]
+>>> column.ranks.tolist()
+[8, 0, 6, 2]
+>>> compare_mask(column, "<", "b", 4).tolist()
+[False, False, True, False]
+>>> compare_mask(column, "!=", "zebra", 4).tolist()
+[True, False, True, True]
 """
 
 from __future__ import annotations
 
 import bisect
 from operator import itemgetter as _itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as _np
+
+from repro.algebra.predicates import _compare
 
 #: Largest magnitude for which every int is exactly representable in float64.
 _EXACT_INT = 2 ** 53
 
 _NAN = float("nan")
 
-
-def _numeric_objects(shadow, notnull, ints_only: bool):
-    """The exact Python objects of a numeric column: ``None`` for NaN, ints when ``ints_only``."""
-    if ints_only:
-        values = _np.where(notnull, shadow, 0.0).astype(_np.int64).astype(object)
-    else:
-        values = shadow.astype(object)
-    values[~notnull] = None
-    return values
-
-
-#: Element-type sets whose statistics are built by whole-array conversions.
-_NUMERIC_TYPES = frozenset((int, float, type(None)))
-_STRING_TYPES = frozenset((str, type(None)))
+_NUMBER_TYPES = frozenset((int, float, bool))
 
 
 def orderable(value: object) -> tuple:
@@ -101,9 +70,195 @@ def sort_key(values: tuple) -> tuple:
     """Total order over heterogeneous value tuples, one :func:`orderable` per value.
 
     Canonical definition shared by the row path (``Table.sort_by`` /
-    ``Table.attach_rank``), the columnar rank kernels and the B-tree.
+    ``Table.attach_rank``), the B-tree reference and the rank order of
+    :class:`SortedDomain`.
     """
     return tuple(map(orderable, values))
+
+
+def _objects(values: Sequence[object]):
+    """An object ndarray holding exactly the objects ``values``."""
+    array = _np.empty(len(values), dtype=object)
+    array[:] = values
+    return array
+
+
+# ---------------------------------------------------------------------------
+# Sorted domains: the one value encoding
+# ---------------------------------------------------------------------------
+
+
+def _between(ordered, values):
+    """Per value, 2k + 2 if it equals ``ordered[k]``, else 2k + 1 with k entries below it.
+
+    A NaN value gets 0.  Two float64 arrays search as floats; any other
+    pair as Python objects, whose int/float comparisons are exact.  NaN is
+    kept out of an object search: its bisection assumes a total order.
+    """
+    present = values == values
+    if ordered.dtype != _np.float64 or values.dtype != _np.float64:
+        ordered, values = ordered.astype(object), _np.where(present, values, 0).astype(object)
+    at = ordered.searchsorted(values)
+    if not len(ordered):
+        return (at * 2 + 1) * present
+    return (at * 2 + 1 + (ordered[_np.minimum(at, len(ordered) - 1)] == values)) * present
+
+
+def _numbers(present):
+    """``(numbers, ranks)``: the sorted distinct numbers of an object array, and each one's rank.
+
+    float64 holds the domain when every value is exact in it (only ints at
+    or beyond ±2**53 are checked one by one); otherwise the Python numbers
+    do.  NaN is left out of ``numbers`` and takes the NaN slot's rank.
+    """
+    floats = present.astype(_np.float64)
+    nan = floats != floats
+    big = present[_np.abs(floats) >= _EXACT_INT].tolist()
+    if all(type(v) is not int or -_EXACT_INT <= v <= _EXACT_INT for v in big):
+        numbers = _np.unique(floats[~nan])
+        ranks = _between(numbers, floats)
+    else:
+        numbers = _objects(sorted(set(present[~nan].tolist())))
+        ranks = _between(numbers, present)
+    ranks[nan] = 2 * len(numbers) + 2
+    return numbers, ranks
+
+
+class SortedDomain:
+    """The distinct values of a column in :func:`orderable` order, and their int64 ranks.
+
+    ``numbers`` holds the distinct numbers (float64 when all are exact in
+    float64, else Python numbers) and ``strings`` the distinct strings, both
+    ascending.  The domain's values are the numbers, one NaN slot, then the
+    strings: ``None`` ranks 0, the k-th value 2k + 2 and an absent value the
+    odd rank between its neighbours.  So NaN ranks :attr:`nan_rank`, every
+    number below it and every string above it, and ranks sort, merge and
+    bisect in place of :func:`orderable`.  ``integral`` is True when every
+    number is an int (or a bool), which keeps sums ints.
+
+    >>> domain, ranks = SortedDomain.of(Column.from_values([3, None, 1, 3]).values)
+    >>> ranks.tolist(), domain.rank_value(2), domain.nan_rank, domain.rank_value("a")
+    ([4, 0, 2, 4], 3, 6, 7)
+    """
+
+    __slots__ = (
+        "numbers", "strings", "integral", "dense", "nan_rank", "_lists", "_floats", "_mapped"
+    )
+
+    def __init__(self, numbers, strings, integral: bool):
+        self.numbers = numbers
+        self.strings = strings
+        self.integral = integral
+        #: The numbers are consecutive ints.
+        self.dense = integral and len(numbers) and numbers[-1] - numbers[0] == len(numbers) - 1
+        self.nan_rank = 2 * len(numbers) + 2
+        self._lists = self._floats = self._mapped = None
+
+    @classmethod
+    def of(cls, values):
+        """``(domain, ranks)`` of an object ndarray of values."""
+        kinds = set(map(type, values)) - {type(None)}
+        notnull = values != None  # noqa: E711 - element-wise
+        if kinds <= _NUMBER_TYPES:
+            is_number = notnull
+        elif kinds.isdisjoint(_NUMBER_TYPES):
+            is_number = _np.zeros(len(values), dtype=bool)
+        else:
+            is_number = _np.fromiter(
+                (isinstance(v, (int, float)) for v in values), dtype=bool, count=len(values)
+            )
+        numbers, number_ranks = _numbers(values[is_number])
+        is_string = notnull & ~is_number
+        present = values[is_string].tolist()
+        strings = sorted(set(present))
+        domain = cls(numbers, _objects(strings), float not in kinds)
+        index = {text: domain.nan_rank + 2 * k + 2 for k, text in enumerate(strings)}
+        ranks = _np.zeros(len(values), dtype=_np.int64)
+        ranks[is_number] = number_ranks
+        ranks[is_string] = _np.fromiter(map(index.__getitem__, present), _np.int64, len(present))
+        return domain, ranks
+
+    @classmethod
+    def of_floats(cls, floats, integral: bool):
+        """``(domain, ranks)`` of float64 values, NaN standing for ``None``."""
+        domain = cls(_np.unique(floats[floats == floats]), _objects(()), integral)
+        return domain, domain._rank_numbers(floats, integral)
+
+    def __len__(self) -> int:
+        return len(self.numbers) + 1 + len(self.strings)
+
+    def rank(self, value):
+        """The rank of a scalar, or the int64 ranks of a :class:`Column`'s values, here."""
+        if not isinstance(value, Column):
+            return self.rank_value(value)
+        if value._domain is self:
+            return value._ranks
+        if value._domain is None and value._floats is not None:
+            return self._rank_numbers(value._floats, value._integral)  # an unranked sum
+        other, ranks = value.domain, value.ranks
+        if len(ranks) < len(other):  # fewer rows than values: search the rows' values
+            return self._translate(other, ranks)
+        return self._map(other)[ranks >> 1]
+
+    def _translate(self, other: "SortedDomain", ranks):
+        """``other``'s (even) ``ranks`` as ranks in this domain."""
+        at = (ranks >> 1) - 1  # the index among other's values: numbers, NaN, strings
+        count = len(other.numbers)
+        number, string = (ranks != 0) & (at < count), at > count
+        out = _np.where(at == count, self.nan_rank, 0)
+        out[number] = self._rank_numbers(other.numbers[at[number]], other.integral)
+        out[string] = self.nan_rank + _between(self.strings, other.strings[at[string] - count - 1])
+        return out
+
+    def _rank_numbers(self, values, integral: bool = False):
+        """The ranks of an array of numbers in this domain; a float64 NaN ranks as ``None``.
+
+        ``integral`` floats rank by arithmetic in a domain of consecutive
+        ints (a ``pre`` column's); any other values by search (:func:`_between`).
+        """
+        numbers = self.numbers
+        if integral and self.dense and values.dtype == numbers.dtype == _np.float64:
+            ranks = values * 2 + (2 - 2 * float(numbers[0]))
+            _np.maximum(ranks, 1, out=ranks)  # past either end: the odd rank beyond it
+            _np.minimum(ranks, self.nan_rank - 1, out=ranks)
+            ranks[values != values] = 0  # NaN: None
+            return ranks.astype(_np.int64)
+        return _between(numbers, values)
+
+    def _map(self, other: "SortedDomain"):
+        """This domain's rank of each of ``other``'s values, indexed by ``other``'s rank // 2.
+
+        The last mapping is kept: a nested loop maps one pair of domains
+        once per block.
+        """
+        cached = self._mapped
+        if cached is not None and cached[0] is other:
+            return cached[1]
+        mapping = self._translate(other, 2 * _np.arange(len(other) + 1))
+        self._mapped = (other, mapping)  # an idempotent fill, like every cache here
+        return mapping
+
+    def rank_value(self, value: object) -> int:
+        """The rank of one value."""
+        if value is None:
+            return 0
+        if self._lists is None:
+            self._lists = (self.numbers.tolist(), self.strings.tolist())
+        numbers, strings = self._lists
+        if isinstance(value, (int, float)):
+            if value != value:
+                return self.nan_rank
+            return bisect.bisect_left(numbers, value) + bisect.bisect_right(numbers, value) + 1
+        at = bisect.bisect_left(strings, value) + bisect.bisect_right(strings, value) + 1
+        return self.nan_rank + at
+
+    def floats(self):
+        """float64 values indexed by rank: NaN for ``None``, the NaN slot and odd ranks."""
+        if self._floats is None:
+            floats = _np.full(self.nan_rank + 1, _NAN)
+            floats[2 : self.nan_rank : 2] = self.numbers
+            self._floats = floats
+        return self._floats
 
 
 # ---------------------------------------------------------------------------
@@ -112,59 +267,23 @@ def sort_key(values: tuple) -> tuple:
 
 
 class Column:
-    """One table column: an object ndarray.
+    """One table column: its exact Python objects, and the ranks every kernel reads.
 
-    Lazily caches per-column statistics used to pick kernel branches:
-
-    ``notnull``
-        boolean mask, True where the value is not ``None``;
-    ``shadow``
-        float64 array with the numeric value per row and NaN for ``None``
-        or non-numeric values;
-    ``has_strings``
-        True when any value is neither ``None`` nor numeric;
-    ``shadow_exact``
-        True when every numeric value is exactly representable in float64
-        (ints beyond ±2**53 poison the shadow and force the Python branch);
-    ``ints_only``
-        True when every non-``None`` value is a Python int (bools included)
-        — lets arithmetic kernels rebuild exact int results from a float64
-        shadow.
-
-    and, set only by :meth:`publish` and inherited by derived columns:
-
-    ``codes``
-        int64 array of dictionary codes (−1 for ``None``), or ``None`` when
-        the column is not dictionary-coded;
-    ``dictionary``
-        the ``{string: code}`` map the codes index, shared by identity
-        between every column derived from one published column — two
-        columns' codes are comparable exactly when their dictionaries are
-        the same object.
+    ``values`` is an object ndarray.  ``domain`` and ``ranks`` are built on
+    first read — by :meth:`publish` for a base table's column — and a
+    derived column gathers its parent's ranks and shares its domain.  A
+    :meth:`numeric` column (a sum, a row id, a rank) holds float64 values
+    instead, for the arithmetic of :func:`sum_columns`, and builds its
+    objects on first read.
     """
 
-    __slots__ = (
-        "_values",
-        "length",
-        "codes",
-        "dictionary",
-        "_notnull",
-        "_shadow",
-        "_has_strings",
-        "_shadow_exact",
-        "_ints_only",
-    )
+    __slots__ = ("_values", "length", "_domain", "_ranks", "_floats", "_integral")
 
     def __init__(self, values, length: Optional[int] = None):
         self._values = values
         self.length = len(values) if length is None else length
-        self.codes = None
-        self.dictionary: Optional[dict] = None
-        self._notnull = None
-        self._shadow = None
-        self._has_strings = None
-        self._shadow_exact = None
-        self._ints_only = None
+        self._domain = self._ranks = self._floats = None
+        self._integral = False
 
     def __len__(self) -> int:
         return self.length
@@ -174,216 +293,105 @@ class Column:
         """The object ndarray; a :meth:`numeric` column builds it on first read."""
         values = self._values
         if values is None:  # an idempotent fill: racing readers build equal arrays
-            values = self._values = _numeric_objects(self._shadow, self._notnull, self._ints_only)
+            floats = self._floats
+            notnull = floats == floats
+            if self._integral:
+                values = _np.where(notnull, floats, 0.0).astype(_np.int64).astype(object)
+            else:
+                values = floats.astype(object)
+            values[~notnull] = None
+            self._values = values
         return values
 
     @classmethod
     def from_values(cls, values: Sequence[object]) -> "Column":
         """Build a column holding exactly the objects ``values``."""
-        array = _np.empty(len(values), dtype=object)
-        array[:] = values
-        return cls(array)
+        return cls(_objects(values))
 
     @classmethod
-    def numeric(cls, shadow, ints_only: bool = False) -> "Column":
-        """A purely numeric column from its float64 shadow (NaN = ``None``).
+    def numeric(cls, floats, integral: bool = False) -> "Column":
+        """A numeric column of float64 values (NaN = ``None``).
 
-        Materialises *exact* Python objects: NaN rows become ``None`` (never
-        a float ``nan`` object), and with ``ints_only`` the values are
-        rebuilt as Python ints — so a vectorized sum of int columns is
-        bit-for-bit the int the row path would have produced.
+        Its objects are exact: NaN rows become ``None`` (never a float
+        ``nan`` object), and with ``integral`` the values are Python ints —
+        so a vectorized sum of int columns is bit-for-bit the int the row
+        path would have produced.
         """
-        column = cls(None, len(shadow))  # the objects wait for their first reader
-        column._shadow = shadow
-        column._notnull = shadow == shadow  # NaN marks None
-        column._has_strings = False
-        column._shadow_exact = True
-        column._ints_only = ints_only
+        column = cls(None, len(floats))  # the objects wait for their first reader
+        column._floats = _np.asarray(floats, dtype=_np.float64)
+        column._integral = integral
         return column
 
     @classmethod
     def constant(cls, value: object, n: int) -> "Column":
         """A column holding ``value`` in every row (the Attach operator)."""
-        array = _np.empty(n, dtype=object)
-        array[:] = value
-        column = cls(array)
-        column._has_strings = value is not None and not isinstance(value, (int, float))
-        column._shadow_exact = not isinstance(value, int) or _scalar_exact(value)
-        column._ints_only = value is None or isinstance(value, int)
-        return column
-
-    @classmethod
-    def int_sequence(cls, start: int, n: int) -> "Column":
-        """Consecutive Python ints ``start .. start+n-1`` (the RowId operator)."""
-        column = cls(_np.arange(start, start + n).astype(object), n)
-        column._shadow = _np.arange(start, start + n, dtype=_np.float64)
-        column._notnull = _np.ones(n, dtype=bool)
-        column._has_strings = False
-        column._shadow_exact = True
-        column._ints_only = True
-        return column
+        return cls(_np.full(n, value, dtype=object))
 
     def publish(self) -> None:
-        """Build every statistic now, and dictionary codes for an all-``str``-or-``None`` column.
+        """Build the domain and the ranks now, if they are not built yet.
 
         :meth:`Table.columnar` calls this on a base table's columns before
         it shares them; no lazy property writes to a published column
         afterwards, so threads may read it without a lock.
         """
-        self._build_stats()
-        if not set(map(type, self.values)) <= _STRING_TYPES:
-            return
-        present = self.values[self.notnull].tolist()
-        self.dictionary = {text: code for code, text in enumerate(sorted(set(present)))}
-        codes = _np.full(self.length, -1, dtype=_np.int64)
-        codes[self.notnull] = _np.fromiter(
-            map(self.dictionary.__getitem__, present), dtype=_np.int64, count=len(present)
-        )
-        self.codes = codes
-
-    def _build_stats(self) -> None:
-        """Statistics by whole-array conversions where the element types allow.
-
-        A column of ``int``/``float``/``None`` or of ``str``/``None`` needs
-        no per-element Python: ``astype`` gives the shadow, and only ints
-        whose float lands at or beyond ±2**53 (the candidates for
-        inexactness) are re-checked one by one.  Mixed and ``bool`` columns
-        take :meth:`_build_stats_by_element`, the reference.
-        """
-        values = self.values
-        types = set(map(type, values))
-        if not (types <= _NUMERIC_TYPES or types <= _STRING_TYPES):
-            self._build_stats_by_element()
-            return
-        has_nulls = type(None) in types
-        notnull = values != None if has_nulls else _np.ones(self.length, dtype=bool)  # noqa: E711
-        has_strings = str in types
-        exact = True
-        if has_strings:
-            shadow = _np.full(self.length, _NAN)
-        else:
-            present = values[notnull] if has_nulls else values
-            present_shadow = present.astype(_np.float64)
-            if has_nulls:
-                shadow = _np.full(self.length, _NAN)
-                shadow[notnull] = present_shadow
+        if self._domain is None:
+            if self._floats is not None:
+                domain, ranks = SortedDomain.of_floats(self._floats, self._integral)
             else:
-                shadow = present_shadow
-            if int in types:
-                candidates = present[_np.abs(present_shadow) >= _EXACT_INT].tolist()
-                exact = all(-_EXACT_INT <= v <= _EXACT_INT for v in candidates if type(v) is int)
-        self._shadow = shadow
-        self._notnull = notnull
-        self._has_strings = has_strings
-        self._shadow_exact = exact
-        self._ints_only = not has_strings and float not in types
+                domain, ranks = SortedDomain.of(self.values)
+            self._ranks = ranks  # before the domain: a set domain implies set ranks
+            self._domain = domain
 
-    def _build_stats_by_element(self) -> None:
-        """The per-element statistics loop."""
-        values = self.values
-        n = self.length
-        has_strings = False
-        exact = True
-        ints_only = True
-        shadow = _np.empty(n, dtype=_np.float64)
-        notnull = _np.ones(n, dtype=bool)
-        for i in range(n):
-            v = values[i]
-            if type(v) is int:
-                shadow[i] = v
-                if not -_EXACT_INT <= v <= _EXACT_INT:
-                    exact = False
-            elif type(v) is float:
-                shadow[i] = v
-                ints_only = False
-            elif v is None:
-                shadow[i] = _NAN
-                notnull[i] = False
-            elif isinstance(v, bool):
-                shadow[i] = float(v)
-            elif isinstance(v, int):
-                shadow[i] = v
-                if not -_EXACT_INT <= v <= _EXACT_INT:
-                    exact = False
-            elif isinstance(v, float):
-                shadow[i] = v
-                ints_only = False
-            else:
-                shadow[i] = _NAN
-                has_strings = True
-                ints_only = False
-        self._shadow = shadow
-        self._notnull = notnull
-        self._has_strings = has_strings
-        self._shadow_exact = exact
-        self._ints_only = ints_only
+    @property
+    def domain(self) -> SortedDomain:
+        self.publish()
+        return self._domain
+
+    @property
+    def ranks(self):
+        """int64 rank of each value in :attr:`domain`."""
+        self.publish()
+        return self._ranks
 
     @property
     def notnull(self):
-        if self._notnull is None:
-            self._build_stats()
-        return self._notnull
+        """Boolean mask, True where the value is not ``None``."""
+        if self._domain is None and self._floats is not None:
+            return self._floats == self._floats
+        return self.ranks != 0
 
-    @property
-    def shadow(self):
-        """float64 shadow (NaN = None / non-numeric)."""
-        if self._shadow is None:
-            self._build_stats()
-        return self._shadow
-
-    @property
-    def has_strings(self) -> bool:
-        if self._has_strings is None:
-            self._build_stats()
-        return self._has_strings
-
-    @property
-    def shadow_exact(self) -> bool:
-        if self._shadow_exact is None:
-            self._build_stats()
-        return self._shadow_exact
-
-    @property
-    def ints_only(self) -> bool:
-        if self._ints_only is None:
-            self._build_stats()
-        return self._ints_only
+    def float_values(self):
+        """``(float64 values, integral)``, NaN for ``None``; ``None`` unless all exact numbers."""
+        if self._floats is not None:
+            return self._floats, self._integral
+        domain = self.domain
+        if domain.numbers.dtype != _np.float64 or len(domain.strings):
+            return None
+        return domain.floats()[self.ranks], domain.integral
 
     def tolist(self) -> list:
         return self.values.tolist()
 
     def _derive(self, gather: Callable) -> "Column":
-        """The column ``gather(array)`` of the values and of every cached array.
-
-        Flags are conservative over subsets and repetitions (a subset may
-        lose its last string, never gain one), so they carry over as they
-        are; derived codes index the same dictionary object.  A numeric
-        column's objects stay unbuilt: they follow from the derived shadow.
-        """
-        values = self._values
-        if values is None:
-            shadow = gather(self._shadow)
-            result = Column(None, len(shadow))
-        else:
-            result = Column(gather(values))
-        if self._shadow is not None:
-            result._shadow = shadow if values is None else gather(self._shadow)
-        if self._notnull is not None:
-            result._notnull = gather(self._notnull)
-        if self.codes is not None:
-            result.codes = gather(self.codes)
-            result.dictionary = self.dictionary
-        result._has_strings = self._has_strings
-        result._shadow_exact = self._shadow_exact
-        result._ints_only = self._ints_only
+        """The column ``gather(array)`` of the values, the floats and the ranks, where built."""
+        result = Column.__new__(Column)
+        result._values = None if self._values is None else gather(self._values)
+        result._floats = None if self._floats is None else gather(self._floats)
+        result._integral = self._integral
+        result.length = len(result._floats if result._values is None else result._values)
+        result._domain = result._ranks = None
+        domain = self._domain
+        if domain is not None:
+            result._ranks = gather(self._ranks)
+            result._domain = domain
         return result
 
     def take(self, indices) -> "Column":
-        """Gather by integer indices, propagating cached statistics."""
+        """Gather by integer indices."""
         return self._derive(_itemgetter(indices))
 
     def filter(self, mask) -> "Column":
-        """Keep rows where the boolean array ``mask`` is True, propagating cached statistics."""
+        """Keep rows where the boolean array ``mask`` is True."""
         return self._derive(_itemgetter(mask))
 
     def repeat(self, count: int) -> "Column":
@@ -396,174 +404,40 @@ class Column:
 
 
 # ---------------------------------------------------------------------------
-# Comparison kernels
+# Comparison and arithmetic kernels
 # ---------------------------------------------------------------------------
 
-_PYTHON_RANGE = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_RANGE = {"<": _np.less, "<=": _np.less_equal, ">": _np.greater, ">=": _np.greater_equal}
 
 
-def _compare_scalar(left: object, op: str, right: object) -> bool:
-    """Reference semantics of ``predicates._compare`` (kept in sync)."""
-    if left is None or right is None:
-        return False
-    if op == "=":
-        return bool(left == right)
-    if op == "!=":
-        return bool(left != right)
-    try:
-        return bool(_PYTHON_RANGE[op](left, right))
-    except TypeError:
-        return False
-
-
-def _scalar_numericish(value: object) -> bool:
-    return isinstance(value, (int, float))
-
-
-def _scalar_exact(value: object) -> bool:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return -_EXACT_INT <= value <= _EXACT_INT
-    return True  # floats are exact by definition; strings shadow to NaN
-
-
-def compare_mask(
-    left, op: str, right, n: int, on_decline: Optional[Callable[[], None]] = None
-):
+def compare_mask(left, op: str, right, n: int):
     """Boolean mask for ``left op right`` over ``n`` rows.
 
     ``left``/``right`` are :class:`Column` instances or Python scalars
-    (literals).  Semantics match :func:`repro.algebra.predicates._compare`
-    element-wise, bit for bit.  ``on_decline`` is called when the mask has
-    to be computed element by element in Python.
+    (literals).  One column's ranks meet the other side re-ranked into its
+    domain; semantics match :func:`repro.algebra.predicates._compare`
+    element-wise, bit for bit.
     """
-    left_column = isinstance(left, Column)
-    right_column = isinstance(right, Column)
-    if not left_column and not right_column:
-        return _np.full(n, _compare_scalar(left, op, right), dtype=bool)
-    # A None literal fails every row regardless of the operator.
-    if (not left_column and left is None) or (not right_column and right is None):
-        return _np.zeros(n, dtype=bool)
-    if op in ("=", "!="):
-        mask = _coded_equality_mask(left, op, right, left_column, right_column)
-        if mask is not None:
-            return mask
-    left_exact = left.shadow_exact if left_column else _scalar_exact(left)
-    right_exact = right.shadow_exact if right_column else _scalar_exact(right)
-    left_strings = left.has_strings if left_column else not _scalar_numericish(left)
-    right_strings = right.has_strings if right_column else not _scalar_numericish(right)
-    if left_exact and right_exact and not (left_strings and right_strings):
-        return _shadow_mask(left, op, right, left_column, right_column)
-    if op in ("=", "!="):
-        return _object_equality_mask(left, op, right, left_column, right_column)
-    if on_decline is not None:
-        on_decline()
-    return _python_mask(left, op, right, left_column, right_column, n)
-
-
-def _coded_equality_mask(left, op, right, left_column, right_column):
-    """``=`` / ``!=`` on dictionary codes, or ``None`` when codes cannot answer.
-
-    Codes answer a coded column against a literal, and two columns that
-    share a dictionary.  Code −1 (``None``) fails both operators; a literal
-    missing from the dictionary — a non-string one included — equals no row
-    and differs from every non-``None`` one.
-    """
-    if left_column and right_column:
-        if left.codes is None or left.dictionary is not right.dictionary:
-            return None
-        a, b = left.codes, right.codes
-        if op == "=":
-            return (a == b) & (a >= 0)
-        return (a != b) & (a >= 0) & (b >= 0)
-    column, literal = (left, right) if left_column else (right, left)
-    if column.codes is None:
-        return None
-    code = column.dictionary.get(literal) if isinstance(literal, str) else None
-    if code is None:
-        return _np.zeros(column.length, dtype=bool) if op == "=" else column.notnull.copy()
+    if not isinstance(left, Column):
+        if not isinstance(right, Column):
+            return _np.full(n, _compare(left, op, right), dtype=bool)
+        left, op, right = right, _FLIPPED[op], left
+    elif isinstance(right, Column) and left._domain is None and right._domain is not None:
+        left, op, right = right, _FLIPPED[op], left  # re-rank the unranked side
+    domain = left.domain
+    a, b, nan = left.ranks, domain.rank(right), domain.nan_rank
     if op == "=":
-        return column.codes == code
-    return (column.codes != code) & (column.codes >= 0)
-
-
-def _scalar_shadow(value: object) -> float:
-    """The float64 shadow of a literal: numbers as floats, strings as NaN.
-
-    NaN is exactly right for a string literal against a numeric column —
-    it never equals or orders against anything, which is the reference
-    behaviour (``=`` false, ranges false, ``!=`` true for non-None rows).
-    """
-    if isinstance(value, (int, float)):
-        return float(value)
-    return _NAN
-
-
-def _shadow_mask(left, op, right, left_column, right_column):
-    """Vector comparison over float64 shadows (validity checked by caller)."""
-    a = left.shadow if left_column else _scalar_shadow(left)
-    b = right.shadow if right_column else _scalar_shadow(right)
-    if op == "=":
-        return a == b  # NaN (None / string shadow) never equals anything.
+        return (a == b) & ((b != 0) & (b != nan))  # equal ranks: one side's test serves both
     if op == "!=":
-        mask = a != b  # NaN != x is True, but None operands must fail ...
-        if left_column and not left.notnull.all():
-            mask = mask & left.notnull  # ... so mask them out explicitly.
-        if right_column and not right.notnull.all():
-            mask = mask & right.notnull
-        # A string operand shadows to NaN: "x != 5" is genuinely True, and
-        # notnull keeps it (strings are not None) — matching the reference.
-        return mask
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise ValueError(f"unknown comparison operator {op!r}")
+        return (a != 0) & (b != 0) & ((a != b) | (a == nan))
+    # The lower side must not be None, and both sides must be numbers (below
+    # the NaN slot) or both strings (above it): that fails NaN, too.
+    low, high = (a, b) if op in ("<", "<=") else (b, a)
+    return _RANGE[op](a, b) & (low > 0) & ((high < nan) | (low > nan))
 
 
-def _object_equality_mask(left, op, right, left_column, right_column):
-    """Element-wise ``=`` / ``!=`` over the original objects (vectorized)."""
-    a = left.values if left_column else left
-    b = right.values if right_column else right
-    if op == "=":
-        mask = a == b
-    else:
-        mask = a != b
-    if not isinstance(mask, _np.ndarray):  # scalar-vs-scalar broadcast edge
-        mask = _np.full(len(left) if left_column else len(right), bool(mask))
-    mask = mask.astype(bool, copy=False)
-    # None operands fail the comparison even though None == None in Python.
-    if left_column and not left.notnull.all():
-        mask = mask & left.notnull
-    if right_column and not right.notnull.all():
-        mask = mask & right.notnull
-    if not left_column and left is None or not right_column and right is None:
-        mask = _np.zeros(len(mask), dtype=bool)
-    return mask
-
-
-def _python_mask(left, op: str, right, left_column: bool, right_column: bool, n: int):
-    """Per-element fallback with exact ``_compare`` semantics."""
-    left_values = left.values if left_column else None
-    right_values = right.values if right_column else None
-    out = []
-    append = out.append
-    for i in range(n):
-        lv = left_values[i] if left_column else left
-        rv = right_values[i] if right_column else right
-        append(_compare_scalar(lv, op, rv))
-    return _np.array(out, dtype=bool)
-
-
-def conjunction_mask(conjuncts, table, on_decline: Optional[Callable[[], None]] = None):
+def conjunction_mask(conjuncts, table):
     """The mask of a conjunction over ``table``: one :func:`compare_mask` per conjunct.
 
     ``conjuncts`` holds ``(left, op, right)`` triples whose sides are
@@ -572,7 +446,7 @@ def conjunction_mask(conjuncts, table, on_decline: Optional[Callable[[], None]] 
     """
     mask = None
     for left, op, right in conjuncts:
-        conjunct = compare_mask(left(table), op, right(table), table.length, on_decline)
+        conjunct = compare_mask(left(table), op, right(table), table.length)
         mask = conjunct if mask is None else mask & conjunct
         if not mask.any():
             break
@@ -583,310 +457,105 @@ def sum_columns(parts: Sequence[object], n: int) -> Column:
     """Columnar ``Sum`` term: element-wise sum of columns and scalars.
 
     Matches ``predicates.Sum.evaluate``: any ``None`` operand makes the row
-    ``None``; non-numeric operands raise ``TypeError`` exactly like the row
-    path (the Python branch reproduces the raise; the vector branch is only
-    taken when no strings are present).
+    ``None``, and non-numeric operands raise ``TypeError`` like the row
+    path.  Columns of numbers exact in float64 add as float64 while the
+    total stays exact; any other sum adds the Python objects.
     """
-    columns = [p for p in parts if isinstance(p, Column)]
+    if any(part is None for part in parts):
+        return Column.constant(None, n)
+    columns = [part for part in parts if isinstance(part, Column)]
+    scalars = [part for part in parts if not isinstance(part, Column)]
     if not columns:
-        total = 0
-        for part in parts:
-            if part is None:
-                return Column.from_values([None] * n)
-            total += part  # type: ignore[operator]
-        return Column.from_values([total] * n)
-    fast = all(c.shadow_exact and not c.has_strings for c in columns)
-    if fast:
-        total = None
-        scalar_total = 0.0
-        scalar_none = False
-        ints_only = all(c.ints_only for c in columns)
-        for part in parts:
-            if isinstance(part, Column):
-                total = part.shadow if total is None else total + part.shadow
-            elif part is None:
-                scalar_none = True
-            else:
-                scalar_total += part
-                if not isinstance(part, int):
-                    ints_only = False
-        if scalar_none:
-            return Column.from_values([None] * n)
+        return Column.constant(sum(scalars), n)
+    floats = [column.float_values() for column in columns]
+    if all(pair is not None for pair in floats):
+        total = floats[0][0]
+        for values, _integral in floats[1:]:
+            total = total + values
+        scalar_total = sum(scalars, 0.0)
         if scalar_total:
             total = total + scalar_total
-        # Summed magnitudes must stay exactly representable, or the rebuilt
-        # ints would silently round — fall to the Python loop instead.
-        # (``fmax`` passes over NaN, the None rows.)
+        # ``fmax`` passes over NaN, the None rows.
         if _np.fmax.reduce(_np.abs(total), initial=0.0) <= _EXACT_INT:
-            return Column.numeric(total, ints_only=ints_only)
-    values = []
-    part_values = [p.values if isinstance(p, Column) else None for p in parts]
-    for i in range(n):
-        total = 0
-        for part, stored in zip(parts, part_values):
-            v = stored[i] if stored is not None else part
-            if v is None:
-                total = None
-                break
-            total += v  # type: ignore[operator]
-        values.append(total)
-    return Column.from_values(values)
+            integral = all(pair[1] for pair in floats)
+            return Column.numeric(total, integral and all(isinstance(s, int) for s in scalars))
+    notnull = _np.logical_and.reduce([column.notnull for column in columns])
+    total = 0
+    for part in parts:
+        total = total + (_np.where(notnull, part.values, 0) if isinstance(part, Column) else part)
+    total[~notnull] = None
+    return Column(total)
 
 
 # ---------------------------------------------------------------------------
-# Rank kernels
+# Rank, join and duplicate-elimination kernels
 # ---------------------------------------------------------------------------
-
-
-def _order_key(column: Column):
-    """An array that orders and ties like :func:`sort_key` over the column, or ``None``.
-
-    Codes when the column is coded (code order is string order, and −1 puts
-    ``None`` first); otherwise the shadow of an exact, string-free column
-    without ``None``.
-    """
-    if column.codes is not None:
-        return column.codes
-    if column.shadow_exact and not column.has_strings and column.notnull.all():
-        return column.shadow
-    return None
 
 
 def rank_values(
     order_columns: Sequence[Column],
     partition_columns: Sequence[Column],
     n: int,
-    on_decline: Optional[Callable[[], None]] = None,
+    dense: bool = False,
 ):
-    """``RANK() OVER (PARTITION BY ... ORDER BY ...)`` as a list/array of ints.
+    """``RANK() OVER (PARTITION BY ... ORDER BY ...)`` as an int64 array.
 
     Semantics match ``Table.attach_rank``: ranks restart at 1 per distinct
     partition key; ties on the order key share the 1-based sorted position
-    within their partition.  Returns Python ints (as an object ndarray) so
-    downstream rows stay bit-for-bit identical.
-    ``on_decline`` is called when the ranks are computed in Python.
+    within their partition.  With ``dense``, ``DENSE_RANK()``: the count of
+    distinct order keys up to the row's.  One ``lexsort`` over the ranks.
     """
-    order_keys = [_order_key(c) for c in order_columns]
-    partition_keys = [_order_key(c) for c in partition_columns]
-    involved = order_keys + partition_keys
-    fast = bool(involved) and all(key is not None for key in involved)
-    if fast and n:
-        # lexsort's last key is primary: partitions group first, then order keys.
-        order = _np.lexsort(tuple(reversed(order_keys)) + tuple(reversed(partition_keys)))
+    partition = [column.ranks for column in partition_columns]
+    keys = partition + [column.ranks for column in order_columns]
+    # lexsort's last key is primary: partitions group first, then order keys.
+    order = _np.lexsort(keys[::-1]) if keys else _np.arange(n)
 
-        def _changes(keys):
-            changed = _np.zeros(n, dtype=bool)
-            changed[0] = True
-            for key in keys:
-                sorted_key = key[order]
-                changed[1:] |= sorted_key[1:] != sorted_key[:-1]
-            return changed
+    def changes(arrays):
+        changed = _np.zeros(n, dtype=bool)
+        changed[:1] = True
+        for array in arrays:
+            ordered = array[order]
+            changed[1:] |= ordered[1:] != ordered[:-1]
+        return changed
 
-        part_change = _changes(partition_keys) if partition_keys else None
-        key_change = _changes(involved)
-        positions = _np.arange(n)
-        if part_change is None:
-            part_start = _np.zeros(n, dtype=_np.int64)
-        else:
-            part_start = _np.maximum.accumulate(_np.where(part_change, positions, 0))
-        anchor = _np.maximum.accumulate(_np.where(key_change, positions, 0))
-        ranks_sorted = anchor - part_start + 1
-        out = _np.empty(n, dtype=_np.int64)
-        out[order] = ranks_sorted
-        return out.astype(object)
-    if not fast and on_decline is not None:
-        on_decline()
-    return _rank_python(order_columns, partition_columns, n)
-
-
-def _rank_python(order_columns, partition_columns, n: int):
-    """Pure-Python rank identical to ``Table.attach_rank``."""
-    order_values = [c.tolist() for c in order_columns]
-    part_values = [c.tolist() for c in partition_columns]
-    keys = list(zip(*order_values)) if order_values else [()] * n
-    groups: dict[tuple, list[int]] = {}
-    if part_values:
-        part_keys = list(zip(*part_values))
-    else:
-        part_keys = [()] * n
-    for position in range(n):
-        groups.setdefault(part_keys[position], []).append(position)
-    ranks = [0] * n
-    for positions in groups.values():
-        order = sorted(positions, key=lambda position: sort_key(keys[position]))
-        previous_key = None
-        rank = 0
-        for sorted_position, row_position in enumerate(order, start=1):
-            key = keys[row_position]
-            if key != previous_key:
-                rank = sorted_position
-                previous_key = key
-            ranks[row_position] = rank
-    out = _np.empty(n, dtype=object)
-    out[:] = ranks
+    key_change = changes(keys)
+    counter = _np.cumsum(key_change) if dense else _np.arange(n)
+    anchor = _np.maximum.accumulate(_np.where(key_change, counter, 0))
+    start = _np.maximum.accumulate(_np.where(changes(partition), counter, 0))
+    out = _np.empty(n, dtype=_np.int64)
+    out[order] = anchor - start + 1
     return out
 
 
-def dense_rank_map(keys: Iterable[tuple]) -> dict:
-    """Map each distinct key tuple to its ``DENSE_RANK`` (1-based, gap-free).
+def _pack(keys: Sequence):
+    """One int64 key per row, equal exactly where every key of ``keys`` is equal.
 
-    Keys are ordered by :func:`sort_key`; used by the relational engine's
-    window-function pass.
+    Mixed radix over non-negative ranks; where the next radix would
+    overflow int64, the keys so far are first re-densified to 0 .. d − 1.
     """
-    distinct = set(keys)
-    return {key: rank for rank, key in enumerate(sorted(distinct, key=sort_key), start=1)}
-
-
-_NONE_KEY = orderable(None)
-
-
-class SortedDomain:
-    """The distinct values of a column in :func:`orderable` order, as int64 ranks.
-
-    ``None`` ranks 0 and the k-th distinct other value 2k + 2; a value the
-    domain does not hold ranks 2k + 1, between its neighbours.  Ranks order
-    and tie exactly like :func:`orderable`, so they sort, merge and bisect
-    in its place.  A coded column ranks by its codes (a dictionary is in
-    string order) and an exact numeric one by one ``searchsorted`` over its
-    distinct values; any other column decorates value by value.
-
-    >>> domain, ranks = SortedDomain.of(Column.from_values([3, None, 1, 3]))
-    >>> ranks.tolist(), domain.rank_value(2), domain.rank_value("a")
-    ([4, 0, 2, 4], 3, 5)
-    """
-
-    __slots__ = ("dictionary", "numbers", "_keys")
-
-    @classmethod
-    def of(cls, column: Column):
-        """``(domain, ranks)``: the domain of ``column``'s values and each value's rank."""
-        domain = cls.__new__(cls)
-        domain.dictionary = domain.numbers = domain._keys = None
-        if column.codes is not None:
-            domain.dictionary = column.dictionary
-            domain.numbers = _np.empty(0)  # every number sorts before every string
-            return domain, 2 * column.codes + 2
-        if not column.has_strings and column.shadow_exact:
-            domain.numbers = _np.unique(column.shadow[column.notnull])
-            return domain, domain.rank(column)
-        keys = list(map(orderable, column.tolist()))
-        domain._keys = sorted(set(keys) - {_NONE_KEY})
-        rank_of = {key: 2 * k + 2 for k, key in enumerate(domain._keys)}
-        rank_of[_NONE_KEY] = 0
-        return domain, _np.fromiter(map(rank_of.__getitem__, keys), _np.int64, len(keys))
-
-    def __len__(self) -> int:
-        if self.dictionary is not None:
-            return len(self.dictionary)
-        return len(self.numbers) if self.numbers is not None else len(self._keys)
-
-    def rank(self, column: Column):
-        """The rank of each of ``column``'s values (an int64 array)."""
-        if column.codes is not None and column.dictionary is self.dictionary:
-            return 2 * column.codes + 2
-        numbers = self.numbers
-        if numbers is not None and not column.has_strings and column.shadow_exact:
-            # before + after + 1: 2k + 2 when k values lie before and one equals, else 2k + 1.
-            shadow = column.shadow
-            ranks = numbers.searchsorted(shadow, "left") + numbers.searchsorted(shadow, "right")
-            return (ranks + 1) * column.notnull  # None shadows to NaN, past every number
-        return _np.fromiter(map(self.rank_value, column.tolist()), _np.int64, column.length)
-
-    def rank_value(self, value: object) -> int:
-        """The rank of one value."""
-        if value is None:
-            return 0
-        if self.dictionary is not None and isinstance(value, str):
-            code = self.dictionary.get(value)
-            if code is not None:
-                return 2 * code + 2
-        if self._keys is None:  # an idempotent fill: racing readers build equal lists
-            self._keys = (
-                [(2, text) for text in self.dictionary]
-                if self.dictionary is not None
-                else [(1, number) for number in self.numbers.tolist()]
-            )
-        key = orderable(value)
-        at = bisect.bisect_left(self._keys, key)
-        return 2 * at + 2 if at < len(self._keys) and self._keys[at] == key else 2 * at + 1
-
-
-def order_array(column: Column):
-    """An array that orders and ties like :func:`orderable` over ``column``, for ``lexsort``."""
-    key = _order_key(column)
-    return SortedDomain.of(column)[1] if key is None else key
-
-
-def _join_keys(probe: Column, build: Column, integral: bool):
-    """The arrays to merge ``probe`` and ``build`` on, or ``None``.
-
-    Codes when both share a dictionary.  Otherwise the shadows, when their
-    equality is Python ``dict`` key equality: no strings (they shadow to
-    NaN), exact (no ints beyond 2**53) and no ``None`` (``None`` keys
-    *match* in the row path's buckets, but NaN never equals itself).
-    ``integral`` asks for int64 arrays, which packing needs: the shadows
-    must then be of ints only.
-    """
-    if probe.codes is not None or build.codes is not None:
-        return (probe.codes, build.codes) if probe.dictionary is build.dictionary else None
-    if probe.has_strings or build.has_strings:
-        return None
-    if not (probe.shadow_exact and build.shadow_exact):
-        return None
-    if not (probe.notnull.all() and build.notnull.all()):
-        return None
-    if not integral:
-        return probe.shadow, build.shadow
-    if not (probe.ints_only and build.ints_only):
-        return None
-    return probe.shadow.astype(_np.int64), build.shadow.astype(_np.int64)
-
-
-def _pack(pairs: Sequence[tuple]):
-    """Mixed-radix packing of several int64 ``(probe, build)`` key pairs into one.
-
-    Each key's offset and radix span both sides, so the packed keys compare
-    like the key tuples.  ``None`` when the product of the radices does not
-    fit in int64.
-    """
-    probe_key = build_key = 0
-    span = 1
-    for probe, build in pairs:
-        present = [array for array in (probe, build) if len(array)]
-        low = min((int(array.min()) for array in present), default=0)
-        radix = max((int(array.max()) for array in present), default=0) - low + 1
-        span *= radix
-        if span >= 2 ** 63:
-            return None
-        probe_key = probe_key * radix + (probe - low)
-        build_key = build_key * radix + (build - low)
-    return probe_key, build_key
+    packed = keys[0]
+    for key in keys[1:]:
+        radix = int(key.max(initial=0)) + 1
+        if (int(packed.max(initial=0)) + 1) * radix >= 2 ** 63:
+            packed = _np.unique(packed, return_inverse=True)[1]
+        packed = packed * radix + key
+    return packed
 
 
 def equi_join_indices(probe: Sequence[Column], build: Sequence[Column]):
-    """Vectorized equi-join on key columns: ``(probe_idx, build_idx)`` or ``None``.
+    """Equi-join on key columns: ``(probe_idx, build_idx)`` where every ``probe[i] = build[i]``.
 
-    ``probe[i] = build[i]`` for every ``i``.  One key merges on its codes or
-    shadows; several are first packed into one int64 key (:func:`_pack`).
-    Sort-merge: stable argsort of the build key, a ``searchsorted`` pair per
-    probe row, then a flat-index gather.  Output is probe-major with each
-    probe row's matches in original build order (the stable sort keeps
-    equal keys in scan order), exactly the bucket order of the hash row
-    path.  Declines (``None``) whenever a key's equality could diverge from
-    Python ``dict`` key equality (:func:`_join_keys`) or the packed key
-    would overflow.
+    Each probe key is re-ranked into its build key's domain and several
+    keys are packed into one (:func:`_pack`), so rows match exactly when
+    their key tuples are equal ``dict`` keys.  Sort-merge: stable argsort of
+    the build key, a ``searchsorted`` pair per probe row, then a flat-index
+    gather.  Output is probe-major with each probe row's matches in original
+    build order (the stable sort keeps equal keys in scan order), exactly
+    the bucket order of a hash join.
     """
-    integral = len(probe) > 1
-    pairs = [_join_keys(p, b, integral) for p, b in zip(probe, build)]
-    if any(pair is None for pair in pairs):
-        return None
-    if integral:
-        packed = _pack(pairs)
-        if packed is None:
-            return None
-        probe_key, build_key = packed
-    else:
-        probe_key, build_key = pairs[0]
+    split = probe[0].length
+    key = _pack([_np.concatenate((b.domain.rank(p), b.ranks)) for p, b in zip(probe, build)])
+    probe_key, build_key = key[:split], key[split:]
     build_order = _np.argsort(build_key, kind="stable")
     sorted_build = build_key[build_order]
     low = _np.searchsorted(sorted_build, probe_key, side="left")
@@ -900,60 +569,20 @@ def equi_join_indices(probe: Sequence[Column], build: Sequence[Column]):
     flat = (
         _np.arange(total, dtype=_np.int64) - _np.repeat(starts, counts) + _np.repeat(low, counts)
     )
-    probe_indices = _np.repeat(_np.arange(len(probe_key), dtype=_np.int64), counts)
+    probe_indices = _np.repeat(_np.arange(split, dtype=_np.int64), counts)
     return probe_indices, build_order[flat]
 
 
-def bucket_join_indices(
-    probe: Sequence[object],
-    build: Sequence[object],
-    probe_length: int,
-    build_length: int,
-    check: Optional[Callable[[], None]] = None,
-):
-    """The Python-bucket equi-join that :func:`equi_join_indices` declines to.
-
-    Keys are Columns or scalars (a constant key term); rows match when their
-    key tuples are equal ``dict`` keys, so ``None`` meets ``None``.  Same
-    output order as :func:`equi_join_indices`.  ``check`` (a deadline) is
-    called every 16 384 probe rows.
-    """
-
-    def keys(parts, n):
-        lists = [part.tolist() if isinstance(part, Column) else [part] * n for part in parts]
-        return lists[0] if len(lists) == 1 else list(zip(*lists))
-
-    buckets: dict = {}
-    for position, key in enumerate(keys(build, build_length)):
-        buckets.setdefault(key, []).append(position)
-    probe_indices: list[int] = []
-    build_indices: list[int] = []
-    for position, key in enumerate(keys(probe, probe_length)):
-        if check is not None and not position & 0x3FFF:
-            check()
-        matches = buckets.get(key)
-        if matches:
-            probe_indices += [position] * len(matches)
-            build_indices += matches
-    count = len(probe_indices)
-    return (
-        _np.fromiter(probe_indices, dtype=_np.int64, count=count),
-        _np.fromiter(build_indices, dtype=_np.int64, count=count),
-    )
-
-
-def first_occurrences(columns: Sequence[Column], n: int) -> Optional[list]:
+def first_occurrences(columns: Sequence[Column], n: int):
     """Ascending positions of each distinct row's first occurrence; ``None`` if none repeats.
 
-    Rows are equal as Python tuples are, which is ``Table.distinct``'s test.
+    Rows are equal as Python tuples are, which is ``Table.distinct``'s test:
+    one ``np.unique`` over the packed ranks.
     """
-    rows = list(zip(*(column.tolist() for column in columns))) if columns else [()] * n
-    # Keys keep their first insertion, values their last assignment — which,
-    # inserting in reverse, is each row's first position.
-    first_of = dict(zip(reversed(rows), range(n - 1, -1, -1)))
-    if len(first_of) == n:
-        return None
-    return sorted(first_of.values())
+    if not columns:
+        return None if n < 2 else _np.zeros(1, dtype=_np.int64)
+    first = _np.unique(_pack([column.ranks for column in columns]), return_index=True)[1]
+    return None if len(first) == n else _np.sort(first)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ Two execution modes share the operator semantics bit-for-bit:
   and build output columns with array takes, and joins whose predicate is
   a conjunction of range bounds on a single column — which is what every
   Fig. 3 axis step compiles to — run as a sort-based *range join* that
-  locates *all* probe bounds with batched ``searchsorted`` calls, dropping
-  axis-step joins from O(n·m) to O(n log n + output).  A join neither
-  kernel can answer runs as a blocked cross product under a predicate mask.
+  locates *all* probe bounds with batched ``searchsorted`` calls over order
+  ranks, dropping axis-step joins from O(n·m) to O(n log n + output).  A
+  join neither kernel plans (no equality, no two-sided bound) runs as a
+  blocked cross product under a predicate mask.
 * ``compiled=False`` — the naive row-dict evaluation: the slow, obviously
   correct oracle every differential test compares the columnar core with.
 """
@@ -113,9 +114,8 @@ class PlanInterpreter:
         self.rows_materialised = 0
         #: Number of joins answered by the sort-based range-join fast path.
         self.range_joins = 0
-        #: Number of times a columnar operator left the vectorized kernels:
-        #: a Python-bucket hash join, a masked nested-loop join, an
-        #: element-by-element comparison mask or a Python rank.
+        #: Number of joins run as a masked nested loop: those no kernel plans
+        #: (every other operator runs a vectorized kernel on any values).
         self.row_fallbacks = 0
 
     # -- public API -------------------------------------------------------------
@@ -194,7 +194,8 @@ class PlanInterpreter:
         if isinstance(node, Join):
             return self._join_naive(node)
         if isinstance(node, GroupAggregate):
-            return self._group_aggregate(node)
+            child, loop = self._evaluate(node.child), self._evaluate(node.loop)
+            return self._group_aggregate(node, child, loop)
         raise ExecutionError(f"cannot evaluate operator {type(node).__name__}")
 
     # -- columnar evaluation ------------------------------------------------------
@@ -204,9 +205,6 @@ class PlanInterpreter:
     # back to a row Table at the very end, restoring the exact Python objects
     # so the columnar core and the naive oracle are bit-for-bit
     # interchangeable.
-
-    def _row_fallback(self) -> None:
-        self.row_fallbacks += 1
 
     def _dispatch_columnar(self, node: Operator) -> ColumnarTable:
         if isinstance(node, DocTable):
@@ -221,8 +219,7 @@ class PlanInterpreter:
         if isinstance(node, Select):
             table = self._evaluate(node.child)
             predicate = self._bound_predicate(node.predicate)
-            mask = compile_predicate_mask(predicate, table.columns, self._row_fallback)(table)
-            return table.filter(mask)
+            return table.filter(compile_predicate_mask(predicate, table.columns)(table))
         if isinstance(node, Distinct):
             table = self._evaluate(node.child)
             positions = _columnar.first_occurrences(table.cols, table.length)
@@ -234,7 +231,8 @@ class PlanInterpreter:
             )
         if isinstance(node, RowId):
             table = self._evaluate(node.child)
-            return table.with_column(node.column, Column.int_sequence(1, table.length))
+            row_ids = Column.numeric(np.arange(1, table.length + 1), integral=True)
+            return table.with_column(node.column, row_ids)
         if isinstance(node, RowRank):
             return self._rank_columnar(node)
         if isinstance(node, Cross):
@@ -242,7 +240,11 @@ class PlanInterpreter:
         if isinstance(node, Join):
             return self._join_columnar(node)
         if isinstance(node, GroupAggregate):
-            return self._group_aggregate_columnar(node)
+            # The fold is per group in Python on either path: the oracle's serves both.
+            child, loop = self._evaluate(node.child), self._evaluate(node.loop)
+            return ColumnarTable.from_table(
+                self._group_aggregate(node, child.to_table(), loop.to_table())
+            )
         raise ExecutionError(f"cannot evaluate operator {type(node).__name__}")
 
     def _rank_columnar(self, node: RowRank) -> ColumnarTable:
@@ -251,10 +253,8 @@ class PlanInterpreter:
         partition_columns = [table.col(name) for name in node.partition_by]
         if node.column in table.columns:
             raise AlgebraError(f"rank: column {node.column!r} already exists")
-        ranks = _columnar.rank_values(
-            order_columns, partition_columns, table.length, self._row_fallback
-        )
-        return table.with_column(node.column, Column(ranks))
+        ranks = _columnar.rank_values(order_columns, partition_columns, table.length)
+        return table.with_column(node.column, Column.numeric(ranks, integral=True))
 
     def _cross_columnar(self, left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
         overlap = set(left.columns) & set(right.columns)
@@ -277,10 +277,8 @@ class PlanInterpreter:
             return self._hash_join_columnar(left, right, equi, residual, output_columns)
         plan = _plan_range_join(residual, left.columns, right.columns)
         if plan is not None:
-            result = self._range_join_columnar(left, right, plan, output_columns)
-            if result is not None:
-                self.range_joins += 1
-                return result
+            self.range_joins += 1
+            return self._range_join_columnar(left, right, plan, output_columns)
         return self._nested_loop_columnar(left, right, predicate, output_columns)
 
     def _nested_loop_columnar(
@@ -298,7 +296,7 @@ class PlanInterpreter:
         gather builds the output.  Pairs come out left-major with right rows
         in order: nested-loop order.
         """
-        self._row_fallback()
+        self.row_fallbacks += 1
         width = right.length
         if not (left.length and width):
             empty = np.empty(0, dtype=np.int64)
@@ -306,6 +304,8 @@ class PlanInterpreter:
         names = predicate.columns()
         left_keys = left.project([(name, name) for name in left.columns if name in names])
         right_keys = right.project([(name, name) for name in right.columns if name in names])
+        for column in left_keys.cols + right_keys.cols:
+            column.publish()  # rank once, not once per block
         mask_of = compile_predicate_mask(predicate, left_keys.columns + right_keys.columns)
         step = max(1, NESTED_LOOP_BLOCK_PAIRS // width)
         matches = []
@@ -327,22 +327,9 @@ class PlanInterpreter:
         residual: list[Comparison],
         output_columns: tuple[str, ...],
     ) -> ColumnarTable:
-        """Hash equi-join over column arrays; bucket order matches the row path."""
-        vectorized = _columnar.equi_join_indices(
+        """Hash equi-join over column ranks; bucket order matches the row path."""
+        left_indices, right_indices = _columnar.equi_join_indices(
             [left.col(name) for name, _ in equi], [right.col(name) for _, name in equi]
-        )
-        if vectorized is not None:
-            left_indices, right_indices = vectorized
-            return self._joined_columnar(
-                left, right, left_indices, right_indices, residual, output_columns
-            )
-        self._row_fallback()
-        left_indices, right_indices = _columnar.bucket_join_indices(
-            [left.col(name) for name, _ in equi],
-            [right.col(name) for _, name in equi],
-            left.length,
-            right.length,
-            self._check_deadline,
         )
         return self._joined_columnar(
             left, right, left_indices, right_indices, residual, output_columns
@@ -364,8 +351,7 @@ class PlanInterpreter:
             len(left_indices),
         )
         if residual:
-            mask = compile_comparisons_mask(residual, output_columns, self._row_fallback)(combined)
-            combined = combined.filter(mask)
+            combined = combined.filter(compile_comparisons_mask(residual, output_columns)(combined))
         return combined
 
     def _range_join_columnar(
@@ -374,123 +360,58 @@ class PlanInterpreter:
         right: ColumnarTable,
         plan: "_RangeJoinPlan",
         output_columns: tuple[str, ...],
-    ) -> Optional[ColumnarTable]:
-        """Batch-bisect range join; returns ``None`` to signal a fallback.
+    ) -> ColumnarTable:
+        """Batch-bisect range join over order ranks.
 
-        The side owning the bounded column (*build*) is sorted on it once,
-        then *all* probe bounds are located with one ``searchsorted`` call
-        per bound.  Output order is restored with a lexsort over (build,
-        probe) positions so rows come out in exact nested-loop order.  The
-        float64 shadow orders the build column, so a column holding strings
-        or ints beyond ±2**53 declines.
+        The side owning the bounded column (*build*) is sorted on its ranks
+        once, then *all* probe bounds, re-ranked into its domain, are located
+        with one ``searchsorted`` call per bound.  ``None`` and NaN match no
+        bound, and a bound reaches only values of its own class (numbers or
+        strings), as in ``predicates._compare``.  Output order is restored
+        with a lexsort over (build, probe) positions so rows come out in
+        exact nested-loop order.
         """
         build, probe = (left, right) if plan.build_side == "left" else (right, left)
-        build_column = build.col(plan.column)
-        if build_column.has_strings or not build_column.shadow_exact:
-            return None  # the shadow cannot order these values
-        build_positions = np.flatnonzero(build_column.notnull)  # None never matches
-        values = build_column.shadow[build_positions]
-        order = np.argsort(values, kind="stable")
-        sorted_values = values[order]
-        sorted_positions = build_positions[order]
-        total = len(sorted_values)
-        probe_n = probe.length
+        column = build.col(plan.column)
+        domain, ranks = column.domain, column.ranks
+        nan = domain.nan_rank
+        positions = np.flatnonzero((ranks != 0) & (ranks != nan))
+        order = np.argsort(ranks[positions], kind="stable")
+        sorted_ranks, sorted_positions = ranks[positions][order], positions[order]
+        total = len(sorted_ranks)
+        split = sorted_ranks.searchsorted(nan)  # the numbers before it, the strings after
         index_of = {name: i for i, name in enumerate(probe.columns)}
-        low = np.zeros(probe_n, dtype=np.int64)
-        high = np.full(probe_n, total, dtype=np.int64)
-        usable = np.ones(probe_n, dtype=bool)
+        low = np.zeros(probe.length, dtype=np.int64)
+        high = np.full(probe.length, total, dtype=np.int64)
+        usable = np.ones(probe.length, dtype=bool)
         for op, term in plan.bounds:
-            value = compile_term_columnar(term, index_of)(probe)
-            if isinstance(value, Column):
-                if not value.shadow_exact:
-                    return None
-                bounds = value.shadow  # NaN marks None / non-numeric bounds
-            elif value is None or not isinstance(value, (int, float)):
-                bounds = np.full(probe_n, _columnar._NAN)
-            else:
-                bounds = np.full(probe_n, float(value))
-            usable &= ~np.isnan(bounds)
+            bound = domain.rank(compile_term_columnar(term, index_of)(probe))
+            usable &= (bound != 0) & (bound != nan)
+            number = bound < nan
+            np.maximum(low, np.where(number, 0, split), out=low)
+            np.minimum(high, np.where(number, split, total), out=high)
             if op in (">", ">=", "="):
                 side = "left" if op in (">=", "=") else "right"
-                np.maximum(low, np.searchsorted(sorted_values, bounds, side=side), out=low)
+                np.maximum(low, sorted_ranks.searchsorted(bound, side), out=low)
             if op in ("<", "<=", "="):
                 side = "right" if op in ("<=", "=") else "left"
-                np.minimum(high, np.searchsorted(sorted_values, bounds, side=side), out=high)
+                np.minimum(high, sorted_ranks.searchsorted(bound, side), out=high)
         counts = np.where(usable & (low < high), high - low, 0)
         total_out = int(counts.sum())
-        if total_out == 0:
-            return ColumnarTable.from_rows(output_columns, [])
         self._check_deadline()
-        probe_indices = np.repeat(np.arange(probe_n), counts)
+        probe_indices = np.repeat(np.arange(probe.length), counts)
         starts = np.cumsum(counts) - counts
         flat = np.arange(total_out) - np.repeat(starts, counts) + np.repeat(low, counts)
         build_indices = sorted_positions[flat]
         if plan.build_side == "left":
             final = np.lexsort((probe_indices, build_indices))
-            left_indices = build_indices[final]
-            right_indices = probe_indices[final]
+            left_indices, right_indices = build_indices[final], probe_indices[final]
         else:
             final = np.lexsort((build_indices, probe_indices))
-            left_indices = probe_indices[final]
-            right_indices = build_indices[final]
-        combined = ColumnarTable(
-            output_columns,
-            [c.take(left_indices) for c in left.cols]
-            + [c.take(right_indices) for c in right.cols],
-            total_out,
+            left_indices, right_indices = probe_indices[final], build_indices[final]
+        return self._joined_columnar(
+            left, right, left_indices, right_indices, plan.remaining, output_columns
         )
-        if plan.remaining:
-            mask = compile_comparisons_mask(
-                plan.remaining, output_columns, self._row_fallback
-            )(combined)
-            combined = combined.filter(mask)
-        return combined
-
-    def _group_aggregate_columnar(self, node: GroupAggregate) -> ColumnarTable:
-        """Columnar Aggr with the exact fold order of :meth:`_group_aggregate`."""
-        child = self._evaluate(node.child)
-        loop = self._evaluate(node.loop)
-        group_values = child.col(node.group_column).tolist()
-        unit_values = child.col(node.unit_column).tolist()
-        value_values = (
-            child.col(node.value_column).tolist() if node.value_column is not None else None
-        )
-        counts: dict = {}
-        grouped_values: dict = {}
-        seen: set[tuple] = set()
-        for position in range(child.length):
-            if not position & 0x3FFF:
-                self._check_deadline()
-            group = group_values[position]
-            identity = (
-                group,
-                unit_values[position],
-                None if value_values is None else value_values[position],
-            )
-            if identity in seen:
-                continue
-            seen.add(identity)
-            if node.function == "count":
-                counts[group] = counts.get(group, 0) + 1
-            else:
-                grouped_values.setdefault(group, []).append(value_values[position])
-        loop_keys = loop.col(node.group_column).tolist()
-        if node.function == "count":
-            items = [counts.get(key, 0) for key in loop_keys]
-            return loop.with_column(node.item_column, Column.from_values(items))
-        folded: dict = {}
-        for key, group_vals in grouped_values.items():
-            values = [v for v in group_vals if v is not None]
-            if node.function == "sum":
-                folded[key] = sum(values) if values else 0
-            elif values:  # avg of an empty group emits no row
-                folded[key] = sum(values) / len(values)
-        if node.function == "sum":
-            items = [folded.get(key, 0) for key in loop_keys]
-            return loop.with_column(node.item_column, Column.from_values(items))
-        keep = np.array([key in folded for key in loop_keys], dtype=bool)
-        items = [folded[key] for key in loop_keys if key in folded]
-        return loop.filter(keep).with_column(node.item_column, Column.from_values(items))
 
     # -- join evaluation ----------------------------------------------------------
 
@@ -502,7 +423,7 @@ class PlanInterpreter:
 
     # -- aggregation ---------------------------------------------------------------
 
-    def _group_aggregate(self, node: GroupAggregate) -> Table:
+    def _group_aggregate(self, node: GroupAggregate, child: Table, loop: Table) -> Table:
         """Reference semantics of Aggr (the naive oracle's).
 
         Child rows are deduplicated on (group, unit, value) — the argument
@@ -514,8 +435,6 @@ class PlanInterpreter:
         operator bit-for-bit aligned with the pushed-down native aggregates
         of the SQL configuration (a DISTINCT subquery under COUNT/SUM/AVG).
         """
-        child = self._evaluate(node.child)
-        loop = self._evaluate(node.loop)
         group_index = child.column_index(node.group_column)
         unit_index = child.column_index(node.unit_column)
         value_index = (

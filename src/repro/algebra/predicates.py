@@ -18,7 +18,7 @@ function ``cols(·)`` of the paper corresponds to the ``columns()`` methods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from repro.errors import AlgebraError
 
@@ -308,8 +308,7 @@ class Predicate:
 # references resolved against the input schema at compile time, and a
 # conjunction into a closure returning one boolean *mask* over all rows.  The
 # mask kernels in :mod:`repro.algebra.columnar` implement exactly the
-# :func:`_compare` semantics, vectorized where provably safe and element by
-# element otherwise.
+# :func:`_compare` semantics as one comparison of order ranks.
 
 
 def compile_term_columnar(term: Term, index_of: Mapping[str, int]):
@@ -340,15 +339,8 @@ def compile_term_columnar(term: Term, index_of: Mapping[str, int]):
     raise AlgebraError(f"cannot compile term {term!r}")
 
 
-def compile_comparisons_mask(
-    comparisons: Iterable[Comparison],
-    columns: Sequence[str],
-    on_decline: Optional[Callable[[], None]] = None,
-):
-    """Compile a conjunction into one mask closure over a :class:`ColumnarTable`.
-
-    ``on_decline`` is called for each conjunct masked element by element.
-    """
+def compile_comparisons_mask(comparisons: Iterable[Comparison], columns: Sequence[str]):
+    """Compile a conjunction into one mask closure over a :class:`ColumnarTable`."""
     from repro.algebra import columnar as _columnar
 
     index_of = {name: position for position, name in enumerate(columns)}
@@ -360,16 +352,12 @@ def compile_comparisons_mask(
         )
         for conjunct in comparisons
     )
-    return lambda table: _columnar.conjunction_mask(compiled, table, on_decline)
+    return lambda table: _columnar.conjunction_mask(compiled, table)
 
 
-def compile_predicate_mask(
-    predicate: Predicate,
-    columns: Sequence[str],
-    on_decline: Optional[Callable[[], None]] = None,
-):
+def compile_predicate_mask(predicate: Predicate, columns: Sequence[str]):
     """Compile a predicate into one boolean-mask closure over a :class:`ColumnarTable`."""
-    return compile_comparisons_mask(predicate.conjuncts, columns, on_decline)
+    return compile_comparisons_mask(predicate.conjuncts, columns)
 
 
 def column(name: str) -> ColumnRef:

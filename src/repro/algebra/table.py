@@ -98,8 +98,8 @@ class Table:
         """This table's columnar twin, memoised per instance.
 
         Tables are treated as immutable once built, so the conversion (one
-        array per column, its statistics, and dictionary codes for string
-        columns) is paid at most once — the doc table's columns in
+        array per column, its sorted domain and its order ranks) is paid
+        at most once — the doc table's columns in
         particular are shared across every plan, and every thread,
         evaluated against it.  Columns are published complete: nothing
         writes to them after this returns them.

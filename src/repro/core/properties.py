@@ -252,7 +252,7 @@ def _infer_keys(
     if isinstance(node, RowRank):
         return _rank_keys(node, keys_by[id(node.child)])
     if isinstance(node, Join):
-        return _join_keys(node, keys_by)
+        return _join_result_keys(node, keys_by)
     if isinstance(node, Cross):
         left = keys_by[id(node.children[0])]
         right = keys_by[id(node.children[1])]
@@ -297,7 +297,7 @@ def _rank_keys(node: RowRank, child_keys: frozenset[frozenset[str]]) -> frozense
     return frozenset(keys)
 
 
-def _join_keys(
+def _join_result_keys(
     node: Join, keys_by: dict[int, frozenset[frozenset[str]]]
 ) -> frozenset[frozenset[str]]:
     left, right = node.children

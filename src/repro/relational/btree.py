@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.algebra import columnar as _columnar
-from repro.algebra.columnar import Column, SortedDomain
+from repro.algebra.columnar import Column
 from repro.algebra.table import Table
 from repro.lazy import Lazy
 
@@ -67,9 +67,8 @@ class BPlusTree:
         self.order = max(4, order)
         self.columns = tuple(columns)
         self.payload = payload
-        ranked = [SortedDomain.of(column) for column in self.columns]
-        self.domains = tuple(domain for domain, _ranks in ranked)
-        ranks = [column_ranks for _domain, column_ranks in ranked]
+        self.domains = tuple(column.domain for column in self.columns)
+        ranks = [column.ranks for column in self.columns]
         # lexsort is stable: equal keys keep entry order.
         self.rows = np.lexsort(ranks[::-1]) if ranks else np.arange(0)
         #: Per key column, a power of two above every rank of its domain (0 .. 2D + 1).
@@ -91,8 +90,6 @@ class BPlusTree:
         """Bulk-load ``(key, payload)`` entries (keys of one width)."""
         entries = list(entries)
         columns = [Column.from_values(values) for values in zip(*(key for key, _ in entries))]
-        for column in columns:
-            column.publish()
         return cls(columns, [payload for _key, payload in entries].__getitem__, order)
 
     def __len__(self) -> int:

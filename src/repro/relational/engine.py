@@ -363,18 +363,14 @@ class RelationalEngine:
     ) -> dict[tuple, int]:
         """Dense ranks over the window's scope, keyed by (partition, order).
 
-        The keys land in per-partition *sets*, so the scope plan's SORT
-        DISTINCT tail is skipped.
+        One ``lexsort`` over the key columns' order ranks; equal keys get
+        equal ranks, so the scope plan's SORT DISTINCT tail is skipped.
         """
-        partition_width = len(spec.partition)
-        partitions: dict[tuple, set[tuple]] = {}
-        for key in zip(*planned.root.value_set_columns(ctx)):
-            partitions.setdefault(key[:partition_width], set()).add(key[partition_width:])
-        ranks: dict[tuple, int] = {}
-        for partition_key, ordered in partitions.items():
-            for order_key, rank in _columnar.dense_rank_map(ordered).items():
-                ranks[partition_key + order_key] = rank
-        return ranks
+        columns = planned.root.value_set_columns(ctx)
+        width = len(spec.partition)
+        n = columns[0].length if columns else 0
+        ranks = _columnar.rank_values(columns[width:], columns[:width], n, dense=True)
+        return dict(zip(zip(*(column.tolist() for column in columns)), ranks.tolist()))
 
     def _having_values(
         self, planned: PlannedQuery, spec, ctx: ExecutionContext

@@ -27,10 +27,9 @@ conjunct.  Each operator materialises its whole result:
   (:meth:`~repro.relational.btree.BPlusTree.segment_base`), matches
   expanded with ``repeat``, in blocks of at most
   ``NESTED_LOOP_BLOCK_PAIRS`` pairs with one deadline check each;
-* TBSCAN and FILTER are mask scans; HSJOIN merges codes or exact numbers
-  (:func:`~repro.algebra.columnar.equi_join_indices`) and buckets any
-  other key in Python;
-* SORT is a stable ``lexsort`` over rank arrays plus first-occurrence
+* TBSCAN and FILTER are mask scans, and HSJOIN merges the order ranks of
+  any keys (:func:`~repro.algebra.columnar.equi_join_indices`);
+* SORT is a stable ``lexsort`` over order ranks plus first-occurrence
   DISTINCT, and RETURN gathers values only for the rows it returns.
 
 A two-level NLJOIN, as position vectors into the one table:
@@ -72,7 +71,7 @@ import numpy as np
 
 from repro.errors import ExecutionError, QueryTimeoutError
 from repro.algebra import columnar as _columnar
-from repro.algebra.columnar import Column, SortedDomain
+from repro.algebra.columnar import Column
 from repro.algebra.interpreter import NESTED_LOOP_BLOCK_PAIRS
 from repro.algebra.table import Table
 from repro.core.joingraph import ColumnTerm, Condition, ConstantTerm, ParameterTerm, SumTerm, Term
@@ -186,9 +185,9 @@ def _mask(conditions: Sequence[Condition], tables: Mapping[str, Table]):
     return lambda rows: _columnar.conjunction_mask(compiled, rows)
 
 
-def _values(value, length: int) -> list:
-    """A term's value — a Column, or a constant / missing-column NULL — as a list."""
-    return value.tolist() if isinstance(value, Column) else [value] * length
+def _column(value, length: int) -> Column:
+    """A term's value — a Column, or a constant / missing-column NULL — as a Column."""
+    return value if isinstance(value, Column) else Column.constant(value, length)
 
 
 @dataclass
@@ -253,10 +252,6 @@ class IndexBound:
     #: The join-graph condition this bound enforces (used by the planner to
     #: decide which conditions still need residual evaluation).
     source: object = None
-
-
-def _ranks(domain: SortedDomain, value):
-    return domain.rank(value) if isinstance(value, Column) else domain.rank_value(value)
 
 
 def _vector(value, length: int) -> np.ndarray:
@@ -334,7 +329,7 @@ class _Probe:
         keyed = self.depth - self.first
         for depth, value in enumerate(values[:keyed], start=self.first):
             search = tree.search[depth]
-            targets = tree.segment_base(depth, low) + _ranks(tree.domains[depth], value)
+            targets = tree.segment_base(depth, low) + tree.domains[depth].rank(value)
             low, high = (
                 np.maximum(low, search.searchsorted(targets, "left")),
                 np.minimum(high, search.searchsorted(targets, "right")),
@@ -343,7 +338,7 @@ class _Probe:
             search, base = tree.search[self.depth], tree.segment_base(self.depth, low)
             domain = tree.domains[self.depth]
             for (is_low, side), value in zip(self.ranges, values[keyed:]):
-                at = search.searchsorted(base + _ranks(domain, value), side)
+                at = search.searchsorted(base + domain.rank(value), side)
                 if is_low:
                     low = np.maximum(low, at)
                 else:
@@ -483,13 +478,9 @@ class HashJoin(PhysicalOperator):
             outer_ids = np.repeat(np.arange(outer.length), inner.length)
             inner_ids = np.tile(np.arange(inner.length), outer.length)
         else:
-            outer_keys = [key(outer) for key in self._outer_keys]
-            inner_keys = [key(inner) for key in self._inner_keys]
-            merged = None
-            if all(isinstance(key, Column) for key in outer_keys + inner_keys):
-                merged = _columnar.equi_join_indices(outer_keys, inner_keys)
-            outer_ids, inner_ids = merged or _columnar.bucket_join_indices(
-                outer_keys, inner_keys, outer.length, inner.length, ctx.check
+            outer_ids, inner_ids = _columnar.equi_join_indices(
+                [_column(key(outer), outer.length) for key in self._outer_keys],
+                [_column(key(inner), inner.length) for key in self._inner_keys],
             )
         joined = Rows(
             self.tables,
@@ -550,14 +541,14 @@ class Sort(PhysicalOperator):
         # A constant orders nothing and makes no two rows distinct.
         keys = [key for key in (order(rows) for order in self._order) if isinstance(key, Column)]
         if keys and rows.length > 1:  # lexsort is stable; its last key is the primary one
-            rows = rows.take(np.lexsort([_columnar.order_array(key) for key in reversed(keys)]))
+            rows = rows.take(np.lexsort([key.ranks for key in reversed(keys)]))
         if self.distinct:
             selected = (select(rows) for select in self._select)
             first = _columnar.first_occurrences(
                 [column for column in selected if isinstance(column, Column)], rows.length
             )
             if first is not None:
-                rows = rows.take(np.array(first, dtype=np.int64))
+                rows = rows.take(first)
         return rows
 
     def children(self) -> Sequence[PhysicalOperator]:
@@ -584,18 +575,18 @@ class Return(PhysicalOperator):
         """One ``{name: value}`` per result row, in order."""
         rows = self.child.run(ctx)
         names = [name for _term, name in self.select_items]
-        values = [_values(select(rows), rows.length) for select in self._select]
+        values = [_column(select(rows), rows.length).tolist() for select in self._select]
         return [dict(zip(names, row)) for row in zip(*values)]
 
-    def value_set_columns(self, ctx: ExecutionContext) -> list[list]:
-        """The select list as one list per item, in no particular row order.
+    def value_set_columns(self, ctx: ExecutionContext) -> list[Column]:
+        """The select list as one Column per item, in no particular row order.
 
         For callers that only build *sets* from the rows: a ``SORT DISTINCT``
         child is irrelevant to them, so it is peeled off.
         """
         child = self.child.child if isinstance(self.child, Sort) else self.child
         rows = child.run(ctx)
-        return [_values(select(rows), rows.length) for select in self._select]
+        return [_column(select(rows), rows.length) for select in self._select]
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.child,)

@@ -247,6 +247,10 @@ def _node_value(node: XMLNode, subtree_size: int) -> tuple[Optional[str], Option
             data = float(stripped)
         except ValueError:
             data = None
+    if data != data:
+        # "NaN" parses, but SQLite binds a float NaN as NULL: store NULL here
+        # so that every engine reads the same ``data`` value.
+        data = None
     return value, data
 
 

@@ -411,7 +411,9 @@ def check_bindings(
     execution is bit-for-bit identical to ad-hoc literal execution).  Raises
     :class:`~repro.errors.XQueryBindingError` for a ``bindings`` argument
     that is not a mapping, missing bindings, bindings to undeclared names,
-    and values that do not match the declared type.
+    values that do not match the declared type, and a NaN bound to a
+    numeric external (SQLite would bind it as NULL, the other engines as a
+    number).
     """
     if bindings is not None and not isinstance(bindings, Mapping):
         raise XQueryBindingError(
@@ -447,6 +449,11 @@ def check_bindings(
                 raise XQueryBindingError(
                     f"external variable ${name} is declared {declaration.xs_type} "
                     f"but was bound to non-integral value {value!r}"
+                )
+            if value != value:
+                raise XQueryBindingError(
+                    f"external variable ${name} is declared {declaration.xs_type} "
+                    f"but was bound to NaN, which SQL stores as NULL"
                 )
             normalized[name] = float(value)
         else:

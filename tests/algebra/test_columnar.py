@@ -1,31 +1,38 @@
 """Unit tests for the columnar storage layer and its vectorized kernels.
 
-Every kernel is checked against the row-path reference it replaces —
+Every kernel reads order ranks (:class:`~repro.algebra.columnar.SortedDomain`)
+and is checked against the row-path reference it replaces —
 ``predicates._compare`` for comparison masks, ``Table.attach_rank`` for the
-rank kernel, the hash-bucket join for ``equi_join_indices`` — on value mixes
-that exercise the shadow-validity rules: NULLs, bools, huge ints beyond
-float64 exactness, strings on one side and on both.  The ``published``
-tests build their inputs both ways the engines do: as a literal table's
-columns (statistics computed lazily, no dictionary codes) and as a base
-table's published columns (statistics up front, codes for string columns),
-so the coded and the uncoded branches of each kernel meet the same
-reference.  The dictionary-code, whole-array-statistics, packed-join and
-first-occurrence kernels are property-tested (Hypothesis) against the same
-references.
+rank kernel, a hash-bucket join for ``equi_join_indices`` and
+``dict.fromkeys`` for ``first_occurrences`` — on value mixes that stress
+the encoding: NULLs, bools, huge ints beyond float64 exactness, NaN,
+strings, and columns mixing all of them.  The ``published`` tests build
+their inputs both ways the engines do: as a literal table's columns (ranks
+built on first read) and as a base table's published columns (ranks built
+up front).  The Hypothesis properties pair columns from *different*
+domains, columns sharing one domain, and literals; set
+``REPRO_PROBE_EXAMPLES`` for a deeper run (the nightly sweep does).
 """
 
+import os
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra import columnar
-from repro.algebra.columnar import Column, ColumnarTable
+from repro.algebra.columnar import Column, ColumnarTable, SortedDomain, sort_key
 from repro.algebra.predicates import _compare
 from repro.algebra.table import Table
 from repro.errors import AlgebraError
 
+EXAMPLES = int(os.environ.get("REPRO_PROBE_EXAMPLES", "200"))
+
 OPS = ("=", "!=", "<", "<=", ">", ">=")
 
-#: Value mixes that probe every branch-selection rule of compare_mask.
+NAN = float("nan")
+
+#: Value mixes that probe every class and exactness rule of compare_mask.
 VALUE_COLUMNS = {
     "ints": [1, 5, 3, 5, 2],
     "floats": [1.5, 0.5, 3.0, -2.5, 0.0],
@@ -34,6 +41,7 @@ VALUE_COLUMNS = {
     "strings": ["a", "b", None, "a", "c"],
     "mixed": [1, "a", None, 2.5, "b"],
     "huge": [2 ** 60, 2 ** 60 + 1, 1, None, -(2 ** 60)],
+    "nans": [NAN, 1.0, None, NAN, "a"],
 }
 
 
@@ -73,7 +81,7 @@ def test_compare_mask_matches_reference(published, left_name, right_name):
 
 
 @PUBLISHED
-@pytest.mark.parametrize("scalar", [None, 3, 2.5, "a", True, 2 ** 60])
+@pytest.mark.parametrize("scalar", [None, 3, 2.5, "a", True, 2 ** 60, NAN])
 def test_compare_mask_against_scalar(published, scalar):
     for name, values in VALUE_COLUMNS.items():
         column = _column(values, published)
@@ -96,7 +104,7 @@ def test_rank_values_matches_attach_rank(published):
     ]
     table = Table(("p", "o", "tag"), rows)
     ct = _table(("p", "o", "tag"), rows, published)
-    for order in ("o", "tag"):  # ints with a NULL; strings, coded when published
+    for order in ("o", "tag"):  # ints with a NULL; strings
         expected = table.attach_rank("rank", order_by=[order], partition_by=["p"])
         ranks = columnar.rank_values([ct.col(order)], [ct.col("p")], len(rows))
         assert list(ranks) == [row[-1] for row in expected.rows], order
@@ -122,31 +130,33 @@ def _reference_hash_join(probe_values, build_values):
     return pairs
 
 
+def _pairs(result):
+    return list(zip(result[0].tolist(), result[1].tolist()))
+
+
 def test_equi_join_indices_matches_bucket_order():
     probe_values = [3, 1, 2, 3, 7, 1]
     build_values = [1, 3, 3, 2, 1, 9]
     probe = Column.from_values(probe_values)
     build = Column.from_values(build_values)
     result = columnar.equi_join_indices([probe], [build])
-    assert result is not None
-    probe_idx, build_idx = result
-    assert list(zip(probe_idx.tolist(), build_idx.tolist())) == _reference_hash_join(
-        probe_values, build_values
-    )
+    assert _pairs(result) == _reference_hash_join(probe_values, build_values)
 
 
 @pytest.mark.parametrize(
     "probe_values,build_values",
     [
-        (["a", "b"], [1, 2]),  # strings shadow to NaN
-        ([1, None], [1, 2]),  # None keys match in the row path's buckets
-        ([2 ** 60, 1], [1, 2]),  # beyond float64 exactness
+        (["a", "b"], ["b", 2, "a"]),  # strings from two domains
+        ([1, None], [None, 1, 2]),  # None keys match, as in the row path's buckets
+        ([2 ** 60, 1], [1, 2 ** 60, 2 ** 60 + 1]),  # beyond float64 exactness
     ],
+    ids=["two-string-domains", "none-keys", "huge-ints"],
 )
-def test_equi_join_indices_declines_unsafe_keys(probe_values, build_values):
+def test_equi_join_indices_on_former_decline_keys(probe_values, build_values):
     probe = Column.from_values(probe_values)
     build = Column.from_values(build_values)
-    assert columnar.equi_join_indices([probe], [build]) is None
+    result = columnar.equi_join_indices([probe], [build])
+    assert _pairs(result) == _reference_hash_join(probe_values, build_values)
 
 
 @PUBLISHED
@@ -156,6 +166,11 @@ def test_sum_columns_matches_sum_semantics(published):
     assert total.tolist() == [11, 2.5, None]
     scalar_mix = columnar.sum_columns([_column([1, 2], published), 5], 2)
     assert scalar_mix.tolist() == [6, 7]
+    # Beyond float64 exactness the Python objects add, exactly.
+    huge = columnar.sum_columns([_column([2 ** 60, None], published), 1], 2)
+    assert huge.tolist() == [2 ** 60 + 1, None]
+    with pytest.raises(TypeError):
+        columnar.sum_columns([_column(["a", 1], published), 1], 2)
 
 
 @PUBLISHED
@@ -187,19 +202,18 @@ def test_columnar_table_rejects_duplicate_columns():
 @PUBLISHED
 def test_column_stats_survive_take_and_filter(published):
     column = _column([1, None, "x", 4], published)
-    assert column.has_strings  # the statistics exist now, published or not
+    assert column.ranks.tolist() == [2, 0, 8, 4]  # built now, published or not
     taken = column.take([0, 3])
     assert taken.tolist() == [1, 4]
-    # Conservative flags: a subset of a string-bearing column still
-    # reports has_strings, which only costs a declined fast path.
-    assert taken.has_strings
+    # A derived column gathers the ranks and shares the domain.
+    assert taken.domain is column.domain and taken.ranks.tolist() == [2, 4]
     strings = _column(["b", None, "a"], published)
     kept = strings.filter(columnar.compare_mask(strings, "!=", "b", 3))
     assert kept.tolist() == ["a"]
-    # Derived columns index the very dictionary they were derived from.
-    assert (kept.codes is not None) is published
-    if published:
-        assert kept.codes.tolist() == [0] and kept.dictionary is strings.dictionary
+    assert kept.domain is strings.domain and kept.ranks.tolist() == [4]
+    # A column ranked afterwards builds a domain of its own values.
+    unranked = Column.from_values([3, 1]).take([1])
+    assert unranked.ranks.tolist() == [2] and len(unranked.domain) == 2
 
 
 def test_interpreter_matches_the_naive_oracle():
@@ -220,145 +234,179 @@ def test_interpreter_matches_the_naive_oracle():
     assert columnar_result == oracle_result
 
 
-# -- dictionary codes, whole-array statistics, packed joins (property-based) --------
+# -- the kernels against their references (property-based) ---------------------------
 
-#: Ints around and far beyond float64 exactness, floats (inf and NaN included).
+#: Ints around and far beyond float64 exactness.
 _INTS = st.one_of(
     st.integers(-(2 ** 70), 2 ** 70),
     st.sampled_from([2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, -(2 ** 53) - 1, 2 ** 63, -(2 ** 64)]),
 )
-_FLOATS = st.floats(width=64)
 _STRINGS = st.text(alphabet="abc", max_size=3)
 
 
-def _values(*elements):
-    return st.lists(st.one_of(*elements), max_size=14)
+def _families(floats):
+    """Pure and mixed column element strategies, over ``floats``."""
+    return [
+        _INTS,
+        st.one_of(_INTS, st.none()),
+        st.one_of(floats, st.none()),
+        st.one_of(_INTS, floats, st.none()),
+        st.one_of(_STRINGS, st.none()),
+        st.one_of(st.booleans(), _INTS, st.none()),
+        st.one_of(_INTS, floats, _STRINGS, st.booleans(), st.none()),
+    ]
 
 
-#: Pure and mixed columns.
-COLUMN_VALUES = st.one_of(
-    _values(_INTS),
-    _values(_INTS, st.none()),
-    _values(_FLOATS, st.none()),
-    _values(_INTS, _FLOATS, st.none()),
-    _values(_STRINGS, st.none()),
-    _values(st.booleans(), _INTS, st.none()),
-    _values(_INTS, _FLOATS, _STRINGS, st.booleans(), st.none()),
-)
-STRING_VALUES = _values(_STRINGS, st.none())
-LITERALS = st.one_of(st.none(), _STRINGS, st.sampled_from(["zzz", 0, 1, 2.5, True]))
+#: Every float, inf and NaN included: for comparisons, whose reference is total.
+FAMILIES = _families(st.floats(width=64))
+#: No NaN: sorting, bucketing and ``dict`` keys have no reference order or equality for it.
+ORDERED_FAMILIES = _families(st.floats(width=64, allow_nan=False))
+COLUMN_VALUES = st.one_of(*(st.lists(family, max_size=14) for family in FAMILIES))
+LITERALS = st.one_of(st.none(), _INTS, _STRINGS, st.sampled_from(["zzz", 0, 1, 2.5, True, NAN]))
 
 
-def _permutation(data, n):
-    return data.draw(st.permutations(range(n)))
+@st.composite
+def _columns(draw, count, families):
+    """``count`` value lists of one length, each drawn from one of ``families``."""
+    n = draw(st.integers(0, 12))
+    return [
+        draw(st.sampled_from(families).flatmap(lambda f: st.lists(f, min_size=n, max_size=n)))
+        for _ in range(count)
+    ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(values=COLUMN_VALUES)
-def test_statistics_match_the_per_element_reference(values):
-    import numpy as np
-
-    fast = Column.from_values(values)
-    fast._build_stats()
-    reference = Column.from_values(values)
-    reference._build_stats_by_element()
-    np.testing.assert_array_equal(fast.shadow, reference.shadow)
-    np.testing.assert_array_equal(fast.notnull, reference.notnull)
-    assert (fast.has_strings, fast.shadow_exact, fast.ints_only) == (
-        reference.has_strings, reference.shadow_exact, reference.ints_only
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(values=STRING_VALUES, literal=LITERALS, data=st.data())
-def test_coded_equality_masks_match_the_python_mask(values, literal, data):
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(values=COLUMN_VALUES, literal=LITERALS, data=st.data())
+def test_compare_mask_matches_compare_across_domains(values, literal, data):
     n = len(values)
-    other = data.draw(st.lists(st.one_of(_STRINGS, st.none()), min_size=n, max_size=n))
-    column = _column(values)
-    assert column.codes is not None
-    # The same dictionary (derived by take), and a different one.
-    shuffled = column.take(_permutation(data, n))
-    foreign = _column(other)
-    for op in ("=", "!="):
-        for right, right_column in ((literal, False), (shuffled, True), (foreign, True)):
-            mask = columnar.compare_mask(column, op, right, n)
-            expected = columnar._python_mask(column, op, right, True, right_column, n)
-            assert [bool(v) for v in mask] == list(expected), (op, right)
-        flipped = columnar.compare_mask(literal, op, column, n)
-        expected = columnar._python_mask(literal, op, column, False, True, n)
-        assert [bool(v) for v in flipped] == list(expected), (literal, op)
+    other = data.draw(
+        st.sampled_from(FAMILIES).flatmap(lambda f: st.lists(f, min_size=n, max_size=n))
+    )
+    column = _column(values, data.draw(st.booleans()))
+    order = data.draw(st.permutations(range(n)))
+    sides = [
+        (_column(other, data.draw(st.booleans())), other),  # a domain of its own
+        (column.take(order), [values[i] for i in order]),  # the same domain
+        (literal, [literal] * n),
+    ]
+    for op in OPS:
+        for right, right_values in sides:
+            expected = [_compare(a, op, b) for a, b in zip(values, right_values)]
+            assert columnar.compare_mask(column, op, right, n).tolist() == expected, (op, right)
+            flipped = [_compare(b, op, a) for a, b in zip(values, right_values)]
+            assert columnar.compare_mask(right, op, column, n).tolist() == flipped, (op, right)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    rows=st.lists(
-        st.tuples(st.integers(-3, 3), st.sampled_from(["x", "y", "z", None])),
-        min_size=1, max_size=16,
-    ),
-    data=st.data(),
-)
-def test_coded_and_packed_joins_match_the_bucket_join(rows, data):
-    positions = st.lists(st.integers(0, len(rows) - 1), max_size=12)
-    # Probe and build derive from one published table: shared dictionaries.
-    table = Table(("k", "s"), rows).columnar()
-    probe, build = table.take(data.draw(positions)), table.take(data.draw(positions))
-    for names in (["s"], ["k", "s"], ["s", "k"]):
-        probe_keys = [probe.col(name) for name in names]
-        build_keys = [build.col(name) for name in names]
-        result = columnar.equi_join_indices(probe_keys, build_keys)
-        assert result is not None, names
-        # None keys meet None keys, as in the row path's buckets.
-        expected = _reference_hash_join(
-            list(zip(*(c.tolist() for c in probe_keys))),
-            list(zip(*(c.tolist() for c in build_keys))),
-        )
-        assert list(zip(result[0].tolist(), result[1].tolist())) == expected, names
+def _dense_reference(order_rows, partition_rows):
+    """DENSE_RANK per row: the position of its order key among its partition's distinct keys."""
+    partitions = {}
+    for partition, key in zip(partition_rows, order_rows):
+        partitions.setdefault(partition, set()).add(key)
+    ranks = {
+        partition: {key: k for k, key in enumerate(sorted(keys, key=sort_key), start=1)}
+        for partition, keys in partitions.items()
+    }
+    return [ranks[partition][key] for partition, key in zip(partition_rows, order_rows)]
 
 
-def test_coded_join_declines_across_dictionaries_and_on_null_ints():
-    left, right = _column(["a", None]), _column(["a", None])
-    assert columnar.equi_join_indices([left], [right]) is None
-    ints = _column([1, None])
-    assert columnar.equi_join_indices([ints, left], [ints, left]) is None
-    huge = _column([2 ** 60, 1])
-    assert columnar.equi_join_indices([huge, left], [huge, left]) is None
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_rank_values_match_attach_rank_property(data):
+    values = data.draw(_columns(3, ORDERED_FAMILIES))
+    n = len(values[0])
+    table = Table(("a", "b", "c"), list(zip(*values)))
+    columns = [_column(column, data.draw(st.booleans())) for column in values]
+    for order, partition in ((["a"], []), (["a"], ["b"]), (["a", "b"], ["c"])):
+        pick = [columns["abc".index(name)] for name in order]
+        split = [columns["abc".index(name)] for name in partition]
+        expected = table.attach_rank("rank", order, partition).column_values("rank")
+        assert columnar.rank_values(pick, split, n).tolist() == expected, (order, partition)
+        order_rows = list(zip(*(values["abc".index(name)] for name in order)))
+        partition_rows = list(zip(*(values["abc".index(name)] for name in partition))) or [()] * n
+        dense = columnar.rank_values(pick, split, n, dense=True).tolist()
+        assert dense == _dense_reference(order_rows, partition_rows), (order, partition)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    rows=st.lists(
-        st.tuples(st.sampled_from(["b", "a", "c", "", None]), st.integers(0, 2)), max_size=16
-    ),
-    data=st.data(),
-)
-def test_coded_rank_matches_rank_python(rows, data):
-    table = Table(("o", "p"), rows).columnar()
-    table = table.take(_permutation(data, len(rows)))
-    order, partition = [table.col("o")], [table.col("p")]
-    declines = []
-    for partitions in ([], partition):
-        ranks = columnar.rank_values(order, partitions, len(rows), lambda: declines.append(1))
-        assert list(ranks) == list(columnar._rank_python(order, partitions, len(rows)))
-    assert not declines
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_coded_and_packed_joins_match_the_bucket_join(data):
+    width = data.draw(st.integers(1, 3))
+    probe_values = data.draw(_columns(width, ORDERED_FAMILIES))
+    build_values = data.draw(_columns(width, ORDERED_FAMILIES))
+    n, m = len(probe_values[0]), len(build_values[0])
+    probe = [_column(values, data.draw(st.booleans())) for values in probe_values]
+    build = [_column(values, data.draw(st.booleans())) for values in build_values]
+    for key in range(width):
+        mode = data.draw(st.sampled_from(["own domains", "one domain", "constant probe"]))
+        if mode == "one domain" and n:  # the build key derived from the probe key
+            picks = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+            build[key] = probe[key].take(picks)
+            build_values[key] = [probe_values[key][i] for i in picks]
+        elif mode == "constant probe":
+            value = data.draw(st.one_of(*ORDERED_FAMILIES))
+            probe[key] = Column.constant(value, n)
+            probe_values[key] = [value] * n
+    expected = _reference_hash_join(list(zip(*probe_values)), list(zip(*build_values)))
+    assert _pairs(columnar.equi_join_indices(probe, build)) == expected
+
+
+def test_three_keys_pack_past_int64():
+    # Three radices of 2**40 overflow int64: the first two keys re-densify first.
+    big = 2 ** 40
+    keys = [np.array([0, big, big, 0, big]), np.array([big, 0, big, big, big]),
+            np.array([1, 1, big, 1, big])]
+    packed = columnar._pack(keys).tolist()
+    rows = list(zip(*(key.tolist() for key in keys)))
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            assert (packed[i] == packed[j]) == (rows[i] == rows[j]), (i, j)
+    probe = [Column.from_values(list(column)) for column in zip(*rows)]
+    result = columnar.equi_join_indices(probe, probe)
+    assert _pairs(result) == _reference_hash_join(rows, rows)
 
 
 @PUBLISHED
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_first_occurrences_match_dict_fromkeys(published, data):
+    values = data.draw(_columns(data.draw(st.integers(1, 3)), ORDERED_FAMILIES))
+    rows = list(zip(*values))
+    table = _table(tuple("abc"[: len(values)]), rows, published)
+    positions = columnar.first_occurrences(table.cols, table.length)
+    distinct = table if positions is None else table.take(positions)
+    assert list(distinct.iter_rows()) == list(dict.fromkeys(rows))
+
+
+def test_a_domain_ranks_none_numbers_nan_and_strings_in_order():
+    domain, ranks = SortedDomain.of(Column.from_values([NAN, "b", 2 ** 60, None, True]).values)
+    # None, then the numbers (True is 1), the NaN slot, then the strings.
+    assert ranks.tolist() == [6, 8, 4, 0, 2]
+    assert [domain.rank_value(v) for v in (0, 1.0, 2 ** 60 + 1, NAN, "a", "c")] == [
+        1, 2, 5, 6, 7, 9
+    ]
+    other = Column.from_values(["b", 2 ** 60, None, 3])
+    assert domain.rank(other).tolist() == [8, 4, 0, 3]
+    # Ints past float64 exactness search as Python objects, where a NaN
+    # (a value, or a sum's None) must not derail the bisection.
+    huge = Column.from_values([0, 1, NAN, 2 ** 53 + 1])
+    assert huge.ranks.tolist() == [2, 4, 8, 6]
+    total = Column.numeric(np.array([1.0, NAN, 3.0, 0.0]), integral=True)
+    assert huge.domain.rank(total).tolist() == [4, 0, 5, 2]
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
 @given(
-    rows=st.lists(
-        st.tuples(
-            st.integers(0, 2),
-            st.sampled_from(["a", "b", None]),
-            st.sampled_from([1, 1.0, True, "1", None]),
-        ),
-        max_size=16,
-    ),
+    start=st.integers(-5, 5),
+    count=st.integers(1, 90),
+    sums=st.lists(st.one_of(st.none(), st.integers(-10, 100)), max_size=90),
 )
-def test_first_occurrences_match_dict_fromkeys(published, rows):
-    for columns in (("i",), ("i", "s"), ("i", "s", "mixed")):
-        width = len(columns)
-        narrowed = [row[:width] for row in rows]
-        table = _table(columns, narrowed, published)
-        positions = columnar.first_occurrences(table.cols, table.length)
-        distinct = table if positions is None else table.take(positions)
-        assert list(distinct.iter_rows()) == list(dict.fromkeys(narrowed))
+def test_a_sum_ranks_into_a_domain_of_consecutive_ints(start, count, sums):
+    # A sum of ints ranks by arithmetic in a domain like a `pre` column's.
+    domain = Column.from_values(list(range(start, start + count)) + [None]).domain
+    assert domain.dense
+    total = columnar.sum_columns([Column.from_values(sums), 0], len(sums))
+    assert domain.rank(total).tolist() == [domain.rank_value(value) for value in sums]
+    halves = Column.numeric(np.array([NAN if v is None else v + 0.5 for v in sums]))
+    assert domain.rank(halves).tolist() == [
+        domain.rank_value(None if v is None else v + 0.5) for v in sums
+    ]

@@ -142,9 +142,11 @@ def test_range_join_engages_on_descendant_predicate():
     assert fast.rows == naive.rows
 
 
-def test_range_join_falls_back_on_non_numeric_columns():
-    left = Table(("name",), [("a",), ("b",), (None,)])
-    right = Table(("lo", "hi"), [("a", "b")])
+def test_range_join_orders_a_string_build_column_by_rank():
+    # Strings, NULLs and a number in the bounded column, string and number
+    # bounds: each bound reaches only the values of its own class.
+    left = Table(("name",), [("a",), ("b",), (None,), (3,), ("ab",), ("c",), (4.5,)])
+    right = Table(("lo", "hi"), [("a", "b"), (1, 5), ("b", 4), (None, "c"), ("aa", "bb")])
     plan = Join(
         LiteralTable(left.columns, left.rows),
         LiteralTable(right.columns, right.rows),
@@ -155,12 +157,13 @@ def test_range_join_falls_back_on_non_numeric_columns():
     )
     interpreter = PlanInterpreter(Table(("x",), []))
     fast = interpreter.evaluate(plan)
-    assert interpreter.range_joins == 0  # strings: safe nested-loop fallback
+    assert interpreter.range_joins == 1 and interpreter.row_fallbacks == 0
     naive = PlanInterpreter(Table(("x",), []), compiled=False).evaluate(plan)
     assert fast.rows == naive.rows
+    assert ("ab", "a", "b") in fast.rows and (3, 1, 5) in fast.rows
 
 
-def _nested_loop_join(left, right, *conjuncts):
+def _join_both_ways(left, right, *conjuncts):
     """Evaluate the join both ways; returns the columnar run's interpreter and rows."""
     plan = Join(
         LiteralTable(left.columns, left.rows),
@@ -178,7 +181,7 @@ def _nested_loop_join(left, right, *conjuncts):
 def test_masked_nested_loop_on_a_not_equal_only_predicate():
     left = Table(("a", "tag"), [(1, "x"), (2, "y"), (None, "z"), (2, "w"), ("2", "v")])
     right = Table(("b",), [(2,), (1,), (None,), (2.0,), ("2",)])
-    interpreter, rows = _nested_loop_join(
+    interpreter, rows = _join_both_ways(
         left, right, Comparison(ColumnRef("a"), "!=", ColumnRef("b"))
     )
     assert interpreter.row_fallbacks == 1 and interpreter.range_joins == 0
@@ -187,30 +190,46 @@ def test_masked_nested_loop_on_a_not_equal_only_predicate():
     assert not [row for row in rows if None in (row[0], row[2])]
 
 
+HUGE = 2 ** 60
+#: Ints beyond ±2**53, where float64 no longer orders them.
+HUGE_LEFT = Table(("pre", "size"), [(HUGE + i, 2) for i in (0, 3, 1, 7)])
+HUGE_RIGHT = Table(("p",), [(HUGE + i,) for i in (2, 1, 4, 3, 9, 0)])
+
+
 def test_masked_nested_loop_on_a_range_over_huge_ints():
-    # Beyond ±2**53 a float64 shadow no longer orders the ints, so the range
-    # join declines and the masked nested loop compares the Python ints.
-    base = 2 ** 60
-    left = Table(("pre", "size"), [(base + i, 2) for i in (0, 3, 1, 7)])
-    right = Table(("p",), [(base + i,) for i in (2, 1, 4, 3, 9, 0)])
-    interpreter, rows = _nested_loop_join(
-        left,
-        right,
+    # A one-sided range plans no range join: the masked nested loop compares
+    # the ints' ranks, which order them exactly.
+    interpreter, rows = _join_both_ways(
+        HUGE_LEFT,
+        HUGE_RIGHT,
+        Comparison(ColumnRef("pre"), "<", ColumnRef("p")),
+        Comparison(ColumnRef("p"), "!=", Sum(ColumnRef("pre"), ColumnRef("size"))),
+    )
+    assert interpreter.range_joins == 0 and interpreter.row_fallbacks == 1
+    assert [(pre - HUGE, p - HUGE) for pre, _size, p in rows] == [
+        (0, 1), (0, 4), (0, 3), (0, 9), (3, 4), (3, 9), (1, 2), (1, 4), (1, 9),
+    ]
+
+
+def test_range_join_over_huge_ints():
+    interpreter, rows = _join_both_ways(
+        HUGE_LEFT,
+        HUGE_RIGHT,
         Comparison(ColumnRef("pre"), "<", ColumnRef("p")),
         Comparison(ColumnRef("p"), "<=", Sum(ColumnRef("pre"), ColumnRef("size"))),
     )
-    assert interpreter.range_joins == 0 and interpreter.row_fallbacks == 1
-    assert [(pre - base, p - base) for pre, _size, p in rows] == [
+    assert interpreter.range_joins == 1 and interpreter.row_fallbacks == 0
+    assert [(pre - HUGE, p - HUGE) for pre, _size, p in rows] == [
         (0, 2), (0, 1), (3, 4), (1, 2), (1, 3), (7, 9),
     ]
 
 
 def test_masked_nested_loop_checks_the_deadline_per_block():
-    # 1 200 × 1 000 pairs under a string range: each block's mask is computed
-    # element by element, far slower than the budget.  The join is the plan's
-    # last operator, so only a check inside it can raise.
-    left = LiteralTable(("a",), [(f"a{i:04d}",) for i in range(1200)])
-    right = LiteralTable(("b",), [(f"a{i:04d}",) for i in range(1000)])
+    # 6 000 × 5 000 pairs under a one-sided string range: some 460 blocks,
+    # far slower than the budget.  The join is the plan's last operator, so
+    # a check inside it raises.
+    left = LiteralTable(("a",), [(f"a{i:04d}",) for i in range(6000)])
+    right = LiteralTable(("b",), [(f"a{i:04d}",) for i in range(5000)])
     plan = Join(left, right, Predicate.of(Comparison(ColumnRef("a"), "<", ColumnRef("b"))))
     with pytest.raises(QueryTimeoutError):
         PlanInterpreter(Table(("x",), []), timeout_seconds=0.05).evaluate(plan)

@@ -163,6 +163,21 @@ def test_integer_types_require_integral_values():
     assert check_bindings((ExternalVariable("k", "xs:decimal"),), {"k": 2.5})["k"] == 2.5
 
 
+def test_a_nan_binding_is_refused_on_every_engine():
+    # SQLite would bind NaN as NULL and the in-process engines as a number.
+    from repro.core.session import Session
+    from repro.core.stages import ENGINES
+
+    session = Session()
+    session.register("t.xml", "<r><a>3</a><a>1</a><a>x</a><a>2</a></r>")
+    query = 'declare variable $n as xs:decimal external; doc("t.xml")//a[. != $n]'
+    for engine in ENGINES:
+        with pytest.raises(XQueryBindingError, match="NaN"):
+            session.execute(query, configuration=engine.name, bindings={"n": float("nan")})
+    with pytest.raises(XQueryBindingError, match="NaN"):
+        check_bindings(DECLS, {"n": float("nan"), "s": "x"})
+
+
 def test_bind_external_variables_substitutes_literals():
     module = parse_module(
         "declare variable $n as xs:decimal external; //b[. > $n]"
