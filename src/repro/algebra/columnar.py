@@ -14,10 +14,12 @@ distinct values in :func:`orderable` order — plus one int64 **rank** per
 row: ``None`` ranks 0, the k-th value of the domain 2k + 2, and a value the
 domain lacks the odd rank between its neighbours.  Numbers come first, then
 one NaN slot, then strings, so a rank also tells its value's class.  A
-column derived by ``take``/``filter``/``repeat``/``tile`` (or shared by
-projection) gathers its ranks and keeps its domain; any other value is
-*re-ranked* into a domain (:meth:`SortedDomain.rank`).  Ranks order and tie
-exactly as :func:`orderable` and Python equality do, so:
+column derived by ``take``/``filter`` is a *view*: row positions into its
+base column, fetching the base's ranks (keeping its domain) or objects
+only when read, so operators that move rows gather positions, not
+objects.  Any other value is *re-ranked* into a domain
+(:meth:`SortedDomain.rank`).  Ranks order and tie exactly as
+:func:`orderable` and Python equality do, so:
 
 * a comparison is one comparison of ranks, masked where a side is ``None``
   and, for ``<``/``<=``/``>``/``>=``, where the classes differ or a side is
@@ -35,17 +37,20 @@ exactly as :func:`orderable` and Python equality do, so:
 [False, False, True, False]
 >>> compare_mask(column, "!=", "zebra", 4).tolist()
 [True, False, True, True]
+>>> view = column.take([2, 0, 2])
+>>> view.ranks.tolist(), view.domain is column.domain, view.tolist()
+([6, 8, 6], True, ['a', 'b', 'a'])
 """
 
 from __future__ import annotations
 
 import bisect
-from operator import itemgetter as _itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as _np
 
 from repro.algebra.predicates import _compare
+from repro.errors import AlgebraError
 
 #: Largest magnitude for which every int is exactly representable in float64.
 _EXACT_INT = 2 ** 53
@@ -191,11 +196,11 @@ class SortedDomain:
         """The rank of a scalar, or the int64 ranks of a :class:`Column`'s values, here."""
         if not isinstance(value, Column):
             return self.rank_value(value)
-        if value._domain is self:
-            return value._ranks
-        if value._domain is None and value._floats is not None:
-            return self._rank_numbers(value._floats, value._integral)  # an unranked sum
+        if not value.ranked and value._numbers() is not None:  # an unranked sum
+            return self._rank_numbers(value._floats, value._integral)
         other, ranks = value.domain, value.ranks
+        if other is self:
+            return ranks
         if len(ranks) < len(other):  # fewer rows than values: search the rows' values
             return self._translate(other, ranks)
         return self._map(other)[ranks >> 1]
@@ -269,20 +274,28 @@ class SortedDomain:
 class Column:
     """One table column: its exact Python objects, and the ranks every kernel reads.
 
-    ``values`` is an object ndarray.  ``domain`` and ``ranks`` are built on
-    first read — by :meth:`publish` for a base table's column — and a
-    derived column gathers its parent's ranks and shares its domain.  A
-    :meth:`numeric` column (a sum, a row id, a rank) holds float64 values
-    instead, for the arithmetic of :func:`sum_columns`, and builds its
-    objects on first read.
+    A *base* column owns its arrays: ``values`` is an object ndarray, and
+    ``domain`` and ``ranks`` are built on first read — by :meth:`publish`
+    for a base table's column.  A :meth:`numeric` base (a sum, a row id, a
+    rank) holds float64 values instead, for the arithmetic of
+    :func:`sum_columns`, and builds its objects on first read.
+
+    A *view* — what :meth:`take` and :meth:`filter` return — is a base
+    column plus an int64 vector of row positions into it, and nothing else:
+    it fetches its ranks, floats or objects from the base on their first
+    read, so an operator that only moves rows gathers one position vector,
+    not every column's objects.  A view of a view indexes the base
+    directly.
     """
 
-    __slots__ = ("_values", "length", "_domain", "_ranks", "_floats", "_integral")
+    __slots__ = (
+        "length", "_base", "_positions", "_values", "_floats", "_integral", "_domain", "_ranks"
+    )
 
     def __init__(self, values, length: Optional[int] = None):
         self._values = values
         self.length = len(values) if length is None else length
-        self._domain = self._ranks = self._floats = None
+        self._base = self._positions = self._domain = self._ranks = self._floats = None
         self._integral = False
 
     def __len__(self) -> int:
@@ -290,18 +303,28 @@ class Column:
 
     @property
     def values(self):
-        """The object ndarray; a :meth:`numeric` column builds it on first read."""
+        """The object ndarray; a numeric column or a view builds it on first read."""
         values = self._values
         if values is None:  # an idempotent fill: racing readers build equal arrays
-            floats = self._floats
-            notnull = floats == floats
-            if self._integral:
-                values = _np.where(notnull, floats, 0.0).astype(_np.int64).astype(object)
+            floats = self._numbers()
+            if floats is None:
+                values = self._base.values[self._positions]
             else:
-                values = floats.astype(object)
-            values[~notnull] = None
+                notnull = floats == floats
+                if self._integral:
+                    values = _np.where(notnull, floats, 0.0).astype(_np.int64).astype(object)
+                else:
+                    values = floats.astype(object)
+                values[~notnull] = None
             self._values = values
         return values
+
+    def _numbers(self):
+        """A numeric column's float64 values (a view gathers its base's), else ``None``."""
+        floats = self._floats
+        if floats is None and self._base is not None and self._base._floats is not None:
+            floats = self._floats = self._base._floats[self._positions]
+        return floats
 
     @classmethod
     def from_values(cls, values: Sequence[object]) -> "Column":
@@ -324,23 +347,38 @@ class Column:
 
     @classmethod
     def constant(cls, value: object, n: int) -> "Column":
-        """A column holding ``value`` in every row (the Attach operator)."""
-        return cls(_np.full(n, value, dtype=object))
+        """A column holding ``value`` in every row (the Attach operator): a view of one value."""
+        return cls.from_values([value]).take(_np.zeros(n, dtype=_np.int64))
 
     def publish(self) -> None:
         """Build the domain and the ranks now, if they are not built yet.
 
-        :meth:`Table.columnar` calls this on a base table's columns before
-        it shares them; no lazy property writes to a published column
-        afterwards, so threads may read it without a lock.
+        A view gathers its base's ranks and shares its domain, ranking the
+        base first if need be.  :meth:`Table.columnar` calls this on a base
+        table's columns before it shares them; no lazy property writes to a
+        published base column afterwards, so threads may read it without a
+        lock.
         """
-        if self._domain is None:
-            if self._floats is not None:
-                domain, ranks = SortedDomain.of_floats(self._floats, self._integral)
-            else:
-                domain, ranks = SortedDomain.of(self.values)
-            self._ranks = ranks  # before the domain: a set domain implies set ranks
-            self._domain = domain
+        if self._domain is not None:
+            return
+        base = self._base
+        if base is not None:
+            base.publish()
+            self._ranks = base._ranks[self._positions]
+            self._domain = base._domain
+            return
+        if self._floats is not None:
+            domain, ranks = SortedDomain.of_floats(self._floats, self._integral)
+        else:
+            domain, ranks = SortedDomain.of(self.values)
+        self._ranks = ranks  # before the domain: a set domain implies set ranks
+        self._domain = domain
+
+    @property
+    def ranked(self) -> bool:
+        """Whether the ranks are built, or a view can gather them from its base."""
+        base = self._base
+        return self._domain is not None or (base is not None and base._domain is not None)
 
     @property
     def domain(self) -> SortedDomain:
@@ -356,14 +394,15 @@ class Column:
     @property
     def notnull(self):
         """Boolean mask, True where the value is not ``None``."""
-        if self._domain is None and self._floats is not None:
+        if not self.ranked and self._numbers() is not None:
             return self._floats == self._floats
         return self.ranks != 0
 
     def float_values(self):
         """``(float64 values, integral)``, NaN for ``None``; ``None`` unless all exact numbers."""
-        if self._floats is not None:
-            return self._floats, self._integral
+        floats = self._numbers()
+        if floats is not None:
+            return floats, self._integral
         domain = self.domain
         if domain.numbers.dtype != _np.float64 or len(domain.strings):
             return None
@@ -372,35 +411,24 @@ class Column:
     def tolist(self) -> list:
         return self.values.tolist()
 
-    def _derive(self, gather: Callable) -> "Column":
-        """The column ``gather(array)`` of the values, the floats and the ranks, where built."""
-        result = Column.__new__(Column)
-        result._values = None if self._values is None else gather(self._values)
-        result._floats = None if self._floats is None else gather(self._floats)
-        result._integral = self._integral
-        result.length = len(result._floats if result._values is None else result._values)
-        result._domain = result._ranks = None
-        domain = self._domain
-        if domain is not None:
-            result._ranks = gather(self._ranks)
-            result._domain = domain
-        return result
-
     def take(self, indices) -> "Column":
-        """Gather by integer indices."""
-        return self._derive(_itemgetter(indices))
+        """A view of the rows at integer ``indices``; nothing is gathered but positions."""
+        indices = _np.asarray(indices, dtype=_np.int64)
+        if self._base is None:
+            return self._view(self, indices)
+        return self._view(self._base, self._positions[indices])
 
     def filter(self, mask) -> "Column":
-        """Keep rows where the boolean array ``mask`` is True."""
-        return self._derive(_itemgetter(mask))
+        """A view of the rows where the boolean array ``mask`` is True."""
+        return self.take(_np.flatnonzero(mask))
 
-    def repeat(self, count: int) -> "Column":
-        """Each value repeated ``count`` times in place (cross-product left side)."""
-        return self._derive(lambda array: array.repeat(count))
-
-    def tile(self, count: int) -> "Column":
-        """The whole column repeated ``count`` times (cross-product right side)."""
-        return self._derive(lambda array: _np.tile(array, count))
+    @staticmethod
+    def _view(base: "Column", positions) -> "Column":
+        view = Column.__new__(Column)
+        view.length = len(positions)
+        view._base, view._positions, view._integral = base, positions, base._integral
+        view._values = view._floats = view._domain = view._ranks = None
+        return view
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +451,7 @@ def compare_mask(left, op: str, right, n: int):
         if not isinstance(right, Column):
             return _np.full(n, _compare(left, op, right), dtype=bool)
         left, op, right = right, _FLIPPED[op], left
-    elif isinstance(right, Column) and left._domain is None and right._domain is not None:
+    elif isinstance(right, Column) and not left.ranked and right.ranked:
         left, op, right = right, _FLIPPED[op], left  # re-rank the unranked side
     domain = left.domain
     a, b, nan = left.ranks, domain.rank(right), domain.nan_rank
@@ -603,8 +631,6 @@ class ColumnarTable:
     def __init__(self, columns: Sequence[str], cols: Sequence[Column], length: int):
         self.columns: tuple[str, ...] = tuple(columns)
         if len(set(self.columns)) != len(self.columns):
-            from repro.errors import AlgebraError
-
             raise AlgebraError(f"duplicate column names in table schema {self.columns}")
         self.cols: tuple[Column, ...] = tuple(cols)
         self.length = length
@@ -638,8 +664,6 @@ class ColumnarTable:
         return Table.unchecked(self.columns, list(zip(*(c.tolist() for c in self.cols))))
 
     def column_index(self, name: str) -> int:
-        from repro.errors import AlgebraError
-
         try:
             return self._index_of[name]
         except KeyError:
@@ -660,18 +684,34 @@ class ColumnarTable:
         )
 
     def take(self, indices) -> "ColumnarTable":
-        count = len(indices)
-        return ColumnarTable(self.columns, [c.take(indices) for c in self.cols], count)
+        """The rows at ``indices``: one gather per position vector the columns view."""
+        indices = _np.asarray(indices, dtype=_np.int64)
+        gathered: dict = {}  # id(positions) -> positions[indices]
+        cols = []
+        for c in self.cols:
+            if c._base is None:
+                cols.append(Column._view(c, indices))
+                continue
+            key = id(c._positions)
+            if key not in gathered:
+                gathered[key] = c._positions[indices]
+            cols.append(Column._view(c._base, gathered[key]))
+        return ColumnarTable(self.columns, cols, len(indices))
 
     def filter(self, mask) -> "ColumnarTable":
-        count = int(mask.sum())
-        if count == self.length:
-            return self
-        return ColumnarTable(self.columns, [c.filter(mask) for c in self.cols], count)
+        indices = _np.flatnonzero(mask)
+        return self if len(indices) == self.length else self.take(indices)
+
+    def cross(self, other: "ColumnarTable") -> "ColumnarTable":
+        """Every row of this table paired with every row of ``other``, left-major."""
+        overlap = set(self.columns) & set(other.columns)
+        if overlap:
+            raise AlgebraError(f"cross product with overlapping columns {sorted(overlap)}")
+        left = self.take(_np.arange(self.length).repeat(other.length))
+        right = other.take(_np.tile(_np.arange(other.length), self.length))
+        return ColumnarTable(self.columns + other.columns, left.cols + right.cols, left.length)
 
     def with_column(self, name: str, column: Column) -> "ColumnarTable":
-        from repro.errors import AlgebraError
-
         if name in self._index_of:
             raise AlgebraError(f"attach: column {name!r} already exists")
         return ColumnarTable(self.columns + (name,), self.cols + (column,), self.length)

@@ -19,13 +19,14 @@ Two execution modes share the operator semantics bit-for-bit:
 * ``compiled=True`` (the default) — the columnar core: operators evaluate
   over :class:`~repro.algebra.columnar.ColumnarTable` columns, selections
   become boolean masks over whole columns, hash joins gather match indices
-  and build output columns with array takes, and joins whose predicate is
-  a conjunction of range bounds on a single column — which is what every
-  Fig. 3 axis step compiles to — run as a sort-based *range join* that
-  locates *all* probe bounds with batched ``searchsorted`` calls over order
-  ranks, dropping axis-step joins from O(n·m) to O(n log n + output).  A
-  join neither kernel plans (no equality, no two-sided bound) runs as a
-  blocked cross product under a predicate mask.
+  into each input's row positions (a derived column is a view of its base
+  column, whose objects are fetched once, for the result), and joins whose
+  predicate is a conjunction of range bounds on a single column — which is
+  what every Fig. 3 axis step compiles to — run as a sort-based *range
+  join* that locates *all* probe bounds with batched ``searchsorted`` calls
+  over order ranks, dropping axis-step joins from O(n·m) to O(n log n +
+  output).  A join neither kernel plans (no equality, no two-sided bound)
+  runs as a blocked cross product under a predicate mask.
 * ``compiled=False`` — the naive row-dict evaluation: the slow, obviously
   correct oracle every differential test compares the columnar core with.
 """
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -195,16 +196,21 @@ class PlanInterpreter:
             return self._join_naive(node)
         if isinstance(node, GroupAggregate):
             child, loop = self._evaluate(node.child), self._evaluate(node.loop)
-            return self._group_aggregate(node, child, loop)
+            kept, values = self._group_aggregate(
+                node, child.project(_aggregated(node)).rows, loop.column_values(node.group_column)
+            )
+            rows = [loop.rows[position] + (value,) for position, value in zip(kept, values)]
+            return Table.unchecked(loop.columns + (node.item_column,), rows)
         raise ExecutionError(f"cannot evaluate operator {type(node).__name__}")
 
     # -- columnar evaluation ------------------------------------------------------
     #
     # The columnar twins of the operators above.  Results flow between
-    # operators as ColumnarTables (one array per column); `evaluate` converts
-    # back to a row Table at the very end, restoring the exact Python objects
-    # so the columnar core and the naive oracle are bit-for-bit
-    # interchangeable.
+    # operators as ColumnarTables whose columns are row-position views of
+    # their base columns, so an operator that only moves rows (a join, a
+    # filter, a cross product, a DISTINCT) gathers positions, not objects.
+    # `evaluate` fetches the exact Python objects once, at the very end, so
+    # the columnar core and the naive oracle are bit-for-bit interchangeable.
 
     def _dispatch_columnar(self, node: Operator) -> ColumnarTable:
         if isinstance(node, DocTable):
@@ -236,15 +242,18 @@ class PlanInterpreter:
         if isinstance(node, RowRank):
             return self._rank_columnar(node)
         if isinstance(node, Cross):
-            return self._cross_columnar(self._evaluate(node.left), self._evaluate(node.right))
+            return self._evaluate(node.left).cross(self._evaluate(node.right))
         if isinstance(node, Join):
             return self._join_columnar(node)
         if isinstance(node, GroupAggregate):
             # The fold is per group in Python on either path: the oracle's serves both.
+            # It fetches the three columns it reads; the loop's rows stay a view.
             child, loop = self._evaluate(node.child), self._evaluate(node.loop)
-            return ColumnarTable.from_table(
-                self._group_aggregate(node, child.to_table(), loop.to_table())
+            child_rows = child.project(_aggregated(node)).iter_rows()
+            kept, values = self._group_aggregate(
+                node, child_rows, loop.col(node.group_column).tolist()
             )
+            return loop.take(kept).with_column(node.item_column, Column.from_values(values))
         raise ExecutionError(f"cannot evaluate operator {type(node).__name__}")
 
     def _rank_columnar(self, node: RowRank) -> ColumnarTable:
@@ -255,17 +264,6 @@ class PlanInterpreter:
             raise AlgebraError(f"rank: column {node.column!r} already exists")
         ranks = _columnar.rank_values(order_columns, partition_columns, table.length)
         return table.with_column(node.column, Column.numeric(ranks, integral=True))
-
-    def _cross_columnar(self, left: ColumnarTable, right: ColumnarTable) -> ColumnarTable:
-        overlap = set(left.columns) & set(right.columns)
-        if overlap:
-            raise AlgebraError(f"cross product with overlapping columns {sorted(overlap)}")
-        return ColumnarTable(
-            left.columns + right.columns,
-            [c.repeat(right.length) for c in left.cols]
-            + [c.tile(left.length) for c in right.cols],
-            left.length * right.length,
-        )
 
     def _join_columnar(self, node: Join) -> ColumnarTable:
         left = self._evaluate(node.left)
@@ -291,28 +289,25 @@ class PlanInterpreter:
         """The join no kernel plans: a blocked cross product under a predicate mask.
 
         A block of left rows — at most :data:`NESTED_LOOP_BLOCK_PAIRS` pairs'
-        worth — is crossed with every right row, on the predicate's columns
-        only, and masked; the surviving pair positions are kept, and one
-        gather builds the output.  Pairs come out left-major with right rows
-        in order: nested-loop order.
+        worth — is crossed with every right row (views: the mask gathers the
+        predicate's columns only) and masked; the surviving pair positions
+        are kept, and one gather builds the output.  Pairs come out
+        left-major with right rows in order: nested-loop order.
         """
         self.row_fallbacks += 1
         width = right.length
         if not (left.length and width):
             empty = np.empty(0, dtype=np.int64)
             return self._joined_columnar(left, right, empty, empty, [], output_columns)
-        names = predicate.columns()
-        left_keys = left.project([(name, name) for name in left.columns if name in names])
-        right_keys = right.project([(name, name) for name in right.columns if name in names])
-        for column in left_keys.cols + right_keys.cols:
-            column.publish()  # rank once, not once per block
-        mask_of = compile_predicate_mask(predicate, left_keys.columns + right_keys.columns)
+        for name in predicate.columns():
+            (left if name in left.columns else right).col(name).publish()  # rank once
+        mask_of = compile_predicate_mask(predicate, output_columns)
         step = max(1, NESTED_LOOP_BLOCK_PAIRS // width)
         matches = []
         for start in range(0, left.length, step):
             self._check_deadline()
-            block = left_keys.take(np.arange(start, min(start + step, left.length)))
-            mask = mask_of(self._cross_columnar(block, right_keys))
+            block = left.take(np.arange(start, min(start + step, left.length)))
+            mask = mask_of(block.cross(right))
             matches.append(np.flatnonzero(mask) + start * width)
         pairs = np.concatenate(matches)
         return self._joined_columnar(
@@ -346,8 +341,7 @@ class PlanInterpreter:
     ) -> ColumnarTable:
         combined = ColumnarTable(
             output_columns,
-            [c.take(left_indices) for c in left.cols]
-            + [c.take(right_indices) for c in right.cols],
+            left.take(left_indices).cols + right.take(right_indices).cols,
             len(left_indices),
         )
         if residual:
@@ -423,54 +417,42 @@ class PlanInterpreter:
 
     # -- aggregation ---------------------------------------------------------------
 
-    def _group_aggregate(self, node: GroupAggregate, child: Table, loop: Table) -> Table:
-        """Reference semantics of Aggr (the naive oracle's).
+    def _group_aggregate(
+        self, node: GroupAggregate, child_rows: Iterable[tuple], loop_groups: Sequence
+    ) -> tuple[list[int], list]:
+        """Reference semantics of Aggr: ``(loop row positions, their values)``.
 
-        Child rows are deduplicated on (group, unit, value) — the argument
-        is a node sequence, so each node counts once per iteration — then
-        folded per loop row: ``count`` and ``sum`` complete empty groups
-        with 0; ``avg`` of a group without non-NULL values emits no row
-        (``fn:avg(())`` is the empty sequence).  NULL values are ignored by
-        ``sum``/``avg`` — SQL's discipline, which is what keeps this
-        operator bit-for-bit aligned with the pushed-down native aggregates
-        of the SQL configuration (a DISTINCT subquery under COUNT/SUM/AVG).
+        ``child_rows`` are the child's :func:`_aggregated` columns.  They are
+        deduplicated on (group, unit, value) — the argument is a node
+        sequence, so each node counts once per iteration — then folded per
+        loop row (``loop_groups`` holds each one's group): ``count`` and
+        ``sum`` complete empty groups with 0; ``avg`` of a group without
+        non-NULL values emits no row (``fn:avg(())`` is the empty sequence).
+        NULL values are ignored by ``sum``/``avg`` — SQL's discipline, which
+        is what keeps this operator bit-for-bit aligned with the pushed-down
+        native aggregates of the SQL configuration (a DISTINCT subquery under
+        COUNT/SUM/AVG).
         """
-        group_index = child.column_index(node.group_column)
-        unit_index = child.column_index(node.unit_column)
-        value_index = (
-            child.column_index(node.value_column) if node.value_column is not None else None
-        )
-        loop_group_index = loop.column_index(node.group_column)
         groups: dict[object, list] = {}
-        seen: set[tuple] = set()
-        for row in child.rows:
-            identity = (
-                row[group_index],
-                row[unit_index],
-                None if value_index is None else row[value_index],
-            )
-            if identity in seen:
-                continue
-            seen.add(identity)
-            groups.setdefault(row[group_index], []).append(row)
-        rows: list[tuple] = []
-        for loop_row in loop.rows:
+        for row in dict.fromkeys(child_rows):
+            groups.setdefault(row[0], []).append(row)
+        kept: list[int] = []
+        values: list = []
+        for position, group in enumerate(loop_groups):
             self._check_deadline()
-            members = groups.get(loop_row[loop_group_index], ())
+            members = groups.get(group, ())
             if node.function == "count":
-                rows.append(loop_row + (len(members),))
+                kept.append(position)
+                values.append(len(members))
                 continue
-            values = [
-                row[value_index]
-                for row in members
-                if row[value_index] is not None  # type: ignore[index]
-            ]
+            present = [row[2] for row in members if row[2] is not None]
             if node.function == "sum":
-                rows.append(loop_row + (sum(values) if values else 0,))
-            else:  # avg
-                if values:
-                    rows.append(loop_row + (sum(values) / len(values),))
-        return Table.unchecked(loop.columns + (node.item_column,), rows)
+                kept.append(position)
+                values.append(sum(present) if present else 0)
+            elif present:  # avg
+                kept.append(position)
+                values.append(sum(present) / len(present))
+        return kept, values
 
     # -- the naive join (the oracle's) -----------------------------------------------
 
@@ -605,6 +587,17 @@ def _plan_range_join(
         bounds=[(op, term) for op, term, _conjunct in chosen],
         remaining=remaining,
     )
+
+
+def _aggregated(node: GroupAggregate) -> list[tuple[str, str]]:
+    """The projection of Aggr's child onto the (group, unit[, value]) columns it reads.
+
+    The projection names them by position: two of them may be one column.
+    """
+    names = (node.group_column, node.unit_column) + (
+        () if node.value_column is None else (node.value_column,)
+    )
+    return [(str(position), name) for position, name in enumerate(names)]
 
 
 def _split_equijoin_conjuncts(

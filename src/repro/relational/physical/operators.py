@@ -16,11 +16,13 @@ RETURN      final projection to the query's select list
 Every operator produces one representation, :class:`Rows`: a join result
 held as one int64 **row-position vector per alias**, so the self-join
 aliases of the join graph stay separate at the cost of one array each.  A
-column is gathered from the table's columnar twin only when a bound,
-residual, order or select term reads it; join-graph terms and conditions
-are compiled once per plan into closures over that gather, and a
-conjunction is one :func:`~repro.algebra.columnar.compare_mask` per
-conjunct.  Each operator materialises its whole result:
+column is a view of the table's columnar twin at its alias' positions,
+made only when a bound, residual, order or select term reads it; a kernel
+gathers its ranks, and RETURN its objects, for those rows alone.
+Join-graph terms and conditions are compiled once per plan into closures
+over those views, and a conjunction is one
+:func:`~repro.algebra.columnar.compare_mask` per conjunct.  Each operator
+materialises its whole result:
 
 * IXSCAN and NLJOIN probe the B-tree for **all outer rows at once** — one
   ``searchsorted`` per key column over the tree's rank arrays
@@ -110,8 +112,9 @@ class Rows:
 
     ``tables`` maps each alias to the table its positions index; a vector
     of ``None`` stands for every row of the table, in order (an unfiltered
-    TBSCAN).  :meth:`column` gathers a column on its first read and keeps it
-    for the other readers of this result.
+    TBSCAN).  :meth:`column` makes a column's view on its first read and
+    keeps it, with whatever its readers gathered, for the other readers of
+    this result.
     """
 
     __slots__ = ("tables", "positions", "length", "_columns")

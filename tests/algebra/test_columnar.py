@@ -9,8 +9,10 @@ the encoding: NULLs, bools, huge ints beyond float64 exactness, NaN,
 strings, and columns mixing all of them.  The ``published`` tests build
 their inputs both ways the engines do: as a literal table's columns (ranks
 built on first read) and as a base table's published columns (ranks built
-up front).  The Hypothesis properties pair columns from *different*
-domains, columns sharing one domain, and literals; set
+up front).  A derived column is a view of its base's row positions, and
+must read exactly like the values it would gather.  The Hypothesis
+properties pair columns from *different* domains, columns sharing one
+domain, views, and literals; set
 ``REPRO_PROBE_EXAMPLES`` for a deeper run (the nightly sweep does).
 """
 
@@ -211,9 +213,37 @@ def test_column_stats_survive_take_and_filter(published):
     kept = strings.filter(columnar.compare_mask(strings, "!=", "b", 3))
     assert kept.tolist() == ["a"]
     assert kept.domain is strings.domain and kept.ranks.tolist() == [4]
-    # A column ranked afterwards builds a domain of its own values.
+    # A view of a column ranked afterwards ranks that column and gathers.
     unranked = Column.from_values([3, 1]).take([1])
-    assert unranked.ranks.tolist() == [2] and len(unranked.domain) == 2
+    assert unranked.ranks.tolist() == [2] and len(unranked.domain) == 3
+
+
+def test_a_view_gathers_positions_not_objects():
+    base = Table(("n", "s"), [(1, "a"), (2, "b"), (3, "c"), (4, "d")]).columnar()
+    kept = base.filter(columnar.compare_mask(base.col("n"), ">", 1, 4))
+    joined = kept.take([2, 0, 0]).cross(ColumnarTable.from_rows(("k",), [(7,), (8,)]))
+    n, s, k = joined.cols
+    # A view of a view indexes the base, and the columns that moved together
+    # share one position vector.
+    assert n._base is base.col("n") and s._base is base.col("s")
+    assert n._positions is s._positions and n._positions.tolist() == [3, 3, 1, 1, 1, 1]
+    assert k._positions.tolist() == [0, 1] * 3
+    assert all(c._values is None and c._ranks is None for c in joined.cols)  # nothing fetched yet
+    assert list(joined.iter_rows()) == [
+        (4, "d", 7), (4, "d", 8), (2, "b", 7), (2, "b", 8), (2, "b", 7), (2, "b", 8)
+    ]
+    assert n.ranks.tolist() == [8, 8, 4, 4, 4, 4] and n.domain is base.col("n").domain
+
+
+def test_a_view_of_an_unranked_base_ranks_the_base():
+    total = Column.numeric(np.array([5.0, NAN, 7.0, 9.0]), integral=True)
+    view = total.take([3, 1, 3])
+    assert view.float_values()[0].tolist()[::2] == [9.0, 9.0] and view.tolist() == [9, None, 9]
+    assert view.ranks.tolist() == [6, 0, 6] and view.domain is total.domain  # {5, 7, 9}
+    # A constant is a view of one value: that value is ranked once, and gathered.
+    constant = Column.constant("x", 3)
+    assert constant.tolist() == ["x"] * 3 and constant.ranks.tolist() == [4] * 3
+    assert len(constant._base) == 1 and constant._base.ranked
 
 
 def test_interpreter_matches_the_naive_oracle():
@@ -295,6 +325,32 @@ def test_compare_mask_matches_compare_across_domains(values, literal, data):
             assert columnar.compare_mask(column, op, right, n).tolist() == expected, (op, right)
             flipped = [_compare(b, op, a) for a, b in zip(values, right_values)]
             assert columnar.compare_mask(right, op, column, n).tolist() == flipped, (op, right)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(values=COLUMN_VALUES, literal=LITERALS, data=st.data())
+def test_a_view_reads_like_its_gathered_values(values, literal, data):
+    n = len(values)
+    first = data.draw(st.lists(st.integers(0, n - 1), max_size=12) if n else st.just([]))
+    second = data.draw(
+        st.lists(st.integers(0, len(first) - 1), max_size=12) if first else st.just([])
+    )
+    base = _column(values, data.draw(st.booleans()))
+    view = base.take(first).take(second)
+    gathered = [values[first[i]] for i in second]
+    assert all(a is b for a, b in zip(view.tolist(), gathered)) and len(view) == len(gathered)
+    copy = _column(gathered, data.draw(st.booleans()))
+    other = base.take(first[::-1]).take(second)  # the same base, other rows
+    other_values = [values[first[::-1][i]] for i in second]
+    for op in OPS:
+        expected = [_compare(value, op, literal) for value in gathered]
+        assert columnar.compare_mask(view, op, literal, len(view)).tolist() == expected
+        assert columnar.compare_mask(copy, op, view, len(view)).tolist() == [
+            _compare(value, op, value) for value in gathered
+        ], op
+        assert columnar.compare_mask(view, op, other, len(view)).tolist() == [
+            _compare(a, op, b) for a, b in zip(gathered, other_values)
+        ], op
 
 
 def _dense_reference(order_rows, partition_rows):

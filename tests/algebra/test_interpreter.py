@@ -140,6 +140,27 @@ def test_group_aggregate_avg_drops_valueless_groups(small_auction_doc_table):
     assert table.rows == [(1, 15.0)]
 
 
+@pytest.mark.parametrize("function", ["count", "sum", "avg"])
+def test_group_aggregate_folds_only_its_columns_on_both_modes(small_auction_doc_table, function):
+    from repro.algebra.operators import GroupAggregate
+
+    # The unit column is also the value column, and the loop carries a
+    # column the fold never reads: both modes keep its rows, in order.
+    child = LiteralTable(("iter", "item", "tag"), [(1, 4, "x"), (1, 4, "y"), (2, 5, "z"), (1, 6, "x")])
+    loop = LiteralTable(("tag", "iter"), [("b", 2), ("a", 1), ("c", 3)])
+    plan = GroupAggregate(
+        child, loop, function, group_column="iter", unit_column="item",
+        value_column=None if function == "count" else "item", item_column="agg",
+    )
+    compiled = PlanInterpreter(small_auction_doc_table).evaluate(plan)
+    assert compiled == PlanInterpreter(small_auction_doc_table, compiled=False).evaluate(plan)
+    assert compiled.rows == {
+        "count": [("b", 2, 1), ("a", 1, 2), ("c", 3, 0)],
+        "sum": [("b", 2, 5), ("a", 1, 10), ("c", 3, 0)],
+        "avg": [("b", 2, 5.0), ("a", 1, 5.0)],
+    }[function]
+
+
 def test_group_aggregate_validates_its_columns():
     import pytest
 
