@@ -115,6 +115,8 @@ class Glue:
     #: Nodes an input of which changed schema: re-checked against it, and
     #: given new ``columns`` themselves where theirs follow the input's.
     revalidated: list[Operator]
+    #: The re-validated nodes whose own ``columns`` changed.
+    reschemed: list[Operator]
     #: Surviving nodes whose parent list gained or lost an entry.
     reparented: list[Operator]
 
@@ -169,8 +171,10 @@ def glue(
             del parents[id(node)]
         raise
 
+    reschemed = [node for node, columns in revalidated if columns != node.columns]
     for node, columns in revalidated:
         node.columns = columns
+        node.column_set = frozenset(columns)
     rewired: list[Operator] = []
     reparented: list[Operator] = [c for n in fresh for c in n.children]
     for old_id, new in replacements.items():
@@ -193,6 +197,7 @@ def glue(
         dropped=doomed,
         rewired=_alive(rewired, parents),
         revalidated=[node for node, _columns in revalidated],
+        reschemed=reschemed,
         reparented=_alive(reparented, parents),
     )
 

@@ -25,7 +25,7 @@ from repro.xmldb.encoding import DOC_COLUMNS
 class Operator:
     """Base class of all plan operators."""
 
-    __slots__ = ("children", "columns")
+    __slots__ = ("children", "columns", "column_set")
 
     #: Short symbol used by the renderers (π, σ, ⋈, ...).
     symbol = "?"
@@ -33,7 +33,10 @@ class Operator:
     def __init__(self, children: Sequence["Operator"], columns: Sequence[str]):
         self.children: tuple[Operator, ...] = tuple(children)
         self.columns: tuple[str, ...] = tuple(columns)
-        if len(set(self.columns)) != len(self.columns):
+        #: ``frozenset(columns)``, built once (:func:`repro.algebra.dag.glue`
+        #: keeps it in step when it gives a node new ``columns``).
+        self.column_set: frozenset[str] = frozenset(self.columns)
+        if len(self.column_set) != len(self.columns):
             raise AlgebraError(f"duplicate output columns {self.columns} in {type(self).__name__}")
 
     # -- structural helpers ----------------------------------------------------
@@ -202,7 +205,7 @@ class Join(Operator):
     symbol = "⋈"
 
     def __init__(self, left: Operator, right: Operator, predicate: Predicate):
-        overlap = set(left.columns) & set(right.columns)
+        overlap = left.column_set & right.column_set
         if overlap:
             raise AlgebraError(f"join inputs share columns {sorted(overlap)}")
         _require_columns("⋈", left.columns + right.columns, sorted(predicate.columns()))
@@ -232,7 +235,7 @@ class Cross(Operator):
     symbol = "×"
 
     def __init__(self, left: Operator, right: Operator):
-        overlap = set(left.columns) & set(right.columns)
+        overlap = left.column_set & right.column_set
         if overlap:
             raise AlgebraError(f"cross product inputs share columns {sorted(overlap)}")
         super().__init__((left, right), left.columns + right.columns)

@@ -18,6 +18,7 @@ function ``cols(·)`` of the paper corresponds to the ``columns()`` methods.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 from repro.errors import AlgebraError
@@ -253,10 +254,13 @@ class Predicate:
         return Predicate.of(Comparison(ColumnRef(left), "=", ColumnRef(right)))
 
     def columns(self) -> frozenset[str]:
-        result: frozenset[str] = frozenset()
-        for conjunct in self.conjuncts:
-            result |= conjunct.columns()
-        return result
+        return self._columns
+
+    @cached_property
+    def _columns(self) -> frozenset[str]:
+        # Built once: a predicate is immutable, and the rewrite rules and
+        # property inference ask for its columns thousands of times per plan.
+        return frozenset().union(*(conjunct.columns() for conjunct in self.conjuncts))
 
     def rename(self, mapping: Mapping[str, str]) -> "Predicate":
         return Predicate(conjunct.rename(mapping) for conjunct in self.conjuncts)

@@ -30,12 +30,13 @@ node's result is a pure function of its own fields plus its children's
 computes all of them once (a *cold* inference); the rewrite driver, whose
 plan changes in place under stable node identities, then calls
 :meth:`PlanProperties.refresh` after each step, which re-infers only the
-dirty frontier the step left behind.
+dirty frontier the step left behind and reports which values moved.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from heapq import heapify, heappop, heappush
+from typing import Mapping, Optional
 
 from repro.algebra.dag import Glue, parents_map, topological_order
 from repro.algebra.operators import (
@@ -125,7 +126,7 @@ class PlanProperties:
         function of the node's schema and its parents' fields and state.
         """
         if node is self.root:
-            seed = frozenset(node.columns)
+            seed = node.column_set
             if isinstance(node, Serialize):
                 seed = SERIALIZE_ICOLS & seed or seed
             return seed, False, _NO_REFS
@@ -144,46 +145,66 @@ class PlanProperties:
         return icols, is_set, frozenset(refs) if refs else _NO_REFS
 
     def refresh(
-        self, order: list[Operator], parents: dict[int, list[Operator]], glue: Glue
-    ) -> list[Operator]:
+        self, position: Mapping[int, int], parents: dict[int, list[Operator]], glue: Glue
+    ) -> tuple[list[Operator], list[Operator]]:
         """Re-infer from the dirty frontier one :func:`~repro.algebra.dag.glue` left.
 
-        ``order`` is the plan's current topological order (children first)
-        and ``parents`` its index.  ``const`` / ``keys`` are recomputed
-        upward from the new and re-pointed nodes for as long as a value
-        actually changes; ``icols`` / ``set`` / ``refs`` downward from the
-        nodes whose parent list or (possibly) schema changed, likewise.  Returns the
-        nodes whose top-down state changed (the rewrite driver re-tries
-        them).
+        ``position`` maps every node of the plan to its index in a post-order
+        (children first) and ``parents`` is the plan's index.  ``const`` /
+        ``keys`` are recomputed upward from the new and re-pointed nodes for
+        as long as a value actually changes; ``icols`` / ``set`` / ``refs``
+        downward from the nodes whose parent list or schema changed,
+        likewise.  Each pass pops its stale frontier off a heap in
+        post-order (the top-down pass in reverse), so a node is re-inferred
+        once, after everything it depends on, and the plan is never walked.
+
+        Returns ``(top_down, bottom_up)``: the nodes whose ``icols`` /
+        ``set`` / ``refs`` changed value and those whose ``const`` / ``keys``
+        did (a new node counts as changed) — the events the rewrite driver
+        re-tries nodes on.
         """
         for node in glue.dropped:
             for values in (self._icols, self._const, self._keys, self._set, self._refs):
                 values.pop(id(node), None)
         const_by, keys_by = self._const, self._keys
-        stale = {id(node) for node in glue.fresh + glue.rewired + glue.revalidated}
-        for node in order:
-            node_id = id(node)
-            if node_id not in stale:
-                continue
+        bottom_up: list[Operator] = []
+        heap, queued = _heap(position, glue.fresh + glue.rewired + glue.revalidated, 1)
+        while heap:
+            _position, node_id, node = heappop(heap)
             const, keys = _infer_const(node, const_by), _infer_keys(node, keys_by)
             if const == const_by.get(node_id) and keys == keys_by.get(node_id):
                 continue
             const_by[node_id], keys_by[node_id] = const, keys
-            stale.update(id(parent) for parent in parents[node_id])
+            bottom_up.append(node)
+            for parent in parents[node_id]:
+                if id(parent) not in queued:
+                    queued.add(id(parent))
+                    heappush(heap, (position[id(parent)], id(parent), parent))
         icols_by, set_by, refs_by = self._icols, self._set, self._refs
-        stale = {id(node) for node in glue.fresh + glue.reparented + glue.revalidated}
-        changed: list[Operator] = []
-        for node in reversed(order):
-            node_id = id(node)
-            if node_id not in stale:
-                continue
+        top_down: list[Operator] = []
+        heap, queued = _heap(position, glue.fresh + glue.reparented + glue.reschemed, -1)
+        while heap:
+            _position, node_id, node = heappop(heap)
             state = self._top_down(node, parents[node_id])
             if state == (icols_by.get(node_id), set_by.get(node_id), refs_by.get(node_id)):
                 continue
             icols_by[node_id], set_by[node_id], refs_by[node_id] = state
-            changed.append(node)
-            stale.update(id(child) for child in node.children)
-        return changed
+            top_down.append(node)
+            for child in node.children:
+                if id(child) not in queued:
+                    queued.add(id(child))
+                    heappush(heap, (-position[id(child)], id(child), child))
+        return top_down, bottom_up
+
+
+def _heap(
+    position: Mapping[int, int], seeds: list[Operator], direction: int
+) -> tuple[list[tuple[int, int, Operator]], set[int]]:
+    """The seeds as a heap on ``direction`` × post-order position, and their ids."""
+    entries = {id(node): (direction * position[id(node)], id(node), node) for node in seeds}
+    heap = list(entries.values())
+    heapify(heap)
+    return heap, set(entries)
 
 
 def infer_properties(root: Operator) -> PlanProperties:
@@ -244,7 +265,7 @@ def _infer_keys(
     if isinstance(node, Project):
         return _project_keys(node, keys_by[id(node.child)])
     if isinstance(node, Distinct):
-        return keys_by[id(node.child)] | frozenset({frozenset(node.child.columns)})
+        return keys_by[id(node.child)] | frozenset({node.child.column_set})
     if isinstance(node, Attach):
         return keys_by[id(node.child)]
     if isinstance(node, RowId):
@@ -270,7 +291,7 @@ def _literal_table_keys(node: LiteralTable) -> frozenset[frozenset[str]]:
         if len(values) == len(set(values)):
             keys.add(frozenset({column}))
     if len(node.rows) == len(set(node.rows)):
-        keys.add(frozenset(node.columns))
+        keys.add(node.column_set)
     return frozenset(keys)
 
 
@@ -338,15 +359,15 @@ def _parent_refs(
     pass-through operators forward them.  This is the per-edge contribution
     the top-down pass sums into :meth:`PlanProperties.refs`.
     """
-    child_columns = set(child.columns)
+    child_columns = child.column_set
     refs: set[str] = set()
     if isinstance(parent, Project):
         refs |= {old for _new, old in parent.items} & child_columns
         return refs
     if isinstance(parent, Select):
-        refs |= set(parent.predicate.columns()) & child_columns
+        refs |= parent.predicate.columns() & child_columns
     elif isinstance(parent, Join):
-        refs |= set(parent.predicate.columns()) & child_columns
+        refs |= parent.predicate.columns() & child_columns
     elif isinstance(parent, RowRank):
         refs |= (set(parent.order_by) | set(parent.partition_by)) & child_columns
     elif isinstance(parent, GroupAggregate):
@@ -372,28 +393,28 @@ def _child_icols(
     node: Operator, position: int, child: Operator, icols: frozenset[str]
 ) -> frozenset[str]:
     if isinstance(node, Serialize):
-        return SERIALIZE_ICOLS & frozenset(child.columns) or frozenset(child.columns)
+        return SERIALIZE_ICOLS & child.column_set or child.column_set
     if isinstance(node, Project):
-        needed = icols & frozenset(node.columns)
+        needed = icols & node.column_set
         return frozenset(old for new, old in node.items if new in needed)
     if isinstance(node, Select):
-        return (icols | node.predicate.columns()) & frozenset(child.columns)
+        return (icols | node.predicate.columns()) & child.column_set
     if isinstance(node, Join):
-        return (icols | node.predicate.columns()) & frozenset(child.columns)
+        return (icols | node.predicate.columns()) & child.column_set
     if isinstance(node, Cross):
-        return icols & frozenset(child.columns)
+        return icols & child.column_set
     if isinstance(node, Distinct):
-        return icols & frozenset(child.columns)
+        return icols & child.column_set
     if isinstance(node, Attach):
-        return (icols - {node.column}) & frozenset(child.columns)
+        return (icols - {node.column}) & child.column_set
     if isinstance(node, RowId):
-        return (icols - {node.column}) & frozenset(child.columns)
+        return (icols - {node.column}) & child.column_set
     if isinstance(node, RowRank):
         return (
             (icols - {node.column})
             | frozenset(node.order_by)
             | frozenset(node.partition_by)
-        ) & frozenset(child.columns)
+        ) & child.column_set
     if isinstance(node, GroupAggregate):
         if position == 0:  # the aggregated input
             needed = {node.group_column, node.unit_column}
@@ -402,8 +423,8 @@ def _child_icols(
             return frozenset(needed)
         # The loop: everything upstream needs except the aggregate value,
         # plus the group column the aggregation itself keys on.
-        return ((icols - {node.item_column}) | {node.group_column}) & frozenset(child.columns)
-    return icols & frozenset(child.columns)
+        return ((icols - {node.item_column}) | {node.group_column}) & child.column_set
+    return icols & child.column_set
 
 
 def _child_set(node: Operator, position: int, node_set: bool) -> bool:

@@ -271,13 +271,9 @@ class PatternIndex:
     class are ever consulted.
     """
 
-    def __init__(self, rules: tuple[Rule, ...], sensitive: frozenset = frozenset()):
+    def __init__(self, rules: tuple[Rule, ...]):
         self._rules = rules
         self._buckets: dict[type, tuple[Rule, ...]] = {}
-        #: Rule names whose guards consult a global premise; see
-        #: :func:`epoch_blind`.
-        self._sensitive = sensitive
-        self._epoch_blind: dict[type, bool] = {}
 
     @property
     def rules(self) -> tuple[Rule, ...]:
@@ -291,18 +287,3 @@ class PatternIndex:
             )
             self._buckets[type(node)] = bucket
         return bucket
-
-    def epoch_blind(self, node: Operator) -> bool:
-        """True when no rule of the node's bucket is globally sensitive.
-
-        The worklist driver re-tries globally sensitive rules whenever its
-        compared-origins epoch moves; a node whose whole bucket is blind to
-        the epoch can keep its failure-memo entry across epoch bumps.
-        """
-        blind = self._epoch_blind.get(type(node))
-        if blind is None:
-            blind = not any(
-                rule.name in self._sensitive for rule in self.for_node(node)
-            )
-            self._epoch_blind[type(node)] = blind
-        return blind

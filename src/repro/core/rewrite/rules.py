@@ -80,27 +80,6 @@ _ROW_PRESERVING = (Project, Attach, RowId, RowRank, Distinct, Serialize)
 # ---------------------------------------------------------------------------
 
 
-def _constant_single_row(node: Operator) -> Optional[dict[str, object]]:
-    """If ``node`` is statically a one-row constant table, return its row."""
-    if isinstance(node, LiteralTable):
-        if len(node.rows) == 1:
-            return dict(zip(node.columns, node.rows[0]))
-        return None
-    if isinstance(node, Attach):
-        row = _constant_single_row(node.child)
-        if row is None:
-            return None
-        row = dict(row)
-        row[node.column] = node.value
-        return row
-    if isinstance(node, Project):
-        row = _constant_single_row(node.child)
-        if row is None:
-            return None
-        return {new: row[old] for new, old in node.items}
-    return None
-
-
 def _safe_spine(path: list[tuple[Operator, str]]) -> bool:
     """True when every node strictly above the origin is row-preserving.
 
@@ -210,7 +189,7 @@ def _widen_chain(
         else:
             if isinstance(op, (Join, Cross)):
                 other = next(child for child in op.children if child is not below)
-                if set(other.columns) & set(names.values()):
+                if other.column_set & set(names.values()):
                     return None
             children = [current if child is below else child for child in op.children]
             rebuilt = op.with_children(children)
@@ -248,7 +227,7 @@ def _foreign_parents_tolerate(
             continue
         if isinstance(parent, (Join, Cross)):
             sibling = next((c for c in parent.children if c is not node), None)
-            if sibling is not None and set(sibling.columns) & added_columns:
+            if sibling is not None and sibling.column_set & added_columns:
                 return False
     return True
 
@@ -333,7 +312,7 @@ def _build_project_fuse(node: Project, fused, ctx: RuleContext) -> Operator:
 def _guard_cross_to_attach(node: Cross, ctx: RuleContext):
     """(5)  one input is statically a one-row constant table."""
     for side, other in ((node.right, node.left), (node.left, node.right)):
-        row = _constant_single_row(side)
+        row = ctx.constant_single_row(side)
         if row is not None:
             return other, row
     return None
@@ -469,7 +448,7 @@ def _guard_introduce_distinct(node: Join, ctx: RuleContext):
         _column_has_rowid_origin(ctx, node, a) or _column_has_rowid_origin(ctx, node, b)
     ):
         return None
-    icols = ctx.needed_columns(node) & frozenset(node.columns)
+    icols = ctx.needed_columns(node) & node.column_set
     if not icols or not ctx.properties.has_key_within(node, icols):
         return None
     return [column for column in node.columns if column in icols]

@@ -257,8 +257,10 @@ def test_glue_updates_ancestor_schemas_in_place_and_drops_the_unreachable():
     # σ and δ kept their identity and took the narrower schema; π was
     # re-checked against it and did not change.
     assert [type(node) for node in glued.revalidated] == [Select, Distinct, Project]
+    assert [type(node) for node in glued.reschemed] == [Select, Distinct]
     assert copy.child.child.columns == ("a",) and copy.child.columns == ("pos", "item")
     assert select.columns == ("a",) and glued.rewired == [select]
+    assert all(node.column_set == frozenset(node.columns) for node in iter_nodes(copy))
     assert [type(node) for node in glued.dropped] == [Attach, RowId]
 
 

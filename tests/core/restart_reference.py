@@ -14,13 +14,14 @@ plan stays immutable and every step is glued with the pure :func:`pushout`
 defined here, which rebuilds every ancestor of a replaced node.
 
 :func:`driver_records` renders a driver run in the reference's record
-format and :func:`normalize` erases the process-wide fresh-column
-numbering, so the two sides compare with ``==``;
+format and :func:`normalize` erases the fresh-column numbering (the
+reference, one context per step, numbers afresh above the plan's own
+suffixes at every step; the driver numbers once per run), so the two sides
+compare with ``==``;
 :func:`assert_driver_matches_reference` is that comparison for one stacked
 plan, and :func:`main` runs it over generated queries (the nightly sweep).
 """
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -160,8 +161,14 @@ def replace_node(root: Operator, old: Operator, new: Operator) -> Operator:
 
 
 def normalize(text):
-    """Erase the process-wide fresh-column numbering for comparison."""
+    """Erase the fresh-column numbering for comparison."""
     return re.sub(r"_w\d+", "_wN", text)
+
+
+def full_render(plan):
+    """``render_plan`` with no label cut short: the fresh numbers of the two
+    sides differ in length, so a cut would fall at different places."""
+    return render_plan(plan, max_label_width=1 << 30)
 
 
 def normalized(records):
@@ -222,25 +229,43 @@ def _apply_first(plan, rules, applications, rejections):
 def assert_driver_matches_reference(plan, label=""):
     """Isolate ``plan`` with the driver and the reference; demand identical
     applications, rejections and rendered plans.  Returns the driver's report."""
-    RuleContext._fresh_columns = itertools.count(1)
     reference_plan, applications, rejections = isolate_by_restart(
         plan, JoinGraphIsolation().phases()
     )
-    RuleContext._fresh_columns = itertools.count(1)
     driver_plan, report = JoinGraphIsolation().isolate(plan)
     steps, rejected = driver_records(report.applications, report.rejections)
     assert normalized(applications) == steps, f"applications diverge {label}"
     assert normalized(rejections) == rejected, f"rejections diverge {label}"
-    assert normalize(render_plan(reference_plan)) == normalize(
-        render_plan(driver_plan)
+    assert normalize(full_render(reference_plan)) == normalize(
+        full_render(driver_plan)
     ), f"isolated plans diverge {label}"
     assert report.converged, f"driver did not converge {label}"
     return report
 
 
-def main(count, seed):
-    """Compare driver and reference on ``count`` generated queries; the first
-    divergence raises with the reproducing ``(seed, index, source)`` triple."""
+def path_query(steps):
+    """The harness's ``pathN`` shape: ``for $x in doc(..)//b return $x/c/c/…``."""
+    return 'for $x in doc("nested.xml")//b return $x' + "/c" * steps
+
+
+def pred_query(depth):
+    """Nested predicates ``depth`` deep: ``doc("nested.xml")/a[b[b[…]]]``."""
+    return 'doc("nested.xml")/a' + "[b" * depth + "]" * depth
+
+
+def shape_query(shape):
+    """The query of a named shape: ``pathN`` or ``predN``."""
+    match = re.fullmatch(r"(path|pred)(\d+)", shape)
+    if match is None:
+        raise ValueError(f"unknown shape {shape!r} (expected pathN or predN)")
+    build = path_query if match.group(1) == "path" else pred_query
+    return build(int(match.group(2)))
+
+
+def main(count, seed, shapes=()):
+    """Compare driver and reference on ``count`` generated queries and on the
+    named ``shapes``; the first divergence raises with the reproducing
+    ``(seed, index, source)`` triple (or the shape's name)."""
     from repro.testing.queries import QueryGenerator
     from repro.xquery.compiler import CompilerSettings, compile_query
 
@@ -250,6 +275,11 @@ def main(count, seed):
             compile_query(query.source, settings),
             f"(seed={query.seed} index={query.index} source={query.source!r})",
         )
+    for shape in shapes:
+        report = assert_driver_matches_reference(
+            compile_query(shape_query(shape), settings), f"(shape {shape})"
+        )
+        print(f"driver == restart reference on {shape} ({report.steps} steps)")
     print(f"driver == restart reference on {count} generated queries (seed {seed})")
 
 
@@ -259,5 +289,8 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("--count", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--shapes", nargs="*", default=(), help="named query shapes, e.g. path128 pred50"
+    )
     options = parser.parse_args()
-    main(options.count, options.seed)
+    main(options.count, options.seed, options.shapes)

@@ -27,6 +27,7 @@ from repro.errors import RewriteError
 from repro.algebra.dag import count_operators, iter_nodes, node_count
 from repro.algebra.operators import (
     Attach,
+    Cross,
     Distinct,
     DocTable,
     Join,
@@ -34,17 +35,22 @@ from repro.algebra.operators import (
     Project,
     RowId,
     RowRank,
+    Select,
     Serialize,
 )
-from repro.algebra.predicates import Predicate
+from repro.algebra.predicates import ColumnRef, Comparison, Literal, Predicate
 from repro.algebra.render import render_plan
 from repro.testing.corpus import XMARK_SUITE
 from repro.testing.queries import QueryGenerator
 from repro.core.properties import PlanProperties, infer_properties
+from repro.core.pipeline import XQueryProcessor
 from repro.core.rewrite import (
     CLEANUP_GROUP,
     RANK_GROUP,
+    REGISTRY,
     Rule,
+    RuleContext,
+    WorklistDriver,
     run_phases,
 )
 from repro.core.rewrite.rule import MATCHED, _structural_fingerprint, pattern
@@ -54,9 +60,12 @@ from repro.xquery.compiler import CompilerSettings, compile_query
 from tests.core.restart_reference import (
     assert_driver_matches_reference,
     driver_records,
+    full_render,
     isolate_by_restart,
     normalize,
     normalized,
+    path_query,
+    pred_query,
 )
 
 SETTINGS = CompilerSettings(default_document="auction.xml")
@@ -68,10 +77,6 @@ CLEANUP_RULE_NAMES = frozenset(rule.name for rule in CLEANUP_GROUP)
 #: The generated slice the driver is compared against the reference on.
 GENERATED_SEED, GENERATED_CASES = 20091, 60
 
-
-def path_query(steps):
-    """The harness's ``pathN`` shape: ``for $x in doc(..)//b return $x/c/c/…``."""
-    return 'for $x in doc("nested.xml")//b return $x' + "/c" * steps
 
 #: ``rules_fired()`` for every runnable XMark query, pinned so histogram
 #: drift is a deliberate act, not an accident.
@@ -315,10 +320,18 @@ def test_drivers_agree_on_generated_queries(query):
     assert report.steps > 0
 
 
-@pytest.mark.parametrize("steps", (8, 16, 32))
+@pytest.mark.parametrize("steps", (8, 16, 32, 64))
 def test_drivers_agree_on_path_queries(steps):
     """... and over the benchmark harness's query-size shape (``pathN``)."""
     report = assert_driver_matches_reference(compile_query(path_query(steps), SETTINGS))
+    assert report.steps > 0
+
+
+@pytest.mark.parametrize("depth", (8, 16))
+def test_drivers_agree_on_nested_predicates(depth):
+    """... and over nested predicates, where the skipped re-tries are deepest
+    (331 / 763 steps at depth 8 / 16)."""
+    report = assert_driver_matches_reference(compile_query(pred_query(depth), SETTINGS))
     assert report.steps > 0
 
 
@@ -334,16 +347,39 @@ def test_migrated_properties_equal_cold_inference_at_every_step(case, monkeypatc
     refreshes = 0
     refresh = PlanProperties.refresh
 
-    def checked_refresh(warm, order, parents, glued):
+    def checked_refresh(warm, position, parents, glued):
         nonlocal refreshes
         refreshes += 1
-        changed = refresh(warm, order, parents, glued)
+        before = {
+            name: dict(getattr(warm, name))
+            for name in ("_icols", "_const", "_keys", "_set", "_refs")
+        }
+        top_down, bottom_up = refresh(warm, position, parents, glued)
         cold = infer_properties(warm.root)
         for name in ("_icols", "_const", "_keys", "_set", "_refs"):
             assert getattr(warm, name) == getattr(cold, name), (
                 f"{name[1:]} diverged from cold inference at step {refreshes}"
             )
-        return changed
+        # What refresh reports as changed is exactly what moved (a new node
+        # moves from nothing): the driver re-tries nodes on these events.
+        nodes = {id(node): node for node in iter_nodes(warm.root)}
+
+        def moved(*names):
+            return {
+                node_id
+                for node_id in nodes
+                if any(before[name].get(node_id) != getattr(warm, name)[node_id] for name in names)
+            }
+
+        assert {id(node) for node in bottom_up} == moved("_const", "_keys"), (
+            f"bottom-up changes misreported at step {refreshes}"
+        )
+        assert {id(node) for node in top_down} == moved("_icols", "_set", "_refs"), (
+            f"top-down changes misreported at step {refreshes}"
+        )
+        assert len(bottom_up) == len(set(map(id, bottom_up)))
+        assert len(top_down) == len(set(map(id, top_down)))
+        return top_down, bottom_up
 
     monkeypatch.setattr(PlanProperties, "refresh", checked_refresh)
     _isolated, report = JoinGraphIsolation().isolate(
@@ -418,6 +454,142 @@ def test_a_step_costs_the_match_not_the_plan(monkeypatch):
         assert per_step[steps] <= 15
     assert per_step[32] <= 1.25 * per_step[8]
     assert totals[32] <= 2.2 * totals[16]
+
+
+def test_a_step_costs_its_frontier():
+    """Rule attempts and full re-walks per applied step stay near flat.
+
+    A failed node is re-tried only on an event its guards' recorded reads
+    can see, and the post-order is spliced, not re-walked.  The bounds are
+    half the attempts a driver makes that re-tries every ancestor of a glue
+    point (28.4 / 45.7 / 79.5 / 146.4 per step on ``path8`` … ``path64``,
+    31.4 over the runnable XMark queries), so reintroducing that fails here.
+    """
+    before = {8: 28.4, 16: 45.7, 32: 79.5, 64: 146.4}
+    per_step, steps, rewalks = {}, 0, 0
+    for size, attempts in before.items():
+        _plan, driver = run_phases(
+            compile_query(path_query(size), SETTINGS), JoinGraphIsolation().phases()
+        )
+        per_step[size] = driver.attempts / driver.step_count
+        assert per_step[size] <= attempts / 2, (size, per_step[size])
+        steps += driver.step_count
+        rewalks += driver.rewalks
+    assert per_step[64] <= 2 * per_step[8]
+    xmark_steps = xmark_attempts = 0
+    for case in RUNNABLE:
+        _plan, driver = run_phases(
+            compile_query(case.xquery, SETTINGS), JoinGraphIsolation().phases()
+        )
+        xmark_steps += driver.step_count
+        xmark_attempts += driver.attempts
+        rewalks += driver.rewalks
+    assert xmark_attempts / xmark_steps <= 31.4 / 2
+    assert rewalks <= 0.05 * (steps + xmark_steps)
+
+
+#: Every query the kept post-order is checked on, step by step.
+ORDER_CASES = (
+    [pytest.param(case.xquery, id=case.name) for case in RUNNABLE]
+    + [
+        pytest.param(query.source, id=f"generated{query.index}")
+        for query in QueryGenerator(GENERATED_SEED).corpus(GENERATED_CASES)
+    ]
+    + [pytest.param(path_query(steps), id=f"path{steps}") for steps in (8, 16, 32)]
+)
+
+
+@pytest.mark.parametrize("query", ORDER_CASES)
+def test_kept_post_order_equals_a_fresh_walk_at_every_step(query, monkeypatch):
+    """The post-order the driver splices each glue into is the plan's own.
+
+    It is the scan order (which node is tried first) and the order the
+    property refresh relies on, so after every step it must equal a fresh
+    ``iter_nodes`` walk, positions and stretch starts included.
+    """
+    checked = 0
+    absorb = WorklistDriver._absorb
+
+    def checked_absorb(driver, ctx, *pending):
+        nonlocal checked
+        absorb(driver, ctx, *pending)
+        checked += 1
+        walked = list(iter_nodes(ctx.root))
+        assert driver._order == walked, f"kept order diverged at step {checked}"
+        assert driver._position == {id(node): at for at, node in enumerate(walked)}
+        fresh = WorklistDriver(0)
+        fresh._walk(ctx.root)
+        assert driver._first.keys() == fresh._first.keys()
+        assert all(driver._first[key] is first for key, first in fresh._first.items())
+
+    monkeypatch.setattr(WorklistDriver, "_absorb", checked_absorb)
+    _isolated, report = JoinGraphIsolation().isolate(compile_query(query, SETTINGS))
+    assert checked == report.steps > 0
+
+
+@pytest.mark.parametrize("query", ORDER_CASES)
+def test_every_skipped_node_still_fails(query, monkeypatch):
+    """The failure memo is sound even where the trace cannot tell.
+
+    Agreement with the reference only shows that no skipped node would
+    have matched *first*.  Before every scan, every node the driver skips
+    must still fail its whole bucket on the plan as it stands.
+    """
+    scans = 0
+    step = WorklistDriver._step
+
+    def checked_step(driver, ctx, index, phase):
+        nonlocal scans
+        scans += 1
+        for node in iter_nodes(ctx.root):
+            if id(node) in driver._dirty or isinstance(node, Serialize):
+                continue
+            for rule in index.for_node(node):
+                assert rule.apply(node, ctx) is None, (
+                    f"skipped {node.label()!r} matches {rule.name} at scan {scans}"
+                )
+        return step(driver, ctx, index, phase)
+
+    monkeypatch.setattr(WorklistDriver, "_step", checked_step)
+    _isolated, report = JoinGraphIsolation().isolate(compile_query(query, SETTINGS))
+    assert scans > report.steps > 0
+
+
+# -- fresh names are numbered per run ------------------------------------------------
+
+
+def test_fresh_names_do_not_depend_on_process_history(small_auction_encoding):
+    """Two processors in one process (each compiles afresh into its own
+    plan cache) isolate every query to the same plan text and trace."""
+
+    def isolate_all():
+        processor = XQueryProcessor(small_auction_encoding, default_document="auction.xml")
+        runs = {}
+        for case in RUNNABLE:
+            compiled = processor.compile(case.xquery)
+            runs[case.name] = (
+                render_plan(compiled.isolated_plan, max_label_width=1 << 30),
+                [(s.rule, s.target, s.replacement) for s in compiled.rewrite_trace.steps],
+            )
+        return runs
+
+    first = isolate_all()
+    assert any("_w" in text for text, _trace in first.values())
+    assert isolate_all() == first
+
+
+@pytest.mark.parametrize("name", ("Q8", "Q9"))
+def test_reisolating_an_isolated_plan_keeps_fresh_names_fresh(name):
+    (case,) = [case for case in RUNNABLE if case.name == name]
+    isolated, _report = JoinGraphIsolation().isolate(compile_query(case.xquery, SETTINGS))
+    taken = {column for node in iter_nodes(isolated) for column in node.columns}
+    assert any("_w" in column for column in taken)
+    ctx = RuleContext(isolated, infer_properties(isolated))
+    for hint in {column.rsplit("_w", 1)[0] for column in taken if "_w" in column}:
+        assert ctx.fresh_column(hint) not in taken
+    again, report = JoinGraphIsolation().isolate(isolated)
+    assert report.converged
+    assert normalize(render_plan(again)) == normalize(render_plan(isolated))
 
 
 # -- non-convergence diagnostics ----------------------------------------------------
@@ -577,3 +749,97 @@ def test_globally_rejected_rule_is_recorded_per_visit_and_never_memoized():
     assert {r.rule for r in driver.rejections} == {"always_rejected"}
     assert [r.step for r in driver.rejections] == list(range(len(steps) + 1))
     assert all("join inputs share columns" in r.error for r in driver.rejections)
+
+
+# -- the re-try channels, one synthetic plan each -------------------------------------
+#
+# On the corpus above a node's own events happen to re-try every failure that
+# later matches; these plans isolate one channel each, so a driver that
+# dropped it would skip an application the reference makes.
+
+
+def _agrees_with_reference(plan, rules):
+    phases = [("synthetic", rules)]
+    reference_plan, applications, rejections = isolate_by_restart(plan, phases)
+    driver_plan, driver = run_phases(plan, phases)
+    steps, rejected = driver_records(driver.steps, driver.rejections)
+    assert steps == normalized(applications)
+    assert rejected == normalized(rejections)
+    assert normalize(full_render(driver_plan)) == normalize(full_render(reference_plan))
+    return [rule for rule, _target, _replacement in steps]
+
+
+def _synthetic(name, root, guard, build=lambda node, match, ctx: node.child):
+    return Rule(name=name, pattern=pattern(root), guard=guard, build=build, exemplar=lambda: None)
+
+
+def test_a_premise_failure_is_retried_when_the_compared_origins_move():
+    """ϱ r is compared by the σ, so rule (12) fails on it for the premise
+    only: dropping the σ leaves ϱ's own state as it was (the π above still
+    needs ``r``), and only the premise channel re-tries it."""
+    rank = RowRank(DocTable(), "r", ("pre",))
+    selected = Select(rank, Predicate.of(Comparison(ColumnRef("r"), "=", Literal(1))))
+    plan = Serialize(Project(selected, [("pos", "r"), ("item", "pre")]))
+    drop_select = _synthetic("drop_select", Select, lambda node, ctx: MATCHED)
+    fired = _agrees_with_reference(plan, (REGISTRY.get("rank_to_project(12)"), drop_select))
+    assert fired == ["drop_select", "rank_to_project(12)"]
+
+
+def _shared_rowid_plan(consumer):
+    """``T = # r`` over doc, read by ``consumer(π r, pre (T))`` and by a
+    ``π s:size, pre2:pre (T)`` beside it.  A first step drops ``s``, which
+    frees ``size`` below ``T`` and so lets ``T`` be swapped — after
+    ``consumer`` has already failed, and without an event of its own."""
+    row_id = RowId(DocTable(), "r")
+    side = Project(row_id, [("s", "size"), ("pre2", "pre")])
+    body = Cross(consumer(Project(row_id, [("r", "r"), ("pre", "pre")])), side)
+    plan = Serialize(Project(body, [("pos", "pre"), ("item", "pre2")]))
+    drop_s = _synthetic(
+        "drop_s",
+        Project,
+        lambda node, ctx: MATCHED if ("s", "size") in node.items else None,
+        lambda node, match, ctx: Project(node.child, [i for i in node.items if i[0] != "s"]),
+    )
+    return plan, drop_s
+
+
+def _swap(replacement):
+    return _synthetic(
+        "swap",
+        RowId,
+        lambda node, ctx: None if "size" in ctx.needed_columns(node) else MATCHED,
+        lambda node, match, ctx: replacement(node.child),
+    )
+
+
+def test_a_deep_failure_is_retried_when_its_subtree_changes():
+    """The δ's guard traces ``r`` to its origin; swapping ``# r`` for
+    ``ϱ r:⟨pre⟩`` moves that origin but no ``const`` / ``keys`` value, so
+    only the all-ancestors channel re-tries the δ."""
+    plan, drop_s = _shared_rowid_plan(Distinct)
+    by_rank = _synthetic(
+        "by_rank",
+        Distinct,
+        lambda node, ctx: MATCHED if isinstance(ctx.origin(node.child, "r")[0], RowRank) else None,
+    )
+    swap = _swap(lambda child: RowRank(child, "r", ("pre",)))
+    fired = _agrees_with_reference(plan, (swap, by_rank, drop_s))
+    assert fired == ["drop_s", "swap", "by_rank"]
+
+
+def test_a_failure_is_retried_when_a_childs_const_changes():
+    """The outer π's guard reads its child's ``const``; swapping ``# r`` for
+    ``@ r:0`` makes ``r`` constant there but not in the π's own (projected)
+    state, so only the child-``const`` event re-tries it."""
+    plan, drop_s = _shared_rowid_plan(lambda child: Project(child, [("pre", "pre")]))
+    const_below = _synthetic(
+        "const_below",
+        Project,
+        lambda node, ctx: MATCHED
+        if "r" not in node.column_set and "r" in ctx.properties.const(node.child)
+        else None,
+        lambda node, match, ctx: Project(node.child.child, list(node.items)),
+    )
+    swap = _swap(lambda child: Attach(child, "r", 0))
+    fired = _agrees_with_reference(plan, (swap, const_below, drop_s))
+    assert fired[:3] == ["drop_s", "swap", "const_below"]

@@ -16,8 +16,6 @@ that mutates operators in place, or one that copies leaves instead of
 sharing them must all fail at registration time.
 """
 
-import itertools
-
 import pytest
 
 from repro.algebra.interpreter import evaluate_plan
@@ -28,12 +26,10 @@ from repro.algebra.operators import (
     Project,
     Serialize,
 )
-from repro.algebra.render import render_plan
 from repro.core.rewrite import (
     REGISTRY,
     Pattern,
     Rule,
-    RuleContext,
     RuleRegistry,
     RuleValidationError,
     run_phases,
@@ -43,18 +39,14 @@ from repro.core.rewrite.rule import MATCHED, PatternIndex, is_left_linear, patte
 
 from tests.core.restart_reference import (
     driver_records,
+    full_render,
     isolate_by_restart,
     normalize,
     normalized,
 )
 
 
-def _reset_fresh_columns() -> None:
-    RuleContext._fresh_columns = itertools.count(1)
-
-
 def _exemplar(rule: Rule) -> Serialize:
-    _reset_fresh_columns()
     plan = rule.exemplar()
     return plan if isinstance(plan, Serialize) else Serialize(plan)
 
@@ -78,7 +70,7 @@ def test_rule_fires_identically_under_both_drivers(rule):
     assert worklist_steps, f"rule {rule.name!r} did not fire on its exemplar"
     assert normalized(reference_steps) == worklist_steps
     assert normalized(reference_rejections) == worklist_rejections
-    assert normalize(render_plan(reference_plan)) == normalize(render_plan(worklist_plan))
+    assert normalize(full_render(reference_plan)) == normalize(full_render(worklist_plan))
 
 
 @pytest.mark.parametrize("rule", REGISTRY.rules, ids=lambda rule: rule.name)
