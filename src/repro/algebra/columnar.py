@@ -4,8 +4,8 @@ The paper's argument is that set-oriented relational evaluation beats
 node-at-a-time navigation — yet a row-tuple interpreter still pays Python
 dispatch per row.  This module supplies the columnar counterpart of
 :class:`repro.algebra.table.Table`: one array per column, boolean masks for
-selections, and batch kernels (comparison masks, rank/dense-rank, equi-join
-indices, first occurrences) that the interpreted engines and the B-tree
+selections, and batch kernels (comparison masks, rank/dense-rank, blocked
+join runs, first occurrences) that the interpreted engines and the B-tree
 engine call instead of per-row closures.
 
 Every kernel reads one encoding.  A column keeps its exact Python objects in
@@ -233,8 +233,8 @@ class SortedDomain:
     def _map(self, other: "SortedDomain"):
         """This domain's rank of each of ``other``'s values, indexed by ``other``'s rank // 2.
 
-        The last mapping is kept: a nested loop maps one pair of domains
-        once per block.
+        The last mapping is kept: a blocked join's residual maps one pair
+        of domains once per block.
         """
         cached = self._mapped
         if cached is not None and cached[0] is other:
@@ -570,14 +570,67 @@ def _pack(keys: Sequence):
     return packed
 
 
-def equi_join_indices(probe: Sequence[Column], build: Sequence[Column]):
+#: Candidate pairs one block of a join materialises at most.
+JOIN_BLOCK_PAIRS = 1 << 16
+
+
+def join_runs(low, counts, run, check=None, keep=None):
+    """Every join's pairs: probe row ``i`` meets ``run[low[i] : low[i] + counts[i]]``.
+
+    Returns ``(probe_idx, build_idx)``, probe-major with each run in order.
+    The candidate pairs are made in blocks of at most
+    :data:`JOIN_BLOCK_PAIRS`; ``check()`` runs before each block and the
+    residual mask ``keep(probe_idx, build_idx)`` after it, so a join holds
+    its survivors plus one block.
+
+    >>> probe, build = join_runs([0, 2, 1], [2, 0, 3], [7, 8, 9, 10])
+    >>> probe.tolist(), build.tolist()
+    ([0, 0, 2, 2, 2], [7, 8, 8, 9, 10])
+    >>> probe, build = join_runs([0, 2, 1], [2, 0, 3], [7, 8, 9, 10], keep=lambda p, b: b % 2 == 0)
+    >>> probe.tolist(), build.tolist()
+    ([0, 2, 2], [8, 8, 10])
+    """
+    low = _np.asarray(low, dtype=_np.int64)
+    counts = _np.asarray(counts, dtype=_np.int64)
+    run = _np.asarray(run, dtype=_np.int64)
+    ends = _np.add.accumulate(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    shift = low - ends + counts  # pair p, of probe row i, is run slot p + shift[i]
+    probes, builds = [], []
+    for start in range(0, total, JOIN_BLOCK_PAIRS):
+        if check is not None:
+            check()
+        stop = min(start + JOIN_BLOCK_PAIRS, total)
+        first, last, block = 0, len(counts), counts
+        if stop - start < total:  # one of several blocks: clip its first and last rows
+            first = ends.searchsorted(start, "right")
+            last = ends.searchsorted(stop - 1, "right") + 1
+            starts = ends[first:last] - counts[first:last]
+            block = _np.minimum(ends[first:last], stop) - _np.maximum(starts, start)
+        probe = _np.arange(first, last).repeat(block)
+        build = run[_np.arange(start, stop) + shift[first:last].repeat(block)]
+        if keep is not None:
+            mask = keep(probe, build)
+            if not mask.all():
+                probe, build = probe[mask], build[mask]
+        probes.append(probe)
+        builds.append(build)
+    if len(probes) == 1:
+        return probes[0], builds[0]
+    if not probes:
+        return _np.empty(0, dtype=_np.int64), _np.empty(0, dtype=_np.int64)
+    return _np.concatenate(probes), _np.concatenate(builds)
+
+
+def equi_join_indices(probe: Sequence[Column], build: Sequence[Column], check=None, keep=None):
     """Equi-join on key columns: ``(probe_idx, build_idx)`` where every ``probe[i] = build[i]``.
 
     Each probe key is re-ranked into its build key's domain and several
     keys are packed into one (:func:`_pack`), so rows match exactly when
     their key tuples are equal ``dict`` keys.  Sort-merge: stable argsort of
-    the build key, a ``searchsorted`` pair per probe row, then a flat-index
-    gather.  Output is probe-major with each probe row's matches in original
+    the build key, a ``searchsorted`` pair per probe row, then
+    :func:`join_runs` (with ``check`` and ``keep``) over the sorted build
+    rows.  Output is probe-major with each probe row's matches in original
     build order (the stable sort keeps equal keys in scan order), exactly
     the bucket order of a hash join.
     """
@@ -587,18 +640,8 @@ def equi_join_indices(probe: Sequence[Column], build: Sequence[Column]):
     build_order = _np.argsort(build_key, kind="stable")
     sorted_build = build_key[build_order]
     low = _np.searchsorted(sorted_build, probe_key, side="left")
-    high = _np.searchsorted(sorted_build, probe_key, side="right")
-    counts = high - low
-    total = int(counts.sum())
-    if total == 0:
-        empty = _np.empty(0, dtype=_np.int64)
-        return empty, empty
-    starts = _np.cumsum(counts) - counts
-    flat = (
-        _np.arange(total, dtype=_np.int64) - _np.repeat(starts, counts) + _np.repeat(low, counts)
-    )
-    probe_indices = _np.repeat(_np.arange(split, dtype=_np.int64), counts)
-    return probe_indices, build_order[flat]
+    counts = _np.searchsorted(sorted_build, probe_key, side="right") - low
+    return join_runs(low, counts, build_order, check, keep)
 
 
 def first_occurrences(columns: Sequence[Column], n: int):

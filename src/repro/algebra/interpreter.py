@@ -20,13 +20,14 @@ Two execution modes share the operator semantics bit-for-bit:
   over :class:`~repro.algebra.columnar.ColumnarTable` columns, selections
   become boolean masks over whole columns, hash joins gather match indices
   into each input's row positions (a derived column is a view of its base
-  column, whose objects are fetched once, for the result), and joins whose
-  predicate is a conjunction of range bounds on a single column — which is
-  what every Fig. 3 axis step compiles to — run as a sort-based *range
-  join* that locates *all* probe bounds with batched ``searchsorted`` calls
-  over order ranks, dropping axis-step joins from O(n·m) to O(n log n +
-  output).  A join neither kernel plans (no equality, no two-sided bound)
-  runs as a blocked cross product under a predicate mask.
+  column, whose objects are fetched once, for the result), and every other
+  join runs as a sort-based *range join* on its best-bounded column —
+  every Fig. 3 axis step compiles to range bounds on one column — that
+  locates *all* probe bounds with batched ``searchsorted`` calls over order
+  ranks, dropping axis-step joins from O(n·m) to O(n log n + output).  A
+  join without a bound is the range join whose every run is the whole
+  right input.  Either join expands its runs in bounded blocks under the
+  residual mask (:func:`~repro.algebra.columnar.join_runs`).
 * ``compiled=False`` — the naive row-dict evaluation: the slow, obviously
   correct oracle every differential test compares the columnar core with.
 """
@@ -57,6 +58,7 @@ from repro.algebra.operators import (
     RowRank,
     Select,
     Serialize,
+    fold_aggregate,
 )
 from repro.algebra.predicates import (
     ColumnRef,
@@ -68,9 +70,6 @@ from repro.algebra.predicates import (
     compile_term_columnar,
 )
 from repro.algebra.table import Table
-
-#: Row pairs one block of the masked nested-loop join materialises at most.
-NESTED_LOOP_BLOCK_PAIRS = 1 << 16
 
 
 class PlanInterpreter:
@@ -113,11 +112,8 @@ class PlanInterpreter:
         self.operators_evaluated = 0
         #: Total number of intermediate rows materialised.
         self.rows_materialised = 0
-        #: Number of joins answered by the sort-based range-join fast path.
+        #: Number of joins run as a range join: those without an equi conjunct.
         self.range_joins = 0
-        #: Number of joins run as a masked nested loop: those no kernel plans
-        #: (every other operator runs a vectorized kernel on any values).
-        self.row_fallbacks = 0
 
     # -- public API -------------------------------------------------------------
 
@@ -127,7 +123,6 @@ class PlanInterpreter:
         self.operators_evaluated = 0
         self.rows_materialised = 0
         self.range_joins = 0
-        self.row_fallbacks = 0
         if self.timeout_seconds is not None:
             self._deadline = time.perf_counter() + self.timeout_seconds
         else:
@@ -266,146 +261,67 @@ class PlanInterpreter:
         return table.with_column(node.column, Column.numeric(ranks, integral=True))
 
     def _join_columnar(self, node: Join) -> ColumnarTable:
+        """Hash join on the equi conjuncts, else range join; the rest is a residual mask.
+
+        Both expand their runs through :func:`~repro.algebra.columnar.join_runs`,
+        which checks the deadline and applies the residual per block, so a
+        join holds its survivors plus one block of candidate pairs.
+        """
         left = self._evaluate(node.left)
         right = self._evaluate(node.right)
         predicate = self._bound_predicate(node.predicate)
-        output_columns = left.columns + right.columns
         equi, residual = _split_equijoin_conjuncts(predicate, left.columns, right.columns)
         if equi:
-            return self._hash_join_columnar(left, right, equi, residual, output_columns)
-        plan = _plan_range_join(residual, left.columns, right.columns)
-        if plan is not None:
+            left_indices, right_indices = _columnar.equi_join_indices(
+                [left.col(name) for name, _ in equi],
+                [right.col(name) for _, name in equi],
+                self._check_deadline,
+                _residual_mask(left, right, residual),
+            )
+        else:
             self.range_joins += 1
-            return self._range_join_columnar(left, right, plan, output_columns)
-        return self._nested_loop_columnar(left, right, predicate, output_columns)
-
-    def _nested_loop_columnar(
-        self,
-        left: ColumnarTable,
-        right: ColumnarTable,
-        predicate: Predicate,
-        output_columns: tuple[str, ...],
-    ) -> ColumnarTable:
-        """The join no kernel plans: a blocked cross product under a predicate mask.
-
-        A block of left rows — at most :data:`NESTED_LOOP_BLOCK_PAIRS` pairs'
-        worth — is crossed with every right row (views: the mask gathers the
-        predicate's columns only) and masked; the surviving pair positions
-        are kept, and one gather builds the output.  Pairs come out
-        left-major with right rows in order: nested-loop order.
-        """
-        self.row_fallbacks += 1
-        width = right.length
-        if not (left.length and width):
-            empty = np.empty(0, dtype=np.int64)
-            return self._joined_columnar(left, right, empty, empty, [], output_columns)
-        for name in predicate.columns():
-            (left if name in left.columns else right).col(name).publish()  # rank once
-        mask_of = compile_predicate_mask(predicate, output_columns)
-        step = max(1, NESTED_LOOP_BLOCK_PAIRS // width)
-        matches = []
-        for start in range(0, left.length, step):
-            self._check_deadline()
-            block = left.take(np.arange(start, min(start + step, left.length)))
-            mask = mask_of(block.cross(right))
-            matches.append(np.flatnonzero(mask) + start * width)
-        pairs = np.concatenate(matches)
-        return self._joined_columnar(
-            left, right, pairs // width, pairs % width, [], output_columns
-        )
-
-    def _hash_join_columnar(
-        self,
-        left: ColumnarTable,
-        right: ColumnarTable,
-        equi: list[tuple[str, str]],
-        residual: list[Comparison],
-        output_columns: tuple[str, ...],
-    ) -> ColumnarTable:
-        """Hash equi-join over column ranks; bucket order matches the row path."""
-        left_indices, right_indices = _columnar.equi_join_indices(
-            [left.col(name) for name, _ in equi], [right.col(name) for _, name in equi]
-        )
-        return self._joined_columnar(
-            left, right, left_indices, right_indices, residual, output_columns
-        )
-
-    def _joined_columnar(
-        self,
-        left: ColumnarTable,
-        right: ColumnarTable,
-        left_indices,
-        right_indices,
-        residual: list[Comparison],
-        output_columns: tuple[str, ...],
-    ) -> ColumnarTable:
-        combined = ColumnarTable(
-            output_columns,
+            plan = _plan_range_join(residual, left.columns, right.columns)
+            left_indices, right_indices = self._range_join_indices(left, right, plan)
+        return ColumnarTable(
+            left.columns + right.columns,
             left.take(left_indices).cols + right.take(right_indices).cols,
             len(left_indices),
         )
-        if residual:
-            combined = combined.filter(compile_comparisons_mask(residual, output_columns)(combined))
-        return combined
 
-    def _range_join_columnar(
-        self,
-        left: ColumnarTable,
-        right: ColumnarTable,
-        plan: "_RangeJoinPlan",
-        output_columns: tuple[str, ...],
-    ) -> ColumnarTable:
-        """Batch-bisect range join over order ranks.
+    def _range_join_indices(
+        self, left: ColumnarTable, right: ColumnarTable, plan: "_RangeJoinPlan"
+    ):
+        """Batch-bisect range join over order ranks: ``(left_idx, right_idx)``.
 
         The side owning the bounded column (*build*) is sorted on its ranks
         once, then *all* probe bounds, re-ranked into its domain, are located
         with one ``searchsorted`` call per bound.  ``None`` and NaN match no
         bound, and a bound reaches only values of its own class (numbers or
-        strings), as in ``predicates._compare``.  Output order is restored
-        with a lexsort over (build, probe) positions so rows come out in
-        exact nested-loop order.
+        strings), as in ``predicates._compare``.  A plan without a bound
+        gives every probe row all build rows in order: the nested loop.
+        The survivors are put in exact nested-loop order with a lexsort over
+        (build, probe) positions.
         """
         build, probe = (left, right) if plan.build_side == "left" else (right, left)
-        column = build.col(plan.column)
-        domain, ranks = column.domain, column.ranks
-        nan = domain.nan_rank
-        positions = np.flatnonzero((ranks != 0) & (ranks != nan))
-        order = np.argsort(ranks[positions], kind="stable")
-        sorted_ranks, sorted_positions = ranks[positions][order], positions[order]
-        total = len(sorted_ranks)
-        split = sorted_ranks.searchsorted(nan)  # the numbers before it, the strings after
-        index_of = {name: i for i, name in enumerate(probe.columns)}
-        low = np.zeros(probe.length, dtype=np.int64)
-        high = np.full(probe.length, total, dtype=np.int64)
-        usable = np.ones(probe.length, dtype=bool)
-        for op, term in plan.bounds:
-            bound = domain.rank(compile_term_columnar(term, index_of)(probe))
-            usable &= (bound != 0) & (bound != nan)
-            number = bound < nan
-            np.maximum(low, np.where(number, 0, split), out=low)
-            np.minimum(high, np.where(number, split, total), out=high)
-            if op in (">", ">=", "="):
-                side = "left" if op in (">=", "=") else "right"
-                np.maximum(low, sorted_ranks.searchsorted(bound, side), out=low)
-            if op in ("<", "<=", "="):
-                side = "right" if op in ("<=", "=") else "left"
-                np.minimum(high, sorted_ranks.searchsorted(bound, side), out=high)
-        counts = np.where(usable & (low < high), high - low, 0)
-        total_out = int(counts.sum())
-        self._check_deadline()
-        probe_indices = np.repeat(np.arange(probe.length), counts)
-        starts = np.cumsum(counts) - counts
-        flat = np.arange(total_out) - np.repeat(starts, counts) + np.repeat(low, counts)
-        build_indices = sorted_positions[flat]
-        if plan.build_side == "left":
-            final = np.lexsort((probe_indices, build_indices))
-            left_indices, right_indices = build_indices[final], probe_indices[final]
+        if plan.column is None:
+            low, counts = np.zeros(probe.length, np.int64), np.full(probe.length, build.length)
+            run = np.arange(build.length)
         else:
-            final = np.lexsort((build_indices, probe_indices))
-            left_indices, right_indices = probe_indices[final], build_indices[final]
-        return self._joined_columnar(
-            left, right, left_indices, right_indices, plan.remaining, output_columns
-        )
+            low, counts, run = _bounded_runs(build.col(plan.column), probe, plan.bounds)
+        keep = _residual_mask(left, right, plan.remaining)
+        if plan.build_side == "left":
+            swapped = keep and (lambda probe_idx, build_idx: keep(build_idx, probe_idx))
+            right_indices, left_indices = _columnar.join_runs(
+                low, counts, run, self._check_deadline, swapped
+            )
+        else:
+            left_indices, right_indices = _columnar.join_runs(
+                low, counts, run, self._check_deadline, keep
+            )
+            if plan.column is None:  # every run is the right input in row order
+                return left_indices, right_indices
+        final = np.lexsort((right_indices, left_indices))
+        return left_indices[final], right_indices[final]
 
     # -- join evaluation ----------------------------------------------------------
 
@@ -425,33 +341,23 @@ class PlanInterpreter:
         ``child_rows`` are the child's :func:`_aggregated` columns.  They are
         deduplicated on (group, unit, value) — the argument is a node
         sequence, so each node counts once per iteration — then folded per
-        loop row (``loop_groups`` holds each one's group): ``count`` and
-        ``sum`` complete empty groups with 0; ``avg`` of a group without
-        non-NULL values emits no row (``fn:avg(())`` is the empty sequence).
-        NULL values are ignored by ``sum``/``avg`` — SQL's discipline, which
-        is what keeps this operator bit-for-bit aligned with the pushed-down
-        native aggregates of the SQL configuration (a DISTINCT subquery under
-        COUNT/SUM/AVG).
+        loop row (``loop_groups`` holds each one's group) by
+        :func:`~repro.algebra.operators.fold_aggregate`, whose SQL NULL
+        discipline keeps this operator bit-for-bit aligned with the
+        pushed-down native aggregates of the SQL configuration (a DISTINCT
+        subquery under COUNT/SUM/AVG).
         """
         groups: dict[object, list] = {}
         for row in dict.fromkeys(child_rows):
-            groups.setdefault(row[0], []).append(row)
+            groups.setdefault(row[0], []).append(row[-1])  # the value; count's: the unit
         kept: list[int] = []
         values: list = []
         for position, group in enumerate(loop_groups):
             self._check_deadline()
-            members = groups.get(group, ())
-            if node.function == "count":
+            value = fold_aggregate(node.function, groups.get(group, ()))
+            if value is not None:
                 kept.append(position)
-                values.append(len(members))
-                continue
-            present = [row[2] for row in members if row[2] is not None]
-            if node.function == "sum":
-                kept.append(position)
-                values.append(sum(present) if present else 0)
-            elif present:  # avg
-                kept.append(position)
-                values.append(sum(present) / len(present))
+                values.append(value)
         return kept, values
 
     # -- the naive join (the oracle's) -----------------------------------------------
@@ -506,7 +412,7 @@ class _RangeJoinPlan:
     """A chosen bounded column plus the conjuncts it absorbs."""
 
     build_side: str  # "left" | "right" — the side owning the bounded column
-    column: str
+    column: Optional[str]  # None: no bound, every row of the build side is in every run
     #: Normalised bounds ``column op term`` with ``term`` over the probe side.
     bounds: list[tuple[str, Term]]
     #: Conjuncts not absorbed as bounds (checked per candidate pair).
@@ -520,13 +426,14 @@ def _plan_range_join(
     residual: list[Comparison],
     left_columns: tuple[str, ...],
     right_columns: tuple[str, ...],
-) -> Optional[_RangeJoinPlan]:
+) -> _RangeJoinPlan:
     """Recognise range-bound conjuncts ``col op expr(other side)``.
 
     Every Fig. 3 axis predicate has this shape: the candidate node's plain
     ``pre`` (or ``level``) column bounded by expressions over the context
     side (``pre° < pre ∧ pre <= pre° + size°``).  We pick the (side, column)
-    with the most usable bounds, preferring one bounded from both ends.
+    with the most usable bounds, preferring one bounded from both ends; a
+    predicate with no bound plans the right side with no column.
     """
     left_set = set(left_columns)
     right_set = set(right_columns)
@@ -566,7 +473,7 @@ def _plan_range_join(
             )
 
     if not candidates:
-        return None
+        return _RangeJoinPlan("right", None, [], list(residual))
 
     def score(entry: tuple[tuple[str, str], list[tuple[str, Term, Comparison]]]) -> tuple:
         _key, bounds = entry
@@ -575,10 +482,6 @@ def _plan_range_join(
         return (has_low and has_high, len(bounds))
 
     (build_side, column), chosen = max(candidates.items(), key=score)
-    if not score(((build_side, column), chosen))[0]:
-        # A single one-sided bound rarely narrows anything; require a
-        # two-sided (or equality) bound before engaging the fast path.
-        return None
     consumed = {id(conjunct) for _op, _term, conjunct in chosen}
     remaining = [conjunct for conjunct in residual if id(conjunct) not in consumed]
     return _RangeJoinPlan(
@@ -587,6 +490,54 @@ def _plan_range_join(
         bounds=[(op, term) for op, term, _conjunct in chosen],
         remaining=remaining,
     )
+
+
+def _bounded_runs(column: Column, probe: ColumnarTable, bounds):
+    """``(low, counts, run)``: the column's rows sorted on rank, each probe row's range of them."""
+    domain, ranks = column.domain, column.ranks
+    nan = domain.nan_rank
+    positions = np.flatnonzero((ranks != 0) & (ranks != nan))
+    order = np.argsort(ranks[positions], kind="stable")
+    sorted_ranks, run = ranks[positions][order], positions[order]
+    total = len(sorted_ranks)
+    split = sorted_ranks.searchsorted(nan)  # the numbers before it, the strings after
+    index_of = {name: i for i, name in enumerate(probe.columns)}
+    low = np.zeros(probe.length, dtype=np.int64)
+    high = np.full(probe.length, total, dtype=np.int64)
+    usable = np.ones(probe.length, dtype=bool)
+    for op, term in bounds:
+        bound = domain.rank(compile_term_columnar(term, index_of)(probe))
+        usable &= (bound != 0) & (bound != nan)
+        number = bound < nan
+        np.maximum(low, np.where(number, 0, split), out=low)
+        np.minimum(high, np.where(number, split, total), out=high)
+        if op in (">", ">=", "="):
+            side = "left" if op in (">=", "=") else "right"
+            np.maximum(low, sorted_ranks.searchsorted(bound, side), out=low)
+        if op in ("<", "<=", "="):
+            side = "right" if op in ("<=", "=") else "left"
+            np.minimum(high, sorted_ranks.searchsorted(bound, side), out=high)
+    return low, np.where(usable & (low < high), high - low, 0), run
+
+
+def _residual_mask(left: ColumnarTable, right: ColumnarTable, residual: list[Comparison]):
+    """The residual as ``keep(left_idx, right_idx)`` for :func:`~repro.algebra.columnar.join_runs`.
+
+    Each block gathers the residual's columns only (views of the inputs'
+    columns at the pair positions); ``None`` if there is no residual.
+    """
+    if not residual:
+        return None
+    names = sorted(frozenset().union(*(conjunct.columns() for conjunct in residual)))
+    mask_of = compile_comparisons_mask(residual, names)
+    sides = [(name in left.columns, (left if name in left.columns else right).col(name))
+             for name in names]
+
+    def keep(left_indices, right_indices):
+        cols = [col.take(left_indices if on_left else right_indices) for on_left, col in sides]
+        return mask_of(ColumnarTable(names, cols, len(left_indices)))
+
+    return keep
 
 
 def _aggregated(node: GroupAggregate) -> list[tuple[str, str]]:

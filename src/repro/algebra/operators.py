@@ -324,6 +324,23 @@ class RowId(Operator):
 AGGREGATE_FUNCTIONS = ("count", "sum", "avg")
 
 
+def fold_aggregate(function: str, values: Sequence[object]) -> object:
+    """One group's ``count`` / ``sum`` / ``avg``; ``None`` when the group gives no row.
+
+    ``values`` holds one entry per distinct unit of the group: ``count``
+    counts them, ``sum`` and ``avg`` ignore the NULL ones.  ``count`` and
+    ``sum`` complete an empty group with 0; ``avg`` over no non-NULL value
+    gives no row (``fn:avg(())`` is the empty sequence).  Shared by the plan
+    interpreter and the B-tree engine.
+    """
+    if function == "count":
+        return len(values)
+    present = [value for value in values if value is not None]
+    if function == "sum":
+        return sum(present) if present else 0
+    return sum(present) / len(present) if present else None
+
+
 class GroupAggregate(Operator):
     """Aggr — per-group aggregation of ``child`` rows against a ``loop``.
 

@@ -265,9 +265,6 @@ class Predicate:
     def rename(self, mapping: Mapping[str, str]) -> "Predicate":
         return Predicate(conjunct.rename(mapping) for conjunct in self.conjuncts)
 
-    def conjoin(self, other: "Predicate") -> "Predicate":
-        return Predicate(self.conjuncts + other.conjuncts)
-
     def parameters(self) -> frozenset[str]:
         """Names of all unbound :class:`Parameter` slots in the conjunction."""
         result: frozenset[str] = frozenset()

@@ -38,12 +38,6 @@ class Table:
 
     # -- construction ---------------------------------------------------------
 
-    @staticmethod
-    def from_dicts(columns: Sequence[str], dicts: Iterable[Mapping[str, object]]) -> "Table":
-        """Build a table from row dictionaries (missing keys become ``None``)."""
-        columns = tuple(columns)
-        return Table(columns, ([d.get(c) for c in columns] for d in dicts))
-
     @classmethod
     def unchecked(cls, columns: Sequence[str], rows: list[tuple]) -> "Table":
         """Adopt ``rows`` (a list of correctly-arity tuples) without validation.
@@ -67,10 +61,6 @@ class Table:
         table._columnar = None
         table.rows = rows
         return table
-
-    def with_rows(self, rows: Iterable[Sequence[object]]) -> "Table":
-        """A new table with the same schema and the given rows."""
-        return Table(self.columns, rows)
 
     # -- basic accessors ------------------------------------------------------
 
@@ -118,10 +108,6 @@ class Table:
 
     def row_dict(self, row: Sequence[object]) -> dict[str, object]:
         return dict(zip(self.columns, row))
-
-    def iter_dicts(self) -> Iterator[dict[str, object]]:
-        for row in self.rows:
-            yield dict(zip(self.columns, row))
 
     # -- transformations used by the interpreter -------------------------------
 

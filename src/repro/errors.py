@@ -61,16 +61,6 @@ class JoinGraphError(ReproError):
     """Raised when a rewritten plan cannot be cast into a single SFW block."""
 
 
-class SQLSyntaxError(ReproError):
-    """Raised by the SQL parser of the relational back-end."""
-
-    def __init__(self, message: str, position: int = -1):
-        if position >= 0:
-            message = f"{message} (at offset {position})"
-        super().__init__(message)
-        self.position = position
-
-
 class CatalogError(ReproError):
     """Raised for catalog misuse: unknown/duplicate tables or indexes."""
 

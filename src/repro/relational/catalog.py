@@ -47,12 +47,6 @@ class Database:
             self.statistics[name] = collect_table_stats(name, self.table(name))
         return self.statistics[name]
 
-    def analyze(self, name: Optional[str] = None) -> None:
-        """(Re-)collect statistics for one table or for all tables."""
-        names = [name] if name else list(self.tables)
-        for table_name in names:
-            self.statistics[table_name] = collect_table_stats(table_name, self.table(table_name))
-
     # -- indexes ----------------------------------------------------------------------
 
     def create_index(

@@ -30,6 +30,7 @@ from typing import Mapping, Optional
 
 from repro.errors import PlanningError
 from repro.algebra import columnar as _columnar
+from repro.algebra.operators import fold_aggregate
 from repro.core.joingraph import ConstantTerm, JoinGraph, PlanTail
 from repro.core.sqlgen import aggregate_inner_items, _having_excluded
 from repro.relational.catalog import Database
@@ -216,19 +217,13 @@ class _Program:
         return plans
 
 
-def _folder(spec):
-    """fn:count / fn:sum / fn:avg over one group's argument rows, as a closure."""
+def _group_values(spec, rows: list[dict[str, object]]) -> dict[object, list]:
+    """The argument rows' values (``None`` for ``count``) per group, for :func:`fold_aggregate`."""
     value_column = aggregate_inner_items(spec)[2]
-
-    def fold(rows: list[dict[str, object]]) -> Optional[object]:
-        if spec.function == "count":
-            return len(rows)
-        values = [row[value_column] for row in rows if row[value_column] is not None]
-        if spec.function == "sum":
-            return sum(values) if values else 0
-        return sum(values) / len(values) if values else None  # avg(()) = ()
-
-    return fold
+    groups: dict[object, list] = {}
+    for row in rows:
+        groups.setdefault(row["g"], []).append(row.get(value_column))
+    return groups
 
 
 class RelationalEngine:
@@ -376,11 +371,8 @@ class RelationalEngine:
         self, planned: PlannedQuery, spec, ctx: ExecutionContext
     ) -> dict[tuple, object]:
         """Fold one where-aggregate's argument bundle per group value."""
-        groups: dict[object, list[dict[str, object]]] = {}
-        for row in planned.root.results(ctx):
-            groups.setdefault(row["g"], []).append(row)
-        fold = _folder(spec)
-        return {(group,): fold(rows) for group, rows in groups.items()}
+        groups = _group_values(spec, planned.root.results(ctx))
+        return {(group,): fold_aggregate(spec.function, values) for group, values in groups.items()}
 
     # -- aggregate graphs ---------------------------------------------------------
 
@@ -399,11 +391,10 @@ class RelationalEngine:
         graph = program.resolved
         spec = graph.aggregate
         assert spec is not None
-        fold = _folder(spec)
         inner_ctx = ExecutionContext(timeout_seconds)
-        inner_rows = program.planned.root.results(inner_ctx)
+        groups = _group_values(spec, program.planned.root.results(inner_ctx))
         if spec.is_scalar:
-            value = fold(inner_rows)
+            value = fold_aggregate(spec.function, [v for values in groups.values() for v in values])
             rows = [] if value is None else [{"item": value}]
             return QueryResult(
                 rows=rows,
@@ -412,12 +403,9 @@ class RelationalEngine:
                 index_probes=inner_ctx.index_probes,
             )
         outer_ctx = ExecutionContext(timeout_seconds)
-        groups: dict[object, list[dict[str, object]]] = {}
-        for row in inner_rows:
-            groups.setdefault(row["g"], []).append(row)
         rows = []
         for outer_row in program.aggregate_outer.root.results(outer_ctx):
-            value = fold(groups.get(outer_row["g"], []))
+            value = fold_aggregate(spec.function, groups.get(outer_row["g"], []))
             if value is None:
                 continue
             produced: dict[str, object] = {"item": value}

@@ -26,11 +26,14 @@ materialises its whole result:
 
 * IXSCAN and NLJOIN probe the B-tree for **all outer rows at once** — one
   ``searchsorted`` per key column over the tree's rank arrays
-  (:meth:`~repro.relational.btree.BPlusTree.segment_base`), matches
-  expanded with ``repeat``, in blocks of at most
-  ``NESTED_LOOP_BLOCK_PAIRS`` pairs with one deadline check each;
+  (:meth:`~repro.relational.btree.BPlusTree.segment_base`);
 * TBSCAN and FILTER are mask scans, and HSJOIN merges the order ranks of
-  any keys (:func:`~repro.algebra.columnar.equi_join_indices`);
+  any keys (:func:`~repro.algebra.columnar.equi_join_indices`), or pairs
+  every outer row with every inner row when it has none;
+* every join expands its matches through
+  :func:`~repro.algebra.columnar.join_runs`: in blocks of at most
+  ``JOIN_BLOCK_PAIRS`` candidate pairs, one deadline check and one
+  residual mask each;
 * SORT is a stable ``lexsort`` over order ranks plus first-occurrence
   DISTINCT, and RETURN gathers values only for the rows it returns.
 
@@ -74,7 +77,6 @@ import numpy as np
 from repro.errors import ExecutionError, QueryTimeoutError
 from repro.algebra import columnar as _columnar
 from repro.algebra.columnar import Column
-from repro.algebra.interpreter import NESTED_LOOP_BLOCK_PAIRS
 from repro.algebra.table import Table
 from repro.core.joingraph import ColumnTerm, Condition, ConstantTerm, ParameterTerm, SumTerm, Term
 from repro.relational.btree import BTreeIndex
@@ -350,45 +352,21 @@ class _Probe:
         for value in values:
             if isinstance(value, Column):
                 counts = counts * value.notnull
-        return self._joined(ctx, outer, _vector(low, n), _vector(counts, n))
+        counts = _vector(counts, n)
+        ctx.rows_scanned += int(counts.sum())
+
+        def joined(outer_ids, inner_ids) -> Rows:
+            positions = _take(outer.positions, outer_ids)
+            positions[self.alias] = inner_ids
+            return Rows(self.tables, positions, len(outer_ids))
+
+        residual = self.residual
+        keep = residual and (lambda outer_ids, inner_ids: residual(joined(outer_ids, inner_ids)))
+        runs = _columnar.join_runs(_vector(low, n), counts, self.index.tree.rows, ctx.check, keep)
+        return joined(*runs)
 
     def _empty(self) -> Rows:
         return Rows(self.tables, dict.fromkeys(self.tables, np.empty(0, np.int64)), 0)
-
-    def _joined(self, ctx: ExecutionContext, outer: Rows, low, counts) -> Rows:
-        """Expand each outer row's ``counts`` run slots from ``low``, in blocks of outer rows."""
-        ends = np.add.accumulate(counts)
-        total = int(ends[-1])
-        ctx.rows_scanned += total
-        if not total:
-            return self._empty()
-        rows = self.index.tree.rows
-        blocks = []
-        first = 0
-        while first < outer.length:
-            ctx.check()
-            done = int(ends[first] - counts[first])  # pairs before this block
-            stop = outer.length
-            if total - done > NESTED_LOOP_BLOCK_PAIRS:
-                limit = ends.searchsorted(done + NESTED_LOOP_BLOCK_PAIRS, "right")
-                stop = max(first + 1, int(limit))
-            block = counts[first:stop]
-            outer_ids = np.arange(first, stop).repeat(block)
-            slots = np.arange(len(outer_ids)) + (
-                low[first:stop] - (ends[first:stop] - block - done)
-            ).repeat(block)
-            positions = _take(outer.positions, outer_ids)
-            positions[self.alias] = rows[slots]
-            joined = Rows(self.tables, positions, len(outer_ids))
-            blocks.append(joined if self.residual is None else joined.filter(self.residual(joined)))
-            first = stop
-        if len(blocks) == 1:
-            return blocks[0]
-        return Rows(
-            self.tables,
-            {alias: np.concatenate([b.positions[alias] for b in blocks]) for alias in self.tables},
-            sum(block.length for block in blocks),
-        )
 
 
 def _describe_bounds(bounds: Sequence[IndexBound]) -> str:
@@ -475,22 +453,24 @@ class HashJoin(PhysicalOperator):
         outer = self.outer.run(ctx)
         inner = self.inner.run(ctx)
         ctx.check()
-        if not self._outer_keys:
-            # No equi keys: every outer row pairs with every inner row, and
-            # the residual does the joining (outer-major, inner in order).
-            outer_ids = np.repeat(np.arange(outer.length), inner.length)
-            inner_ids = np.tile(np.arange(inner.length), outer.length)
-        else:
-            outer_ids, inner_ids = _columnar.equi_join_indices(
+
+        def joined(outer_ids, inner_ids) -> Rows:
+            positions = {**_take(outer.positions, outer_ids), **_take(inner.positions, inner_ids)}
+            return Rows(self.tables, positions, len(outer_ids))
+
+        residual = self._residual
+        keep = residual and (lambda outer_ids, inner_ids: residual(joined(outer_ids, inner_ids)))
+        if self._outer_keys:
+            pairs = _columnar.equi_join_indices(
                 [_column(key(outer), outer.length) for key in self._outer_keys],
                 [_column(key(inner), inner.length) for key in self._inner_keys],
+                ctx.check,
+                keep,
             )
-        joined = Rows(
-            self.tables,
-            {**_take(outer.positions, outer_ids), **_take(inner.positions, inner_ids)},
-            len(outer_ids),
-        )
-        return joined if self._residual is None else joined.filter(self._residual(joined))
+        else:  # every inner row is every outer row's run, and the residual joins
+            low, counts = np.zeros(outer.length, np.int64), np.full(outer.length, inner.length)
+            pairs = _columnar.join_runs(low, counts, np.arange(inner.length), ctx.check, keep)
+        return joined(*pairs)
 
     def children(self) -> Sequence[PhysicalOperator]:
         return (self.outer, self.inner)

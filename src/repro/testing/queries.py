@@ -95,10 +95,6 @@ class DifferentialOutcome:
     #: :data:`PARTIAL_CONFIGS` when the contract holds).
     refused: tuple[str, ...] = ()
 
-    @property
-    def ran_everywhere(self) -> bool:
-        return not self.refused
-
 
 # -- vocabulary -------------------------------------------------------------------
 

@@ -148,10 +148,6 @@ class DocumentEncoding:
             self._level_index = index
         return self._level_index
 
-    def level_pres(self, level: int) -> Sequence[int]:
-        """All ``pre`` ranks at ``level``, ascending (empty for unused levels)."""
-        return self.level_index.get(level, ())
-
     def level_pres_between(self, level: int, low: int, high: int) -> Sequence[int]:
         """``pre`` ranks at ``level`` with ``low < pre <= high`` via bisection."""
         pres = self.level_index.get(level)

@@ -92,14 +92,6 @@ class XMLNode:
                 return attribute
         return None
 
-    def child_elements(self, name: Optional[str] = None) -> list["XMLNode"]:
-        """Return the element children, optionally restricted to tag ``name``."""
-        return [
-            child
-            for child in self.children
-            if child.kind is NodeKind.ELEM and (name is None or child.name == name)
-        ]
-
     def string_value(self) -> str:
         """The XPath string value: concatenated descendant text content."""
         if self.kind in (NodeKind.TEXT, NodeKind.ATTR, NodeKind.COMM, NodeKind.PI):

@@ -3,10 +3,10 @@
 Every kernel reads order ranks (:class:`~repro.algebra.columnar.SortedDomain`)
 and is checked against the row-path reference it replaces —
 ``predicates._compare`` for comparison masks, ``Table.attach_rank`` for the
-rank kernel, a hash-bucket join for ``equi_join_indices`` and
-``dict.fromkeys`` for ``first_occurrences`` — on value mixes that stress
-the encoding: NULLs, bools, huge ints beyond float64 exactness, NaN,
-strings, and columns mixing all of them.  The ``published`` tests build
+rank kernel, a hash-bucket join for ``equi_join_indices``, a double loop
+for ``join_runs`` and ``dict.fromkeys`` for ``first_occurrences`` — on
+value mixes that stress the encoding: NULLs, bools, huge ints beyond
+float64 exactness, NaN, strings, and columns mixing all of them.  The ``published`` tests build
 their inputs both ways the engines do: as a literal table's columns (ranks
 built on first read) and as a base table's published columns (ranks built
 up front).  A derived column is a view of its base's row positions, and
@@ -404,6 +404,39 @@ def test_coded_and_packed_joins_match_the_bucket_join(data):
             probe_values[key] = [value] * n
     expected = _reference_hash_join(list(zip(*probe_values)), list(zip(*build_values)))
     assert _pairs(columnar.equi_join_indices(probe, build)) == expected
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(data=st.data())
+def test_join_runs_match_a_double_loop(data):
+    run = data.draw(st.lists(st.integers(0, 30), max_size=12))
+    low, counts = [], []
+    for _ in range(data.draw(st.integers(0, 6))):
+        low.append(data.draw(st.integers(0, len(run))))
+        counts.append(data.draw(st.integers(0, len(run) - low[-1])))
+    dropped = data.draw(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 30))))
+    masked = data.draw(st.booleans())
+    block = data.draw(st.integers(1, 8))
+
+    def keep(probe, build):
+        return np.array([pair not in dropped for pair in zip(probe.tolist(), build.tolist())],
+                        dtype=bool)
+
+    checks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(columnar, "JOIN_BLOCK_PAIRS", block)
+        probe, build = columnar.join_runs(
+            low, counts, run, lambda: checks.append(1), keep if masked else None
+        )
+    expected = [
+        (i, run[slot])
+        for i in range(len(low))
+        for slot in range(low[i], low[i] + counts[i])
+        if not masked or (i, run[slot]) not in dropped
+    ]
+    assert list(zip(probe.tolist(), build.tolist())) == expected
+    assert probe.dtype == build.dtype == np.int64
+    assert len(checks) == -(-sum(counts) // block)  # one check per block
 
 
 def test_three_keys_pack_past_int64():

@@ -1,7 +1,10 @@
 """Differential tests: the columnar execution core vs the naive oracle.
 
-The mask selections, hash / range joins and masked nested-loop join of
-:class:`~repro.algebra.interpreter.PlanInterpreter` must be *bit-for-bit*
+The mask selections and the hash and range joins of
+:class:`~repro.algebra.interpreter.PlanInterpreter` — a range join bounded
+on both sides, on one side, or not at all (every pair a candidate, the
+residual doing the joining), each expanded in blocks by
+:func:`~repro.algebra.columnar.join_runs` — must be *bit-for-bit*
 identical to the per-row-dict evaluation of ``compiled=False`` — same
 rows, same order.  These property-style tests drive both modes over
 randomized predicates, axis-join mixes and full compiled XQuery plans on
@@ -9,6 +12,7 @@ XMark/DBLP fragments.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -157,7 +161,7 @@ def test_range_join_orders_a_string_build_column_by_rank():
     )
     interpreter = PlanInterpreter(Table(("x",), []))
     fast = interpreter.evaluate(plan)
-    assert interpreter.range_joins == 1 and interpreter.row_fallbacks == 0
+    assert interpreter.range_joins == 1
     naive = PlanInterpreter(Table(("x",), []), compiled=False).evaluate(plan)
     assert fast.rows == naive.rows
     assert ("ab", "a", "b") in fast.rows and (3, 1, 5) in fast.rows
@@ -178,13 +182,13 @@ def _join_both_ways(left, right, *conjuncts):
     return interpreter, fast.rows
 
 
-def test_masked_nested_loop_on_a_not_equal_only_predicate():
+def test_range_join_without_a_bound_on_a_not_equal_only_predicate():
     left = Table(("a", "tag"), [(1, "x"), (2, "y"), (None, "z"), (2, "w"), ("2", "v")])
     right = Table(("b",), [(2,), (1,), (None,), (2.0,), ("2",)])
     interpreter, rows = _join_both_ways(
         left, right, Comparison(ColumnRef("a"), "!=", ColumnRef("b"))
     )
-    assert interpreter.row_fallbacks == 1 and interpreter.range_joins == 0
+    assert interpreter.range_joins == 1
     # Left-major, right rows in order; NULL on either side never qualifies.
     assert rows[:4] == [(1, "x", 2), (1, "x", 2.0), (1, "x", "2"), (2, "y", 1)]
     assert not [row for row in rows if None in (row[0], row[2])]
@@ -196,16 +200,16 @@ HUGE_LEFT = Table(("pre", "size"), [(HUGE + i, 2) for i in (0, 3, 1, 7)])
 HUGE_RIGHT = Table(("p",), [(HUGE + i,) for i in (2, 1, 4, 3, 9, 0)])
 
 
-def test_masked_nested_loop_on_a_range_over_huge_ints():
-    # A one-sided range plans no range join: the masked nested loop compares
-    # the ints' ranks, which order them exactly.
+def test_one_sided_range_join_over_huge_ints():
+    # A one-sided range join on the ints' ranks, which order them exactly;
+    # the residual compares ranks too.
     interpreter, rows = _join_both_ways(
         HUGE_LEFT,
         HUGE_RIGHT,
         Comparison(ColumnRef("pre"), "<", ColumnRef("p")),
         Comparison(ColumnRef("p"), "!=", Sum(ColumnRef("pre"), ColumnRef("size"))),
     )
-    assert interpreter.range_joins == 0 and interpreter.row_fallbacks == 1
+    assert interpreter.range_joins == 1
     assert [(pre - HUGE, p - HUGE) for pre, _size, p in rows] == [
         (0, 1), (0, 4), (0, 3), (0, 9), (3, 4), (3, 9), (1, 2), (1, 4), (1, 9),
     ]
@@ -218,21 +222,54 @@ def test_range_join_over_huge_ints():
         Comparison(ColumnRef("pre"), "<", ColumnRef("p")),
         Comparison(ColumnRef("p"), "<=", Sum(ColumnRef("pre"), ColumnRef("size"))),
     )
-    assert interpreter.range_joins == 1 and interpreter.row_fallbacks == 0
+    assert interpreter.range_joins == 1
     assert [(pre - HUGE, p - HUGE) for pre, _size, p in rows] == [
         (0, 2), (0, 1), (3, 4), (1, 2), (1, 3), (7, 9),
     ]
 
 
-def test_masked_nested_loop_checks_the_deadline_per_block():
-    # 6 000 × 5 000 pairs under a one-sided string range: some 460 blocks,
-    # far slower than the budget.  The join is the plan's last operator, so
-    # a check inside it raises.
+def test_one_sided_range_join_checks_the_deadline_per_block():
+    # 6 000 × 5 000 rows under a one-sided string range: 12.5 million pairs
+    # in some 190 blocks, far slower than the budget.  The join is the
+    # plan's last operator, so a check inside it raises.
     left = LiteralTable(("a",), [(f"a{i:04d}",) for i in range(6000)])
     right = LiteralTable(("b",), [(f"a{i:04d}",) for i in range(5000)])
     plan = Join(left, right, Predicate.of(Comparison(ColumnRef("a"), "<", ColumnRef("b"))))
     with pytest.raises(QueryTimeoutError):
         PlanInterpreter(Table(("x",), []), timeout_seconds=0.05).evaluate(plan)
+
+
+#: Rows per side of the wide joins: 3 000 × 3 000 candidate pairs.
+WIDE = 3000
+#: The tracemalloc peak a wide join stays under (NumPy reports its buffers
+#: to tracemalloc); all 9 million candidate pairs at once take over 400 MB.
+WIDE_PEAK_BYTES = 32 << 20
+
+
+@pytest.mark.parametrize("op", ["=", "<="], ids=["hash-join", "one-sided-range-join"])
+def test_a_wide_join_holds_one_block_and_meets_its_deadline(op):
+    # A constant key (every pair a candidate) and a selective residual that
+    # no kernel plans: the residual masks each block of candidate pairs.
+    plan = Join(
+        LiteralTable(("k", "a"), [(0, i) for i in range(WIDE)]),
+        LiteralTable(("k2", "b"), [(0, j) for j in range(WIDE)]),
+        Predicate.of(
+            Comparison(ColumnRef("k"), op, ColumnRef("k2")),
+            Comparison(Sum(ColumnRef("a"), ColumnRef("b")), "=", Literal(WIDE - 1)),
+        ),
+    )
+    with pytest.raises(QueryTimeoutError):
+        PlanInterpreter(Table(("x",), []), timeout_seconds=0.05).evaluate(plan)
+    interpreter = PlanInterpreter(Table(("x",), []))
+    tracemalloc.start()
+    try:
+        result = interpreter.evaluate(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < WIDE_PEAK_BYTES
+    assert interpreter.range_joins == (op != "=")
+    assert result.rows == [(0, i, 0, WIDE - 1 - i) for i in range(WIDE)]
 
 
 XMARK_QUERIES = [

@@ -207,7 +207,7 @@ def test_deep_plans_evaluate_without_recursion(nested_session, query):
     assert len(stacked) == 3
 
 
-# -- row_fallbacks: joins run as a masked nested loop ----------------------------------
+# -- the join kernels on any values ----------------------------------------------------
 
 #: The queries of the benchmark's interpreted-engine workload.
 ENGINES_WARM_QUERIES = ("Q1", "Q2", "Q8", "Q10", "Q13", "Q19")
@@ -222,7 +222,6 @@ def test_xmark_plans_never_leave_the_vectorized_kernels(xmark_processor, name, p
     operator = getattr(xmark_processor.compile(case.xquery), plan)
     interpreter = PlanInterpreter(xmark_processor.doc_table)
     result = interpreter.evaluate(operator)
-    assert interpreter.row_fallbacks == 0
     assert result == PlanInterpreter(xmark_processor.doc_table, compiled=False).evaluate(operator)
 
 
@@ -232,19 +231,21 @@ def test_a_join_on_a_mixed_key_runs_the_hash_kernel(small_auction_doc_table, mon
     calls = []
     kernel = columnar.equi_join_indices
     monkeypatch.setattr(
-        columnar, "equi_join_indices", lambda probe, build: calls.append(1) or kernel(probe, build)
+        columnar,
+        "equi_join_indices",
+        lambda probe, build, *rest: calls.append(1) or kernel(probe, build, *rest),
     )
     left = LiteralTable(("k", "tag"), [(1, "x"), ("1", "y"), (2, "z"), (None, "w"), (1.0, "v")])
     right = LiteralTable(("k2",), [(1,), ("1",), (3,), (None,), (True,)])
     plan = Join(left, right, Predicate.equality("k", "k2"))
     interpreter = PlanInterpreter(small_auction_doc_table)
     result = interpreter.evaluate(plan)
-    assert calls == [1] and interpreter.row_fallbacks == 0
+    assert calls == [1] and interpreter.range_joins == 0
     assert result.rows[:3] == [(1, "x", 1), (1, "x", True), ("1", "y", "1")]
     assert result == PlanInterpreter(small_auction_doc_table, compiled=False).evaluate(plan)
-    # Only a join no kernel plans counts, once per evaluate.
+    # A join without an equi conjunct is a range join, counted once per evaluate.
     not_equal = Predicate.of(Comparison(ColumnRef("k"), "!=", ColumnRef("k2")))
     interpreter.evaluate(Join(left, right, not_equal))
-    assert interpreter.row_fallbacks == 1
+    assert interpreter.range_joins == 1
     interpreter.evaluate(left)
-    assert interpreter.row_fallbacks == 0
+    assert interpreter.range_joins == 0

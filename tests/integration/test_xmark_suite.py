@@ -23,12 +23,14 @@ count instead of one per person).
 
 import pytest
 
+from repro.algebra import columnar
 from repro.testing.corpus import XMARK_SUITE as SUITE
 from repro.core.session import Session
 from repro.core.stages import ENGINES
 from repro.xmldb.generators.xmark import XMarkConfig, generate_xmark_document
 
 CONFIGS = tuple(engine.name for engine in ENGINES)
+RUNNABLE = tuple(case for case in SUITE if case.refusal is None)
 
 #: Small but structurally rich instance: every query below has a non-empty
 #: answer (except where emptiness is the point), bidders/buyers/profiles
@@ -96,6 +98,22 @@ def test_prepared_differential(session, case):
     ).items
     for configuration in CONFIGS:
         items = prepared.run(engine=configuration, timeout_seconds=120).items
+        assert items == oracle, (case.name, configuration, items, oracle)
+
+
+@pytest.mark.parametrize("case", RUNNABLE, ids=[case.name for case in RUNNABLE])
+def test_multi_block_joins_differential(session, case, monkeypatch):
+    """With 7-pair blocks every join of the interpreted and B-tree engines
+    spans several blocks of ``columnar.join_runs``: their items still match
+    the oracle's, computed with the default blocks."""
+    oracle = session.execute(
+        case.xquery, configuration="stacked", timeout_seconds=120
+    ).items
+    monkeypatch.setattr(columnar, "JOIN_BLOCK_PAIRS", 7)
+    for configuration in ("stacked", "isolated", "join-graph"):
+        items = session.execute(
+            case.xquery, configuration=configuration, timeout_seconds=120
+        ).items
         assert items == oracle, (case.name, configuration, items, oracle)
 
 

@@ -158,8 +158,8 @@ def test_an_inverted_range_scans_no_rows():
 
 
 def test_a_runaway_nljoin_times_out_between_blocks():
-    # Every outer row matches every inner row: 4 million pairs, expanded in
-    # blocks of NESTED_LOOP_BLOCK_PAIRS with one deadline check each.
+    # Every outer row matches every inner row: 4 million pairs, expanded by
+    # columnar.join_runs in blocks of JOIN_BLOCK_PAIRS, one deadline check each.
     table = Table(("k", "v"), [(1, v) for v in range(2000)])
     index = BTreeIndex.build("k", "t", table, ("k", "v"))
     join = IndexNestedLoopJoin(

@@ -7,11 +7,14 @@ rows, and their order, are the reference's: a hash table over the inner
 rows' key tuples, probed by every outer row in turn.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.algebra import columnar
 from repro.algebra.table import Table
-from repro.core.joingraph import ColumnTerm, ConstantTerm
+from repro.core.joingraph import ColumnTerm, Condition, ConstantTerm, SumTerm
+from repro.errors import QueryTimeoutError
 from repro.relational.physical.operators import ExecutionContext, HashJoin, TableScan
 
 COLUMNS = ("k", "s", "v")
@@ -28,8 +31,8 @@ def packed(monkeypatch):
     results = []
     original = columnar.equi_join_indices
 
-    def spy(probe, build):
-        results.append(original(probe, build))
+    def spy(probe, build, check=None, keep=None):
+        results.append(original(probe, build, check, keep))
         return results[-1]
 
     monkeypatch.setattr(columnar, "equi_join_indices", spy)
@@ -104,3 +107,33 @@ def test_a_constant_key_merges_in_the_kernel(packed):
     assert len(packed) == 1
     assert rows == _reference(table, table, outer_terms, _keys("i"))
     assert {row[4] for row in rows} == {"y"}
+
+
+#: Rows per side of the wide joins: 3 000 × 3 000 candidate pairs.
+WIDE = 3000
+#: The tracemalloc peak a wide join stays under (NumPy reports its buffers
+#: to tracemalloc); all 9 million candidate pairs at once take over 400 MB.
+WIDE_PEAK_BYTES = 32 << 20
+
+
+@pytest.mark.parametrize("keyed", [True, False], ids=["keyed", "keyless"])
+def test_a_wide_hsjoin_holds_one_block_and_meets_its_deadline(keyed):
+    # A constant key, or none: every pair is a candidate, and a selective
+    # residual masks each block of them.
+    table = Table(("k", "v"), [(0, v) for v in range(WIDE)])
+    keys = ([ColumnTerm("o", "k")], [ColumnTerm("i", "k")]) if keyed else ([], [])
+    residual = Condition(
+        SumTerm((ColumnTerm("o", "v"), ColumnTerm("i", "v"))), "=", ConstantTerm(WIDE - 1)
+    )
+    join = HashJoin(TableScan(table, "o"), TableScan(table, "i"), *keys, [residual])
+    with pytest.raises(QueryTimeoutError):
+        join.run(ExecutionContext(timeout_seconds=0.05))
+    tracemalloc.start()
+    try:
+        rows = join.run(ExecutionContext())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < WIDE_PEAK_BYTES
+    assert rows.positions["o"].tolist() == list(range(WIDE))
+    assert rows.positions["i"].tolist() == list(range(WIDE - 1, -1, -1))
