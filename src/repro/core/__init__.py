@@ -17,7 +17,7 @@
   (XQuery text → plans → SQL → results).
 """
 
-from repro.core.joingraph import JoinGraph, PlanTail, extract_join_graph
+from repro.core.joingraph import JoinGraph, extract_join_graph
 from repro.core.pipeline import CompilationResult, XQueryProcessor
 from repro.core.properties import PlanProperties, infer_properties
 from repro.core.rewriter import IsolationReport, JoinGraphIsolation, isolate
@@ -29,7 +29,6 @@ __all__ = [
     "JoinGraph",
     "JoinGraphIsolation",
     "PlanProperties",
-    "PlanTail",
     "XQueryProcessor",
     "extract_join_graph",
     "generate_join_graph_sql",

@@ -197,28 +197,19 @@ def _term_aliases(term: Term) -> set[str]:
     return set()
 
 
-@dataclass
-class PlanTail:
-    """The part of the isolated plan above the join bundle."""
-
-    distinct: bool
-    order_terms: list[Term] = field(default_factory=list)
-    output_column: str = "item"
-
-
 @dataclass(frozen=True)
 class WindowSpec:
     """A rank (ϱ) that survives into the SFW block as a window function.
 
     ``partition``/``order`` are the renderable terms of the rank's
     ``PARTITION BY`` / ``ORDER BY`` clauses.  ``alias_count`` and
-    ``condition_count`` delimit the rank's *scope*: the prefix of the
-    graph's aliases/conditions that had been emitted when the rank was —
-    a superset of the rank's own subtree.  The window value must be
-    computed over exactly that scope (a derived table), never over the
-    fully-joined SFW block: join partners added *downstream* of the rank
-    can eliminate context rows and would silently shift every rank below
-    them.
+    ``condition_count`` mark the prefix of the graph's aliases/conditions
+    that had been emitted when the rank was — a superset of the rank's own
+    subtree; :meth:`JoinGraph.window_block` cuts the rank's scope from it.
+    The window value must be computed over that scope (a derived table),
+    never over the fully-joined SFW block: join partners added
+    *downstream* of the rank can eliminate context rows and would silently
+    shift every rank below them.
 
     ``DENSE_RANK`` (not ``ROW_NUMBER``/``RANK``) is the correct function
     over the raw bundle: the δ below the compiled rank dedups exactly the
@@ -243,46 +234,6 @@ class WindowSpec:
             order=tuple(bind_term(term, values) for term in self.order),
             alias_count=self.alias_count,
             condition_count=self.condition_count,
-        )
-
-    def scope(self, graph: "JoinGraph") -> tuple[list[str], list["Condition"]]:
-        """The window's *pruned* evaluation scope over ``graph``.
-
-        Starts from the alias/condition prefix delimited by
-        :attr:`alias_count`/:attr:`condition_count` and keeps only the
-        join closure of the partition/order terms' aliases.  The prefix
-        may contain aliases whose connecting conditions come *after* the
-        rank (a downstream step's target, e.g. the ``increase`` child
-        below a ranked ``bidder``): inside the window scope they are a
-        disconnected component — a pure multiplicative factor the scope's
-        DISTINCT erases, at cross-product cost that grows with the
-        document.  Dropping a component can only *add* ranks for rows the
-        outer block (which repeats every condition) already rejects, so
-        the join-back result is unchanged.  Both window evaluators (the
-        SQL rendering's derived table and the in-tree engine's rank pass)
-        share this closure, so they cannot drift.
-        """
-        prefix_aliases = graph.aliases[: self.alias_count]
-        prefix_conditions = graph.conditions[: self.condition_count]
-        needed: set[str] = set()
-        for term in self.key_terms():
-            needed |= _term_aliases(term)
-        while True:
-            grown = set(needed)
-            for condition in prefix_conditions:
-                touched = condition.aliases()
-                if touched & grown:
-                    grown |= touched
-            if grown == needed:
-                break
-            needed = grown
-        return (
-            [alias for alias in prefix_aliases if alias in needed],
-            [
-                condition
-                for condition in prefix_conditions
-                if condition.aliases() <= needed
-            ],
         )
 
 
@@ -314,9 +265,10 @@ class HavingCondition:
 
     The aggregate's *inner* scope (its argument bundle) occupies the alias
     range ``[spec.outer_alias_count, alias_count)`` and the condition range
-    ``[spec.outer_condition_count, condition_count)`` of the graph.  The
-    outer SFW block must not join those aliases; instead the aggregate
-    renders as a correlated scalar subquery over exactly that range —
+    ``[spec.outer_condition_count, condition_count)`` of the graph
+    (:meth:`JoinGraph.having_argument`).  The outer SFW block must not join
+    those aliases; instead the aggregate renders as a correlated scalar
+    subquery over exactly that range —
     ``(SELECT COUNT(u) FROM (SELECT DISTINCT g, u FROM ... WHERE ...) h)
     op value`` — which is the grouped ``GROUP BY g HAVING agg op value``
     encoding folded onto one (correlated) group.  The scalar form is what
@@ -382,6 +334,29 @@ class AggregateSpec:
         """Top-level aggregate: the loop is the constant singleton."""
         return isinstance(self.group, ConstantTerm)
 
+    def inner_items(self) -> tuple[list[tuple[Term, str]], str, Optional[str]]:
+        """The argument bundle's select list, its COUNT column, its value column.
+
+        The select list names the group identity ``g``, the unit ``u`` (the
+        argument node's ``pre``) and the aggregated value ``v``, each
+        distinct term once.  The bundle is always ``DISTINCT`` over these
+        columns (the operator's dedup-own semantics).  The COUNT column is
+        never NULL per real row, which is what makes ``COUNT(i.<col>)`` over
+        a LEFT JOIN report 0 for empty groups.
+        """
+        items: list[tuple[Term, str]] = [(self.child_group, "g")]
+
+        def resolve(term: Term, fallback_name: str) -> str:
+            for existing, name in items:
+                if existing == term:
+                    return name
+            items.append((term, fallback_name))
+            return fallback_name
+
+        count_column = resolve(self.unit, "u")
+        value_column = resolve(self.value, "v") if self.value is not None else None
+        return items, count_column, value_column
+
     def terms(self) -> list[Term]:
         result = [self.group, self.child_group, self.unit]
         if self.value is not None:
@@ -403,7 +378,13 @@ class AggregateSpec:
 
 @dataclass
 class JoinGraph:
-    """The isolated join graph of one query, ready for SQL emission / planning."""
+    """The isolated join graph of one query, ready for SQL emission / planning.
+
+    A graph with an aggregate, windows or HAVING filters spans several SFW
+    blocks.  Each block is a method returning a plain :class:`JoinGraph`
+    (no aggregate, window or HAVING of its own), and both the SQL renderer
+    and the relational engine read exactly these blocks.
+    """
 
     aliases: list[str]
     table_name: str
@@ -411,7 +392,6 @@ class JoinGraph:
     select_items: list[tuple[Term, str]]
     order_terms: list[Term]
     distinct: bool
-    tail: PlanTail
     #: Set when the tail aggregates the bundle (fn:count/sum/avg pushdown).
     aggregate: Optional[AggregateSpec] = None
     #: Positional predicates over surviving ranks (windowed-rank isolation).
@@ -437,8 +417,6 @@ class JoinGraph:
             result |= term_parameters(term)
         for term in self.order_terms:
             result |= term_parameters(term)
-        for term in self.tail.order_terms:
-            result |= term_parameters(term)
         if self.aggregate is not None:
             for term in self.aggregate.terms():
                 result |= term_parameters(term)
@@ -463,24 +441,152 @@ class JoinGraph:
             Condition(bind_term(c.left, values), c.op, bind_term(c.right, values))
             for c in self.conditions
         ]
-        select_items = [(bind_term(term, values), name) for term, name in self.select_items]
-        order_terms = [bind_term(term, values) for term in self.order_terms]
-        tail = PlanTail(
-            distinct=self.tail.distinct,
-            order_terms=[bind_term(term, values) for term in self.tail.order_terms],
-            output_column=self.tail.output_column,
-        )
         return JoinGraph(
             aliases=list(self.aliases),
             table_name=self.table_name,
             conditions=conditions,
-            select_items=select_items,
-            order_terms=order_terms,
+            select_items=[(bind_term(term, values), name) for term, name in self.select_items],
+            order_terms=[bind_term(term, values) for term in self.order_terms],
             distinct=self.distinct,
-            tail=tail,
             aggregate=self.aggregate.bind(values) if self.aggregate is not None else None,
             windows=[window.bind(values) for window in self.windows],
             having=[having.bind(values) for having in self.having],
+        )
+
+    # -- SFW blocks ------------------------------------------------------------------
+
+    def _block(self, aliases, conditions, select_items, order_terms=(), distinct=True):
+        """A plain sub-graph; nested blocks are sets (a rank or aggregate owns its dedup)."""
+        return JoinGraph(
+            aliases=list(aliases),
+            table_name=self.table_name,
+            conditions=list(conditions),
+            select_items=list(select_items),
+            order_terms=list(order_terms),
+            distinct=distinct,
+        )
+
+    def _without_arguments(self, alias_end: int, condition_end: int, keep=None):
+        """The aliases/conditions before the marks, minus every where-aggregate's
+        argument range except ``keep``'s."""
+        aliases, conditions = set(), set()
+        for having in self.having:
+            if having is not keep:
+                aliases.update(range(having.spec.outer_alias_count, having.alias_count))
+                conditions.update(
+                    range(having.spec.outer_condition_count, having.condition_count)
+                )
+        return (
+            [a for i, a in enumerate(self.aliases[:alias_end]) if i not in aliases],
+            [c for i, c in enumerate(self.conditions[:condition_end]) if i not in conditions],
+        )
+
+    def outer_block(self) -> "JoinGraph":
+        """The main block: every alias and condition outside the where-aggregates'
+        argument ranges, with the graph's select list, order and DISTINCT."""
+        aliases, conditions = self._without_arguments(len(self.aliases), len(self.conditions))
+        return self._block(
+            aliases, conditions, self.select_items, self.order_terms, self.distinct
+        )
+
+    def aggregate_inner(self) -> "JoinGraph":
+        """The aggregate's argument bundle: every alias and condition, DISTINCT
+        over :meth:`AggregateSpec.inner_items`.
+
+        >>> from repro.core.pipeline import XQueryProcessor
+        >>> from repro.xmldb.encoding import encode_document
+        >>> from repro.xmldb.parser import parse_xml
+        >>> encoding = encode_document(parse_xml("<a><b><c/></b><b/></a>", uri="t.xml"))
+        >>> processor = XQueryProcessor(encoding, default_document="t.xml")
+        >>> graph = processor.compile("for $b in //b return fn:count($b/c)").join_graph
+        >>> inner, outer = graph.aggregate_inner(), graph.aggregate_outer()
+        >>> inner.aliases, [(term.render(), name) for term, name in inner.select_items]
+        (['d1', 'd2', 'd3'], [('d1.pre', 'g'), ('d3.pre', 'u')])
+        >>> outer.aliases, [(term.render(), name) for term, name in outer.select_items]
+        (['d1', 'd2'], [('d1.pre', 'g')])
+        """
+        items, _count_column, _value_column = self.aggregate.inner_items()
+        return self._block(self.aliases, self.conditions, items)
+
+    def aggregate_outer(self) -> "JoinGraph":
+        """The iterations of a grouped aggregate: the loop prefix, selecting the
+        group term once as ``g`` and every other result column after it
+        (example: :meth:`aggregate_inner`)."""
+        spec = self.aggregate
+        items = [(spec.group, "g")]
+        for term, name in self.select_items[1:]:
+            if all(term != existing for existing, _name in items):
+                items.append((term, name))
+        return self._block(
+            self.aliases[: spec.outer_alias_count],
+            self.conditions[: spec.outer_condition_count],
+            items,
+            self.order_terms,
+            spec.outer_distinct,
+        )
+
+    def window_block(self, spec: WindowSpec) -> "JoinGraph":
+        """A rank's scope, DISTINCT over its key terms ``k0``, ``k1``, ...
+
+        Starts from the alias/condition prefix the rank was emitted against
+        and keeps only the join closure of the key terms' aliases.  The
+        prefix may contain aliases whose connecting conditions come *after*
+        the rank (a downstream step's target, e.g. the ``increase`` child
+        below a ranked ``bidder``): inside the scope they are a disconnected
+        component — a pure multiplicative factor the DISTINCT erases, at
+        cross-product cost that grows with the document.  Dropping a
+        component can only *add* ranks for rows the outer block (which
+        repeats every condition) already rejects, so the join-back result
+        is unchanged.
+        """
+        conditions = self.conditions[: spec.condition_count]
+        needed: set[str] = set()
+        for term in spec.key_terms():
+            needed |= _term_aliases(term)
+        while True:
+            grown = set(needed)
+            for condition in conditions:
+                if condition.aliases() & grown:
+                    grown |= condition.aliases()
+            if grown == needed:
+                break
+            needed = grown
+        return self._block(
+            [alias for alias in self.aliases[: spec.alias_count] if alias in needed],
+            [condition for condition in conditions if condition.aliases() <= needed],
+            [(term, f"k{index}") for index, term in enumerate(spec.key_terms())],
+        )
+
+    def having_argument(self, having: HavingCondition) -> "JoinGraph":
+        """A where-aggregate's own range: the correlated subquery SQL renders."""
+        spec = having.spec
+        items, _count_column, _value_column = spec.inner_items()
+        return self._block(
+            self.aliases[spec.outer_alias_count : having.alias_count],
+            self.conditions[spec.outer_condition_count : having.condition_count],
+            items,
+        )
+
+    def having_bundle(self, having: HavingCondition) -> "JoinGraph":
+        """A where-aggregate's outer prefix plus its own range, uncorrelated.
+
+        The relational engine cannot correlate, so it groups this bundle
+        once; SQL renders :meth:`having_argument` instead, so SQLite need not
+        re-join the prefix per outer row.  Sibling where-aggregates' ranges
+        stay out of the bundle.
+        """
+        items, _count_column, _value_column = having.spec.inner_items()
+        aliases, conditions = self._without_arguments(
+            having.alias_count, having.condition_count, keep=having
+        )
+        return self._block(aliases, conditions, items)
+
+    def _is_closed(self) -> bool:
+        """Every condition, result and ordering term stays inside the block's aliases."""
+        inside = set(self.aliases)
+        terms = [term for term, _name in self.select_items] + list(self.order_terms)
+        return all(condition.aliases() <= inside for condition in self.conditions) and all(
+            _term_aliases(term) <= inside for term in terms
         )
 
 
@@ -886,7 +992,7 @@ def extract_join_graph(plan: Operator, table_name: str = "doc") -> JoinGraph:
     """Cast an isolated plan into its :class:`JoinGraph`.
 
     Raises :class:`~repro.errors.JoinGraphError` when the plan is not (yet)
-    a pure join graph + tail.
+    a pure join graph + tail, or when a block's terms reach past its aliases.
     """
     extractor = _Extractor(table_name)
     root = plan.child if isinstance(plan, Serialize) else plan
@@ -917,83 +1023,30 @@ def extract_join_graph(plan: Operator, table_name: str = "doc") -> JoinGraph:
             "a HAVING-style aggregate condition cannot be combined with "
             "another aggregate or a positional window in one SFW block"
         )
-    if extractor.aggregate is not None:
-        # Aliases at/after outer_alias_count belong to the aggregate's
-        # argument bundle or to joins emitted after the aggregate (an
-        # ``order by`` key join over the grouped result).  The rendering
-        # splits the graph at that mark, so an ordering or result column
-        # reaching past it would reference columns of the grouped inner
-        # block from the outer one.
-        loop_aliases = {
-            alias
-            for index, alias in enumerate(extractor.aliases)
-            if index < extractor.aggregate.outer_alias_count
-        }
-        for term in order_terms:
-            if not _term_aliases(term) <= loop_aliases:
-                raise JoinGraphError(
-                    "an ordering column joins outside the aggregate's loop "
-                    "bundle; order by over a grouped aggregate is not "
-                    "expressible in a single SFW block"
-                )
-        for term, _name in select_items:
-            if isinstance(term, AggregateTerm):
-                continue
-            if not _term_aliases(term) <= loop_aliases:
-                raise JoinGraphError(
-                    "a result column joins outside the aggregate's loop "
-                    "bundle; the plan is not a pure join graph"
-                )
-    if extractor.having:
-        # The outer block must not touch the aggregates' argument bundles.
-        excluded: set[int] = set()
-        for having in extractor.having:
-            excluded.update(
-                range(having.spec.outer_alias_count, having.alias_count)
-            )
-        outer_aliases = {
-            alias
-            for index, alias in enumerate(extractor.aliases)
-            if index not in excluded
-        }
-        excluded_conditions: set[int] = set()
-        for having in extractor.having:
-            excluded_conditions.update(
-                range(having.spec.outer_condition_count, having.condition_count)
-            )
-        for index, condition in enumerate(extractor.conditions):
-            if index in excluded_conditions:
-                continue
-            if not condition.aliases() <= outer_aliases:
-                raise JoinGraphError(
-                    "a join condition reaches into a where-aggregate's "
-                    "argument bundle; the plan is not a pure join graph"
-                )
-        for term, _name in select_items:
-            if not _term_aliases(term) <= outer_aliases:
-                raise JoinGraphError(
-                    "a result column reaches into a where-aggregate's "
-                    "argument bundle; the plan is not a pure join graph"
-                )
-        for term in order_terms:
-            if not _term_aliases(term) <= outer_aliases:
-                raise JoinGraphError(
-                    "an ordering column reaches into a where-aggregate's "
-                    "argument bundle; the plan is not a pure join graph"
-                )
-    tail = PlanTail(distinct=extractor.distinct, order_terms=order_terms, output_column="item")
-    return JoinGraph(
+    graph = JoinGraph(
         aliases=extractor.aliases,
         table_name=table_name,
         conditions=extractor.conditions,
         select_items=select_items,
         order_terms=order_terms,
         distinct=extractor.distinct,
-        tail=tail,
         aggregate=extractor.aggregate,
         windows=extractor.windows,
         having=extractor.having,
     )
+    # Each block renders (and plans) on its own: a term reaching past its
+    # block's aliases — an ordering column over an aggregate's argument, a
+    # result column inside a where-aggregate's range — has no SFW reading.
+    blocks = [graph.outer_block()] + [graph.having_bundle(h) for h in graph.having]
+    if graph.aggregate is not None:
+        blocks.append(graph.aggregate_outer())
+    if not all(block._is_closed() for block in blocks):
+        raise JoinGraphError(
+            "a condition, result or ordering column reaches outside its SFW "
+            "block (an aggregate's argument bundle); the plan is not a pure "
+            "join graph"
+        )
+    return graph
 
 
 def _order_terms(

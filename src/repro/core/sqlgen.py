@@ -52,10 +52,13 @@ def render_join_graph(graph: JoinGraph, join_order: Optional[Sequence[str]] = No
     back-end whose own search would not find it (the n-fold self-joins of
     Fig. 8/9 routinely exceed SQLite's join-reorder search horizon).
 
-    Graphs carrying an :class:`~repro.core.joingraph.AggregateSpec` render
-    as a native ``COUNT``/``SUM``/``AVG`` block — ``GROUP BY`` over the
-    pre/level encoding for the nested form, a scalar aggregate for the
-    top-level form — with no decode-side re-aggregation.
+    Every nested block is one of the graph's own sub-graphs
+    (:meth:`~repro.core.joingraph.JoinGraph.outer_block` and its siblings)
+    rendered by :func:`_render_block`; this function only adds the wrappers:
+    a rank's ``DENSE_RANK`` column joined back on its key terms, a
+    where-aggregate's scalar ``(SELECT agg ...)``, and an aggregate's native
+    ``COUNT``/``SUM``/``AVG`` — ``LEFT JOIN ... GROUP BY`` over the pre/level
+    encoding for the nested form, a scalar aggregate for the top-level form.
     """
     if join_order is not None and sorted(join_order) != sorted(graph.aliases):
         raise JoinGraphError(
@@ -63,141 +66,71 @@ def render_join_graph(graph: JoinGraph, join_order: Optional[Sequence[str]] = No
             f"graph's aliases {graph.aliases}"
         )
     if graph.aggregate is not None:
-        return _render_aggregate_join_graph(graph, join_order)
-    distinct = "DISTINCT " if graph.distinct else ""
-    select_list = ",\n       ".join(
-        f"{term.render()} AS {name}" for term, name in graph.select_items
-    )
-    lines = [f"SELECT {distinct}{select_list}"]
-    excluded_aliases, excluded_conditions = _having_excluded(graph)
-    outer_aliases = [
-        alias for index, alias in enumerate(graph.aliases) if index not in excluded_aliases
-    ]
-    from_list = _render_from(graph.table_name, outer_aliases, join_order)
-    where_parts = [
-        condition.render()
-        for index, condition in enumerate(graph.conditions)
-        if index not in excluded_conditions
-    ]
+        return _render_aggregate(graph, join_order)
+    tables: list[str] = []
+    filters: list[str] = []
     for position, window in enumerate(graph.windows, start=1):
-        wt = f"w{position}"
-        derived = _render_window_table(graph, window.spec, join_order)
-        joiner = "\n     CROSS JOIN " if join_order is not None else ",\n     "
-        addition = f"({_indent(derived)}) AS {wt}"
-        from_list = f"{from_list}{joiner}{addition}" if from_list else addition
-        for key_index, term in enumerate(window.spec.key_terms()):
-            where_parts.append(f"{wt}.k{key_index} = {term.render()}")
-        where_parts.append(f"{wt}.rnk {window.op} {window.value.render()}")
+        spec, wt = window.spec, f"w{position}"
+        over = []
+        if spec.partition:
+            over.append("PARTITION BY " + ", ".join(term.render() for term in spec.partition))
+        over.append("ORDER BY " + ", ".join(term.render() for term in spec.order))
+        ranked = f"DENSE_RANK() OVER ({' '.join(over)}) AS rnk"
+        derived = _render_block(graph.window_block(spec), join_order, ranked=ranked)
+        tables.append(f"({_indent(derived)}) AS {wt}")
+        for key_index, term in enumerate(spec.key_terms()):
+            filters.append(f"{wt}.k{key_index} = {term.render()}")
+        filters.append(f"{wt}.rnk {window.op} {window.value.render()}")
     for having in graph.having:
-        subquery = _render_having_subquery(graph, having, join_order)
-        where_parts.append(f"({_indent(subquery)}) {having.op} {having.value.render()}")
-    if from_list:
-        lines.append(f"FROM {from_list}")
-    if where_parts:
-        lines.append("WHERE " + "\n  AND ".join(where_parts))
-    if graph.order_terms:
-        order = ", ".join(term.render() for term in graph.order_terms)
-        lines.append(f"ORDER BY {order}")
-    return "\n".join(lines)
+        # Correlated and scalar (no GROUP BY): exactly one row even for an
+        # empty argument, which keeps ``fn:count(...) = 0`` satisfiable.
+        argument = _indent(_render_block(graph.having_argument(having), join_order))
+        subquery = f"SELECT {_aggregate_expression(having.spec, 'h')}\nFROM ({argument}) AS h"
+        filters.append(f"({_indent(subquery)}) {having.op} {having.value.render()}")
+    return _render_block(graph.outer_block(), join_order, tables=tables, filters=filters)
 
 
 def _indent(sql: str) -> str:
     return sql.replace("\n", "\n  ")
 
 
-def _having_excluded(graph: JoinGraph) -> tuple[set, set]:
-    """Alias / condition indices owned by where-aggregate argument bundles."""
-    alias_indices: set = set()
-    condition_indices: set = set()
-    for having in graph.having:
-        alias_indices.update(range(having.spec.outer_alias_count, having.alias_count))
-        condition_indices.update(
-            range(having.spec.outer_condition_count, having.condition_count)
-        )
-    return alias_indices, condition_indices
+def _render_block(
+    block: JoinGraph,
+    join_order: Optional[Sequence[str]],
+    ranked: str = "",
+    tables: Sequence[str] = (),
+    filters: Sequence[str] = (),
+    ordered: bool = True,
+) -> str:
+    """One SFW block, plus a wrapper's extra column, FROM tables and WHERE filters.
 
-
-def _render_window_table(graph: JoinGraph, spec, join_order) -> str:
-    """One rank's window values over the rank's own scope.
-
-    ``DENSE_RANK() OVER (PARTITION BY ... ORDER BY ...)`` computed over the
-    alias/condition prefix the rank was emitted against — never over the
-    full SFW block, whose downstream join partners could eliminate context
-    rows and shift every rank.  The derived table is joined back to the
-    outer block on the window's (partition, order) key terms, which
-    uniquely determine one window value.
-
-    The prefix is pruned to the key terms' join closure by the shared
-    :meth:`WindowSpec.scope` helper (also used by the interpreted
-    engine's rank pass): disconnected prefix components are pure
-    multiplicative factors that DISTINCT would erase at cross-product
-    cost, and dropping them cannot change the join-back result.
+    A block without aliases renders FROM-less, SQL's one-row ``SELECT``.
     """
-    key_items = [
-        f"{term.render()} AS k{index}" for index, term in enumerate(spec.key_terms())
-    ]
-    over = []
-    if spec.partition:
-        over.append("PARTITION BY " + ", ".join(term.render() for term in spec.partition))
-    over.append("ORDER BY " + ", ".join(term.render() for term in spec.order))
-    window = f"DENSE_RANK() OVER ({' '.join(over)}) AS rnk"
-    scope_aliases, scope_conditions = spec.scope(graph)
-    lines = ["SELECT DISTINCT " + ", ".join(key_items + [window])]
-    lines.append(f"FROM {_render_from(graph.table_name, scope_aliases, join_order)}")
-    if scope_conditions:
-        lines.append(
-            "WHERE " + "\n  AND ".join(condition.render() for condition in scope_conditions)
-        )
+    items = [f"{term.render()} AS {name}" for term, name in block.select_items]
+    if ranked:
+        items.append(ranked)
+    distinct = "DISTINCT " if block.distinct else ""
+    lines = [f"SELECT {distinct}" + ",\n       ".join(items)]
+    aliases = block.aliases
+    if join_order is not None:
+        aliases = [alias for alias in join_order if alias in block.aliases]
+    sources = [f"{block.table_name} AS {alias}" for alias in aliases] + list(tables)
+    if sources:
+        joiner = "\n     CROSS JOIN " if join_order is not None else ",\n     "
+        lines.append("FROM " + joiner.join(sources))
+    where = [condition.render() for condition in block.conditions] + list(filters)
+    if where:
+        lines.append("WHERE " + "\n  AND ".join(where))
+    if ordered and block.order_terms:
+        lines.append("ORDER BY " + ", ".join(term.render() for term in block.order_terms))
     return "\n".join(lines)
 
 
-def _render_having_subquery(graph: JoinGraph, having, join_order) -> str:
-    """A where-aggregate as a correlated scalar subquery (grouped HAVING form).
-
-    The argument bundle's aliases/conditions render inside the subquery
-    (correlated to the outer block through the conditions that mention
-    outer aliases); the native aggregate runs over the DISTINCT
-    ``(group, unit[, value])`` rows.  The scalar shape — no GROUP BY —
-    returns exactly one row even for an empty argument, which is what
-    keeps ``fn:count(...) = 0`` (the ``empty()`` desugaring) satisfiable.
-    """
-    spec = having.spec
-    inner_aliases = graph.aliases[spec.outer_alias_count : having.alias_count]
-    inner_conditions = graph.conditions[
-        spec.outer_condition_count : having.condition_count
-    ]
-    items, _count_column, _value_column = aggregate_inner_items(spec)
-    select = ", ".join(f"{term.render()} AS {name}" for term, name in items)
-    inner_lines = [f"SELECT DISTINCT {select}"]
-    if inner_aliases:
-        inner_lines.append(
-            f"FROM {_render_from(graph.table_name, inner_aliases, join_order)}"
-        )
-    if inner_conditions:
-        inner_lines.append(
-            "WHERE " + "\n  AND ".join(condition.render() for condition in inner_conditions)
-        )
-    inner_sql = "\n".join(inner_lines)
-    aggregate = _aggregate_expression(spec, "h")
-    return f"SELECT {aggregate}\nFROM ({_indent(inner_sql)}) AS h"
-
-
-def _render_from(
-    table_name: str, aliases: Sequence[str], join_order: Optional[Sequence[str]]
-) -> str:
-    if join_order is not None:
-        ordered = [alias for alias in join_order if alias in set(aliases)]
-        return "\n     CROSS JOIN ".join(f"{table_name} AS {alias}" for alias in ordered)
-    return ",\n     ".join(f"{table_name} AS {alias}" for alias in aliases)
-
-
-def _render_aggregate_join_graph(
-    graph: JoinGraph, join_order: Optional[Sequence[str]]
-) -> str:
-    """The pushed-down aggregate block (Section III-C widening).
+def _render_aggregate(graph: JoinGraph, join_order: Optional[Sequence[str]]) -> str:
+    """The pushed-down aggregate (Section III-C widening).
 
     * **scalar** (top-level ``fn:count(...)``): one aggregate over the
-      (optionally DISTINCT-deduplicated) bundle subquery;
+      argument bundle;
     * **nested** (``for $v ... return fn:count(...)``): the outer iteration
       bundle LEFT JOINed to the argument bundle, ``GROUP BY`` the iteration
       identity — ``COUNT`` counts matched rows (0 for empty groups), ``SUM``
@@ -205,96 +138,28 @@ def _render_aggregate_join_graph(
       decode's "empty sequence" marker).
     """
     spec = graph.aggregate
-    assert spec is not None
-    inner_conditions = graph.conditions
-    inner_sql = _render_aggregate_inner(graph, spec, inner_conditions, join_order)
-    if spec.is_scalar:
-        aggregate = _aggregate_expression(spec, "i")
-        return f"SELECT {aggregate} AS item\nFROM ({inner_sql}) AS i"
-    outer_aliases = graph.aliases[: spec.outer_alias_count]
-    outer_conditions = graph.conditions[: spec.outer_condition_count]
-    outer_items: list[tuple] = [(spec.group, "g")]
-    outer_names = {spec.group: "g"}
-    for term, name in graph.select_items[1:]:
-        if term not in outer_names:
-            outer_names[term] = name
-            outer_items.append((term, name))
-    outer_select = ", ".join(f"{term.render()} AS {name}" for term, name in outer_items)
-    outer_distinct = "DISTINCT " if spec.outer_distinct else ""
-    outer_lines = [f"SELECT {outer_distinct}{outer_select}"]
-    outer_lines.append(f"FROM {_render_from(graph.table_name, outer_aliases, join_order)}")
-    if outer_conditions:
-        outer_lines.append(
-            "WHERE " + "\n  AND ".join(condition.render() for condition in outer_conditions)
-        )
-    outer_sql = "\n".join(outer_lines)
     aggregate = _aggregate_expression(spec, "i")
+    inner = _indent(_render_block(graph.aggregate_inner(), join_order))
+    if spec.is_scalar:
+        return f"SELECT {aggregate} AS item\nFROM ({inner}) AS i"
+    outer = graph.aggregate_outer()
+    names = {term: name for term, name in outer.select_items}
     select_list = [f"{aggregate} AS item"]
-    for term, name in graph.select_items[1:]:
-        select_list.append(f"o.{outer_names[term]} AS {name}")
-    group_by = ", ".join(f"o.{name}" for _term, name in outer_items)
-    order_by = ", ".join(f"o.{outer_names[term]}" for term in graph.order_terms)
+    select_list.extend(f"o.{names[term]} AS {name}" for term, name in graph.select_items[1:])
     lines = [
         f"SELECT {', '.join(select_list)}",
-        f"FROM ({outer_sql}) AS o",
-        f"LEFT JOIN ({inner_sql}) AS i ON i.g = o.g",
-        f"GROUP BY {group_by}",
+        f"FROM ({_indent(_render_block(outer, join_order, ordered=False))}) AS o",
+        f"LEFT JOIN ({inner}) AS i ON i.g = o.g",
+        "GROUP BY " + ", ".join(f"o.{name}" for _term, name in outer.select_items),
     ]
-    if order_by:
-        lines.append(f"ORDER BY {order_by}")
-    return "\n".join(lines)
-
-
-def aggregate_inner_items(spec: AggregateSpec) -> tuple[list[tuple], str, Optional[str]]:
-    """The inner bundle's select list, the COUNT column, the value column.
-
-    Returns ``(items, count_column, value_column)`` where ``items`` is the
-    ``(term, name)`` select list of the argument subquery: the group
-    identity (``g``), the unit (``u`` — the argument node's ``pre``), and
-    the aggregated value (``v``) — each distinct term named once.  The
-    subquery is always rendered ``DISTINCT`` over these columns (the
-    operator's dedup-own semantics).  The COUNT column is never NULL per
-    real row, which is what makes ``COUNT(i.<col>)`` over a LEFT JOIN
-    report 0 for empty groups.  Shared with the relational engine so the
-    interpreted and RDBMS aggregations read the same columns.
-    """
-    items: list[tuple] = [(spec.child_group, "g")]
-
-    def resolve(term, fallback_name: str) -> str:
-        for existing, name in items:
-            if existing == term:
-                return name
-        items.append((term, fallback_name))
-        return fallback_name
-
-    count_column = resolve(spec.unit, "u")
-    value_column: Optional[str] = None
-    if spec.value is not None:
-        value_column = resolve(spec.value, "v")
-    return items, count_column, value_column
-
-
-def _render_aggregate_inner(
-    graph: JoinGraph,
-    spec: AggregateSpec,
-    conditions: Sequence,
-    join_order: Optional[Sequence[str]],
-) -> str:
-    """The argument bundle: all aliases, all conditions, the agg's inputs."""
-    items, _count_column, _value_column = aggregate_inner_items(spec)
-    select = ", ".join(f"{term.render()} AS {name}" for term, name in items)
-    lines = [f"SELECT DISTINCT {select}"]
-    lines.append(f"FROM {_render_from(graph.table_name, graph.aliases, join_order)}")
-    if conditions:
-        lines.append(
-            "WHERE " + "\n  AND ".join(condition.render() for condition in conditions)
-        )
+    if outer.order_terms:
+        lines.append("ORDER BY " + ", ".join(f"o.{names[term]}" for term in outer.order_terms))
     return "\n".join(lines)
 
 
 def _aggregate_expression(spec: AggregateSpec, alias: str) -> str:
-    """The native aggregate over the inner subquery's output columns."""
-    _items, count_column, value_column = aggregate_inner_items(spec)
+    """The native aggregate over the argument block's output columns."""
+    _items, count_column, value_column = spec.inner_items()
     if spec.function == "count":
         return f"COUNT({alias}.{count_column})"
     if spec.function == "sum":

@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.core.joingraph import ColumnTerm, ConstantTerm, JoinGraph, SumTerm
+from repro.core.joingraph import JoinGraph
 from repro.relational.btree import PRE_PLUS_SIZE
 from repro.relational.catalog import Database
+from repro.relational.optimizer.planner import _term_alias_column
 
 #: The default index set mirroring the paper's Table VI proposals.
 #: (key letters: n=name, k=kind, l=level, p=pre, s=pre+size, v=value, d=data)
@@ -129,26 +130,17 @@ class IndexAdvisor:
         ranges: set[str] = set()
         values: set[str] = set()
         for condition in graph.conditions:
-            for side, other in ((condition.left, condition.right), (condition.right, condition.left)):
-                column = _alias_column(side, alias)
-                if column is None:
+            for side in (condition.left, condition.right):
+                resolved = _term_alias_column(side)
+                if resolved is None or resolved[0] != alias:
                     continue
-                is_constant = isinstance(other, ConstantTerm)
-                if condition.op == "=" and is_constant:
-                    if column in ("value", "data"):
-                        values.add(column)
-                    else:
-                        equalities.add(column)
+                column = resolved[1]
+                if column in ("value", "data"):
+                    values.add(column)
                 elif condition.op == "=":
-                    if column in ("value", "data"):
-                        values.add(column)
-                    else:
-                        equalities.add(column)
+                    equalities.add(column)
                 else:
-                    if column in ("value", "data"):
-                        values.add(column)
-                    else:
-                        ranges.add(column)
+                    ranges.add(column)
         return equalities, ranges, values
 
     def apply(self, database: Database) -> list[str]:
@@ -184,17 +176,3 @@ class IndexAdvisor:
             )
         return "\n".join(lines)
 
-
-def _alias_column(term, alias: str):
-    if isinstance(term, ColumnTerm) and term.alias == alias:
-        return term.column
-    if isinstance(term, SumTerm) and len(term.terms) == 2:
-        first, second = term.terms
-        if (
-            isinstance(first, ColumnTerm)
-            and isinstance(second, ColumnTerm)
-            and first.alias == alias == second.alias
-            and {first.column, second.column} == {"pre", "size"}
-        ):
-            return PRE_PLUS_SIZE
-    return None

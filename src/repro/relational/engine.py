@@ -31,8 +31,8 @@ from typing import Mapping, Optional
 from repro.errors import PlanningError
 from repro.algebra import columnar as _columnar
 from repro.algebra.operators import fold_aggregate
-from repro.core.joingraph import ConstantTerm, JoinGraph, PlanTail
-from repro.core.sqlgen import aggregate_inner_items, _having_excluded
+from repro.algebra.predicates import _compare
+from repro.core.joingraph import ConstantTerm, JoinGraph
 from repro.relational.catalog import Database
 from repro.relational.optimizer.planner import PlannedQuery, Planner
 from repro.relational.physical.operators import ExecutionContext
@@ -46,36 +46,6 @@ def _constant_value(term) -> object:
     if isinstance(term, ConstantTerm):
         return term.value
     raise PlanningError(f"filter value {term!r} is not bound to a constant")
-
-
-_COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-def _compare(actual: object, op: str, value: object) -> bool:
-    """SQL comparison semantics: any comparison against NULL is not-true."""
-    if actual is None or value is None:
-        return False
-    return _COMPARATORS[op](actual, value)
-
-
-def _set_valued_graph(graph: JoinGraph, aliases, conditions, select_items) -> JoinGraph:
-    """A sub-block of ``graph`` whose rows only ever land in sets or groups."""
-    return JoinGraph(
-        aliases=aliases,
-        table_name=graph.table_name,
-        conditions=conditions,
-        select_items=select_items,
-        order_terms=[],
-        distinct=True,  # a rank / aggregate owns its key dedup
-        tail=PlanTail(distinct=True, order_terms=[], output_column=select_items[0][1]),
-    )
 
 
 @dataclass
@@ -95,13 +65,14 @@ class QueryResult:
 class _Program:
     """What one ``(graph, bound values)`` pair compiles to on one engine.
 
-    Every sub-graph :meth:`RelationalEngine.execute` derives from the
-    resolved graph — filtered main block, window scopes, having bundles,
-    aggregate inner / outer — and its :class:`PlannedQuery`, each derived by
-    its first reader and then shared: planned operator trees are immutable
-    and all per-call state lives in an ``ExecutionContext``, so any number
-    of threads run one program at once.  (Racing first reads may each plan;
-    one of the equal plans is kept.)
+    Every block :meth:`RelationalEngine.execute` plans is one of the
+    resolved graph's own sub-graphs — outer block, window scopes, having
+    bundles, aggregate inner / outer — the ones the SQL rendering reads.
+    Each :class:`PlannedQuery` is derived by its first reader and then
+    shared: planned operator trees are immutable and all per-call state
+    lives in an ``ExecutionContext``, so any number of threads run one
+    program at once.  (Racing first reads may each plan; one of the equal
+    plans is kept.)
     """
 
     def __init__(self, planner: Planner, graph: JoinGraph, resolved: JoinGraph):
@@ -114,112 +85,55 @@ class _Program:
     def planned(self) -> PlannedQuery:
         """The plan :meth:`RelationalEngine.plan` reports (aggregates: the inner bundle)."""
         graph = self.resolved
-        if graph.aggregate is None:
-            return self.planner.plan(graph)
-        items, _count_column, _value_column = aggregate_inner_items(graph.aggregate)
-        return self.planner.plan(
-            _set_valued_graph(graph, list(graph.aliases), list(graph.conditions), list(items))
-        )
+        return self.planner.plan(graph if graph.aggregate is None else graph.aggregate_inner())
 
     @cached_property
     def aggregate_outer(self) -> PlannedQuery:
         """The iteration rows of a grouped aggregate (outer bundle)."""
-        graph, spec = self.resolved, self.resolved.aggregate
-        return self.planner.plan(
-            JoinGraph(
-                aliases=graph.aliases[: spec.outer_alias_count],
-                table_name=graph.table_name,
-                conditions=graph.conditions[: spec.outer_condition_count],
-                select_items=[(spec.group, "g")] + list(graph.select_items[1:]),
-                order_terms=list(graph.order_terms),
-                distinct=spec.outer_distinct,
-                tail=PlanTail(
-                    distinct=spec.outer_distinct,
-                    order_terms=list(graph.order_terms),
-                    output_column="g",
-                ),
-            )
-        )
+        return self.planner.plan(self.resolved.aggregate_outer())
 
     @cached_property
-    def filtered_main(self) -> tuple[PlannedQuery, list[tuple]]:
-        """The main block of a windowed / having graph, and its row checks.
+    def filtered_main(self) -> tuple[JoinGraph, Optional[PlannedQuery], list[tuple]]:
+        """The outer block of a windowed / having graph, its plan, its row checks.
 
-        Mirrors the SQL rendering: the main block runs without the
-        aggregates' argument bundles, with hidden output columns for each
-        filter's key terms.  A check is ``(hidden names, op, value,
-        default)``, windows first, in the order of :attr:`filter_plans`.
+        The block carries a hidden output column per filter key term.  A
+        check is ``(hidden names, op, value, default)``, windows first, in
+        the order of :attr:`filter_plans`.  A block without aliases has no
+        plan: it is one row of its constant select items.
         """
         graph = self.resolved
-        excluded_aliases, excluded_conditions = _having_excluded(graph)
-        select_items = list(graph.select_items)
+        main = graph.outer_block()
         checks: list[tuple] = []
         for w_index, window in enumerate(graph.windows):
             names = []
             for k_index, term in enumerate(window.spec.key_terms()):
                 names.append(f"_w{w_index}k{k_index}")
-                select_items.append((term, names[-1]))
+                main.select_items.append((term, names[-1]))
             checks.append((names, window.op, _constant_value(window.value), None))
         for h_index, having in enumerate(graph.having):
-            select_items.append((having.spec.group, f"_h{h_index}g"))
+            main.select_items.append((having.spec.group, f"_h{h_index}g"))
             default = 0 if having.spec.function != "avg" else None
             checks.append(([f"_h{h_index}g"], having.op, _constant_value(having.value), default))
-        main_graph = JoinGraph(
-            aliases=[a for i, a in enumerate(graph.aliases) if i not in excluded_aliases],
-            table_name=graph.table_name,
-            conditions=[
-                c for i, c in enumerate(graph.conditions) if i not in excluded_conditions
-            ],
-            select_items=select_items,
-            order_terms=list(graph.order_terms),
-            distinct=graph.distinct,
-            tail=graph.tail,
-        )
-        return self.planner.plan(main_graph), checks
+        return main, self.planner.plan(main) if main.aliases else None, checks
 
     @cached_property
     def filter_plans(self) -> list[tuple[PlannedQuery, object]]:
-        """One ``(scope plan, spec)`` per window, then per where-aggregate.
-
-        A window's scope is the key terms' join closure within the rank's
-        prefix (:meth:`WindowSpec.scope`, shared with the SQL rendering), so
-        disconnected prefix components never blow up the rank pass.  A
-        where-aggregate's bundle covers its outer prefix (minus any *other*
-        where-aggregate's argument ranges) plus its own inner range, so
-        correlations to the loop aliases resolve while sibling aggregates
-        stay out of each other's way.
-        """
+        """One ``(block plan, spec)`` per window scope, then per having bundle."""
         graph = self.resolved
-        plans = []
-        for window in graph.windows:
-            spec = window.spec
-            items = [(term, f"k{index}") for index, term in enumerate(spec.key_terms())]
-            scope = _set_valued_graph(graph, *spec.scope(graph), items)
-            plans.append((self.planner.plan(scope), spec))
-        excluded_aliases, excluded_conditions = _having_excluded(graph)
-        for having in graph.having:
-            spec = having.spec
-            own_aliases = range(spec.outer_alias_count, having.alias_count)
-            own_conditions = range(spec.outer_condition_count, having.condition_count)
-            aliases = [
-                graph.aliases[index]
-                for index in range(having.alias_count)
-                if index in own_aliases or index not in excluded_aliases
-            ]
-            conditions = [
-                graph.conditions[index]
-                for index in range(having.condition_count)
-                if index in own_conditions or index not in excluded_conditions
-            ]
-            items, _count_column, _value_column = aggregate_inner_items(spec)
-            bundle = _set_valued_graph(graph, aliases, conditions, list(items))
-            plans.append((self.planner.plan(bundle), spec))
+        plans = [
+            (self.planner.plan(graph.window_block(window.spec)), window.spec)
+            for window in graph.windows
+        ]
+        plans.extend(
+            (self.planner.plan(graph.having_bundle(having)), having.spec)
+            for having in graph.having
+        )
         return plans
 
 
 def _group_values(spec, rows: list[dict[str, object]]) -> dict[object, list]:
     """The argument rows' values (``None`` for ``count``) per group, for :func:`fold_aggregate`."""
-    value_column = aggregate_inner_items(spec)[2]
+    value_column = spec.inner_items()[2]
     groups: dict[object, list] = {}
     for row in rows:
         groups.setdefault(row["g"], []).append(row.get(value_column))
@@ -331,9 +245,13 @@ class RelationalEngine:
         ranks are computed over the window's own scope, every where-aggregate
         is folded over its argument bundle, and rows are filtered in order.
         """
-        planned, checks = program.filtered_main
+        main, planned, checks = program.filtered_main
         ctx = ExecutionContext(timeout_seconds)
-        rows = planned.root.results(ctx)
+        if planned is None:  # SQL's FROM-less SELECT
+            rows = [{name: _constant_value(term) for term, name in main.select_items}]
+            planned = program.planned
+        else:
+            rows = planned.root.results(ctx)
         scanned, probes = ctx.rows_scanned, ctx.index_probes
         lookups: list[dict[tuple, object]] = []
         windows = len(program.resolved.windows)
@@ -381,10 +299,10 @@ class RelationalEngine:
     ) -> QueryResult:
         """Execute a graph whose tail aggregates the bundle.
 
-        Mirrors the SQL rendering's two-level shape on the in-tree operators:
-        the *inner* bundle (all aliases/conditions, deduplicated on the δ
-        identity when the argument was ddo'd) is executed once, then folded
-        per group; the *outer* bundle supplies the iteration rows —
+        The SQL rendering's two blocks on the in-tree operators: the
+        *inner* bundle (all aliases/conditions, DISTINCT over the
+        aggregate's inputs) is executed once, then folded per group; the
+        *outer* bundle supplies the iteration rows —
         including iterations with no argument rows at all (count/sum
         complete them with 0, avg drops them).
         """
@@ -403,18 +321,20 @@ class RelationalEngine:
                 index_probes=inner_ctx.index_probes,
             )
         outer_ctx = ExecutionContext(timeout_seconds)
+        outer = program.aggregate_outer
+        names = {term: name for term, name in outer.graph.select_items}
         rows = []
-        for outer_row in program.aggregate_outer.root.results(outer_ctx):
+        for outer_row in outer.root.results(outer_ctx):
             value = fold_aggregate(spec.function, groups.get(outer_row["g"], []))
             if value is None:
                 continue
             produced: dict[str, object] = {"item": value}
-            for _term, name in graph.select_items[1:]:
-                produced[name] = outer_row[name]
+            for term, name in graph.select_items[1:]:
+                produced[name] = outer_row[names[term]]
             rows.append(produced)
         return QueryResult(
             rows=rows,
-            plan=program.aggregate_outer,
+            plan=outer,
             rows_scanned=inner_ctx.rows_scanned + outer_ctx.rows_scanned,
             index_probes=inner_ctx.index_probes + outer_ctx.index_probes,
         )

@@ -19,7 +19,6 @@ from repro.xmldb.axes import (
     REVERSE_AXES,
     axis_predicate_spec,
     evaluate_axis,
-    evaluate_axis_naive,
 )
 from repro.xmldb.encoding import DocumentEncoding, NodeRecord, encode_document, encode_documents
 from repro.xmldb.infoset import NodeKind, XMLNode, document, element, text
@@ -40,7 +39,6 @@ __all__ = [
     "encode_document",
     "encode_documents",
     "evaluate_axis",
-    "evaluate_axis_naive",
     "parse_xml",
     "serialize_node",
     "serialize_subtree",

@@ -7,7 +7,7 @@ states those predicates *declaratively* (:data:`AXES`) so that
 
 * the loop-lifting compiler can turn them into algebra join predicates,
 * the SQL generator can print them as ``WHERE`` conjuncts, and
-* tests and the navigational baseline can evaluate them directly
+* tests can evaluate them directly
   (:func:`evaluate_axis`).
 
 Following the paper, the structural predicates are pure range/equality
@@ -23,7 +23,7 @@ parent lookup.  None of the paper's benchmark queries use sibling axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.xmldb.encoding import DocumentEncoding, NodeRecord
 from repro.xmldb.infoset import NodeKind
@@ -270,18 +270,17 @@ def _structurally_related(spec: AxisSpec, ctx: NodeRecord, node: NodeRecord) -> 
     return all(condition.holds(ctx, node) for condition in spec.conditions)
 
 
-def evaluate_axis_naive(
+def evaluate_axis(
     encoding: DocumentEncoding,
     context_pre: int,
     axis: str,
     node_test: str = "node()",
 ) -> list[int]:
-    """Evaluate ``axis::node_test`` by scanning every record (the seed path).
+    """Evaluate ``axis::node_test`` from the context node, in document order.
 
-    This is the executable reading of the declarative Fig. 3 predicates: one
-    full pass over ``encoding.records`` per context node.  It is kept as the
-    differential baseline for :func:`evaluate_axis` (the index-backed fast
-    path).
+    The executable reading of the declarative Fig. 3 predicates: one full
+    pass over ``encoding.records`` per context node, plus the exact sibling
+    test via parent lookup.
     """
     spec = axis_predicate_spec(axis)
     ctx = encoding.record(context_pre)
@@ -305,92 +304,4 @@ def evaluate_axis_naive(
                 break
         if matches:
             result.append(record.pre)
-    return result
-
-
-def _axis_candidate_pres(
-    encoding: DocumentEncoding, ctx: NodeRecord, axis: str
-) -> Iterable[int]:
-    """``pre`` ranks satisfying the structural axis predicate, ascending.
-
-    Exploits the encoding's geometry instead of scanning all records: a
-    subtree is the contiguous ``pre`` range ``(pre°, pre° + size°]``, so the
-    descendant-family axes are plain range slices; the level-constrained
-    axes (child, attribute, siblings) bisect the per-level index; ancestors
-    follow the (index-backed) parent chain.
-    """
-    pre, size, level = ctx.pre, ctx.size, ctx.level
-    if axis == "self":
-        return (pre,)
-    if axis == "descendant":
-        return range(pre + 1, pre + size + 1)
-    if axis == "descendant-or-self":
-        return range(pre, pre + size + 1)
-    if axis in ("child", "attribute"):
-        return encoding.level_pres_between(level + 1, pre, pre + size)
-    if axis == "following":
-        return range(pre + size + 1, len(encoding))
-    if axis == "preceding":
-        return [
-            candidate
-            for candidate in range(0, pre)
-            if candidate + encoding.record(candidate).size < pre
-        ]
-    if axis == "following-sibling":
-        return encoding.level_pres_between(level, pre + size, len(encoding))
-    if axis == "preceding-sibling":
-        return [
-            candidate
-            for candidate in encoding.level_pres_between(level, -1, pre - 1)
-            if candidate + encoding.record(candidate).size < pre
-        ]
-    if axis in ("parent", "ancestor", "ancestor-or-self"):
-        chain: list[int] = [pre] if axis == "ancestor-or-self" else []
-        current = encoding.parent(pre)
-        while current is not None:
-            chain.append(current)
-            if axis == "parent":
-                break
-            current = encoding.parent(current)
-        chain.reverse()
-        return chain
-    raise ValueError(f"unknown XPath axis {axis!r}")
-
-
-def evaluate_axis(
-    encoding: DocumentEncoding,
-    context_pre: int,
-    axis: str,
-    node_test: str = "node()",
-) -> list[int]:
-    """Evaluate ``axis::node_test`` from the context node, exactly.
-
-    Index-backed axis semantics used by tests and the pureXML baseline:
-    candidates come from contiguous ``pre`` slices and per-level bisection
-    (:func:`_axis_candidate_pres`) rather than a scan of all records, then
-    pass the same kind/name filters as :func:`evaluate_axis_naive` — the two
-    agree result-for-result, in document order.
-    """
-    spec = axis_predicate_spec(axis)
-    ctx = encoding.record(context_pre)
-    test_conditions = node_test_conditions(node_test, axis)
-    sibling_axis = axis in ("following-sibling", "preceding-sibling")
-    context_parent = encoding.parent(context_pre) if sibling_axis else None
-    result: list[int] = []
-    for pre in _axis_candidate_pres(encoding, ctx, axis):
-        record = encoding.record(pre)
-        if axis == "attribute":
-            if record.kind != NodeKind.ATTR.value:
-                continue
-        elif axis != "self" and record.kind == NodeKind.ATTR.value and node_test != "attribute()":
-            continue
-        if sibling_axis and encoding.parent(pre) != context_parent:
-            continue
-        matches = True
-        for column, _op, value in test_conditions:
-            if getattr(record, column) != value:
-                matches = False
-                break
-        if matches:
-            result.append(pre)
     return result

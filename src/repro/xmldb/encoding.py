@@ -22,7 +22,7 @@ distinguishable by their URI in ``name``), exactly as the paper describes.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -64,8 +64,7 @@ class DocumentEncoding:
         #: Lazily-built per-level index: level -> ascending ``pre`` ranks.
         #: Invalidated by :meth:`append_document`.  Because records are laid
         #: out in ``pre`` order, every per-level list is already sorted, so
-        #: axis evaluation can answer level-constrained range predicates
-        #: (child, siblings, ancestors) with ``bisect`` slices.
+        #: :meth:`parent` is one ``bisect`` away.
         self._level_index: Optional[dict[int, list[int]]] = None
 
     # -- construction --------------------------------------------------------
@@ -147,13 +146,6 @@ class DocumentEncoding:
                 index.setdefault(record.level, []).append(record.pre)
             self._level_index = index
         return self._level_index
-
-    def level_pres_between(self, level: int, low: int, high: int) -> Sequence[int]:
-        """``pre`` ranks at ``level`` with ``low < pre <= high`` via bisection."""
-        pres = self.level_index.get(level)
-        if not pres:
-            return ()
-        return pres[bisect_right(pres, low) : bisect_right(pres, high)]
 
     def document_root(self, uri: str) -> Optional[int]:
         """The ``pre`` rank of the DOC row for ``uri``, or ``None``."""

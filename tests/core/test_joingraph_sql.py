@@ -1,12 +1,14 @@
 """Tests for join graph extraction and SQL emission (Fig. 7/8/9)."""
 
+import re
+
 import pytest
 
 from repro.errors import JoinGraphError
 from repro.core.joingraph import extract_join_graph
 from repro.core.rewriter import isolate
-from repro.core.sqlgen import generate_join_graph_sql, generate_stacked_sql
-from repro.testing.corpus import query_by_name
+from repro.core.sqlgen import generate_join_graph_sql, generate_stacked_sql, render_join_graph
+from repro.testing.corpus import XMARK_SUITE, query_by_name
 from repro.xquery.compiler import compile_query
 
 
@@ -82,3 +84,36 @@ def test_q2_join_graph_matches_fig9(xmark_processor):
     assert compilation.join_graph.self_join_width == 12
     assert compilation.join_graph_sql.startswith("SELECT DISTINCT")
     assert compilation.join_graph_sql.count("doc AS d") == 12
+
+
+def _normalised(sql):
+    return " ".join(sql.split())
+
+
+@pytest.mark.parametrize("name", ["Q2", "Q3", "Q5", "Q6", "Q8", "Q17", "Q20"])
+def test_sql_is_built_from_the_engines_blocks(xmark_processor, name):
+    """Every sub-graph the relational engine plans renders, clause by
+    clause and in order, inside the query's SQL; only the wrappers add
+    text (a rank column, the joined-back window keys, a having filter)."""
+    (case,) = [case for case in XMARK_SUITE if case.name == name]
+    graph = xmark_processor.compile(case.xquery).join_graph
+    sql = _normalised(render_join_graph(graph))
+    blocks = []  # (block, whether its ORDER BY is the wrapper's)
+    if graph.aggregate is not None:
+        blocks.append((graph.aggregate_inner(), False))
+        if not graph.aggregate.is_scalar:
+            blocks.append((graph.aggregate_outer(), True))
+    else:
+        blocks.append((graph.outer_block(), False))
+    blocks += [(graph.window_block(window.spec), False) for window in graph.windows]
+    blocks += [(graph.having_argument(having), False) for having in graph.having]
+    assert len(blocks) > 1 or graph.aggregate is not None
+    for block, wrapped_order in blocks:
+        assert not (block.aggregate or block.windows or block.having)
+        position = 0
+        rendered = _normalised(render_join_graph(block))
+        for clause in re.split(r" (?=FROM |WHERE |ORDER BY )", rendered):
+            if wrapped_order and clause.startswith("ORDER BY "):
+                continue
+            assert clause in sql[position:], (name, clause)
+            position = sql.index(clause, position) + len(clause)

@@ -278,6 +278,42 @@ def test_every_with_existence_predicate_refuses_on_join_graph(session):
             session.execute(query, configuration=configuration)
 
 
+@pytest.mark.parametrize(
+    "query,bindings",
+    [
+        (
+            'for $p in doc("site.xml")/descendant::person '
+            'where fn:count($p/child::watch) < "3" return $p/child::name',
+            None,
+        ),
+        (
+            "declare variable $n external; "
+            'for $p in doc("site.xml")/descendant::person '
+            "where fn:count($p/child::watch) < $n return $p/child::name",
+            {"n": "3"},
+        ),
+    ],
+)
+def test_a_where_count_against_a_string_keeps_no_row_on_join_graph(session, query, bindings):
+    """A range test between a count and a string fails, as it does in the
+    interpreter; join-graph must not raise a raw ``TypeError``.  (sql and
+    sql-stacked follow SQLite, where every number sorts below text.)"""
+    stacked = session.execute(query, bindings=bindings, configuration="stacked").items
+    assert stacked == []
+    assert session.execute(query, bindings=bindings, configuration="join-graph").items == stacked
+
+
+@pytest.mark.parametrize("bound,expected", [(3, [1]), (9, [])])
+def test_a_top_level_where_count_runs_on_join_graph(session, bound, expected):
+    """``fn:count(...) > n`` at the top level leaves no alias outside the
+    count's argument: join-graph runs that block as one row of its
+    constant select items, as SQL's FROM-less ``SELECT`` does."""
+    query = f'fn:count(doc("site.xml")/descendant::watch) > {bound}'
+    stacked = session.execute(query, configuration="stacked").items
+    assert stacked == expected
+    assert session.execute(query, configuration="join-graph").items == stacked
+
+
 def test_order_by_result_is_key_ordered(session):
     """Acceptance: watches sorted by their text value, not document order."""
     query = (

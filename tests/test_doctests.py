@@ -9,6 +9,7 @@ import doctest
 import pytest
 
 import repro.algebra.columnar
+import repro.core.joingraph
 import repro.core.pipeline
 import repro.core.session
 import repro.core.stages
@@ -17,9 +18,12 @@ import repro.relational.btree
 import repro.relational.engine
 import repro.relational.optimizer.planner
 import repro.relational.physical.operators
+import repro.service.service
+import repro.sqlbackend.backend
 
 FACADE_MODULES = [
     repro.algebra.columnar,
+    repro.core.joingraph,
     repro.core.pipeline,
     repro.core.session,
     repro.core.stages,
@@ -28,6 +32,8 @@ FACADE_MODULES = [
     repro.relational.optimizer.planner,
     repro.relational.physical.operators,
     repro.purexml.engine,
+    repro.sqlbackend.backend,
+    repro.service.service,
 ]
 
 

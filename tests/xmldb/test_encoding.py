@@ -1,5 +1,7 @@
 """Tests for the pre/size/level document encoding (Fig. 2 of the paper)."""
 
+import random
+
 import pytest
 
 from repro.xmldb.encoding import DOC_COLUMNS, encode_document, encode_documents
@@ -74,3 +76,17 @@ def test_rows_round_trip_via_tuples(fig2_encoding):
     rows = fig2_encoding.rows()
     assert len(rows) == len(fig2_encoding)
     assert all(len(row) == len(DOC_COLUMNS) for row in rows)
+
+
+def test_parent_is_index_backed_and_exact(xmark_encoding):
+    # The per-level bisection must agree with a linear containment scan.
+    rng = random.Random(5)
+    for pre in rng.sample(range(len(xmark_encoding)), min(40, len(xmark_encoding))):
+        target = xmark_encoding.record(pre)
+        expected = None
+        for candidate in range(pre - 1, -1, -1):
+            record = xmark_encoding.record(candidate)
+            if record.pre < pre <= record.pre + record.size and record.level == target.level - 1:
+                expected = candidate
+                break
+        assert xmark_encoding.parent(pre) == expected
