@@ -23,8 +23,7 @@ distinguishable by their URI in ``name``), exactly as the paper describes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from repro.xmldb.infoset import NodeKind, XMLNode
 
@@ -33,9 +32,8 @@ from repro.xmldb.infoset import NodeKind, XMLNode
 DOC_COLUMNS = ("pre", "size", "level", "kind", "name", "value", "data")
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    """One row of the ``doc`` encoding table."""
+class NodeRecord(NamedTuple):
+    """One row of the ``doc`` encoding table, in :data:`DOC_COLUMNS` order."""
 
     pre: int
     size: int
@@ -44,10 +42,6 @@ class NodeRecord:
     name: Optional[str]
     value: Optional[str]
     data: Optional[float]
-
-    def as_tuple(self) -> tuple:
-        """Return the row in :data:`DOC_COLUMNS` order."""
-        return (self.pre, self.size, self.level, self.kind, self.name, self.value, self.data)
 
 
 class DocumentEncoding:
@@ -83,38 +77,53 @@ class DocumentEncoding:
         if doc.kind is not NodeKind.DOC:
             raise ValueError("append_document expects a document node")
         start = len(self._records)
-        staged: list[NodeRecord] = []
-        self._encode_subtree(doc, level=0, staged=staged, base=start)
+        staged: list = []
+        # One pre-order walk over an explicit stack.  A node with attributes
+        # or children reserves its row, pushes an end marker (``None``) under
+        # them and is filled in when the marker pops: its ``size`` is then
+        # the rows staged since, and a leaf element's value is the text row
+        # that follows it.  ``open_rows`` holds the reserved rows, innermost
+        # last, so its length is the level of the next node.
+        open_rows: list[tuple[int, XMLNode]] = []
+        stack: list[Optional[XMLNode]] = [doc]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                position, node = open_rows.pop()
+                size = len(staged) - position - 1
+                value = data = None
+                if size == 1 and node.kind is NodeKind.ELEM:
+                    child = staged[position + 1]
+                    if child.kind == "TEXT":
+                        value, data = child.value, child.data
+                    else:
+                        value = ""
+                staged[position] = NodeRecord(
+                    start + position, size, len(open_rows), node.kind.value, node.name, value, data
+                )
+            elif node.attributes or node.children:
+                open_rows.append((len(staged), node))
+                staged.append(None)
+                stack.append(None)
+                stack.extend(reversed(node.children))
+                stack.extend(reversed(node.attributes))
+            else:
+                kind = node.kind
+                if kind is NodeKind.ELEM:
+                    value, data = "", None
+                elif kind is NodeKind.DOC:
+                    value = data = None
+                else:
+                    value = node.value or ""
+                    data = _decimal(value)
+                staged.append(
+                    NodeRecord(start + len(staged), 0, len(open_rows), kind.value, node.name, value, data)
+                )
         self._records.extend(staged)
         if doc.name:
             self._document_roots[doc.name] = start
         self._level_index = None
         return start
-
-    def _encode_subtree(
-        self, node: XMLNode, level: int, staged: list, base: int
-    ) -> int:
-        """Encode ``node``'s subtree into ``staged``; return rows emitted."""
-        position = base + len(staged)
-        # Reserve the slot; the size is only known after the subtree is done.
-        staged.append(None)
-        emitted = 0
-        for attribute in node.attributes:
-            emitted += self._encode_subtree(attribute, level + 1, staged, base)
-        for child in node.children:
-            emitted += self._encode_subtree(child, level + 1, staged, base)
-        value, data = _node_value(node, subtree_size=emitted)
-        name = node.name
-        staged[position - base] = NodeRecord(
-            pre=position,
-            size=emitted,
-            level=level,
-            kind=node.kind.value,
-            name=name,
-            value=value,
-            data=data,
-        )
-        return emitted + 1
 
     # -- accessors ------------------------------------------------------------
 
@@ -134,8 +143,8 @@ class DocumentEncoding:
         return self._records[pre]
 
     def rows(self, limit: Optional[int] = None) -> list[tuple]:
-        """The first ``limit`` rows (default: all) as :data:`DOC_COLUMNS` tuples."""
-        return [record.as_tuple() for record in self._records[:limit]]
+        """The first ``limit`` rows (default: all); each record is a :data:`DOC_COLUMNS` tuple."""
+        return self._records[:limit]
 
     @property
     def level_index(self) -> Mapping[int, Sequence[int]]:
@@ -215,31 +224,29 @@ class DocumentEncoding:
         return range(start, pre + record.size + 1)
 
 
-def _node_value(node: XMLNode, subtree_size: int) -> tuple[Optional[str], Optional[float]]:
-    """Compute the ``value``/``data`` columns for ``node``.
+#: First characters (after stripping) of every text ``float()`` can accept:
+#: ASCII digits, signs, a point, "inf"/"infinity"/"nan" in any case — and
+#: any non-ASCII character, since ``float()`` also reads Unicode digits.
+_NUMBER_START = frozenset("0123456789+-.iInN")
+
+
+def _decimal(value: str) -> Optional[float]:
+    """The ``data`` column for ``value``: its ``xs:decimal`` cast, or ``None``.
 
     The paper stores value-based access columns only for nodes with
     ``size <= 1`` — attributes, text nodes, and leaf elements wrapping a
     single text node.
     """
-    if node.kind in (NodeKind.ATTR, NodeKind.TEXT, NodeKind.COMM, NodeKind.PI):
-        value = node.value or ""
-    elif node.kind is NodeKind.ELEM and subtree_size <= 1:
-        value = node.string_value()
-    else:
-        return None, None
-    data: Optional[float] = None
     stripped = value.strip()
-    if stripped:
-        try:
-            data = float(stripped)
-        except ValueError:
-            data = None
-    if data != data:
-        # "NaN" parses, but SQLite binds a float NaN as NULL: store NULL here
-        # so that every engine reads the same ``data`` value.
-        data = None
-    return value, data
+    if not stripped or (stripped[0] not in _NUMBER_START and stripped[0].isascii()):
+        return None
+    try:
+        data = float(stripped)
+    except ValueError:
+        return None
+    # "NaN" parses, but SQLite binds a float NaN as NULL: store NULL here
+    # so that every engine reads the same ``data`` value.
+    return None if data != data else data
 
 
 def encode_document(doc: XMLNode) -> DocumentEncoding:

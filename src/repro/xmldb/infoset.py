@@ -60,10 +60,12 @@ class XMLNode:
         self.attributes: list[XMLNode] = []
         self.children: list[XMLNode] = []
         self.parent: Optional[XMLNode] = None
-        for attribute in attributes or ():
-            self.add_attribute(attribute)
-        for child in children or ():
-            self.add_child(child)
+        if attributes:
+            for attribute in attributes:
+                self.add_attribute(attribute)
+        if children:
+            for child in children:
+                self.add_child(child)
 
     # -- tree construction -------------------------------------------------
 
@@ -97,9 +99,13 @@ class XMLNode:
         if self.kind in (NodeKind.TEXT, NodeKind.ATTR, NodeKind.COMM, NodeKind.PI):
             return self.value or ""
         parts: list[str] = []
-        for node in self.iter_descendants(include_self=False):
+        stack = self.children[::-1]
+        while stack:
+            node = stack.pop()
             if node.kind is NodeKind.TEXT:
                 parts.append(node.value or "")
+            if node.children:
+                stack.extend(reversed(node.children))
         return "".join(parts)
 
     def typed_decimal(self) -> Optional[float]:
@@ -119,14 +125,20 @@ class XMLNode:
 
         Attributes are yielded immediately after their owner element, which
         matches the ``pre`` rank assignment of the relational encoding
-        (Fig. 2 of the paper).
+        (Fig. 2 of the paper).  The walk keeps the pending nodes on an
+        explicit stack, so any depth is fine.
         """
         if include_self:
             yield self
-        for attribute in self.attributes:
-            yield attribute
-        for child in self.children:
-            yield from child.iter_descendants(include_self=True)
+        yield from self.attributes
+        stack = self.children[::-1]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.attributes:
+                yield from node.attributes
+            if node.children:
+                stack.extend(reversed(node.children))
 
     def subtree_size(self) -> int:
         """Number of nodes strictly below this node (the ``size`` column)."""

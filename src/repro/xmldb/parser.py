@@ -9,11 +9,19 @@ five predefined entity references and numeric character references.
 Namespaces are treated syntactically (prefixes stay part of the name), which
 matches the schema-oblivious spirit of the ``doc`` encoding.
 
+It reads one *token* per step — a text run, a whole start tag with its
+attribute list, an end tag, a comment, a CDATA section or a PI, each matched
+by one compiled pattern — and keeps the open elements on an explicit stack,
+so document depth is data, not Python recursion.
+
 The output is an :class:`repro.xmldb.infoset.XMLNode` document tree ready to
 be encoded by :func:`repro.xmldb.encoding.encode_document`.
 """
 
 from __future__ import annotations
+
+import re
+from typing import NoReturn
 
 from repro.errors import XMLParseError
 from repro.xmldb.infoset import NodeKind, XMLNode
@@ -26,211 +34,120 @@ _PREDEFINED_ENTITIES = {
     "quot": '"',
 }
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
-_NAME_CHARS = _NAME_START | set("0123456789.-")
-_WHITESPACE = set(" \t\r\n")
+#: An XML name over ASCII name characters.  The possessive ``*+`` never
+#: gives characters back, so ``<ab="1">`` is the name ``ab`` (and an error),
+#: never ``a`` + ``b="1"``; it also saves the regex engine backtracking.
+_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*+"
+_S = r"[ \t\r\n]*+"
+_ATTRIBUTE = rf"{_S}({_NAME}){_S}={_S}(\"[^\"]*\"|'[^']*')"
+
+#: One content token; ``match.lastindex`` (its last group) names its kind.
+_TOKEN = re.compile(
+    r"([^<]+)"  # 1: a text run
+    rf"|<({_NAME})((?:{_ATTRIBUTE})*){_S}(/?)>"  # 2-6: a start tag (6: "/" if empty)
+    rf"|</({_NAME}){_S}>"  # 7: an end tag
+    r"|<!--(.*?)-->"  # 8: a comment
+    r"|<!\[CDATA\[(.*?)\]\]>"  # 9: a CDATA section
+    rf"|<\?({_NAME})(.*?)\?>"  # 10-11: a processing instruction
+    r"|(<)",  # 12: any other "<" is malformed markup
+    re.DOTALL,
+)
+#: Group numbers; a start tag's last group is its "/" flag, its name is 2
+#: and its attribute list 3.
+_TEXT, _START, _END, _COMMENT, _CDATA, _PI_TARGET, _PI, _MALFORMED = 1, 6, 7, 8, 9, 10, 11, 12
+_ATTRIBUTES = re.compile(_ATTRIBUTE)
+_REFERENCE = re.compile(r"&([^;]*)(;?)")
+#: Whitespace and one optional prolog item (group 1); group 2 is set for a
+#: DOCTYPE, whose end is found by bracket depth.
+_PROLOG = re.compile(
+    rf"{_S}(<\?xml.*?\?>|<\?{_NAME}.*?\?>|<!--.*?-->|(<!DOCTYPE))?", re.DOTALL
+)
+_DOCTYPE_MARK = re.compile(r"[\[\]>]")
+#: Whitespace, comments and PIs after the root element.
+_EPILOG = re.compile(r"(?:[ \t\r\n]|<!--.*?-->|<\?.*?\?>)*", re.DOTALL)
+_DIAGNOSES = (
+    ("<!--", "unterminated comment, expected '-->'"),
+    ("<![CDATA[", "unterminated CDATA section, expected ']]>'"),
+    ("<?", "malformed processing instruction"),
+    ("</", "malformed end tag"),
+    ("<", "malformed start tag"),
+)
 
 
-class _Scanner:
-    """Character-level scanner with position tracking for error messages."""
-
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.length = len(source)
-
-    def eof(self) -> bool:
-        return self.pos >= self.length
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= self.length:
-            return ""
-        return self.source[index]
-
-    def advance(self, count: int = 1) -> None:
-        self.pos += count
-
-    def startswith(self, prefix: str) -> bool:
-        return self.source.startswith(prefix, self.pos)
-
-    def expect(self, literal: str) -> None:
-        if not self.startswith(literal):
-            self.error(f"expected {literal!r}")
-        self.advance(len(literal))
-
-    def skip_whitespace(self) -> None:
-        while not self.eof() and self.peek() in _WHITESPACE:
-            self.advance()
-
-    def read_until(self, terminator: str) -> str:
-        end = self.source.find(terminator, self.pos)
-        if end < 0:
-            self.error(f"unterminated construct, expected {terminator!r}")
-        chunk = self.source[self.pos : end]
-        self.pos = end + len(terminator)
-        return chunk
-
-    def read_name(self) -> str:
-        if self.eof() or self.peek() not in _NAME_START:
-            self.error("expected an XML name")
-        start = self.pos
-        self.advance()
-        while not self.eof() and self.peek() in _NAME_CHARS:
-            self.advance()
-        return self.source[start : self.pos]
-
-    def error(self, message: str) -> None:
-        line = self.source.count("\n", 0, self.pos) + 1
-        last_newline = self.source.rfind("\n", 0, self.pos)
-        column = self.pos - last_newline
-        raise XMLParseError(message, offset=self.pos, line=line, column=column)
+def _error(source: str, pos: int, message: str) -> NoReturn:
+    line = source.count("\n", 0, pos) + 1
+    column = pos - source.rfind("\n", 0, pos)
+    raise XMLParseError(message, offset=pos, line=line, column=column)
 
 
-def _decode_references(raw: str, scanner: _Scanner) -> str:
-    """Resolve entity and character references in character data."""
-    if "&" not in raw:
-        return raw
+def _decode(raw: str, source: str, offset: int) -> str:
+    """Resolve the entity and character references of ``raw`` (at ``offset``)."""
     parts: list[str] = []
-    index = 0
-    while index < len(raw):
-        char = raw[index]
-        if char != "&":
-            parts.append(char)
-            index += 1
-            continue
-        end = raw.find(";", index)
-        if end < 0:
-            scanner.error("unterminated entity reference")
-        entity = raw[index + 1 : end]
-        if entity.startswith("#x") or entity.startswith("#X"):
-            parts.append(chr(int(entity[2:], 16)))
-        elif entity.startswith("#"):
-            parts.append(chr(int(entity[1:])))
+    last = 0
+    for reference in _REFERENCE.finditer(raw):
+        entity = reference.group(1)
+        at = offset + reference.start()
+        if not reference.group(2):
+            _error(source, at, "unterminated entity reference")
+        if entity[:1] == "#":
+            try:
+                if entity[1:2] in ("x", "X"):
+                    char = chr(int(entity[2:], 16))
+                else:
+                    char = chr(int(entity[1:]))
+            except (ValueError, OverflowError):
+                _error(source, at, f"invalid character reference &{entity};")
         elif entity in _PREDEFINED_ENTITIES:
-            parts.append(_PREDEFINED_ENTITIES[entity])
+            char = _PREDEFINED_ENTITIES[entity]
         else:
-            scanner.error(f"unknown entity reference &{entity};")
-        index = end + 1
+            _error(source, at, f"unknown entity reference &{entity};")
+        parts.append(raw[last : reference.start()])
+        parts.append(char)
+        last = reference.end()
+    parts.append(raw[last:])
     return "".join(parts)
 
 
-def _parse_attributes(scanner: _Scanner, owner: XMLNode) -> None:
-    """Parse zero or more ``name="value"`` attribute specifications."""
+def _add_attributes(node: XMLNode, token: re.Match, source: str) -> None:
+    """Attach the attribute list of start-tag ``token`` to ``node``."""
+    offset = token.start(3)
+    for attribute in _ATTRIBUTES.finditer(token.group(3)):
+        name = attribute.group(1)
+        if node.attributes and node.attribute(name) is not None:
+            _error(source, offset + attribute.start(1), f"duplicate attribute {name!r}")
+        value = attribute.group(2)[1:-1]
+        if "&" in value:
+            value = _decode(value, source, offset + attribute.start(2) + 1)
+        node.add_attribute(XMLNode(NodeKind.ATTR, name, value))
+
+
+def _skip_prolog(source: str) -> int:
+    """The position after the XML declaration, DOCTYPE, comments and PIs."""
+    pos = 0
     while True:
-        scanner.skip_whitespace()
-        char = scanner.peek()
-        if char in ("", ">", "/") or scanner.startswith("?>"):
-            return
-        name = scanner.read_name()
-        scanner.skip_whitespace()
-        scanner.expect("=")
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in ("'", '"'):
-            scanner.error("attribute value must be quoted")
-        scanner.advance()
-        value = _decode_references(scanner.read_until(quote), scanner)
-        if owner.attribute(name) is not None:
-            scanner.error(f"duplicate attribute {name!r}")
-        owner.add_attribute(XMLNode(NodeKind.ATTR, name=name, value=value))
-
-
-def _parse_element(scanner: _Scanner, keep_whitespace_text: bool) -> XMLNode:
-    """Parse one element (the scanner is positioned just after ``<``)."""
-    name = scanner.read_name()
-    node = XMLNode(NodeKind.ELEM, name=name)
-    _parse_attributes(scanner, node)
-    scanner.skip_whitespace()
-    if scanner.startswith("/>"):
-        scanner.advance(2)
-        return node
-    scanner.expect(">")
-    _parse_content(scanner, node, keep_whitespace_text)
-    scanner.expect("</")
-    closing = scanner.read_name()
-    if closing != name:
-        scanner.error(f"mismatched end tag </{closing}> for <{name}>")
-    scanner.skip_whitespace()
-    scanner.expect(">")
-    return node
-
-
-def _parse_content(scanner: _Scanner, parent: XMLNode, keep_whitespace_text: bool) -> None:
-    """Parse element content (text, children, comments, PIs, CDATA) into ``parent``."""
-    text_buffer: list[str] = []
-
-    def flush_text() -> None:
-        if not text_buffer:
-            return
-        content = "".join(text_buffer)
-        text_buffer.clear()
-        if not keep_whitespace_text and not content.strip():
-            return
-        parent.add_child(XMLNode(NodeKind.TEXT, value=content))
-
-    while not scanner.eof():
-        if scanner.startswith("</"):
-            flush_text()
-            return
-        if scanner.startswith("<!--"):
-            flush_text()
-            scanner.advance(4)
-            comment = scanner.read_until("-->")
-            parent.add_child(XMLNode(NodeKind.COMM, value=comment))
-            continue
-        if scanner.startswith("<![CDATA["):
-            scanner.advance(9)
-            text_buffer.append(scanner.read_until("]]>"))
-            continue
-        if scanner.startswith("<?"):
-            flush_text()
-            scanner.advance(2)
-            target = scanner.read_name()
-            body = scanner.read_until("?>").strip()
-            parent.add_child(XMLNode(NodeKind.PI, name=target, value=body))
-            continue
-        if scanner.startswith("<"):
-            flush_text()
-            scanner.advance(1)
-            parent.add_child(_parse_element(scanner, keep_whitespace_text))
-            continue
-        start = scanner.pos
-        while not scanner.eof() and scanner.peek() != "<":
-            scanner.advance()
-        text_buffer.append(_decode_references(scanner.source[start : scanner.pos], scanner))
-    flush_text()
-    scanner.error("unexpected end of input inside element content")
-
-
-def _skip_prolog(scanner: _Scanner) -> None:
-    """Skip the XML declaration, DOCTYPE, comments and PIs before the root."""
-    while True:
-        scanner.skip_whitespace()
-        if scanner.startswith("<?xml"):
-            scanner.advance(5)
-            scanner.read_until("?>")
-        elif scanner.startswith("<?"):
-            scanner.advance(2)
-            scanner.read_name()
-            scanner.read_until("?>")
-        elif scanner.startswith("<!--"):
-            scanner.advance(4)
-            scanner.read_until("-->")
-        elif scanner.startswith("<!DOCTYPE"):
+        item = _PROLOG.match(source, pos)
+        pos = item.end()
+        if item.group(1) is None:
+            return pos
+        if item.group(2):
             # Skip to the matching '>' while honouring an internal subset.
             depth = 0
-            while not scanner.eof():
-                char = scanner.peek()
-                scanner.advance()
-                if char == "[":
-                    depth += 1
-                elif char == "]":
-                    depth -= 1
-                elif char == ">" and depth <= 0:
+            for mark in _DOCTYPE_MARK.finditer(source, pos):
+                pos = mark.end()
+                char = mark.group()
+                if char == ">" and depth <= 0:
                     break
-        else:
-            return
+                depth += 1 if char == "[" else -1 if char == "]" else 0
+            else:
+                pos = len(source)
+
+
+def _malformed(source: str, pos: int) -> NoReturn:
+    if pos >= len(source):
+        _error(source, pos, "unexpected end of input inside element content")
+    for opener, message in _DIAGNOSES:
+        if source.startswith(opener, pos):
+            _error(source, pos, message)
 
 
 def parse_xml(source: str, uri: str = "document.xml", keep_whitespace_text: bool = False) -> XMLNode:
@@ -248,24 +165,64 @@ def parse_xml(source: str, uri: str = "document.xml", keep_whitespace_text: bool
         are dropped, which mirrors the whitespace handling the paper's
         datasets assume and keeps node counts meaningful.
     """
-    scanner = _Scanner(source)
-    _skip_prolog(scanner)
-    if scanner.eof() or not scanner.startswith("<"):
-        scanner.error("expected a root element")
-    scanner.advance(1)
-    root = _parse_element(scanner, keep_whitespace_text)
-    # Trailing misc (comments / PIs / whitespace) is permitted and ignored.
-    scanner.skip_whitespace()
-    while scanner.startswith("<!--") or scanner.startswith("<?"):
-        if scanner.startswith("<!--"):
-            scanner.advance(4)
-            scanner.read_until("-->")
+    pos = _skip_prolog(source)
+    root = _TOKEN.match(source, pos)
+    if root is None or root.lastindex not in (_START, _MALFORMED):
+        _error(source, pos, "expected a root element")
+    doc = XMLNode(NodeKind.DOC, uri)
+    # The open nodes, innermost last, and the text and CDATA pieces that
+    # await the next markup token (they merge into one text node).  Every
+    # position starts a token, so the tokens tile the input; the first is
+    # the root's start tag, and the walk ends when the root closes.
+    stack = [doc]
+    pending: str | None = None
+    elem, text, comment, pi = NodeKind.ELEM, NodeKind.TEXT, NodeKind.COMM, NodeKind.PI
+    for token in _TOKEN.finditer(source, pos):
+        kind = token.lastindex
+        if kind == _TEXT or kind == _CDATA:
+            piece = token.group(kind)
+            if kind == _TEXT and "&" in piece:
+                piece = _decode(piece, source, token.start())
+            if pending is None:
+                pending = piece
+            else:
+                pending += piece
+            continue
+        if kind == _MALFORMED:
+            _malformed(source, token.start())
+        parent = stack[-1]
+        if pending is not None:
+            if keep_whitespace_text or pending.strip():
+                parent.add_child(XMLNode(text, None, pending))
+            pending = None
+        if kind == _START:
+            name, attributes, empty = token.group(2, 3, _START)
+            node = parent.add_child(XMLNode(elem, name))
+            if attributes:
+                _add_attributes(node, token, source)
+            if not empty:
+                stack.append(node)
+            elif parent is doc:
+                break
+        elif kind == _END:
+            if token.group(_END) != parent.name:
+                _error(
+                    source,
+                    token.end(_END),
+                    f"mismatched end tag </{token.group(_END)}> for <{parent.name}>",
+                )
+            stack.pop()
+            if len(stack) == 1:
+                break
+        elif kind == _COMMENT:
+            parent.add_child(XMLNode(comment, None, token.group(_COMMENT)))
         else:
-            scanner.advance(2)
-            scanner.read_until("?>")
-        scanner.skip_whitespace()
-    if not scanner.eof():
-        scanner.error("unexpected content after the root element")
-    doc = XMLNode(NodeKind.DOC, name=uri)
-    doc.add_child(root)
+            target, body = token.group(_PI_TARGET, _PI)
+            parent.add_child(XMLNode(pi, target, body.strip()))
+    else:
+        _malformed(source, len(source))
+    # Trailing misc (comments / PIs / whitespace) is permitted and ignored.
+    pos = _EPILOG.match(source, token.end()).end()
+    if pos < len(source):
+        _error(source, pos, "unexpected content after the root element")
     return doc

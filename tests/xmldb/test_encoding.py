@@ -10,7 +10,7 @@ from repro.xmldb.parser import parse_xml
 
 
 def test_fig2_rows_match_paper(fig2_encoding):
-    rows = [record.as_tuple() for record in fig2_encoding.records]
+    rows = [tuple(record) for record in fig2_encoding.records]
     assert rows[0][:5] == (0, 9, 0, "DOC", "auction.xml")
     assert rows[1][:5] == (1, 8, 1, "ELEM", "open_auction")
     assert rows[2][:6] == (2, 0, 2, "ATTR", "id", "1")
