@@ -49,7 +49,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as _np
 
-from repro.algebra.predicates import _compare
+from repro.algebra.predicates import FLIPPED_OP, _compare
 from repro.errors import AlgebraError
 
 #: Largest magnitude for which every int is exactly representable in float64.
@@ -147,7 +147,8 @@ class SortedDomain:
     """
 
     __slots__ = (
-        "numbers", "strings", "integral", "dense", "nan_rank", "_lists", "_floats", "_mapped"
+        "numbers", "strings", "integral", "dense", "nan_rank", "has_nan",
+        "_lists", "_floats", "_mapped",
     )
 
     def __init__(self, numbers, strings, integral: bool):
@@ -157,6 +158,8 @@ class SortedDomain:
         #: The numbers are consecutive ints.
         self.dense = integral and len(numbers) and numbers[-1] - numbers[0] == len(numbers) - 1
         self.nan_rank = 2 * len(numbers) + 2
+        #: Some value is NaN (it holds the NaN slot).
+        self.has_nan = False
         self._lists = self._floats = self._mapped = None
 
     @classmethod
@@ -177,6 +180,7 @@ class SortedDomain:
         present = values[is_string].tolist()
         strings = sorted(set(present))
         domain = cls(numbers, _objects(strings), float not in kinds)
+        domain.has_nan = bool((number_ranks == domain.nan_rank).any())
         index = {text: domain.nan_rank + 2 * k + 2 for k, text in enumerate(strings)}
         ranks = _np.zeros(len(values), dtype=_np.int64)
         ranks[is_number] = number_ranks
@@ -223,7 +227,7 @@ class SortedDomain:
         """
         numbers = self.numbers
         if integral and self.dense and values.dtype == numbers.dtype == _np.float64:
-            ranks = values * 2 + (2 - 2 * float(numbers[0]))
+            ranks = (values - float(numbers[0])) * 2 + 2  # exact while near the domain
             _np.maximum(ranks, 1, out=ranks)  # past either end: the odd rank beyond it
             _np.minimum(ranks, self.nan_rank - 1, out=ranks)
             ranks[values != values] = 0  # NaN: None
@@ -399,14 +403,20 @@ class Column:
         return self.ranks != 0
 
     def float_values(self):
-        """``(float64 values, integral)``, NaN for ``None``; ``None`` unless all exact numbers."""
+        """``(float64 values, integral, magnitude bound)``, NaN for ``None``.
+
+        ``None`` unless all values are exact numbers; a NaN value is not one
+        (here NaN stands for ``None``).
+        """
         floats = self._numbers()
         if floats is not None:
-            return floats, self._integral
+            return floats, self._integral, float(_np.fmax.reduce(_np.abs(floats), initial=0.0))
         domain = self.domain
-        if domain.numbers.dtype != _np.float64 or len(domain.strings):
+        if domain.numbers.dtype != _np.float64 or len(domain.strings) or domain.has_nan:
             return None
-        return domain.floats()[self.ranks], domain.integral
+        numbers = domain.numbers  # ascending: the ends hold the largest magnitude
+        bound = float(max(-numbers[0], numbers[-1])) if len(numbers) else 0.0
+        return domain.floats()[self.ranks], domain.integral, bound
 
     def tolist(self) -> list:
         return self.values.tolist()
@@ -435,7 +445,6 @@ class Column:
 # Comparison and arithmetic kernels
 # ---------------------------------------------------------------------------
 
-_FLIPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _RANGE = {"<": _np.less, "<=": _np.less_equal, ">": _np.greater, ">=": _np.greater_equal}
 
 
@@ -450,9 +459,9 @@ def compare_mask(left, op: str, right, n: int):
     if not isinstance(left, Column):
         if not isinstance(right, Column):
             return _np.full(n, _compare(left, op, right), dtype=bool)
-        left, op, right = right, _FLIPPED[op], left
+        left, op, right = right, FLIPPED_OP[op], left
     elif isinstance(right, Column) and not left.ranked and right.ranked:
-        left, op, right = right, _FLIPPED[op], left  # re-rank the unranked side
+        left, op, right = right, FLIPPED_OP[op], left  # re-rank the unranked side
     domain = left.domain
     a, b, nan = left.ranks, domain.rank(right), domain.nan_rank
     if op == "=":
@@ -486,33 +495,37 @@ def sum_columns(parts: Sequence[object], n: int) -> Column:
 
     Matches ``predicates.Sum.evaluate``: any ``None`` operand makes the row
     ``None``, and non-numeric operands raise ``TypeError`` like the row
-    path.  Columns of numbers exact in float64 add as float64 while the
-    total stays exact; any other sum adds the Python objects.
+    path.  Numbers exact in float64 add as float64, in the parts' order,
+    when their magnitude bounds sum below 2**53: every partial sum of ints
+    is then exact, and floats round as the row path's do.  Any other sum
+    adds the Python objects.
     """
     if any(part is None for part in parts):
         return Column.constant(None, n)
     columns = [part for part in parts if isinstance(part, Column)]
-    scalars = [part for part in parts if not isinstance(part, Column)]
     if not columns:
-        return Column.constant(sum(scalars), n)
-    floats = [column.float_values() for column in columns]
-    if all(pair is not None for pair in floats):
-        total = floats[0][0]
-        for values, _integral in floats[1:]:
+        return Column.constant(sum(parts), n)
+    addends = [_addend(part) for part in parts]
+    if all(addends) and sum(bound for _values, _integral, bound in addends) < _EXACT_INT:
+        total = 0.0
+        for values, _integral, _bound in addends:
             total = total + values
-        scalar_total = sum(scalars, 0.0)
-        if scalar_total:
-            total = total + scalar_total
-        # ``fmax`` passes over NaN, the None rows.
-        if _np.fmax.reduce(_np.abs(total), initial=0.0) <= _EXACT_INT:
-            integral = all(pair[1] for pair in floats)
-            return Column.numeric(total, integral and all(isinstance(s, int) for s in scalars))
+        return Column.numeric(total, all(integral for _values, integral, _bound in addends))
     notnull = _np.logical_and.reduce([column.notnull for column in columns])
     total = 0
     for part in parts:
         total = total + (_np.where(notnull, part.values, 0) if isinstance(part, Column) else part)
     total[~notnull] = None
     return Column(total)
+
+
+def _addend(part):
+    """A sum operand as ``(float64 values or number, integral, bound)``; ``None`` if not exact."""
+    if isinstance(part, Column):
+        return part.float_values()
+    if isinstance(part, (int, float)) and abs(part) < _EXACT_INT:
+        return part, isinstance(part, int), abs(part)
+    return None
 
 
 # ---------------------------------------------------------------------------

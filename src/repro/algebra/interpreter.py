@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import AlgebraError, ExecutionError, QueryTimeoutError
+from repro.errors import AlgebraError, ExecutionError, check_deadline
 from repro.algebra import columnar as _columnar
 from repro.algebra.columnar import Column, ColumnarTable
 from repro.algebra.dag import topological_order
@@ -61,6 +61,7 @@ from repro.algebra.operators import (
     fold_aggregate,
 )
 from repro.algebra.predicates import (
+    FLIPPED_OP,
     ColumnRef,
     Comparison,
     Predicate,
@@ -68,6 +69,7 @@ from repro.algebra.predicates import (
     compile_comparisons_mask,
     compile_predicate_mask,
     compile_term_columnar,
+    schema_columns,
 )
 from repro.algebra.table import Table
 
@@ -148,9 +150,7 @@ class PlanInterpreter:
     # -- evaluation -------------------------------------------------------------
 
     def _check_deadline(self) -> None:
-        if self._deadline is not None and time.perf_counter() > self._deadline:
-            elapsed = self.timeout_seconds + (time.perf_counter() - self._deadline)
-            raise QueryTimeoutError(self.timeout_seconds or 0.0, elapsed)
+        check_deadline(self._deadline, self.timeout_seconds)
 
     def _evaluate(self, node: Operator) -> Table:
         if id(node) in self._memo:
@@ -419,9 +419,6 @@ class _RangeJoinPlan:
     remaining: list[Comparison]
 
 
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
-
-
 def _plan_range_join(
     residual: list[Comparison],
     left_columns: tuple[str, ...],
@@ -451,7 +448,7 @@ def _plan_range_join(
             continue
         for col_term, op, other in (
             (conjunct.left, conjunct.op, conjunct.right),
-            (conjunct.right, _FLIP.get(conjunct.op, conjunct.op), conjunct.left),
+            (conjunct.right, FLIPPED_OP[conjunct.op], conjunct.left),
         ):
             if not isinstance(col_term, ColumnRef):
                 continue
@@ -501,12 +498,12 @@ def _bounded_runs(column: Column, probe: ColumnarTable, bounds):
     sorted_ranks, run = ranks[positions][order], positions[order]
     total = len(sorted_ranks)
     split = sorted_ranks.searchsorted(nan)  # the numbers before it, the strings after
-    index_of = {name: i for i, name in enumerate(probe.columns)}
+    resolve = schema_columns(probe.columns)
     low = np.zeros(probe.length, dtype=np.int64)
     high = np.full(probe.length, total, dtype=np.int64)
     usable = np.ones(probe.length, dtype=bool)
     for op, term in bounds:
-        bound = domain.rank(compile_term_columnar(term, index_of)(probe))
+        bound = domain.rank(compile_term_columnar(term, resolve)(probe))
         usable &= (bound != 0) & (bound != nan)
         number = bound < nan
         np.maximum(low, np.where(number, 0, split), out=low)
@@ -529,7 +526,7 @@ def _residual_mask(left: ColumnarTable, right: ColumnarTable, residual: list[Com
     if not residual:
         return None
     names = sorted(frozenset().union(*(conjunct.columns() for conjunct in residual)))
-    mask_of = compile_comparisons_mask(residual, names)
+    mask_of = compile_comparisons_mask(residual, schema_columns(names))
     sides = [(name in left.columns, (left if name in left.columns else right).col(name))
              for name in names]
 

@@ -13,6 +13,36 @@ columns, constants, or sums of columns and constants (``pre° + size°``,
 All predicate objects are immutable and hashable so they can be shared
 between plan nodes and compared structurally in tests.  The auxiliary
 function ``cols(·)`` of the paper corresponds to the ``columns()`` methods.
+
+This is the only comparison vocabulary.  A join graph's WHERE clause
+(:mod:`repro.core.joingraph`) is a list of these comparisons over the same
+literals, parameters and sums, its columns alias-qualified
+:class:`~repro.core.joingraph.ColumnTerm` objects (the term protocol of
+:class:`ColumnRef`: ``columns``, ``rename``, ``evaluate``, ``render``).  One
+compiler turns either into a columnar mask; only how a column reference
+resolves differs — a schema position of a
+:class:`~repro.algebra.columnar.ColumnarTable` in the interpreter, an
+alias's view of ``Rows`` in the B-tree engine:
+
+>>> from repro.algebra.table import Table
+>>> from repro.core.joingraph import ColumnTerm, JoinGraph
+>>> from repro.core.sqlgen import render_join_graph
+>>> from repro.relational.physical.operators import Rows, alias_columns
+>>> condition = Comparison(ColumnTerm("d1", "pre"), "<", Sum(ColumnTerm("d2", "size"), Literal(1)))
+>>> item = [(ColumnTerm("d1", "pre"), "item")]
+>>> graph = JoinGraph(["d1", "d2"], "doc", [condition], item, order_terms=[], distinct=False)
+>>> print(render_join_graph(graph))
+SELECT d1.pre AS item
+FROM doc AS d1,
+     doc AS d2
+WHERE d1.pre < d2.size + 1
+>>> table = Table(("pre", "size"), [(0, 3), (1, 0), (2, 0), (3, 0)])
+>>> rows = Rows({"d1": table, "d2": table}, {"d1": None, "d2": None}, 4)  # rows (k, k)
+>>> compile_comparisons_mask([condition], alias_columns(rows.tables))(rows).tolist()
+[True, False, False, False]
+>>> algebra = Comparison(ColumnRef("pre"), "<", Sum(ColumnRef("size"), Literal(1)))
+>>> compile_comparisons_mask([algebra], schema_columns(table.columns))(table.columnar()).tolist()
+[True, False, False, False]
 """
 
 from __future__ import annotations
@@ -26,7 +56,8 @@ from repro.errors import AlgebraError
 #: Comparison operators admitted by the algebra (GeneralComp of Fig. 1).
 COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
-_FLIPPED_OP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+#: ``a op b`` holds exactly when ``b FLIPPED_OP[op] a`` does.
+FLIPPED_OP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 @dataclass(frozen=True)
@@ -105,9 +136,9 @@ class Parameter:
 class Sum:
     """A sum of terms, e.g. ``pre + size`` or ``level + 1``."""
 
-    terms: tuple[Union[ColumnRef, Literal], ...]
+    terms: tuple["Term", ...]
 
-    def __init__(self, *terms: Union[ColumnRef, Literal]):
+    def __init__(self, *terms: "Term"):
         if len(terms) < 2:
             raise AlgebraError("Sum needs at least two terms")
         object.__setattr__(self, "terms", tuple(terms))
@@ -147,6 +178,14 @@ def term_parameters(term: Term) -> frozenset[str]:
             result |= term_parameters(part)
         return result
     return frozenset()
+
+
+def term_aliases(term: Term) -> frozenset[str]:
+    """The aliases qualifying the column terms in ``term`` (none in the algebra)."""
+    if isinstance(term, Sum):
+        return frozenset().union(*map(term_aliases, term.terms))
+    alias = getattr(term, "alias", None)
+    return frozenset() if alias is None else frozenset((alias,))
 
 
 def bind_term(term: Term, values: Mapping[str, object]) -> Term:
@@ -200,12 +239,22 @@ class Comparison:
     def columns(self) -> frozenset[str]:
         return self.left.columns() | self.right.columns()
 
+    def aliases(self) -> frozenset[str]:
+        """The aliases qualifying the column terms: a join-graph condition's
+        ``doc`` aliases, none in the algebra.  Computed once: the planner
+        reads it for every condition it orders."""
+        return self._aliases
+
+    @cached_property
+    def _aliases(self) -> frozenset[str]:
+        return term_aliases(self.left) | term_aliases(self.right)
+
     def rename(self, mapping: Mapping[str, str]) -> "Comparison":
         return Comparison(self.left.rename(mapping), self.op, self.right.rename(mapping))
 
     def flipped(self) -> "Comparison":
         """Return the equivalent comparison with sides exchanged."""
-        return Comparison(self.right, _FLIPPED_OP[self.op], self.left)
+        return Comparison(self.right, FLIPPED_OP[self.op], self.left)
 
     def parameters(self) -> frozenset[str]:
         """Names of the unbound :class:`Parameter` slots in this comparison."""
@@ -303,20 +352,24 @@ class Predicate:
 #
 # ``Term.evaluate`` / ``Predicate.evaluate`` take one row *dictionary* at a
 # time — the reference semantics the naive interpreter runs.  The production
-# path compiles a predicate tree *once* per operator instead: a term into a
-# closure over a :class:`~repro.algebra.columnar.ColumnarTable` returning a
-# whole :class:`~repro.algebra.columnar.Column` (or a scalar), column
-# references resolved against the input schema at compile time, and a
-# conjunction into a closure returning one boolean *mask* over all rows.  The
-# mask kernels in :mod:`repro.algebra.columnar` implement exactly the
-# :func:`_compare` semantics as one comparison of order ranks.
+# paths compile a predicate tree *once* per operator instead: a term into a
+# closure over a columnar source returning a whole
+# :class:`~repro.algebra.columnar.Column` (or a scalar), and a conjunction
+# into a closure returning one boolean *mask* over all rows.  The mask
+# kernels in :mod:`repro.algebra.columnar` implement exactly the
+# :func:`_compare` semantics as one comparison of order ranks.  ``resolve``
+# compiles a column reference: :func:`schema_columns` reads a
+# ColumnarTable's columns by schema position, and the B-tree engine reads
+# an alias's view of its ``Rows``.
 
 
-def compile_term_columnar(term: Term, index_of: Mapping[str, int]):
-    """Compile ``term`` into a closure over a :class:`ColumnarTable`."""
-    from repro.algebra import columnar as _columnar
+def schema_columns(columns: Sequence[str]):
+    """Compile a :class:`ColumnRef` to its column of a ColumnarTable with schema ``columns``."""
+    index_of = {name: position for position, name in enumerate(columns)}
 
-    if isinstance(term, ColumnRef):
+    def resolve(term):
+        if not isinstance(term, ColumnRef):
+            raise AlgebraError(f"cannot compile term {term!r}")
         try:
             position = index_of[term.name]
         except KeyError:
@@ -324,41 +377,50 @@ def compile_term_columnar(term: Term, index_of: Mapping[str, int]):
                 f"unknown column {term.name!r} in predicate compilation"
             ) from None
         return lambda table: table.cols[position]
+
+    return resolve
+
+
+def compile_term_columnar(term: Term, resolve):
+    """Compile ``term`` into a closure over a columnar source (``resolve`` compiles its columns)."""
+    if not isinstance(term, (Literal, Sum, Parameter)):  # a column reference
+        return resolve(term)
     if isinstance(term, Literal):
         value = term.value
-        return lambda table: value
+        return lambda source: value
     if isinstance(term, Sum):
-        parts = tuple(compile_term_columnar(part, index_of) for part in term.terms)
-        return lambda table: _columnar.sum_columns(
-            [part(table) for part in parts], table.length
+        from repro.algebra import columnar as _columnar
+
+        parts = tuple(compile_term_columnar(part, resolve) for part in term.terms)
+        return lambda source: _columnar.sum_columns(
+            [part(source) for part in parts], source.length
         )
-    if isinstance(term, Parameter):
-        raise AlgebraError(
-            f"parameter ${term.name} must be bound before predicate compilation; "
-            "call Predicate.bind() or pass parameters to the interpreter"
-        )
-    raise AlgebraError(f"cannot compile term {term!r}")
+    raise AlgebraError(
+        f"parameter ${term.name} must be bound before predicate compilation; "
+        "call Predicate.bind() or pass parameters to the interpreter"
+    )
 
 
-def compile_comparisons_mask(comparisons: Iterable[Comparison], columns: Sequence[str]):
-    """Compile a conjunction into one mask closure over a :class:`ColumnarTable`."""
-    from repro.algebra import columnar as _columnar
-
-    index_of = {name: position for position, name in enumerate(columns)}
+def compile_comparisons_mask(comparisons: Iterable[Comparison], resolve):
+    """Compile a conjunction into one mask closure over a columnar source (``None`` if empty)."""
     compiled = tuple(
         (
-            compile_term_columnar(conjunct.left, index_of),
+            compile_term_columnar(conjunct.left, resolve),
             conjunct.op,
-            compile_term_columnar(conjunct.right, index_of),
+            compile_term_columnar(conjunct.right, resolve),
         )
         for conjunct in comparisons
     )
-    return lambda table: _columnar.conjunction_mask(compiled, table)
+    if not compiled:
+        return None
+    from repro.algebra import columnar as _columnar
+
+    return lambda source: _columnar.conjunction_mask(compiled, source)
 
 
 def compile_predicate_mask(predicate: Predicate, columns: Sequence[str]):
     """Compile a predicate into one boolean-mask closure over a :class:`ColumnarTable`."""
-    return compile_comparisons_mask(predicate.conjuncts, columns)
+    return compile_comparisons_mask(predicate.conjuncts, schema_columns(columns))
 
 
 def column(name: str) -> ColumnRef:

@@ -23,8 +23,7 @@ the caller falls back to evaluating the algebra plan directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Union
 
 from repro.errors import JoinGraphError
@@ -43,65 +42,52 @@ from repro.algebra.operators import (
     Select,
     Serialize,
 )
-from repro.algebra.predicates import ColumnRef, Literal, Parameter, Predicate, Sum
+from repro.algebra.predicates import (
+    FLIPPED_OP,
+    ColumnRef,
+    Comparison,
+    Literal,
+    Parameter,
+    Predicate,
+    Sum,
+    bind_term,
+    term_aliases,
+    term_parameters,
+)
 
 
 # ---------------------------------------------------------------------------
-# SQL-level terms and conditions
+# Join-graph terms
 # ---------------------------------------------------------------------------
+#
+# A graph's conditions are the algebra's own :class:`Comparison` objects and
+# its constants, parameters and sums the algebra's :class:`Literal`,
+# :class:`Parameter` and :class:`Sum`; extraction only requalifies columns.
 
 
 @dataclass(frozen=True)
 class ColumnTerm:
-    """A reference to a column of one ``doc`` alias, e.g. ``d2.pre``."""
+    """A reference to a column of one ``doc`` alias, e.g. ``d2.pre``.
+
+    The :class:`~repro.algebra.predicates.ColumnRef` protocol over the
+    qualified name; a row without the column reads it as NULL, as the
+    B-tree engine reads a column its alias lacks.
+    """
 
     alias: str
     column: str
 
+    def columns(self) -> frozenset[str]:
+        return frozenset((self.render(),))
+
+    def rename(self, mapping: Mapping[str, str]) -> "ColumnTerm":
+        return self
+
+    def evaluate(self, row: Mapping[str, object]) -> object:
+        return row.get(self.render())
+
     def render(self) -> str:
         return f"{self.alias}.{self.column}"
-
-
-@dataclass(frozen=True)
-class ConstantTerm:
-    """A literal constant."""
-
-    value: object
-
-    def render(self) -> str:
-        if self.value is None:
-            return "NULL"
-        if isinstance(self.value, bool):  # before str/int: bool is an int subclass
-            return "1" if self.value else "0"
-        if isinstance(self.value, str):
-            escaped = self.value.replace("'", "''")
-            return f"'{escaped}'"
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class SumTerm:
-    """A sum of terms, e.g. ``d1.pre + d1.size``."""
-
-    terms: tuple["Term", ...]
-
-    def render(self) -> str:
-        return " + ".join(term.render() for term in self.terms)
-
-
-@dataclass(frozen=True)
-class ParameterTerm:
-    """A late-bound parameter placeholder, rendered as the ``:name`` marker.
-
-    Prepared queries carry these through the extracted join graph;
-    :meth:`JoinGraph.bind` turns them into :class:`ConstantTerm` values once
-    bindings are supplied, right before (value-aware) planning.
-    """
-
-    name: str
-
-    def render(self) -> str:
-        return f":{self.name}"
 
 
 @dataclass(frozen=True)
@@ -137,64 +123,15 @@ class AggregateTerm:
         )
 
 
-Term = Union[ColumnTerm, ConstantTerm, SumTerm, ParameterTerm, PseudoTerm, AggregateTerm]
+Term = Union[ColumnTerm, Literal, Sum, Parameter, PseudoTerm, AggregateTerm]
 
 
-def term_parameters(term: Term) -> frozenset[str]:
-    """Names of the :class:`ParameterTerm` slots occurring in ``term``."""
-    if isinstance(term, ParameterTerm):
-        return frozenset((term.name,))
-    if isinstance(term, SumTerm):
-        result: frozenset[str] = frozenset()
-        for part in term.terms:
-            result |= term_parameters(part)
-        return result
-    return frozenset()
+def _parameters(terms) -> frozenset[str]:
+    return frozenset().union(*map(term_parameters, terms))
 
 
-def bind_term(term: Term, values: Mapping[str, object]) -> Term:
-    """Replace :class:`ParameterTerm` slots by :class:`ConstantTerm` values."""
-    if isinstance(term, ParameterTerm):
-        try:
-            return ConstantTerm(values[term.name])
-        except KeyError:
-            raise JoinGraphError(
-                f"no binding supplied for parameter :{term.name}"
-            ) from None
-    if isinstance(term, SumTerm) and term_parameters(term):
-        return SumTerm(tuple(bind_term(part, values) for part in term.terms))
-    return term
-
-
-@dataclass(frozen=True)
-class Condition:
-    """One conjunct of the WHERE clause: ``left op right``."""
-
-    left: Term
-    op: str
-    right: Term
-
-    def render(self) -> str:
-        return f"{self.left.render()} {self.op} {self.right.render()}"
-
-    def aliases(self) -> frozenset[str]:
-        """The ``doc`` aliases the condition mentions (computed once: the value is frozen)."""
-        return self._aliases
-
-    @cached_property
-    def _aliases(self) -> frozenset[str]:
-        return frozenset(_term_aliases(self.left) | _term_aliases(self.right))
-
-
-def _term_aliases(term: Term) -> set[str]:
-    if isinstance(term, ColumnTerm):
-        return {term.alias}
-    if isinstance(term, SumTerm):
-        aliases: set[str] = set()
-        for part in term.terms:
-            aliases |= _term_aliases(part)
-        return aliases
-    return set()
+def _bind_all(terms, values: Mapping[str, object]) -> tuple[Term, ...]:
+    return tuple(bind_term(term, values) for term in terms)
 
 
 @dataclass(frozen=True)
@@ -228,12 +165,8 @@ class WindowSpec:
         return self.partition + self.order
 
     def bind(self, values: Mapping[str, object]) -> "WindowSpec":
-        return WindowSpec(
-            token=self.token,
-            partition=tuple(bind_term(term, values) for term in self.partition),
-            order=tuple(bind_term(term, values) for term in self.order),
-            alias_count=self.alias_count,
-            condition_count=self.condition_count,
+        return replace(
+            self, partition=_bind_all(self.partition, values), order=_bind_all(self.order, values)
         )
 
 
@@ -246,17 +179,10 @@ class WindowCondition:
     value: Term
 
     def parameters(self) -> frozenset[str]:
-        result = term_parameters(self.value)
-        for term in self.spec.key_terms():
-            result |= term_parameters(term)
-        return result
+        return _parameters((self.value, *self.spec.key_terms()))
 
     def bind(self, values: Mapping[str, object]) -> "WindowCondition":
-        return WindowCondition(
-            spec=self.spec.bind(values),
-            op=self.op,
-            value=bind_term(self.value, values),
-        )
+        return replace(self, spec=self.spec.bind(values), value=bind_term(self.value, values))
 
 
 @dataclass(frozen=True)
@@ -284,19 +210,10 @@ class HavingCondition:
     condition_count: int
 
     def parameters(self) -> frozenset[str]:
-        result = term_parameters(self.value)
-        for term in self.spec.terms():
-            result |= term_parameters(term)
-        return result
+        return _parameters((self.value, *self.spec.terms()))
 
     def bind(self, values: Mapping[str, object]) -> "HavingCondition":
-        return HavingCondition(
-            spec=self.spec.bind(values),
-            op=self.op,
-            value=bind_term(self.value, values),
-            alias_count=self.alias_count,
-            condition_count=self.condition_count,
-        )
+        return replace(self, spec=self.spec.bind(values), value=bind_term(self.value, values))
 
 
 @dataclass
@@ -332,7 +249,7 @@ class AggregateSpec:
     @property
     def is_scalar(self) -> bool:
         """Top-level aggregate: the loop is the constant singleton."""
-        return isinstance(self.group, ConstantTerm)
+        return isinstance(self.group, Literal)
 
     def inner_items(self) -> tuple[list[tuple[Term, str]], str, Optional[str]]:
         """The argument bundle's select list, its COUNT column, its value column.
@@ -364,16 +281,9 @@ class AggregateSpec:
         return result
 
     def bind(self, values: Mapping[str, object]) -> "AggregateSpec":
-        return AggregateSpec(
-            function=self.function,
-            group=bind_term(self.group, values),
-            child_group=bind_term(self.child_group, values),
-            unit=bind_term(self.unit, values),
-            value=bind_term(self.value, values) if self.value is not None else None,
-            outer_distinct=self.outer_distinct,
-            outer_alias_count=self.outer_alias_count,
-            outer_condition_count=self.outer_condition_count,
-        )
+        group, child_group, unit = _bind_all((self.group, self.child_group, self.unit), values)
+        value = bind_term(self.value, values)  # None for count stays None
+        return replace(self, group=group, child_group=child_group, unit=unit, value=value)
 
 
 @dataclass
@@ -388,7 +298,7 @@ class JoinGraph:
 
     aliases: list[str]
     table_name: str
-    conditions: list[Condition]
+    conditions: list[Comparison]
     select_items: list[tuple[Term, str]]
     order_terms: list[Term]
     distinct: bool
@@ -404,50 +314,36 @@ class JoinGraph:
         """Number of ``doc`` references — the "n-fold self-join" of the paper."""
         return len(self.aliases)
 
-    def conditions_for(self, alias: str) -> list[Condition]:
+    def conditions_for(self, alias: str) -> list[Comparison]:
         """All conditions that touch exactly the given alias (local predicates)."""
         return [c for c in self.conditions if c.aliases() == frozenset({alias})]
 
     def parameters(self) -> frozenset[str]:
-        """Names of all unbound :class:`ParameterTerm` slots in the graph."""
-        result: frozenset[str] = frozenset()
-        for condition in self.conditions:
-            result |= term_parameters(condition.left) | term_parameters(condition.right)
-        for term, _name in self.select_items:
-            result |= term_parameters(term)
-        for term in self.order_terms:
-            result |= term_parameters(term)
+        """Names of all unbound :class:`~repro.algebra.predicates.Parameter` slots in the graph."""
+        terms = [term for term, _name in self.select_items] + list(self.order_terms)
         if self.aggregate is not None:
-            for term in self.aggregate.terms():
-                result |= term_parameters(term)
-        for window in self.windows:
-            result |= window.parameters()
-        for having in self.having:
-            result |= having.parameters()
-        return result
+            terms += self.aggregate.terms()
+        filters = [*self.conditions, *self.windows, *self.having]
+        return _parameters(terms).union(*(each.parameters() for each in filters))
 
     def bind(self, values: Mapping[str, object]) -> "JoinGraph":
         """Resolve every parameter slot against ``values``.
 
-        Returns a structurally identical graph with :class:`ConstantTerm`
-        values in place of the slots — exactly the graph the ad-hoc path
-        would have extracted for a query with those values as literals — so
-        the cost-based planner gets to make value-aware access-path choices
-        per binding.  Identity when the graph has no parameters.
+        Returns a structurally identical graph with
+        :class:`~repro.algebra.predicates.Literal` values in place of the
+        slots — exactly the graph the ad-hoc path would have extracted for a
+        query with those values as literals — so the cost-based planner gets
+        to make value-aware access-path choices per binding.  Identity when
+        the graph has no parameters.
         """
         if not self.parameters():
             return self
-        conditions = [
-            Condition(bind_term(c.left, values), c.op, bind_term(c.right, values))
-            for c in self.conditions
-        ]
-        return JoinGraph(
+        return replace(
+            self,
             aliases=list(self.aliases),
-            table_name=self.table_name,
-            conditions=conditions,
+            conditions=[condition.bind(values) for condition in self.conditions],
             select_items=[(bind_term(term, values), name) for term, name in self.select_items],
-            order_terms=[bind_term(term, values) for term in self.order_terms],
-            distinct=self.distinct,
+            order_terms=list(_bind_all(self.order_terms, values)),
             aggregate=self.aggregate.bind(values) if self.aggregate is not None else None,
             windows=[window.bind(values) for window in self.windows],
             having=[having.bind(values) for having in self.having],
@@ -542,7 +438,7 @@ class JoinGraph:
         conditions = self.conditions[: spec.condition_count]
         needed: set[str] = set()
         for term in spec.key_terms():
-            needed |= _term_aliases(term)
+            needed |= term_aliases(term)
         while True:
             grown = set(needed)
             for condition in conditions:
@@ -586,7 +482,7 @@ class JoinGraph:
         inside = set(self.aliases)
         terms = [term for term, _name in self.select_items] + list(self.order_terms)
         return all(condition.aliases() <= inside for condition in self.conditions) and all(
-            _term_aliases(term) <= inside for term in terms
+            term_aliases(term) <= inside for term in terms
         )
 
 
@@ -599,7 +495,7 @@ class _Extractor:
     def __init__(self, table_name: str = "doc"):
         self.table_name = table_name
         self.aliases: list[str] = []
-        self.conditions: list[Condition] = []
+        self.conditions: list[Comparison] = []
         self.distinct = False
         self.rank_orders: dict[str, list[Term]] = {}
         self.rank_windows: dict[str, WindowSpec] = {}
@@ -630,13 +526,10 @@ class _Extractor:
             if resolved is None:
                 raise JoinGraphError(f"column {term.name!r} is not available in the join graph")
             return resolved
-        if isinstance(term, Literal):
-            return ConstantTerm(term.value)
-        if isinstance(term, Parameter):
-            return ParameterTerm(term.name)
+        if isinstance(term, (Literal, Parameter)):
+            return term
         if isinstance(term, Sum):
-            parts = tuple(self._translate_term(part, mapping) for part in term.terms)
-            return SumTerm(parts)
+            return Sum(*(self._translate_term(part, mapping) for part in term.terms))
         raise JoinGraphError(f"cannot translate predicate term {term!r}")
 
     def _add_predicate(self, predicate: Predicate, mapping: Mapping[str, Term]) -> None:
@@ -659,9 +552,7 @@ class _Extractor:
                     "an aggregate value appears inside a predicate; aggregates are "
                     "only expressible in the result position of a join graph"
                 )
-            self.conditions.append(Condition(left, conjunct.op, right))
-
-    _FLIP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+            self.conditions.append(Comparison(left, conjunct.op, right))
 
     def _try_window_condition(self, left: Term, op: str, right: Term) -> bool:
         """A rank pseudo compared against a renderable value → window filter."""
@@ -669,10 +560,10 @@ class _Extractor:
             pseudo, value = left, right
         elif isinstance(right, PseudoTerm) and right.token in self.rank_windows:
             pseudo, value = right, left
-            op = self._FLIP[op]
+            op = FLIPPED_OP[op]
         else:
             return False
-        if not isinstance(value, (ConstantTerm, ParameterTerm)):
+        if not isinstance(value, (Literal, Parameter)):
             return False
         self.windows.append(
             WindowCondition(spec=self.rank_windows[pseudo.token], op=op, value=value)
@@ -692,12 +583,12 @@ class _Extractor:
             value = right
         elif isinstance(right, AggregateTerm) and not isinstance(left, AggregateTerm):
             value = left
-            op = self._FLIP[op]
+            op = FLIPPED_OP[op]
         else:
             return False
         if self.aggregate is None:
             return False
-        if not isinstance(value, (ConstantTerm, ParameterTerm)):
+        if not isinstance(value, (Literal, Parameter)):
             return False
         self.having.append(
             HavingCondition(
@@ -745,7 +636,7 @@ class _Extractor:
         saw_pre = False
         for column in source.columns:
             term = inner_mapping.get(column)
-            if isinstance(term, ConstantTerm):
+            if isinstance(term, Literal):
                 continue
             if not isinstance(term, ColumnTerm):
                 return None
@@ -776,7 +667,7 @@ class _Extractor:
         expanded: list[Term] = []
         for column in node.child.columns:
             term = child_mapping.get(column)
-            if isinstance(term, ConstantTerm):
+            if isinstance(term, Literal):
                 continue
             if isinstance(term, ColumnTerm):
                 expanded.append(ColumnTerm(term.alias, "pre"))
@@ -817,7 +708,7 @@ class _Extractor:
         if isinstance(node, LiteralTable):
             if len(node.rows) != 1:
                 raise JoinGraphError("a multi-row literal table cannot appear in a join graph")
-            return dict(zip(node.columns, (ConstantTerm(v) for v in node.rows[0])))
+            return dict(zip(node.columns, (Literal(v) for v in node.rows[0])))
         if isinstance(node, Serialize):
             return self.emit(node.child)
         if isinstance(node, Select):
@@ -829,7 +720,7 @@ class _Extractor:
             return {new: mapping[old] for new, old in node.items}
         if isinstance(node, Attach):
             mapping = dict(self.emit(node.child))
-            mapping[node.column] = ConstantTerm(node.value)
+            mapping[node.column] = Literal(node.value)
             return mapping
         if isinstance(node, Join):
             left = self.emit(node.left)
@@ -902,7 +793,7 @@ class _Extractor:
 
             partition_terms = [
                 term for term in expand(node.partition_by)
-                if not isinstance(term, ConstantTerm)
+                if not isinstance(term, Literal)
             ]
             order_terms = expand(node.order_by)
             # For pure ordering use the partition keys precede the order
@@ -911,7 +802,7 @@ class _Extractor:
             combined.extend(term for term in order_terms if term not in combined)
             self.rank_orders[pseudo.token] = combined
             renderable_orders = [
-                term for term in order_terms if not isinstance(term, ConstantTerm)
+                term for term in order_terms if not isinstance(term, Literal)
             ]
             if renderable_orders:
                 # Remember the window shape in case a positional selection
@@ -962,11 +853,11 @@ class _Extractor:
                 "(a multi-level loop nest); the aggregate cannot be pushed down"
             )
         if child_group != group and not (
-            isinstance(group, ConstantTerm) and isinstance(child_group, ConstantTerm)
+            isinstance(group, Literal) and isinstance(child_group, Literal)
         ):
             # The argument computes its iteration identity through a
             # different term — correlate it explicitly (an inner condition).
-            self.conditions.append(Condition(child_group, "=", group))
+            self.conditions.append(Comparison(child_group, "=", group))
         unit = child_mapping[node.unit_column]
         value = child_mapping[node.value_column] if node.value_column is not None else None
         if isinstance(unit, (PseudoTerm, AggregateTerm)) or isinstance(
@@ -1058,8 +949,8 @@ def _order_terms(
         return [item_term]
     if isinstance(pos_term, PseudoTerm):
         recorded = extractor.rank_orders.get(pos_term.token, [])
-        terms = [term for term in recorded if not isinstance(term, ConstantTerm)]
+        terms = [term for term in recorded if not isinstance(term, Literal)]
         return terms or [item_term]
-    if isinstance(pos_term, ConstantTerm):
+    if isinstance(pos_term, Literal):
         return [item_term]
     return [pos_term]

@@ -36,9 +36,48 @@ from repro.algebra.operators import (
     Select,
     Serialize,
 )
-from repro.algebra.predicates import ColumnRef, Literal, Parameter, Predicate, Sum
-from repro.core.joingraph import AggregateSpec, JoinGraph, extract_join_graph
+from repro.algebra.predicates import Comparison, Literal, Parameter, Sum
+from repro.core.joingraph import AggregateSpec, ColumnTerm, JoinGraph, extract_join_graph
 from repro.errors import JoinGraphError
+
+
+def sql_term(term) -> str:
+    """Render one predicate term as SQL: the join-graph block and the stacked
+    WITH-chain alike.
+
+    A parameter is SQLite's ``:name`` marker.  A constant must come out as
+    a SQL literal: booleans as ``1``/``0`` (``True``/``False`` is not SQL;
+    the bool test precedes the number case because ``bool`` is an
+    ``int``), ``None`` as ``NULL`` and strings quoted with ``'`` doubled.
+    A column is its (alias-qualified) name, and a pseudo or aggregate
+    marker refuses with :class:`~repro.errors.JoinGraphError`.
+
+    >>> sql_term(Sum(ColumnTerm("d1", "pre"), ColumnTerm("d1", "size")))
+    'd1.pre + d1.size'
+    >>> sql_term(Literal("O'Hara")), sql_term(Literal(True)), sql_term(Literal(None))
+    ("'O''Hara'", '1', 'NULL')
+    """
+    if isinstance(term, ColumnTerm):  # the commonest term first
+        return f"{term.alias}.{term.column}"
+    if isinstance(term, Literal):
+        value = term.value
+        if value is None:
+            return "NULL"
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        if isinstance(value, str):
+            return "'" + value.replace("'", "''") + "'"
+        return str(value)
+    if isinstance(term, Sum):
+        return " + ".join(sql_term(part) for part in term.terms)
+    if isinstance(term, Parameter):
+        return f":{term.name}"
+    return term.render()
+
+
+def sql_comparison(comparison: Comparison) -> str:
+    """``left op right`` in SQL (see :func:`sql_term`)."""
+    return f"{sql_term(comparison.left)} {comparison.op} {sql_term(comparison.right)}"
 
 
 def render_join_graph(graph: JoinGraph, join_order: Optional[Sequence[str]] = None) -> str:
@@ -73,20 +112,20 @@ def render_join_graph(graph: JoinGraph, join_order: Optional[Sequence[str]] = No
         spec, wt = window.spec, f"w{position}"
         over = []
         if spec.partition:
-            over.append("PARTITION BY " + ", ".join(term.render() for term in spec.partition))
-        over.append("ORDER BY " + ", ".join(term.render() for term in spec.order))
+            over.append("PARTITION BY " + ", ".join(map(sql_term, spec.partition)))
+        over.append("ORDER BY " + ", ".join(map(sql_term, spec.order)))
         ranked = f"DENSE_RANK() OVER ({' '.join(over)}) AS rnk"
         derived = _render_block(graph.window_block(spec), join_order, ranked=ranked)
         tables.append(f"({_indent(derived)}) AS {wt}")
         for key_index, term in enumerate(spec.key_terms()):
-            filters.append(f"{wt}.k{key_index} = {term.render()}")
-        filters.append(f"{wt}.rnk {window.op} {window.value.render()}")
+            filters.append(f"{wt}.k{key_index} = {sql_term(term)}")
+        filters.append(f"{wt}.rnk {window.op} {sql_term(window.value)}")
     for having in graph.having:
         # Correlated and scalar (no GROUP BY): exactly one row even for an
         # empty argument, which keeps ``fn:count(...) = 0`` satisfiable.
         argument = _indent(_render_block(graph.having_argument(having), join_order))
         subquery = f"SELECT {_aggregate_expression(having.spec, 'h')}\nFROM ({argument}) AS h"
-        filters.append(f"({_indent(subquery)}) {having.op} {having.value.render()}")
+        filters.append(f"({_indent(subquery)}) {having.op} {sql_term(having.value)}")
     return _render_block(graph.outer_block(), join_order, tables=tables, filters=filters)
 
 
@@ -106,7 +145,7 @@ def _render_block(
 
     A block without aliases renders FROM-less, SQL's one-row ``SELECT``.
     """
-    items = [f"{term.render()} AS {name}" for term, name in block.select_items]
+    items = [f"{sql_term(term)} AS {name}" for term, name in block.select_items]
     if ranked:
         items.append(ranked)
     distinct = "DISTINCT " if block.distinct else ""
@@ -118,11 +157,11 @@ def _render_block(
     if sources:
         joiner = "\n     CROSS JOIN " if join_order is not None else ",\n     "
         lines.append("FROM " + joiner.join(sources))
-    where = [condition.render() for condition in block.conditions] + list(filters)
+    where = [sql_comparison(condition) for condition in block.conditions] + list(filters)
     if where:
         lines.append("WHERE " + "\n  AND ".join(where))
     if ordered and block.order_terms:
-        lines.append("ORDER BY " + ", ".join(term.render() for term in block.order_terms))
+        lines.append("ORDER BY " + ", ".join(map(sql_term, block.order_terms)))
     return "\n".join(lines)
 
 
@@ -178,21 +217,6 @@ def generate_join_graph_sql(plan: Operator, table_name: str = "doc") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _render_predicate_sql(predicate: Predicate, resolve) -> str:
-    def term(t) -> str:
-        if isinstance(t, ColumnRef):
-            return resolve(t.name)
-        if isinstance(t, Literal):
-            return _sql_literal(t.value)
-        if isinstance(t, Sum):
-            return " + ".join(term(part) for part in t.terms)
-        if isinstance(t, Parameter):
-            return f":{t.name}"
-        raise TypeError(f"unexpected predicate term {t!r}")
-
-    return " AND ".join(f"{term(c.left)} {c.op} {term(c.right)}" for c in predicate.conjuncts)
-
-
 def generate_stacked_sql(plan: Operator, table_name: str = "doc") -> str:
     """Render the (unrewritten) stacked plan as a WITH-chain, one CTE per operator."""
     names: dict[int, str] = {}
@@ -220,7 +244,8 @@ def _render_operator(node: Operator, name_of, table_name: str) -> str:
         rows = []
         for row in node.rows:
             values = ", ".join(
-                f"{_sql_literal(value)} AS {column}" for column, value in zip(node.columns, row)
+                f"{sql_term(Literal(value))} AS {column}"
+                for column, value in zip(node.columns, row)
             )
             rows.append(f"SELECT {values}")
         return " UNION ALL ".join(rows)
@@ -232,12 +257,13 @@ def _render_operator(node: Operator, name_of, table_name: str) -> str:
         )
         return f"SELECT {items} FROM {name_of(node.child)}"
     if isinstance(node, Select):
-        predicate = _render_predicate_sql(node.predicate, lambda c: c)
+        predicate = " AND ".join(map(sql_comparison, node.predicate.conjuncts))
         return f"SELECT * FROM {name_of(node.child)} WHERE {predicate}"
     if isinstance(node, Distinct):
         return f"SELECT DISTINCT * FROM {name_of(node.child)}"
     if isinstance(node, Attach):
-        return f"SELECT *, {_sql_literal(node.value)} AS {node.column} FROM {name_of(node.child)}"
+        value = sql_term(Literal(node.value))
+        return f"SELECT *, {value} AS {node.column} FROM {name_of(node.child)}"
     if isinstance(node, RowId):
         # ROW_NUMBER() OVER () leaves the numbering to the engine's arbitrary
         # row order; ordering over the operator's input columns keeps stacked
@@ -258,7 +284,7 @@ def _render_operator(node: Operator, name_of, table_name: str) -> str:
             f"FROM {name_of(node.child)}"
         )
     if isinstance(node, Join):
-        predicate = _render_predicate_sql(node.predicate, lambda c: c)
+        predicate = " AND ".join(map(sql_comparison, node.predicate.conjuncts))
         return (
             f"SELECT * FROM {name_of(node.left)}, {name_of(node.right)} WHERE {predicate}"
         )
@@ -295,19 +321,3 @@ def _render_operator(node: Operator, name_of, table_name: str) -> str:
             f"GROUP BY {group_by}{having}"
         )
     raise TypeError(f"cannot render operator {type(node).__name__}")
-
-
-def _sql_literal(value: object) -> str:
-    """Render a Python value as a SQL literal.
-
-    Booleans must come out as ``1``/``0`` (``True``/``False`` is not SQL) and
-    ``None`` as ``NULL``; the bool test precedes everything else because
-    ``bool`` is a subclass of ``int``.
-    """
-    if value is None:
-        return "NULL"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    return str(value)

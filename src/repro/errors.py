@@ -7,6 +7,7 @@ still being able to distinguish the subsystem that failed.
 
 from __future__ import annotations
 
+import time
 from typing import Optional
 
 
@@ -133,6 +134,20 @@ class QueryTimeoutError(ReproError):
         )
         self.budget_seconds = budget_seconds
         self.elapsed_seconds = elapsed_seconds
+
+
+def check_deadline(deadline: Optional[float], budget_seconds: Optional[float]) -> None:
+    """Raise :class:`QueryTimeoutError` once ``time.perf_counter()`` passes ``deadline``.
+
+    ``deadline`` is the start plus ``budget_seconds`` (``None``: no deadline);
+    the error reports the budget and the time since that start.  Every
+    engine's timeout check calls this one function.
+    """
+    if deadline is not None:
+        now = time.perf_counter()
+        if now > deadline:
+            budget = budget_seconds or 0.0
+            raise QueryTimeoutError(budget, now - deadline + budget)
 
 
 class PureXMLError(ReproError):

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from repro.errors import QueryTimeoutError
+from repro.errors import check_deadline
 from repro.purexml.pattern_index import XMLPatternIndex
 from repro.purexml.storage import XMLColumnStore
 from repro.purexml.xscan import XScan
@@ -92,15 +92,13 @@ class PureXMLEngine:
     ) -> PureXMLResult:
         values = check_bindings(module.externals, bindings)
         expr = bind_external_variables(module.body, values) if values else module.body
-        started = time.perf_counter()
-        deadline = started + timeout_seconds if timeout_seconds else None
+        deadline = time.perf_counter() + timeout_seconds if timeout_seconds else None
         candidate_rids, used_index = self._xiscan(expr)
         nodes: list[XMLNode] = []
         values: list = []
         visited = 0
         for rid in sorted(candidate_rids):
-            if deadline is not None and time.perf_counter() > deadline:
-                raise QueryTimeoutError(timeout_seconds or 0.0, time.perf_counter() - started)
+            check_deadline(deadline, timeout_seconds)
             doc = self.store.rows[rid]
             visited += 1
             scan = XScan(doc, deadline, budget=timeout_seconds)

@@ -8,10 +8,9 @@ the same AST the relational pipeline uses, but directly over
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
-from repro.errors import PureXMLError, QueryTimeoutError
+from repro.errors import PureXMLError, check_deadline
 from repro.xmldb.infoset import NodeKind, XMLNode
 from repro.xquery import ast
 
@@ -36,12 +35,7 @@ class XScan:
         self.budget = budget
 
     def _check(self) -> None:
-        if self.deadline is not None:
-            now = time.perf_counter()
-            if now > self.deadline:
-                budget = self.budget if self.budget is not None else 0.0
-                start = self.deadline - budget if self.budget is not None else self.deadline
-                raise QueryTimeoutError(budget, now - start)
+        check_deadline(self.deadline, self.budget)
 
     def evaluate(self, expr: ast.Expression, env: Optional[dict[str, list]] = None) -> list:
         env = env or {}

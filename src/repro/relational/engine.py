@@ -11,7 +11,7 @@ Example — extract a join graph through the pipeline and run it here:
 >>> processor.engine.execute(graph).items()
 [2, 4]
 
-Join graphs of prepared queries carry :class:`~repro.core.joingraph.ParameterTerm`
+Join graphs of prepared queries carry :class:`~repro.algebra.predicates.Parameter`
 slots; pass ``bindings`` to resolve them at execution time:
 
 >>> prepared = processor.compile(
@@ -31,8 +31,9 @@ from typing import Mapping, Optional
 from repro.errors import PlanningError
 from repro.algebra import columnar as _columnar
 from repro.algebra.operators import fold_aggregate
-from repro.algebra.predicates import _compare
-from repro.core.joingraph import ConstantTerm, JoinGraph
+from repro.algebra.predicates import Literal, _compare
+from repro.core.joingraph import JoinGraph
+from repro.core.sqlgen import sql_term
 from repro.relational.catalog import Database
 from repro.relational.optimizer.planner import PlannedQuery, Planner
 from repro.relational.physical.operators import ExecutionContext
@@ -43,7 +44,7 @@ PROGRAM_CACHE_SIZE = 64
 
 def _constant_value(term) -> object:
     """The bound comparison value of a window / HAVING filter."""
-    if isinstance(term, ConstantTerm):
+    if isinstance(term, Literal):
         return term.value
     raise PlanningError(f"filter value {term!r} is not bound to a constant")
 
@@ -208,7 +209,7 @@ class RelationalEngine:
         spec = program.resolved.aggregate
         if spec is None:
             return program.planned.explain()
-        grouping = "scalar" if spec.is_scalar else f"GROUP BY {spec.group.render()}"
+        grouping = "scalar" if spec.is_scalar else f"GROUP BY {sql_term(spec.group)}"
         lines = [f"AGGREGATE {spec.function.upper()} [{grouping}]"]
         lines.extend("  " + line for line in program.planned.explain().splitlines())
         return "\n".join(lines)

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import PlanningError
-from repro.core.joingraph import ColumnTerm, Condition, ConstantTerm, JoinGraph, SumTerm, Term
+from repro.algebra.predicates import FLIPPED_OP, Comparison, Literal, Sum
+from repro.core.joingraph import ColumnTerm, JoinGraph, Term
 from repro.relational.btree import PRE_PLUS_SIZE, BTreeIndex
 from repro.relational.catalog import Database
 from repro.relational.physical.operators import (
@@ -45,14 +46,12 @@ from repro.relational.physical.operators import (
 )
 from repro.relational.statistics import DEFAULT_SELECTIVITY
 
-_RANGE_OPS = {"<", "<=", ">", ">="}
-
 
 def _term_alias_column(term: Term) -> Optional[tuple[str, str]]:
     """Resolve a term to ``(alias, key_column)`` if it is indexable."""
     if isinstance(term, ColumnTerm):
         return term.alias, term.column
-    if isinstance(term, SumTerm) and len(term.terms) == 2:
+    if isinstance(term, Sum) and len(term.terms) == 2:
         first, second = term.terms
         if (
             isinstance(first, ColumnTerm)
@@ -67,7 +66,7 @@ def _term_alias_column(term: Term) -> Optional[tuple[str, str]]:
 def _references_only(term: Term, aliases: set[str]) -> bool:
     if isinstance(term, ColumnTerm):
         return term.alias in aliases
-    if isinstance(term, SumTerm):
+    if isinstance(term, Sum):
         return all(_references_only(part, aliases) for part in term.terms)
     return True  # constants
 
@@ -92,26 +91,24 @@ class Planner:
 
     # -- cardinality estimation ---------------------------------------------------------
 
-    def _local_selectivity(self, condition: Condition, table_name: str) -> float:
+    def _local_selectivity(self, condition: Comparison, table_name: str) -> float:
         stats = self.database.table_stats(table_name)
         for side, other in ((condition.left, condition.right), (condition.right, condition.left)):
             resolved = _term_alias_column(side)
-            if resolved is None or not isinstance(other, ConstantTerm):
+            if resolved is None or not isinstance(other, Literal):
                 continue
             _alias, column = resolved
             if column == PRE_PLUS_SIZE:
                 column = "pre"
-            if condition.op == "=":
+            op = condition.op if side is condition.left else FLIPPED_OP[condition.op]
+            if op == "=":
                 return stats.equality_selectivity(column, other.value)
-            if condition.op in _RANGE_OPS:
-                if condition.op in (">", ">="):
-                    low, high = (other.value, None) if side is condition.left else (None, other.value)
-                else:
-                    low, high = (None, other.value) if side is condition.left else (other.value, None)
+            if op != "!=":  # ``side op value``: a range
+                low, high = (other.value, None) if op in (">", ">=") else (None, other.value)
                 return stats.range_selectivity(column, low, high)
         return DEFAULT_SELECTIVITY
 
-    def _alias_cardinality(self, table_name: str, local: list[Condition]) -> float:
+    def _alias_cardinality(self, table_name: str, local: list[Comparison]) -> float:
         """Estimated rows of one alias after its local predicates."""
         cardinality = float(self.database.table_stats(table_name).row_count)
         for condition in local:
@@ -121,7 +118,7 @@ class Planner:
     # -- access path selection ------------------------------------------------------------
 
     def _bounds_for(
-        self, alias: str, conditions: list[Condition], outer_aliases: set[str]
+        self, alias: str, conditions: list[Comparison], outer_aliases: set[str]
     ) -> dict[str, list[IndexBound]]:
         """Classify conditions into per-key-column bounds for alias ``alias``."""
         bounds: dict[str, list[IndexBound]] = {}
@@ -136,7 +133,7 @@ class Planner:
                 if not _references_only(other, outer_aliases):
                     continue
                 column = resolved[1]
-                op = condition.op if side is condition.left else _flip(condition.op)
+                op = condition.op if side is condition.left else FLIPPED_OP[condition.op]
                 kind = {"=": "eq", ">": "low", ">=": "low", "<": "high", "<=": "high"}.get(op)
                 if kind is None:
                     continue
@@ -256,7 +253,7 @@ class Planner:
         outer: Optional[PhysicalOperator],
         joined: set[str],
         alias: str,
-        connecting: list[Condition],
+        connecting: list[Comparison],
         estimate: float,
     ) -> PhysicalOperator:
         """Access ``alias`` through ``connecting`` (its local predicates plus
@@ -294,7 +291,3 @@ class Planner:
                 outer_terms.append(condition.left)
         residual = [c for c in connecting if c not in equalities]
         return HashJoin(outer, scan, outer_terms, inner_terms, residual)
-
-
-def _flip(op: str) -> str:
-    return {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]

@@ -20,8 +20,10 @@ column is a view of the table's columnar twin at its alias' positions,
 made only when a bound, residual, order or select term reads it; a kernel
 gathers its ranks, and RETURN its objects, for those rows alone.
 Join-graph terms and conditions are compiled once per plan into closures
-over those views, and a conjunction is one
-:func:`~repro.algebra.columnar.compare_mask` per conjunct.  Each operator
+over those views by the interpreter's own compiler
+(:func:`~repro.algebra.predicates.compile_comparisons_mask`), a column
+resolving to its alias's view (:func:`alias_columns`), so a conjunction is
+one :func:`~repro.algebra.columnar.compare_mask` per conjunct.  Each operator
 materialises its whole result:
 
 * IXSCAN and NLJOIN probe the B-tree for **all outer rows at once** — one
@@ -40,13 +42,14 @@ materialises its whole result:
 A two-level NLJOIN, as position vectors into the one table:
 
 >>> from repro.algebra.table import Table
->>> from repro.core.joingraph import ColumnTerm, ConstantTerm
+>>> from repro.algebra.predicates import Literal
+>>> from repro.core.joingraph import ColumnTerm
 >>> from repro.relational.btree import BTreeIndex
 >>> table = Table(("pre", "parent", "name"), [(10, None, "a"), (11, 10, "b"), (12, 10, "b"),
 ...                                           (13, 11, "c"), (14, 12, "c"), (15, 12, "c")])
 >>> by_name = BTreeIndex.build("by_name", "t", table, ("name", "pre"))
 >>> by_parent = BTreeIndex.build("by_parent", "t", table, ("parent", "pre"))
->>> a = IndexScan(by_name, table, "a", [IndexBound("name", "eq", ConstantTerm("a"))])
+>>> a = IndexScan(by_name, table, "a", [IndexBound("name", "eq", Literal("a"))])
 >>> b = IndexNestedLoopJoin(a, by_parent, table, "b",
 ...                         [IndexBound("parent", "eq", ColumnTerm("a", "pre"))])
 >>> c = IndexNestedLoopJoin(b, by_parent, table, "c",
@@ -70,18 +73,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ExecutionError, QueryTimeoutError
+from repro.errors import ExecutionError, check_deadline
 from repro.algebra import columnar as _columnar
 from repro.algebra.columnar import Column
+from repro.algebra.predicates import Comparison, Literal
+from repro.algebra.predicates import compile_comparisons_mask, compile_term_columnar
 from repro.algebra.table import Table
-from repro.core.joingraph import ColumnTerm, Condition, ConstantTerm, ParameterTerm, SumTerm, Term
+from repro.core.joingraph import ColumnTerm, Term
+from repro.core.sqlgen import sql_comparison, sql_term
 from repro.relational.btree import BTreeIndex
-
-_OPERATORS = frozenset(("=", "!=", "<", "<=", ">", ">="))
 
 
 class ExecutionContext:
@@ -96,9 +100,7 @@ class ExecutionContext:
         self.index_probes = 0
 
     def check(self) -> None:
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            elapsed = (self.timeout_seconds or 0.0) + (time.perf_counter() - self.deadline)
-            raise QueryTimeoutError(self.timeout_seconds or 0.0, elapsed)
+        check_deadline(self.deadline, self.timeout_seconds)
 
 
 def _take(positions: Mapping[str, Optional[np.ndarray]], indices) -> dict:
@@ -145,49 +147,28 @@ class Rows:
         return self if len(indices) == self.length else self.take(indices)
 
 
-def _term(term: Term, tables: Mapping[str, Table]) -> Callable[[Rows], object]:
-    """Compile a join-graph term into a closure over :class:`Rows`.
+def alias_columns(tables: Mapping[str, Table]):
+    """Compile a :class:`ColumnTerm` to its alias's view of :class:`Rows` over ``tables``.
 
-    The closure returns a :class:`~repro.algebra.columnar.Column`, or a
-    scalar for a constant; a column the rows do not carry evaluates to NULL.
+    A column the alias does not carry evaluates to NULL.
     """
-    if isinstance(term, ColumnTerm):
+
+    def resolve(term):
+        if not isinstance(term, ColumnTerm):
+            raise ExecutionError(f"cannot compile term {term!r}")
         table = tables.get(term.alias)
         if table is None or term.column not in table.columns:
             return lambda rows: None
         alias, name = term.alias, term.column
         return lambda rows: rows.column(alias, name)
-    if isinstance(term, ConstantTerm):
-        value = term.value
-        return lambda rows: value
-    if isinstance(term, SumTerm):
-        parts = tuple(_term(part, tables) for part in term.terms)
-        return lambda rows: _columnar.sum_columns([part(rows) for part in parts], rows.length)
-    if isinstance(term, ParameterTerm):
-        raise ExecutionError(
-            f"parameter :{term.name} reached the physical layer unbound; "
-            "bind the join graph (JoinGraph.bind) before planning"
-        )
-    raise ExecutionError(f"cannot compile term {term!r}")
+
+    return resolve
 
 
-def _mask(conditions: Sequence[Condition], tables: Mapping[str, Table]):
-    """Compile a conjunction into one boolean-mask closure over :class:`Rows` (``None`` if empty).
-
-    :func:`repro.algebra.columnar.compare_mask` carries SQL comparison
-    semantics: a NULL operand fails, and so does a range comparison
-    between a number and a string.
-    """
-    if not conditions:
-        return None
-    for condition in conditions:
-        if condition.op not in _OPERATORS:
-            raise ExecutionError(f"unknown comparison operator {condition.op!r}")
-    compiled = tuple(
-        (_term(condition.left, tables), condition.op, _term(condition.right, tables))
-        for condition in conditions
-    )
-    return lambda rows: _columnar.conjunction_mask(compiled, rows)
+def _compile_terms(terms, tables: Mapping[str, Table]) -> list:
+    """Each term compiled into a closure over :class:`Rows` of ``tables``."""
+    resolve = alias_columns(tables)
+    return [compile_term_columnar(term, resolve) for term in terms]
 
 
 def _column(value, length: int) -> Column:
@@ -227,12 +208,12 @@ class TableScan(PhysicalOperator):
 
     table: Table
     alias: str
-    conditions: list[Condition] = field(default_factory=list)
+    conditions: list[Comparison] = field(default_factory=list)
     estimated_rows: float = 0.0
 
     def __post_init__(self) -> None:
         self.tables = {self.alias: self.table}
-        self._mask = _mask(self.conditions, self.tables)
+        self._mask = compile_comparisons_mask(self.conditions, alias_columns(self.tables))
 
     def run(self, ctx: ExecutionContext) -> Rows:
         ctx.check()
@@ -241,7 +222,7 @@ class TableScan(PhysicalOperator):
         return rows if self._mask is None else rows.filter(self._mask(rows))
 
     def describe(self) -> str:
-        predicate = " ".join(c.render() for c in self.conditions)
+        predicate = " ".join(map(sql_comparison, self.conditions))
         suffix = f" [{predicate}]" if predicate else ""
         return f"TBSCAN({self.alias}){suffix}"
 
@@ -280,14 +261,14 @@ class _Probe:
         index: BTreeIndex,
         alias: str,
         bounds: Sequence[IndexBound],
-        residual: Sequence[Condition],
+        residual: Sequence[Comparison],
         outer_tables: Mapping[str, Table],
         tables: Mapping[str, Table],
     ):
         self.index = index
         self.alias = alias
         self.tables = tables
-        self.residual = _mask(residual, tables)
+        self.residual = compile_comparisons_mask(residual, alias_columns(tables))
         key = index.key_columns
         equalities = {bound.column: bound for bound in bounds if bound.kind == "eq"}
         prefix: list[IndexBound] = []
@@ -302,7 +283,7 @@ class _Probe:
             if bound.kind != "eq" and self.depth < len(key) and bound.column == key[self.depth]
         ]
         self.first = 0  # the constant head: prefix[:first]
-        while self.first < self.depth and isinstance(prefix[self.first].term, ConstantTerm):
+        while self.first < self.depth and isinstance(prefix[self.first].term, Literal):
             self.first += 1
         self.head = tuple(bound.term.value for bound in prefix[: self.first])
         self._segment: Optional[tuple[int, int]] = None
@@ -310,7 +291,7 @@ class _Probe:
         evaluated = prefix[self.first :] + ranged
         evaluated += [bound for bound in bounds if id(bound) not in keyed]
         #: The prefix bounds after the head, the range bounds, then the bounds off the key.
-        self.terms = [_term(bound.term, outer_tables) for bound in evaluated]
+        self.terms = _compile_terms([bound.term for bound in evaluated], outer_tables)
         #: ``(is_low, searchsorted side)`` per range bound.
         self.ranges = [
             (bound.kind == "low", "left" if bound.inclusive == (bound.kind == "low") else "right")
@@ -381,7 +362,7 @@ class IndexScan(PhysicalOperator):
     table: Table
     alias: str
     bounds: list[IndexBound] = field(default_factory=list)
-    residual: list[Condition] = field(default_factory=list)
+    residual: list[Comparison] = field(default_factory=list)
     estimated_rows: float = 0.0
 
     def __post_init__(self) -> None:
@@ -409,7 +390,7 @@ class IndexNestedLoopJoin(PhysicalOperator):
     table: Table
     alias: str
     bounds: list[IndexBound] = field(default_factory=list)
-    residual: list[Condition] = field(default_factory=list)
+    residual: list[Comparison] = field(default_factory=list)
     estimated_rows: float = 0.0
 
     def __post_init__(self) -> None:
@@ -440,14 +421,14 @@ class HashJoin(PhysicalOperator):
     inner: PhysicalOperator
     outer_terms: list[Term] = field(default_factory=list)
     inner_terms: list[Term] = field(default_factory=list)
-    residual: list[Condition] = field(default_factory=list)
+    residual: list[Comparison] = field(default_factory=list)
     estimated_rows: float = 0.0
 
     def __post_init__(self) -> None:
         self.tables = {**self.outer.tables, **self.inner.tables}
-        self._outer_keys = [_term(term, self.outer.tables) for term in self.outer_terms]
-        self._inner_keys = [_term(term, self.inner.tables) for term in self.inner_terms]
-        self._residual = _mask(self.residual, self.tables)
+        self._outer_keys = _compile_terms(self.outer_terms, self.outer.tables)
+        self._inner_keys = _compile_terms(self.inner_terms, self.inner.tables)
+        self._residual = compile_comparisons_mask(self.residual, alias_columns(self.tables))
 
     def run(self, ctx: ExecutionContext) -> Rows:
         outer = self.outer.run(ctx)
@@ -477,7 +458,7 @@ class HashJoin(PhysicalOperator):
 
     def describe(self) -> str:
         keys = ", ".join(
-            f"{o.render()}={i.render()}" for o, i in zip(self.outer_terms, self.inner_terms)
+            f"{sql_term(o)}={sql_term(i)}" for o, i in zip(self.outer_terms, self.inner_terms)
         )
         return f"HSJOIN [{keys}]"
 
@@ -487,11 +468,11 @@ class Filter(PhysicalOperator):
     """FILTER — residual predicate evaluation."""
 
     child: PhysicalOperator
-    conditions: list[Condition] = field(default_factory=list)
+    conditions: list[Comparison] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.tables = self.child.tables
-        self._mask = _mask(self.conditions, self.tables)
+        self._mask = compile_comparisons_mask(self.conditions, alias_columns(self.tables))
 
     def run(self, ctx: ExecutionContext) -> Rows:
         rows = self.child.run(ctx)
@@ -501,7 +482,7 @@ class Filter(PhysicalOperator):
         return (self.child,)
 
     def describe(self) -> str:
-        return f"FILTER [{' AND '.join(c.render() for c in self.conditions)}]"
+        return f"FILTER [{' AND '.join(map(sql_comparison, self.conditions))}]"
 
 
 @dataclass
@@ -515,8 +496,8 @@ class Sort(PhysicalOperator):
 
     def __post_init__(self) -> None:
         self.tables = self.child.tables
-        self._order = [_term(term, self.tables) for term in self.order_terms]
-        self._select = [_term(term, self.tables) for term, _name in self.select_items]
+        self._order = _compile_terms(self.order_terms, self.tables)
+        self._select = _compile_terms([term for term, _name in self.select_items], self.tables)
 
     def run(self, ctx: ExecutionContext) -> Rows:
         rows = self.child.run(ctx)
@@ -538,7 +519,7 @@ class Sort(PhysicalOperator):
         return (self.child,)
 
     def describe(self) -> str:
-        terms = ", ".join(term.render() for term in self.order_terms)
+        terms = ", ".join(map(sql_term, self.order_terms))
         distinct = " DISTINCT" if self.distinct else ""
         return f"SORT [{terms}]{distinct}"
 
@@ -552,7 +533,7 @@ class Return(PhysicalOperator):
 
     def __post_init__(self) -> None:
         self.tables = self.child.tables
-        self._select = [_term(term, self.tables) for term, _name in self.select_items]
+        self._select = _compile_terms([term for term, _name in self.select_items], self.tables)
 
     def results(self, ctx: ExecutionContext) -> list[dict[str, object]]:
         """One ``{name: value}`` per result row, in order."""

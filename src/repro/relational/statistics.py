@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.algebra.columnar import orderable
 from repro.algebra.table import Table
 
 #: Default selectivity for predicates the estimator cannot analyse.
@@ -47,7 +48,7 @@ class ColumnStats:
         return min(1.0, 1.0 / self.n_distinct)
 
     def range_selectivity(self, low: Optional[object], high: Optional[object]) -> float:
-        """Estimated fraction of rows with ``low <= column <= high``."""
+        """Estimated fraction of rows with ``low <= column <= high`` in :func:`orderable` order."""
         if self.n_rows == 0:
             return 0.0
         if not self.histogram:
@@ -57,21 +58,14 @@ class ColumnStats:
         for value in self.histogram:
             if value is None:
                 continue
-            if low is not None and _less(value, low):
+            if low is not None and orderable(value) < orderable(low):
                 continue
-            if high is not None and _less(high, value):
+            if high is not None and orderable(high) < orderable(value):
                 continue
             covered += 1
         if covered == 0:
             return 1.0 / max(self.n_rows, 1)
         return covered / total
-
-
-def _less(left: object, right: object) -> bool:
-    try:
-        return left < right  # type: ignore[operator]
-    except TypeError:
-        return str(left) < str(right)
 
 
 @dataclass
@@ -107,36 +101,29 @@ def collect_table_stats(
     column_stats: dict[str, ColumnStats] = {}
     n_rows = len(table.rows)
     for position, column in enumerate(table.columns):
-        values = [row[position] for row in table.rows]
-        non_null = [value for value in values if value is not None]
+        non_null = [row[position] for row in table.rows if row[position] is not None]
         counts: dict[object, int] = {}
-        for value in non_null:
+        for value in non_null:  # in row order: it breaks the most-common ties
             counts[value] = counts.get(value, 0) + 1
+        ordered = sorted(non_null, key=orderable)
         most_common = sorted(counts.items(), key=lambda item: -item[1])[:most_common_count]
-        histogram = _equi_depth_histogram(non_null)
         column_stats[column] = ColumnStats(
             name=column,
             n_rows=n_rows,
-            n_nulls=n_rows - len(non_null),
+            n_nulls=n_rows - len(ordered),
             n_distinct=len(counts),
-            minimum=min(non_null, key=_sort_key) if non_null else None,
-            maximum=max(non_null, key=_sort_key) if non_null else None,
-            histogram=histogram,
+            minimum=ordered[0] if ordered else None,
+            maximum=ordered[-1] if ordered else None,
+            histogram=_equi_depth_histogram(ordered),
             most_common=most_common,
         )
     return TableStats(table_name=table_name, row_count=n_rows, columns=column_stats)
 
 
-def _sort_key(value: object):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (0, value)
-    return (1, str(value))
-
-
-def _equi_depth_histogram(values: Sequence[object], buckets: int = HISTOGRAM_BUCKETS) -> list[object]:
-    if not values:
-        return []
-    ordered = sorted(values, key=_sort_key)
+def _equi_depth_histogram(
+    ordered: Sequence[object], buckets: int = HISTOGRAM_BUCKETS
+) -> list[object]:
+    """Every ``len / buckets``-th of the :func:`orderable`-sorted non-NULL values."""
     if len(ordered) <= buckets:
         return list(ordered)
     step = len(ordered) / buckets

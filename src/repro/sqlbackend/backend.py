@@ -17,9 +17,8 @@ over time re-uses one backend and pays load cost once per new document.
 
 External-variable bindings arrive as plain mappings and are forwarded to
 SQLite's native named-parameter binding (the ``:x`` markers the SQL
-renderers emit for :class:`~repro.core.joingraph.ParameterTerm` /
-:class:`~repro.algebra.predicates.Parameter` slots) — prepared queries
-re-execute without any SQL re-rendering.
+renderers emit for :class:`~repro.algebra.predicates.Parameter` slots) —
+prepared queries re-execute without any SQL re-rendering.
 
 Concurrency
 -----------

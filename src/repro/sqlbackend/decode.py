@@ -23,14 +23,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-
-def _sortable(value: object) -> tuple:
-    """A total order over the mixed NULL/number/string values SQL returns."""
-    if value is None:
-        return (0, 0)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (1, value)
-    return (2, str(value))
+from repro.algebra.columnar import orderable
 
 
 def _sort_keys(values: list) -> list:
@@ -38,15 +31,15 @@ def _sort_keys(values: list) -> list:
 
     When every value in the column is a plain number — the common case:
     ``pos`` counters and ``pre``-rank items are always ints — the values
-    themselves already carry :func:`_sortable`'s order, so no per-value
-    tuple is built at all.  One mixed/NULL/string value falls the whole
+    themselves already carry :func:`~repro.algebra.columnar.orderable`'s
+    order, so no per-value tuple is built at all.  One mixed/NULL/string value falls the whole
     column back to explicit ``(rank, value)`` tuples; keys from different
     columns never meet in a comparison, so the two representations may
     coexist across columns.
     """
     for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return [_sortable(value) for value in values]
+        if not isinstance(value, (int, float)):
+            return [orderable(value) for value in values]
     return values
 
 

@@ -24,8 +24,40 @@ def _escape_attribute(value: str) -> str:
 
 
 def serialize_node(encoding: DocumentEncoding, pre: int) -> str:
-    """Serialize the subtree rooted at ``pre`` to XML text."""
-    record = encoding.record(pre)
+    """Serialize the subtree rooted at ``pre`` to XML text.
+
+    Walks one explicit stack of node ranks and pending end tags, so a
+    document of any depth serializes without recursion.
+    """
+    parts: list[str] = []
+    stack: list = [pre]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):  # an end tag
+            parts.append(item)
+            continue
+        record = encoding.record(item)
+        kind = record.kind
+        if kind == NodeKind.DOC.value:
+            stack.extend(reversed(encoding.children(item)))
+        elif kind != NodeKind.ELEM.value:
+            parts.append(_leaf(record))
+        else:
+            attributes = "".join(
+                " " + _leaf(encoding.record(attr_pre)) for attr_pre in encoding.attributes(item)
+            )
+            children = encoding.children(item)
+            if not children:
+                parts.append(f"<{record.name}{attributes}/>")
+                continue
+            parts.append(f"<{record.name}{attributes}>")
+            stack.append(f"</{record.name}>")
+            stack.extend(reversed(children))
+    return "".join(parts)
+
+
+def _leaf(record) -> str:
+    """A text, comment, processing-instruction or attribute node's text."""
     kind = record.kind
     if kind == NodeKind.TEXT.value:
         return _escape_text(record.value or "")
@@ -34,19 +66,7 @@ def serialize_node(encoding: DocumentEncoding, pre: int) -> str:
     if kind == NodeKind.PI.value:
         body = f" {record.value}" if record.value else ""
         return f"<?{record.name}{body}?>"
-    if kind == NodeKind.ATTR.value:
-        return f'{record.name}="{_escape_attribute(record.value or "")}"'
-    if kind == NodeKind.DOC.value:
-        return "".join(serialize_node(encoding, child) for child in encoding.children(pre))
-    # Element node.
-    attributes = "".join(
-        " " + serialize_node(encoding, attr_pre) for attr_pre in encoding.attributes(pre)
-    )
-    children = encoding.children(pre)
-    if not children:
-        return f"<{record.name}{attributes}/>"
-    inner = "".join(serialize_node(encoding, child) for child in children)
-    return f"<{record.name}{attributes}>{inner}</{record.name}>"
+    return f'{record.name}="{_escape_attribute(record.value or "")}"'
 
 
 def serialize_subtree(encoding: DocumentEncoding, pres: Iterable[int], separator: str = "") -> str:

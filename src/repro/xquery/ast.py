@@ -22,9 +22,6 @@ from typing import Mapping, Optional, Union
 
 from repro.errors import XQueryBindingError
 
-#: General comparison operators of the fragment (grammar rule [60]).
-GENERAL_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
-
 #: ``xs:`` atomic types accepted in ``declare variable $x as <type> external;``
 #: that select the numeric ``data`` column of the encoding.
 NUMERIC_XS_TYPES = frozenset(

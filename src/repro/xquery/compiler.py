@@ -44,6 +44,7 @@ from repro.algebra.operators import (
     Serialize,
 )
 from repro.algebra.predicates import (
+    FLIPPED_OP,
     ColumnRef,
     Comparison as AlgComparison,
     Literal,
@@ -378,7 +379,7 @@ class LoopLiftingCompiler:
         right_aggregate = isinstance(expr.right, ast.Aggregate)
         if left_aggregate or right_aggregate:
             if right_aggregate and not left_aggregate:
-                aggregate, other, op = expr.right, expr.left, _flip(expr.op)
+                aggregate, other, op = expr.right, expr.left, FLIPPED_OP[expr.op]
             else:
                 aggregate, other, op = expr.left, expr.right, expr.op
             if not isinstance(other, self._LITERAL_OPERANDS):
@@ -390,7 +391,7 @@ class LoopLiftingCompiler:
             if right_literal:
                 node_expr, literal, op = expr.left, expr.right, expr.op
             else:
-                node_expr, literal, op = expr.right, expr.left, _flip(expr.op)
+                node_expr, literal, op = expr.right, expr.left, FLIPPED_OP[expr.op]
             return self._compile_comparison_with_literal(node_expr, op, literal, env, loop)
         return self._compile_value_join(expr, env, loop)
 
@@ -469,10 +470,6 @@ class LoopLiftingCompiler:
         )
         per_iteration = Distinct(Project(joined, [("iter", "iter")]))
         return Attach(Attach(per_iteration, "pos", 1), "item", 1)
-
-
-def _flip(op: str) -> str:
-    return {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
 
 
 def compile_query(

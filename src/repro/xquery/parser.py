@@ -16,6 +16,7 @@ two path expressions), plus the usual XPath abbreviations:
 from __future__ import annotations
 
 from repro.errors import XQuerySyntaxError
+from repro.algebra.predicates import COMPARISON_OPS
 from repro.xmldb.axes import AXES
 from repro.xquery.ast import (
     Aggregate,
@@ -33,7 +34,6 @@ from repro.xquery.ast import (
     ExternalVariable,
     Filter,
     ForExpr,
-    GENERAL_COMPARISONS,
     IfExpr,
     LetExpr,
     NumberLiteral,
@@ -308,7 +308,7 @@ class _Parser:
 
     def parse_comparison(self) -> Expression:
         left = self.parse_path()
-        for op in GENERAL_COMPARISONS:
+        for op in COMPARISON_OPS:  # the general comparisons of grammar rule [60]
             if self.check(op):
                 self.advance()
                 right = self.parse_path()

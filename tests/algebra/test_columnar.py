@@ -499,3 +499,16 @@ def test_a_sum_ranks_into_a_domain_of_consecutive_ints(start, count, sums):
     assert domain.rank(halves).tolist() == [
         domain.rank_value(None if v is None else v + 0.5) for v in sums
     ]
+
+
+def test_a_dense_domain_at_minus_two_to_the_53_ranks_exactly():
+    # The arithmetic rank must subtract the domain's first number before it
+    # doubles: ``2 - 2 * -2**53`` is not a float64, and rounding it ranks
+    # -2**53 as the gap below itself.
+    low = -(2 ** 53)
+    domain = Column.from_values([low, low + 1]).domain
+    assert domain.dense
+    values = Column.numeric(np.array([low, low + 1, low - 2], dtype=np.float64), integral=True)
+    assert domain.rank(values).tolist() == [2, 4, 1]
+    constant = Column.constant(low, 2)
+    assert columnar.compare_mask(constant, "=", Column.constant(low, 2), 2).tolist() == [True] * 2

@@ -12,15 +12,15 @@ import pytest
 
 from repro.errors import JoinGraphError
 from repro.algebra.operators import Attach, LiteralTable, RowId, Select, Serialize
-from repro.algebra.predicates import Comparison, Predicate, column, const
-from repro.core.joingraph import ConstantTerm, extract_join_graph
+from repro.algebra.predicates import Comparison, Literal, Predicate, column, const
+from repro.core.joingraph import extract_join_graph
 from repro.core.rewriter import isolate
-from repro.core.sqlgen import _sql_literal, generate_stacked_sql, render_join_graph
+from repro.core.sqlgen import generate_stacked_sql, render_join_graph, sql_term
 from repro.sqlbackend import SQLiteBackend
 from repro.xquery.compiler import compile_query
 
 
-# -- _sql_literal -------------------------------------------------------------------
+# -- sql_term -----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -36,7 +36,7 @@ from repro.xquery.compiler import compile_query
     ],
 )
 def test_sql_literal_renders_valid_sql(value, rendered):
-    assert _sql_literal(value) == rendered
+    assert sql_term(Literal(value)) == rendered
 
 
 @pytest.mark.parametrize(
@@ -44,7 +44,7 @@ def test_sql_literal_renders_valid_sql(value, rendered):
     [(True, "1"), (False, "0"), (None, "NULL"), ("O'Hara", "'O''Hara'"), (7, "7")],
 )
 def test_constant_term_renders_valid_sql(value, rendered):
-    assert ConstantTerm(value).render() == rendered
+    assert sql_term(Literal(value)) == rendered
 
 
 def test_attached_boolean_and_null_render_as_sql(tmp_path):

@@ -2,7 +2,7 @@
 
 Under the default recursion limit, a chain of nested ``<a>`` elements must
 parse, encode, register and be queried on every engine without Python
-recursion getting in the way (the parser, the encoder and
+recursion getting in the way (the parser, the encoder, the serializer and
 ``XMLNode.iter_descendants`` all walk explicit stacks).
 """
 
@@ -15,6 +15,7 @@ from repro.purexml.engine import PureXMLEngine
 from repro.purexml.storage import XMLColumnStore
 from repro.xmldb.encoding import encode_document
 from repro.xmldb.parser import parse_xml
+from repro.xmldb.serializer import serialize_node
 
 DEPTH = 5_000
 
@@ -40,6 +41,11 @@ def test_purexml_compares_every_level_of_a_deep_document():
     doc = parse_xml(_chain(DEPTH), uri="deep.xml")
     assert doc.children[0].subtree_size() == DEPTH
     assert PureXMLEngine(XMLColumnStore.whole(doc)).execute('//a[. = "x"]').node_count == DEPTH
+
+
+def test_a_deep_document_serializes_back_to_its_text():
+    text = _chain(DEPTH)
+    assert serialize_node(encode_document(parse_xml(text)), 0) == text
 
 
 def test_a_100000_deep_chain_parses_and_encodes():

@@ -20,7 +20,8 @@ from typing import Callable, Optional, Sequence
 
 from repro.algebra.columnar import orderable
 from repro.algebra.table import Table
-from repro.core.joingraph import ColumnTerm, Condition, ConstantTerm, SumTerm, Term
+from repro.algebra.predicates import Comparison, Literal, Sum
+from repro.core.joingraph import ColumnTerm, Term
 from repro.relational.btree import PRE_PLUS_SIZE
 from repro.relational.physical.operators import IndexBound
 
@@ -50,9 +51,9 @@ def compile_term(term: Term, slots: Slots) -> Callable[[Row], object]:
         if position is None:
             return lambda row: None
         return lambda row: row[position]
-    if isinstance(term, ConstantTerm):
+    if isinstance(term, Literal):
         return lambda row: term.value
-    if isinstance(term, SumTerm):
+    if isinstance(term, Sum):
         parts = [compile_term(part, slots) for part in term.terms]
 
         def _sum(row: Row) -> object:
@@ -68,7 +69,7 @@ def compile_term(term: Term, slots: Slots) -> Callable[[Row], object]:
     raise AssertionError(f"no reference for term {term!r}")
 
 
-def compile_condition(condition: Condition, slots: Slots) -> Callable[[Row], bool]:
+def compile_condition(condition: Comparison, slots: Slots) -> Callable[[Row], bool]:
     left, right = compile_term(condition.left, slots), compile_term(condition.right, slots)
 
     def test(row: Row) -> bool:
@@ -100,7 +101,7 @@ def probe_rows(
     key_columns: Sequence[str],
     alias: str,
     bounds: Sequence[IndexBound],
-    residual: Sequence[Condition],
+    residual: Sequence[Comparison],
     outer: Optional[tuple[str, Table]] = None,
 ) -> tuple[list[Row], int, int]:
     """Probe ``table`` through an index on ``key_columns`` once per outer row.

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algebra.table import Table
-from repro.core.joingraph import ColumnTerm, Condition, ConstantTerm
+from repro.algebra.predicates import Comparison, Literal
+from repro.core.joingraph import ColumnTerm
 from repro.errors import QueryTimeoutError
 from repro.relational.btree import BTreeIndex
 from repro.relational.physical.operators import (
@@ -60,7 +61,7 @@ def _bounds(draw, outer: bool):
     A term is a constant (``None`` included: a NULL constant prefix), or —
     under an outer alias — one of its columns, which may hold NULLs.
     """
-    constants = _VALUE.map(ConstantTerm)
+    constants = _VALUE.map(Literal)
     columns = st.sampled_from(KEY).map(lambda column: ColumnTerm("o", column))
     term = st.one_of(constants, columns) if outer else constants
     depth = draw(st.integers(0, len(KEY)))
@@ -75,8 +76,8 @@ def _bounds(draw, outer: bool):
 def _residual(draw_flag: bool, outer: bool):
     if not draw_flag:
         return []
-    other = ColumnTerm("o", "b") if outer else ConstantTerm("a")
-    return [Condition(ColumnTerm("i", "a"), "!=", other)]
+    other = ColumnTerm("o", "b") if outer else Literal("a")
+    return [Comparison(ColumnTerm("i", "a"), "!=", other)]
 
 
 def _rows(rows, tables):
@@ -132,7 +133,7 @@ def _scan(*bounds):
 
 
 def _bound(kind, value, inclusive):
-    return IndexBound("pre", kind, ConstantTerm(value), inclusive=inclusive)
+    return IndexBound("pre", kind, Literal(value), inclusive=inclusive)
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["inclusive-first", "exclusive-first"])

@@ -13,7 +13,8 @@ import pytest
 
 from repro.algebra import columnar
 from repro.algebra.table import Table
-from repro.core.joingraph import ColumnTerm, Condition, ConstantTerm, SumTerm
+from repro.algebra.predicates import Comparison, Literal, Sum
+from repro.core.joingraph import ColumnTerm
 from repro.errors import QueryTimeoutError
 from repro.relational.physical.operators import ExecutionContext, HashJoin, TableScan
 
@@ -40,7 +41,7 @@ def packed(monkeypatch):
 
 
 def _key(table, term):
-    if isinstance(term, ConstantTerm):
+    if isinstance(term, Literal):
         return lambda row: term.value
     index = table.column_index(term.column)
     return lambda row: row[index]
@@ -102,7 +103,7 @@ def test_keys_of_two_domains_merge_in_the_kernel(packed, rows):
 
 def test_a_constant_key_merges_in_the_kernel(packed):
     table = Table(COLUMNS, ROWS)
-    outer_terms = [ColumnTerm("o", "k"), ConstantTerm("y")]
+    outer_terms = [ColumnTerm("o", "k"), Literal("y")]
     rows = _join(table, table, outer_terms, _keys("i"))
     assert len(packed) == 1
     assert rows == _reference(table, table, outer_terms, _keys("i"))
@@ -122,8 +123,8 @@ def test_a_wide_hsjoin_holds_one_block_and_meets_its_deadline(keyed):
     # residual masks each block of them.
     table = Table(("k", "v"), [(0, v) for v in range(WIDE)])
     keys = ([ColumnTerm("o", "k")], [ColumnTerm("i", "k")]) if keyed else ([], [])
-    residual = Condition(
-        SumTerm((ColumnTerm("o", "v"), ColumnTerm("i", "v"))), "=", ConstantTerm(WIDE - 1)
+    residual = Comparison(
+        Sum(ColumnTerm("o", "v"), ColumnTerm("i", "v")), "=", Literal(WIDE - 1)
     )
     join = HashJoin(TableScan(table, "o"), TableScan(table, "i"), *keys, [residual])
     with pytest.raises(QueryTimeoutError):

@@ -9,9 +9,11 @@ import doctest
 import pytest
 
 import repro.algebra.columnar
+import repro.algebra.predicates
 import repro.core.joingraph
 import repro.core.pipeline
 import repro.core.session
+import repro.core.sqlgen
 import repro.core.stages
 import repro.purexml.engine
 import repro.relational.btree
@@ -23,9 +25,11 @@ import repro.sqlbackend.backend
 
 FACADE_MODULES = [
     repro.algebra.columnar,
+    repro.algebra.predicates,
     repro.core.joingraph,
     repro.core.pipeline,
     repro.core.session,
+    repro.core.sqlgen,
     repro.core.stages,
     repro.relational.engine,
     repro.relational.btree,
