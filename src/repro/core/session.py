@@ -285,8 +285,8 @@ class Session:
         """Verify the SQLite mirror and rebuild it if corrupted.
 
         Returns True when a rebuild happened (the old image is quarantined
-        and every pooled reader transparently re-clones), False when the
-        mirror was already healthy.
+        and every pooled reader transparently reconnects to the new one),
+        False when the mirror was already healthy.
         """
         return self.sql_backend.heal()
 

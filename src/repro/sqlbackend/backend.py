@@ -26,25 +26,25 @@ Concurrency
 One backend serves many threads.  Instead of funnelling every statement
 through one connection (SQLite would serialize them on its internal
 mutex), the backend owns a :class:`ConnectionPool` of per-thread *read*
-connections:
-
-* **file-backed** mirrors hand each thread its own connection to the same
-  database file — SQLite allows any number of concurrent readers;
-* **in-memory** mirrors hand each thread a private *clone* of the primary
-  database (via the SQLite online-backup API — effectively a memcpy),
-  because a ``:memory:`` database is invisible to other connections.
-  Clones carry a generation tag; :meth:`sync` bumps the generation and
-  stale clones are re-cloned on their next checkout.
+connections to one database: the file of a file-backed mirror, or the
+named database an in-memory mirror opens in SQLite's ``memdb`` VFS,
+which every connection of the process can open.  A committed write is
+visible to every reader's next statement.
 
 All mutation — :meth:`sync`, non-``SELECT`` statements through
 :meth:`execute` — is serialized behind one write lock and runs on the
-primary connection; reads never take that lock (except the brief clone
-refresh after a catalog change).  SQLite releases the GIL while a
-statement executes, so pooled reads scale with cores.
+primary connection; reads never take that lock.  SQLite releases the GIL
+while a statement executes, so pooled reads scale with cores.  A file
+mirror runs in WAL mode, where readers and the writer do not wait for
+each other.  A ``memdb`` database has no WAL: a commit waits for
+in-flight reads and new reads wait for the commit (the driver's busy
+timeout), so every read drains its cursor and no lock outlives its
+statement.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 import sqlite3
@@ -82,8 +82,8 @@ _READ_STATEMENTS = ("SELECT", "EXPLAIN", "VALUES")
 #: leading WITH alone does not make a statement a read.  The scan is
 #: deliberately conservative: a false *write* classification only costs the
 #: statement its read concurrency (it runs serialized on the primary,
-#: still correct); a false read would lose the write in a thread-private
-#: clone.
+#: still correct); a false read would write on a reader, outside the write
+#: lock and never committed.
 _WRITE_KEYWORD = re.compile(
     r"\b(INSERT|UPDATE|DELETE|REPLACE|CREATE|DROP|ALTER|ATTACH|DETACH|VACUUM|REINDEX)\b",
     re.IGNORECASE,
@@ -186,21 +186,30 @@ class SQLResult:
         return len(self.rows)
 
 
+#: The first SQLite release whose ``memdb`` VFS shares one database
+#: between the connections of a process.
+_SHARED_MEMDB = (3, 36, 0)
+
+#: Numbers the process's in-memory databases, whose names the ``memdb``
+#: VFS shares process-wide: no two backends share rows.  ``next`` on a
+#: ``count`` is atomic, so backends built on racing threads still differ.
+_MEMDB_NUMBERS = itertools.count()
+
+
+def _memdb_uri() -> str:
+    """A fresh name in the ``memdb`` VFS (the leading ``/`` shares it)."""
+    return f"file:/repro-mirror-{next(_MEMDB_NUMBERS)}?vfs=memdb"
+
+
 class ConnectionPool:
     """Per-thread SQLite read connections over one primary database.
 
     The pool owns the *primary* connection (the only one that writes) and
-    lazily creates one reader per thread:
-
-    * for a file-backed database, a fresh connection to the same path;
-    * for ``:memory:``, a clone of the primary made with the online-backup
-      API (``Connection.backup`` — available on every supported Python).
-
-    A generation counter invalidates readers: :meth:`mark_changed` (called
-    by the backend after every committed write) bumps it, and a stale
-    reader is refreshed on its next :meth:`acquire` — file readers just
-    adopt the new generation (the file already has the data), memory
-    readers are re-cloned from the primary under the write lock.
+    lazily creates one reader per thread: an ordinary connection to the
+    same database, the file at ``path`` or, for ``:memory:``, a named
+    ``memdb`` database (a plain ``:memory:`` database is private to its
+    connection).  A reader needs no refresh: SQLite shows it every
+    committed write.
 
     All connections are created with ``check_same_thread=False``; the pool's
     discipline — one reader per thread, writes only on the primary under
@@ -208,47 +217,50 @@ class ConnectionPool:
     """
 
     def __init__(self, path: str):
-        self.path = path
         self.in_memory = path == ":memory:"
-        #: Serializes every mutation of the primary (sync, writes, clones).
+        if self.in_memory and sqlite3.sqlite_version_info < _SHARED_MEMDB:
+            raise BackendExecutionError(
+                f"an in-memory mirror needs SQLite >= 3.36 to share one database "
+                f"between threads; this is SQLite {sqlite3.sqlite_version}"
+            )
+        #: Serializes every mutation of the primary (sync, writes, rebuilds).
         self.write_lock = threading.RLock()
-        self.primary = sqlite3.connect(path, check_same_thread=False)
-        self._generation = 0
-        #: Bumped when the primary is *replaced* (mirror rebuild): stale
-        #: readers cannot be refreshed in place — for a file-backed pool the
-        #: old connections still hold the quarantined file's inode — so an
-        #: epoch change makes every thread discard its reader and connect
-        #: anew on the next acquire.
+        #: What every connection of the pool opens (a path or a memdb URI).
+        self.database = _memdb_uri() if self.in_memory else path
+        self.primary = self.connect(self.database)
+        #: Bumped when the primary is *replaced* (mirror rebuild): a reader
+        #: still points at the retired database (a quarantined file's inode,
+        #: a retired memdb name), so an epoch change makes every thread
+        #: discard its reader and connect anew on the next acquire.
         self._epoch = 0
         self._local = threading.local()
         #: thread ident -> (weakref to the owning thread, its reader).
         #: Lets close() reach every reader, and lets reader creation prune
         #: connections whose threads have died — a long-lived session
-        #: serving short-lived threads must not accumulate clones forever.
+        #: serving short-lived threads must not accumulate readers forever.
         self._readers: dict[int, tuple["weakref.ref", sqlite3.Connection]] = {}
         self._registry_lock = threading.Lock()
         self.closed = False
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def mark_changed(self) -> None:
-        """Record a committed write; existing readers are now stale."""
-        self._generation += 1
+    def connect(self, database: str) -> sqlite3.Connection:
+        """A new connection to ``database`` (a path, or this pool's memdb URI)."""
+        return sqlite3.connect(database, uri=self.in_memory, check_same_thread=False)
 
-    def replace_primary(self, connection: sqlite3.Connection) -> None:
+    def replace_primary(self, database: str, connection: sqlite3.Connection) -> None:
         """Swap in a new primary (mirror rebuild); every reader is retired.
 
-        Called with a fully initialized replacement database under
-        :attr:`write_lock`.  The epoch bump makes every pooled reader —
-        in-memory clone or file connection to a quarantined inode — rebuild
-        from scratch on its owning thread's next :meth:`acquire`; the old
+        Called with a fully initialized replacement ``database`` under
+        :attr:`write_lock`.  The epoch bump makes every pooled reader
+        reconnect on its owning thread's next :meth:`acquire`; the old
         primary is closed here, old readers close lazily as their threads
-        return.
+        return (a retired memdb database is freed with its last connection).
         """
         with self.write_lock:
             retired = self.primary
+            self.database = database
             self.primary = connection
-            self._generation += 1
             self._epoch += 1
         try:
             retired.close()
@@ -273,14 +285,12 @@ class ConnectionPool:
     # -- checkout ----------------------------------------------------------------
 
     def acquire(self) -> sqlite3.Connection:
-        """The calling thread's read connection, refreshed if stale.
+        """The calling thread's read connection, reconnected after a rebuild.
 
-        Failure-safe: if refresh or creation fails mid-acquire (a clone
-        fault, a dying filesystem), the half-initialized connection is
-        closed and dropped from both the thread-local slot and the registry
-        — never cached, so the next acquire starts clean.  Driver errors
-        cross the same classification boundary as execution errors: no raw
-        :mod:`sqlite3` exception escapes the pool.
+        Failure-safe: a connection that cannot be made is never cached, so
+        the next acquire starts clean.  Driver errors cross the same
+        classification boundary as execution errors: no raw :mod:`sqlite3`
+        exception escapes the pool.
         """
         try:
             return self._acquire()
@@ -291,34 +301,21 @@ class ConnectionPool:
         _fire_fault("pool.acquire")
         if self.closed:
             raise BackendClosedError("this SQLiteBackend has been closed")
-        generation = self._generation
-        epoch = self._epoch
-        connection = getattr(self._local, "connection", None)
-        if connection is not None and getattr(self._local, "epoch", None) != epoch:
-            # The primary was replaced (mirror rebuild): this reader may
-            # point at a quarantined database — discard it outright.
+        while True:
+            epoch = self._epoch
+            connection = getattr(self._local, "connection", None)
+            if connection is not None and self._local.epoch == epoch:
+                return connection
+            # First use on this thread, or the primary was replaced since
+            # this reader connected.  The loop re-checks the epoch after
+            # connecting: a rebuild that lands meanwhile may have retired
+            # the database the new reader just opened.
             self._discard_local_reader()
-            connection = None
-        if connection is not None and self._local.generation == generation:
-            return connection
-        if connection is None:
-            connection = self._new_reader()
-            self._local.connection = connection
-        elif self.in_memory:
-            # Stale clone: re-copy the primary (file readers see the file).
-            try:
-                _fire_fault("mirror.clone")
-                with self.write_lock:
-                    self.primary.backup(connection)
-            except BaseException:
-                self._discard_local_reader()
-                raise
-        self._local.generation = generation
-        self._local.epoch = epoch
-        return connection
+            self._local.connection = self._new_reader()
+            self._local.epoch = epoch
 
     def _discard_local_reader(self) -> None:
-        """Close + forget the calling thread's reader (refresh failed/stale)."""
+        """Close + forget the calling thread's reader (retired by a rebuild)."""
         connection = getattr(self._local, "connection", None)
         if connection is None:
             return
@@ -333,26 +330,14 @@ class ConnectionPool:
             pass
 
     def _new_reader(self) -> sqlite3.Connection:
-        if self.in_memory:
-            connection = sqlite3.connect(":memory:", check_same_thread=False)
-            try:
-                _fire_fault("mirror.clone")
-                with self.write_lock:
-                    self.primary.backup(connection)
-            except BaseException:
-                # Clone failed mid-setup: the half-initialized connection
-                # must not leak (it was never registered).
-                connection.close()
-                raise
-        else:
-            connection = sqlite3.connect(self.path, check_same_thread=False)
+        connection = self.connect(self.database)
         stale: list[sqlite3.Connection] = []
         with self._registry_lock:
             if self.closed:  # closed while we were connecting
                 connection.close()
                 raise BackendClosedError("this SQLiteBackend has been closed")
             # Reader creation is rare — piggyback the dead-thread sweep on
-            # it so clones never outlive their threads by more than one
+            # it so readers never outlive their threads by more than one
             # pool-growth event.
             for ident, (owner, reader) in list(self._readers.items()):
                 thread = owner()
@@ -402,31 +387,19 @@ class SQLiteBackend:
         self,
         path: Union[str, "os.PathLike[str]"] = ":memory:",
         table_name: str = "doc",
-        with_indexes: bool = True,
     ):
         self.table_name = table_name
         self.path = str(path)
-        self.with_indexes = with_indexes
         #: Times the quarantine-and-rebuild path reconstructed this mirror.
         self.rebuilds = 0
         self.pool = ConnectionPool(self.path)
-        if not self.pool.in_memory:
-            # Readers and the sync writer coexist under WAL; without it a
-            # pooled reader could starve a registration for the busy timeout.
-            try:
-                self.pool.primary.execute("PRAGMA journal_mode=WAL")
-            except sqlite3.Error:  # pragma: no cover - exotic filesystems
-                pass
-        self.index_names = bootstrap_schema(
-            self.connection, table_name, with_indexes=with_indexes
-        )
+        self.index_names = bootstrap_schema(self.connection, table_name)
         self._insert_sql = insert_statement(table_name, DOC_COLUMNS)
         #: High-water mark of mirrored rows (== ``pre`` of the next row).
         self.loaded_rows = int(
             self.connection.execute(f"SELECT COUNT(*) FROM {table_name}").fetchone()[0]
         )
         self._source: Optional["weakref.ref[DocumentEncoding]"] = None
-        self.pool.mark_changed()  # schema bootstrap happened on the primary
 
     @property
     def connection(self) -> sqlite3.Connection:
@@ -506,10 +479,13 @@ class SQLiteBackend:
                     pass
                 raise classify_driver_error(error) from error
             self.loaded_rows = total
-            # Refresh planner statistics so access-path choices see the new data.
-            self.connection.execute("PRAGMA analysis_limit = 1000")
-            self.connection.execute("ANALYZE")
-            self.pool.mark_changed()
+            # Refresh planner statistics so access-path choices see the new
+            # data.  ANALYZE writes, so on memdb it waits for in-flight reads.
+            try:
+                self.connection.execute("PRAGMA analysis_limit = 1000")
+                self.connection.execute("ANALYZE")
+            except sqlite3.DatabaseError as error:
+                raise classify_driver_error(error) from error
             return len(fresh)
 
     def _verify_mirrored_prefix(self, encoding: DocumentEncoding) -> None:
@@ -538,7 +514,7 @@ class SQLiteBackend:
     def row_count(self) -> int:
         """Rows currently in the ``doc`` table (sanity/monitoring hook)."""
         cursor = self.pool.acquire().execute(f"SELECT COUNT(*) FROM {self.table_name}")
-        return int(cursor.fetchone()[0])
+        return int(cursor.fetchall()[0][0])
 
     # -- execution ---------------------------------------------------------------
 
@@ -553,7 +529,7 @@ class SQLiteBackend:
         Queries (``SELECT``/``WITH``/``EXPLAIN``/``VALUES``) run on the
         calling thread's pooled connection, concurrently with other
         readers; anything else runs on the primary connection behind the
-        write lock and invalidates the pool.
+        write lock, and every reader's next statement sees it.
 
         ``timeout_seconds`` arms SQLite's progress handler as an execution
         budget; overruns raise :class:`~repro.errors.QueryTimeoutError`
@@ -569,9 +545,19 @@ class SQLiteBackend:
         if _is_read_statement(sql):
             return self._run(self.pool.acquire(), sql, bindings, timeout_seconds)
         with self.pool.write_lock:
-            result = self._run(self.connection, sql, bindings, timeout_seconds)
-            self.connection.commit()
-            self.pool.mark_changed()
+            try:
+                result = self._run(self.connection, sql, bindings, timeout_seconds)
+                self.connection.commit()
+            except BaseException as error:
+                # A failed statement leaves its transaction open, and on a
+                # memdb database that lock keeps every reader out.
+                try:
+                    self.pool.primary.rollback()
+                except sqlite3.Error:  # pragma: no cover - rollback best effort
+                    pass
+                if isinstance(error, sqlite3.DatabaseError):  # from commit()
+                    raise classify_driver_error(error) from error
+                raise
             return result
 
     def _run(
@@ -714,13 +700,13 @@ class SQLiteBackend:
     def rebuild_mirror(self) -> int:
         """Quarantine the database and reconstruct it from the encoding.
 
-        The rebuild happens on a *fresh* database — a new ``:memory:``
-        connection, or the file path after the corrupt file (and its WAL
-        sidecars) is moved aside to ``<path>.quarantined-N`` — because
-        issuing DDL inside a malformed image can itself fail; nothing of
-        the quarantined state is reused.  The finished replacement swaps in
-        as the pool's primary with an epoch bump, so every pooled reader
-        re-clones (in-memory) or reconnects (file) on its next acquire.
+        The rebuild happens on a *fresh* database — a new ``memdb`` name,
+        or the file path after the corrupt file (and its WAL sidecars) is
+        moved aside to ``<path>.quarantined-N`` — because issuing DDL inside
+        a malformed image can itself fail; nothing of the quarantined state
+        is reused.  The finished replacement swaps in as the pool's primary
+        with an epoch bump, so every pooled reader reconnects to it on its
+        next acquire.
 
         Returns the number of rows loaded; raises
         :class:`~repro.errors.CatalogError` when no canonical encoding is
@@ -735,11 +721,9 @@ class SQLiteBackend:
                     "cannot rebuild the mirror: no canonical encoding is attached"
                 )
             total = len(encoding)
-            fresh = self._fresh_primary()
+            database, fresh = self._fresh_primary()
             try:
-                bootstrap_schema(
-                    fresh, self.table_name, with_indexes=self.with_indexes
-                )
+                bootstrap_schema(fresh, self.table_name)
                 fresh.executemany(self._insert_sql, map(tuple, encoding.records[:total]))
                 fresh.commit()
                 fresh.execute("PRAGMA analysis_limit = 1000")
@@ -747,7 +731,7 @@ class SQLiteBackend:
             except BaseException:
                 fresh.close()
                 raise
-            self.pool.replace_primary(fresh)
+            self.pool.replace_primary(database, fresh)
             self.loaded_rows = total
             self.rebuilds += 1
             return total
@@ -777,27 +761,25 @@ class SQLiteBackend:
             cause=error,
         )
 
-    def _fresh_primary(self) -> sqlite3.Connection:
-        """A brand-new empty database at this backend's location.
+    def _fresh_primary(self) -> tuple[str, sqlite3.Connection]:
+        """A brand-new empty database for this backend, and its name.
 
-        File-backed mirrors quarantine the existing file first (main file
-        plus WAL sidecars, which belong to the old inode and must not be
-        replayed into the replacement).
+        An in-memory mirror takes a new ``memdb`` name.  A file-backed
+        mirror quarantines the existing file first (main file plus WAL
+        sidecars, which belong to the old inode and must not be replayed
+        into the replacement).
         """
         if self.pool.in_memory:
-            return sqlite3.connect(":memory:", check_same_thread=False)
-        quarantine = f"{self.path}.quarantined-{self.rebuilds}"
-        for suffix in ("", "-wal", "-shm"):
-            try:
-                os.replace(self.path + suffix, quarantine + suffix)
-            except OSError:
-                pass  # that piece is already gone; a fresh one appears below
-        connection = sqlite3.connect(self.path, check_same_thread=False)
-        try:
-            connection.execute("PRAGMA journal_mode=WAL")
-        except sqlite3.Error:  # pragma: no cover - exotic filesystems
-            pass
-        return connection
+            database = _memdb_uri()
+        else:
+            database = self.path
+            quarantine = f"{self.path}.quarantined-{self.rebuilds}"
+            for suffix in ("", "-wal", "-shm"):
+                try:
+                    os.replace(self.path + suffix, quarantine + suffix)
+                except OSError:
+                    pass  # that piece is already gone; a fresh one appears below
+        return database, self.pool.connect(database)
 
     # -- lifecycle ----------------------------------------------------------------
 

@@ -20,8 +20,6 @@ point                     where it fires
 ``backend.sync``          inside ``SQLiteBackend.sync`` after the write lock
                           is taken
 ``pool.acquire``          at the top of ``ConnectionPool.acquire``
-``mirror.clone``          before a pooled in-memory reader is (re)cloned from
-                          the primary via the online-backup API
 ========================  ======================================================
 
 When no :class:`FaultPlan` is installed, :func:`fire` is one module-global
@@ -67,9 +65,7 @@ _INSTALL_LOCK = threading.Lock()
 
 #: The injection points production code fires today (documentation +
 #: typo guard: scripting an unknown point is almost certainly a test bug).
-KNOWN_POINTS = frozenset(
-    {"backend.execute", "backend.sync", "pool.acquire", "mirror.clone"}
-)
+KNOWN_POINTS = frozenset({"backend.execute", "backend.sync", "pool.acquire"})
 
 #: An error to inject: an exception instance (re-raised as-is), an
 #: exception class, or a zero-argument factory producing either.

@@ -168,7 +168,6 @@ def test_corrupted_mirror_is_detected_and_healed_at_the_session():
     with backend.pool.write_lock:
         backend.pool.primary.execute("DELETE FROM doc WHERE pre >= 3")
         backend.pool.primary.commit()
-    backend.pool.mark_changed()
 
     health = session.mirror_health()
     assert not health["healthy"]

@@ -19,6 +19,7 @@ Design notes for determinism:
   exactly the number of distinct entries.
 """
 
+import os
 import sys
 import threading
 import time
@@ -28,9 +29,13 @@ import pytest
 from repro.core.session import Session
 from repro.core.stages import ENGINES
 from repro.service import QueryService
+from repro.sqlbackend import SQLiteBackend
 
 THREADS = 8
 ITERATIONS = 3
+#: Documents registered beside the concurrent readers; the nightly sweep
+#: sets ``REPRO_PROBE_EXAMPLES`` for a longer run.
+REGISTRATIONS = int(os.environ.get("REPRO_PROBE_EXAMPLES", "5"))
 
 XML = (
     "<site>"
@@ -57,8 +62,8 @@ BINDINGS = ({"lo": 400}, {"lo": 600}, {"lo": 900})
 CONFIGURATIONS = tuple(engine.name for engine in ENGINES)
 
 
-def _fresh_session():
-    session = Session()
+def _fresh_session(sql_backend=None):
+    session = Session(sql_backend=sql_backend)
     session.register("site.xml", XML)
     session.register("log.xml", OTHER_XML)
     return session
@@ -204,9 +209,11 @@ def test_query_service_stress_matches_serial_across_configurations():
     )
 
 
-def test_registration_during_concurrent_traffic_is_safe():
+@pytest.mark.parametrize("mirror", ["memory", "file"])
+def test_registration_during_concurrent_traffic_is_safe(mirror, tmp_path):
     """Catalog growth mid-traffic: old queries stay valid, new doc appears."""
-    session = _fresh_session()
+    path = tmp_path / "mirror.db" if mirror == "file" else ":memory:"
+    session = _fresh_session(SQLiteBackend(path))
     expected = session.execute(ADHOC_QUERIES[0], configuration="sql").items
     errors = []
     stop = threading.Event()
@@ -223,7 +230,7 @@ def test_registration_during_concurrent_traffic_is_safe():
     for thread in readers:
         thread.start()
     try:
-        for index in range(5):
+        for index in range(REGISTRATIONS):
             session.register(f"extra-{index}.xml", f"<extra><n>{index}</n></extra>")
     finally:
         stop.set()

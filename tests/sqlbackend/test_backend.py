@@ -2,6 +2,7 @@
 
 import gc
 import sqlite3
+import time
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro.errors import (
 )
 from repro.sqlbackend import ACCESS_PATH_INDEXES, SQLiteBackend
 from repro.sqlbackend.decode import ordered_items, sequence_items
-from repro.xmldb.encoding import encode_document
+from repro.xmldb.encoding import DocumentEncoding, encode_document
 from repro.xmldb.parser import parse_xml
 
 
@@ -33,11 +34,6 @@ def test_bootstrap_creates_doc_table_and_indexes():
         assert f"doc_idx_{suffix}" in names
     assert backend.row_count() == 0
     assert backend.loaded_rows == 0
-
-
-def test_bootstrap_without_indexes():
-    backend = SQLiteBackend(with_indexes=False)
-    assert backend.indexes() == []
 
 
 def test_pre_is_the_clustered_rowid():
@@ -118,6 +114,51 @@ def test_reopened_mirror_extends_a_matching_catalog(tmp_path):
     assert reopened.row_count() == len(encoding)
 
 
+class _DyingDisk:
+    """Encoding records whose bulk-load slice fails after ``after`` rows."""
+
+    def __init__(self, records, after):
+        self.records = records
+        self.after = after
+
+    def __getitem__(self, index):
+        yield from self.records[index][: self.after]
+        raise sqlite3.OperationalError("disk I/O error")
+
+
+def test_a_failed_bulk_load_rolls_back_and_the_retry_loads(monkeypatch):
+    """Regression: with ``journal_mode = OFF`` the rollback after a failed
+    load was a no-op, so its first rows stayed behind the high-water mark
+    and every later sync failed on ``UNIQUE constraint failed: doc.pre``."""
+    encoding = _encoding()
+    records = encoding.records
+    backend = SQLiteBackend()
+    monkeypatch.setattr(
+        DocumentEncoding, "records", property(lambda self: _DyingDisk(records, 3))
+    )
+    with pytest.raises(TransientBackendError, match="disk I/O error"):
+        backend.sync(encoding)
+    assert backend.row_count() == backend.loaded_rows == 0
+    monkeypatch.undo()
+    assert backend.sync(encoding) == len(encoding)
+    assert backend.row_count() == backend.loaded_rows == len(encoding)
+    assert backend.verify_integrity()
+    backend.close()
+
+
+def test_a_file_backed_mirror_keeps_wal_across_a_rebuild(tmp_path):
+    encoding = _encoding()  # the rebuild copies from it; keep it alive
+    backend = SQLiteBackend.from_encoding(encoding, path=tmp_path / "mirror.db")
+
+    def journal_mode():
+        return backend.execute("PRAGMA journal_mode").rows
+
+    assert journal_mode() == [("wal",)]
+    backend.rebuild_mirror()
+    assert journal_mode() == [("wal",)]
+    backend.close()
+
+
 # -- execution ----------------------------------------------------------------------
 
 
@@ -137,17 +178,6 @@ def test_name_lookup_uses_an_access_path_index():
         "SELECT pre FROM doc WHERE name = 'b' AND kind = 'ELEM' AND level = 1"
     )
     assert any("USING" in line and "INDEX" in line.upper() for line in plan), plan
-
-
-def test_ancestor_range_can_use_the_expression_index():
-    backend = SQLiteBackend.from_encoding(_encoding())
-    # INDEXED BY makes SQLite error out ("no query solution") unless the
-    # expression index actually matches the `pre + size` ancestor bound.
-    plan = backend.query_plan(
-        "SELECT pre FROM doc INDEXED BY doc_idx_nksp "
-        "WHERE name = 'a' AND kind = 'ELEM' AND pre + size >= 4"
-    )
-    assert any("doc_idx_nksp" in line for line in plan), plan
 
 
 def test_timeout_budget_aborts_execution():
@@ -332,6 +362,82 @@ def test_cte_prefixed_dml_routes_to_the_primary():
     backend.close()
 
 
+def test_a_write_on_the_primary_is_visible_to_a_reader_thread():
+    """Readers share the primary's database: nothing refreshes them."""
+    import threading
+
+    backend = SQLiteBackend.from_encoding(_encoding())
+    seen = []
+    read = threading.Event()
+    written = threading.Event()
+
+    def reader():
+        seen.append(backend.execute("SELECT COUNT(*) FROM doc").rows)
+        read.set()
+        assert written.wait(10)
+        seen.append(backend.execute("SELECT COUNT(*) FROM doc").rows)
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    assert read.wait(10)
+    with backend.pool.write_lock:
+        backend.pool.primary.execute("DELETE FROM doc WHERE pre >= 2")
+        backend.pool.primary.commit()
+    written.set()
+    thread.join(10)
+    assert not thread.is_alive()
+    assert seen == [[(6,)], [(2,)]]
+    assert backend.pool.size == 2  # the reader thread kept its one connection
+    backend.close()
+
+
+def test_a_commit_that_waits_out_a_reader_fails_transient_and_rolls_back():
+    """On the shared memdb database a commit waits for in-flight reads; one
+    that outlasts the busy timeout is a classified, retryable error and
+    leaves no half-written transaction behind."""
+    backend = SQLiteBackend.from_encoding(_encoding())
+    backend.execute("CREATE TABLE scratch4 (x INTEGER)")
+    backend.pool.primary.execute("PRAGMA busy_timeout = 50")
+    held = backend.pool.acquire().execute("SELECT pre FROM doc")
+    held.fetchone()  # an undrained cursor keeps its read lock
+    with pytest.raises(TransientBackendError, match="locked"):
+        backend.execute("INSERT INTO scratch4 VALUES (1)")
+    held.fetchall()
+    backend.execute("INSERT INTO scratch4 VALUES (2)")
+    assert backend.execute("SELECT x FROM scratch4").rows == [(2,)]
+    backend.close()
+
+
+def test_two_in_memory_backends_never_share_rows():
+    loaded = SQLiteBackend.from_encoding(_encoding())
+    empty = SQLiteBackend()
+    assert loaded.row_count() == 6
+    assert empty.row_count() == 0
+    loaded.close()
+    empty.close()
+
+
+def test_an_in_memory_mirror_needs_a_shared_memdb(monkeypatch):
+    monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 35, 5))
+    with pytest.raises(BackendExecutionError, match="3.36"):
+        SQLiteBackend()
+
+
+def test_a_failed_write_does_not_lock_the_readers_out():
+    """Regression: a write statement that failed left its transaction open
+    on the primary, and every read waited out the busy timeout on the
+    shared memdb database, then failed as ``database is locked``."""
+    backend = SQLiteBackend()
+    backend.execute("CREATE TABLE scratch3 (x INTEGER PRIMARY KEY)")
+    backend.execute("INSERT INTO scratch3 VALUES (1)")
+    with pytest.raises(BackendExecutionError, match="UNIQUE"):
+        backend.execute("INSERT INTO scratch3 VALUES (2), (1)")
+    started = time.perf_counter()
+    assert backend.execute("SELECT x FROM scratch3").rows == [(1,)]
+    assert time.perf_counter() - started < 1.0
+    backend.close()
+
+
 def test_dead_thread_readers_are_pruned():
     """A long-lived backend serving short-lived threads must not keep one
     clone per thread that ever existed."""
@@ -393,71 +499,6 @@ def test_no_raw_sqlite_error_escapes_execute():
     backend.close()
 
 
-# -- fault injection at the pool boundary ---------------------------------------------
-
-
-def test_clone_fault_does_not_leak_the_half_initialized_reader():
-    """Regression: a clone failure inside _new_reader used to leave the
-    fresh connection open and unregistered — unreachable but unclosed."""
-    from repro.testing.faults import FaultPlan
-
-    backend = SQLiteBackend.from_encoding(_encoding())
-    baseline = backend.pool.size
-    raised = {}
-    with FaultPlan() as plan:
-        plan.script(
-            "mirror.clone", sqlite3.OperationalError("disk I/O error"), times=1
-        )
-
-        def probe():
-            try:
-                backend.execute("SELECT COUNT(*) FROM doc")
-            except BaseException as error:
-                raised["error"] = error
-
-        import threading
-
-        thread = threading.Thread(target=probe)
-        thread.start()
-        thread.join()
-        assert plan.fired == {"mirror.clone": 1}
-    assert isinstance(raised.get("error"), TransientBackendError)
-    # The failed thread registered nothing; pool size is unchanged.
-    assert backend.pool.size == baseline
-    # And the pool still works for new threads.
-    results = {}
-
-    def read():
-        results["rows"] = backend.execute("SELECT COUNT(*) FROM doc").rows
-
-    import threading
-
-    thread = threading.Thread(target=read)
-    thread.start()
-    thread.join()
-    assert results["rows"] == [(len(_encoding()),)]
-    backend.close()
-
-
-def test_refresh_clone_fault_discards_the_stale_reader():
-    """A clone fault during a *refresh* (stale generation) must drop the
-    thread's reader entirely — the next acquire starts clean and succeeds."""
-    from repro.testing.faults import FaultPlan
-
-    encoding = _encoding()
-    backend = SQLiteBackend.from_encoding(encoding)
-    backend.execute("SELECT COUNT(*) FROM doc")  # this thread now has a reader
-    backend.pool.mark_changed()  # make it stale
-    with FaultPlan() as plan:
-        plan.script(
-            "mirror.clone", sqlite3.OperationalError("disk I/O error"), times=1
-        )
-        with pytest.raises(TransientBackendError):
-            backend.execute("SELECT COUNT(*) FROM doc")
-    assert backend.execute("SELECT COUNT(*) FROM doc").rows == [(len(encoding),)]
-    backend.close()
-
-
 # -- integrity verification & self-healing --------------------------------------------
 
 
@@ -497,7 +538,6 @@ def test_heal_rebuilds_a_damaged_mirror_and_queries_recover():
     with backend.pool.write_lock:
         backend.pool.primary.execute("DELETE FROM doc")
         backend.pool.primary.commit()
-    backend.pool.mark_changed()
     assert backend.heal() is True
     assert backend.rebuilds == 1
     assert backend.heal() is False  # already healthy again
