@@ -137,11 +137,11 @@ class PlanProperties:
             parent_id = id(parent)
             for position, child in enumerate(parent.children):
                 if child is node:
-                    icols = icols | _child_icols(
+                    icols = icols | child_icols(
                         parent, position, node, self._icols[parent_id]
                     )
                     is_set = is_set and _child_set(parent, position, self._set[parent_id])
-            refs |= _parent_refs(parent, node, self._refs[parent_id])
+            refs |= parent_refs(parent, node, self._refs[parent_id])
         return icols, is_set, frozenset(refs) if refs else _NO_REFS
 
     def refresh(
@@ -350,12 +350,12 @@ def _join_result_keys(
 # ---------------------------------------------------------------------------
 
 
-def _parent_refs(
-    parent: Operator, child: Operator, parent_refs: frozenset[str]
+def parent_refs(
+    parent: Operator, child: Operator, upstream: frozenset[str]
 ) -> set[str]:
     """Columns of ``child`` that ``parent`` structurally references.
 
-    ``parent_refs`` is the parent's own (already computed) upstream refs —
+    ``upstream`` is the parent's own (already computed) upstream refs —
     pass-through operators forward them.  This is the per-edge contribution
     the top-down pass sums into :meth:`PlanProperties.refs`.
     """
@@ -380,7 +380,7 @@ def _parent_refs(
         parent,
         (Select, Join, Cross, Distinct, Attach, RowId, RowRank, GroupAggregate, Serialize),
     ):
-        refs |= parent_refs & child_columns
+        refs |= upstream & child_columns
     return refs
 
 
@@ -389,7 +389,7 @@ def _parent_refs(
 # ---------------------------------------------------------------------------
 
 
-def _child_icols(
+def child_icols(
     node: Operator, position: int, child: Operator, icols: frozenset[str]
 ) -> frozenset[str]:
     if isinstance(node, Serialize):

@@ -11,13 +11,12 @@ touched the node (see :mod:`repro.core.rewrite.engine`):
 
 * a guard reads its matched node (fields, ``columns``, its own ``icols`` /
   ``set`` / ``refs`` / ``const`` / ``keys``) and its children (fields,
-  ``columns``, ``const`` / ``keys``, parent lists) directly;
+  ``columns``, ``const`` / ``keys``) directly;
 * it reads *past* the node's children only through this context —
   :meth:`RuleContext.provenance` / :meth:`RuleContext.origin` and
   :meth:`RuleContext.constant_single_row` — which records a *deep* read;
-* it reads the parents of nodes other than its children only once it has
-  read deep (the key-join collapse's spine widening does, after tracing
-  the spine by provenance);
+* it reads parent lists only once it has read deep (the key-join
+  collapse's spine widening does, after tracing the spine by provenance);
 * the global premise is :meth:`RuleContext.rank_compared_upstream`, which
   records a *premise* read.
 

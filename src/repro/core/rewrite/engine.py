@@ -40,15 +40,15 @@ makes the node dirty again:
 
 * **local reads** (every failure): the node's own fields and ``columns``,
   its own ``icols`` / ``set`` / ``refs`` / ``const`` / ``keys``, and its
-  children's fields, ``columns``, ``const`` / ``keys`` and parent lists.
+  children's fields, ``columns`` and ``const`` / ``keys``.
   The node is re-tried when it is new, was re-pointed (its children
-  changed) or re-validated (an input's schema changed); when the property
-  refresh reports its own top-down or bottom-up state, or a child's
-  ``const`` / ``keys``, as changed value; and when a child's parent list
-  gained or lost an entry.
+  changed) or re-validated (an input's schema changed); and when the
+  property refresh reports its own top-down or bottom-up state, or a
+  child's ``const`` / ``keys``, as changed value.
 * **deep reads** (a guard traced provenance or looked through a constant
-  chain, and may then have read the parents of the nodes it reached, and
-  those parents' other inputs): such a failure keeps the all-ancestors
+  chain, and may then have read the parents of the nodes it reached —
+  its children's included — and those parents' other inputs): such a
+  failure keeps the all-ancestors
   channel — the re-pointed and re-parented nodes and the inputs of
   re-validated ones, *and all their ancestors*, are re-tried.
 * **the global premise** (``rank_compared_upstream``): the compared-origins
@@ -71,9 +71,10 @@ from typing import Mapping, Optional
 
 from repro.errors import AlgebraError
 from repro.algebra.dag import Glue, glue, thaw
-from repro.algebra.operators import Join, Operator, Select, Serialize
+from repro.algebra.operators import Join, Operator, Project, Select, Serialize
 from repro.core.properties import PlanProperties
 from repro.core.rewrite.context import RuleContext
+from repro.core.rewrite.normalize import NORMALIZE, normalize
 from repro.core.rewrite.rule import PatternIndex, Rule
 from repro.core.rewrite.trace import RejectedApplication, RewriteStep
 
@@ -95,8 +96,9 @@ class WorklistDriver:
     post-order.
     """
 
-    def __init__(self, max_steps: int):
+    def __init__(self, max_steps: int, normalize: bool = False):
         self.max_steps = max_steps
+        self.normalize = normalize
         self.steps: list[RewriteStep] = []
         self.rejections: list[RejectedApplication] = []
         self.converged = True
@@ -127,6 +129,9 @@ class WorklistDriver:
         self._walk(plan)
         ctx = RuleContext(plan, PlanProperties(plan, parents), parents)
         pending: Optional[_Pending] = None
+        #: Whether the pending glue is a structural step's (the normaliser
+        #: follows it) — the input plan is normalised once, like one.
+        structural = self.normalize
         for phase_name, rules in phases:
             if not rules:
                 continue
@@ -138,12 +143,58 @@ class WorklistDriver:
                 if self.step_count >= self.max_steps:
                     self.converged = False
                     return plan
+                seeds = self._order
                 if pending is not None:
-                    self._absorb(ctx, *pending)
+                    seeds = self._absorb(ctx, *pending)
+                if structural:
+                    structural = False
+                    pending = self._normalize(ctx, seeds, phase_name)
+                    if pending is not None:
+                        continue
                 pending = self._step(ctx, index, phase_name)
                 if pending is None:
                     break
+                structural = self.normalize
         return plan
+
+    def _normalize(
+        self, ctx: RuleContext, seeds: list[Operator], phase: str
+    ) -> Optional[_Pending]:
+        """One normaliser pass from ``seeds``, glued as one step (``None`` if
+        the plan is normal there already)."""
+        replacements = normalize(ctx.parents, ctx.properties, seeds, self._position)
+        if not replacements:
+            return None
+        top = max(replacements, key=self._position.__getitem__)
+        target = self._order[self._position[top]]
+        try:
+            glued = glue(ctx.parents, replacements)
+        except AlgebraError as error:
+            # A normaliser bug, not a premise: recorded like any refusal so
+            # the run stays observable; the plan is unchanged.
+            self.rejections.append(
+                RejectedApplication(
+                    rule=NORMALIZE,
+                    target=target.label(),
+                    error=str(error),
+                    step=self.step_count,
+                    phase=phase,
+                    target_id=top,
+                )
+            )
+            return None
+        self.steps.append(
+            RewriteStep(
+                rule=NORMALIZE,
+                target=target.label(),
+                replacement=replacements[top].label(),
+                index=self.step_count,
+                phase=phase,
+                target_id=top,
+                replacement_id=id(replacements[top]),
+            )
+        )
+        return glued, replacements, top
 
     # -- one step -----------------------------------------------------------------
 
@@ -214,8 +265,12 @@ class WorklistDriver:
         glued: Glue,
         replacements: Mapping[int, Operator],
         matched: int,
-    ) -> None:
-        """Turn one glue's events into dirty nodes (see the module docstring)."""
+    ) -> list[Operator]:
+        """Turn one glue's events into dirty nodes (see the module docstring).
+
+        Returns the nodes re-tried on their own events — where a normaliser
+        pass after the step starts.
+        """
         if not self._splice(ctx.parents, glued, replacements, matched):
             self.rewalks += 1
             self._walk(ctx.root)
@@ -229,8 +284,14 @@ class WorklistDriver:
         retry = glued.fresh + glued.rewired + glued.revalidated + top_down + bottom_up
         for node in bottom_up:
             retry += parents[id(node)]
-        for node in glued.reparented:
-            retry += parents[id(node)]
+        # A projection that lost a parent may fuse into the one it has left:
+        # an event of the normaliser's, which no rule reads locally.
+        own = retry + [
+            parent
+            for node in glued.reparented
+            if isinstance(node, Project)
+            for parent in parents[id(node)]
+        ]
         if ctx.invalidate(
             glued.rewired + glued.revalidated + glued.dropped,
             any(isinstance(node, (Select, Join)) for node in glued.fresh + glued.dropped),
@@ -255,6 +316,7 @@ class WorklistDriver:
             dirty[node_id] = node
             deep.pop(node_id, None)
             premise.pop(node_id, None)
+        return own
 
     # -- the kept post-order ------------------------------------------------------
 
@@ -385,8 +447,9 @@ class WorklistDriver:
 
 
 def run_phases(
-    plan: Operator, phases: list[Phase], max_steps: int = 5000
+    plan: Operator, phases: list[Phase], max_steps: int = 5000, normalize: bool = False
 ) -> tuple[Operator, WorklistDriver]:
-    """Run the goal sequence; the returned driver carries the trace."""
-    engine = WorklistDriver(max_steps)
+    """Run the goal sequence (with the normaliser after every structural step
+    if ``normalize``); the returned driver carries the trace."""
+    engine = WorklistDriver(max_steps, normalize)
     return engine.run(plan, phases), engine

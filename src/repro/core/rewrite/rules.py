@@ -3,10 +3,9 @@
 Every rule is a :class:`~repro.core.rewrite.rule.Rule` object — a
 structural pattern (root operator class, child constraints), a guard over
 the inferred plan properties, and a builder for the replacement — rather
-than a hand-coded match/replace function.  The logic is a 1:1
-re-expression of the pre-declarative ``core/rules.py`` (zero behaviour
-change, pinned by the per-rule differential tests and the XMark rule
-histograms), organised so that every premise is visible in one place:
+than a hand-coded match/replace function (pinned by the per-rule
+differential tests, the semantic property over drawn operands and the XMark
+rule histograms), organised so that every premise is visible in one place:
 
 * the *pattern* says where the rule can possibly fire (this is what the
   engine's pattern index dispatches on);
@@ -37,7 +36,10 @@ ours — matching SQL — does not):
   binary operators — are not needed once the collapse rule is in place
   and are therefore not part of the default goal sequence.
 
-All remaining rules ((1)-(8), (10), (12)-(14), (16), (17)) follow the paper.
+All remaining rules ((5)-(8), (10), (12)-(14), (16), (17)) follow the paper.
+Rules (1)-(4) — the ``icols`` cleanup — are not rules here but one pass,
+:func:`~repro.core.rewrite.normalize.normalize`, which the driver runs after
+every structural step.
 """
 
 from __future__ import annotations
@@ -253,60 +255,13 @@ def _column_has_rowid_origin(ctx: RuleContext, node: Operator, column: str) -> b
 
 
 # ---------------------------------------------------------------------------
-# House-cleaning rules (1) - (5), (10), (12), (13), plus constant folding
+# House-cleaning rules (5), (10), (12), (13)
 # ---------------------------------------------------------------------------
 
 
-def _guard_prune_rowid(node: Operator, ctx: RuleContext):
-    """(1)  a is not needed upstream."""
-    if node.column not in ctx.needed_columns(node):
-        return MATCHED
-    return None
-
-
-def _guard_prune_rank(node: Operator, ctx: RuleContext):
-    """(2)  a is not needed upstream."""
-    if node.column not in ctx.needed_columns(node):
-        return MATCHED
-    return None
-
-
-def _guard_prune_attach(node: Operator, ctx: RuleContext):
-    """(3)  a is not needed upstream."""
-    if node.column not in ctx.needed_columns(node):
-        return MATCHED
-    return None
-
-
 def _build_child(node: Operator, match, ctx: RuleContext) -> Operator:
-    """■(q) → q  (shared by the pruning rules and rule (6))."""
+    """■(q) → q  (rule (6))."""
     return node.children[0]
-
-
-def _guard_prune_project(node: Project, ctx: RuleContext):
-    """(4)  some projection items are not needed upstream."""
-    needed = ctx.needed_columns(node)
-    kept = [item for item in node.items if item[0] in needed]
-    if kept and len(kept) < len(node.items):
-        return kept
-    return None
-
-
-def _build_prune_project(node: Project, kept, ctx: RuleContext) -> Operator:
-    return Project(node.child, kept)
-
-
-def _guard_project_fuse(node: Project, ctx: RuleContext):
-    """The inner projection is not shared by other parents."""
-    inner = node.child
-    if len(ctx.parents.get(id(inner), ())) > 1:
-        return None
-    inner_map = inner.renaming()
-    return [(new, inner_map[old]) for new, old in node.items]
-
-
-def _build_project_fuse(node: Project, fused, ctx: RuleContext) -> Operator:
-    return Project(node.child.child, fused)
 
 
 def _guard_cross_to_attach(node: Cross, ctx: RuleContext):
@@ -352,24 +307,6 @@ def _guard_const_join_to_cross(node: Join, ctx: RuleContext):
 def _build_const_join_to_cross(node: Join, match, ctx: RuleContext) -> Operator:
     left, right = node.children
     return Cross(left, right)
-
-
-def _guard_project_const_source(node: Project, ctx: RuleContext):
-    """Some (but not all) projection items source a constant column."""
-    const = ctx.properties.const(node.child)
-    constant_items = [(new, old) for new, old in node.items if old in const]
-    if not constant_items or len(constant_items) == len(node.items):
-        return None
-    remaining = [(new, old) for new, old in node.items if old not in const]
-    return constant_items, remaining, const
-
-
-def _build_project_const_source(node: Project, match, ctx: RuleContext) -> Operator:
-    constant_items, remaining, const = match
-    result: Operator = Project(node.child, remaining)
-    for new, old in constant_items:
-        result = Attach(result, new, const[old])
-    return result
 
 
 def _guard_rank_to_project(node: RowRank, ctx: RuleContext):
@@ -658,30 +595,6 @@ def _result_head(body: Operator, pos: str = "pre", item: str = "pre") -> Seriali
     return Serialize(Project(body, [("pos", pos), ("item", item)]))
 
 
-def _x_prune_rowid() -> Operator:
-    return _result_head(RowId(DocTable(), "rid"))
-
-
-def _x_prune_rank() -> Operator:
-    return _result_head(RowRank(DocTable(), "rnk", ("pre",), ()))
-
-
-def _x_prune_attach() -> Operator:
-    return _result_head(Attach(DocTable(), "dead", 1))
-
-
-def _x_prune_project() -> Operator:
-    inner = Project(DocTable(), [("pos", "pre"), ("item", "pre"), ("junk", "size")])
-    # A second parent keeps project_fuse from matching first in scans, so
-    # this exemplar isolates the pruning premise.
-    return Serialize(Distinct(inner))
-
-
-def _x_project_fuse() -> Operator:
-    inner = Project(DocTable(), [("p", "pre"), ("s", "size")])
-    return Serialize(Project(inner, [("pos", "p"), ("item", "p")]))
-
-
 def _x_cross_to_attach() -> Operator:
     loop = LiteralTable(("iter",), [(1,)])
     return _result_head(Cross(DocTable(), loop))
@@ -692,11 +605,6 @@ def _x_const_join_to_cross() -> Operator:
     right = Attach(LiteralTable(("v",), [(7,)]), "b", 1)
     joined = Join(left, right, Predicate.equality("a", "b"))
     return _result_head(joined)
-
-
-def _x_project_const_source() -> Operator:
-    body = Attach(DocTable(), "one", 1)
-    return Serialize(Project(body, [("pos", "pre"), ("item", "pre"), ("unit", "one")]))
 
 
 def _x_rank_to_project() -> Operator:
@@ -760,55 +668,10 @@ REGISTRY = RuleRegistry()
 
 _r = REGISTRY.register
 
-#: House-cleaning rules, applied throughout all goals.  Order matters: the
-#: driver applies the first match in (node, rule) scan order, so the group
-#: tuples below reproduce the pre-declarative engine's rule order exactly.
+#: House-cleaning rules, applied throughout all goals (rules (1)-(4) are
+#: the normaliser, :mod:`repro.core.rewrite.normalize`).  Order matters: the
+#: driver applies the first match in (node, rule) scan order.
 CLEANUP_GROUP: tuple[Rule, ...] = (
-    _r(Rule(
-        name="project_fuse",
-        paper="",
-        pattern=pattern(Project, Project),
-        guard=_guard_project_fuse,
-        build=_build_project_fuse,
-        exemplar=_x_project_fuse,
-        cleanup=True,
-    )),
-    _r(Rule(
-        name="prune_project(4)",
-        paper="(4)",
-        pattern=pattern(Project),
-        guard=_guard_prune_project,
-        build=_build_prune_project,
-        exemplar=_x_prune_project,
-        cleanup=True,
-    )),
-    _r(Rule(
-        name="prune_rowid(1)",
-        paper="(1)",
-        pattern=pattern(RowId),
-        guard=_guard_prune_rowid,
-        build=_build_child,
-        exemplar=_x_prune_rowid,
-        cleanup=True,
-    )),
-    _r(Rule(
-        name="prune_rank(2)",
-        paper="(2)",
-        pattern=pattern(RowRank),
-        guard=_guard_prune_rank,
-        build=_build_child,
-        exemplar=_x_prune_rank,
-        cleanup=True,
-    )),
-    _r(Rule(
-        name="prune_attach(3)",
-        paper="(3)",
-        pattern=pattern(Attach),
-        guard=_guard_prune_attach,
-        build=_build_child,
-        exemplar=_x_prune_attach,
-        cleanup=True,
-    )),
     _r(Rule(
         name="cross_to_attach(5)",
         paper="(5)",
@@ -825,15 +688,6 @@ CLEANUP_GROUP: tuple[Rule, ...] = (
         guard=_guard_const_join_to_cross,
         build=_build_const_join_to_cross,
         exemplar=_x_const_join_to_cross,
-        cleanup=True,
-    )),
-    _r(Rule(
-        name="project_const_source",
-        paper="",
-        pattern=pattern(Project),
-        guard=_guard_project_const_source,
-        build=_build_project_const_source,
-        exemplar=_x_project_const_source,
         cleanup=True,
     )),
 )

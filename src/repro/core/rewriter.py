@@ -2,16 +2,18 @@
 
 The rewriting proceeds through the paper's goals:
 
-1. **house cleaning** — the simplification rules (1)-(5), (10), (12), (13)
-   are applied until no more of them fire;
+1. **house cleaning** — the ``icols`` normaliser (rules (1)-(4)) and the
+   simplification rules (5), (10) are applied until no more of them fire;
 2. **goal ϱ** — the row-rank operators are simplified and moved towards the
    plan tail (rules (12)-(14), (16), (17));
 3. **goals δ and ⋈** — a single duplicate elimination is established in the
    plan tail and the equi-joins introduced by loop lifting (and the
    ``pre = item`` context joins) are collapsed (rules (6)-(8) and the
    generalised rule (9*));
-4. **final cleaning** — a last house-cleaning pass removes operators whose
-   attached columns became unreferenced during the join collapses.
+Throughout, after every structural step, one normaliser pass
+(:mod:`repro.core.rewrite.normalize`) removes what the step left unneeded:
+operators whose attached columns nobody references, projection items
+nobody reads, projections over projections.
 
 The rules themselves are declarative :class:`~repro.core.rewrite.rule.Rule`
 objects (:mod:`repro.core.rewrite.rules`); this module assembles them into
@@ -78,7 +80,8 @@ class JoinGraphIsolation:
 
     ``enable_rank_goal``, ``enable_distinct_goal`` and ``enable_join_goal``
     exist for the ablation experiment (switching off individual goals shows
-    how far DB2-style back-ends get without them).
+    how far DB2-style back-ends get without them); ``enable_cleanup`` off
+    switches off house cleaning: the normaliser and rules (5), (10).
     """
 
     max_steps: int = 5000
@@ -89,7 +92,9 @@ class JoinGraphIsolation:
 
     def isolate(self, root: Serialize) -> tuple[Serialize, IsolationReport]:
         """Rewrite ``root`` and return the isolated plan plus a report."""
-        plan, engine = run_phases(root, self.phases(), max_steps=self.max_steps)
+        plan, engine = run_phases(
+            root, self.phases(), max_steps=self.max_steps, normalize=self.enable_cleanup
+        )
         report = IsolationReport(
             applications=engine.steps,
             rejections=engine.rejections,
@@ -122,8 +127,6 @@ class JoinGraphIsolation:
                     cleanup + (RANK_GROUP if self.enable_rank_goal else ()) + join_rules,
                 )
             )
-        if self.enable_cleanup:
-            phases.append(("final", cleanup))
         return phases
 
 

@@ -50,7 +50,7 @@ from repro.algebra.interpreter import PlanInterpreter
 from repro.algebra.operators import Serialize
 from repro.algebra.table import Table
 from repro.core.joingraph import JoinGraph, extract_join_graph
-from repro.core.rewriter import IsolationReport, JoinGraphIsolation
+from repro.core.rewriter import IsolationReport, JoinGraphIsolation, isolate
 from repro.core.sqlgen import generate_stacked_sql, render_join_graph
 from repro.relational.catalog import Database, database_hosting
 from repro.relational.engine import RelationalEngine
@@ -363,7 +363,8 @@ class IsolateStage:
     isolation: JoinGraphIsolation = field(default_factory=JoinGraphIsolation)
 
     def run(self, stacked: Serialize) -> tuple[Serialize, IsolationReport]:
-        return self.isolation.isolate(stacked)
+        """Raises :class:`~repro.errors.RewriteError` if the step guard stops it."""
+        return isolate(stacked, self.isolation)
 
 
 @dataclass(frozen=True)

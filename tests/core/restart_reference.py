@@ -11,7 +11,12 @@ replacements into a mutable plan copy in place, applies the identical
 rules to the identical targets in the identical order and turns away the
 identical applications.  Nothing here is shared with that machinery: the
 plan stays immutable and every step is glued with the pure :func:`pushout`
-defined here, which rebuilds every ancestor of a replaced node.
+defined here, which rebuilds every ancestor of a replaced node.  The one
+shared piece is the icols normaliser itself
+(:func:`~repro.core.rewrite.normalize.normalize`): the reference runs it
+from the root over cold properties on the input plan and after every
+structural step, the driver from the dirty frontier over the properties it
+keeps, and the two must agree pass for pass.
 
 :func:`driver_records` renders a driver run in the reference's record
 format and :func:`normalize` erases the fresh-column numbering (the
@@ -26,11 +31,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.algebra.dag import iter_nodes
+from repro.algebra.dag import iter_nodes, parents_map
 from repro.algebra.operators import Operator, Serialize
 from repro.algebra.render import render_plan
 from repro.core.properties import infer_properties
 from repro.core.rewrite import RuleContext
+from repro.core.rewrite.normalize import NORMALIZE, normalize as normalize_pass
 from repro.core.rewriter import JoinGraphIsolation
 from repro.errors import AlgebraError
 
@@ -185,22 +191,51 @@ def driver_records(steps, rejections):
     )
 
 
-def isolate_by_restart(plan, phases, max_steps=5000):
+def isolate_by_restart(plan, phases, max_steps=5000, normalize=False):
     """Run the goal sequence; returns ``(plan, applications, rejections)``.
 
     Applications are ``(rule, target label, replacement label)`` triples and
     rejections ``(rule, target label, error text)`` triples, in the order
-    they happened.
+    they happened.  With ``normalize``, the normaliser runs from the root
+    on the input plan and after every structural step.
     """
     applications, rejections = [], []
+    structural = normalize
     for _phase, rules in phases:
+        if not rules:
+            continue
         while True:
             assert len(applications) < max_steps, "reference did not converge"
+            if structural:
+                structural = False
+                normalized = _normalize_from_root(plan, applications, rejections)
+                if normalized is not None:
+                    plan = normalized
+                    continue
             rewritten = _apply_first(plan, rules, applications, rejections)
             if rewritten is None:
                 break
             plan = rewritten
+            structural = normalize
     return plan, applications, rejections
+
+
+def _normalize_from_root(plan, applications, rejections):
+    """One normaliser pass seeded with every node, over cold properties."""
+    order = list(iter_nodes(plan))
+    position = {id(node): at for at, node in enumerate(order)}
+    replacements = normalize_pass(parents_map(plan), infer_properties(plan), order, position)
+    if not replacements:
+        return None
+    top = max(replacements, key=position.__getitem__)
+    target = order[position[top]]
+    try:
+        glued = pushout(plan, replacements)
+    except AlgebraError as error:
+        rejections.append((NORMALIZE, target.label(), str(error)))
+        return None
+    applications.append((NORMALIZE, target.label(), replacements[top].label()))
+    return glued.root
 
 
 def _apply_first(plan, rules, applications, rejections):
@@ -230,7 +265,7 @@ def assert_driver_matches_reference(plan, label=""):
     """Isolate ``plan`` with the driver and the reference; demand identical
     applications, rejections and rendered plans.  Returns the driver's report."""
     reference_plan, applications, rejections = isolate_by_restart(
-        plan, JoinGraphIsolation().phases()
+        plan, JoinGraphIsolation().phases(), normalize=True
     )
     driver_plan, report = JoinGraphIsolation().isolate(plan)
     steps, rejected = driver_records(report.applications, report.rejections)

@@ -31,6 +31,7 @@ from repro.algebra.operators import (
     Distinct,
     DocTable,
     Join,
+    LiteralTable,
     Operator,
     Project,
     RowId,
@@ -53,8 +54,11 @@ from repro.core.rewrite import (
     WorklistDriver,
     run_phases,
 )
+from repro.core.rewrite.normalize import NORMALIZE
 from repro.core.rewrite.rule import MATCHED, _structural_fingerprint, pattern
 from repro.core.rewriter import JoinGraphIsolation, isolate
+from repro.xmldb.encoding import encode_document
+from repro.xmldb.parser import parse_xml
 from repro.xquery.compiler import CompilerSettings, compile_query
 
 from tests.core.restart_reference import (
@@ -84,12 +88,7 @@ PINNED_HISTOGRAMS = {
     "Q1": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 9,
-        "project_const_source": 16,
-        "project_fuse": 20,
-        "prune_attach(3)": 21,
-        "prune_project(4)": 19,
-        "prune_rank(2)": 8,
-        "prune_rowid(1)": 1,
+        "normalize(1-4)": 13,
         "rank_prune_const(13)": 1,
         "rank_to_project(12)": 1,
         "remove_distinct(6)": 3,
@@ -97,11 +96,7 @@ PINNED_HISTOGRAMS = {
     "Q2": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 7,
-        "project_const_source": 9,
-        "project_fuse": 17,
-        "prune_attach(3)": 13,
-        "prune_project(4)": 13,
-        "prune_rank(2)": 6,
+        "normalize(1-4)": 12,
         "rank_prune_const(13)": 2,
         "rank_to_project(12)": 2,
         "remove_distinct(6)": 2,
@@ -109,11 +104,7 @@ PINNED_HISTOGRAMS = {
     "Q3": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 14,
-        "project_const_source": 9,
-        "project_fuse": 31,
-        "prune_attach(3)": 16,
-        "prune_project(4)": 33,
-        "prune_rank(2)": 10,
+        "normalize(1-4)": 20,
         "rank_prune_const(13)": 2,
         "rank_to_project(12)": 2,
         "remove_distinct(6)": 5,
@@ -121,12 +112,7 @@ PINNED_HISTOGRAMS = {
     "Q4": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 12,
-        "project_const_source": 10,
-        "project_fuse": 30,
-        "prune_attach(3)": 16,
-        "prune_project(4)": 40,
-        "prune_rank(2)": 9,
-        "prune_rowid(1)": 2,
+        "normalize(1-4)": 18,
         "rank_prune_const(13)": 2,
         "rank_to_project(12)": 2,
         "remove_distinct(6)": 5,
@@ -134,22 +120,13 @@ PINNED_HISTOGRAMS = {
     "Q5": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 8,
-        "project_const_source": 11,
-        "project_fuse": 19,
-        "prune_attach(3)": 15,
-        "prune_project(4)": 21,
-        "prune_rank(2)": 8,
-        "prune_rowid(1)": 1,
+        "normalize(1-4)": 11,
         "remove_distinct(6)": 4,
     },
     "Q6": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 4,
-        "project_const_source": 7,
-        "project_fuse": 12,
-        "prune_attach(3)": 11,
-        "prune_project(4)": 10,
-        "prune_rank(2)": 4,
+        "normalize(1-4)": 10,
         "rank_prune_const(13)": 2,
         "rank_to_project(12)": 2,
         "remove_distinct(6)": 1,
@@ -157,11 +134,7 @@ PINNED_HISTOGRAMS = {
     "Q8": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 15,
-        "project_const_source": 10,
-        "project_fuse": 35,
-        "prune_attach(3)": 18,
-        "prune_project(4)": 36,
-        "prune_rank(2)": 11,
+        "normalize(1-4)": 21,
         "rank_prune_const(13)": 2,
         "rank_to_project(12)": 2,
         "remove_distinct(6)": 3,
@@ -169,11 +142,7 @@ PINNED_HISTOGRAMS = {
     "Q9": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 29,
-        "project_const_source": 12,
-        "project_fuse": 60,
-        "prune_attach(3)": 23,
-        "prune_project(4)": 83,
-        "prune_rank(2)": 17,
+        "normalize(1-4)": 38,
         "rank_prune_const(13)": 2,
         "rank_to_project(12)": 4,
         "remove_distinct(6)": 7,
@@ -181,11 +150,7 @@ PINNED_HISTOGRAMS = {
     "Q10": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 17,
-        "project_const_source": 9,
-        "project_fuse": 39,
-        "prune_attach(3)": 16,
-        "prune_project(4)": 45,
-        "prune_rank(2)": 11,
+        "normalize(1-4)": 24,
         "rank_prune_const(13)": 2,
         "rank_to_project(12)": 3,
         "remove_distinct(6)": 4,
@@ -193,11 +158,7 @@ PINNED_HISTOGRAMS = {
     "Q11": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 16,
-        "project_const_source": 10,
-        "project_fuse": 37,
-        "prune_attach(3)": 17,
-        "prune_project(4)": 42,
-        "prune_rank(2)": 10,
+        "normalize(1-4)": 23,
         "rank_prune_const(13)": 2,
         "rank_to_project(12)": 3,
         "remove_distinct(6)": 4,
@@ -205,11 +166,7 @@ PINNED_HISTOGRAMS = {
     "Q12": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 19,
-        "project_const_source": 11,
-        "project_fuse": 42,
-        "prune_attach(3)": 20,
-        "prune_project(4)": 43,
-        "prune_rank(2)": 12,
+        "normalize(1-4)": 27,
         "rank_prune_const(13)": 2,
         "rank_to_project(12)": 3,
         "remove_distinct(6)": 6,
@@ -217,34 +174,21 @@ PINNED_HISTOGRAMS = {
     "Q13": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 5,
-        "project_const_source": 12,
-        "project_fuse": 11,
-        "prune_attach(3)": 14,
-        "prune_project(4)": 6,
-        "prune_rank(2)": 5,
+        "normalize(1-4)": 8,
         "rank_prune_const(13)": 1,
         "rank_to_project(12)": 1,
     },
     "Q15": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 7,
-        "project_const_source": 16,
-        "project_fuse": 15,
-        "prune_attach(3)": 18,
-        "prune_project(4)": 8,
-        "prune_rank(2)": 7,
+        "normalize(1-4)": 10,
         "rank_prune_const(13)": 1,
         "rank_to_project(12)": 1,
     },
     "Q16": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 10,
-        "project_const_source": 9,
-        "project_fuse": 25,
-        "prune_attach(3)": 12,
-        "prune_project(4)": 28,
-        "prune_rank(2)": 9,
-        "prune_rowid(1)": 1,
+        "normalize(1-4)": 16,
         "rank_prune_const(13)": 2,
         "rank_to_project(12)": 2,
         "remove_distinct(6)": 3,
@@ -252,11 +196,7 @@ PINNED_HISTOGRAMS = {
     "Q17": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 7,
-        "project_const_source": 9,
-        "project_fuse": 19,
-        "prune_attach(3)": 15,
-        "prune_project(4)": 18,
-        "prune_rank(2)": 6,
+        "normalize(1-4)": 13,
         "rank_prune_const(13)": 2,
         "rank_to_project(12)": 2,
         "remove_distinct(6)": 3,
@@ -265,11 +205,7 @@ PINNED_HISTOGRAMS = {
         "cross_to_attach(5)": 1,
         "introduce_distinct(8)": 1,
         "key_join_collapse(9*)": 8,
-        "project_const_source": 9,
-        "project_fuse": 18,
-        "prune_attach(3)": 12,
-        "prune_project(4)": 13,
-        "prune_rank(2)": 7,
+        "normalize(1-4)": 14,
         "rank_prune_const(13)": 2,
         "rank_to_project(12)": 2,
         "remove_distinct(6)": 2,
@@ -277,12 +213,7 @@ PINNED_HISTOGRAMS = {
     "Q20": {
         "cross_to_attach(5)": 1,
         "key_join_collapse(9*)": 8,
-        "project_const_source": 12,
-        "project_fuse": 18,
-        "prune_attach(3)": 16,
-        "prune_project(4)": 18,
-        "prune_rank(2)": 7,
-        "prune_rowid(1)": 1,
+        "normalize(1-4)": 11,
         "remove_distinct(6)": 3,
     },
 }
@@ -469,7 +400,9 @@ def test_a_step_costs_its_frontier():
     per_step, steps, rewalks = {}, 0, 0
     for size, attempts in before.items():
         _plan, driver = run_phases(
-            compile_query(path_query(size), SETTINGS), JoinGraphIsolation().phases()
+            compile_query(path_query(size), SETTINGS),
+            JoinGraphIsolation().phases(),
+            normalize=True,
         )
         per_step[size] = driver.attempts / driver.step_count
         assert per_step[size] <= attempts / 2, (size, per_step[size])
@@ -479,7 +412,7 @@ def test_a_step_costs_its_frontier():
     xmark_steps = xmark_attempts = 0
     for case in RUNNABLE:
         _plan, driver = run_phases(
-            compile_query(case.xquery, SETTINGS), JoinGraphIsolation().phases()
+            compile_query(case.xquery, SETTINGS), JoinGraphIsolation().phases(), normalize=True
         )
         xmark_steps += driver.step_count
         xmark_attempts += driver.attempts
@@ -512,7 +445,7 @@ def test_kept_post_order_equals_a_fresh_walk_at_every_step(query, monkeypatch):
 
     def checked_absorb(driver, ctx, *pending):
         nonlocal checked
-        absorb(driver, ctx, *pending)
+        seeds = absorb(driver, ctx, *pending)
         checked += 1
         walked = list(iter_nodes(ctx.root))
         assert driver._order == walked, f"kept order diverged at step {checked}"
@@ -521,6 +454,7 @@ def test_kept_post_order_equals_a_fresh_walk_at_every_step(query, monkeypatch):
         fresh._walk(ctx.root)
         assert driver._first.keys() == fresh._first.keys()
         assert all(driver._first[key] is first for key, first in fresh._first.items())
+        return seeds
 
     monkeypatch.setattr(WorklistDriver, "_absorb", checked_absorb)
     _isolated, report = JoinGraphIsolation().isolate(compile_query(query, SETTINGS))
@@ -552,7 +486,8 @@ def test_every_skipped_node_still_fails(query, monkeypatch):
 
     monkeypatch.setattr(WorklistDriver, "_step", checked_step)
     _isolated, report = JoinGraphIsolation().isolate(compile_query(query, SETTINGS))
-    assert scans > report.steps > 0
+    structural = [step for step in report.applications if step.rule != NORMALIZE]
+    assert scans > len(structural) > 0
 
 
 # -- fresh names are numbered per run ------------------------------------------------
@@ -605,6 +540,29 @@ def test_divergence_error_includes_histogram_and_tail():
     assert "last" in message and "applications:" in message
     # The histogram names actual rules, not an empty placeholder.
     assert re.search(r"\w+.*×\d+", message)
+
+
+# -- depth: deep nesting converges, and the step guard is a classified error ----------
+
+
+@pytest.fixture(scope="module")
+def nested_processor():
+    encoding = encode_document(parse_xml("<a><b><b/></b></a>", uri="nested.xml"))
+    return XQueryProcessor(encoding, default_document="nested.xml")
+
+
+def test_sixty_four_nested_predicates_converge(nested_processor):
+    """``a[b[b[…]]]`` 64 deep isolates well within the default 5 000-step
+    guard (with one cleanup rule firing per pruned column it took 2 011
+    steps 32 deep and stopped at the guard 64 deep)."""
+    report = nested_processor.compile(pred_query(64)).isolation_report
+    assert report.converged
+    assert report.steps < 1000
+
+
+def test_compilation_raises_when_the_step_guard_stops_isolation(nested_processor):
+    with pytest.raises(RewriteError, match="did not converge within 10 steps"):
+        nested_processor.compile(pred_query(8), JoinGraphIsolation(max_steps=10))
 
 
 # -- ablation knobs -----------------------------------------------------------------
@@ -724,7 +682,9 @@ def test_globally_rejected_rule_is_recorded_per_visit_and_never_memoized():
     """
     doc = DocTable()
     left = RowId(Project(doc, [("a", "pre")]), "x")
-    right = Attach(Project(doc, [("b", "pre"), ("dead", "size")]), "unused", 2)
+    right = Cross(
+        Project(doc, [("b", "pre"), ("dead", "size")]), LiteralTable(("unused",), [(2,)])
+    )
     joined = Join(Distinct(left), right, Predicate.equality("a", "b"))
     plan = Serialize(Project(joined, [("pos", "a"), ("item", "x")]))
     always_rejected = Rule(
@@ -736,18 +696,22 @@ def test_globally_rejected_rule_is_recorded_per_visit_and_never_memoized():
     )
     phases = [("synthetic", (always_rejected,) + CLEANUP_GROUP)]
 
-    reference_plan, applications, rejections = isolate_by_restart(plan, phases)
-    driver_plan, driver = run_phases(plan, phases)
+    reference_plan, applications, rejections = isolate_by_restart(plan, phases, normalize=True)
+    driver_plan, driver = run_phases(plan, phases, normalize=True)
     steps, rejected = driver_records(driver.steps, driver.rejections)
 
-    assert steps == normalized(applications) and len(steps) >= 2
+    assert steps == normalized(applications)
     assert rejected == normalized(rejections)
     assert render_plan(driver_plan) == render_plan(reference_plan)
-    # One rejection per walk: one walk per applied step plus the final,
-    # rule-less one — a memoized rejection would show up as fewer.
-    assert len(driver.rejections) == len(steps) + 1
+    # One rejection per walk: one walk per structural step (each starts
+    # where the previous step and its normaliser pass left the count) plus
+    # the final, rule-less one — a memoized rejection would show up as fewer.
+    walks = [step.index for step in driver.steps if step.rule != NORMALIZE]
+    assert [rule for rule, _target, _replacement in steps] == [
+        NORMALIZE, "cross_to_attach(5)", NORMALIZE
+    ]
+    assert [r.step for r in driver.rejections] == walks + [len(steps)]
     assert {r.rule for r in driver.rejections} == {"always_rejected"}
-    assert [r.step for r in driver.rejections] == list(range(len(steps) + 1))
     assert all("join inputs share columns" in r.error for r in driver.rejections)
 
 

@@ -1,9 +1,11 @@
 """Per-rule differential tests and registry lint for the declarative rules.
 
 Every registered rule carries an *exemplar* — a small evaluable plan on
-which exactly that rule fires.  The differential tests run each rule to its
-fixpoint on its own exemplar through the worklist driver **and** the
-restart-from-root reference loop (``restart_reference.py``) and assert
+which exactly that rule fires; the normaliser that replaced rules (1)-(4)
+has one exemplar per behaviour, under the names those rules had.  The
+differential tests run each rule (or the normaliser) to its fixpoint on its
+own exemplar through the worklist driver **and** the restart-from-root
+reference loop (``restart_reference.py``) and assert
 
 * both applied the identical step sequence and produced the identical
   plan (bit for bit, modulo fresh-column numbering), and
@@ -21,12 +23,18 @@ import pytest
 from repro.algebra.interpreter import evaluate_plan
 from repro.algebra.operators import (
     Attach,
+    Distinct,
     DocTable,
     Operator,
     Project,
+    RowId,
+    RowRank,
+    Select,
     Serialize,
 )
+from repro.algebra.predicates import ColumnRef, Comparison, Literal, Predicate
 from repro.core.rewrite import (
+    CLEANUP_GROUP,
     REGISTRY,
     Pattern,
     Rule,
@@ -46,36 +54,81 @@ from tests.core.restart_reference import (
 )
 
 
-def _exemplar(rule: Rule) -> Serialize:
-    plan = rule.exemplar()
+def _result_head(body: Operator, pos: str = "pre", item: str = "pre") -> Serialize:
+    return Serialize(Project(body, [("pos", pos), ("item", item)]))
+
+
+#: Rules (1)-(4) and the two projection companions are one normaliser pass
+#: now (:mod:`repro.core.rewrite.normalize`); their exemplars pin one
+#: behaviour of the pass each.
+NORMALIZER_EXEMPLARS = {
+    "project_fuse": lambda: Serialize(
+        Project(Project(DocTable(), [("p", "pre"), ("s", "size")]), [("pos", "p"), ("item", "p")])
+    ),
+    # A second parent keeps the projection from fusing into the head.
+    "prune_project(4)": lambda: Serialize(
+        Distinct(Project(DocTable(), [("pos", "pre"), ("item", "pre"), ("junk", "size")]))
+    ),
+    "prune_rowid(1)": lambda: _result_head(RowId(DocTable(), "rid")),
+    "prune_rank(2)": lambda: _result_head(RowRank(DocTable(), "rnk", ("pre",), ())),
+    "prune_attach(3)": lambda: _result_head(Attach(DocTable(), "dead", 1)),
+    # The selection needs the constant: it is lifted above the head's
+    # projection, and the ``@`` it came from falls away.
+    "project_const_source": lambda: Serialize(
+        Select(
+            Project(
+                Attach(DocTable(), "one", 1),
+                [("pos", "pre"), ("item", "pre"), ("unit", "one")],
+            ),
+            Predicate.of(Comparison(ColumnRef("unit"), "=", Literal(1))),
+        )
+    ),
+}
+
+#: ``(exemplar, phases, normalize)`` per rule, and per normaliser exemplar.
+CASES = [
+    pytest.param(rule.exemplar, [("exemplar", (rule,))], False, id=rule.name)
+    for rule in REGISTRY.rules
+] + [
+    pytest.param(exemplar, [("exemplar", CLEANUP_GROUP)], True, id=name)
+    for name, exemplar in NORMALIZER_EXEMPLARS.items()
+]
+
+
+def _exemplar(exemplar) -> Serialize:
+    plan = exemplar()
     return plan if isinstance(plan, Serialize) else Serialize(plan)
 
 
-def _run_single_rule(rule: Rule):
-    """Run ``rule`` to fixpoint on its own exemplar with the worklist driver."""
-    plan = _exemplar(rule)
-    rewritten, engine = run_phases(plan, [("exemplar", (rule,))])
+def _run(exemplar, phases, normalize_pass):
+    """Run ``phases`` to fixpoint on the exemplar with the worklist driver."""
+    plan = _exemplar(exemplar)
+    rewritten, engine = run_phases(plan, phases, normalize=normalize_pass)
     return plan, rewritten, *driver_records(engine.steps, engine.rejections)
 
 
 # -- per-rule differential ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("rule", REGISTRY.rules, ids=lambda rule: rule.name)
-def test_rule_fires_identically_under_both_drivers(rule):
+@pytest.mark.parametrize(("exemplar", "phases", "normalize_pass"), CASES)
+def test_rule_fires_identically_under_both_drivers(exemplar, phases, normalize_pass):
     reference_plan, reference_steps, reference_rejections = isolate_by_restart(
-        _exemplar(rule), [("exemplar", (rule,))]
+        _exemplar(exemplar), phases, normalize=normalize_pass
     )
-    _, worklist_plan, worklist_steps, worklist_rejections = _run_single_rule(rule)
-    assert worklist_steps, f"rule {rule.name!r} did not fire on its exemplar"
+    _, worklist_plan, worklist_steps, worklist_rejections = _run(
+        exemplar, phases, normalize_pass
+    )
+    assert worklist_steps, "the rewrite did not fire on its exemplar"
     assert normalized(reference_steps) == worklist_steps
     assert normalized(reference_rejections) == worklist_rejections
     assert normalize(full_render(reference_plan)) == normalize(full_render(worklist_plan))
 
 
-@pytest.mark.parametrize("rule", REGISTRY.rules, ids=lambda rule: rule.name)
-def test_rule_preserves_exemplar_semantics(rule, small_auction_doc_table):
-    before, after, steps, _ = _run_single_rule(rule)
+@pytest.mark.parametrize(("exemplar", "phases", "normalize_pass"), CASES)
+def test_rule_preserves_exemplar_semantics(
+    exemplar, phases, normalize_pass, small_auction_doc_table
+):
+    before, after, steps, _ = _run(exemplar, phases, normalize_pass)
     assert steps
     original = evaluate_plan(before, small_auction_doc_table)
     rewritten = evaluate_plan(after, small_auction_doc_table)

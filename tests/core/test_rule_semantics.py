@@ -29,14 +29,35 @@ import textwrap
 import pytest
 from hypothesis import HealthCheck, find, given, settings, strategies as st
 
-from repro.algebra.dag import iter_nodes
+from repro.algebra.dag import iter_nodes, parents_map
 from repro.algebra.interpreter import PlanInterpreter
-from repro.algebra.operators import DocTable, LiteralTable, Project, Serialize, Select
+from repro.algebra.operators import (
+    Attach,
+    Cross,
+    DocTable,
+    LiteralTable,
+    Project,
+    RowId,
+    RowRank,
+    Select,
+    Serialize,
+)
 from repro.algebra.predicates import COMPARISON_OPS, ColumnRef, Comparison, Literal, Predicate
 from repro.algebra.table import Table
-from repro.core.rewrite import REGISTRY, run_phases
+from repro.core.properties import infer_properties
+from repro.core.rewrite import CLEANUP_GROUP, REGISTRY, run_phases
+from repro.core.rewrite import normalize as normalize_module
 from repro.core.rewrite import rules as rules_module
+from repro.errors import AlgebraError
 from repro.xmldb.encoding import DOC_COLUMNS
+
+from tests.core.restart_reference import (
+    driver_records,
+    full_render,
+    isolate_by_restart,
+    normalized,
+    pushout,
+)
 
 EXAMPLES = int(os.environ.get("REPRO_PROBE_EXAMPLES", "200"))
 
@@ -162,3 +183,113 @@ def test_a_weakened_shrink_distinct_guard_is_caught():
         "drop = const",
     )
     find(instances(rule.exemplar), lambda plan: not meaning_kept(rule, plan), settings=PROBE)
+
+
+# -- the normaliser's own property ----------------------------------------------------
+
+
+@st.composite
+def stacks(draw):
+    """A random DAG of π / @ / ϱ / # over literal tables, shared sub-plans
+    included, under a head that needs a drawn column set of one or two of
+    its nodes (side by side under a ×, where one side may be needed not at
+    all, so that its columns are only mentioned).
+    """
+    names = iter(f"c{n}" for n in range(1000))
+    pool = []
+    for _ in range(draw(st.integers(1, 2))):
+        leaf = LiteralTable([next(names) for _ in range(draw(st.integers(1, 3)))], [])
+        pool.append(draw(_table(leaf)))
+    for _ in range(draw(st.integers(1, 8))):
+        below = draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(("project", "attach", "rank", "rowid")))
+        if kind == "project":
+            sources = draw(st.lists(st.sampled_from(below.columns), min_size=1, max_size=4))
+            node = Project(below, [(next(names), source) for source in sources])
+        elif kind == "attach":
+            node = Attach(below, next(names), draw(_VALUES))
+        elif kind == "rank":
+            order = draw(st.lists(st.sampled_from(below.columns), min_size=1, max_size=2, unique=True))
+            rest = [column for column in below.columns if column not in order]
+            partition = draw(st.lists(st.sampled_from(rest), max_size=1)) if rest else []
+            node = RowRank(below, next(names), order, partition)
+        else:
+            node = RowId(below, next(names))
+        pool.append(node)
+    heads = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2))
+    sides, needed = [], []
+    for side, node in enumerate(heads):
+        sides.append(Project(node, [(f"s{side}_{column}", column) for column in node.columns]))
+        drawn = draw(st.lists(st.sampled_from(node.columns), unique=True, max_size=3))
+        needed += [f"s{side}_{column}" for column in drawn]
+    body = sides[0] if len(sides) == 1 else Cross(*sides)
+    needed = needed or [body.columns[0]]
+    top = Project(body, [(column, column) for column in needed])
+    if draw(st.booleans()):
+        comparison = Comparison(
+            ColumnRef(draw(st.sampled_from(needed))),
+            draw(st.sampled_from(COMPARISON_OPS)),
+            Literal(draw(_VALUES)),
+        )
+        top = Select(top, Predicate.of(comparison))
+    return Serialize(top)
+
+
+def table_rows(plan):
+    """The rows ``compiled=False`` delivers, as column → value maps in order."""
+    table = PlanInterpreter(_EMPTY_DOC, compiled=False).evaluate(plan)
+    return [dict(zip(table.columns, row)) for row in table.rows]
+
+
+def one_pass(plan, normalizer):
+    """A normaliser pass from the root over cold properties: the replacement
+    map and the plan it glues to (every rebuilt operator re-checked)."""
+    order = list(iter_nodes(plan))
+    position = {id(node): at for at, node in enumerate(order)}
+    replacements = normalizer(parents_map(plan), infer_properties(plan), order, position)
+    return replacements, pushout(plan, replacements).root
+
+
+def normaliser_faults(plan, normalizer=normalize_module.normalize):
+    """What is wrong with one pass of ``normalizer`` over ``plan`` (empty if
+    nothing): a dropped column some parent still mentions (a ``refs``
+    column: the glue's operator checks refuse the plan), rows that differ,
+    or a second pass that still finds work."""
+    try:
+        _replacements, normal = one_pass(plan, normalizer)
+    except AlgebraError as error:
+        return [f"a column in refs is dropped: {error}"]
+    faults = []
+    if table_rows(normal) != table_rows(plan):
+        faults.append("rows differ")
+    if one_pass(normal, normalizer)[0]:
+        faults.append("a second pass still rewrites")
+    return faults
+
+
+@PROBE
+@given(stacks())
+def test_the_normaliser_keeps_meaning_and_refs_and_is_idempotent(plan):
+    assert normaliser_faults(plan) == []
+    # The driver's frontier passes end where the pass from the root does.
+    rewritten, driver = run_phases(plan, [("normalize", CLEANUP_GROUP)], normalize=True)
+    reference, applications, rejections = isolate_by_restart(
+        plan, [("normalize", CLEANUP_GROUP)], normalize=True
+    )
+    assert not driver.rejections and not rejections
+    assert driver_records(driver.steps, driver.rejections)[0] == normalized(applications)
+    assert full_render(rewritten) == full_render(reference)
+
+
+def test_a_normaliser_that_ignores_refs_is_caught():
+    """Deciding on ``icols`` alone drops a column a parent still mentions —
+    a projection nobody needs anything of keeps all of its items."""
+    source = textwrap.dedent(inspect.getsource(normalize_module.normalize))
+    assert "icols | refs" in source
+    namespace = dict(vars(normalize_module))
+    exec(
+        compile(source.replace("icols | refs", "icols"), normalize_module.__file__, "exec"),
+        namespace,
+    )
+    mutant = namespace["normalize"]
+    find(stacks(), lambda plan: bool(normaliser_faults(plan, mutant)), settings=PROBE)
