@@ -1,42 +1,31 @@
 """Plan property inference (Tables II-V of the paper).
 
-For every operator of a plan DAG four properties are inferred:
+For every operator of a plan DAG:
 
-``icols``
-    The set of input columns strictly required by the operator's upstream
-    plan (top-down, seeded with ``{pos, item}`` at the serialization point,
-    accumulated over all parents).
+* ``icols`` — the input columns its upstream plan strictly requires
+  (top-down, seeded with ``{pos, item}`` at the serialization point,
+  accumulated over all parents);
+* ``const`` — the ``column = constant`` facts of every output row
+  (bottom-up);
+* ``key`` — the candidate keys of its output (bottom-up);
+* ``set`` — whether its output is de-duplicated further up on *every* path
+  to the root (top-down, conjunctive);
+* ``refs`` — the columns *structurally mentioned* upstream, a superset of
+  ``icols`` (:meth:`PlanProperties.refs`).
 
-``const``
-    The set of ``column = constant`` facts that hold for every output row
-    (bottom-up).
-
-``key``
-    The set of candidate keys of the operator's output (bottom-up).
-
-``set``
-    Whether the operator's output rows are subject to duplicate elimination
-    further up on *every* path to the root (top-down, seeded ``False`` at
-    the root, conjunctively accumulated).
-
-A fifth, auxiliary property rides on the top-down pass: ``refs``, the
-columns of a node that are *structurally mentioned* upstream (a superset of
-``icols`` — see :meth:`PlanProperties.refs`).
-
-The rewrite rules of :mod:`repro.core.rewrite.rules` consult these
-properties through one :class:`PlanProperties` object per plan.  Every
-node's result is a pure function of its own fields plus its children's
-(bottom-up) or parents' (top-down) results.  ``infer_properties(plan)``
-computes all of them once (a *cold* inference); the rewrite driver, whose
-plan changes in place under stable node identities, then calls
-:meth:`PlanProperties.refresh` after each step, which re-infers only the
-dirty frontier the step left behind and reports which values moved.
+A node's value is a pure function of its own fields plus its children's
+(bottom-up) or parents' (top-down) values, so :func:`infer_properties`
+computes them once (a *cold* inference) and the rewrite driver, whose plan
+changes in place under stable node identities, calls
+:meth:`PlanProperties.refresh` after each step to re-infer only the dirty
+frontier the step left and learn which values moved.  The rules and the
+``icols`` normaliser (:mod:`repro.core.rewrite`) read them from there.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.algebra.dag import Glue, parents_map, topological_order
 from repro.algebra.operators import (
@@ -168,7 +157,7 @@ class PlanProperties:
                 values.pop(id(node), None)
         const_by, keys_by = self._const, self._keys
         bottom_up: list[Operator] = []
-        heap, queued = _heap(position, glue.fresh + glue.rewired + glue.revalidated, 1)
+        heap, queued = frontier_heap(position, glue.fresh + glue.rewired + glue.revalidated, 1)
         while heap:
             _position, node_id, node = heappop(heap)
             const, keys = _infer_const(node, const_by), _infer_keys(node, keys_by)
@@ -182,7 +171,7 @@ class PlanProperties:
                     heappush(heap, (position[id(parent)], id(parent), parent))
         icols_by, set_by, refs_by = self._icols, self._set, self._refs
         top_down: list[Operator] = []
-        heap, queued = _heap(position, glue.fresh + glue.reparented + glue.reschemed, -1)
+        heap, queued = frontier_heap(position, glue.fresh + glue.reparented + glue.reschemed, -1)
         while heap:
             _position, node_id, node = heappop(heap)
             state = self._top_down(node, parents[node_id])
@@ -197,8 +186,8 @@ class PlanProperties:
         return top_down, bottom_up
 
 
-def _heap(
-    position: Mapping[int, int], seeds: list[Operator], direction: int
+def frontier_heap(
+    position: Mapping[int, int], seeds: Iterable[Operator], direction: int
 ) -> tuple[list[tuple[int, int, Operator]], set[int]]:
     """The seeds as a heap on ``direction`` × post-order position, and their ids."""
     entries = {id(node): (direction * position[id(node)], id(node), node) for node in seeds}
@@ -397,17 +386,9 @@ def child_icols(
     if isinstance(node, Project):
         needed = icols & node.column_set
         return frozenset(old for new, old in node.items if new in needed)
-    if isinstance(node, Select):
+    if isinstance(node, (Select, Join)):
         return (icols | node.predicate.columns()) & child.column_set
-    if isinstance(node, Join):
-        return (icols | node.predicate.columns()) & child.column_set
-    if isinstance(node, Cross):
-        return icols & child.column_set
-    if isinstance(node, Distinct):
-        return icols & child.column_set
-    if isinstance(node, Attach):
-        return (icols - {node.column}) & child.column_set
-    if isinstance(node, RowId):
+    if isinstance(node, (Attach, RowId)):
         return (icols - {node.column}) & child.column_set
     if isinstance(node, RowRank):
         return (

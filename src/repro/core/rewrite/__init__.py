@@ -2,26 +2,20 @@
 
 The paper's Section III describes isolation as a *peephole rewriting
 system*: small local rules, each with a structural shape and a premise over
-inferred plan properties, applied until a fixpoint.  This package makes
-that description literal — rules are **data**, not Python control flow:
+inferred plan properties, applied until a fixpoint.  Here rules are data:
 
-* :mod:`repro.core.rewrite.rule` — the :class:`Rule` object (a structural
-  :class:`Pattern` over operator shapes, a guard over inferred properties,
-  and a builder for the replacement), the :class:`RuleRegistry`, and the
-  registration-time left-linearity / sharing validator;
-* :mod:`repro.core.rewrite.context` — the premise-evaluation
-  :class:`RuleContext` (column provenance, upstream references, the
-  ``rank_compared_upstream`` guard), kept for a whole run and invalidated
-  by what each step changed;
-* :mod:`repro.core.rewrite.rules` — the paper's rules (1)-(17) and the
-  generalised key-join collapse (9*) re-expressed in the declarative form,
-  assembled into the goal groups the driver runs;
-* :mod:`repro.core.rewrite.engine` — the driver: pattern-indexed dispatch
-  over a worklist of dirty nodes of a plan copy that is rewritten in
-  place, with property re-inference scoped to the region a step changed;
-* :mod:`repro.core.rewrite.trace` — rewrite provenance: every applied
-  step and every rejected application, threaded through
-  :class:`~repro.core.rewriter.IsolationReport` into
+* :mod:`~repro.core.rewrite.rule` — :class:`Rule` (pattern, guard,
+  builder), the :class:`RuleRegistry` and its registration-time validator;
+* :mod:`~repro.core.rewrite.context` — the premise-evaluation
+  :class:`RuleContext`, kept for a run and invalidated step by step;
+* :mod:`~repro.core.rewrite.rules` — the paper's rules and the key-join
+  collapse (9*), in the goal groups the driver runs;
+* :mod:`~repro.core.rewrite.normalize` — rules (1)-(4) as one ``icols``
+  normaliser pass, run after every structural step;
+* :mod:`~repro.core.rewrite.engine` — the worklist driver over a plan copy
+  rewritten in place;
+* :mod:`~repro.core.rewrite.trace` — rewrite provenance (applied steps and
+  rejected applications), surfaced as
   :attr:`~repro.core.stages.CompilationResult.rewrite_trace`.
 """
 

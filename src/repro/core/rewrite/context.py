@@ -2,7 +2,7 @@
 
 The :class:`RuleContext` is what a rule's *guard* sees: the plan root, the
 inferred :class:`~repro.core.properties.PlanProperties` (among them the
-conservative ``upstream_refs`` superset of ``icols``), the parent map,
+conservative ``refs`` superset of ``icols``), the parent map,
 column provenance, and the global ``rank_compared_upstream`` premise.
 
 The read discipline — what lets the worklist driver prove that a failed
@@ -200,13 +200,9 @@ class RuleContext:
 
     # -- structural references -------------------------------------------------------
 
-    def upstream_refs(self, node: Operator) -> frozenset[str]:
-        """Column names of ``node``'s output referenced structurally upstream."""
-        return self.properties.refs(node)
-
     def needed_columns(self, node: Operator) -> frozenset[str]:
-        """``icols`` widened by structural upstream references."""
-        return self.properties.icols(node) | self.upstream_refs(node)
+        """``icols`` widened by the columns referenced structurally upstream."""
+        return self.properties.icols(node) | self.properties.refs(node)
 
     # -- global premises --------------------------------------------------------------
 

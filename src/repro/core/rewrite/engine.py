@@ -4,30 +4,28 @@
 One *step* scans the plan in post-order, applies the first rule that
 matches (in node, then rule-group order), glues the replacement into the
 plan, and starts over; a phase ends when a whole scan applies nothing.
-That is the restart-from-root strategy of a peephole rewriter, and the
-observable behaviour — which rule fires where, in which order, and which
-applications are rejected — is exactly that of the naive loop (the tests
-compare the driver against one, ``tests/core/restart_reference.py``,
-application for application, and pin the XMark rule histograms).  What the
-driver adds is that a step costs what its glue touched, not the plan:
+With ``normalize``, the icols normaliser (:mod:`repro.core.rewrite.normalize`)
+runs once on the input plan and once after every structural step, from the
+dirty frontier that step left; a pass that changes the plan is one step
+(``normalize(1-4)``).  The observable behaviour — which rule fires where,
+in which order, which applications are rejected, what each pass does — is
+exactly that of the naive loop (``tests/core/restart_reference.py``
+compares them application for application; the XMark rule histograms are
+pinned).  What the driver adds is that a step costs what its glue touched:
 
 * it works on a private :func:`~repro.algebra.dag.thaw` ed copy of the
-  plan and glues replacements in with :func:`~repro.algebra.dag.glue`,
-  which re-points the parents' ``children`` slots in place — nothing above
-  the match is re-created and every surviving node keeps its identity, so
-  per-node state simply stays where it is (the input plan is never
-  touched; the copy, rewritten, *is* the result);
-* rule dispatch is pattern-indexed — only rules whose declared root class
-  covers a node's class are consulted;
+  plan and glues in place with :func:`~repro.algebra.dag.glue`: nothing
+  above the match is re-created, every surviving node keeps its identity
+  and per-node state stays where it is (the input plan is never touched);
+* rule dispatch is pattern-indexed by the node's class;
 * a *failure memo* turns the scan into a worklist: a node whose whole rule
   bucket failed is not visited again until an event says one of the
-  premises its guards read may have changed; the scan visits only the
-  remaining *dirty* nodes, in post-order;
-* the post-order itself is kept across steps: a glue's region (the
-  matched node's stretch of the order) is replayed over the new nodes,
-  jumping over every untouched stretch below it, and spliced in; only
-  where the surviving nodes would change their relative order is the
-  plan walked again (:meth:`WorklistDriver._splice`);
+  premises its guards read may have changed;
+* the post-order is kept across steps: a glue's region (the matched node's
+  stretch of the order) is replayed over the new nodes, jumping over every
+  untouched stretch below it, and spliced in; only where the surviving
+  nodes would change their relative order is the plan walked again
+  (:meth:`WorklistDriver._splice`);
 * plan properties and column provenance live for the whole run, keyed by
   node id, and are re-inferred from the dirty frontier a glue reports
   (:meth:`~repro.core.properties.PlanProperties.refresh`,
@@ -40,17 +38,15 @@ makes the node dirty again:
 
 * **local reads** (every failure): the node's own fields and ``columns``,
   its own ``icols`` / ``set`` / ``refs`` / ``const`` / ``keys``, and its
-  children's fields, ``columns`` and ``const`` / ``keys``.
-  The node is re-tried when it is new, was re-pointed (its children
-  changed) or re-validated (an input's schema changed); and when the
-  property refresh reports its own top-down or bottom-up state, or a
-  child's ``const`` / ``keys``, as changed value.
+  children's fields, ``columns`` and ``const`` / ``keys``.  The node is
+  re-tried when it is new, was re-pointed or re-validated, and when the
+  property refresh reports its own state, or a child's ``const`` /
+  ``keys``, as changed.
 * **deep reads** (a guard traced provenance or looked through a constant
-  chain, and may then have read the parents of the nodes it reached —
-  its children's included — and those parents' other inputs): such a
-  failure keeps the all-ancestors
-  channel — the re-pointed and re-parented nodes and the inputs of
-  re-validated ones, *and all their ancestors*, are re-tried.
+  chain, and may then have read the parents of the nodes it reached — its
+  children's included — and those parents' other inputs): the re-pointed
+  and re-parented nodes, the inputs of re-validated ones *and all their
+  ancestors* are re-tried.
 * **the global premise** (``rank_compared_upstream``): the compared-origins
   set is a function of the plan's σ/⋈ operators and the provenance paths
   below them, so the context drops it whenever a σ/⋈ enters or leaves the
@@ -160,41 +156,13 @@ class WorklistDriver:
     def _normalize(
         self, ctx: RuleContext, seeds: list[Operator], phase: str
     ) -> Optional[_Pending]:
-        """One normaliser pass from ``seeds``, glued as one step (``None`` if
-        the plan is normal there already)."""
+        """One normaliser pass from ``seeds``, glued as one step named after
+        its topmost replacement (``None`` if the plan is normal there)."""
         replacements = normalize(ctx.parents, ctx.properties, seeds, self._position)
         if not replacements:
             return None
-        top = max(replacements, key=self._position.__getitem__)
-        target = self._order[self._position[top]]
-        try:
-            glued = glue(ctx.parents, replacements)
-        except AlgebraError as error:
-            # A normaliser bug, not a premise: recorded like any refusal so
-            # the run stays observable; the plan is unchanged.
-            self.rejections.append(
-                RejectedApplication(
-                    rule=NORMALIZE,
-                    target=target.label(),
-                    error=str(error),
-                    step=self.step_count,
-                    phase=phase,
-                    target_id=top,
-                )
-            )
-            return None
-        self.steps.append(
-            RewriteStep(
-                rule=NORMALIZE,
-                target=target.label(),
-                replacement=replacements[top].label(),
-                index=self.step_count,
-                phase=phase,
-                target_id=top,
-                replacement_id=id(replacements[top]),
-            )
-        )
-        return glued, replacements, top
+        top = self._order[max(map(self._position.__getitem__, replacements))]
+        return self._glue(ctx, NORMALIZE, top, replacements, phase)
 
     # -- one step -----------------------------------------------------------------
 
@@ -216,41 +184,10 @@ class WorklistDriver:
                 if result is None:
                     continue
                 replacements = result if isinstance(result, dict) else {node_id: result}
-                replacement = replacements[node_id]
-                try:
-                    glued = glue(ctx.parents, replacements)
-                except AlgebraError as error:
-                    # The rewrite is locally sound but globally inapplicable:
-                    # gluing it in would trip an operator invariant (e.g. a
-                    # widened shared spine makes a far-away join's inputs
-                    # overlap).  The constructor checks are the exact global
-                    # premise — record the refusal and keep scanning; the
-                    # plan is unchanged.  Never memoized (see the module
-                    # docstring): the node stays dirty.
-                    self.rejections.append(
-                        RejectedApplication(
-                            rule=rule.name,
-                            target=node.label(),
-                            error=str(error),
-                            step=self.step_count,
-                            phase=phase,
-                            target_id=node_id,
-                        )
-                    )
-                    rejected = True
-                    continue
-                self.steps.append(
-                    RewriteStep(
-                        rule=rule.name,
-                        target=node.label(),
-                        replacement=replacement.label(),
-                        index=self.step_count,
-                        phase=phase,
-                        target_id=node_id,
-                        replacement_id=id(replacement),
-                    )
-                )
-                return glued, replacements, node_id
+                pending = self._glue(ctx, rule.name, node, replacements, phase)
+                if pending is not None:
+                    return pending
+                rejected = True
             if not rejected:
                 del dirty[node_id]
                 if ctx.read_deep:
@@ -258,6 +195,36 @@ class WorklistDriver:
                 if ctx.read_premise:
                     premise[node_id] = node
         return None
+
+    def _glue(
+        self,
+        ctx: RuleContext,
+        rule: str,
+        node: Operator,
+        replacements: Mapping[int, Operator],
+        phase: str,
+    ) -> Optional[_Pending]:
+        """Glue one application at ``node`` and record it, or its refusal.
+
+        A refused glue is locally sound but globally inapplicable: it would
+        trip an operator invariant (e.g. a widened shared spine makes a
+        far-away join's inputs overlap).  The constructor checks are the
+        exact global premise — the refusal is recorded, the plan is
+        unchanged, and the node is never memoized (see the module
+        docstring): it stays dirty.
+        """
+        try:
+            glued = glue(ctx.parents, replacements)
+        except AlgebraError as error:
+            self.rejections.append(
+                RejectedApplication(rule, node.label(), str(error), self.step_count, phase, id(node))
+            )
+            return None
+        new = replacements[id(node)]
+        self.steps.append(
+            RewriteStep(rule, node.label(), new.label(), self.step_count, phase, id(node), id(new))
+        )
+        return glued, replacements, id(node)
 
     def _absorb(
         self,
@@ -286,12 +253,8 @@ class WorklistDriver:
             retry += parents[id(node)]
         # A projection that lost a parent may fuse into the one it has left:
         # an event of the normaliser's, which no rule reads locally.
-        own = retry + [
-            parent
-            for node in glued.reparented
-            if isinstance(node, Project)
-            for parent in parents[id(node)]
-        ]
+        fusing = [node for node in glued.reparented if isinstance(node, Project)]
+        own = retry + [parent for node in fusing for parent in parents[id(node)]]
         if ctx.invalidate(
             glued.rewired + glued.revalidated + glued.dropped,
             any(isinstance(node, (Select, Join)) for node in glued.fresh + glued.dropped),

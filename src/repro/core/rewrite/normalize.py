@@ -1,54 +1,44 @@
 """The icols normaliser: the paper's rules (1)-(4) as one pass, not one rule each.
 
-Rules (1)-(4) drop a ``#``, ``ϱ`` or ``@`` whose column nobody needs and
-narrow a projection to the items somebody needs — the ``icols`` property
-(Table II) applied node by node.  Two companions keep the projections in a
-normal form: a projection over a projection nobody else reads fuses into
-one, and a projection item whose source column is a constant becomes an
-``@`` above the projection (so constants float up to where a non-projection
-reads them, and the ``@`` they came from falls away).
+Rules (1)-(3) drop a ``#``, ``ϱ`` or ``@`` whose column nobody needs; rule
+(4) narrows a projection to the items somebody needs — the ``icols``
+property (Table II) applied node by node.  Two companions keep projections
+normal: a projection over one nobody else reads fuses with it, and an item
+whose source is a constant becomes an ``@`` above the projection (so
+constants float up to the first non-projection, and their source ``@``
+falls away).  :func:`normalize` does all of it in one pass and returns one
+substitution map, which the driver glues (validation on) and refreshes
+once:
 
-:func:`normalize` does all of that in one pass over a region of the plan
-and returns one substitution map, which the driver commits with one
-:func:`~repro.algebra.dag.glue` (its validation on) and one property
-refresh:
+* **top-down** (reverse post-order) it computes what each node's rewritten
+  parents need of it — ``icols`` and ``refs``, as the refresh after the
+  glue will find them — and decides its form: dropped, a projection with
+  fewer items (and ``@`` s lifted above it), or unchanged.  Only a node
+  whose form or needs changed passes the walk on to its children.
+* **bottom-up** it builds the replacements, fusing a projection into its
+  parent projection when that parent is the only reference left to it.
 
-* **top-down** (parents first, in reverse post-order) it computes what each
-  node's rewritten parents need of it — ``icols`` and ``refs``, as
-  :meth:`~repro.core.properties.PlanProperties.refresh` will find them after
-  the glue — and decides its form: dropped, a projection with fewer items
-  (and ``@`` s lifted above it), or unchanged.  A node whose form or needs
-  changed passes the walk on to its children; any other node's children
-  keep what the stored properties say.
-* **bottom-up** (in post-order) it builds the replacements, fusing a
-  projection into its parent projection when that parent is the only
-  reference left to it.
-
-The region starts at ``seeds``: every node of the plan for the input plan,
-and after a structural step the nodes that step's glue made dirty — the
-same events on which the driver re-tries a failed rule, and exactly those a
-cleanup rule's guard could see (its own ``icols`` / ``refs``, its child's
-``const`` and parent list).  Outside the region the plan is already normal,
-so a pass from the dirty frontier and a pass from the root return the same
-map (the restart reference checks that after every step), and a second
-pass returns none.
+It starts at ``seeds``: every node of the input plan, and after a
+structural step the nodes that step's glue made dirty (what a node's form
+depends on: its own ``icols`` / ``refs``, its child's ``const`` and, for
+fusion, its child's parent list).  The plan is normal everywhere else, so
+a pass from that frontier and one from the root return the same map (the
+restart reference checks it after every step), and a second pass none.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Iterable, Mapping, Optional
 
-from repro.algebra.operators import Attach, Operator, Project, RowId, RowRank, Serialize
-from repro.core.properties import PlanProperties, child_icols, parent_refs
+from repro.algebra.operators import Attach, Operator, Project, RowId, RowRank
+from repro.core.properties import PlanProperties, child_icols, frontier_heap, parent_refs
 
 #: The step name a normaliser pass records in the rewrite trace.
 NORMALIZE = "normalize(1-4)"
 
 #: The form of a ``#`` / ``ϱ`` / ``@`` whose column nobody needs.
 _DROP = "drop"
-
-_NOTHING: frozenset[str] = frozenset()
 
 #: The classes a pass can drop or reshape.
 _SHAPED = (Attach, RowId, RowRank, Project)
@@ -60,30 +50,23 @@ def normalize(
     seeds: Iterable[Operator],
     position: Mapping[int, int],
 ) -> dict[int, Operator]:
-    """One normaliser pass from ``seeds``: ``{id(old): new}`` to glue (maybe empty).
+    """One pass from ``seeds``: ``{id(old): new}`` to glue (maybe empty).
 
-    ``parents`` is the plan's index (one entry per edge), ``properties`` its
-    current properties and ``position`` every node's index in a post-order.
+    ``parents`` is the plan's index (one entry per edge), ``properties`` is
+    exact for the plan as it stands, ``position`` is a post-order.  The pass
+    records only what moves: the needs that differ from the stored ones,
+    the forms that change, the parent edges of nodes below a dropped one.
     """
-    #: What the pass changes: the needs of the nodes whose needs moved (off
-    #: the stored properties, which are exact for the plan as it stands),
-    #: the form of the nodes that change, and the parent edges of the nodes
-    #: below a dropped one.
     needs: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
     forms: dict[int, object] = {}
     edges: dict[int, int] = {}
     order: list[Operator] = []
 
-    # A seed of another class has its stored needs and no form of its own:
-    # it starts nothing.
-    entries = {
-        id(node): (-position[id(node)], id(node), node)
-        for node in seeds
-        if isinstance(node, _SHAPED)
-    }
-    heap = list(entries.values())
-    heapify(heap)
-    queued = set(entries)
+    # A seed of another class keeps its stored needs and has no form: it
+    # starts nothing.
+    heap, queued = frontier_heap(
+        position, (node for node in seeds if isinstance(node, _SHAPED)), -1
+    )
     while heap:
         _position, node_id, node = heappop(heap)
         plist = parents[node_id]
@@ -133,14 +116,10 @@ def _pulled(
     forms: Mapping[int, object],
     edges: Mapping[int, int],
 ) -> tuple[frozenset[str], frozenset[str], int]:
-    """``(icols, refs, parent edges)`` of ``node`` under its rewritten parents.
-
-    A dropped parent hands its own needs (and parent edges) through; a
-    narrowed projection contributes what its remaining items read; any
-    other parent contributes what the property inference says it does.
-    """
-    icols: frozenset[str] = _NOTHING
-    refs: frozenset[str] = _NOTHING
+    """``(icols, refs, parent edges)`` of ``node`` under its rewritten parents:
+    a dropped one hands its own through, a narrowed projection gives what
+    its items read, any other what property inference says it gives."""
+    icols = refs = frozenset()
     count = 0
     columns = node.column_set
     for parent in parents[id(node)]:
@@ -170,10 +149,8 @@ def _pulled(
 def _form(node: Operator, needed: frozenset[str], properties: PlanProperties) -> Optional[object]:
     """``_DROP``, ``(items, lifted)`` for a projection that changes, or ``None``.
 
-    Rules (1)-(3) drop a column nobody needs; rule (4) keeps the items
-    somebody needs (all of them when nobody needs any); of the kept items,
-    those whose source is a constant become ``@`` s above the rest — unless
-    nothing would be left below them.
+    Rule (4) keeps the items somebody needs (all when nobody needs any); kept
+    items with a constant source become ``@`` s above the rest, if any rest.
     """
     if isinstance(node, (Attach, RowId, RowRank)):
         return _DROP if node.column not in needed else None
@@ -198,12 +175,8 @@ def _project(
     edges: Mapping[int, int],
     built: Mapping[int, Operator],
 ) -> Optional[Operator]:
-    """The replacement of a projection, or ``None`` when it stays as it is.
-
-    The projection is fused with its (rebuilt) child when that child is a
-    projection the node is the only reference to (it may be the only one
-    through ``@`` s the pass drops between them).
-    """
+    """The replacement of a projection (``None``: it stays), fused with its
+    rebuilt child projection if it is the only reference left to that one."""
     items, lifted = form if form is not None else (list(node.items), [])
     below = node.child
     while forms.get(id(below)) is _DROP:

@@ -27,15 +27,13 @@ A :class:`Rule` is the unit the isolation engine executes:
     glue keeps the DAG's sharing intact.
 
 ``exemplar``
-    A zero-argument callable returning a small pinned plan on which the
-    rule fires — the fixture the sharing validator and the per-rule
-    differential tests run against.
+    A zero-argument callable returning a small plan on which the rule fires
+    — the fixture of the validator and of the per-rule tests.
 
-Rules are collected in a :class:`RuleRegistry`, and every registration
-runs :func:`validate_rule`: a malformed rule (no pattern root, a
-non-left-linear pattern, a builder that mutates operators in place or
-copies leaves instead of sharing them) fails at import time, not in the
-middle of an isolation run.
+Every :class:`RuleRegistry` registration runs :func:`validate_rule`: a
+malformed rule (no pattern root, a non-left-linear pattern, a builder that
+mutates operators in place or copies leaves instead of sharing them) fails
+at import time, not in the middle of an isolation run.
 """
 
 from __future__ import annotations
@@ -105,18 +103,13 @@ def pattern(
 class Rule:
     """One declarative rewrite rule (see the module docstring)."""
 
+    #: The rule's name ends in its Fig. 5 number, e.g. ``"(9*)"``.
     name: str
     pattern: Pattern
     guard: Guard
     build: Builder
-    #: The paper's Fig. 5 rule number(s), e.g. ``"(9*)"``; ``""`` for
-    #: implementation extras (projection fusion, constant folding).
-    paper: str = ""
     #: A pinned plan on which the rule fires (validator + test fixture).
     exemplar: Optional[Callable[[], Operator]] = None
-    #: Cleanup-phase rules must never be rejected by the global premise —
-    #: they only ever shrink what is already there (asserted in tests).
-    cleanup: bool = False
 
     def match(self, node: Operator, ctx) -> Optional[object]:
         """Pattern + guard; the match payload, or ``None``."""
@@ -274,10 +267,6 @@ class PatternIndex:
     def __init__(self, rules: tuple[Rule, ...]):
         self._rules = rules
         self._buckets: dict[type, tuple[Rule, ...]] = {}
-
-    @property
-    def rules(self) -> tuple[Rule, ...]:
-        return self._rules
 
     def for_node(self, node: Operator) -> tuple[Rule, ...]:
         bucket = self._buckets.get(type(node))

@@ -1,20 +1,15 @@
 """The join graph isolation rules (Fig. 5 of the paper), as declarative data.
 
-Every rule is a :class:`~repro.core.rewrite.rule.Rule` object — a
-structural pattern (root operator class, child constraints), a guard over
-the inferred plan properties, and a builder for the replacement — rather
-than a hand-coded match/replace function (pinned by the per-rule
-differential tests, the semantic property over drawn operands and the XMark
-rule histograms), organised so that every premise is visible in one place:
-
-* the *pattern* says where the rule can possibly fire (this is what the
-  engine's pattern index dispatches on);
-* the *guard* evaluates the paper's premises through the
-  :class:`~repro.core.rewrite.context.RuleContext` and returns the bound
-  match parts;
-* the *builder* assembles the replacement from those parts, splicing
-  matched sub-plans in by object identity (the sharing contract the
-  registration-time validator enforces on every rule's exemplar).
+Every rule is a :class:`~repro.core.rewrite.rule.Rule` object, so that every
+premise is visible in one place: the *pattern* says where it can fire (the
+driver's pattern index dispatches on it), the *guard* evaluates the paper's
+premises through the :class:`~repro.core.rewrite.context.RuleContext` and
+returns the bound match parts, and the *builder* assembles the replacement,
+splicing matched sub-plans in by object identity (the sharing contract the
+registration-time validator enforces on every rule's exemplar).  The
+per-rule differential tests, the semantic property over drawn operands
+(``tests/core/test_rule_semantics.py``) and the XMark rule histograms pin
+them.
 
 The implemented set corresponds to the paper's rules with two adaptations
 required by this implementation's column-disjoint join operator (the
@@ -77,9 +72,7 @@ from repro.core.rewrite.rule import (
 _ROW_PRESERVING = (Project, Attach, RowId, RowRank, Distinct, Serialize)
 
 
-# ---------------------------------------------------------------------------
-# Shared helpers (constant folding, collapse machinery)
-# ---------------------------------------------------------------------------
+# -- Shared helpers (constant folding, collapse machinery) ---------------------
 
 
 def _safe_spine(path: list[tuple[Operator, str]]) -> bool:
@@ -254,9 +247,7 @@ def _column_has_rowid_origin(ctx: RuleContext, node: Operator, column: str) -> b
     return isinstance(origin_node, (RowId,))
 
 
-# ---------------------------------------------------------------------------
-# House-cleaning rules (5), (10), (12), (13)
-# ---------------------------------------------------------------------------
+# -- House-cleaning rules (5), (10), (12), (13) --------------------------------
 
 
 def _build_child(node: Operator, match, ctx: RuleContext) -> Operator:
@@ -345,9 +336,7 @@ def _build_rank_prune_const(node: RowRank, match, ctx: RuleContext) -> Operator:
     return Attach(node.child, node.column, 1)
 
 
-# ---------------------------------------------------------------------------
-# δ rules (6) - (8)
-# ---------------------------------------------------------------------------
+# -- δ rules (6) - (8) ---------------------------------------------------------
 
 
 def _guard_remove_distinct(node: Distinct, ctx: RuleContext):
@@ -395,9 +384,7 @@ def _build_introduce_distinct(node: Join, ordered, ctx: RuleContext) -> Operator
     return Distinct(Project.keep(node, ordered))
 
 
-# ---------------------------------------------------------------------------
-# ϱ movement rules (14), (16), (17)
-# ---------------------------------------------------------------------------
+# -- ϱ movement rules (14), (16), (17) -----------------------------------------
 
 
 def _guard_rank_pull_up(node: Operator, ctx: RuleContext):
@@ -488,9 +475,7 @@ def _build_rank_splice(node: RowRank, new_order, ctx: RuleContext) -> Operator:
     return RowRank(node.child, node.column, new_order, node.partition_by)
 
 
-# ---------------------------------------------------------------------------
-# (9) generalised: key-join collapse
-# ---------------------------------------------------------------------------
+# -- (9) generalised: key-join collapse ----------------------------------------
 
 
 def _guard_key_join_collapse(node: Join, ctx: RuleContext):
@@ -579,16 +564,11 @@ def _build_key_join_collapse(node: Join, replacements, ctx: RuleContext) -> Rule
     return replacements
 
 
-# ---------------------------------------------------------------------------
-# Exemplar plans (validator + per-rule differential fixtures)
-# ---------------------------------------------------------------------------
+# -- Exemplar plans (validator + per-rule differential fixtures) ---------------
 #
-# Each exemplar is a small evaluable plan (DocTable / LiteralTable leaves,
-# ``Serialize(π pos, item)`` root) on which exactly the rule in question
-# fires.  The registration-time validator runs the rule against it to
-# prove the rule fires, mutates nothing in place, and preserves leaf
-# sharing; the per-rule differential tests additionally evaluate the plan
-# before and after the step and compare the decoded sequences bit for bit.
+# Small evaluable plans (``doc`` / literal leaves, ``Serialize(π pos, item)``
+# root) on which exactly the rule in question fires; the validator and the
+# differential and semantic tests run each rule against its own.
 
 
 def _result_head(body: Operator, pos: str = "pre", item: str = "pre") -> Serialize:
@@ -660,9 +640,7 @@ def _x_key_join_collapse() -> Operator:
     return Serialize(Project(joined, [("pos", "pos"), ("item", "item")]))
 
 
-# ---------------------------------------------------------------------------
-# The registry and the goal groups
-# ---------------------------------------------------------------------------
+# -- The registry and the goal groups ------------------------------------------
 
 REGISTRY = RuleRegistry()
 
@@ -674,21 +652,17 @@ _r = REGISTRY.register
 CLEANUP_GROUP: tuple[Rule, ...] = (
     _r(Rule(
         name="cross_to_attach(5)",
-        paper="(5)",
         pattern=pattern(Cross),
         guard=_guard_cross_to_attach,
         build=_build_cross_to_attach,
         exemplar=_x_cross_to_attach,
-        cleanup=True,
     )),
     _r(Rule(
         name="const_join_to_cross(10)",
-        paper="(10)",
         pattern=pattern(Join),
         guard=_guard_const_join_to_cross,
         build=_build_const_join_to_cross,
         exemplar=_x_const_join_to_cross,
-        cleanup=True,
     )),
 )
 
@@ -696,7 +670,6 @@ CLEANUP_GROUP: tuple[Rule, ...] = (
 RANK_GROUP: tuple[Rule, ...] = (
     _r(Rule(
         name="rank_prune_const(13)",
-        paper="(13)",
         pattern=pattern(RowRank),
         guard=_guard_rank_prune_const,
         build=_build_rank_prune_const,
@@ -704,7 +677,6 @@ RANK_GROUP: tuple[Rule, ...] = (
     )),
     _r(Rule(
         name="rank_to_project(12)",
-        paper="(12)",
         pattern=pattern(RowRank),
         guard=_guard_rank_to_project,
         build=_build_rank_to_project,
@@ -712,7 +684,6 @@ RANK_GROUP: tuple[Rule, ...] = (
     )),
     _r(Rule(
         name="rank_splice(17)",
-        paper="(17)",
         pattern=pattern(RowRank, RowRank),
         guard=_guard_rank_splice,
         build=_build_rank_splice,
@@ -720,7 +691,6 @@ RANK_GROUP: tuple[Rule, ...] = (
     )),
     _r(Rule(
         name="rank_pull_up(14)",
-        paper="(14)",
         pattern=pattern((Select, Distinct, Attach, RowId), RowRank),
         guard=_guard_rank_pull_up,
         build=_build_rank_pull_up,
@@ -728,7 +698,6 @@ RANK_GROUP: tuple[Rule, ...] = (
     )),
     _r(Rule(
         name="rank_pull_up_project(16)",
-        paper="(16)",
         pattern=pattern(Project, RowRank),
         guard=_guard_rank_pull_up_project,
         build=_build_rank_pull_up_project,
@@ -740,7 +709,6 @@ RANK_GROUP: tuple[Rule, ...] = (
 JOIN_GROUP: tuple[Rule, ...] = (
     _r(Rule(
         name="introduce_distinct(8)",
-        paper="(8)",
         pattern=pattern(Join),
         guard=_guard_introduce_distinct,
         build=_build_introduce_distinct,
@@ -748,7 +716,6 @@ JOIN_GROUP: tuple[Rule, ...] = (
     )),
     _r(Rule(
         name="remove_distinct(6)",
-        paper="(6)",
         pattern=pattern(Distinct),
         guard=_guard_remove_distinct,
         build=_build_child,
@@ -756,7 +723,6 @@ JOIN_GROUP: tuple[Rule, ...] = (
     )),
     _r(Rule(
         name="shrink_distinct(7)",
-        paper="(7)",
         pattern=pattern(Distinct),
         guard=_guard_shrink_distinct,
         build=_build_shrink_distinct,
@@ -764,7 +730,6 @@ JOIN_GROUP: tuple[Rule, ...] = (
     )),
     _r(Rule(
         name="key_join_collapse(9*)",
-        paper="(9*)",
         pattern=pattern(Join),
         guard=_guard_key_join_collapse,
         build=_build_key_join_collapse,

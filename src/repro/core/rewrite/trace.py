@@ -11,18 +11,20 @@ did not.  The trace is carried by
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
 class RewriteStep:
-    """One applied rewrite step.
+    """One applied rewrite step: a rule's, or a normaliser pass named
+    after its topmost replacement.
 
-    ``target_id`` / ``replacement_id`` are the Python object identities of
-    the matched operator and of the node glued in at its position — stable
-    within one compilation, which is all a provenance trace needs to
-    correlate steps (a later step's target may *be* an earlier step's
-    replacement).
+    ``target_id`` / ``replacement_id`` are the object identities of the
+    matched operator and of the node glued in at its position — stable
+    within one compilation, so a later step's target may be seen to *be* an
+    earlier step's replacement.
     """
 
     rule: str
@@ -71,10 +73,7 @@ class RewriteTrace:
 
     def rules_fired(self) -> dict[str, int]:
         """Histogram of rule names over all applied steps."""
-        histogram: dict[str, int] = {}
-        for step in self.steps:
-            histogram[step.rule] = histogram.get(step.rule, 0) + 1
-        return histogram
+        return rules_fired(self.steps)
 
     def render(self) -> str:
         """A human-readable account of the run (README's trace example)."""
@@ -91,6 +90,11 @@ class RewriteTrace:
         return "\n".join(lines)
 
 
+def rules_fired(steps: Iterable[RewriteStep]) -> dict[str, int]:
+    """Histogram of rule names over ``steps``, in order of first firing."""
+    return dict(Counter(step.rule for step in steps))
+
+
 def format_divergence(
     steps: list[RewriteStep], max_steps: int, last: int = 8
 ) -> str:
@@ -99,12 +103,9 @@ def format_divergence(
     Includes the full rule histogram and the last ``last`` applications so
     a livelocked rule pair is diagnosable straight from the exception.
     """
-    histogram: dict[str, int] = {}
-    for step in steps:
-        histogram[step.rule] = histogram.get(step.rule, 0) + 1
     fired = ", ".join(
         f"{name}×{count}"
-        for name, count in sorted(histogram.items(), key=lambda kv: (-kv[1], kv[0]))
+        for name, count in sorted(rules_fired(steps).items(), key=lambda kv: (-kv[1], kv[0]))
     )
     tail = "; ".join(
         f"{step.rule} @ {step.target} → {step.replacement}" for step in steps[-last:]

@@ -9,22 +9,17 @@ The rewriting proceeds through the paper's goals:
 3. **goals δ and ⋈** — a single duplicate elimination is established in the
    plan tail and the equi-joins introduced by loop lifting (and the
    ``pre = item`` context joins) are collapsed (rules (6)-(8) and the
-   generalised rule (9*));
-Throughout, after every structural step, one normaliser pass
-(:mod:`repro.core.rewrite.normalize`) removes what the step left unneeded:
-operators whose attached columns nobody references, projection items
-nobody reads, projections over projections.
+   generalised rule (9*)).
 
-The rules themselves are declarative :class:`~repro.core.rewrite.rule.Rule`
-objects (:mod:`repro.core.rewrite.rules`); this module assembles them into
-the goal sequence and hands the sequence to the pattern-indexed worklist
-driver of :mod:`repro.core.rewrite.engine`.
-
-The applicability of each rule is decided locally on a single operator and
-its inferred properties (Tables II-V), exactly as the paper's peephole
-strategy prescribes.  Progress is guaranteed because every rule either
-removes an operator, strictly shrinks one, or replaces a join by a narrower
-plan; a step limit guards against bugs nonetheless.
+After every structural step one normaliser pass
+(:mod:`repro.core.rewrite.normalize`) removes what the step left unneeded.
+This module assembles the declarative rules (:mod:`repro.core.rewrite.rules`)
+into that goal sequence for the worklist driver
+(:mod:`repro.core.rewrite.engine`).  Each rule decides locally, on one
+operator and its inferred properties (Tables II-V), as the paper's peephole
+strategy prescribes.  Every rule removes an operator, strictly shrinks one
+or replaces a join by a narrower plan, so the rewriting terminates; a step
+limit guards against bugs nonetheless.
 """
 
 from __future__ import annotations
@@ -42,6 +37,7 @@ from repro.core.rewrite.trace import (
     RewriteStep,
     RewriteTrace,
     format_divergence,
+    rules_fired,
 )
 
 
@@ -58,10 +54,7 @@ class IsolationReport:
 
     def rules_fired(self) -> dict[str, int]:
         """Histogram of rule names over all applied steps."""
-        histogram: dict[str, int] = {}
-        for application in self.applications:
-            histogram[application.rule] = histogram.get(application.rule, 0) + 1
-        return histogram
+        return rules_fired(self.applications)
 
     def trace(self) -> RewriteTrace:
         """The run as an immutable provenance trace (see ``rewrite_trace``)."""
