@@ -11,12 +11,13 @@ come back untouched; and what a step constructs must not grow with the plan.  Th
 change to any count is a behaviour change of the rewrite system and must
 be deliberate, not incidental.
 
-Also covered here: cleanup-phase rules never reject (their premises are
-purely local, so the global operator invariants cannot trip), the
-non-convergence ``RewriteError`` message is diagnosable (histogram + last
-applications), each ``enable_*`` ablation knob produces its documented
-degraded plan shape, and ``CompilationResult.rewrite_trace`` surfaces the
-full provenance.
+Also covered here: cleanup-phase rules and the normaliser never reject
+(their premises are purely local, so the global operator invariants cannot
+trip), the non-convergence ``RewriteError`` message is diagnosable
+(histogram + last applications) and raised by compilation, 64 nested
+predicates converge, each ``enable_*`` ablation knob produces its
+documented degraded plan shape, and ``CompilationResult.rewrite_trace``
+surfaces the full provenance.
 """
 
 import re
@@ -76,7 +77,7 @@ SETTINGS = CompilerSettings(default_document="auction.xml")
 
 RUNNABLE = tuple(case for case in XMARK_SUITE if case.refusal is None)
 
-CLEANUP_RULE_NAMES = frozenset(rule.name for rule in CLEANUP_GROUP)
+CLEANUP_RULE_NAMES = frozenset(rule.name for rule in CLEANUP_GROUP) | {NORMALIZE}
 
 #: The generated slice the driver is compared against the reference on.
 GENERATED_SEED, GENERATED_CASES = 20091, 60
@@ -231,8 +232,9 @@ def test_drivers_agree_and_histograms_are_pinned(case):
     # Pinned counts: a drifted histogram is a behaviour change.
     assert report.rules_fired() == PINNED_HISTOGRAMS[case.name]
 
-    # Cleanup rules only ever shrink what is already there — their
-    # premises are local, so the global operator invariants cannot trip.
+    # Cleanup rules and the normaliser only ever shrink what is already
+    # there — their premises are local, so the global operator invariants
+    # cannot trip.
     for rejection in report.rejections:
         assert rejection.rule not in CLEANUP_RULE_NAMES, (
             f"cleanup rule {rejection.rule!r} rejected on {case.name}"
@@ -261,7 +263,7 @@ def test_drivers_agree_on_path_queries(steps):
 @pytest.mark.parametrize("depth", (8, 16))
 def test_drivers_agree_on_nested_predicates(depth):
     """... and over nested predicates, where the skipped re-tries are deepest
-    (331 / 763 steps at depth 8 / 16)."""
+    (80 / 144 steps at depth 8 / 16)."""
     report = assert_driver_matches_reference(compile_query(pred_query(depth), SETTINGS))
     assert report.steps > 0
 
@@ -553,8 +555,8 @@ def nested_processor():
 
 def test_sixty_four_nested_predicates_converge(nested_processor):
     """``a[b[b[…]]]`` 64 deep isolates well within the default 5 000-step
-    guard (with one cleanup rule firing per pruned column it took 2 011
-    steps 32 deep and stopped at the guard 64 deep)."""
+    guard: the normaliser's work is one step per structural step, not one
+    per pruned column."""
     report = nested_processor.compile(pred_query(64)).isolation_report
     assert report.converged
     assert report.steps < 1000

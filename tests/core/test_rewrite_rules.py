@@ -59,8 +59,8 @@ def _result_head(body: Operator, pos: str = "pre", item: str = "pre") -> Seriali
 
 
 #: Rules (1)-(4) and the two projection companions are one normaliser pass
-#: now (:mod:`repro.core.rewrite.normalize`); their exemplars pin one
-#: behaviour of the pass each.
+#: (:mod:`repro.core.rewrite.normalize`), not rules; each exemplar pins one
+#: behaviour of the pass, under the name of the rule it stands for.
 NORMALIZER_EXEMPLARS = {
     "project_fuse": lambda: Serialize(
         Project(Project(DocTable(), [("p", "pre"), ("s", "size")]), [("pos", "p"), ("item", "p")])

@@ -16,9 +16,18 @@ A guard weaker or stronger than its builder needs fails here: weakening rule
 constant column the head still reads, which the glue turns away as a
 rejection (``test_a_weakened_shrink_distinct_guard_is_caught``).  A ``doc``
 stand-in keeps ``pre`` a key, as in every encoded document; its other
-columns, and every other leaf, are drawn freely.  200 examples per rule in
-tier-1; set ``REPRO_PROBE_EXAMPLES`` for a deeper run (the nightly sweep runs
-20 000).
+columns, and every other leaf, are drawn freely.
+
+The icols normaliser (rules (1)-(4) as one pass) has its own property over
+random DAGs of π / @ / ϱ / # with shared sub-plans: one pass from the root
+keeps the rows, drops no column a parent still mentions (a ``refs``
+column), and leaves nothing for a second pass; the driver's passes from the
+dirty frontier end where the reference's from the root do.  A normaliser
+that decides on ``icols`` alone fails it
+(``test_a_normaliser_that_ignores_refs_is_caught``).
+
+200 examples per property in tier-1; set ``REPRO_PROBE_EXAMPLES`` for a
+deeper run (the nightly sweep runs 20 000).
 """
 
 import dataclasses

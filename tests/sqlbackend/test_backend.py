@@ -319,12 +319,12 @@ def test_write_statements_route_to_primary_and_invalidate_readers():
     import threading
 
     backend = SQLiteBackend.from_encoding(_encoding())
-    # Reads on this thread now come from a pooled clone.
+    # Reads on this thread now come from a pooled reader connection.
     assert backend.execute("SELECT COUNT(*) FROM doc").rows[0][0] == 6
     backend.execute("CREATE TABLE scratch (x INTEGER)")
     backend.execute("INSERT INTO scratch VALUES (41), (42)")
-    # The DDL/DML ran on the primary and bumped the pool generation, so the
-    # clone refreshes and sees the new table — from any thread.
+    # The DDL/DML ran on the primary, in the database every reader shares,
+    # so the readers see the new table — from any thread.
     seen = {}
 
     def read(i):
@@ -340,8 +340,8 @@ def test_write_statements_route_to_primary_and_invalidate_readers():
 
 def test_cte_prefixed_dml_routes_to_the_primary():
     """Regression: SQLite allows WITH-prefixed INSERT/UPDATE/DELETE — those
-    must not run on a thread-private reader clone (the write would vanish
-    with the clone at the next refresh)."""
+    must not run on a thread's reader connection (a write belongs on the
+    primary, which owns the mirror's transactions)."""
     import threading
 
     backend = SQLiteBackend.from_encoding(_encoding())
@@ -440,7 +440,7 @@ def test_a_failed_write_does_not_lock_the_readers_out():
 
 def test_dead_thread_readers_are_pruned():
     """A long-lived backend serving short-lived threads must not keep one
-    clone per thread that ever existed."""
+    reader connection per thread that ever existed."""
     import threading
 
     backend = SQLiteBackend.from_encoding(_encoding())
