@@ -15,8 +15,8 @@ once:
   glue will find them — and decides its form: dropped, a projection with
   fewer items (and ``@`` s lifted above it), or unchanged.  Only a node
   whose form or needs changed passes the walk on to its children.
-* **bottom-up** it builds the replacements, fusing a projection into its
-  parent projection when that parent is the only reference left to it.
+* **bottom-up** it builds the replacements, fusing a projection into the
+  one projection left to read it (also above an operator the pass drops).
 
 It starts at ``seeds``: every node of the input plan, and after a
 structural step the nodes that step's glue made dirty (what a node's form
@@ -53,15 +53,10 @@ def normalize(
     """One pass from ``seeds``: ``{id(old): new}`` to glue (maybe empty).
 
     ``parents`` is the plan's index (one entry per edge), ``properties`` is
-    exact for the plan as it stands, ``position`` is a post-order.  The pass
-    records only what moves: the needs that differ from the stored ones,
-    the forms that change, the parent edges of nodes below a dropped one.
+    exact for the plan as it stands, ``position`` is a post-order.
     """
-    needs: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
-    forms: dict[int, object] = {}
-    edges: dict[int, int] = {}
+    state = _Pass(parents, properties)
     order: list[Operator] = []
-
     # A seed of another class keeps its stored needs and has no form: it
     # starts nothing.
     heap, queued = frontier_heap(
@@ -71,32 +66,41 @@ def normalize(
         _position, node_id, node = heappop(heap)
         plist = parents[node_id]
         stored = properties.icols(node), properties.refs(node)
-        if any(id(parent) in needs or id(parent) in forms for parent in plist):
-            icols, refs, count = _pulled(node, parents, properties, needs, forms, edges)
+        if any(id(parent) in state.needs or id(parent) in state.forms for parent in plist):
+            icols, refs, count = state.pulled(node)
             if (icols, refs) != stored:
-                needs[node_id] = icols, refs
+                state.needs[node_id] = icols, refs
             if count != len(plist):
-                edges[node_id] = count
+                state.edges[node_id] = count
         else:
             icols, refs = stored
         form = _form(node, icols | refs, properties)
         if form is not None:
-            forms[node_id] = form
+            state.forms[node_id] = form
         order.append(node)
-        if form is not None or node_id in needs:
+        if form is not None or node_id in state.needs:
             for child in node.children:
                 if id(child) not in queued and child.children:
                     queued.add(id(child))
                     heappush(heap, (-position[id(child)], id(child), child))
 
+    # A projection over an operator the pass drops may now fuse with what
+    # is below it, though nothing else about it changed.
+    order += [
+        parent
+        for node in order
+        if state.forms.get(id(node)) is _DROP
+        for parent in parents[id(node)]
+        if isinstance(parent, Project) and id(parent) not in queued
+    ]
     built: dict[int, Operator] = {}
-    for node in reversed(order):
-        form = forms.get(id(node))
+    for node in sorted(order, key=lambda node: position[id(node)]):
+        form = state.forms.get(id(node))
         if form is _DROP:
             child = node.children[0]
             built[id(node)] = built.get(id(child), child)
         elif isinstance(node, Project):
-            replacement = _project(node, form, parents, forms, edges, built)
+            replacement = state.project(node, form, built)
             if replacement is not None:
                 built[id(node)] = replacement
     # Only what a surviving parent still reads is glued; the rest is reached
@@ -106,44 +110,6 @@ def normalize(
         for node_id, new in built.items()
         if any(id(parent) not in built for parent in parents[node_id])
     }
-
-
-def _pulled(
-    node: Operator,
-    parents: Mapping[int, list[Operator]],
-    properties: PlanProperties,
-    needs: Mapping[int, tuple[frozenset[str], frozenset[str]]],
-    forms: Mapping[int, object],
-    edges: Mapping[int, int],
-) -> tuple[frozenset[str], frozenset[str], int]:
-    """``(icols, refs, parent edges)`` of ``node`` under its rewritten parents:
-    a dropped one hands its own through, a narrowed projection gives what
-    its items read, any other what property inference says it gives."""
-    icols = refs = frozenset()
-    count = 0
-    columns = node.column_set
-    for parent in parents[id(node)]:
-        parent_id = id(parent)
-        state = needs.get(parent_id)
-        if state is None:
-            state = properties.icols(parent), properties.refs(parent)
-        form = forms.get(parent_id)
-        if form is _DROP:
-            icols |= state[0] & columns
-            refs |= state[1] & columns
-            count += edges.get(parent_id, len(parents[parent_id]))
-            continue
-        count += 1
-        if form is not None:
-            items, _lifted = form
-            icols |= frozenset(old for new, old in items if new in state[0])
-            refs |= frozenset(old for _new, old in items)
-            continue
-        for position, child in enumerate(parent.children):
-            if child is node:
-                icols |= child_icols(parent, position, node, state[0])
-        refs |= parent_refs(parent, node, state[1])
-    return icols, refs, count
 
 
 def _form(node: Operator, needed: frozenset[str], properties: PlanProperties) -> Optional[object]:
@@ -167,29 +133,64 @@ def _form(node: Operator, needed: frozenset[str], properties: PlanProperties) ->
     return rest, lifted
 
 
-def _project(
-    node: Project,
-    form: Optional[object],
-    parents: Mapping[int, list[Operator]],
-    forms: Mapping[int, object],
-    edges: Mapping[int, int],
-    built: Mapping[int, Operator],
-) -> Optional[Operator]:
-    """The replacement of a projection (``None``: it stays), fused with its
-    rebuilt child projection if it is the only reference left to that one."""
-    items, lifted = form if form is not None else (list(node.items), [])
-    below = node.child
-    while forms.get(id(below)) is _DROP:
-        below = below.children[0]
-    child = built.get(id(below), below)
-    fused = isinstance(child, Project) and edges.get(id(below), len(parents[id(below)])) == 1
-    if fused:
-        renaming = child.renaming()
-        items = [(new, renaming[old]) for new, old in items]
-        child = child.child
-    elif form is None:
-        return None  # the glue re-points it at a rebuilt child
-    result: Operator = Project(child, items)
-    for column, value in lifted:
-        result = Attach(result, column, value)
-    return result
+class _Pass:
+    """What one pass has decided: the needs that differ from the stored ones,
+    the forms that change, the parent edges of nodes below a dropped one."""
+
+    def __init__(self, parents: Mapping[int, list[Operator]], properties: PlanProperties):
+        self.parents, self.properties = parents, properties
+        self.needs: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
+        self.forms: dict[int, object] = {}
+        self.edges: dict[int, int] = {}
+
+    def pulled(self, node: Operator) -> tuple[frozenset[str], frozenset[str], int]:
+        """``(icols, refs, parent edges)`` of ``node`` under its rewritten
+        parents: a dropped one hands its own through, a narrowed projection
+        gives what its items read, any other what inference says it gives."""
+        icols = refs = frozenset()
+        count = 0
+        columns = node.column_set
+        for parent in self.parents[id(node)]:
+            parent_id = id(parent)
+            state = self.needs.get(parent_id)
+            if state is None:
+                state = self.properties.icols(parent), self.properties.refs(parent)
+            form = self.forms.get(parent_id)
+            if form is _DROP:
+                icols |= state[0] & columns
+                refs |= state[1] & columns
+                count += self.edges.get(parent_id, len(self.parents[parent_id]))
+                continue
+            count += 1
+            if form is not None:
+                items, _lifted = form
+                icols |= frozenset(old for new, old in items if new in state[0])
+                refs |= frozenset(old for _new, old in items)
+                continue
+            for position, child in enumerate(parent.children):
+                if child is node:
+                    icols |= child_icols(parent, position, node, state[0])
+            refs |= parent_refs(parent, node, state[1])
+        return icols, refs, count
+
+    def project(
+        self, node: Project, form: Optional[object], built: Mapping[int, Operator]
+    ) -> Optional[Operator]:
+        """The replacement of a projection (``None``: it stays), fused with its
+        rebuilt child projection if it is the only reference left to that one."""
+        items, lifted = form if form is not None else (list(node.items), [])
+        below = node.child
+        while self.forms.get(id(below)) is _DROP:
+            below = below.children[0]
+        child = built.get(id(below), below)
+        edges = self.edges.get(id(below), len(self.parents[id(below)]))
+        if isinstance(child, Project) and edges == 1:
+            renaming = child.renaming()
+            items = [(new, renaming[old]) for new, old in items]
+            child = child.child
+        elif form is None:
+            return None  # the glue re-points it at a rebuilt child
+        result: Operator = Project(child, items)
+        for column, value in lifted:
+            result = Attach(result, column, value)
+        return result

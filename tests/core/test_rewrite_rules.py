@@ -1,8 +1,8 @@
 """Per-rule differential tests and registry lint for the declarative rules.
 
 Every registered rule carries an *exemplar* — a small evaluable plan on
-which exactly that rule fires; the normaliser that replaced rules (1)-(4)
-has one exemplar per behaviour, under the names those rules had.  The
+which exactly that rule fires; rules (1)-(4), one normaliser pass, have
+one exemplar per behaviour of the pass.  The
 differential tests run each rule (or the normaliser) to its fixpoint on its
 own exemplar through the worklist driver **and** the restart-from-root
 reference loop (``restart_reference.py``) and assert
@@ -65,7 +65,7 @@ NORMALIZER_EXEMPLARS = {
     "project_fuse": lambda: Serialize(
         Project(Project(DocTable(), [("p", "pre"), ("s", "size")]), [("pos", "p"), ("item", "p")])
     ),
-    # A second parent keeps the projection from fusing into the head.
+    # Under a δ, so the narrowed projection has no projection to fuse into.
     "prune_project(4)": lambda: Serialize(
         Distinct(Project(DocTable(), [("pos", "pre"), ("item", "pre"), ("junk", "size")]))
     ),

@@ -56,6 +56,7 @@ from repro.algebra.table import Table
 from repro.core.properties import infer_properties
 from repro.core.rewrite import CLEANUP_GROUP, REGISTRY, run_phases
 from repro.core.rewrite import normalize as normalize_module
+from repro.core.rewrite.normalize import NORMALIZE
 from repro.core.rewrite import rules as rules_module
 from repro.errors import AlgebraError
 from repro.xmldb.encoding import DOC_COLUMNS
@@ -288,6 +289,25 @@ def test_the_normaliser_keeps_meaning_and_refs_and_is_idempotent(plan):
     assert not driver.rejections and not rejections
     assert driver_records(driver.steps, driver.rejections)[0] == normalized(applications)
     assert full_render(rewritten) == full_render(reference)
+
+
+def test_a_projection_fuses_through_an_operator_the_pass_drops():
+    """Once rule (5) turns the × into ``@`` s, the shared ``@ c6`` keeps one
+    parent, which does not need ``c6``: the pass drops it, and the
+    projection above — itself untouched by the step — fuses with the one
+    below.  Found by the property above at 20 000 examples: the driver's
+    pass from the frontier missed the fusion the pass from the root made."""
+    below = Attach(Project(LiteralTable(("c0",), [(1,)]), [("c3", "c0")]), "c6", 0)
+    kept = Project(below, [("s0_c3", "c3")])
+    constant = Project(below, [("s1_c3", "c3"), ("s1_c6", "c6")])
+    plan = Serialize(Project(Cross(kept, constant), [(c, c) for c in ("s0_c3", "s1_c3", "s1_c6")]))
+    phases = [("normalize", CLEANUP_GROUP)]
+    rewritten, driver = run_phases(plan, phases, normalize=True)
+    reference, applications, _rejections = isolate_by_restart(plan, phases, normalize=True)
+    assert driver_records(driver.steps, driver.rejections)[0] == normalized(applications)
+    assert full_render(rewritten) == full_render(reference)
+    assert [step.rule for step in driver.steps] == ["cross_to_attach(5)", NORMALIZE]
+    assert "π s0_c3:c0" in full_render(rewritten)
 
 
 def test_a_normaliser_that_ignores_refs_is_caught():
