@@ -24,7 +24,7 @@ Plans are DAGs: operators may be shared (the single ``doc`` instance of
 Fig. 4 serves all node references).  :mod:`repro.algebra.dag` provides
 traversal and reconstruction utilities, :mod:`repro.algebra.interpreter` a
 reference evaluator (used as the "stacked plan" execution baseline), and
-:mod:`repro.algebra.render` textual / DOT plan rendering.
+:mod:`repro.algebra.render` textual plan rendering.
 """
 
 from repro.algebra.interpreter import PlanInterpreter, evaluate_plan
@@ -43,7 +43,7 @@ from repro.algebra.operators import (
     Serialize,
 )
 from repro.algebra.predicates import ColumnRef, Comparison, Literal, Predicate, Sum
-from repro.algebra.render import render_dot, render_plan
+from repro.algebra.render import render_plan
 from repro.algebra.table import Table
 
 __all__ = [
@@ -67,6 +67,5 @@ __all__ = [
     "Sum",
     "Table",
     "evaluate_plan",
-    "render_dot",
     "render_plan",
 ]

@@ -1,9 +1,9 @@
-"""Plan rendering: indented text trees and Graphviz DOT.
+"""Plan rendering: indented text trees and operator summaries.
 
 The text renderer is what the plan-shape experiments (Fig. 4 vs. Fig. 7) and
-the examples print; the DOT renderer is a convenience for visual inspection
-of the DAGs.  Shared sub-plans are printed once and referenced afterwards,
-so the output reflects the DAG (not an exponentially unfolded tree).
+the examples print.  Shared sub-plans are printed once and referenced
+afterwards, so the output reflects the DAG (not an exponentially unfolded
+tree).
 """
 
 from __future__ import annotations
@@ -46,33 +46,6 @@ def render_plan(root: Operator, max_label_width: int = 80) -> str:
             walk(child, depth + 1)
 
     walk(root, 0)
-    return "\n".join(lines)
-
-
-def render_dot(root: Operator, graph_name: str = "plan") -> str:
-    """Render the plan DAG in Graphviz DOT syntax."""
-    node_ids: dict[int, str] = {}
-    lines = [f"digraph {graph_name} {{", "  node [shape=box, fontname=monospace];"]
-
-    def node_id(node: Operator) -> str:
-        if id(node) not in node_ids:
-            node_ids[id(node)] = f"n{len(node_ids)}"
-        return node_ids[id(node)]
-
-    seen: set[int] = set()
-
-    def walk(node: Operator) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        label = node.label().replace('"', '\\"')
-        lines.append(f'  {node_id(node)} [label="{label}"];')
-        for child in node.children:
-            walk(child)
-            lines.append(f"  {node_id(node)} -> {node_id(child)};")
-
-    walk(root)
-    lines.append("}")
     return "\n".join(lines)
 
 

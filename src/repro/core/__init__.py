@@ -1,7 +1,7 @@
 """Join graph isolation — the paper's contribution.
 
 * :mod:`repro.core.properties` — inference of the plan properties
-  ``icols`` / ``const`` / ``key`` / ``set`` (Tables II-V of the paper).
+  ``needed`` / ``const`` / ``key`` / ``set`` (Tables II-V of the paper).
 * :mod:`repro.core.rewrite` — the declarative rewrite engine: the rules
   (1)-(17) of Fig. 5 plus the key-self-join (context join) elimination the
   final plans of Fig. 7/8 rely on, and the worklist driver that runs them.

@@ -2,16 +2,29 @@
 
 For every operator of a plan DAG:
 
-* ``icols`` — the input columns its upstream plan strictly requires
-  (top-down, seeded with ``{pos, item}`` at the serialization point,
-  accumulated over all parents);
+* ``needed`` — the columns of its output its parents need (top-down,
+  seeded with ``{pos, item}`` at the serialization point, accumulated over
+  all parents): Table II's ``icols`` widened by structural mentions — a π
+  needs every column its items mention, not only the needed items' sources;
 * ``const`` — the ``column = constant`` facts of every output row
   (bottom-up);
 * ``key`` — the candidate keys of its output (bottom-up);
 * ``set`` — whether its output is de-duplicated further up on *every* path
-  to the root (top-down, conjunctive);
-* ``refs`` — the columns *structurally mentioned* upstream, a superset of
-  ``icols`` (:meth:`PlanProperties.refs`).
+  to the root (top-down, conjunctive).
+
+Every reader of ``needed`` decides what a node may stop producing: the
+normaliser (drop ``#`` / ``ϱ`` / ``@``, narrow π) and rules (7), (8), (9*).
+A π none of whose items is needed keeps them all, so Table II's strict set
+would drop a column that π still mentions: no consumer reads the strict set.
+
+>>> from repro.algebra.operators import LiteralTable, Project, Serialize
+>>> table = LiteralTable(("a", "b", "c"), [(1, 2, 3)])
+>>> head = Project(table, [("item", "a"), ("pos", "b"), ("x", "c")])
+>>> properties = infer_properties(Serialize(head))
+>>> sorted(properties.needed(head))
+['item', 'pos']
+>>> sorted(properties.needed(table))  # ``c`` too: the π mentions it
+['a', 'b', 'c']
 
 A node's value is a pure function of its own fields plus its children's
 (bottom-up) or parents' (top-down) values, so :func:`infer_properties`
@@ -19,7 +32,7 @@ computes them once (a *cold* inference) and the rewrite driver, whose plan
 changes in place under stable node identities, calls
 :meth:`PlanProperties.refresh` after each step to re-infer only the dirty
 frontier the step left and learn which values moved.  The rules and the
-``icols`` normaliser (:mod:`repro.core.rewrite`) read them from there.
+normaliser (:mod:`repro.core.rewrite`) read them from there.
 """
 
 from __future__ import annotations
@@ -44,25 +57,20 @@ from repro.algebra.operators import (
     Serialize,
 )
 
-#: Seed of ``icols`` at the serialization point: the two columns needed to
+#: Seed of ``needed`` at the serialization point: the two columns needed to
 #: represent and serialize the resulting XML node sequence.
-SERIALIZE_ICOLS = frozenset({"pos", "item"})
-
-_NO_REFS: frozenset[str] = frozenset()
+SERIALIZE_NEEDED = frozenset({"pos", "item"})
 
 
 class PlanProperties:
     """The properties of every operator of one plan DAG, keyed by node id."""
 
-    def __init__(
-        self, root: Operator, parents: Optional[dict[int, list[Operator]]] = None
-    ):
+    def __init__(self, root: Operator, parents: Optional[dict[int, list[Operator]]] = None):
         self.root = root
-        self._icols: dict[int, frozenset[str]] = {}
+        self._needed: dict[int, frozenset[str]] = {}
         self._const: dict[int, dict[str, object]] = {}
         self._keys: dict[int, frozenset[frozenset[str]]] = {}
         self._set: dict[int, bool] = {}
-        self._refs: dict[int, frozenset[str]] = {}
         order = topological_order(root)
         if parents is None:
             parents = parents_map(root)
@@ -71,14 +79,12 @@ class PlanProperties:
             self._keys[id(node)] = _infer_keys(node, self._keys)
         for node in reversed(order):
             node_id = id(node)
-            self._icols[node_id], self._set[node_id], self._refs[node_id] = (
-                self._top_down(node, parents[node_id])
-            )
+            self._needed[node_id], self._set[node_id] = self._top_down(node, parents[node_id])
 
     # -- public accessors --------------------------------------------------------
 
-    def icols(self, node: Operator) -> frozenset[str]:
-        return self._icols[id(node)]
+    def needed(self, node: Operator) -> frozenset[str]:
+        return self._needed[id(node)]
 
     def const(self, node: Operator) -> dict[str, object]:
         return self._const[id(node)]
@@ -89,49 +95,33 @@ class PlanProperties:
     def is_set(self, node: Operator) -> bool:
         return self._set[id(node)]
 
-    def refs(self, node: Operator) -> frozenset[str]:
-        """Column names of ``node``'s output referenced structurally upstream.
-
-        A conservative superset of ``icols``: a parent that still *mentions*
-        a column (e.g. a dead projection item) counts even though the column
-        is not strictly required, which keeps rewrites that narrow an
-        operator's output schema from breaking such parents.
-        """
-        return self._refs[id(node)]
-
     def has_key_within(self, node: Operator, columns: frozenset[str]) -> bool:
         """True when some candidate key of ``node`` is contained in ``columns``."""
         return any(key <= columns for key in self.keys(node))
 
     # -- inference ----------------------------------------------------------------
 
-    def _top_down(
-        self, node: Operator, plist: list[Operator]
-    ) -> tuple[frozenset[str], bool, frozenset[str]]:
-        """``(icols, set, refs)`` of ``node``, pulled from its parents.
+    def _top_down(self, node: Operator, plist: list[Operator]) -> tuple[frozenset[str], bool]:
+        """``(needed, set)`` of ``node``, pulled from its parents.
 
-        Each node unions (``icols``, ``refs``) and conjoins (``set``) the
+        Each node unions (``needed``) and conjoins (``set``) the
         contributions of its parents, which makes the result a pure
         function of the node's schema and its parents' fields and state.
         """
         if node is self.root:
             seed = node.column_set
             if isinstance(node, Serialize):
-                seed = SERIALIZE_ICOLS & seed or seed
-            return seed, False, _NO_REFS
-        icols: frozenset[str] = frozenset()
+                seed = SERIALIZE_NEEDED & seed or seed
+            return seed, False
+        needed: frozenset[str] = frozenset()
         is_set = True
-        refs: set[str] = set()
         for parent in plist:
             parent_id = id(parent)
             for position, child in enumerate(parent.children):
                 if child is node:
-                    icols = icols | child_icols(
-                        parent, position, node, self._icols[parent_id]
-                    )
+                    needed |= child_needed(parent, position, node, self._needed[parent_id])
                     is_set = is_set and _child_set(parent, position, self._set[parent_id])
-            refs |= parent_refs(parent, node, self._refs[parent_id])
-        return icols, is_set, frozenset(refs) if refs else _NO_REFS
+        return needed, is_set
 
     def refresh(
         self, position: Mapping[int, int], parents: dict[int, list[Operator]], glue: Glue
@@ -141,19 +131,18 @@ class PlanProperties:
         ``position`` maps every node of the plan to its index in a post-order
         (children first) and ``parents`` is the plan's index.  ``const`` /
         ``keys`` are recomputed upward from the new and re-pointed nodes for
-        as long as a value actually changes; ``icols`` / ``set`` / ``refs``
+        as long as a value actually changes; ``needed`` / ``set``
         downward from the nodes whose parent list or schema changed,
         likewise.  Each pass pops its stale frontier off a heap in
         post-order (the top-down pass in reverse), so a node is re-inferred
         once, after everything it depends on, and the plan is never walked.
 
-        Returns ``(top_down, bottom_up)``: the nodes whose ``icols`` /
-        ``set`` / ``refs`` changed value and those whose ``const`` / ``keys``
-        did (a new node counts as changed) — the events the rewrite driver
-        re-tries nodes on.
+        Returns ``(top_down, bottom_up)``: the nodes whose ``needed`` / ``set``
+        changed value and those whose ``const`` / ``keys`` did (a new node
+        counts as changed) — the events the rewrite driver re-tries nodes on.
         """
         for node in glue.dropped:
-            for values in (self._icols, self._const, self._keys, self._set, self._refs):
+            for values in (self._needed, self._const, self._keys, self._set):
                 values.pop(id(node), None)
         const_by, keys_by = self._const, self._keys
         bottom_up: list[Operator] = []
@@ -169,15 +158,15 @@ class PlanProperties:
                 if id(parent) not in queued:
                     queued.add(id(parent))
                     heappush(heap, (position[id(parent)], id(parent), parent))
-        icols_by, set_by, refs_by = self._icols, self._set, self._refs
+        needed_by, set_by = self._needed, self._set
         top_down: list[Operator] = []
         heap, queued = frontier_heap(position, glue.fresh + glue.reparented + glue.reschemed, -1)
         while heap:
             _position, node_id, node = heappop(heap)
             state = self._top_down(node, parents[node_id])
-            if state == (icols_by.get(node_id), set_by.get(node_id), refs_by.get(node_id)):
+            if state == (needed_by.get(node_id), set_by.get(node_id)):
                 continue
-            icols_by[node_id], set_by[node_id], refs_by[node_id] = state
+            needed_by[node_id], set_by[node_id] = state
             top_down.append(node)
             for child in node.children:
                 if id(child) not in queued:
@@ -335,77 +324,26 @@ def _join_result_keys(
 
 
 # ---------------------------------------------------------------------------
-# upstream refs: structural references of one parent into one child
+# needed (Table II, widened) and set (Table V): contribution of a parent to one child
 # ---------------------------------------------------------------------------
 
 
-def parent_refs(
-    parent: Operator, child: Operator, upstream: frozenset[str]
-) -> set[str]:
-    """Columns of ``child`` that ``parent`` structurally references.
-
-    ``upstream`` is the parent's own (already computed) upstream refs —
-    pass-through operators forward them.  This is the per-edge contribution
-    the top-down pass sums into :meth:`PlanProperties.refs`.
-    """
-    child_columns = child.column_set
-    refs: set[str] = set()
-    if isinstance(parent, Project):
-        refs |= {old for _new, old in parent.items} & child_columns
-        return refs
-    if isinstance(parent, Select):
-        refs |= parent.predicate.columns() & child_columns
-    elif isinstance(parent, Join):
-        refs |= parent.predicate.columns() & child_columns
-    elif isinstance(parent, RowRank):
-        refs |= (set(parent.order_by) | set(parent.partition_by)) & child_columns
-    elif isinstance(parent, GroupAggregate):
-        structural = {parent.group_column, parent.unit_column}
-        if parent.value_column is not None:
-            structural.add(parent.value_column)
-        refs |= structural & child_columns
-    # Pass-through parents forward their own upstream references.
-    if isinstance(
-        parent,
-        (Select, Join, Cross, Distinct, Attach, RowId, RowRank, GroupAggregate, Serialize),
-    ):
-        refs |= upstream & child_columns
-    return refs
-
-
-# ---------------------------------------------------------------------------
-# icols (Table II) and set (Table V): contribution of a parent to one child
-# ---------------------------------------------------------------------------
-
-
-def child_icols(
-    node: Operator, position: int, child: Operator, icols: frozenset[str]
+def child_needed(
+    parent: Operator, position: int, child: Operator, needed: frozenset[str]
 ) -> frozenset[str]:
-    if isinstance(node, Serialize):
-        return SERIALIZE_ICOLS & child.column_set or child.column_set
-    if isinstance(node, Project):
-        needed = icols & node.column_set
-        return frozenset(old for new, old in node.items if new in needed)
-    if isinstance(node, (Select, Join)):
-        return (icols | node.predicate.columns()) & child.column_set
-    if isinstance(node, (Attach, RowId)):
-        return (icols - {node.column}) & child.column_set
-    if isinstance(node, RowRank):
-        return (
-            (icols - {node.column})
-            | frozenset(node.order_by)
-            | frozenset(node.partition_by)
-        ) & child.column_set
-    if isinstance(node, GroupAggregate):
-        if position == 0:  # the aggregated input
-            needed = {node.group_column, node.unit_column}
-            if node.value_column is not None:
-                needed.add(node.value_column)
-            return frozenset(needed)
-        # The loop: everything upstream needs except the aggregate value,
-        # plus the group column the aggregation itself keys on.
-        return ((icols - {node.item_column}) | {node.group_column}) & child.column_set
-    return icols & child.column_set
+    """The columns of ``child`` that ``parent`` (whose own set is ``needed``) needs."""
+    columns = child.column_set
+    if isinstance(parent, Serialize):
+        return SERIALIZE_NEEDED & columns or columns
+    if isinstance(parent, Project):
+        return frozenset(old for _new, old in parent.items) & columns
+    if isinstance(parent, (Select, Join)):
+        return (needed | parent.predicate.columns()) & columns
+    if isinstance(parent, RowRank):
+        return (needed | frozenset(parent.order_by) | frozenset(parent.partition_by)) & columns
+    if isinstance(parent, GroupAggregate):
+        return (needed | {parent.group_column, parent.unit_column, parent.value_column}) & columns
+    return needed & columns
 
 
 def _child_set(node: Operator, position: int, node_set: bool) -> bool:

@@ -1,16 +1,15 @@
 """Premise-evaluation context shared by all rewrite rules.
 
 The :class:`RuleContext` is what a rule's *guard* sees: the plan root, the
-inferred :class:`~repro.core.properties.PlanProperties` (among them the
-conservative ``refs`` superset of ``icols``), the parent map,
+inferred :class:`~repro.core.properties.PlanProperties`, the parent map,
 column provenance, and the global ``rank_compared_upstream`` premise.
 
 The read discipline — what lets the worklist driver prove that a failed
 match cannot have become applicable while none of the events it tracks
 touched the node (see :mod:`repro.core.rewrite.engine`):
 
-* a guard reads its matched node (fields, ``columns``, its own ``icols`` /
-  ``set`` / ``refs`` / ``const`` / ``keys``) and its children (fields,
+* a guard reads its matched node (fields, ``columns``, its own ``needed`` /
+  ``set`` / ``const`` / ``keys``) and its children (fields,
   ``columns``, ``const`` / ``keys``) directly;
 * it reads *past* the node's children only through this context —
   :meth:`RuleContext.provenance` / :meth:`RuleContext.origin` and
@@ -197,12 +196,6 @@ class RuleContext:
             else:
                 row = {new: row[old] for new, old in op.items}
         return row
-
-    # -- structural references -------------------------------------------------------
-
-    def needed_columns(self, node: Operator) -> frozenset[str]:
-        """``icols`` widened by the columns referenced structurally upstream."""
-        return self.properties.icols(node) | self.properties.refs(node)
 
     # -- global premises --------------------------------------------------------------
 

@@ -37,7 +37,7 @@ and every input such a failure can depend on is covered by an event that
 makes the node dirty again:
 
 * **local reads** (every failure): the node's own fields and ``columns``,
-  its own ``icols`` / ``set`` / ``refs`` / ``const`` / ``keys``, and its
+  its own ``needed`` / ``set`` / ``const`` / ``keys``, and its
   children's fields, ``columns`` and ``const`` / ``keys``.  The node is
   re-tried when it is new, was re-pointed or re-validated, and when the
   property refresh reports its own state, or a child's ``const`` /

@@ -1,29 +1,29 @@
 """The icols normaliser: the paper's rules (1)-(4) as one pass, not one rule each.
 
 Rules (1)-(3) drop a ``#``, ``ϱ`` or ``@`` whose column nobody needs; rule
-(4) narrows a projection to the items somebody needs — the ``icols``
-property (Table II) applied node by node.  Two companions keep projections
-normal: a projection over one nobody else reads fuses with it, and an item
-whose source is a constant becomes an ``@`` above the projection (so
-constants float up to the first non-projection, and their source ``@``
-falls away).  :func:`normalize` does all of it in one pass and returns one
-substitution map, which the driver glues (validation on) and refreshes
-once:
+(4) narrows a projection to the items somebody needs — the ``needed``
+property (Table II's ``icols``, widened by structural mentions) applied
+node by node.  Two companions keep projections normal: a projection over
+one nobody else reads fuses with it, and an item whose source is a
+constant becomes an ``@`` above the projection (so constants float up to
+the first non-projection, and their source ``@`` falls away).
+:func:`normalize` does all of it in one pass and returns one substitution
+map, which the driver glues (validation on) and refreshes once:
 
 * **top-down** (reverse post-order) it computes what each node's rewritten
-  parents need of it — ``icols`` and ``refs``, as the refresh after the
-  glue will find them — and decides its form: dropped, a projection with
-  fewer items (and ``@`` s lifted above it), or unchanged.  Only a node
-  whose form or needs changed passes the walk on to its children.
+  parents need of it — ``needed``, as the refresh after the glue will
+  find it — and decides its form: dropped, a projection with fewer items
+  (and ``@`` s lifted above it), or unchanged.  Only a node whose form
+  or needs changed passes the walk on to its children.
 * **bottom-up** it builds the replacements, fusing a projection into the
   one projection left to read it (also above an operator the pass drops).
 
 It starts at ``seeds``: every node of the input plan, and after a
 structural step the nodes that step's glue made dirty (what a node's form
-depends on: its own ``icols`` / ``refs``, its child's ``const`` and, for
-fusion, its child's parent list).  The plan is normal everywhere else, so
-a pass from that frontier and one from the root return the same map (the
-restart reference checks it after every step), and a second pass none.
+depends on: its own ``needed``, its child's ``const`` and, for fusion,
+its child's parent list).  The plan is normal everywhere else, so a pass
+from that frontier and one from the root return the same map (the restart
+reference checks it after every step), and a second pass none.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from heapq import heappop, heappush
 from typing import Iterable, Mapping, Optional
 
 from repro.algebra.operators import Attach, Operator, Project, RowId, RowRank
-from repro.core.properties import PlanProperties, child_icols, frontier_heap, parent_refs
+from repro.core.properties import PlanProperties, child_needed, frontier_heap
 
 #: The step name a normaliser pass records in the rewrite trace.
 NORMALIZE = "normalize(1-4)"
@@ -65,16 +65,14 @@ def normalize(
     while heap:
         _position, node_id, node = heappop(heap)
         plist = parents[node_id]
-        stored = properties.icols(node), properties.refs(node)
+        needed = properties.needed(node)
         if any(id(parent) in state.needs or id(parent) in state.forms for parent in plist):
-            icols, refs, count = state.pulled(node)
-            if (icols, refs) != stored:
-                state.needs[node_id] = icols, refs
+            pulled, count = state.pulled(node)
+            if pulled != needed:
+                state.needs[node_id] = needed = pulled
             if count != len(plist):
                 state.edges[node_id] = count
-        else:
-            icols, refs = stored
-        form = _form(node, icols | refs, properties)
+        form = _form(node, needed, properties)
         if form is not None:
             state.forms[node_id] = form
         order.append(node)
@@ -139,39 +137,36 @@ class _Pass:
 
     def __init__(self, parents: Mapping[int, list[Operator]], properties: PlanProperties):
         self.parents, self.properties = parents, properties
-        self.needs: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
+        self.needs: dict[int, frozenset[str]] = {}
         self.forms: dict[int, object] = {}
         self.edges: dict[int, int] = {}
 
-    def pulled(self, node: Operator) -> tuple[frozenset[str], frozenset[str], int]:
-        """``(icols, refs, parent edges)`` of ``node`` under its rewritten
+    def pulled(self, node: Operator) -> tuple[frozenset[str], int]:
+        """``(needed, parent edges)`` of ``node`` under its rewritten
         parents: a dropped one hands its own through, a narrowed projection
         gives what its items read, any other what inference says it gives."""
-        icols = refs = frozenset()
+        needed: frozenset[str] = frozenset()
         count = 0
         columns = node.column_set
         for parent in self.parents[id(node)]:
             parent_id = id(parent)
             state = self.needs.get(parent_id)
             if state is None:
-                state = self.properties.icols(parent), self.properties.refs(parent)
+                state = self.properties.needed(parent)
             form = self.forms.get(parent_id)
             if form is _DROP:
-                icols |= state[0] & columns
-                refs |= state[1] & columns
+                needed |= state & columns
                 count += self.edges.get(parent_id, len(self.parents[parent_id]))
                 continue
             count += 1
             if form is not None:
                 items, _lifted = form
-                icols |= frozenset(old for new, old in items if new in state[0])
-                refs |= frozenset(old for _new, old in items)
+                needed |= frozenset(old for _new, old in items)
                 continue
             for position, child in enumerate(parent.children):
                 if child is node:
-                    icols |= child_icols(parent, position, node, state[0])
-            refs |= parent_refs(parent, node, state[1])
-        return icols, refs, count
+                    needed |= child_needed(parent, position, node, state)
+        return needed, count
 
     def project(
         self, node: Project, form: Optional[object], built: Mapping[int, Operator]

@@ -351,7 +351,7 @@ def _guard_shrink_distinct(node: Distinct, ctx: RuleContext):
     if isinstance(node.child, Project):
         return None
     const = set(ctx.properties.const(node.child))
-    needed = ctx.needed_columns(node)
+    needed = ctx.properties.needed(node)
     drop = const - needed
     keep = [column for column in node.child.columns if column not in drop]
     if drop and keep and len(keep) < len(node.child.columns):
@@ -374,10 +374,10 @@ def _guard_introduce_distinct(node: Join, ctx: RuleContext):
         _column_has_rowid_origin(ctx, node, a) or _column_has_rowid_origin(ctx, node, b)
     ):
         return None
-    icols = ctx.needed_columns(node) & node.column_set
-    if not icols or not ctx.properties.has_key_within(node, icols):
+    needed = ctx.properties.needed(node)
+    if not needed or not ctx.properties.has_key_within(node, needed):
         return None
-    return [column for column in node.columns if column in icols]
+    return [column for column in node.columns if column in needed]
 
 
 def _build_introduce_distinct(node: Join, ordered, ctx: RuleContext) -> Operator:
@@ -522,7 +522,7 @@ def _try_key_join_collapse(
     anchor, anchor_column = left_origin
     if frozenset({anchor_column}) not in _anchor_keys(anchor):
         return None
-    needed_all = ctx.needed_columns(node)
+    needed_all = ctx.properties.needed(node)
     for conjunct in residual:
         needed_all |= conjunct.columns()
     for dropped, kept, dropped_path, kept_column in (

@@ -68,10 +68,18 @@ _SEQUENCE_TESTS = {
 }
 
 
+#: The most expressions a query may nest inside one another (the query is
+#: one; each parenthesis, predicate, call argument, ``for`` / ``let`` /
+#: ``if`` part and ``satisfies`` clause opens one more).  Deeper text is a
+#: syntax error, raised before the parser's recursion can exhaust the stack.
+MAX_NESTING = 128
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.position = 0
+        self.depth = 0
 
     # -- token helpers ---------------------------------------------------------
 
@@ -123,6 +131,15 @@ class _Parser:
             f"expected a variable name, found {token.text or token.type!r}", token.position
         )
 
+    def _descend(self) -> None:
+        """Open one more nesting level; a parse that raises is abandoned, so
+        only a returning ``parse_expr_single`` / ``parse_condition`` closes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise XQuerySyntaxError(
+                f"query nests deeper than {MAX_NESTING} expressions", self.peek().position
+            )
+
     # -- grammar ----------------------------------------------------------------
 
     def parse_module(self) -> QueryModule:
@@ -172,11 +189,15 @@ class _Parser:
         return externals
 
     def parse_expr_single(self) -> Expression:
+        self._descend()
         if self.check("keyword", "for") or self.check("keyword", "let"):
-            return self.parse_flwor()
-        if self.check("keyword", "if"):
-            return self.parse_if()
-        return self.parse_or_and()
+            expr = self.parse_flwor()
+        elif self.check("keyword", "if"):
+            expr = self.parse_if()
+        else:
+            expr = self.parse_or_and()
+        self.depth -= 1
+        return expr
 
     def parse_flwor(self) -> Expression:
         """Parse ``for``/``let`` clauses, an optional ``where`` and the ``return``."""
@@ -265,10 +286,12 @@ class _Parser:
 
     def parse_condition(self) -> Expression:
         """A conjunction of comparisons / existence tests (``and`` only)."""
+        self._descend()
         left = self.parse_or_and()
         while self.accept("keyword", "and"):
             right = self.parse_or_and()
             left = AndExpr(left, right)
+        self.depth -= 1
         return left
 
     def parse_or_and(self) -> Expression:

@@ -1,4 +1,4 @@
-"""Tests for the icols/const/key/set property inference (Tables II-V)."""
+"""Tests for the needed/const/key/set property inference (Tables II-V)."""
 
 from repro.algebra.operators import (
     Attach, Cross, Distinct, DocTable, Join, LiteralTable, Project, RowId, RowRank, Select, Serialize,
@@ -11,7 +11,7 @@ def test_icols_seeded_at_serialization_point():
     leaf = LiteralTable(("iter", "pos", "item"), [(1, 1, 1)])
     plan = Serialize(leaf)
     properties = infer_properties(plan)
-    assert properties.icols(leaf) == frozenset({"pos", "item"})
+    assert properties.needed(leaf) == frozenset({"pos", "item"})
 
 
 def test_icols_through_projection_renaming():
@@ -19,7 +19,7 @@ def test_icols_through_projection_renaming():
     project = Project(doc, [("item", "pre"), ("pos", "size")])
     plan = Serialize(project)
     properties = infer_properties(plan)
-    assert properties.icols(doc) == frozenset({"pre", "size"})
+    assert properties.needed(doc) == frozenset({"pre", "size"})
 
 
 def test_icols_accumulates_over_shared_parents():
@@ -28,7 +28,18 @@ def test_icols_accumulates_over_shared_parents():
     b = Project(doc, [("pos", "level")])
     plan = Serialize(Cross(a, b))
     properties = infer_properties(plan)
-    assert {"pre", "level"} <= set(properties.icols(doc))
+    assert {"pre", "level"} <= set(properties.needed(doc))
+
+
+def test_a_projection_nobody_needs_still_needs_every_column_it_mentions():
+    """Table II's strict rule gives such a π's input nothing; ``needed``
+    keeps every source column, since the π keeps all of its items."""
+    base = Attach(LiteralTable(("a",), [(1,)]), "b", 2)
+    unused = Project(base, [("x", "a"), ("y", "b")])
+    plan = Serialize(Cross(LiteralTable(("pos", "item"), [(1, 1)]), unused))
+    properties = infer_properties(plan)
+    assert properties.needed(unused) == frozenset()
+    assert properties.needed(base) == frozenset({"a", "b"})
 
 
 def test_const_from_attach_and_literal():

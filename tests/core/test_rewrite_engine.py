@@ -285,11 +285,11 @@ def test_migrated_properties_equal_cold_inference_at_every_step(case, monkeypatc
         refreshes += 1
         before = {
             name: dict(getattr(warm, name))
-            for name in ("_icols", "_const", "_keys", "_set", "_refs")
+            for name in ("_needed", "_const", "_keys", "_set")
         }
         top_down, bottom_up = refresh(warm, position, parents, glued)
         cold = infer_properties(warm.root)
-        for name in ("_icols", "_const", "_keys", "_set", "_refs"):
+        for name in ("_needed", "_const", "_keys", "_set"):
             assert getattr(warm, name) == getattr(cold, name), (
                 f"{name[1:]} diverged from cold inference at step {refreshes}"
             )
@@ -307,7 +307,7 @@ def test_migrated_properties_equal_cold_inference_at_every_step(case, monkeypatc
         assert {id(node) for node in bottom_up} == moved("_const", "_keys"), (
             f"bottom-up changes misreported at step {refreshes}"
         )
-        assert {id(node) for node in top_down} == moved("_icols", "_set", "_refs"), (
+        assert {id(node) for node in top_down} == moved("_needed", "_set"), (
             f"top-down changes misreported at step {refreshes}"
         )
         assert len(bottom_up) == len(set(map(id, bottom_up)))
@@ -773,7 +773,7 @@ def _swap(replacement):
     return _synthetic(
         "swap",
         RowId,
-        lambda node, ctx: None if "size" in ctx.needed_columns(node) else MATCHED,
+        lambda node, ctx: None if "size" in ctx.properties.needed(node) else MATCHED,
         lambda node, match, ctx: replacement(node.child),
     )
 

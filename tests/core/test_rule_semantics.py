@@ -20,11 +20,11 @@ columns, and every other leaf, are drawn freely.
 
 The icols normaliser (rules (1)-(4) as one pass) has its own property over
 random DAGs of π / @ / ϱ / # with shared sub-plans: one pass from the root
-keeps the rows, drops no column a parent still mentions (a ``refs``
-column), and leaves nothing for a second pass; the driver's passes from the
-dirty frontier end where the reference's from the root do.  A normaliser
-that decides on ``icols`` alone fails it
-(``test_a_normaliser_that_ignores_refs_is_caught``).
+keeps the rows, drops no column a parent still mentions (its structural
+references), and leaves nothing for a second pass; the driver's passes from
+the dirty frontier end where the reference's from the root do.  A
+normaliser on Table II's strict rule — a π needs only its needed items'
+sources — fails it (``test_a_normaliser_that_ignores_refs_is_caught``).
 
 200 examples per property in tier-1; set ``REPRO_PROBE_EXAMPLES`` for a
 deeper run (the nightly sweep runs 20 000).
@@ -53,6 +53,7 @@ from repro.algebra.operators import (
 )
 from repro.algebra.predicates import COMPARISON_OPS, ColumnRef, Comparison, Literal, Predicate
 from repro.algebra.table import Table
+from repro.core import properties as properties_module
 from repro.core.properties import infer_properties
 from repro.core.rewrite import CLEANUP_GROUP, REGISTRY, run_phases
 from repro.core.rewrite import normalize as normalize_module
@@ -173,13 +174,18 @@ def test_a_rule_fires_on_some_drawn_exemplar(rule):
     find(instances(rule.exemplar), lambda plan: fires(rule, plan), settings=PROBE)
 
 
+def mutated(module, name, original, mutant):
+    """``module.name`` recompiled with ``original`` replaced in its source."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert original in source, f"{name} no longer reads {original!r}"
+    namespace = dict(vars(module))
+    exec(compile(source.replace(original, mutant), module.__file__, "exec"), namespace)
+    return namespace[name]
+
+
 def mutated_rule(rule, guard_name, original, mutant):
     """``rule`` with one line of its guard's source replaced."""
-    source = textwrap.dedent(inspect.getsource(getattr(rules_module, guard_name)))
-    assert original in source, f"{guard_name} no longer reads {original!r}"
-    namespace = dict(vars(rules_module))
-    exec(compile(source.replace(original, mutant), rules_module.__file__, "exec"), namespace)
-    return dataclasses.replace(rule, guard=namespace[guard_name])
+    return dataclasses.replace(rule, guard=mutated(rules_module, guard_name, original, mutant))
 
 
 def test_a_weakened_shrink_distinct_guard_is_caught():
@@ -251,28 +257,30 @@ def table_rows(plan):
     return [dict(zip(table.columns, row)) for row in table.rows]
 
 
-def one_pass(plan, normalizer):
+def one_pass(plan):
     """A normaliser pass from the root over cold properties: the replacement
     map and the plan it glues to (every rebuilt operator re-checked)."""
     order = list(iter_nodes(plan))
     position = {id(node): at for at, node in enumerate(order)}
-    replacements = normalizer(parents_map(plan), infer_properties(plan), order, position)
+    replacements = normalize_module.normalize(
+        parents_map(plan), infer_properties(plan), order, position
+    )
     return replacements, pushout(plan, replacements).root
 
 
-def normaliser_faults(plan, normalizer=normalize_module.normalize):
-    """What is wrong with one pass of ``normalizer`` over ``plan`` (empty if
-    nothing): a dropped column some parent still mentions (a ``refs``
-    column: the glue's operator checks refuse the plan), rows that differ,
-    or a second pass that still finds work."""
+def normaliser_faults(plan):
+    """What is wrong with one normaliser pass over ``plan`` (empty if
+    nothing): a dropped column some parent still mentions (the glue's
+    operator checks refuse the plan), rows that differ, or a second pass
+    that still finds work."""
     try:
-        _replacements, normal = one_pass(plan, normalizer)
+        _replacements, normal = one_pass(plan)
     except AlgebraError as error:
-        return [f"a column in refs is dropped: {error}"]
+        return [f"a mentioned column is dropped: {error}"]
     faults = []
     if table_rows(normal) != table_rows(plan):
         faults.append("rows differ")
-    if one_pass(normal, normalizer)[0]:
+    if one_pass(normal)[0]:
         faults.append("a second pass still rewrites")
     return faults
 
@@ -310,15 +318,27 @@ def test_a_projection_fuses_through_an_operator_the_pass_drops():
     assert "π s0_c3:c0" in full_render(rewritten)
 
 
-def test_a_normaliser_that_ignores_refs_is_caught():
-    """Deciding on ``icols`` alone drops a column a parent still mentions —
-    a projection nobody needs anything of keeps all of its items."""
-    source = textwrap.dedent(inspect.getsource(normalize_module.normalize))
-    assert "icols | refs" in source
-    namespace = dict(vars(normalize_module))
-    exec(
-        compile(source.replace("icols | refs", "icols"), normalize_module.__file__, "exec"),
-        namespace,
+def test_a_normaliser_that_ignores_refs_is_caught(monkeypatch):
+    """Table II's strict rule — a π needs only the sources of its needed
+    items, not every column it references — in the inference and in the
+    pass drops a column a parent still mentions: a projection nobody needs
+    anything of keeps all of its items."""
+    strict = mutated(
+        properties_module,
+        "child_needed",
+        "for _new, old in parent.items)",
+        "for new, old in parent.items if new in needed)",
     )
-    mutant = namespace["normalize"]
-    find(stacks(), lambda plan: bool(normaliser_faults(plan, mutant)), settings=PROBE)
+    monkeypatch.setattr(properties_module, "child_needed", strict)
+    monkeypatch.setattr(normalize_module, "child_needed", strict)
+    monkeypatch.setattr(
+        normalize_module,
+        "_Pass",
+        mutated(
+            normalize_module,
+            "_Pass",
+            "for _new, old in items)",
+            "for new, old in items if new in state)",
+        ),
+    )
+    find(stacks(), lambda plan: bool(normaliser_faults(plan)), settings=PROBE)

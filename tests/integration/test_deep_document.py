@@ -3,7 +3,9 @@
 Under the default recursion limit, a chain of nested ``<a>`` elements must
 parse, encode, register and be queried on every engine without Python
 recursion getting in the way (the parser, the encoder, the serializer and
-``XMLNode.iter_descendants`` all walk explicit stacks).
+``XMLNode.iter_descendants`` all walk explicit stacks).  A query nested
+deeper than the XQuery parser's ``MAX_NESTING`` is a classified syntax
+error, and one nested exactly that deep still answers.
 """
 
 import sys
@@ -11,11 +13,13 @@ import sys
 import pytest
 
 from repro.core.session import Session
+from repro.errors import XQuerySyntaxError
 from repro.purexml.engine import PureXMLEngine
 from repro.purexml.storage import XMLColumnStore
 from repro.xmldb.encoding import encode_document
 from repro.xmldb.parser import parse_xml
 from repro.xmldb.serializer import serialize_node
+from repro.xquery.parser import MAX_NESTING
 
 DEPTH = 5_000
 
@@ -54,3 +58,34 @@ def test_a_100000_deep_chain_parses_and_encodes():
     assert len(records) == depth + 2
     assert tuple(records[1])[:3] == (1, depth, 1)
     assert tuple(records[depth]) == (depth, 1, depth, "ELEM", "a", "x", None)
+
+
+# -- a deeply nested query ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_session():
+    session = Session()
+    session.register("d.xml", "<a><b>1</b><b>2</b></a>")
+    return session
+
+
+def _parenthesised(depth: int) -> str:
+    """``doc("d.xml")//b`` inside ``depth`` parentheses: ``depth + 1`` expressions."""
+    return "(" * depth + 'doc("d.xml")//b' + ")" * depth
+
+
+def test_two_hundred_nested_parentheses_are_a_syntax_error(small_session):
+    with pytest.raises(XQuerySyntaxError, match=f"deeper than {MAX_NESTING}") as excinfo:
+        small_session.execute(_parenthesised(200))
+    # The expression at offset MAX_NESTING, inside that many parentheses, is
+    # the first one too deep.
+    assert excinfo.value.position == MAX_NESTING
+
+
+@pytest.mark.parametrize("engine", ["stacked", "sql"])
+def test_the_deepest_allowed_nesting_answers(small_session, engine):
+    expected = small_session.execute(_parenthesised(0), configuration=engine).items
+    assert len(expected) == 2
+    deepest = small_session.execute(_parenthesised(MAX_NESTING - 1), configuration=engine)
+    assert deepest.items == expected

@@ -12,6 +12,7 @@ import repro.algebra.columnar
 import repro.algebra.predicates
 import repro.core.joingraph
 import repro.core.pipeline
+import repro.core.properties
 import repro.core.session
 import repro.core.sqlgen
 import repro.core.stages
@@ -28,6 +29,7 @@ FACADE_MODULES = [
     repro.algebra.predicates,
     repro.core.joingraph,
     repro.core.pipeline,
+    repro.core.properties,
     repro.core.session,
     repro.core.sqlgen,
     repro.core.stages,
