@@ -68,20 +68,16 @@ def _require_columns(operator_name: str, available: Sequence[str], needed: Seque
 class DocTable(Operator):
     """The XML infoset encoding table ``doc`` (a shared leaf)."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
     symbol = "doc"
 
-    def __init__(self, name: str = "doc"):
+    def __init__(self):
         super().__init__((), DOC_COLUMNS)
-        self.name = name
 
     def with_children(self, children: Sequence[Operator]) -> "DocTable":
         if children:
             raise AlgebraError("doc is a leaf operator")
         return self
-
-    def label(self) -> str:
-        return self.name
 
 
 class LiteralTable(Operator):

@@ -30,7 +30,7 @@ alias's view of ``Rows`` in the B-tree engine:
 >>> from repro.relational.physical.operators import Rows, alias_columns
 >>> condition = Comparison(ColumnTerm("d1", "pre"), "<", Sum(ColumnTerm("d2", "size"), Literal(1)))
 >>> item = [(ColumnTerm("d1", "pre"), "item")]
->>> graph = JoinGraph(["d1", "d2"], "doc", [condition], item, order_terms=[], distinct=False)
+>>> graph = JoinGraph(["d1", "d2"], [condition], item, order_terms=[], distinct=False)
 >>> print(render_join_graph(graph))
 SELECT d1.pre AS item
 FROM doc AS d1,

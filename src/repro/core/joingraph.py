@@ -297,7 +297,6 @@ class JoinGraph:
     """
 
     aliases: list[str]
-    table_name: str
     conditions: list[Comparison]
     select_items: list[tuple[Term, str]]
     order_terms: list[Term]
@@ -355,7 +354,6 @@ class JoinGraph:
         """A plain sub-graph; nested blocks are sets (a rank or aggregate owns its dedup)."""
         return JoinGraph(
             aliases=list(aliases),
-            table_name=self.table_name,
             conditions=list(conditions),
             select_items=list(select_items),
             order_terms=list(order_terms),
@@ -491,9 +489,18 @@ class JoinGraph:
 # ---------------------------------------------------------------------------
 
 
+#: The operators a join graph is made of, besides ``doc`` and the Aggr (commonest first).
+_EXTRACTABLE = (
+    Project, Select, Join, Distinct, Serialize, RowRank, RowId, Cross, Attach, LiteralTable
+)
+
+#: The steps of :meth:`_Extractor.emit`'s walk: before a node's inputs, after
+#: them, and between an Aggr's loop and its argument.
+_ENTER, _FINISH, _INNER = range(3)
+
+
 class _Extractor:
-    def __init__(self, table_name: str = "doc"):
-        self.table_name = table_name
+    def __init__(self):
         self.aliases: list[str] = []
         self.conditions: list[Comparison] = []
         self.distinct = False
@@ -510,6 +517,8 @@ class _Extractor:
         #: "inner" = the argument bundle).
         self.aggregate: Optional[AggregateSpec] = None
         self._aggregate_scope: Optional[str] = None
+        #: The alias/condition counts where the pending Aggr's inner scope starts.
+        self._inner_marks = (0, 0)
         self._outer_distinct = False
 
     # -- helpers -------------------------------------------------------------------
@@ -692,59 +701,91 @@ class _Extractor:
 
     # -- the walk ---------------------------------------------------------------------
 
-    def emit(self, node: Operator) -> Mapping[str, Term]:
-        if isinstance(node, DocTable):
-            # Every *reference* to doc becomes its own alias (self-joins!).
-            alias = self._new_alias()
-            self.aliases.append(alias)
-            return {column: ColumnTerm(alias, column) for column in node.columns}
-        if id(node) in self._memo:
-            return self._memo[id(node)]
-        mapping = self._emit(node)
-        self._memo[id(node)] = mapping
-        return mapping
+    def emit(self, root: Operator) -> Mapping[str, Term]:
+        """The column → term mapping of ``root``'s output.
 
-    def _emit(self, node: Operator) -> Mapping[str, Term]:
+        One post-order walk over an explicit stack (a plan's depth is data),
+        inputs left to right and an Aggr's loop before its argument, so
+        aliases and conditions are numbered in the order a recursive descent
+        would give them.  Every *reference* to ``doc`` becomes its own alias
+        (self-joins!); any other shared node is emitted once.
+        """
+        memo = self._memo
+        finished: list[Mapping[str, Term]] = []  # the mappings of emitted inputs
+        stack: list[tuple[Operator, int]] = [(root, _ENTER)]
+        while stack:
+            node, step = stack.pop()
+            if step == _FINISH:
+                count = len(node.children)
+                mapping = self._finish(node, *finished[len(finished) - count:])
+                del finished[len(finished) - count:]
+                memo[id(node)] = mapping
+                finished.append(mapping)
+            elif step == _INNER:
+                # The loop bundle is the outer scope; the argument adds the inner one.
+                self._inner_marks = (len(self.aliases), len(self.conditions))
+                self._aggregate_scope = "inner"
+            elif isinstance(node, DocTable):
+                alias = self._new_alias()
+                self.aliases.append(alias)
+                finished.append({column: ColumnTerm(alias, column) for column in node.columns})
+            elif id(node) in memo:
+                finished.append(memo[id(node)])
+            elif isinstance(node, _EXTRACTABLE):
+                stack.append((node, _FINISH))
+                for child in reversed(node.children):
+                    stack.append((child, _ENTER))
+            elif isinstance(node, GroupAggregate):
+                if self.aggregate is not None or self._aggregate_scope is not None:
+                    raise JoinGraphError(
+                        "nested aggregates are not expressible in a single join graph"
+                    )
+                self._aggregate_scope = "outer"
+                stack += (node, _FINISH), (node.child, _ENTER), (node, _INNER), (node.loop, _ENTER)
+            else:
+                raise JoinGraphError(
+                    f"operator {type(node).__name__} cannot appear in a join graph"
+                )
+        return finished.pop()
+
+    def _finish(
+        self, node: Operator, mapping: Optional[Mapping] = None, other: Optional[Mapping] = None
+    ) -> Mapping[str, Term]:
+        """``node``'s mapping from its inputs': ``mapping`` is the one, the left
+        or the loop input's, ``other`` the right or the argument input's."""
+        if isinstance(node, Project):
+            return {new: mapping[old] for new, old in node.items}
+        if isinstance(node, Select):
+            self._add_predicate(node.predicate, mapping)
+            return mapping
+        if isinstance(node, (Join, Cross)):
+            combined = {**mapping, **other}
+            if isinstance(node, Join):
+                self._add_predicate(node.predicate, combined)
+            return combined
+        if isinstance(node, Serialize):
+            return mapping
+        if isinstance(node, Attach):
+            mapping = dict(mapping)
+            mapping[node.column] = Literal(node.value)
+            return mapping
+        if isinstance(node, Distinct):
+            # Inside the argument bundle the aggregate owns the dedup
+            # (DISTINCT (group, unit, value) in the rendered subquery), so a
+            # δ surviving there adds nothing.
+            if self._aggregate_scope == "outer":
+                self._outer_distinct = True
+            elif self._aggregate_scope is None:
+                self.distinct = True
+            return mapping
         if isinstance(node, LiteralTable):
             if len(node.rows) != 1:
                 raise JoinGraphError("a multi-row literal table cannot appear in a join graph")
             return dict(zip(node.columns, (Literal(v) for v in node.rows[0])))
-        if isinstance(node, Serialize):
-            return self.emit(node.child)
-        if isinstance(node, Select):
-            mapping = self.emit(node.child)
-            self._add_predicate(node.predicate, mapping)
-            return mapping
-        if isinstance(node, Project):
-            mapping = self.emit(node.child)
-            return {new: mapping[old] for new, old in node.items}
-        if isinstance(node, Attach):
-            mapping = dict(self.emit(node.child))
-            mapping[node.column] = Literal(node.value)
-            return mapping
-        if isinstance(node, Join):
-            left = self.emit(node.left)
-            right = self.emit(node.right)
-            combined = {**left, **right}
-            self._add_predicate(node.predicate, combined)
-            return combined
-        if isinstance(node, Cross):
-            left = self.emit(node.left)
-            right = self.emit(node.right)
-            return {**left, **right}
-        if isinstance(node, Distinct):
-            if self._aggregate_scope == "inner":
-                # The argument's dedup is owned by the aggregate itself
-                # (DISTINCT (group, unit, value) in the rendered subquery),
-                # so a δ surviving inside the argument bundle adds nothing.
-                return self.emit(node.child)
-            if self._aggregate_scope == "outer":
-                self._outer_distinct = True
-                return self.emit(node.child)
-            self.distinct = True
-            return self.emit(node.child)
+        if isinstance(node, GroupAggregate):
+            return self._finish_aggregate(node, mapping, other)
         if isinstance(node, RowId):
-            mapping = dict(self.emit(node.child))
+            mapping = dict(mapping)
             key_term = self._rowid_key_term(node)
             if key_term is not None:
                 mapping[node.column] = key_term
@@ -755,94 +796,81 @@ class _Extractor:
                 self.rowid_keys[pseudo.token] = compound
             mapping[node.column] = pseudo
             return mapping
-        if isinstance(node, RowRank):
-            mapping = dict(self.emit(node.child))
-            pseudo = self._new_pseudo(node.column)
-            # Expand nested rank columns into the orders they were recorded
-            # with (the ϱ-splice semantics of rule (17)), so a FLWOR nest's
-            # complete iteration order — outer sort keys first, inner rank
-            # keys after — survives into one total ORDER BY.  An order
-            # column that maps to an unrecorded pseudo (a ``#`` row id)
-            # cannot be rendered and would leave the sequence order
-            # under-specified; that aborts extraction instead of silently
-            # producing a nondeterministic ordering.
+        mapping = dict(mapping)  # a RowRank, the last extractable kind
+        pseudo = self._new_pseudo(node.column)
+        # Expand nested rank columns into the orders they were recorded
+        # with (the ϱ-splice semantics of rule (17)), so a FLWOR nest's
+        # complete iteration order — outer sort keys first, inner rank
+        # keys after — survives into one total ORDER BY.  An order
+        # column that maps to an unrecorded pseudo (a ``#`` row id)
+        # cannot be rendered and would leave the sequence order
+        # under-specified; that aborts extraction instead of silently
+        # producing a nondeterministic ordering.
 
-            def expand(columns) -> list[Term]:
-                expanded: list[Term] = []
-                for column in columns:
-                    term = mapping[column]
-                    if isinstance(term, PseudoTerm):
-                        recorded = self.rank_orders.get(term.token)
-                        if recorded is None:
-                            key = self.rowid_keys.get(term.token)
-                            recorded = list(key) if key is not None else None
-                        if recorded is None:
-                            raise JoinGraphError(
-                                f"ordering column {column!r} maps to the generated "
-                                f"value {term.token}; the sequence order is not "
-                                "expressible over the join graph"
-                            )
-                        expanded.extend(recorded)
-                    else:
-                        expanded.append(term)
-                deduped: list[Term] = []
-                for term in expanded:
-                    if term not in deduped:
-                        deduped.append(term)
-                return deduped
+        def expand(columns) -> list[Term]:
+            expanded: list[Term] = []
+            for column in columns:
+                term = mapping[column]
+                if isinstance(term, PseudoTerm):
+                    recorded = self.rank_orders.get(term.token)
+                    if recorded is None:
+                        key = self.rowid_keys.get(term.token)
+                        recorded = list(key) if key is not None else None
+                    if recorded is None:
+                        raise JoinGraphError(
+                            f"ordering column {column!r} maps to the generated "
+                            f"value {term.token}; the sequence order is not "
+                            "expressible over the join graph"
+                        )
+                    expanded.extend(recorded)
+                else:
+                    expanded.append(term)
+            deduped: list[Term] = []
+            for term in expanded:
+                if term not in deduped:
+                    deduped.append(term)
+            return deduped
 
-            partition_terms = [
-                term for term in expand(node.partition_by)
-                if not isinstance(term, Literal)
-            ]
-            order_terms = expand(node.order_by)
-            # For pure ordering use the partition keys precede the order
-            # keys (rule (17)'s expansion of a partitioned rank).
-            combined = list(partition_terms)
-            combined.extend(term for term in order_terms if term not in combined)
-            self.rank_orders[pseudo.token] = combined
-            renderable_orders = [
-                term for term in order_terms if not isinstance(term, Literal)
-            ]
-            if renderable_orders:
-                # Remember the window shape in case a positional selection
-                # compares this rank's value upstream; the scope marks pin
-                # the alias/condition prefix the rank may see.
-                self.rank_windows[pseudo.token] = WindowSpec(
-                    token=pseudo.token,
-                    partition=tuple(partition_terms),
-                    order=tuple(renderable_orders),
-                    alias_count=len(self.aliases),
-                    condition_count=len(self.conditions),
-                )
-            mapping[node.column] = pseudo
-            return mapping
-        if isinstance(node, GroupAggregate):
-            return self._emit_aggregate(node)
-        raise JoinGraphError(f"operator {type(node).__name__} cannot appear in a join graph")
+        partition_terms = [
+            term for term in expand(node.partition_by)
+            if not isinstance(term, Literal)
+        ]
+        order_terms = expand(node.order_by)
+        # For pure ordering use the partition keys precede the order
+        # keys (rule (17)'s expansion of a partitioned rank).
+        combined = list(partition_terms)
+        combined.extend(term for term in order_terms if term not in combined)
+        self.rank_orders[pseudo.token] = combined
+        renderable_orders = [
+            term for term in order_terms if not isinstance(term, Literal)
+        ]
+        if renderable_orders:
+            # Remember the window shape in case a positional selection
+            # compares this rank's value upstream; the scope marks pin
+            # the alias/condition prefix the rank may see.
+            self.rank_windows[pseudo.token] = WindowSpec(
+                token=pseudo.token,
+                partition=tuple(partition_terms),
+                order=tuple(renderable_orders),
+                alias_count=len(self.aliases),
+                condition_count=len(self.conditions),
+            )
+        mapping[node.column] = pseudo
+        return mapping
 
-    def _emit_aggregate(self, node: GroupAggregate) -> Mapping[str, Term]:
+    def _finish_aggregate(
+        self, node: GroupAggregate, loop_mapping: Mapping[str, Term], child_mapping: Mapping
+    ) -> Mapping[str, Term]:
         """Cast Aggr into an :class:`AggregateSpec` over a scope partition.
 
-        The loop bundle is emitted first (its aliases/conditions form the
+        The loop bundle was emitted first (its aliases/conditions form the
         *outer* scope), the argument bundle second (the *inner* scope —
         everything it adds, including correlations to outer aliases).
         Shared sub-plans are memoized, so plan parts the argument shares
         with the loop stay in the outer scope.
         """
-        if self.aggregate is not None or self._aggregate_scope is not None:
-            raise JoinGraphError(
-                "nested aggregates are not expressible in a single join graph"
-            )
-        self._aggregate_scope = "outer"
-        try:
-            loop_mapping = self.emit(node.loop)
-            inner_alias_mark = len(self.aliases)
-            inner_condition_mark = len(self.conditions)
-            self._aggregate_scope = "inner"
-            child_mapping = self.emit(node.child)
-        finally:
-            self._aggregate_scope = None
+        self._aggregate_scope = None
+        inner_alias_mark, inner_condition_mark = self._inner_marks
         group = loop_mapping[node.group_column]
         child_group = child_mapping[node.group_column]
         if isinstance(group, (PseudoTerm, AggregateTerm)) or isinstance(
@@ -879,13 +907,13 @@ class _Extractor:
         return mapping
 
 
-def extract_join_graph(plan: Operator, table_name: str = "doc") -> JoinGraph:
+def extract_join_graph(plan: Operator) -> JoinGraph:
     """Cast an isolated plan into its :class:`JoinGraph`.
 
     Raises :class:`~repro.errors.JoinGraphError` when the plan is not (yet)
     a pure join graph + tail, or when a block's terms reach past its aliases.
     """
-    extractor = _Extractor(table_name)
+    extractor = _Extractor()
     root = plan.child if isinstance(plan, Serialize) else plan
     mapping = extractor.emit(root)
     if "item" not in mapping:
@@ -916,7 +944,6 @@ def extract_join_graph(plan: Operator, table_name: str = "doc") -> JoinGraph:
         )
     graph = JoinGraph(
         aliases=extractor.aliases,
-        table_name=table_name,
         conditions=extractor.conditions,
         select_items=select_items,
         order_terms=order_terms,

@@ -156,15 +156,15 @@ def _structural_fingerprint(root: Operator) -> tuple:
     )
 
 
-def validate_rule(rule: Rule, run_exemplar: bool = True) -> None:
+def validate_rule(rule: Rule) -> None:
     """Registration-time validation; raises :class:`RuleValidationError`.
 
-    Structural checks (always): the rule declares a non-empty pattern root
+    Structural checks: the rule declares a non-empty pattern root
     of operator classes, the pattern is left-linear, guard and builder are
     callable, and the match root is not the serialization point (the
     driver never rewrites ``Serialize`` itself).
 
-    Behavioural checks (``run_exemplar``): the rule's exemplar plan is
+    Behavioural checks: the rule's exemplar plan is
     matched and rebuilt once, asserting that (a) the rule actually fires
     on its own fixture, (b) the input plan is structurally untouched
     afterwards — builders must not mutate operators in place — and
@@ -191,8 +191,7 @@ def validate_rule(rule: Rule, run_exemplar: bool = True) -> None:
         raise RuleValidationError(f"rule {rule.name!r}: guard and build must be callable")
     if rule.exemplar is None:
         raise RuleValidationError(f"rule {rule.name!r} lacks an exemplar plan")
-    if run_exemplar:
-        _validate_on_exemplar(rule)
+    _validate_on_exemplar(rule)
 
 
 def _validate_on_exemplar(rule: Rule) -> None:
@@ -234,8 +233,8 @@ class RuleRegistry:
         self._rules: list[Rule] = []
         self._by_name: dict[str, Rule] = {}
 
-    def register(self, rule: Rule, run_exemplar: bool = True) -> Rule:
-        validate_rule(rule, run_exemplar=run_exemplar)
+    def register(self, rule: Rule) -> Rule:
+        validate_rule(rule)
         if rule.name in self._by_name:
             raise RuleValidationError(f"duplicate rule name {rule.name!r}")
         self._rules.append(rule)

@@ -39,6 +39,7 @@ from repro.algebra.operators import (
 from repro.algebra.predicates import Comparison, Literal, Parameter, Sum
 from repro.core.joingraph import AggregateSpec, ColumnTerm, JoinGraph, extract_join_graph
 from repro.errors import JoinGraphError
+from repro.xmldb.encoding import DOC_TABLE
 
 
 def sql_term(term) -> str:
@@ -153,7 +154,7 @@ def _render_block(
     aliases = block.aliases
     if join_order is not None:
         aliases = [alias for alias in join_order if alias in block.aliases]
-    sources = [f"{block.table_name} AS {alias}" for alias in aliases] + list(tables)
+    sources = [f"{DOC_TABLE} AS {alias}" for alias in aliases] + list(tables)
     if sources:
         joiner = "\n     CROSS JOIN " if join_order is not None else ",\n     "
         lines.append("FROM " + joiner.join(sources))
@@ -206,9 +207,9 @@ def _aggregate_expression(spec: AggregateSpec, alias: str) -> str:
     return f"AVG({alias}.{value_column})"
 
 
-def generate_join_graph_sql(plan: Operator, table_name: str = "doc") -> str:
+def generate_join_graph_sql(plan: Operator) -> str:
     """Extract the join graph of an isolated plan and render it as SQL."""
-    graph = plan if isinstance(plan, JoinGraph) else extract_join_graph(plan, table_name)
+    graph = plan if isinstance(plan, JoinGraph) else extract_join_graph(plan)
     return render_join_graph(graph)
 
 
@@ -217,7 +218,7 @@ def generate_join_graph_sql(plan: Operator, table_name: str = "doc") -> str:
 # ---------------------------------------------------------------------------
 
 
-def generate_stacked_sql(plan: Operator, table_name: str = "doc") -> str:
+def generate_stacked_sql(plan: Operator) -> str:
     """Render the (unrewritten) stacked plan as a WITH-chain, one CTE per operator."""
     names: dict[int, str] = {}
     definitions: list[str] = []
@@ -228,15 +229,15 @@ def generate_stacked_sql(plan: Operator, table_name: str = "doc") -> str:
     for index, node in enumerate(iter_nodes(plan)):
         cte = f"t{index}"
         names[id(node)] = cte
-        definitions.append(f"{cte} AS ({_render_operator(node, name_of, table_name)})")
+        definitions.append(f"{cte} AS ({_render_operator(node, name_of)})")
     final = names[id(plan)]
     body = ",\n     ".join(definitions)
     return f"WITH {body}\nSELECT * FROM {final}"
 
 
-def _render_operator(node: Operator, name_of, table_name: str) -> str:
+def _render_operator(node: Operator, name_of) -> str:
     if isinstance(node, DocTable):
-        return f"SELECT * FROM {table_name}"
+        return f"SELECT * FROM {DOC_TABLE}"
     if isinstance(node, LiteralTable):
         if not node.rows:
             selects = ", ".join(f"NULL AS {column}" for column in node.columns)

@@ -52,7 +52,7 @@ from repro.algebra.table import Table
 from repro.core.joingraph import JoinGraph, extract_join_graph
 from repro.core.rewriter import IsolationReport, JoinGraphIsolation, isolate
 from repro.core.sqlgen import generate_stacked_sql, render_join_graph
-from repro.relational.catalog import Database, database_hosting
+from repro.relational.catalog import Database
 from repro.relational.engine import RelationalEngine
 from repro.sqlbackend.backend import SQLiteBackend, check_join_width
 from repro.sqlbackend.decode import first_occurrence_items, ordered_items, sequence_items
@@ -254,9 +254,7 @@ class CatalogSnapshot:
         self.encoding = encoding
         self.row_count = row_count = len(encoding)
         self._doc_table = Lazy(lambda: Table(DOC_COLUMNS, encoding.rows(row_count)))
-        self._database = Lazy(
-            lambda: database_hosting(self.doc_table, with_default_indexes=with_default_indexes)
-        )
+        self._database = Lazy(lambda: Database(self.doc_table, with_default_indexes))
         self._engine = Lazy(lambda: RelationalEngine(self.database))
 
     @property

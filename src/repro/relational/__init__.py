@@ -8,7 +8,7 @@ RETURN), :mod:`optimizer.planner` (access path selection + join ordering),
 
 from repro.relational.advisor import IndexAdvisor, IndexRecommendation, create_table_vi_indexes
 from repro.relational.btree import BPlusTree, BTreeIndex, PRE_PLUS_SIZE
-from repro.relational.catalog import Database, database_from_encoding
+from repro.relational.catalog import Database
 from repro.relational.engine import QueryResult, RelationalEngine
 from repro.relational.optimizer.planner import PlannedQuery, Planner
 from repro.relational.statistics import TableStats, collect_table_stats
@@ -27,5 +27,4 @@ __all__ = [
     "TableStats",
     "collect_table_stats",
     "create_table_vi_indexes",
-    "database_from_encoding",
 ]

@@ -15,8 +15,8 @@ follows the same reasoning on our side of the fence:
   columns supports serialization (the paper's ``p|nvkls``).
 
 :data:`TABLE_VI_INDEXES` is the static equivalent of the paper's Table VI
-and is what :func:`repro.relational.catalog.database_from_encoding` installs
-by default; :class:`IndexAdvisor` re-derives (a superset of) it from an
+and is what :class:`repro.relational.catalog.Database` installs by
+default; :class:`IndexAdvisor` re-derives (a superset of) it from an
 actual workload, which is what the Table VI benchmark demonstrates.
 """
 
@@ -29,6 +29,7 @@ from repro.core.joingraph import JoinGraph
 from repro.relational.btree import PRE_PLUS_SIZE
 from repro.relational.catalog import Database
 from repro.relational.optimizer.planner import _term_alias_column
+from repro.xmldb.encoding import DOC_TABLE
 
 #: The default index set mirroring the paper's Table VI proposals.
 #: (key letters: n=name, k=kind, l=level, p=pre, s=pre+size, v=value, d=data)
@@ -42,14 +43,14 @@ TABLE_VI_INDEXES: tuple[tuple[str, tuple[str, ...], tuple[str, ...], bool], ...]
 )
 
 
-def create_table_vi_indexes(database: Database, table_name: str = "doc") -> list[str]:
+def create_table_vi_indexes(database: Database) -> list[str]:
     """Create the Table VI default index set; returns the index names created."""
     created = []
     for name, key_columns, include_columns, clustered in TABLE_VI_INDEXES:
-        index_name = f"{table_name}_{name}"
+        index_name = f"{DOC_TABLE}_{name}"
         if index_name in database.indexes:
             continue
-        database.create_index(index_name, table_name, key_columns, include_columns, clustered)
+        database.create_index(index_name, key_columns, include_columns, clustered)
         created.append(index_name)
     return created
 
@@ -75,7 +76,6 @@ class IndexRecommendation:
 class IndexAdvisor:
     """Derive index recommendations from a join-graph workload."""
 
-    table_name: str = "doc"
     recommendations: list[IndexRecommendation] = field(default_factory=list)
 
     def advise(self, workload: Iterable[JoinGraph]) -> list[IndexRecommendation]:
@@ -147,12 +147,11 @@ class IndexAdvisor:
         """Create the recommended indexes in ``database``; returns their names."""
         created = []
         for position, recommendation in enumerate(self.recommendations, start=1):
-            name = f"{self.table_name}_advis_{recommendation.short_name()}_{position}"
+            name = f"{DOC_TABLE}_advis_{recommendation.short_name()}_{position}"
             if name in database.indexes:
                 continue
             database.create_index(
                 name,
-                self.table_name,
                 recommendation.key_columns,
                 recommendation.include_columns,
                 recommendation.clustered,

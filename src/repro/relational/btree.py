@@ -27,6 +27,7 @@ from repro.algebra import columnar as _columnar
 from repro.algebra.columnar import Column
 from repro.algebra.table import Table
 from repro.lazy import Lazy
+from repro.xmldb.encoding import DOC_TABLE
 
 #: Fan-out of the B+-tree (entries per leaf / separators per node): sets its height.
 DEFAULT_ORDER = 64
@@ -171,7 +172,7 @@ class BPlusTree:
 
 @dataclass
 class BTreeIndex:
-    """A composite-key B-tree index over one table.
+    """A composite-key B-tree index over the ``doc`` table.
 
     ``key_columns`` may contain real column names or the computed column
     :data:`PRE_PLUS_SIZE`; ``include_columns`` are carried with the entries so
@@ -181,7 +182,6 @@ class BTreeIndex:
     """
 
     name: str
-    table_name: str
     key_columns: tuple[str, ...]
     include_columns: tuple[str, ...] = ()
     clustered: bool = False
@@ -193,7 +193,6 @@ class BTreeIndex:
     @staticmethod
     def build(
         name: str,
-        table_name: str,
         table: Table,
         key_columns: Sequence[str],
         include_columns: Sequence[str] = (),
@@ -221,7 +220,6 @@ class BTreeIndex:
 
         return BTreeIndex(
             name=name,
-            table_name=table_name,
             key_columns=key_columns,
             include_columns=include_columns,
             clustered=clustered,
@@ -271,7 +269,7 @@ class BTreeIndex:
         keys = ", ".join(self.key_columns)
         include = f" INCLUDE({', '.join(self.include_columns)})" if self.include_columns else ""
         clustered = " CLUSTERED" if self.clustered else ""
-        return f"{self.name} ON {self.table_name}({keys}){include}{clustered}"
+        return f"{self.name} ON {DOC_TABLE}({keys}){include}{clustered}"
 
 
 def _column_extractor(table: Table, column: str):

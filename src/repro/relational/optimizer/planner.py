@@ -91,8 +91,8 @@ class Planner:
 
     # -- cardinality estimation ---------------------------------------------------------
 
-    def _local_selectivity(self, condition: Comparison, table_name: str) -> float:
-        stats = self.database.table_stats(table_name)
+    def _local_selectivity(self, condition: Comparison) -> float:
+        stats = self.database.statistics
         for side, other in ((condition.left, condition.right), (condition.right, condition.left)):
             resolved = _term_alias_column(side)
             if resolved is None or not isinstance(other, Literal):
@@ -108,11 +108,11 @@ class Planner:
                 return stats.range_selectivity(column, low, high)
         return DEFAULT_SELECTIVITY
 
-    def _alias_cardinality(self, table_name: str, local: list[Comparison]) -> float:
+    def _alias_cardinality(self, local: list[Comparison]) -> float:
         """Estimated rows of one alias after its local predicates."""
-        cardinality = float(self.database.table_stats(table_name).row_count)
+        cardinality = float(self.database.statistics.row_count)
         for condition in local:
-            cardinality *= self._local_selectivity(condition, table_name)
+            cardinality *= self._local_selectivity(condition)
         return max(cardinality, 0.01)
 
     # -- access path selection ------------------------------------------------------------
@@ -144,11 +144,11 @@ class Planner:
         return bounds
 
     def _choose_index(
-        self, indexes: list[BTreeIndex], bounds: dict[str, list[IndexBound]]
+        self, bounds: dict[str, list[IndexBound]]
     ) -> Optional[tuple[BTreeIndex, list[IndexBound]]]:
         """Pick the index with the longest usable key prefix for the bounds."""
         best: Optional[tuple[BTreeIndex, list[IndexBound], float, float]] = None
-        for index in indexes:
+        for index in self.database.indexes.values():
             chosen: list[IndexBound] = []
             score = 0.0
             selectivity = 1.0
@@ -191,8 +191,6 @@ class Planner:
         """
         if not graph.aliases:
             raise PlanningError("the join graph has no doc references")
-        table = self.database.table(graph.table_name)
-        indexes = self.database.indexes_on(graph.table_name)
         conditions = graph.conditions
         # One pass builds the adjacency; ``missing[i]`` counts the aliases of
         # condition i not joined yet, so "connects ``alias`` to the joined
@@ -208,7 +206,7 @@ class Planner:
         rank: dict[str, tuple] = {}  # cheapest first; ties: later alias first
         for position, alias in enumerate(graph.aliases):
             local = [conditions[n] for n in touching[alias] if missing[n] == 1]
-            rank[alias] = (self._alias_cardinality(graph.table_name, local), -position, alias)
+            rank[alias] = (self._alias_cardinality(local), -position, alias)
         ranked = iter(sorted(rank.values()))
         frontier: list[tuple] = []  # heap of aliases some join condition connects
         joined: set[str] = set()
@@ -223,8 +221,7 @@ class Planner:
             connecting = [n for n in touching[alias] if missing[n] == 1]
             consumed.update(connecting)
             current = self._attach(
-                table, indexes, current, joined, alias,
-                [conditions[n] for n in connecting], entry[0],
+                current, joined, alias, [conditions[n] for n in connecting], entry[0]
             )
             joined.add(alias)
             join_order.append(alias)
@@ -248,8 +245,6 @@ class Planner:
 
     def _attach(
         self,
-        table,
-        indexes: list[BTreeIndex],
         outer: Optional[PhysicalOperator],
         joined: set[str],
         alias: str,
@@ -259,7 +254,8 @@ class Planner:
         """Access ``alias`` through ``connecting`` (its local predicates plus
         every condition whose other aliases are joined): an index probe when a
         key prefix covers some of them, else a scan hash-joined to ``outer``."""
-        choice = self._choose_index(indexes, self._bounds_for(alias, connecting, joined))
+        table = self.database.table
+        choice = self._choose_index(self._bounds_for(alias, connecting, joined))
         if choice is not None:
             index, chosen = choice
             covered = {id(bound.source) for bound in chosen}

@@ -47,8 +47,8 @@ A two-level NLJOIN, as position vectors into the one table:
 >>> from repro.relational.btree import BTreeIndex
 >>> table = Table(("pre", "parent", "name"), [(10, None, "a"), (11, 10, "b"), (12, 10, "b"),
 ...                                           (13, 11, "c"), (14, 12, "c"), (15, 12, "c")])
->>> by_name = BTreeIndex.build("by_name", "t", table, ("name", "pre"))
->>> by_parent = BTreeIndex.build("by_parent", "t", table, ("parent", "pre"))
+>>> by_name = BTreeIndex.build("by_name", table, ("name", "pre"))
+>>> by_parent = BTreeIndex.build("by_parent", table, ("parent", "pre"))
 >>> a = IndexScan(by_name, table, "a", [IndexBound("name", "eq", Literal("a"))])
 >>> b = IndexNestedLoopJoin(a, by_parent, table, "b",
 ...                         [IndexBound("parent", "eq", ColumnTerm("a", "pre"))])

@@ -22,6 +22,9 @@ DEFAULT_SELECTIVITY = 1.0 / 3.0
 #: Number of buckets of the equi-depth histograms.
 HISTOGRAM_BUCKETS = 32
 
+#: Number of most common values kept per column.
+MOST_COMMON_COUNT = 10
+
 
 @dataclass
 class ColumnStats:
@@ -72,7 +75,6 @@ class ColumnStats:
 class TableStats:
     """Statistics of one table (row count + per-column statistics)."""
 
-    table_name: str
     row_count: int
     columns: dict[str, ColumnStats]
 
@@ -94,9 +96,7 @@ class TableStats:
         return stats.range_selectivity(low, high)
 
 
-def collect_table_stats(
-    table_name: str, table: Table, most_common_count: int = 10
-) -> TableStats:
+def collect_table_stats(table: Table) -> TableStats:
     """Scan the table once and build :class:`TableStats` for every column."""
     column_stats: dict[str, ColumnStats] = {}
     n_rows = len(table.rows)
@@ -106,7 +106,7 @@ def collect_table_stats(
         for value in non_null:  # in row order: it breaks the most-common ties
             counts[value] = counts.get(value, 0) + 1
         ordered = sorted(non_null, key=orderable)
-        most_common = sorted(counts.items(), key=lambda item: -item[1])[:most_common_count]
+        most_common = sorted(counts.items(), key=lambda item: -item[1])[:MOST_COMMON_COUNT]
         column_stats[column] = ColumnStats(
             name=column,
             n_rows=n_rows,
@@ -117,7 +117,7 @@ def collect_table_stats(
             histogram=_equi_depth_histogram(ordered),
             most_common=most_common,
         )
-    return TableStats(table_name=table_name, row_count=n_rows, columns=column_stats)
+    return TableStats(row_count=n_rows, columns=column_stats)
 
 
 def _equi_depth_histogram(

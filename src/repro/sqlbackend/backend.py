@@ -62,9 +62,9 @@ from repro.errors import (
     QueryTimeoutError,
     TransientBackendError,
 )
-from repro.sqlbackend.schema import bootstrap_schema, index_names, insert_statement
+from repro.sqlbackend.schema import INSERT_STATEMENT, bootstrap_schema, index_names
 from repro.testing.faults import fire as _fire_fault
-from repro.xmldb.encoding import DOC_COLUMNS, DocumentEncoding
+from repro.xmldb.encoding import DOC_TABLE, DocumentEncoding
 
 #: VM instructions between progress-handler ticks while a timeout is armed.
 _PROGRESS_INTERVAL = 4000
@@ -383,21 +383,15 @@ class SQLiteBackend:
     [(2,), (4,)]
     """
 
-    def __init__(
-        self,
-        path: Union[str, "os.PathLike[str]"] = ":memory:",
-        table_name: str = "doc",
-    ):
-        self.table_name = table_name
+    def __init__(self, path: Union[str, "os.PathLike[str]"] = ":memory:"):
         self.path = str(path)
         #: Times the quarantine-and-rebuild path reconstructed this mirror.
         self.rebuilds = 0
         self.pool = ConnectionPool(self.path)
-        self.index_names = bootstrap_schema(self.connection, table_name)
-        self._insert_sql = insert_statement(table_name, DOC_COLUMNS)
+        self.index_names = bootstrap_schema(self.connection)
         #: High-water mark of mirrored rows (== ``pre`` of the next row).
         self.loaded_rows = int(
-            self.connection.execute(f"SELECT COUNT(*) FROM {table_name}").fetchone()[0]
+            self.connection.execute(f"SELECT COUNT(*) FROM {DOC_TABLE}").fetchone()[0]
         )
         self._source: Optional["weakref.ref[DocumentEncoding]"] = None
 
@@ -467,7 +461,7 @@ class SQLiteBackend:
             try:
                 # Records are tuples; ``sqlite3`` binds an exact tuple on its
                 # fast path and a tuple subclass ~7 % slower per row.
-                self.connection.executemany(self._insert_sql, map(tuple, fresh))
+                self.connection.executemany(INSERT_STATEMENT, map(tuple, fresh))
                 self.connection.commit()
             except sqlite3.DatabaseError as error:
                 # A failed bulk load may have left a partial tail behind an
@@ -497,9 +491,7 @@ class SQLiteBackend:
         not return wrong query results later.  Streaming comparison,
         O(mirrored rows), paid a single time per process.
         """
-        cursor = self.connection.execute(
-            f"SELECT * FROM {self.table_name} ORDER BY pre"
-        )
+        cursor = self.connection.execute(f"SELECT * FROM {DOC_TABLE} ORDER BY pre")
         for expected, mirrored in zip(encoding.records, cursor):
             # SQLite persists NaN as NULL; normalize before comparing.
             data = expected[-1]
@@ -513,7 +505,7 @@ class SQLiteBackend:
 
     def row_count(self) -> int:
         """Rows currently in the ``doc`` table (sanity/monitoring hook)."""
-        cursor = self.pool.acquire().execute(f"SELECT COUNT(*) FROM {self.table_name}")
+        cursor = self.pool.acquire().execute(f"SELECT COUNT(*) FROM {DOC_TABLE}")
         return int(cursor.fetchall()[0][0])
 
     # -- execution ---------------------------------------------------------------
@@ -658,7 +650,7 @@ class SQLiteBackend:
 
     def indexes(self) -> list[str]:
         """Names of the indexes currently defined on the ``doc`` table."""
-        return index_names(self.pool.acquire(), self.table_name)
+        return index_names(self.pool.acquire())
 
     # -- integrity & self-healing -------------------------------------------------
 
@@ -681,9 +673,7 @@ class SQLiteBackend:
                 ).fetchall()
                 if report != [("ok",)]:
                     return False
-                count = self.pool.primary.execute(
-                    f"SELECT COUNT(*) FROM {self.table_name}"
-                ).fetchone()[0]
+                count = self.pool.primary.execute(f"SELECT COUNT(*) FROM {DOC_TABLE}").fetchone()[0]
             except sqlite3.DatabaseError:
                 return False
             if count != self.loaded_rows:
@@ -723,8 +713,8 @@ class SQLiteBackend:
             total = len(encoding)
             database, fresh = self._fresh_primary()
             try:
-                bootstrap_schema(fresh, self.table_name)
-                fresh.executemany(self._insert_sql, map(tuple, encoding.records[:total]))
+                bootstrap_schema(fresh)
+                fresh.executemany(INSERT_STATEMENT, map(tuple, encoding.records[:total]))
                 fresh.commit()
                 fresh.execute("PRAGMA analysis_limit = 1000")
                 fresh.execute("ANALYZE")

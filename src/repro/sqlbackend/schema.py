@@ -28,7 +28,8 @@ never picked it.
 from __future__ import annotations
 
 import sqlite3
-from typing import Sequence
+
+from repro.xmldb.encoding import DOC_COLUMNS, DOC_TABLE
 
 #: Column -> declared SQLite type (affinity) for the ``doc`` table, in
 #: :data:`repro.xmldb.encoding.DOC_COLUMNS` order.  ``value`` keeps TEXT
@@ -66,48 +67,47 @@ PRAGMAS: tuple[str, ...] = (
 )
 
 
-def create_doc_table(connection: sqlite3.Connection, table_name: str = "doc") -> None:
+def create_doc_table(connection: sqlite3.Connection) -> None:
     """Create the Fig. 2 encoding table (idempotent)."""
     columns = ", ".join(f"{column} {sql_type}" for column, sql_type in DOC_COLUMN_TYPES)
-    connection.execute(f"CREATE TABLE IF NOT EXISTS {table_name} ({columns})")
+    connection.execute(f"CREATE TABLE IF NOT EXISTS {DOC_TABLE} ({columns})")
 
 
-def create_access_path_indexes(
-    connection: sqlite3.Connection, table_name: str = "doc"
-) -> list[str]:
+def create_access_path_indexes(connection: sqlite3.Connection) -> list[str]:
     """Create :data:`ACCESS_PATH_INDEXES` (idempotent); returns index names."""
     created = []
     for suffix, key_columns in ACCESS_PATH_INDEXES:
-        index_name = f"{table_name}_idx_{suffix}"
+        index_name = f"{DOC_TABLE}_idx_{suffix}"
         keys = ", ".join(key_columns)
         connection.execute(
-            f"CREATE INDEX IF NOT EXISTS {index_name} ON {table_name} ({keys})"
+            f"CREATE INDEX IF NOT EXISTS {index_name} ON {DOC_TABLE} ({keys})"
         )
         created.append(index_name)
     return created
 
 
-def bootstrap_schema(connection: sqlite3.Connection, table_name: str = "doc") -> list[str]:
+def bootstrap_schema(connection: sqlite3.Connection) -> list[str]:
     """Apply pragmas, create the table and the index set."""
     for pragma in PRAGMAS:
         connection.execute(pragma)
-    create_doc_table(connection, table_name)
-    indexes = create_access_path_indexes(connection, table_name)
+    create_doc_table(connection)
+    indexes = create_access_path_indexes(connection)
     connection.commit()
     return indexes
 
 
-def index_names(connection: sqlite3.Connection, table_name: str = "doc") -> list[str]:
-    """Names of all indexes currently defined on ``table_name``."""
+def index_names(connection: sqlite3.Connection) -> list[str]:
+    """Names of all indexes currently defined on the ``doc`` table."""
     rows = connection.execute(
         "SELECT name FROM sqlite_master WHERE type = 'index' AND tbl_name = ? "
         "ORDER BY name",
-        (table_name,),
+        (DOC_TABLE,),
     )
     return [name for (name,) in rows]
 
 
-def insert_statement(table_name: str, columns: Sequence[str]) -> str:
-    """The parameterized bulk-INSERT statement for ``executemany``."""
-    placeholders = ", ".join("?" for _ in columns)
-    return f"INSERT INTO {table_name} ({', '.join(columns)}) VALUES ({placeholders})"
+#: The parameterized bulk-INSERT statement for ``executemany``.
+INSERT_STATEMENT = (
+    f"INSERT INTO {DOC_TABLE} ({', '.join(DOC_COLUMNS)}) "
+    f"VALUES ({', '.join('?' for _ in DOC_COLUMNS)})"
+)

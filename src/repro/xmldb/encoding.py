@@ -27,6 +27,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from repro.xmldb.infoset import NodeKind, XMLNode
 
+#: The name of the one relation every join graph self-joins (Fig. 2).
+DOC_TABLE = "doc"
+
 #: Column order of the ``doc`` table, as used throughout the compiler,
 #: the SQL generator and the relational back-end.
 DOC_COLUMNS = ("pre", "size", "level", "kind", "name", "value", "data")

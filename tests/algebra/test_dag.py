@@ -52,7 +52,7 @@ def test_replace_node_preserves_sharing():
     b = Project(doc, [("b", "pre")])
     from repro.algebra.operators import Cross
     top = Cross(a, b)
-    new_doc = DocTable("doc2")
+    new_doc = DocTable()
     new_top = replace_node(top, doc, new_doc)
     assert shared_nodes(new_top) == [new_doc]
     assert node_count(new_top) == node_count(top)
@@ -90,7 +90,7 @@ def test_pushout_on_deep_chain_does_not_recurse():
     for _ in range(4999):
         chain.append(Distinct(chain[-1]))
     top, middle = chain[-1], chain[2500]
-    new_doc = DocTable("other")
+    new_doc = DocTable()
     predicate = Predicate.of(Comparison(ColumnRef("kind"), "=", Literal("ELEM")))
     # One entry swaps the leaf, the other wraps a mid-chain node in a σ
     # (a replacement containing its own target).

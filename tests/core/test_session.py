@@ -186,7 +186,7 @@ def builds(monkeypatch):
         return spy
 
     monkeypatch.setattr(stages, "Table", counting("doc_table", stages.Table))
-    monkeypatch.setattr(stages, "database_hosting", counting("database", stages.database_hosting))
+    monkeypatch.setattr(stages, "Database", counting("database", stages.Database))
     monkeypatch.setattr(BPlusTree, "__init__", counting("trees", BPlusTree.__init__))
     monkeypatch.setattr(Table, "__init__", counting("tables", Table.__init__))
     return counts

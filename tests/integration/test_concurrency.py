@@ -321,7 +321,7 @@ def test_first_join_graph_calls_on_a_fresh_version_build_the_database_once(monke
     session = _fresh_session()
     expected = session.execute(ADHOC_QUERIES[0], configuration="stacked").items
     session.register("fresh.xml", "<fresh/>")  # new version: nothing derived yet
-    builds = _counting(monkeypatch, stages, "database_hosting")
+    builds = _counting(monkeypatch, stages, "Database")
     outcomes = _race(
         lambda _i: session.execute(ADHOC_QUERIES[0], configuration="join-graph")
     )
@@ -405,9 +405,9 @@ def test_registration_racing_a_lazy_build_never_leaks_newer_rows(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(DocumentEncoding, "rows", rows_after_a_registration)
-        assert len(processor.database.table("doc")) == captured
+        assert len(processor.database.table) == captured
         # The database hosts the snapshot's doc table: one read of the rows.
-        assert processor.database.table("doc") is processor.doc_table
+        assert processor.database.table is processor.doc_table
     assert len(landed) == 1 and len(session.store.encoding) > captured
 
     # And under real threads: writers keep registering while readers force
@@ -428,7 +428,7 @@ def test_registration_racing_a_lazy_build_never_leaks_newer_rows(monkeypatch):
                 context = session.processor.context
                 rows_captured = context.snapshot.row_count
                 assert len(context.doc_table) == rows_captured
-                assert len(context.database.table("doc")) == rows_captured
+                assert len(context.database.table) == rows_captured
                 assert context.database.index("doc_pk_pre").entry_count == rows_captured
 
         _race(check)

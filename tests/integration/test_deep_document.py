@@ -5,7 +5,8 @@ parse, encode, register and be queried on every engine without Python
 recursion getting in the way (the parser, the encoder, the serializer and
 ``XMLNode.iter_descendants`` all walk explicit stacks).  A query nested
 deeper than the XQuery parser's ``MAX_NESTING`` is a classified syntax
-error, and one nested exactly that deep still answers.
+error, one nested exactly that deep still answers, and so do 64 nested
+``for`` clauses (join-graph extraction walks an explicit stack too).
 """
 
 import sys
@@ -13,7 +14,7 @@ import sys
 import pytest
 
 from repro.core.session import Session
-from repro.errors import XQuerySyntaxError
+from repro.errors import BackendExecutionError, XQuerySyntaxError
 from repro.purexml.engine import PureXMLEngine
 from repro.purexml.storage import XMLColumnStore
 from repro.xmldb.encoding import encode_document
@@ -89,3 +90,31 @@ def test_the_deepest_allowed_nesting_answers(small_session, engine):
     assert len(expected) == 2
     deepest = small_session.execute(_parenthesised(MAX_NESTING - 1), configuration=engine)
     assert deepest.items == expected
+
+
+NESTED_FORS = 64
+
+
+def _nested_fors(depth: int) -> str:
+    """``depth`` nested FLWORs, each binding ``doc("one.xml")//b``."""
+    fors = "".join(f'for $v{i} in doc("one.xml")//b return ' for i in range(depth))
+    return fors + f"$v{depth - 1}"
+
+
+@pytest.fixture(scope="module")
+def one_b_session():
+    session = Session()
+    # One b: over two, the result would have 2 ** NESTED_FORS rows.
+    session.register("one.xml", "<a><b>1</b></a>")
+    return session
+
+
+@pytest.mark.parametrize("engine", ["stacked", "isolated", "join-graph"])
+def test_sixty_four_nested_fors_answer(one_b_session, engine):
+    # Compilation always extracts the join graph, on every engine.
+    assert one_b_session.execute(_nested_fors(NESTED_FORS), configuration=engine).items == [2]
+
+
+def test_sixty_four_nested_fors_are_too_many_tables_for_sqlite(one_b_session):
+    with pytest.raises(BackendExecutionError, match="at most 64 tables"):
+        one_b_session.execute(_nested_fors(NESTED_FORS), configuration="sql")

@@ -1,10 +1,12 @@
 """Tests for the index advisor (Table VI)."""
 
+from repro.algebra.table import Table
 from repro.core.joingraph import extract_join_graph
 from repro.core.rewriter import isolate
 from repro.relational.advisor import IndexAdvisor, TABLE_VI_INDEXES, create_table_vi_indexes
 from repro.relational.btree import PRE_PLUS_SIZE
-from repro.relational.catalog import Database, database_from_encoding
+from repro.relational.catalog import Database
+from repro.xmldb.encoding import DOC_COLUMNS
 from repro.xquery.compiler import compile_query
 
 
@@ -37,7 +39,7 @@ def test_advisor_proposes_name_prefixed_indexes():
 
 
 def test_advisor_apply_creates_usable_indexes(small_auction_encoding):
-    db = database_from_encoding(small_auction_encoding, with_default_indexes=False)
+    db = Database(Table(DOC_COLUMNS, small_auction_encoding.rows()), False)
     advisor = IndexAdvisor()
     advisor.advise([_graph('doc("auction.xml")/descendant::open_auction[bidder]')])
     created = advisor.apply(db)
@@ -49,7 +51,7 @@ def test_advisor_apply_creates_usable_indexes(small_auction_encoding):
 
 
 def test_create_table_vi_indexes_idempotent(small_auction_encoding):
-    db = database_from_encoding(small_auction_encoding, with_default_indexes=False)
+    db = Database(Table(DOC_COLUMNS, small_auction_encoding.rows()), False)
     first = create_table_vi_indexes(db)
     second = create_table_vi_indexes(db)
     assert first and not second

@@ -93,7 +93,7 @@ def _rows(rows, tables):
 def test_batched_ixscan_matches_the_row_reference(table, data):
     bounds = data.draw(_bounds(outer=False))
     residual = _residual(data.draw(st.booleans()), outer=False)
-    index = BTreeIndex.build("idx", "t", table, KEY)
+    index = BTreeIndex.build("idx", table, KEY)
     ctx = ExecutionContext()
     rows = IndexScan(index, table, "i", bounds, residual).run(ctx)
     expected, scanned, probes = probe_rows(table, KEY, "i", bounds, residual)
@@ -110,7 +110,7 @@ def test_batched_nljoin_matches_the_row_reference(table, data):
     outer = table if data.draw(st.booleans()) else data.draw(_tables())
     bounds = data.draw(_bounds(outer=True))
     residual = _residual(data.draw(st.booleans()), outer=True)
-    index = BTreeIndex.build("idx", "t", table, KEY)
+    index = BTreeIndex.build("idx", table, KEY)
     ctx = ExecutionContext()
     join = IndexNestedLoopJoin(TableScan(outer, "o"), index, table, "i", bounds, residual)
     rows = join.run(ctx)
@@ -126,7 +126,7 @@ TEN = Table(("pre",), [(pre,) for pre in range(10)])
 
 
 def _scan(*bounds):
-    index = BTreeIndex.build("pre", "t", TEN, ("pre",))
+    index = BTreeIndex.build("pre", TEN, ("pre",))
     ctx = ExecutionContext()
     rows = IndexScan(index, TEN, "i", list(bounds)).run(ctx)
     return rows.positions["i"].tolist(), ctx.rows_scanned
@@ -162,7 +162,7 @@ def test_a_runaway_nljoin_times_out_between_blocks():
     # Every outer row matches every inner row: 4 million pairs, expanded by
     # columnar.join_runs in blocks of JOIN_BLOCK_PAIRS, one deadline check each.
     table = Table(("k", "v"), [(1, v) for v in range(2000)])
-    index = BTreeIndex.build("k", "t", table, ("k", "v"))
+    index = BTreeIndex.build("k", table, ("k", "v"))
     join = IndexNestedLoopJoin(
         TableScan(table, "o"), index, table, "i", [IndexBound("k", "eq", ColumnTerm("o", "k"))]
     )

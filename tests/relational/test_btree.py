@@ -108,7 +108,7 @@ def test_composite_prefix_scan_matches_filter(keys, low, high, low_inclusive, hi
 
 def test_btree_index_build_and_lookup(small_auction_doc_table):
     index = BTreeIndex.build(
-        "idx", "doc", small_auction_doc_table, ("name", "kind", "pre"), include_columns=("level",)
+        "idx", small_auction_doc_table, ("name", "kind", "pre"), include_columns=("level",)
     )
     positions = list(index.lookup(("bidder", "ELEM")))
     names = [small_auction_doc_table.rows[p][small_auction_doc_table.column_index("name")] for p in positions]
@@ -117,13 +117,13 @@ def test_btree_index_build_and_lookup(small_auction_doc_table):
 
 
 def test_btree_index_computed_pre_plus_size(small_auction_doc_table):
-    index = BTreeIndex.build("idx_s", "doc", small_auction_doc_table, (PRE_PLUS_SIZE,))
+    index = BTreeIndex.build("idx_s", small_auction_doc_table, (PRE_PLUS_SIZE,))
     keys = [key[0] for key, _ in index.scan()]
     assert keys == sorted(keys)
 
 
 def test_prefix_selectivity_monotone(small_auction_doc_table):
-    index = BTreeIndex.build("idx2", "doc", small_auction_doc_table, ("kind", "name", "pre"))
+    index = BTreeIndex.build("idx2", small_auction_doc_table, ("kind", "name", "pre"))
     s1 = index.selectivity_of_prefix(1)
     s2 = index.selectivity_of_prefix(2)
     s3 = index.selectivity_of_prefix(3)

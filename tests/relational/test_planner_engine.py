@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.algebra.table import Table
 from repro.core.rewriter import isolate
 from repro.core.joingraph import extract_join_graph
-from repro.relational.catalog import database_from_encoding
+from repro.relational.catalog import Database
 from repro.relational.engine import RelationalEngine
 from repro.relational.physical.operators import IndexScan, IndexNestedLoopJoin, TableScan
+from repro.xmldb.encoding import DOC_COLUMNS
 from repro.xquery.compiler import compile_query
 
 
@@ -17,7 +19,7 @@ def _graph(query):
 
 @pytest.fixture(scope="module")
 def engine(small_auction_encoding):
-    return RelationalEngine(database_from_encoding(small_auction_encoding))
+    return RelationalEngine(Database(Table(DOC_COLUMNS, small_auction_encoding.rows())))
 
 
 def test_q1_plan_uses_index_nested_loops(engine):
@@ -41,7 +43,7 @@ def test_value_predicate_starts_the_plan_when_statistics_favour_it(xmark_encodin
     # above every generated price makes the data-filtered alias the cheapest
     # access, so the plan starts there (data-keyed index, lower bound) and
     # resolves the alias's XPath context afterwards — the step is reversed.
-    engine = RelationalEngine(database_from_encoding(xmark_encoding))
+    engine = RelationalEngine(Database(Table(DOC_COLUMNS, xmark_encoding.rows())))
     graph = _graph('doc("auction.xml")//closed_auction[price > 5000]/child::itemref')
     [value_alias] = [
         alias
@@ -77,7 +79,7 @@ def test_distinct_eliminates_duplicates(engine):
 
 
 def test_without_indexes_falls_back_to_table_scan(engine, small_auction_encoding):
-    db = database_from_encoding(small_auction_encoding, with_default_indexes=False)
+    db = Database(Table(DOC_COLUMNS, small_auction_encoding.rows()), False)
     db.drop_index("doc_pk_pre")
     bare_engine = RelationalEngine(db)
     graph = _graph('doc("auction.xml")/descendant::open_auction')

@@ -84,8 +84,8 @@ def test_a_new_snapshot_plans_again_on_its_own_tables_and_trees(xmark_document, 
     assert prepared.run(engine="join-graph").items == expected
     assert len(plan_calls) == planned + 1  # the new snapshot's engine planned for itself
     [program] = new._programs.values()
-    table = new.database.table("doc")
-    assert len(table) > len(old.database.table("doc"))
+    table = new.database.table
+    assert len(table) > len(old.database.table)
     for operator in _operators(program.planned.root):
         assert getattr(operator, "table", table) is table
         if hasattr(operator, "index"):

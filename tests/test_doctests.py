@@ -18,6 +18,7 @@ import repro.core.sqlgen
 import repro.core.stages
 import repro.purexml.engine
 import repro.relational.btree
+import repro.relational.catalog
 import repro.relational.engine
 import repro.relational.optimizer.planner
 import repro.relational.physical.operators
@@ -35,6 +36,7 @@ FACADE_MODULES = [
     repro.core.stages,
     repro.relational.engine,
     repro.relational.btree,
+    repro.relational.catalog,
     repro.relational.optimizer.planner,
     repro.relational.physical.operators,
     repro.purexml.engine,
