@@ -172,7 +172,7 @@ class Session:
         #: The session-owned SQLite mirror of the catalog.  Handed to every
         #: new processor, so registration only ever *appends* to it
         #: (incremental sync) and ``configuration="sql"`` keeps its loaded
-        #: database and statistics across catalog growth — exactly like the
+        #: database across catalog growth — exactly like the
         #: plan cache keeps compiled plans.  Pass a file-backed
         #: :class:`~repro.sqlbackend.backend.SQLiteBackend` to persist the
         #: mirror on disk.

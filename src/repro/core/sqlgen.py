@@ -18,7 +18,7 @@ Two renderings are provided:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.algebra.dag import iter_nodes
 from repro.algebra.operators import (
@@ -152,18 +152,53 @@ def _render_block(
     distinct = "DISTINCT " if block.distinct else ""
     lines = [f"SELECT {distinct}" + ",\n       ".join(items)]
     aliases = block.aliases
+    conditions = block.conditions
     if join_order is not None:
         aliases = [alias for alias in join_order if alias in block.aliases]
-    sources = [f"{DOC_TABLE} AS {alias}" for alias in aliases] + list(tables)
+        position = {alias: index for index, alias in enumerate(aliases)}
+        conditions = [_probe_level(condition, position) for condition in conditions]
+    sources = [f"{DOC_TABLE} AS {alias}" for alias in aliases]
+    if join_order is not None and sources:
+        sources = ["\n     CROSS JOIN ".join(sources)]
+    # A derived table joins by comma, after the pinned chain: SQLite is then
+    # free to scan it once as the outer loop and probe ``doc`` by rowid.
+    sources += tables
     if sources:
-        joiner = "\n     CROSS JOIN " if join_order is not None else ",\n     "
-        lines.append("FROM " + joiner.join(sources))
-    where = [sql_comparison(condition) for condition in block.conditions] + list(filters)
+        lines.append("FROM " + ",\n     ".join(sources))
+    where = [sql_comparison(condition) for condition in conditions] + list(filters)
     if where:
         lines.append("WHERE " + "\n  AND ".join(where))
     if ordered and block.order_terms:
         lines.append("ORDER BY " + ", ".join(map(sql_term, block.order_terms)))
     return "\n".join(lines)
+
+
+def _probe_level(condition: Comparison, position: Mapping[str, int]) -> Comparison:
+    """``a.level + k = b.level`` as ``a.level = b.level + -k`` when ``a`` joins after ``b``.
+
+    The later alias is the one probed, and SQLite seeks an index only on a
+    bare column: so oriented, ``doc_idx_nklp`` serves an ancestor step's
+    ``level`` too.  An alias ``position`` lacks is a correlated outer one,
+    bound before the block's own.
+
+    >>> up = Comparison(Sum(ColumnTerm("d4", "level"), Literal(2)), "=", ColumnTerm("d12", "level"))
+    >>> sql_comparison(_probe_level(up, {"d12": 0, "d4": 1}))
+    'd4.level = d12.level + -2'
+    >>> sql_comparison(_probe_level(up, {"d4": 0, "d12": 1}))
+    'd4.level + 2 = d12.level'
+    """
+    left, right = condition.left, condition.right
+    if condition.op == "=" and isinstance(left, Sum) and isinstance(right, ColumnTerm):
+        if len(left.terms) == 2 and right.column == "level":
+            column, offset = left.terms
+            if (
+                isinstance(column, ColumnTerm)
+                and column.column == "level"
+                and isinstance(offset, Literal)
+                and position.get(column.alias, -1) > position.get(right.alias, -1)
+            ):
+                return Comparison(column, "=", Sum(right, Literal(-offset.value)))
+    return condition
 
 
 def _render_aggregate(graph: JoinGraph, join_order: Optional[Sequence[str]]) -> str:

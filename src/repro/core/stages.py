@@ -545,6 +545,13 @@ def sql_backend_sql(compilation: CompilationResult, context: ExecutionContext) -
     root-to-result (document descent) order so the text can be rendered
     once and re-bound forever.
 
+    SQLite itself plans without statistics: the mirror runs no ``ANALYZE``,
+    since with ``sqlite_stat1`` it builds a Bloom filter, one full scan of
+    ``doc``, per execution for the pinned descents.  The rendering gives it
+    what statistics were buying instead: window tables join by comma, so
+    SQLite scans each once as the outer loop, and an upward ``level`` step
+    is oriented so the probed alias's ``level`` is an index column.
+
     The memo is keyed on the catalog the order was planned against: a
     CompilationResult lives in a PlanCache shared across processor
     refreshes (catalog growth), and CROSS JOIN is a hard ordering
@@ -605,6 +612,9 @@ def _on_sqlite(sql: Callable[..., str], decode: Callable[..., list]) -> Callable
     """``run`` on the SQLite mirror: the text ``sql`` returns, ``decode``d into items.
 
     ``rows_scanned`` is 0: the stdlib SQLite driver exposes no scan counters.
+    The details are the :class:`~repro.sqlbackend.backend.SQLStatement`, not
+    the rows, and a node item is the encoding's own ``pre`` object rather
+    than the driver's fresh int: an outcome holds its answer once.
     """
 
     def run(compilation, context, values, timeout_seconds, timings) -> EngineResult:
@@ -619,7 +629,10 @@ def _on_sqlite(sql: Callable[..., str], decode: Callable[..., list]) -> Callable
                 result.columns, result.rows,
                 distinct=not compilation.value_result, column_data=result.column_data,
             )
-        return items, 0, result
+            if not compilation.value_result:
+                records = context.encoding.records
+                items = [records[pre][0] for pre in items]
+        return items, 0, result.statement()
 
     return run
 

@@ -23,7 +23,7 @@ wire this in as the fourth engine configuration next to
 stacked, isolated, and the in-tree relational back-end (``join-graph``).
 """
 
-from repro.sqlbackend.backend import SQLiteBackend, SQLResult
+from repro.sqlbackend.backend import SQLiteBackend, SQLResult, SQLStatement
 from repro.sqlbackend.decode import ordered_items, sequence_items
 from repro.sqlbackend.schema import (
     ACCESS_PATH_INDEXES,
@@ -35,6 +35,7 @@ from repro.sqlbackend.schema import (
 __all__ = [
     "SQLiteBackend",
     "SQLResult",
+    "SQLStatement",
     "ACCESS_PATH_INDEXES",
     "bootstrap_schema",
     "create_access_path_indexes",

@@ -185,6 +185,28 @@ class SQLResult:
     def row_count(self) -> int:
         return len(self.rows)
 
+    def statement(self) -> "SQLStatement":
+        """This execution without its rows (see :class:`SQLStatement`)."""
+        return SQLStatement(
+            self.sql, self.columns, self.elapsed_seconds, self.bindings, self.row_count
+        )
+
+
+@dataclass(frozen=True)
+class SQLStatement:
+    """What an execution outcome keeps of one SQL run: the statement, not its rows.
+
+    The outcome's items already hold the answer; the rows and their
+    column-major copy would be two more copies kept for as long as the
+    outcome is, and a serving loop keeps many.
+    """
+
+    sql: str
+    columns: tuple[str, ...]
+    elapsed_seconds: float
+    bindings: dict[str, object]
+    row_count: int
+
 
 #: The first SQLite release whose ``memdb`` VFS shares one database
 #: between the connections of a process.
@@ -473,13 +495,6 @@ class SQLiteBackend:
                     pass
                 raise classify_driver_error(error) from error
             self.loaded_rows = total
-            # Refresh planner statistics so access-path choices see the new
-            # data.  ANALYZE writes, so on memdb it waits for in-flight reads.
-            try:
-                self.connection.execute("PRAGMA analysis_limit = 1000")
-                self.connection.execute("ANALYZE")
-            except sqlite3.DatabaseError as error:
-                raise classify_driver_error(error) from error
             return len(fresh)
 
     def _verify_mirrored_prefix(self, encoding: DocumentEncoding) -> None:
@@ -716,8 +731,6 @@ class SQLiteBackend:
                 bootstrap_schema(fresh)
                 fresh.executemany(INSERT_STATEMENT, map(tuple, encoding.records[:total]))
                 fresh.commit()
-                fresh.execute("PRAGMA analysis_limit = 1000")
-                fresh.execute("ANALYZE")
             except BaseException:
                 fresh.close()
                 raise

@@ -12,8 +12,10 @@ table on pre" recommendation comes for free.
 in-tree relational back-end installs (see
 :data:`repro.relational.advisor.TABLE_VI_INDEXES`), translated to SQLite:
 
-* ``(name, kind, level, pre)`` — the paper's ``(name, level, pre)`` shape:
-  named child/descendant steps become one index range scan;
+* ``(name, kind, level, pre, size)`` — the paper's ``(name, level, pre)``
+  shape: named child/descendant steps become one index range scan, and an
+  ancestor probe (``b.pre <= a.pre + a.size`` on the probed ``a``) checks
+  its range on the index alone, never reading the ``doc`` row;
 * ``(value, name, kind, pre)`` / ``(name, kind, data, pre)`` — string and
   numeric value predicates (``data`` is the ``xs:decimal`` cast column);
 * ``(kind, level, pre)`` — steps without a name test (``text()``,
@@ -47,7 +49,7 @@ DOC_COLUMN_TYPES: tuple[tuple[str, str], ...] = (
 
 #: ``(index name suffix, key column expressions)`` — the access-path set.
 ACCESS_PATH_INDEXES: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("nklp", ("name", "kind", "level", "pre")),
+    ("nklp", ("name", "kind", "level", "pre", "size")),
     ("vnkp", ("value", "name", "kind", "pre")),
     ("nkdp", ("name", "kind", "data", "pre")),
     ("klp", ("kind", "level", "pre")),
@@ -87,11 +89,18 @@ def create_access_path_indexes(connection: sqlite3.Connection) -> list[str]:
 
 
 def bootstrap_schema(connection: sqlite3.Connection) -> list[str]:
-    """Apply pragmas, create the table and the index set."""
+    """Apply pragmas, create the table and the index set.
+
+    The mirror plans without statistics: a file an earlier build wrote
+    with ``ANALYZE`` loses its ``sqlite_stat1`` here, or SQLite would build
+    a Bloom filter, one full scan of ``doc``, on every execution of every
+    pinned descent whose estimated probes exceed the table's rows.
+    """
     for pragma in PRAGMAS:
         connection.execute(pragma)
     create_doc_table(connection)
     indexes = create_access_path_indexes(connection)
+    connection.execute("DROP TABLE IF EXISTS sqlite_stat1")
     connection.commit()
     return indexes
 

@@ -106,7 +106,7 @@ def generated_artifacts():
 PINNED = {
     "xmark": {
         "sql": "2ef061f43d0681b740a1e973f13aefaedb591022754c2845aa0cf4085d0877a4",
-        "sql_backend": "7bbe4eff306425f1c721c85e6c2c5251aac946b4b79052bc9b5c0b1dbe273b12",
+        "sql_backend": "dd28c0c93c9182c0ad91e6714808aae0f52a3cd59cc0611139ffa21308651d40",
         "stacked_sql": "c4175d27b1472dc66d4799d44d39c80d8188e551e6c8d1940fb76f0fea4827b9",
         "explain": "a37b7962f4c671490246e6cbf2f7d2e7c82e107e28b22642c075db53195ebe76",
         "join_order": "b80e72dc5c814ae4fc006f25802b646eb701379d05c5224882fccdd41d605edc",
@@ -114,7 +114,7 @@ PINNED = {
     },
     "generated": {
         "sql": "5988ee284be3ffaff8bfe1e384881d984bd5e9360fbb985e7c2571414775b585",
-        "sql_backend": "383b4a5f783128e740e7eebefbd0d7c53284bfefdc9115b8b7650a07db2d9b7a",
+        "sql_backend": "ac5f439f36c6df0b0b1e7243a0f533754149b15d646bdba14f65f714cc9441a5",
         "stacked_sql": "ff8bc5d4dc754dd8334dfe5a9700eb128170ef01e877016e75061c46de4325f7",
         "explain": "cfb4cd5fb47badbc1fcc9a3577ded951834e78f81ae5e963a0980d1c477d311b",
         "join_order": "63ae59848b1d9730ed86fde3a06688c9c199af14e851abdaa0953395813b09fb",
