@@ -270,9 +270,32 @@ def generate_stacked_sql(plan: Operator) -> str:
     return f"WITH {body}\nSELECT * FROM {final}"
 
 
+_DOC_SCAN = f"SELECT * FROM {DOC_TABLE}"
+
+#: The row count SQLite assumes for a table it holds no statistics for.
+SQLITE_UNANALYZED_ROWS = 1 << 20
+
+
+def sized_stacked_sql(stacked_sql: str, rows: int) -> str:
+    """``stacked_sql`` with its ``doc`` scan sized at ``rows`` for SQLite's planner.
+
+    The mirror holds no statistics, so SQLite plans ``doc`` at
+    :data:`SQLITE_UNANALYZED_ROWS` rows, and every CTE of the chain inherits
+    that size from the scan: at XMark scale 0.5 Q1 then probes its text
+    nodes before the culling window, 7x slower.  An always-true
+    ``likelihood`` filter states the real count; the answer is unchanged.
+
+    >>> sized_stacked_sql("WITH t0 AS (SELECT * FROM doc)\\nSELECT * FROM t0", 1 << 18)
+    'WITH t0 AS (SELECT * FROM doc WHERE likelihood(size >= 0, 0.25))\\nSELECT * FROM t0'
+    """
+    share = min(1.0, rows / SQLITE_UNANALYZED_ROWS)
+    sized = f"{_DOC_SCAN} WHERE likelihood(size >= 0, {share!r})"
+    return stacked_sql.replace(f"({_DOC_SCAN})", f"({sized})")
+
+
 def _render_operator(node: Operator, name_of) -> str:
     if isinstance(node, DocTable):
-        return f"SELECT * FROM {DOC_TABLE}"
+        return _DOC_SCAN
     if isinstance(node, LiteralTable):
         if not node.rows:
             selects = ", ".join(f"NULL AS {column}" for column in node.columns)

@@ -42,7 +42,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import JoinGraphError, PlanningError
 from repro.lazy import Lazy, build_seconds
@@ -51,7 +51,7 @@ from repro.algebra.operators import Serialize
 from repro.algebra.table import Table
 from repro.core.joingraph import JoinGraph, extract_join_graph
 from repro.core.rewriter import IsolationReport, JoinGraphIsolation, isolate
-from repro.core.sqlgen import generate_stacked_sql, render_join_graph
+from repro.core.sqlgen import generate_stacked_sql, render_join_graph, sized_stacked_sql
 from repro.relational.catalog import Database
 from repro.relational.engine import RelationalEngine
 from repro.sqlbackend.backend import SQLiteBackend, check_join_width
@@ -630,11 +630,25 @@ def _on_sqlite(sql: Callable[..., str], decode: Callable[..., list]) -> Callable
                 distinct=not compilation.value_result, column_data=result.column_data,
             )
             if not compilation.value_result:
-                records = context.encoding.records
-                items = [records[pre][0] for pre in items]
+                items = _own_pres(items, context.encoding.records)
         return items, 0, result.statement()
 
     return run
+
+
+def _own_pres(items: list, records: Sequence) -> list:
+    """``items`` with each ``pre`` rank swapped for the encoding's own object.
+
+    ``records[i][0] == i``, so the swap keeps every value.  ``value_result``
+    reads the syntax only, and a ``let``-bound aggregate returned through
+    its variable counts as a node result: a float, a NULL or an int outside
+    the ranks passes through unchanged.
+    """
+    count = len(records)
+    return [
+        records[item][0] if type(item) is int and 0 <= item < count else item
+        for item in items
+    ]
 
 
 def _join_graph_sql(compilation, context, timings) -> str:
@@ -646,8 +660,12 @@ def _join_graph_sql(compilation, context, timings) -> str:
 
 
 def _stacked_sql(compilation, context, timings) -> str:
-    """Stacked WITH-chain on the RDBMS: what Pathfinder ships unrewritten."""
-    return compilation.stacked_sql
+    """Stacked WITH-chain on the RDBMS: what Pathfinder ships unrewritten.
+
+    Its ``doc`` scan states the document's row count, which the mirror's
+    missing statistics would otherwise leave SQLite to guess.
+    """
+    return sized_stacked_sql(compilation.stacked_sql, len(context.encoding.records))
 
 
 #: The engine table, oracle first; the processor, the serving layer's

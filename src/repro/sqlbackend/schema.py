@@ -76,11 +76,18 @@ def create_doc_table(connection: sqlite3.Connection) -> None:
 
 
 def create_access_path_indexes(connection: sqlite3.Connection) -> list[str]:
-    """Create :data:`ACCESS_PATH_INDEXES` (idempotent); returns index names."""
+    """Create :data:`ACCESS_PATH_INDEXES` (idempotent); returns index names.
+
+    An index of the same name with other key columns (a file an earlier
+    build wrote) is dropped and rebuilt with the declared ones.
+    """
     created = []
     for suffix, key_columns in ACCESS_PATH_INDEXES:
         index_name = f"{DOC_TABLE}_idx_{suffix}"
         keys = ", ".join(key_columns)
+        existing = [row[2] for row in connection.execute(f"PRAGMA index_info({index_name})")]
+        if existing and existing != list(key_columns):
+            connection.execute(f"DROP INDEX {index_name}")
         connection.execute(
             f"CREATE INDEX IF NOT EXISTS {index_name} ON {DOC_TABLE} ({keys})"
         )
@@ -94,7 +101,8 @@ def bootstrap_schema(connection: sqlite3.Connection) -> list[str]:
     The mirror plans without statistics: a file an earlier build wrote
     with ``ANALYZE`` loses its ``sqlite_stat1`` here, or SQLite would build
     a Bloom filter, one full scan of ``doc``, on every execution of every
-    pinned descent whose estimated probes exceed the table's rows.
+    pinned descent whose estimated probes exceed the table's rows.  Such a
+    file's indexes are brought to the declared key columns too.
     """
     for pragma in PRAGMAS:
         connection.execute(pragma)
