@@ -55,7 +55,7 @@ from repro.core.sqlgen import generate_stacked_sql, render_join_graph, sized_sta
 from repro.relational.catalog import Database
 from repro.relational.engine import RelationalEngine
 from repro.sqlbackend.backend import SQLiteBackend, check_join_width
-from repro.sqlbackend.decode import first_occurrence_items, ordered_items, sequence_items
+from repro.sqlbackend.decode import sequence_items
 from repro.xmldb.encoding import DOC_COLUMNS, DocumentEncoding
 from repro.xquery.ast import (
     Aggregate,
@@ -67,6 +67,7 @@ from repro.xquery.ast import (
     NumberLiteral,
     QueryModule,
     StringLiteral,
+    VarRef,
     check_bindings,
     render,
 )
@@ -436,17 +437,33 @@ class CompilationPipeline:
         """Whether the return position of ``core`` yields values, not nodes.
 
         Walks the FLWOR spine (``for``/``let`` bodies, conditional then
-        branches) to the expression that produces the result items.  An
-        aggregate or literal there makes the item column a per-iteration
+        branches) to the expression that produces the result items, and
+        from a variable on to the expression the spine bound it to
+        (``LetExpr.value``, ``ForExpr.sequence``), innermost binding first.
+        An aggregate or literal there makes the item column a per-iteration
         *value* — the decode step must keep duplicates.  Everything else
-        (paths, variables, position filters) yields nodes, which follow the
-        deduplicating set discipline.
+        (paths, node variables, position filters) yields nodes, which follow
+        the deduplicating set discipline.
         """
+        scope: list[tuple[str, Expression]] = []
         while True:
-            if isinstance(core, (ForExpr, LetExpr)):
+            if isinstance(core, ForExpr):
+                scope.append((core.var, core.sequence))
+                core = core.body
+            elif isinstance(core, LetExpr):
+                scope.append((core.var, core.value))
                 core = core.body
             elif isinstance(core, IfExpr):
                 core = core.then_branch
+            elif isinstance(core, VarRef):
+                depth = next(
+                    (i for i in reversed(range(len(scope))) if scope[i][0] == core.name), None
+                )
+                if depth is None:
+                    return False
+                # The bound expression sees only the bindings outside its own.
+                core = scope[depth][1]
+                del scope[depth:]
             else:
                 return isinstance(core, (Aggregate, NumberLiteral, StringLiteral))
 
@@ -591,7 +608,7 @@ def _interpret(plan: str) -> Callable[..., EngineResult]:
             )
             table = interpreter.evaluate(getattr(compilation, plan))
         with _timed(timings, "decode"):
-            items = sequence_items(table.columns, table.rows, distinct=not compilation.value_result)
+            items = _decode(compilation, table.columns, table.column_values)
         return items, interpreter.rows_materialised, None
 
     return run
@@ -604,17 +621,26 @@ def _execute_join_graph(compilation, context, values, timeout_seconds, timings) 
             compilation.join_graph, timeout_seconds=timeout_seconds, bindings=values or None
         )
     with _timed(timings, "decode"):
-        items = first_occurrence_items(result.items(), distinct=not compilation.value_result)
+        items = sequence_items(result.items(), distinct=not compilation.value_result)
     return items, result.rows_scanned, result
 
 
-def _on_sqlite(sql: Callable[..., str], decode: Callable[..., list]) -> Callable[..., EngineResult]:
-    """``run`` on the SQLite mirror: the text ``sql`` returns, ``decode``d into items.
+def _decode(compilation, columns: Sequence[str], column: Callable[[str], list]) -> list:
+    """The item sequence of a result with ``columns``, read by ``column(name)``."""
+    positions = column("pos") if "pos" in columns else None
+    return sequence_items(column("item"), positions, distinct=not compilation.value_result)
 
-    ``rows_scanned`` is 0: the stdlib SQLite driver exposes no scan counters.
-    The details are the :class:`~repro.sqlbackend.backend.SQLStatement`, not
-    the rows, and a node item is the encoding's own ``pre`` object rather
-    than the driver's fresh int: an outcome holds its answer once.
+
+def _on_sqlite(sql: Callable[..., str]) -> Callable[..., EngineResult]:
+    """``run`` on the SQLite mirror: the text ``sql`` returns, decoded into items.
+
+    The result's ``item`` column, and its ``pos`` column where the stacked
+    chain keeps one, go to :func:`~repro.sqlbackend.decode.sequence_items`,
+    the decoder every engine shares.  ``rows_scanned`` is 0: the stdlib
+    SQLite driver exposes no scan counters.  The details are the
+    :class:`~repro.sqlbackend.backend.SQLStatement`, not the result, and a
+    node item is the encoding's own ``pre`` object rather than the driver's
+    fresh int: an outcome holds its answer once.
     """
 
     def run(compilation, context, values, timeout_seconds, timings) -> EngineResult:
@@ -625,10 +651,7 @@ def _on_sqlite(sql: Callable[..., str], decode: Callable[..., list]) -> Callable
         with _timed(timings, "execute"):
             result = backend.execute(text, bindings=values or None, timeout_seconds=timeout_seconds)
         with _timed(timings, "decode"):
-            items = decode(
-                result.columns, result.rows,
-                distinct=not compilation.value_result, column_data=result.column_data,
-            )
+            items = _decode(compilation, result.columns, result.column)
             if not compilation.value_result:
                 items = _own_pres(items, context.encoding.records)
         return items, 0, result.statement()
@@ -640,9 +663,9 @@ def _own_pres(items: list, records: Sequence) -> list:
     """``items`` with each ``pre`` rank swapped for the encoding's own object.
 
     ``records[i][0] == i``, so the swap keeps every value.  ``value_result``
-    reads the syntax only, and a ``let``-bound aggregate returned through
-    its variable counts as a node result: a float, a NULL or an int outside
-    the ranks passes through unchanged.
+    reads the return position's syntax only, so a node result may still
+    carry a value: a float, a string or an int outside the ranks passes
+    through unchanged.
     """
     count = len(records)
     return [
@@ -676,10 +699,10 @@ ENGINES: tuple[Engine, ...] = (
     Engine("isolated", _interpret("isolated_plan")),
     Engine("join-graph", _execute_join_graph, needs_join_graph=True, fallback=("stacked",)),
     Engine(
-        "sql", _on_sqlite(_join_graph_sql, ordered_items),
+        "sql", _on_sqlite(_join_graph_sql),
         needs_join_graph=True, fallback=("join-graph", "stacked"),
     ),
-    Engine("sql-stacked", _on_sqlite(_stacked_sql, sequence_items), fallback=("stacked",)),
+    Engine("sql-stacked", _on_sqlite(_stacked_sql), fallback=("stacked",)),
 )
 
 _ENGINE_BY_NAME = {engine.name: engine for engine in ENGINES}

@@ -15,8 +15,9 @@ RDBMS that ships with CPython:
   incremental loading of a :class:`~repro.xmldb.encoding.DocumentEncoding`,
   execution of both the isolated SFW block and the stacked ``WITH``-chain
   with named-parameter binding (``:x``) and timeout budgets;
-* :mod:`repro.sqlbackend.decode` — reassembly of result rows into pre-rank
-  item sequences (the input of :mod:`repro.xmldb.serializer`).
+* :mod:`repro.sqlbackend.decode` — the decode step every engine shares:
+  an ``item`` (and ``pos``) column → the XQuery item sequence (the input
+  of :mod:`repro.xmldb.serializer`).
 
 ``XQueryProcessor.execute(..., configuration="sql")`` and ``Session``
 wire this in as the fourth engine configuration next to
@@ -24,7 +25,7 @@ stacked, isolated, and the in-tree relational back-end (``join-graph``).
 """
 
 from repro.sqlbackend.backend import SQLiteBackend, SQLResult, SQLStatement
-from repro.sqlbackend.decode import ordered_items, sequence_items
+from repro.sqlbackend.decode import sequence_items
 from repro.sqlbackend.schema import (
     ACCESS_PATH_INDEXES,
     bootstrap_schema,
@@ -40,6 +41,5 @@ __all__ = [
     "bootstrap_schema",
     "create_access_path_indexes",
     "create_doc_table",
-    "ordered_items",
     "sequence_items",
 ]

@@ -169,21 +169,30 @@ def classify_driver_error(error: BaseException) -> Exception:
 
 @dataclass
 class SQLResult:
-    """Rows produced by one SQL execution, plus the statement that ran."""
+    """One SQL execution's result, held once as column lists, plus the statement.
+
+    ``column_data`` has one list per column, filled while the cursor
+    drains; the decode step reads whole columns (:meth:`column`), and
+    ``rows`` rebuilds the driver's row tuples on demand.
+    """
 
     sql: str
     columns: tuple[str, ...]
-    rows: list[tuple]
+    column_data: list[list]
     elapsed_seconds: float
     bindings: dict[str, object] = field(default_factory=dict)
-    #: Column-major view of ``rows`` (one list per column), built while the
-    #: cursor drains so the decode step never re-transposes the result.
-    #: ``None`` only for hand-built results that skipped the backend.
-    column_data: Optional[list[list]] = None
+
+    def column(self, name: str) -> list:
+        """The values of column ``name``, in row order."""
+        return self.column_data[self.columns.index(name)]
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*self.column_data))
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self.column_data[0]) if self.column_data else 0
 
     def statement(self) -> "SQLStatement":
         """This execution without its rows (see :class:`SQLStatement`)."""
@@ -196,9 +205,9 @@ class SQLResult:
 class SQLStatement:
     """What an execution outcome keeps of one SQL run: the statement, not its rows.
 
-    The outcome's items already hold the answer; the rows and their
-    column-major copy would be two more copies kept for as long as the
-    outcome is, and a serving loop keeps many.
+    The outcome's items already hold the answer; the result's columns
+    would be a second copy kept for as long as the outcome is, and a
+    serving loop keeps many.
     """
 
     sql: str
@@ -596,22 +605,13 @@ class SQLiteBackend:
         try:
             _fire_fault("backend.execute")
             cursor = connection.execute(sql, values)
-            # Drain in fixed-size batches, transposing each batch as it
-            # arrives: the decode step consumes whole columns, and per-batch
-            # ``zip(*batch)`` builds them without a second full-result pass.
-            rows: list[tuple] = []
-            column_data: Optional[list[list]] = None
-            while True:
-                batch = cursor.fetchmany(_FETCH_BATCH)
-                if not batch:
-                    break
-                rows.extend(batch)
-                transposed = zip(*batch)
-                if column_data is None:
-                    column_data = [list(column) for column in transposed]
-                else:
-                    for accumulated, column in zip(column_data, transposed):
-                        accumulated.extend(column)
+            columns = tuple(entry[0] for entry in cursor.description or ())
+            # Drain in fixed-size batches, transposing each batch onto the
+            # column lists as it arrives: the result is held once, by column.
+            column_data: list[list] = [[] for _ in columns]
+            while batch := cursor.fetchmany(_FETCH_BATCH):
+                for accumulated, column in zip(column_data, zip(*batch)):
+                    accumulated.extend(column)
         except sqlite3.ProgrammingError as error:
             if self.pool.closed:
                 raise BackendClosedError(
@@ -637,16 +637,12 @@ class SQLiteBackend:
                     connection.set_progress_handler(None, 0)
                 except sqlite3.ProgrammingError:
                     pass  # closed concurrently; nothing left to disarm
-        columns = tuple(item[0] for item in cursor.description or ())
-        if column_data is None:
-            column_data = [[] for _ in columns]
         return SQLResult(
             sql=sql,
             columns=columns,
-            rows=rows,
+            column_data=column_data,
             elapsed_seconds=time.perf_counter() - started,
             bindings=values,
-            column_data=column_data,
         )
 
     def query_plan(

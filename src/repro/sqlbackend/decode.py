@@ -1,22 +1,12 @@
-"""Result reassembly: SQL result rows → pre-rank item sequences.
+"""The decode step: an engine's ``item`` column → the XQuery item sequence.
 
-Both SQL renderings deliver tables whose ``item`` column carries ``pre``
-ranks (ready for :mod:`repro.xmldb.serializer`); what differs is how much
-of the sequence semantics the SQL already enforced:
-
-* the isolated join-graph SFW block (Fig. 8/9) ships ``DISTINCT`` and
-  ``ORDER BY`` to the RDBMS — :func:`ordered_items` just projects the
-  ``item`` column in row order, mirroring what the in-tree relational
-  engine's SORT/RETURN tail produces;
-* the stacked ``WITH``-chain (and the algebra interpreter evaluating the
-  same plan) returns raw iteration tables with ``iter``/``pos``/``item``
-  bookkeeping — :func:`sequence_items` re-derives the XQuery sequence:
-  order by (``pos``, ``item``), then drop duplicate items keeping the
-  first occurrence.
-
-:func:`sequence_items` is *the* definition of that decode step —
-``XQueryProcessor`` delegates to it for every interpreted configuration,
-so the SQL backend and the interpreters cannot drift apart.
+Every configuration of Table IX ends with an ``item`` column of ``pre``
+ranks or values (ready for :mod:`repro.xmldb.serializer`), plus a ``pos``
+column where the plan keeps the compiler's sequence-position bookkeeping:
+the isolated SFW block (Fig. 8/9, which already ran ``DISTINCT`` and
+``ORDER BY``), the stacked ``WITH``-chain, both plan interpreters and the
+B-tree engine.  :func:`sequence_items` reads the sequence from those
+columns with one rule, so no two engines can decode differently.
 """
 
 from __future__ import annotations
@@ -43,100 +33,27 @@ def _sort_keys(values: list) -> list:
     return values
 
 
-def _column_values(
-    columns: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    column_data: Optional[Sequence[Sequence[object]]],
-    name: str,
-) -> list:
-    index = list(columns).index(name)
-    if column_data is not None:
-        return list(column_data[index])
-    return [row[index] for row in rows]
-
-
 def sequence_items(
-    columns: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    distinct: bool = True,
-    column_data: Optional[Sequence[Sequence[object]]] = None,
+    items: Sequence, positions: Optional[Sequence] = None, distinct: bool = True
 ) -> list:
-    """Decode a raw result table into the pre-rank item sequence.
+    """The item sequence of one result's ``item`` (and ``pos``) column.
 
-    Rows are ordered by (``pos``, ``item``) when a ``pos`` column is
-    present (the compiler's sequence-position bookkeeping), then duplicate
-    ``item`` values are dropped keeping first occurrences.
+    With ``positions``, items are ordered by (``pos``, ``item``, row
+    index); without, they keep row order.  ``NULL`` items are dropped: a
+    ``pre`` rank is never NULL, and an aggregate tail uses NULL for "this
+    iteration contributes no item" (``fn:avg`` over an empty sequence).
+    ``distinct`` keeps each item's first occurrence, the set discipline of
+    a node result.  A value result (an aggregate or literal returned per
+    iteration) passes ``distinct=False``: two iterations may produce the
+    same value.
 
-    ``distinct=False`` keeps duplicates: the item column of a *value*
-    result (an aggregate or literal in the FLWOR return clause) carries one
-    value per iteration, and two iterations may legitimately produce the
-    same value — dedup is only the node-sequence discipline.
-
-    The decode is column-wise: ``column_data`` (one sequence per column,
-    e.g. ``SQLResult.column_data``) is consumed directly when supplied,
-    otherwise the needed columns are extracted from ``rows`` in one pass.
-    Ordering happens on precomputed key columns (:func:`_sort_keys`) zipped
-    with the row position — no per-comparison key function, and the trailing
-    position breaks every tie before Python ever compares two item values.
+    >>> sequence_items([9, 4, 9, 4], positions=[2, 1, 3, 1])
+    [4, 9]
+    >>> sequence_items([1.0, 1.0, None, 2.0], distinct=False)
+    [1.0, 1.0, 2.0]
     """
-    item_values = _column_values(columns, rows, column_data, "item")
-    if "pos" in columns:
-        pos_values = _column_values(columns, rows, column_data, "pos")
-        order = sorted(
-            zip(_sort_keys(pos_values), _sort_keys(item_values), range(len(item_values)))
-        )
-        item_values = [item_values[entry[2]] for entry in order]
-    if not distinct:
-        return [value for value in item_values if value is not None]
-    seen: set[object] = set()
-    items: list = []
-    for value in item_values:
-        if value in seen:
-            continue
-        seen.add(value)
-        items.append(value)
-    return items
-
-
-def ordered_items(
-    columns: Sequence[str],
-    rows: Sequence[Sequence[object]],
-    distinct: bool = True,
-    column_data: Optional[Sequence[Sequence[object]]] = None,
-) -> list:
-    """Project the ``item`` column of an already ordered/distinct result.
-
-    The join-graph SFW block made the RDBMS enforce ``DISTINCT`` (over the
-    full select list) and ``ORDER BY``; the decode step projects the item
-    column in row order and keeps each item's *first* occurrence.  The
-    keep-first pass matters for FLWOR nests whose select list carries extra
-    ordering columns (value joins bind the same node under several outer
-    iterations): SQL's DISTINCT dedupes full rows, the XQuery sequence
-    dedupes items.  ``NULL`` items are dropped — a ``pre`` rank is never
-    NULL; aggregate tails use NULL for "this iteration contributes no item"
-    (``fn:avg`` over an empty sequence).
-    """
-    return first_occurrence_items(
-        _column_values(columns, rows, column_data, "item"), distinct=distinct
-    )
-
-
-def first_occurrence_items(values, distinct: bool = True) -> list:
-    """Keep the first occurrence of each non-NULL item, preserving order.
-
-    Shared by :func:`ordered_items` (the RDBMS path) and the interpreted
-    join-graph decode in :mod:`repro.core.stages`, so the two tails cannot
-    drift apart.  ``distinct=False`` keeps every non-NULL value in row
-    order — the discipline for *value* results, whose per-iteration
-    aggregate values may legitimately repeat.
-    """
-    if not distinct:
-        return [value for value in values if value is not None]
-    seen: set[object] = set()
-    items: list = []
-    for value in values:
-        if value is None or value in seen:
-            continue
-        seen.add(value)
-        items.append(value)
-    return items
+    if positions is not None:
+        order = sorted(zip(_sort_keys(positions), _sort_keys(items), range(len(items))))
+        items = [items[entry[2]] for entry in order]
+    kept = [item for item in items if item is not None]
+    return list(dict.fromkeys(kept)) if distinct else kept

@@ -15,7 +15,8 @@ from repro.errors import (
     TransientBackendError,
 )
 from repro.sqlbackend import ACCESS_PATH_INDEXES, SQLiteBackend
-from repro.sqlbackend.decode import ordered_items, sequence_items
+from repro.sqlbackend.backend import _FETCH_BATCH
+from repro.sqlbackend.decode import sequence_items
 from repro.xmldb.encoding import DocumentEncoding, encode_document
 from repro.xmldb.parser import parse_xml
 
@@ -192,6 +193,42 @@ def test_timeout_budget_aborts_execution():
     assert backend.execute("SELECT 1").rows == [(1,)]
 
 
+_PAST_A_BATCH = (
+    "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r WHERE i < "
+    f"{_FETCH_BATCH * 2 + 5}) SELECT i, 'v' || i FROM r"
+)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    ["SELECT 1 AS x WHERE 0", "CREATE TABLE drained (x)", _PAST_A_BATCH],
+    ids=["empty", "zero_columns", "past_a_batch"],
+)
+def test_result_rows_equal_the_drivers_rows(sql):
+    """The result is held once, by column; its rows still read as the driver's."""
+    backend = SQLiteBackend()
+    result = backend.execute(sql)
+    expected = sqlite3.connect(":memory:").execute(sql).fetchall()
+    assert result.rows == expected
+    assert result.row_count == len(expected)
+    assert len(result.column_data) == len(result.columns)
+    backend.close()
+
+
+def test_timeout_in_the_middle_of_a_drain():
+    """The statement yields its first row at once, so ``execute`` returns and
+    the budget runs out while the batches are fetched."""
+    backend = SQLiteBackend()
+    endless = (
+        "WITH RECURSIVE r(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM r) "
+        "SELECT i FROM r WHERE i % 100 = 1"
+    )
+    with pytest.raises(QueryTimeoutError):
+        backend.execute(endless, timeout_seconds=0.05)
+    assert backend.execute("SELECT 1").rows == [(1,)]
+    backend.close()
+
+
 def test_error_mentioning_interrupt_is_not_a_timeout():
     """Regression (PR 5, extended): timeouts were once classified by
     substring-matching "interrupt" in the error text; a legitimate error
@@ -221,25 +258,24 @@ def test_context_manager_closes_connection():
 # -- decode -------------------------------------------------------------------------
 
 
-def test_sequence_items_orders_by_pos_and_dedupes():
-    columns = ("iter", "item", "pos")
-    rows = [(1, 9, 2), (1, 4, 1), (1, 9, 3), (1, 4, 1)]
-    assert sequence_items(columns, rows) == [4, 9]
-
-
-def test_sequence_items_without_pos_keeps_row_order():
-    assert sequence_items(("item",), [(7,), (3,), (7,)]) == [7, 3]
-
-
-def test_ordered_items_keeps_first_occurrence_and_drops_nulls():
-    # Value-join select lists carry extra ordering columns, so SQL's
-    # DISTINCT dedupes full rows while the XQuery sequence dedupes items:
-    # the decode keeps each item's first occurrence (same rule as
-    # sequence_items).  NULL items (aggregate tails: avg over an empty
-    # group) are dropped.
-    columns = ("item", "item1")
-    rows = [(5, 1), (2, 2), (None, 3), (5, 4)]
-    assert ordered_items(columns, rows) == [5, 2]
+@pytest.mark.parametrize(
+    "items, positions, distinct, expected",
+    [
+        pytest.param([9, 4, 9, 4], [2, 1, 3, 1], True, [4, 9], id="orders_by_pos_and_dedupes"),
+        pytest.param([7, 3, 7], None, True, [7, 3], id="without_pos_keeps_row_order"),
+        # Value-join select lists carry extra ordering columns, so SQL's
+        # DISTINCT dedupes full rows while the XQuery sequence dedupes
+        # items.  NULL items (aggregate tails: avg over an empty group)
+        # are dropped.
+        pytest.param(
+            [5, 2, None, 5], None, True, [5, 2], id="keeps_first_occurrence_and_drops_nulls"
+        ),
+        pytest.param([4, None, 9, None], [2, 1, 1, 3], True, [9, 4], id="drops_nulls_with_pos"),
+        pytest.param([2, 2, None, 1], [1, 2, 3, 3], False, [2, 2, 1], id="values_keep_repeats"),
+    ],
+)
+def test_sequence_items(items, positions, distinct, expected):
+    assert sequence_items(items, positions, distinct) == expected
 
 
 # -- connection pool / lifecycle ----------------------------------------------------
