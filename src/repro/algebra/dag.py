@@ -10,7 +10,7 @@ relation ``⇛`` the rewrite rules of Fig. 5 consult.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Type
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Type
 
 from repro.algebra.operators import Operator
 from repro.errors import AlgebraError
@@ -79,24 +79,79 @@ def reaches(source: Operator, target: Operator) -> bool:
     return any(target is node for node in iter_nodes(source))
 
 
-def thaw(root: Operator) -> tuple[Operator, dict[int, list[Operator]]]:
-    """A private copy of the DAG (sharing preserved) plus its parent index.
+def stretches(
+    root: Operator, emit: Optional[Callable[[Operator], Operator]] = None
+) -> tuple[list[Operator], dict[int, Operator]]:
+    """The post-order of the DAG and the first node of each node's *stretch*.
+
+    A node's stretch is what its visit in the walk emitted, itself last: the
+    contiguous run of the order from ``first[id(node)]`` to the node.  One
+    iterative DFS (a ``None`` on the stack says the node under it is
+    finished; ``starts`` holds where each open node's stretch began).  With
+    ``emit``, the order and stretches hold ``emit(node)`` for each node, in
+    the order the walk finishes them (all of a node's children first).
+    """
+    order: list[Operator] = []
+    first: dict[int, Operator] = {}
+    seen: set[int] = set()
+    starts: list[int] = []
+    walk: list[Optional[Operator]] = [root]
+    while walk:
+        node = walk.pop()
+        if node is None:
+            done = walk.pop()
+            if emit is not None:
+                done = emit(done)
+            order.append(done)
+            first[id(done)] = order[starts.pop()]
+        elif id(node) not in seen:
+            seen.add(id(node))
+            starts.append(len(order))
+            walk += (node, None)
+            walk += node.children[::-1]
+    return order, first
+
+
+class Thawed(NamedTuple):
+    """A private copy of a plan DAG, from one walk of the input."""
+
+    #: The copy's root.
+    root: Operator
+    #: ``id(node) -> [parent, ...]``, one entry per edge.
+    parents: dict[int, list[Operator]]
+    #: The copy in post-order, and each node's stretch start (:func:`stretches`).
+    order: list[Operator]
+    first: dict[int, Operator]
+
+
+def thaw(root: Operator) -> Thawed:
+    """A private copy of the DAG (sharing preserved), its parent index and order.
 
     The copy is what :func:`glue` may mutate; ``root``'s own operators are
     left untouched.  Leaves are shared with the input — they have no
-    ``children`` to re-point and their schema never changes.  The index
-    (``id(node) -> [parent, ...]``, one entry per edge) is kept current by
-    :func:`glue` from here on.
+    ``children`` to re-point and their schema never changes.  An inner
+    node's copy has its original's inputs' schemas, so no constructor check
+    is run again.  The index is kept current by :func:`glue` from here on.
+    Each copy is made as one walk of the input finishes its original, so
+    that walk's order and stretches are the copy's.
     """
     copies: dict[int, Operator] = {}
     parents: dict[int, list[Operator]] = {}
-    for node in iter_nodes(root):
-        copy = node.with_children([copies[id(child)] for child in node.children])
-        copies[id(node)] = copy
-        parents[id(copy)] = []
-        for child in copy.children:
-            parents[id(child)].append(copy)
-    return copies[id(root)], parents
+
+    def copy(node: Operator) -> Operator:
+        if node.children:
+            new = node.__copy__()
+            new.children = tuple([copies[id(child)] for child in node.children])
+            for child in new.children:
+                parents[id(child)].append(new)
+        else:
+            new = node
+        copies[id(node)] = new
+        parents[id(new)] = []
+        return new
+
+    order, first = stretches(root, copy)
+    return Thawed(copies[id(root)], parents, order, first)
 
 
 @dataclass
@@ -106,7 +161,8 @@ class Glue:
     All lists hold nodes of the plan *after* the glue, except ``dropped``.
     """
 
-    #: Replacement nodes that entered the plan, children first.
+    #: Replacement nodes that entered the plan, children first as built
+    #: (re-pointing may have made one a parent of another built before it).
     fresh: list[Operator]
     #: Nodes left without parents, removed from the plan and the index.
     dropped: list[Operator]
@@ -140,10 +196,12 @@ def glue(
     Validate, then commit.  Each constructor check is a function of the
     children's ``columns`` only, so a parent whose new input exposes an
     equal ``columns`` tuple needs neither re-validation nor a new object.
-    Where the tuple differs the parent is re-validated by a throw-away
-    ``with_children`` — exactly where the global premise of a rewrite can
-    fail — and, if its own schema changes too, the walk continues from it
-    (on commit it keeps its identity and takes the new ``columns``).
+    Where the tuple differs the parent is re-validated by its class's
+    :meth:`~repro.algebra.operators.Operator.schema` over its inputs' new
+    ``columns`` — the check its constructor runs, and exactly where the
+    global premise of a rewrite can fail — and, if its own schema changes
+    too, the walk continues from it (on commit it keeps its identity and
+    takes the new ``columns``).
     An :class:`~repro.errors.AlgebraError` raised there leaves plan and
     index exactly as they were.  Nodes only reachable through what the glue
     cuts off are not validated (a pushout would not rebuild them either).
@@ -158,7 +216,7 @@ def glue(
         elif id(node) not in parents:
             parents[id(node)] = []
             walk.append((node, True))
-            walk.extend((child, False) for child in node.children)
+            walk += [(child, False) for child in node.children]
     for node in fresh:
         for child in node.children:
             parents[id(child)].append(node)
@@ -171,26 +229,32 @@ def glue(
             del parents[id(node)]
         raise
 
-    reschemed = [node for node, columns in revalidated if columns != node.columns]
+    reschemed: list[Operator] = []
     for node, columns in revalidated:
-        node.columns = columns
-        node.column_set = frozenset(columns)
+        if columns != node.columns:
+            reschemed.append(node)
+            node.columns = columns
+            node.column_set = frozenset(columns)
     rewired: list[Operator] = []
-    reparented: list[Operator] = [c for n in fresh for c in n.children]
+    reparented: list[Operator] = [child for node in fresh for child in node.children]
     for old_id, new in replacements.items():
         old, movers = moved[old_id]
-        for parent in movers:
-            parent.children = tuple(new if c is old else c for c in parent.children)
-            parents[old_id].remove(parent)
-            parents[id(new)].append(parent)
-            rewired.append(parent)
+        if movers:
+            arrived = parents[id(new)]
+            for parent in movers:
+                parent.children = tuple([new if c is old else c for c in parent.children])
+                arrived.append(parent)
+            gone = set(map(id, movers))
+            parents[old_id] = [parent for parent in parents[old_id] if id(parent) not in gone]
+            rewired += movers
         reparented += (old, new)
     for node in doomed:
         del parents[id(node)]
     for node in doomed:
         for child in node.children:
-            if id(child) in parents:
-                parents[id(child)].remove(node)
+            plist = parents.get(id(child))
+            if plist is not None:
+                plist.remove(node)
                 reparented.append(child)
     return Glue(
         fresh=[node for node in fresh if id(node) in parents],
@@ -222,26 +286,33 @@ def _validate_glue(
     nodes the glue cuts off (parents before children) and a ``(node,
     columns to commit)`` pair per re-validated node; raises ``AlgebraError``.
     """
-    fresh_ids = {id(node) for node in fresh}
+    fresh_ids = set(map(id, fresh))
     moved: dict[int, tuple[Operator, list[Operator]]] = {}
     arriving: dict[int, list[Operator]] = {}
     for old_id, new in replacements.items():
         referrers = parents[old_id]
         if not referrers:
             raise AlgebraError("cannot glue at the plan root")
-        old = next(child for child in referrers[0].children if id(child) == old_id)
-        inside: set[int] = set()
-        if any(id(parent) in fresh_ids for parent in referrers):
+        for old in referrers[0].children:
+            if id(old) == old_id:
+                break
+        if fresh_ids.isdisjoint(map(id, referrers)):
+            movers = list(referrers)
+        else:
             # Occurrences of ``old`` inside its own replacement are preserved.
+            inside: set[int] = set()
             stack = [new]
             while stack:
                 node = stack.pop()
                 if id(node) in fresh_ids and id(node) not in inside:
                     inside.add(id(node))
                     stack.extend(node.children)
-        movers = [parent for parent in referrers if id(parent) not in inside]
+            movers = [parent for parent in referrers if id(parent) not in inside]
         moved[old_id] = (old, movers)
-        arriving.setdefault(id(new), []).extend(movers)
+        if id(new) in arriving:
+            arriving[id(new)] += movers
+        else:
+            arriving[id(new)] = list(movers)
 
     def parents_after(node: Operator) -> list[Operator]:
         if id(node) in moved:
@@ -249,7 +320,9 @@ def _validate_glue(
             return [p for p in parents[id(node)] if p not in movers]
         return parents[id(node)] + arriving.get(id(node), [])
 
-    def children_after(node: Operator) -> list[Operator]:
+    def children_after(node: Operator) -> Sequence[Operator]:
+        if moved.keys().isdisjoint(map(id, node.children)):
+            return node.children
         return [
             replacements[id(child)]
             if id(child) in moved and node in moved[id(child)][1]
@@ -258,21 +331,28 @@ def _validate_glue(
         ]
 
     # What the glue cuts off: replaced nodes nobody keeps pointing at, and
-    # whatever only they reached.
-    doomed = [old for old, _movers in moved.values() if not parents_after(old)]
+    # whatever only they reached (a node all of whose edges after the glue
+    # come from cut-off nodes).
+    doomed = [old for old, movers in moved.values() if len(parents[id(old)]) == len(movers)]
     lost: dict[int, int] = {}
     for node in doomed:
         for child in children_after(node):
-            lost[id(child)] = lost.get(id(child), 0) + 1
-            if lost[id(child)] == len(parents_after(child)):
+            child_id = id(child)
+            lost[child_id] = count = lost.get(child_id, 0) + 1
+            if child_id in moved:
+                edges = len(parents[child_id]) - len(moved[child_id][1])
+            else:
+                edges = len(parents[child_id]) + len(arriving.get(child_id, ()))
+            if count == edges:
                 doomed.append(child)
-    dead = {id(node) for node in doomed}
+    dead = set(map(id, doomed))
 
     # The schema walk, upward from the glue points whose ``columns`` differ
-    # and only as far as they keep differing.  A node can be reached before
-    # all of its inputs are final, so it is re-evaluated whenever one moves
-    # and a failure only counts if it is the node's last word.
-    shadow: dict[int, Operator] = {}
+    # and only as far as they keep differing; ``shadow`` holds the columns
+    # a node will have where they are not its own.  A node can be reached
+    # before all of its inputs are final, so it is re-evaluated whenever one
+    # moves and a failure only counts if it is the node's last word.
+    shadow: dict[int, tuple[str, ...]] = {}
     failed: dict[int, AlgebraError] = {}
     queue = [
         parent
@@ -281,24 +361,26 @@ def _validate_glue(
         for parent in moved[old_id][1]
     ]
     for node in queue:  # grows while iterating
-        if id(node) in dead:
+        node_id = id(node)
+        if node_id in dead:
             continue
-        before = shadow.pop(id(node), node).columns
-        failed.pop(id(node), None)
-        inputs = [shadow.get(id(child), child) for child in children_after(node)]
+        before = shadow.pop(node_id, node.columns)
+        failed.pop(node_id, None)
         try:
-            rebuilt = node.with_children(inputs)
+            columns = node.schema(
+                [shadow.get(id(child), child.columns) for child in children_after(node)]
+            )
         except AlgebraError as error:
-            failed[id(node)] = error
-            rebuilt = node
-        if rebuilt.columns != node.columns:
-            shadow[id(node)] = rebuilt
-        if rebuilt.columns != before:
+            failed[node_id] = error
+            columns = node.columns
+        if columns != node.columns:
+            shadow[node_id] = columns
+        if columns != before:
             queue.extend(parents_after(node))
     for error in failed.values():
         raise error
     revalidated = {
-        id(node): (node, shadow.get(id(node), node).columns)
+        id(node): (node, shadow.get(id(node), node.columns))
         for node in queue
         if id(node) not in dead
     }

@@ -10,11 +10,16 @@ several parents models plan sharing (e.g. the single ``doc`` instance of
 Fig. 4).
 
 Operators validate their column references at construction time, which
-catches compiler and rewriter bugs early.
+catches compiler and rewriter bugs early.  Each class states that check
+once, as :meth:`Operator.schema`: the output columns over its inputs'
+columns, or an :class:`~repro.errors.AlgebraError`.  The constructor calls
+it, and so does :func:`repro.algebra.dag.glue` when an input of a node it
+keeps changes schema.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from repro.errors import AlgebraError
@@ -49,6 +54,25 @@ class Operator:
         """Recreate this operator with new children (same parameters)."""
         raise NotImplementedError
 
+    def __copy__(self) -> "Operator":
+        """The same operator as a new object: same children, schema and
+        parameters, nothing re-checked (:func:`repro.algebra.dag.thaw`
+        re-points the copy's children at copies of the same schema)."""
+        cls = type(self)
+        copy = cls.__new__(cls)
+        for name in _slot_names(cls):
+            setattr(copy, name, getattr(self, name))
+        return copy
+
+    def schema(self, inputs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+        """The output columns over inputs with these ``columns``.
+
+        Raises the :class:`~repro.errors.AlgebraError` the constructor
+        raises over such inputs; checks of the operator's own parameters
+        alone are left to the constructor (they hold for every built node).
+        """
+        raise NotImplementedError
+
     def label(self) -> str:
         """One-line description used by the plan renderers."""
         return self.symbol
@@ -57,9 +81,15 @@ class Operator:
         return f"<{type(self).__name__} {self.label()} cols={','.join(self.columns)}>"
 
 
+@lru_cache(maxsize=None)
+def _slot_names(cls: type) -> tuple[str, ...]:
+    """Every ``__slots__`` entry of ``cls`` and its bases."""
+    return tuple(name for klass in cls.__mro__ for name in getattr(klass, "__slots__", ()))
+
+
 def _require_columns(operator_name: str, available: Sequence[str], needed: Sequence[str]) -> None:
-    missing = [column for column in needed if column not in available]
-    if missing:
+    if not set(available).issuperset(needed):
+        missing = [column for column in needed if column not in available]
         raise AlgebraError(
             f"{operator_name}: unknown column(s) {missing}; input schema is {tuple(available)}"
         )
@@ -75,9 +105,13 @@ class DocTable(Operator):
         super().__init__((), DOC_COLUMNS)
 
     def with_children(self, children: Sequence[Operator]) -> "DocTable":
-        if children:
-            raise AlgebraError("doc is a leaf operator")
+        self.schema([child.columns for child in children])
         return self
+
+    def schema(self, inputs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+        if inputs:
+            raise AlgebraError("doc is a leaf operator")
+        return DOC_COLUMNS
 
 
 class LiteralTable(Operator):
@@ -98,9 +132,13 @@ class LiteralTable(Operator):
         self.rows: tuple[tuple, ...] = tuple(frozen_rows)
 
     def with_children(self, children: Sequence[Operator]) -> "LiteralTable":
-        if children:
-            raise AlgebraError("a literal table is a leaf operator")
+        self.schema([child.columns for child in children])
         return self
+
+    def schema(self, inputs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+        if inputs:
+            raise AlgebraError("a literal table is a leaf operator")
+        return self.columns
 
     def label(self) -> str:
         preview = ", ".join(str(row) for row in self.rows[:2])
@@ -116,7 +154,7 @@ class Serialize(Operator):
     symbol = "✂"
 
     def __init__(self, child: Operator):
-        super().__init__((child,), child.columns)
+        super().__init__((child,), self.schema((child.columns,)))
 
     @property
     def child(self) -> Operator:
@@ -125,6 +163,10 @@ class Serialize(Operator):
     def with_children(self, children: Sequence[Operator]) -> "Serialize":
         (child,) = children
         return Serialize(child)
+
+    def schema(self, inputs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+        (columns,) = inputs
+        return columns
 
 
 class Project(Operator):
@@ -138,12 +180,11 @@ class Project(Operator):
     symbol = "π"
 
     def __init__(self, child: Operator, items: Sequence[tuple[str, str]]):
-        items = tuple((str(new), str(old)) for new, old in items)
+        items = tuple([(str(new), str(old)) for new, old in items])
         if not items:
             raise AlgebraError("projection needs at least one output column")
-        _require_columns("π", child.columns, [old for _new, old in items])
-        super().__init__((child,), [new for new, _old in items])
         self.items = items
+        super().__init__((child,), self.schema((child.columns,)))
 
     @property
     def child(self) -> Operator:
@@ -162,6 +203,11 @@ class Project(Operator):
         (child,) = children
         return Project(child, self.items)
 
+    def schema(self, inputs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+        (columns,) = inputs
+        _require_columns("π", columns, [old for _new, old in self.items])
+        return tuple([new for new, _old in self.items])
+
     def label(self) -> str:
         parts = [new if new == old else f"{new}:{old}" for new, old in self.items]
         return f"π {', '.join(parts)}"
@@ -174,9 +220,8 @@ class Select(Operator):
     symbol = "σ"
 
     def __init__(self, child: Operator, predicate: Predicate):
-        _require_columns("σ", child.columns, sorted(predicate.columns()))
-        super().__init__((child,), child.columns)
         self.predicate = predicate
+        super().__init__((child,), self.schema((child.columns,)))
 
     @property
     def child(self) -> Operator:
@@ -185,6 +230,11 @@ class Select(Operator):
     def with_children(self, children: Sequence[Operator]) -> "Select":
         (child,) = children
         return Select(child, self.predicate)
+
+    def schema(self, inputs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+        (columns,) = inputs
+        _require_columns("σ", columns, sorted(self.predicate.columns()))
+        return columns
 
     def label(self) -> str:
         return f"σ {self.predicate.render()}"
@@ -201,12 +251,8 @@ class Join(Operator):
     symbol = "⋈"
 
     def __init__(self, left: Operator, right: Operator, predicate: Predicate):
-        overlap = left.column_set & right.column_set
-        if overlap:
-            raise AlgebraError(f"join inputs share columns {sorted(overlap)}")
-        _require_columns("⋈", left.columns + right.columns, sorted(predicate.columns()))
-        super().__init__((left, right), left.columns + right.columns)
         self.predicate = predicate
+        super().__init__((left, right), self.schema((left.columns, right.columns)))
 
     @property
     def left(self) -> Operator:
@@ -220,6 +266,14 @@ class Join(Operator):
         left, right = children
         return Join(left, right, self.predicate)
 
+    def schema(self, inputs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+        left, right = inputs
+        overlap = set(left).intersection(right)
+        if overlap:
+            raise AlgebraError(f"join inputs share columns {sorted(overlap)}")
+        _require_columns("⋈", left + right, sorted(self.predicate.columns()))
+        return left + right
+
     def label(self) -> str:
         return f"⋈ {self.predicate.render()}"
 
@@ -231,10 +285,7 @@ class Cross(Operator):
     symbol = "×"
 
     def __init__(self, left: Operator, right: Operator):
-        overlap = left.column_set & right.column_set
-        if overlap:
-            raise AlgebraError(f"cross product inputs share columns {sorted(overlap)}")
-        super().__init__((left, right), left.columns + right.columns)
+        super().__init__((left, right), self.schema((left.columns, right.columns)))
 
     @property
     def left(self) -> Operator:
@@ -248,6 +299,13 @@ class Cross(Operator):
         left, right = children
         return Cross(left, right)
 
+    def schema(self, inputs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+        left, right = inputs
+        overlap = set(left).intersection(right)
+        if overlap:
+            raise AlgebraError(f"cross product inputs share columns {sorted(overlap)}")
+        return left + right
+
 
 class Distinct(Operator):
     """δ — duplicate row elimination."""
@@ -256,7 +314,7 @@ class Distinct(Operator):
     symbol = "δ"
 
     def __init__(self, child: Operator):
-        super().__init__((child,), child.columns)
+        super().__init__((child,), self.schema((child.columns,)))
 
     @property
     def child(self) -> Operator:
@@ -266,6 +324,10 @@ class Distinct(Operator):
         (child,) = children
         return Distinct(child)
 
+    def schema(self, inputs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+        (columns,) = inputs
+        return columns
+
 
 class Attach(Operator):
     """@ — attach a column holding a constant value."""
@@ -274,11 +336,9 @@ class Attach(Operator):
     symbol = "@"
 
     def __init__(self, child: Operator, column: str, value: object):
-        if column in child.columns:
-            raise AlgebraError(f"@: column {column!r} already present in input")
-        super().__init__((child,), child.columns + (column,))
         self.column = column
         self.value = value
+        super().__init__((child,), self.schema((child.columns,)))
 
     @property
     def child(self) -> Operator:
@@ -287,6 +347,12 @@ class Attach(Operator):
     def with_children(self, children: Sequence[Operator]) -> "Attach":
         (child,) = children
         return Attach(child, self.column, self.value)
+
+    def schema(self, inputs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+        (columns,) = inputs
+        if self.column in columns:
+            raise AlgebraError(f"@: column {self.column!r} already present in input")
+        return columns + (self.column,)
 
     def label(self) -> str:
         return f"@ {self.column}:{self.value!r}"
@@ -299,10 +365,8 @@ class RowId(Operator):
     symbol = "#"
 
     def __init__(self, child: Operator, column: str):
-        if column in child.columns:
-            raise AlgebraError(f"#: column {column!r} already present in input")
-        super().__init__((child,), child.columns + (column,))
         self.column = column
+        super().__init__((child,), self.schema((child.columns,)))
 
     @property
     def child(self) -> Operator:
@@ -311,6 +375,12 @@ class RowId(Operator):
     def with_children(self, children: Sequence[Operator]) -> "RowId":
         (child,) = children
         return RowId(child, self.column)
+
+    def schema(self, inputs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+        (columns,) = inputs
+        if self.column in columns:
+            raise AlgebraError(f"#: column {self.column!r} already present in input")
+        return columns + (self.column,)
 
     def label(self) -> str:
         return f"# {self.column}"
@@ -386,17 +456,12 @@ class GroupAggregate(Operator):
                 raise AlgebraError("count aggregates units, not a value column")
         elif value_column is None:
             raise AlgebraError(f"{function} needs a value column")
-        needed = [group_column, unit_column] + ([value_column] if value_column else [])
-        _require_columns("aggr(child)", child.columns, needed)
-        _require_columns("aggr(loop)", loop.columns, [group_column])
-        if item_column in loop.columns:
-            raise AlgebraError(f"aggr: column {item_column!r} already present in the loop input")
-        super().__init__((child, loop), loop.columns + (item_column,))
         self.function = function
         self.group_column = group_column
         self.unit_column = unit_column
         self.value_column = value_column
         self.item_column = item_column
+        super().__init__((child, loop), self.schema((child.columns, loop.columns)))
 
     @property
     def child(self) -> Operator:
@@ -417,6 +482,17 @@ class GroupAggregate(Operator):
             self.value_column,
             self.item_column,
         )
+
+    def schema(self, inputs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+        child, loop = inputs
+        value = [self.value_column] if self.value_column else []
+        _require_columns("aggr(child)", child, [self.group_column, self.unit_column] + value)
+        _require_columns("aggr(loop)", loop, [self.group_column])
+        if self.item_column in loop:
+            raise AlgebraError(
+                f"aggr: column {self.item_column!r} already present in the loop input"
+            )
+        return loop + (self.item_column,)
 
     def label(self) -> str:
         argument = self.value_column if self.value_column else self.unit_column
@@ -442,18 +518,10 @@ class RowRank(Operator):
         order_by: Sequence[str],
         partition_by: Sequence[str] = (),
     ):
-        order_by = tuple(order_by)
-        partition_by = tuple(partition_by)
-        if column in child.columns:
-            raise AlgebraError(f"ϱ: column {column!r} already present in input")
-        if not order_by:
-            raise AlgebraError("ϱ needs at least one ordering column")
-        _require_columns("ϱ", child.columns, order_by)
-        _require_columns("ϱ", child.columns, partition_by)
-        super().__init__((child,), child.columns + (column,))
         self.column = column
-        self.order_by = order_by
-        self.partition_by = partition_by
+        self.order_by = tuple(order_by)
+        self.partition_by = tuple(partition_by)
+        super().__init__((child,), self.schema((child.columns,)))
 
     @property
     def child(self) -> Operator:
@@ -462,6 +530,16 @@ class RowRank(Operator):
     def with_children(self, children: Sequence[Operator]) -> "RowRank":
         (child,) = children
         return RowRank(child, self.column, self.order_by, self.partition_by)
+
+    def schema(self, inputs: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
+        (columns,) = inputs
+        if self.column in columns:
+            raise AlgebraError(f"ϱ: column {self.column!r} already present in input")
+        if not self.order_by:
+            raise AlgebraError("ϱ needs at least one ordering column")
+        _require_columns("ϱ", columns, self.order_by)
+        _require_columns("ϱ", columns, self.partition_by)
+        return columns + (self.column,)
 
     def label(self) -> str:
         rendered = f"ϱ {self.column}:⟨{', '.join(self.order_by)}⟩"

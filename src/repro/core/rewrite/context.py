@@ -70,8 +70,12 @@ class RuleContext:
         root: Operator,
         properties: PlanProperties,
         parents: Optional[dict[int, list[Operator]]] = None,
+        nodes: Optional[list[Operator]] = None,
     ):
+        """``nodes``, if given, is a list of the plan's nodes that the caller
+        keeps current as the plan changes (the rewrite driver's post-order)."""
         self.root = root
+        self._nodes = nodes
         self.properties = properties
         self.parents = parents if parents is not None else parents_map(root)
         #: Recorded reads since the driver last cleared them: did a guard
@@ -79,14 +83,19 @@ class RuleContext:
         self.read_deep = False
         self.read_premise = False
         self._compared_origins: Optional[frozenset[tuple[int, str]]] = None
-        #: ids of the σ/⋈ nodes and of every node on the provenance paths
-        #: the cached compared-origins set was traced along.
+        #: ids of the σ/⋈ nodes and of the nodes the provenance paths of the
+        #: cached compared-origins set start at (a node is on such a path
+        #: iff the path's start is among its ``_path_readers``).
         self._compared_reads: set[int] = set()
         #: ``id(node) -> (node, {column: path})``.
         self._provenance: dict[int, tuple[Operator, dict[str, ProvenancePath]]] = {}
         #: ``id(path node) -> ids of the nodes whose memoized paths pass it``.
         self._path_readers: dict[int, set[int]] = {}
-        self._fresh_columns = itertools.count(_highest_fresh_suffix(root) + 1)
+        self._fresh_columns = itertools.count(_highest_fresh_suffix(self.nodes()) + 1)
+
+    def nodes(self) -> Iterable[Operator]:
+        """Every node of the plan as it stands."""
+        return iter_nodes(self.root) if self._nodes is None else self._nodes
 
     def invalidate(self, touched: Iterable[Operator], predicates: bool) -> bool:
         """Forget what a change to the plan made stale.
@@ -97,10 +106,12 @@ class RuleContext:
         global premise may have changed).
         """
         compared = predicates
+        reads = self._compared_reads
         for node in touched:
-            for reader in self._path_readers.pop(id(node), ()):
+            readers = self._path_readers.pop(id(node), ())
+            for reader in readers:
                 self._provenance.pop(reader, None)
-            compared = compared or id(node) in self._compared_reads
+            compared = compared or id(node) in reads or not reads.isdisjoint(readers)
         if compared and self._compared_origins is not None:
             self._compared_origins = None
             return True
@@ -143,8 +154,15 @@ class RuleContext:
         while True:
             path.append((current, name))
             if isinstance(current, Project):
-                name = current.renaming()[name]
-                current = current.child
+                for new, old in current.items:
+                    if new == name:
+                        name = old
+                        break
+                current = current.children[0]
+                continue
+            if isinstance(current, (Join, Cross)):
+                left, right = current.children
+                current = left if name in left.column_set else right
                 continue
             if isinstance(current, (Select, Distinct, Serialize)):
                 current = current.children[0]
@@ -152,22 +170,23 @@ class RuleContext:
             if isinstance(current, (Attach, RowId, RowRank)):
                 if name == current.column:
                     break
-                current = current.child
+                current = current.children[0]
                 continue
             if isinstance(current, GroupAggregate):
                 if name == current.item_column:
                     break  # the aggregate value is introduced here
                 current = current.loop  # loop columns pass through untouched
                 continue
-            if isinstance(current, (Join, Cross)):
-                left, right = current.children
-                current = left if name in left.column_set else right
-                continue
             break  # leaf (doc or literal table)
         paths[column] = path
         readers = self._path_readers
+        node_id = id(node)
         for step, _name in path:
-            readers.setdefault(id(step), set()).add(id(node))
+            step_readers = readers.get(id(step))
+            if step_readers is None:
+                readers[id(step)] = {node_id}
+            else:
+                step_readers.add(node_id)
         return path
 
     def origin(self, node: Operator, column: str) -> tuple[Operator, str]:
@@ -210,19 +229,15 @@ class RuleContext:
         if self._compared_origins is None:
             compared: set[tuple[int, str]] = set()
             reads: set[int] = set()
-            for node in iter_nodes(self.root):
-                if isinstance(node, Select):
-                    bases = [node.child]
-                elif isinstance(node, Join):
-                    bases = list(node.children)
-                else:
+            for node in self.nodes():
+                if not isinstance(node, (Select, Join)):
                     continue
+                bases = node.children
                 reads.add(id(node))
                 for column in node.predicate.columns():
-                    base = next(b for b in bases if column in b.column_set)
-                    path = self._path(base, column)
-                    reads.update(id(step) for step, _name in path)
-                    origin_node, origin_column = path[-1]
+                    base = bases[0] if column in bases[0].column_set else bases[1]
+                    reads.add(id(base))
+                    origin_node, origin_column = self._path(base, column)[-1]
                     compared.add((id(origin_node), origin_column))
             self._compared_origins = frozenset(compared)
             self._compared_reads = reads
@@ -244,10 +259,10 @@ class RuleContext:
 _FRESH_SUFFIX = re.compile(r"_w(\d+)$")
 
 
-def _highest_fresh_suffix(root: Operator) -> int:
-    """The largest ``N`` of a ``..._wN`` column anywhere in the plan (0 if none)."""
+def _highest_fresh_suffix(nodes: Iterable[Operator]) -> int:
+    """The largest ``N`` of a ``..._wN`` column of any of ``nodes`` (0 if none)."""
     highest = 0
-    for node in iter_nodes(root):
+    for node in nodes:
         for column in node.columns:
             if "_w" in column:
                 match = _FRESH_SUFFIX.search(column)

@@ -7,7 +7,10 @@ plan, and starts over; a phase ends when a whole scan applies nothing.
 With ``normalize``, the icols normaliser (:mod:`repro.core.rewrite.normalize`)
 runs once on the input plan and once after every structural step, from the
 dirty frontier that step left; a pass that changes the plan is one step
-(``normalize(1-4)``).  The observable behaviour — which rule fires where,
+(``normalize(1-4)``).  After a structural step the pass is the tail of
+that step's property refresh (one top-down walk), its glue is absorbed
+from the needs the pass computed, and the events of both glues are turned
+into dirty nodes once (:meth:`WorklistDriver._absorb`).  The observable behaviour — which rule fires where,
 in which order, which applications are rejected, what each pass does — is
 exactly that of the naive loop (``tests/core/restart_reference.py``
 compares them application for application; the XMark rule histograms are
@@ -28,8 +31,11 @@ pinned).  What the driver adds is that a step costs what its glue touched:
   (:meth:`WorklistDriver._splice`);
 * plan properties and column provenance live for the whole run, keyed by
   node id, and are re-inferred from the dirty frontier a glue reports
-  (:meth:`~repro.core.properties.PlanProperties.refresh`,
-  :meth:`~repro.core.rewrite.context.RuleContext.invalidate`).
+  (:meth:`~repro.core.properties.PlanProperties.refresh` and, for a
+  normaliser pass's glue, :meth:`~repro.core.properties.PlanProperties.absorb`;
+  :meth:`~repro.core.rewrite.context.RuleContext.invalidate`);
+* the thaw is the one walk of the input: it gives the copy, its parent
+  index and the kept post-order, which the cold inference reads.
 
 Why skipping is sound — the context records what a node's guards read
 while they fail (its read discipline: :mod:`repro.core.rewrite.context`),
@@ -66,11 +72,11 @@ from bisect import bisect_left
 from typing import Mapping, Optional
 
 from repro.errors import AlgebraError
-from repro.algebra.dag import Glue, glue, thaw
-from repro.algebra.operators import Join, Operator, Project, Select, Serialize
+from repro.algebra.dag import Glue, glue, stretches, thaw
+from repro.algebra.operators import Join, Operator, Select, Serialize
 from repro.core.properties import PlanProperties
 from repro.core.rewrite.context import RuleContext
-from repro.core.rewrite.normalize import NORMALIZE, normalize
+from repro.core.rewrite.normalize import NORMALIZE, Pass
 from repro.core.rewrite.rule import PatternIndex, Rule
 from repro.core.rewrite.trace import RejectedApplication, RewriteStep
 
@@ -81,6 +87,10 @@ Phase = tuple[str, tuple[Rule, ...]]
 #: glued and the id of the matched node.
 _Pending = tuple[Glue, Mapping[int, Operator], int]
 
+#: One absorbed glue: it, and the nodes whose top-down / bottom-up
+#: properties it moved.
+_Absorbed = tuple[Glue, list[Operator], list[Operator]]
+
 
 class WorklistDriver:
     """Pattern-indexed dispatch over dirty nodes of a plan rewritten in place.
@@ -89,7 +99,8 @@ class WorklistDriver:
     :attr:`rejections` and whether the run :attr:`converged` within
     ``max_steps``; :attr:`attempts` counts rule applications tried and
     :attr:`rewalks` the steps whose glue could not be spliced into the kept
-    post-order.
+    post-order; :attr:`initial_nodes` and :attr:`nodes` are the plan's
+    operator counts before and after.
     """
 
     def __init__(self, max_steps: int, normalize: bool = False):
@@ -100,6 +111,7 @@ class WorklistDriver:
         self.converged = True
         self.attempts = 0
         self.rewalks = 0
+        self.initial_nodes = 0
         #: The plan in post-order, each node's index in it, and the first
         #: node of each node's stretch (what its visit in the walk emitted,
         #: itself last) — kept across steps by :meth:`_splice`.
@@ -118,16 +130,23 @@ class WorklistDriver:
     def step_count(self) -> int:
         return len(self.steps)
 
+    @property
+    def nodes(self) -> int:
+        """The operator count of the plan as it stands (the kept order's length)."""
+        return len(self._order)
+
     def run(self, plan: Operator, phases: list[Phase]) -> Operator:
         """Rewrite a private copy of ``plan`` (whose root, the serialization
         point, no rule matches) and return it; ``plan`` itself is not touched."""
-        plan, parents = thaw(plan)
-        self._walk(plan)
-        ctx = RuleContext(plan, PlanProperties(plan, parents), parents)
-        pending: Optional[_Pending] = None
-        #: Whether the pending glue is a structural step's (the normaliser
-        #: follows it) — the input plan is normalised once, like one.
-        structural = self.normalize
+        # One walk of the input: the copy, its parent index and its order,
+        # from which the cold inference and the context start.
+        plan, parents, order, self._first = thaw(plan)
+        self._order = order
+        self.initial_nodes = len(order)
+        self._position = {id(node): index for index, node in enumerate(order)}
+        ctx = RuleContext(plan, PlanProperties(plan, order), parents, order)
+        #: Whether the input plan still awaits its normaliser pass.
+        unnormalized = self.normalize
         for phase_name, rules in phases:
             if not rules:
                 continue
@@ -139,30 +158,17 @@ class WorklistDriver:
                 if self.step_count >= self.max_steps:
                     self.converged = False
                     return plan
-                seeds = self._order
-                if pending is not None:
-                    seeds = self._absorb(ctx, *pending)
-                if structural:
-                    structural = False
-                    pending = self._normalize(ctx, seeds, phase_name)
-                    if pending is not None:
+                if unnormalized:
+                    unnormalized = False
+                    absorbed = self._normalized(ctx, None, phase_name)
+                    if absorbed:
+                        self._retry(ctx, absorbed)
                         continue
                 pending = self._step(ctx, index, phase_name)
                 if pending is None:
                     break
-                structural = self.normalize
+                self._absorb(ctx, *pending, phase_name)
         return plan
-
-    def _normalize(
-        self, ctx: RuleContext, seeds: list[Operator], phase: str
-    ) -> Optional[_Pending]:
-        """One normaliser pass from ``seeds``, glued as one step named after
-        its topmost replacement (``None`` if the plan is normal there)."""
-        replacements = normalize(ctx.parents, ctx.properties, seeds, self._position)
-        if not replacements:
-            return None
-        top = self._order[max(map(self._position.__getitem__, replacements))]
-        return self._glue(ctx, NORMALIZE, top, replacements, phase)
 
     # -- one step -----------------------------------------------------------------
 
@@ -232,81 +238,132 @@ class WorklistDriver:
         glued: Glue,
         replacements: Mapping[int, Operator],
         matched: int,
-    ) -> list[Operator]:
-        """Turn one glue's events into dirty nodes (see the module docstring).
+        phase: str,
+    ) -> None:
+        """Absorb one structural step and, fused with it, its normaliser pass.
 
-        Returns the nodes re-tried on their own events — where a normaliser
-        pass after the step starts.
+        The refresh's top-down walk carries the pass (unless the step guard
+        is reached: then the run stops before the pass, as it would before
+        any step); the pass's glue is absorbed from the needs it computed,
+        and both glues' events are turned into dirty nodes at once.
         """
+        self._place(ctx, glued, replacements, matched)
+        normaliser = None
+        if self.normalize and self.step_count < self.max_steps:
+            normaliser = Pass(ctx.parents, ctx.properties)
+        top_down, bottom_up = ctx.properties.refresh(
+            self._position, ctx.parents, glued, normaliser
+        )
+        absorbed = [(glued, top_down, bottom_up)]
+        if normaliser is not None:
+            absorbed += self._normalized(ctx, normaliser, phase)
+        self._retry(ctx, absorbed)
+
+    def _normalized(
+        self, ctx: RuleContext, normaliser: Optional[Pass], phase: str
+    ) -> list[_Absorbed]:
+        """Glue a normaliser pass as one step named after its topmost
+        replacement and absorb it; ``[]`` if the plan is normal there.
+
+        Without a ``normaliser`` (the input plan's pass) the pass walks
+        from every node here; otherwise it has walked already.
+        """
+        position = self._position
+        if normaliser is None:
+            normaliser = Pass(ctx.parents, ctx.properties)
+            ctx.properties.descend(position, ctx.parents, (), normaliser, self._order)
+        replacements = normaliser.replacements(position)
+        if not replacements:
+            return []
+        top = self._order[max(map(position.__getitem__, replacements))]
+        pending = self._glue(ctx, NORMALIZE, top, replacements, phase)
+        if pending is None:
+            return []
+        glued, replacements, matched = pending
+        self._place(ctx, glued, replacements, matched)
+        return [
+            (glued, *ctx.properties.absorb(self._position, ctx.parents, glued, normaliser.settled()))
+        ]
+
+    def _place(
+        self,
+        ctx: RuleContext,
+        glued: Glue,
+        replacements: Mapping[int, Operator],
+        matched: int,
+    ) -> None:
+        """Bring the kept post-order up to date with one glue."""
         if not self._splice(ctx.parents, glued, replacements, matched):
             self.rewalks += 1
             self._walk(ctx.root)
+
+    def _retry(self, ctx: RuleContext, absorbed: list[_Absorbed]) -> None:
+        """Turn absorbed glues' events into dirty nodes (see the module
+        docstring), once for a step and its normaliser pass together."""
         parents, position = ctx.parents, self._position
-        top_down, bottom_up = ctx.properties.refresh(position, parents, glued)
         dirty, deep, premise = self._dirty, self._deep, self._premise
-        for node in glued.dropped:
-            dirty.pop(id(node), None)
-            deep.pop(id(node), None)
-            premise.pop(id(node), None)
-        retry = glued.fresh + glued.rewired + glued.revalidated + top_down + bottom_up
-        for node in bottom_up:
-            retry += parents[id(node)]
-        # A projection that lost a parent may fuse into the one it has left:
-        # an event of the normaliser's, which no rule reads locally.
-        fusing = [node for node in glued.reparented if isinstance(node, Project)]
-        own = retry + [parent for node in fusing for parent in parents[id(node)]]
-        if ctx.invalidate(
-            glued.rewired + glued.revalidated + glued.dropped,
-            any(isinstance(node, (Select, Join)) for node in glued.fresh + glued.dropped),
-        ):
-            retry += premise.values()
+        retry: dict[int, Operator] = {}
+        touched: list[Operator] = []
+        predicates = False
+        for glued, top_down, bottom_up in absorbed:
+            for node in glued.dropped:
+                node_id = id(node)
+                dirty.pop(node_id, None)
+                deep.pop(node_id, None)
+                premise.pop(node_id, None)
+            retry.update(
+                (id(node), node)
+                for nodes in (glued.fresh, glued.rewired, glued.revalidated, top_down, bottom_up)
+                for node in nodes
+            )
+            retry.update(
+                (id(parent), parent)
+                for node in bottom_up
+                for parent in parents.get(id(node), ())
+            )
+            touched += glued.rewired + glued.revalidated + glued.dropped
+            predicates = predicates or any(
+                isinstance(node, (Select, Join)) for node in glued.fresh + glued.dropped
+            )
+        if ctx.invalidate(touched, predicates):
+            retry.update(premise)
         if deep:
-            # All ancestors of what the glue touched below them.  Ancestors
+            # All ancestors of what the glues touched below them.  Ancestors
             # come later in post-order, so none past the last deep entry can
             # lead to one.
             limit = max(position[node_id] for node_id in deep)
-            seeds = glued.rewired + glued.reparented
-            seeds += [child for node in glued.revalidated for child in node.children]
+            seeds = [
+                node
+                for glued, _top_down, _bottom_up in absorbed
+                for node in glued.rewired
+                + glued.reparented
+                + [child for node in glued.revalidated for child in node.children]
+                if id(node) in parents
+            ]
             above = {id(node) for node in seeds}
             while seeds:
                 for parent in parents[id(seeds.pop())]:
                     if id(parent) not in above and position[id(parent)] <= limit:
                         above.add(id(parent))
                         seeds.append(parent)
-            retry += [node for node_id, node in deep.items() if node_id in above]
-        for node in retry:
-            node_id = id(node)
-            dirty[node_id] = node
-            deep.pop(node_id, None)
-            premise.pop(node_id, None)
-        return own
+            retry.update((node_id, node) for node_id, node in deep.items() if node_id in above)
+        for node_id, node in retry.items():
+            if node_id in parents:
+                dirty[node_id] = node
+                if deep:
+                    deep.pop(node_id, None)
+                if premise:
+                    premise.pop(node_id, None)
 
     # -- the kept post-order ------------------------------------------------------
 
     def _walk(self, root: Operator) -> None:
         """Walk the plan afresh: the post-order, positions and stretch starts.
 
-        Inlined DFS (cf. ``iter_nodes``; a ``None`` on the stack says the
-        node under it is finished, ``starts`` holds where each open node's
-        stretch began).
+        The order list is refilled in place: the rule context reads it.
         """
-        order: list[Operator] = []
-        first: dict[int, Operator] = {}
-        seen: set[int] = set()
-        starts: list[int] = []
-        walk: list[Optional[Operator]] = [root]
-        while walk:
-            node = walk.pop()
-            if node is None:
-                done = walk.pop()
-                order.append(done)
-                first[id(done)] = order[starts.pop()]
-            elif id(node) not in seen:
-                seen.add(id(node))
-                starts.append(len(order))
-                walk += (node, None)
-                walk += node.children[::-1]
-        self._order, self._first = order, first
+        order, self._first = stretches(root)
+        self._order[:] = order
         self._position = {id(node): index for index, node in enumerate(order)}
 
     def _splice(
@@ -392,7 +449,9 @@ class WorklistDriver:
 
         head = order[s]
         order[s : x + 1] = emitted
-        position.update(zip(map(id, order[s:]), range(s, len(order))))
+        # Past the stretch only a change of its length moves positions.
+        end = s + len(emitted) if len(emitted) == x + 1 - s else len(order)
+        position.update(zip(map(id, order[s:end]), range(s, end)))
         for node_id in dropped:
             del position[node_id]
             del first[node_id]

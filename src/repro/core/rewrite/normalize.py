@@ -7,32 +7,40 @@ node by node.  Two companions keep projections normal: a projection over
 one nobody else reads fuses with it, and an item whose source is a
 constant becomes an ``@`` above the projection (so constants float up to
 the first non-projection, and their source ``@`` falls away).
-:func:`normalize` does all of it in one pass and returns one substitution
-map, which the driver glues (validation on) and refreshes once:
+:class:`Pass` does all of it in one pass and returns one substitution
+map, which the driver glues (validation on) and absorbs once:
 
 * **top-down** (reverse post-order) it computes what each node's rewritten
-  parents need of it — ``needed``, as the refresh after the glue will
-  find it — and decides its form: dropped, a projection with fewer items
-  (and ``@`` s lifted above it), or unchanged.  Only a node whose form
-  or needs changed passes the walk on to its children.
+  parents need of it — ``needed`` as it is after the glue — and decides
+  its form: dropped, a projection with fewer items (and ``@`` s lifted
+  above it), or unchanged.  Only a node whose form or needs changed hands
+  the walk on to its children.  The walk is not its own: the pass rides
+  as the tail of the property refresh's top-down walk
+  (:meth:`~repro.core.properties.PlanProperties.descend`), in the same
+  heap, so after a structural step one walk re-infers the step's
+  ``needed`` / ``set`` and normalises below it.
 * **bottom-up** it builds the replacements, fusing a projection into the
   one projection left to read it (also above an operator the pass drops).
+* the glue is then absorbed from the needs the pass computed
+  (:meth:`~repro.core.properties.PlanProperties.absorb`): no second
+  top-down walk.
 
 It starts at ``seeds``: every node of the input plan, and after a
 structural step the nodes that step's glue made dirty (what a node's form
 depends on: its own ``needed``, its child's ``const`` and, for fusion,
-its child's parent list).  The plan is normal everywhere else, so a pass
-from that frontier and one from the root return the same map (the restart
-reference checks it after every step), and a second pass none.
+its child's parent list; :meth:`Pass.frontier`).  The plan is normal
+everywhere else, so a pass from that frontier and one from the root return
+the same map (the restart reference checks it after every step), and a
+second pass none.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Iterable, Mapping, Optional
 
+from repro.algebra.dag import Glue
 from repro.algebra.operators import Attach, Operator, Project, RowId, RowRank
-from repro.core.properties import PlanProperties, child_needed, frontier_heap
+from repro.core.properties import PlanProperties, child_needed
 
 #: The step name a normaliser pass records in the rewrite trace.
 NORMALIZE = "normalize(1-4)"
@@ -55,59 +63,9 @@ def normalize(
     ``parents`` is the plan's index (one entry per edge), ``properties`` is
     exact for the plan as it stands, ``position`` is a post-order.
     """
-    state = _Pass(parents, properties)
-    order: list[Operator] = []
-    # A seed of another class keeps its stored needs and has no form: it
-    # starts nothing.
-    heap, queued = frontier_heap(
-        position, (node for node in seeds if isinstance(node, _SHAPED)), -1
-    )
-    while heap:
-        _position, node_id, node = heappop(heap)
-        plist = parents[node_id]
-        needed = properties.needed(node)
-        if any(id(parent) in state.needs or id(parent) in state.forms for parent in plist):
-            pulled, count = state.pulled(node)
-            if pulled != needed:
-                state.needs[node_id] = needed = pulled
-            if count != len(plist):
-                state.edges[node_id] = count
-        form = _form(node, needed, properties)
-        if form is not None:
-            state.forms[node_id] = form
-        order.append(node)
-        if form is not None or node_id in state.needs:
-            for child in node.children:
-                if id(child) not in queued and child.children:
-                    queued.add(id(child))
-                    heappush(heap, (-position[id(child)], id(child), child))
-
-    # A projection over an operator the pass drops may now fuse with what
-    # is below it, though nothing else about it changed.
-    order += [
-        parent
-        for node in order
-        if state.forms.get(id(node)) is _DROP
-        for parent in parents[id(node)]
-        if isinstance(parent, Project) and id(parent) not in queued
-    ]
-    built: dict[int, Operator] = {}
-    for node in sorted(order, key=lambda node: position[id(node)]):
-        form = state.forms.get(id(node))
-        if form is _DROP:
-            child = node.children[0]
-            built[id(node)] = built.get(id(child), child)
-        elif isinstance(node, Project):
-            replacement = state.project(node, form, built)
-            if replacement is not None:
-                built[id(node)] = replacement
-    # Only what a surviving parent still reads is glued; the rest is reached
-    # through the replacements (or cut off with the nodes they replace).
-    return {
-        node_id: new
-        for node_id, new in built.items()
-        if any(id(parent) not in built for parent in parents[node_id])
-    }
+    normaliser = Pass(parents, properties)
+    properties.descend(position, parents, (), normaliser, seeds)
+    return normaliser.replacements(position)
 
 
 def _form(node: Operator, needed: frozenset[str], properties: PlanProperties) -> Optional[object]:
@@ -131,15 +89,99 @@ def _form(node: Operator, needed: frozenset[str], properties: PlanProperties) ->
     return rest, lifted
 
 
-class _Pass:
-    """What one pass has decided: the needs that differ from the stored ones,
-    the forms that change, the parent edges of nodes below a dropped one."""
+class Pass:
+    """One normaliser pass as a top-down walk visits it: the needs that
+    differ from the stored ones, the forms that change, the parent edges of
+    nodes below a dropped one, and the nodes visited, in visiting order."""
 
     def __init__(self, parents: Mapping[int, list[Operator]], properties: PlanProperties):
         self.parents, self.properties = parents, properties
         self.needs: dict[int, frozenset[str]] = {}
         self.forms: dict[int, object] = {}
         self.edges: dict[int, int] = {}
+        self.order: list[Operator] = []
+        self.visited: set[int] = set()
+
+    def frontier(self, glue: Glue, bottom_up: list[Operator]) -> list[Operator]:
+        """The seeds after a structural step's ``glue`` — besides the nodes
+        whose ``needed`` / ``set`` the same walk finds moved: the new and
+        re-pointed nodes, the parents of those whose ``const`` / ``keys``
+        moved, and the parents of a projection that lost or gained a parent
+        (it may fuse into the one it has left)."""
+        parents = self.parents
+        seeds = glue.fresh + glue.rewired
+        for node in bottom_up:
+            seeds += parents[id(node)]
+        for node in glue.reparented:
+            if isinstance(node, Project):
+                seeds += parents[id(node)]
+        return seeds
+
+    def visit(self, node: Operator, handed: int) -> bool:
+        """Decide ``node``'s needs and form; ``True`` if either changed.
+
+        A seed of a class the pass cannot reshape keeps its stored needs
+        and has no form: it starts nothing.
+        """
+        if not handed and not isinstance(node, _SHAPED):
+            return False
+        node_id = id(node)
+        plist = self.parents[node_id]
+        needs, forms = self.needs, self.forms
+        needed = self.properties.needed(node)
+        for parent in plist:
+            if id(parent) in needs or id(parent) in forms:
+                pulled, count = self.pulled(node)
+                if pulled != needed:
+                    needs[node_id] = needed = pulled
+                if count != len(plist):
+                    self.edges[node_id] = count
+                break
+        form = _form(node, needed, self.properties)
+        if form is not None:
+            forms[node_id] = form
+        self.order.append(node)
+        self.visited.add(node_id)
+        return form is not None or node_id in needs
+
+    def settled(self) -> list[tuple[Operator, frozenset[str]]]:
+        """``(node, needed)`` for every visited node whose needs changed."""
+        needs = self.needs
+        return [(node, needs[id(node)]) for node in self.order if id(node) in needs]
+
+    def replacements(self, position: Mapping[int, int]) -> dict[int, Operator]:
+        """Build what the walk decided: ``{id(old): new}`` to glue (maybe empty)."""
+        parents, forms = self.parents, self.forms
+        # The walk visited parents first; build children first.  A projection
+        # over an operator the pass drops may now fuse with what is below it,
+        # though nothing else about it changed.
+        order = self.order[::-1]
+        fusing = [
+            parent
+            for node in order
+            if forms.get(id(node)) is _DROP
+            for parent in parents[id(node)]
+            if isinstance(parent, Project) and id(parent) not in self.visited
+        ]
+        if fusing:
+            order = sorted(order + fusing, key=lambda node: position[id(node)])
+        built: dict[int, Operator] = {}
+        for node in order:
+            form = forms.get(id(node))
+            if form is _DROP:
+                child = node.children[0]
+                built[id(node)] = built.get(id(child), child)
+            elif isinstance(node, Project):
+                replacement = self.project(node, form, built)
+                if replacement is not None:
+                    built[id(node)] = replacement
+        # Only what a surviving parent still reads is glued; the rest is reached
+        # through the replacements (or cut off with the nodes they replace).
+        return {
+            node_id: new
+            for node_id, new in built.items()
+            if any(id(parent) not in built for parent in parents[node_id])
+        }
 
     def pulled(self, node: Operator) -> tuple[frozenset[str], int]:
         """``(needed, parent edges)`` of ``node`` under its rewritten

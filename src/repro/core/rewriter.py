@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import RewriteError
-from repro.algebra.dag import node_count
 from repro.algebra.operators import Serialize
 from repro.core.rewrite.engine import Phase, run_phases
 from repro.core.rewrite.rule import Rule
@@ -92,8 +91,8 @@ class JoinGraphIsolation:
             applications=engine.steps,
             rejections=engine.rejections,
             steps=engine.step_count,
-            initial_operator_count=node_count(root),
-            final_operator_count=node_count(plan),
+            initial_operator_count=engine.initial_nodes,
+            final_operator_count=engine.nodes,
             converged=engine.converged,
         )
         if not isinstance(plan, Serialize):

@@ -114,10 +114,11 @@ class CompilationResult:
     reflect that first variant, not the text of the current call.
 
     A compilation result is **immutable in the concurrency sense**: after
-    :meth:`CompilationPipeline.build` returns it, the only field that is
-    ever written again is the :attr:`sql_backend_sql` memo, and that write
-    happens under :data:`_SQL_RENDER_LOCK` (and is idempotent per catalog
-    state), so results can be shared freely between worker threads.
+    :meth:`CompilationPipeline.build` returns it, the only fields that are
+    ever written again are the :attr:`sql_backend_sql` and
+    :attr:`stacked_sql` memos, and those writes happen under
+    :data:`_SQL_RENDER_LOCK` (and are idempotent per catalog state), so
+    results can be shared freely between worker threads.
     """
 
     source: str
@@ -128,7 +129,6 @@ class CompilationResult:
     isolation_report: IsolationReport
     join_graph: Optional[JoinGraph]
     join_graph_sql: Optional[str]
-    stacked_sql: str
     join_graph_error: Optional[str] = None
     #: External variables the query declares; their values arrive as
     #: ``bindings`` at execution time (empty for ad-hoc queries).
@@ -144,11 +144,30 @@ class CompilationResult:
     #: Memoized as ``(stats key, sql)`` so prepared queries re-execute
     #: without re-rendering any SQL, while catalog growth (a new processor
     #: with fresh statistics) invalidates the pinned join order
-    #: instead of freezing a stale one.
-    sql_backend_sql: Optional[tuple[tuple, str]] = field(default=None, repr=False)
+    #: instead of freezing a stale one.  A parameterized graph's order does
+    #: not depend on the catalog: its key is ``None``.
+    sql_backend_sql: Optional[tuple[Optional[tuple], str]] = field(default=None, repr=False)
     #: Wall-clock seconds per compile stage (parse/normalize/compile/
     #: isolate/extract), recorded when the result was built.
     timings: StageTimings = field(default_factory=dict, repr=False, compare=False)
+    #: The memo behind :attr:`stacked_sql`.
+    _stacked_sql: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def stacked_sql(self) -> str:
+        """The stacked plan as one ``WITH``-chain (the ``sql-stacked`` text).
+
+        Rendered on first read, once (under :data:`_SQL_RENDER_LOCK`): only
+        ``sql-stacked`` and ``explain`` read it, so a cold compilation does
+        not pay for it.
+        """
+        text = self._stacked_sql
+        if text is None:
+            with _SQL_RENDER_LOCK:
+                text = self._stacked_sql
+                if text is None:
+                    text = self._stacked_sql = generate_stacked_sql(self.stacked_plan)
+        return text
 
     def core_text(self) -> str:
         """The normalized XQuery Core rendering (cf. Section II-D)."""
@@ -476,7 +495,6 @@ class CompilationPipeline:
             isolated, report = self.isolate.run(stacked)
         with _timed(timings, "extract"):
             join_graph, join_graph_sql, join_graph_error = self.extract.run(isolated)
-            stacked_sql = generate_stacked_sql(stacked)
         return CompilationResult(
             source=keyed.source,
             surface_ast=keyed.module.body,
@@ -486,7 +504,6 @@ class CompilationPipeline:
             isolation_report=report,
             join_graph=join_graph,
             join_graph_sql=join_graph_sql,
-            stacked_sql=stacked_sql,
             join_graph_error=join_graph_error,
             external_variables=keyed.module.externals,
             value_result=self.returns_values(keyed.core),
@@ -542,7 +559,7 @@ def _join_graph(compilation: CompilationResult) -> JoinGraph:
     return compilation.join_graph
 
 
-#: Guards the per-compilation SQL render memo.  Rendering is deterministic
+#: Guards the per-compilation SQL render memos.  Rendering is deterministic
 #: for a given catalog state, so the lock only prevents duplicate work —
 #: correctness would survive a benign race, plan-cache sharing makes the
 #: single render worth keeping.
@@ -573,22 +590,24 @@ def sql_backend_sql(compilation: CompilationResult, context: ExecutionContext) -
     CompilationResult lives in a PlanCache shared across processor
     refreshes (catalog growth), and CROSS JOIN is a hard ordering
     constraint — re-plan against fresh statistics rather than pin an
-    order chosen for a different catalog.
+    order chosen for a different catalog.  A parameterized graph's static
+    order is the same for every catalog, so its memo's key is ``None`` and
+    no registration renders it again.
     """
     graph = _join_graph(compilation)
-    stats_key = context.catalog_key()
     # Fast path outside the lock: the memo tuple is written atomically and
     # rendering is deterministic per catalog state, so a stale read at
     # worst re-enters the locked slow path — it can never return wrong SQL.
     memo = compilation.sql_backend_sql
-    if memo is not None and memo[0] == stats_key:
+    if memo is not None and (memo[0] is None or memo[0] == context.catalog_key()):
         return memo[1]
     with _SQL_RENDER_LOCK:
+        stats_key = None if graph.parameters() else context.catalog_key()
         memo = compilation.sql_backend_sql
         if memo is not None and memo[0] == stats_key:
             return memo[1]
         join_order = list(reversed(graph.aliases))
-        if not graph.parameters():
+        if stats_key is not None:
             try:
                 join_order = context.engine.plan(graph).join_order
             except PlanningError:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algebra.dag import (
     count_operators, find_first, glue, iter_nodes, node_count, operator_histogram,
-    parents_map, reaches, shared_nodes, thaw,
+    parents_map, reaches, shared_nodes, stretches, thaw,
 )
 from repro.algebra.operators import (
     Attach, Cross, Distinct, DocTable, Join, Project, RowId, Select, Serialize,
@@ -172,7 +172,7 @@ def _index_snapshot(parents):
 
 def _thawed(plan):
     """``(copy, parents, at)``: ``at(node)`` is ``node``'s counterpart in the copy."""
-    copy, parents = thaw(plan)
+    copy, parents, _order, _first = thaw(plan)
     counterpart = dict(zip(map(id, iter_nodes(plan)), iter_nodes(copy)))
     return copy, parents, lambda node: counterpart[id(node)]
 
@@ -180,7 +180,9 @@ def _thawed(plan):
 def test_thaw_copies_every_inner_node_and_shares_leaves():
     doc = DocTable()
     plan = Serialize(Cross(Project(doc, [("a", "pre")]), Project(doc, [("b", "pre")])))
-    copy, parents = thaw(plan)
+    copy, parents, order, first = thaw(plan)
+    assert order == list(iter_nodes(copy))
+    assert first == stretches(copy)[1]
     assert _structural_fingerprint(copy) == _structural_fingerprint(plan)
     originals = {id(node) for node in iter_nodes(plan) if not node.is_leaf}
     assert not originals & {id(node) for node in iter_nodes(copy)}

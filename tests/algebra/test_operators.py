@@ -1,11 +1,14 @@
 """Structural tests for the table algebra operators."""
 
+import os
+
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.errors import AlgebraError
 from repro.algebra.operators import (
-    Attach, Cross, Distinct, DocTable, Join, LiteralTable, Project, RowId, RowRank,
-    Select, Serialize, literal_column, loop_table,
+    Attach, Cross, Distinct, DocTable, GroupAggregate, Join, LiteralTable, Operator, Project,
+    RowId, RowRank, Select, Serialize, literal_column, loop_table,
 )
 from repro.algebra.predicates import ColumnRef, Comparison, Literal, Predicate
 
@@ -73,3 +76,89 @@ def test_labels_are_informative():
     assert "doc" in DocTable().label()
     assert "π" in Project(DocTable(), [("a", "pre")]).label()
     assert "σ" in Select(DocTable(), Predicate.of(Comparison(ColumnRef("pre"), "=", Literal(0)))).label()
+
+
+# -- the schema check is the constructor's check --------------------------------------
+
+EXAMPLES = int(os.environ.get("REPRO_PROBE_EXAMPLES", "200"))
+
+#: A small column universe, so drawn schemas clash and miss often.
+_UNIVERSE = ("a", "b", "c", "item", "iter")
+
+_SCHEMAS = st.lists(st.sampled_from(_UNIVERSE), unique=True, max_size=4).map(tuple)
+_SOME = st.lists(st.sampled_from(_UNIVERSE), unique=True, min_size=1, max_size=2)
+
+
+def _table(columns):
+    return LiteralTable(columns, [])
+
+
+def _predicate(draw):
+    left, right = draw(st.sampled_from(_UNIVERSE)), draw(st.sampled_from(_UNIVERSE))
+    if draw(st.booleans()):
+        return Predicate.equality(left, right)
+    return Predicate.of(Comparison(ColumnRef(left), "<", Literal(1)))
+
+
+def _build(draw, cls):
+    """A node of ``cls`` with drawn parameters over drawn input schemas
+    (``None`` when the constructor refuses them)."""
+
+    def unary():
+        return _table(draw(_SCHEMAS))
+
+    def column():
+        return draw(st.sampled_from(_UNIVERSE))
+
+    builders = {
+        DocTable: lambda: DocTable(),
+        LiteralTable: lambda: LiteralTable(draw(_SCHEMAS), []),
+        Serialize: lambda: Serialize(unary()),
+        Distinct: lambda: Distinct(unary()),
+        Project: lambda: Project(unary(), [(new, column()) for new in draw(_SOME)]),
+        Select: lambda: Select(unary(), _predicate(draw)),
+        Join: lambda: Join(unary(), unary(), _predicate(draw)),
+        Cross: lambda: Cross(unary(), unary()),
+        Attach: lambda: Attach(unary(), column(), 1),
+        RowId: lambda: RowId(unary(), column()),
+        RowRank: lambda: RowRank(unary(), column(), draw(_SOME), draw(_SOME)[:1]),
+        GroupAggregate: lambda: GroupAggregate(
+            unary(), unary(), "sum", column(), column(), column(), column()
+        ),
+    }
+    try:
+        return builders[cls]()
+    except AlgebraError:
+        return None
+
+
+_CLASSES = (
+    DocTable, LiteralTable, Serialize, Project, Select, Join, Cross, Distinct, Attach,
+    RowId, RowRank, GroupAggregate,
+)
+
+
+def test_every_operator_class_is_probed():
+    assert set(_CLASSES) == set(Operator.__subclasses__())
+
+
+@pytest.mark.parametrize("cls", _CLASSES, ids=lambda cls: cls.__name__)
+@settings(max_examples=EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(data=st.data())
+def test_the_schema_check_is_the_constructors(cls, data):
+    """``schema`` over new input schemas accepts exactly what
+    ``with_children`` over inputs with those schemas accepts, gives the
+    same columns, and refuses with the same message — the rewrite driver's
+    glue validates through it and builds nothing."""
+    node = _build(data.draw, cls)
+    assume(node is not None)
+    inputs = [data.draw(_SCHEMAS) for _child in node.children]
+    try:
+        expected = node.with_children([_table(columns) for columns in inputs]).columns
+    except AlgebraError as error:
+        expected = str(error)
+    try:
+        checked = node.schema(inputs)
+    except AlgebraError as error:
+        checked = str(error)
+    assert checked == expected

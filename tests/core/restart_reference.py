@@ -24,7 +24,8 @@ reference, one context per step, numbers afresh above the plan's own
 suffixes at every step; the driver numbers once per run), so the two sides
 compare with ``==``;
 :func:`assert_driver_matches_reference` is that comparison for one stacked
-plan, and :func:`main` runs it over generated queries (the nightly sweep).
+plan, and :func:`main` runs it over generated queries and the named shapes
+(``pathN``, ``predN``, ``forN``; the nightly sweep).
 """
 
 import re
@@ -288,13 +289,22 @@ def pred_query(depth):
     return 'doc("nested.xml")/a' + "[b" * depth + "]" * depth
 
 
+def for_query(depth):
+    """``depth`` nested FLWORs, each binding ``doc("nested.xml")//b``."""
+    fors = "".join(f'for $v{i} in doc("nested.xml")//b return ' for i in range(depth))
+    return fors + f"$v{depth - 1}"
+
+
+#: The named query shapes, by prefix.
+SHAPES = {"path": path_query, "pred": pred_query, "for": for_query}
+
+
 def shape_query(shape):
-    """The query of a named shape: ``pathN`` or ``predN``."""
-    match = re.fullmatch(r"(path|pred)(\d+)", shape)
+    """The query of a named shape: ``pathN``, ``predN`` or ``forN``."""
+    match = re.fullmatch(r"(path|pred|for)(\d+)", shape)
     if match is None:
-        raise ValueError(f"unknown shape {shape!r} (expected pathN or predN)")
-    build = path_query if match.group(1) == "path" else pred_query
-    return build(int(match.group(2)))
+        raise ValueError(f"unknown shape {shape!r} (expected pathN, predN or forN)")
+    return SHAPES[match.group(1)](int(match.group(2)))
 
 
 def main(count, seed, shapes=()):
@@ -325,7 +335,7 @@ if __name__ == "__main__":
     parser.add_argument("--count", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--shapes", nargs="*", default=(), help="named query shapes, e.g. path128 pred50"
+        "--shapes", nargs="*", default=(), help="named query shapes, e.g. path128 pred50 for32"
     )
     options = parser.parse_args()
     main(options.count, options.seed, options.shapes)

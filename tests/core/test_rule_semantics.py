@@ -333,10 +333,10 @@ def test_a_normaliser_that_ignores_refs_is_caught(monkeypatch):
     monkeypatch.setattr(normalize_module, "child_needed", strict)
     monkeypatch.setattr(
         normalize_module,
-        "_Pass",
+        "Pass",
         mutated(
             normalize_module,
-            "_Pass",
+            "Pass",
             "for _new, old in items)",
             "for new, old in items if new in state)",
         ),

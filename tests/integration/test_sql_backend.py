@@ -10,6 +10,7 @@ for prepared queries under rebinding.
 import pytest
 
 from repro.errors import JoinGraphError
+from repro.core import stages
 from repro.testing.corpus import WORKLOAD, query_by_name
 from repro.core.session import Session
 
@@ -210,6 +211,38 @@ def test_join_order_hint_refreshes_after_catalog_growth():
     compilation = session.processor.compile(query)
     stats_key, _sql = compilation.sql_backend_sql
     assert stats_key[1] == len(session.store.encoding)
+
+
+def test_a_parameterized_graph_renders_once_across_registrations(monkeypatch):
+    """A parameterized graph's CROSS JOIN order is the static descent order,
+    whatever the catalog holds: its text is rendered on the first run and
+    re-bound after every registration, never rendered again.  An
+    unparameterized graph is re-planned against each grown catalog."""
+    session = Session()
+    session.register("tiny.xml", "<a><b>1</b><b>2</b></a>")
+    prepared = session.prepare(
+        "declare variable $n as xs:decimal external; "
+        'doc("tiny.xml")/descendant::b[. > $n]'
+    )
+    plain = session.prepare('doc("tiny.xml")/descendant::b')
+    renders = []
+    render = stages.render_join_graph
+
+    def counting_render(graph, *args, **kwargs):
+        renders.append(graph)
+        return render(graph, *args, **kwargs)
+
+    monkeypatch.setattr(stages, "render_join_graph", counting_render)
+    before = prepared.run({"n": 0}, engine="sql").items
+    plain.run(engine="sql")
+    parameterized = prepared.compilation.join_graph
+    assert [graph is parameterized for graph in renders] == [True, False]
+    for index in range(3):
+        session.register(f"more{index}.xml", f"<m><b>{index + 3}</b></m>")
+        assert prepared.run({"n": 0}, engine="sql").items == before
+        plain.run(engine="sql")
+    assert sum(graph is parameterized for graph in renders) == 1
+    assert len(renders) == 1 + 1 + 3
 
 
 def test_prepared_session_handle_survives_registration_on_sql():
